@@ -64,6 +64,7 @@ from .rdiag import (
 
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
+MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
 
 # Frozen reference rows used by the verify suites.
 _XI_ROWS = {
@@ -164,7 +165,7 @@ def _load_distribution(path: str) -> Distribution:
         raise StructureError(
             "q-cumulants file must be a non-empty JSON array of 'p/q' strings"
         )
-    return Distribution.from_strings(data)
+    return Distribution(_parse_fraction(s) for s in data)
 
 
 def _parse_partition(n: int, text: str) -> NCPartition:
@@ -172,6 +173,10 @@ def _parse_partition(n: int, text: str) -> NCPartition:
         blocks = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"cannot parse partition {text!r}: {exc}") from None
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(type(e) is int for e in b) for b in blocks
+    ):
+        raise StructureError(f"partition {text!r} must be a JSON list of lists of integers")
     return NCPartition(n, blocks)
 
 
@@ -741,6 +746,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise SizeError(f"--max-n must be >= 1, got {args.max_n}")
     names = [args.suite] if args.suite else list(SUITES)
     passed = 0
     for name in names:
@@ -764,10 +771,17 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _prec_bits(text: str) -> int:
+    bits = int(text)
+    if bits < MIN_PREC:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_PREC} bits, got {bits}")
+    return bits
+
+
 def _add_prec(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--prec",
-        type=int,
+        type=_prec_bits,
         default=DEFAULT_PREC,
         help=f"working precision in bits (default {DEFAULT_PREC})",
     )

@@ -85,25 +85,18 @@ def switch_number(w: Union[Word, str]) -> int:
 
 
 def canonical_word(w: Union[Word, str]) -> Word:
-    """Least representative of the orbit under rotation, reversal and swap."""
-    base = as_word(w)
-    n = base.n
+    """Least representative of the orbit under rotation, reversal and swap.
 
-    def key(letters: Letters) -> tuple[int, ...]:
-        return tuple(0 if l == 1 else 1 for l in letters)
-
-    best = None
-    for variant in (
-        base.letters,
-        base.letters[::-1],
-        tuple(-l for l in base.letters),
-        tuple(-l for l in base.letters[::-1]),
-    ):
-        for r in range(n):
-            cand = variant[r:] + variant[:r]
-            if best is None or key(cand) < key(best):
-                best = cand
-    return Word(best)
+    Words are ordered letter by letter with 1 before *.  On the stored
+    letters (+1 before -1) that is the reverse of tuple order, so the least
+    representative is the largest letter tuple among the rotations of the
+    four variants.
+    """
+    letters = as_word(w).letters
+    n = len(letters)
+    swapped = tuple(-l for l in letters)
+    doubled = [v + v for v in (letters, letters[::-1], swapped, swapped[::-1])]
+    return Word(max(d[r : r + n] for d in doubled for r in range(n)))
 
 
 def haar_cumulant(w: Union[Word, str]) -> int:

@@ -5,13 +5,16 @@ polynomial coefficients and exponents c in (1/2)Z. Exponents are stored as
 the even/odd integer exp2 = 2c, so the substitution y = exp(-t/2) turns the
 term with exp2 = -m into (polynomial) * y^m.
 
-All ring and calculus operations are exact over Fraction; numeric
-evaluation goes through mpmath at a caller-chosen binary precision.
+A Poly stores integer numerators over one common denominator, kept in
+lowest terms, so every ring and calculus operation runs on Python ints and
+normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
+Numeric evaluation goes through mpmath at a caller-chosen binary precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 import mpmath
@@ -29,57 +32,91 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected a rational, got {type(v).__name__}")
 
 
-class Poly:
-    """Polynomial over Q, coefficients stored ascending with no trailing zeros."""
+def _poly(num: list[int], den: int) -> "Poly":
+    """The Poly num/den (den > 0) in canonical form; may modify num."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_num", tuple(num))
+    object.__setattr__(p, "_den", den)
+    return p
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Polynomial over Q, stored as integer numerators over one denominator.
+
+    The coefficients, ascending, are ``_num[i] / _den`` with ``_den > 0``,
+    ``gcd(_den, *_num) == 1`` and no trailing zero numerator, so each
+    rational polynomial has exactly one representation and the zero
+    polynomial is ``((), 1)``.  ``coeffs`` is a read-only Fraction view.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "_num", p._num)
+        object.__setattr__(self, "_den", p._den)
 
     @classmethod
     def const(cls, c: Rat) -> "Poly":
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients in ascending order, as Fractions."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly((other,))
+        a, da, b, db = self._num, self._den, other._num, other._den
+        if da != db:
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            a = [c * ma for c in a] if ma != 1 else a
+            b = [c * mb for c in b] if mb != 1 else b
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -87,19 +124,23 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
+            if isinstance(other, int):
+                return _poly([c * other for c in self._num], self._den)
+            if isinstance(other, Fraction):
+                k = other.numerator
+                return _poly([c * k for c in self._num], self._den * other.denominator)
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._num, other._num
+        if not a or not b:
             return POLY_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -116,18 +157,27 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
+        return _poly([c * i for i, c in enumerate(self._num) if i >= 1], self._den)
 
     def antiderivative(self) -> "Poly":
         """Antiderivative vanishing at 0."""
-        return Poly((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        m = lcm(*range(1, len(self._num) + 1))
+        return _poly([0] + [c * (m // (i + 1)) for i, c in enumerate(self._num)], self._den * m)
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int arguments."""
-        out = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        if not isinstance(x, (int, Fraction)):
+            out = x * 0
+            for c in reversed(self.coeffs):
+                out = out * x + c
+            return out
+        # q^d p(r/q) = sum_i num_i r^i q^(d-i), accumulated from the top
+        r, q = x.numerator, x.denominator
+        out, qpow = 0, 1
+        for c in reversed(self._num):
+            out = out * r + c * qpow
+            qpow *= q
+        return Fraction(out * q, self._den * qpow)
 
     def eval_mp(self, x) -> mpmath.mpf:
         out = mpmath.mpf(0)
@@ -137,20 +187,31 @@ class Poly:
 
     def shift_arg(self, a: Rat) -> "Poly":
         """The polynomial p(x + a)."""
+        # Horner in x + r/s: s^j times the partial sum after j steps stays integral
         a = _frac(a)
-        out = POLY_ZERO
-        base = Poly((a, 1))
-        for i, c in enumerate(self.coeffs):
-            out = out + base**i * c
-        return out
+        r, s = a.numerator, a.denominator
+        out: list[int] = []
+        spow = 1
+        for c in reversed(self._num):
+            # out * (s x + r) + c * s^(j+1)
+            nxt = [0] * (len(out) + 1)
+            for i, v in enumerate(out):
+                nxt[i] += v * r
+                nxt[i + 1] += v * s
+            spow *= s
+            nxt[0] += c * spow
+            out = nxt
+        return _poly(out, self._den * spow)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = Poly((other,))
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash((self._num, self._den))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -181,7 +242,7 @@ class QuasiPoly:
         for e2, p in items:
             if not isinstance(e2, int):
                 raise TypeError(f"exp2 must be int, got {e2!r}")
-            if isinstance(p, (int, Fraction)):
+            if not isinstance(p, Poly):
                 p = Poly((p,))
             if p.is_zero:
                 continue
@@ -220,10 +281,10 @@ class QuasiPoly:
         return POLY_ZERO
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuasiPoly.constant(other)
         if not isinstance(other, QuasiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QuasiPoly.constant(other)
         acc = dict(self._terms)
         for e2, p in other._terms:
             acc[e2] = acc[e2] + p if e2 in acc else p
@@ -235,9 +296,7 @@ class QuasiPoly:
         return QuasiPoly({e2: -p for e2, p in self._terms})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuasiPoly.constant(other)
-        if not isinstance(other, QuasiPoly):
+        if not isinstance(other, (QuasiPoly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -245,10 +304,10 @@ class QuasiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return QuasiPoly({e2: p * other for e2, p in self._terms})
         if not isinstance(other, QuasiPoly):
-            return NotImplemented
+            if not isinstance(other, (Poly, int, Fraction)):
+                return NotImplemented
+            return QuasiPoly({e2: p * other for e2, p in self._terms})
         acc: dict[int, Poly] = {}
         for e2a, pa in self._terms:
             for e2b, pb in other._terms:
@@ -336,9 +395,11 @@ class QuasiPoly:
         return _quasipoly_text(self, picture, latex=True)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QuasiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = QuasiPoly.constant(other)
-        return isinstance(other, QuasiPoly) and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(("QuasiPoly", self._terms))
@@ -395,8 +456,9 @@ def poly_text(p: Poly, var: str = "x", latex: bool = False) -> str:
     if p.is_zero:
         return "0"
     parts = []
+    coeffs = p.coeffs
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+        c = coeffs[k]
         if c == 0:
             continue
         vp = _var_power(var, k, latex)
@@ -468,8 +530,8 @@ def _quasipoly_text(f: QuasiPoly, picture: str, latex: bool) -> str:
             body = poly_text(p, var, latex)
         elif p == POLY_ONE:
             body = fac
-        elif p.degree == 0 and p.coeffs[0].denominator == 1:
-            body = f"{p.coeffs[0].numerator}{fac}"
+        elif p.degree == 0 and p._den == 1:
+            body = f"{p._num[0]}{fac}"
         else:
             body = f"({poly_text(p, var, latex)}){fac}"
         if not pieces:

@@ -212,3 +212,49 @@ def test_byte_determinism(capsys):
         assert run(args) == 0
         second, _ = _capture(capsys)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zpoly", "11*", "--eval", "1", "--prec", "0"],
+        ["zpoly", "11*", "--eval", "1", "--prec", "-5"],
+        ["xi", "--n", "3", "--eval", "1", "--prec", "1"],
+    ],
+)
+def test_too_small_prec_is_refused(argv, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "--prec" in err and "at least 53 bits" in err
+    assert "Traceback" not in err
+
+
+def test_smallest_prec_is_accepted(capsys):
+    assert run(["zpoly", "11*", "--eval", "1", "--prec", "53"]) == 0
+    out, _ = _capture(capsys)
+    assert out.startswith("-0.16027033941577")
+
+
+@pytest.mark.parametrize("command", ["alpha", "beta"])
+def test_zero_denominator_in_q_cumulants_file(command, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(["1/2", "1/0"]))
+    assert run([command, "--k", "1", "--q-cumulants", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "'1/0'" in err and "Traceback" not in err
+
+
+def test_kreweras_of_non_integer_block_is_refused(capsys):
+    assert run(["nc", "--n", "3", "--kreweras", '[[1,"a"],[2]]']) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert '[[1,"a"],[2]]' in err and "Traceback" not in err
+
+
+def test_verify_refuses_max_n_zero(capsys):
+    assert run(["verify", "--max-n", "0"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "--max-n" in err and "got 0" in err

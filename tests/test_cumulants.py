@@ -1,5 +1,6 @@
 """Unit tests for the word-cumulant quasi-polynomials."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,34 @@ def test_canonical_word_stays_in_orbit():
     assert canon in orbit
     for other in orbit:
         assert canonical_word(other) == canon
+
+
+def _canonical_word_by_key(letters):
+    """The orbit representative as first defined: the least 0/1 key, 1 -> 0."""
+    n = len(letters)
+
+    def key(cand):
+        return tuple(0 if l == 1 else 1 for l in cand)
+
+    best = None
+    for variant in (
+        letters,
+        letters[::-1],
+        tuple(-l for l in letters),
+        tuple(-l for l in letters[::-1]),
+    ):
+        for r in range(n):
+            cand = variant[r:] + variant[:r]
+            if best is None or key(cand) < key(best):
+                best = cand
+    return best
+
+
+def test_canonical_word_matches_key_oracle_up_to_length_12():
+    # the memo keys of z_mobius and z_recursive are these representatives
+    for n in range(1, 13):
+        for letters in itertools.product((1, -1), repeat=n):
+            assert canonical_word(Word(letters)).letters == _canonical_word_by_key(letters)
 
 
 def test_switch_number_counts_cyclically():

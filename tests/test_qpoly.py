@@ -1,6 +1,7 @@
 """Unit tests for the exact polynomial and quasi-polynomial ring."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -136,3 +137,153 @@ def test_eval_known_value():
     with mpmath.workprec(128):
         t = mpmath.log(4)
         assert abs(q.eval(t) - mpmath.mpf(3) / 4) < mpmath.mpf("1e-35")
+
+
+# ---------------------------------------------------------------------------
+# Poly against a plain Fraction-list reference.  The reference keeps one
+# Fraction per coefficient, ascending, with trailing zeros stripped, and does
+# the schoolbook arithmetic that Poly replaced with integer numerators over a
+# common denominator.
+
+coeff_lists = st.lists(rationals, max_size=6)
+scalars = st.one_of(st.integers(min_value=-20, max_value=20), rationals)
+
+
+def _strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_pow(a, k):
+    out = (Fraction(1),)
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_eval(a, x):
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def _ref_shift(a, s):
+    out = ()
+    for i, c in enumerate(a):
+        out = _ref_add(out, _ref_mul(_ref_pow((Fraction(s), Fraction(1)), i), (c,)))
+    return out
+
+
+def _assert_canonical(p):
+    num, den = p._num, p._den
+    assert isinstance(num, tuple) and all(type(c) is int for c in num)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    if not num:
+        assert den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_poly_ring_ops_match_reference(a, b):
+    pa, pb = Poly(a), Poly(b)
+    ra, rb = _strip(a), _strip(b)
+    assert pa.coeffs == ra
+    cases = [
+        (pa + pb, _ref_add(ra, rb)),
+        (pa - pb, _ref_add(ra, tuple(-c for c in rb))),
+        (-pa, _strip(-c for c in ra)),
+        (pa * pb, _ref_mul(ra, rb)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.coeffs == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, scalars)
+def test_poly_scalar_ops_match_reference(a, c):
+    pa, ra = Poly(a), _strip(a)
+    for got in (pa * c, c * pa):
+        _assert_canonical(got)
+        assert got.coeffs == _strip(x * c for x in ra)
+    for got in (pa + c, c + pa):
+        _assert_canonical(got)
+        assert got.coeffs == _ref_add(ra, (Fraction(c),))
+    assert (pa - c).coeffs == _ref_add(ra, (-Fraction(c),))
+    assert (c - pa).coeffs == _ref_add(tuple(-x for x in ra), (Fraction(c),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=4), st.integers(min_value=0, max_value=5))
+def test_poly_pow_matches_reference(a, k):
+    got = Poly(a) ** k
+    _assert_canonical(got)
+    assert got.coeffs == _ref_pow(_strip(a), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, scalars)
+def test_poly_calculus_and_eval_match_reference(a, x):
+    pa, ra = Poly(a), _strip(a)
+    for got, want in (
+        (pa.derivative(), _strip(i * c for i, c in enumerate(ra) if i >= 1)),
+        (pa.antiderivative(), _strip([Fraction(0)] + [c / (i + 1) for i, c in enumerate(ra)])),
+        (pa.shift_arg(x), _ref_shift(ra, x)),
+    ):
+        _assert_canonical(got)
+        assert got.coeffs == want
+    value = pa(x)
+    assert type(value) is Fraction and value == _ref_eval(ra, x)
+    assert pa.leading() == (ra[-1] if ra else 0)
+    assert pa.degree == len(ra) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, coeff_lists, scalars)
+def test_poly_eq_and_hash_follow_the_coefficients(a, b, c):
+    pa, pb = Poly(a), Poly(b)
+    assert (pa == pb) == (_strip(a) == _strip(b))
+    # the same polynomial by another route: scaled up, then back down
+    if c != 0:
+        other = (pa * c) * (1 / Fraction(c))
+        assert other == pa and hash(other) == hash(pa)
+    assert (pa - pa) == Poly() and hash(pa - pa) == hash(Poly())
+
+
+def test_equal_polys_from_different_routes_hash_equal():
+    a = Poly([Fraction(1, 2), 1])
+    b = Poly([2, 4]) * Fraction(1, 4)
+    c = Poly(["1/2", "1"])
+    d = Poly([1, 0]) * Fraction(1, 2) + Poly([0, 1])
+    assert a == b == c == d
+    assert len({hash(p) for p in (a, b, c, d)}) == 1
+    assert (a._num, a._den) == ((1, 2), 2)
+    assert Poly([0, 0]) == Poly() and (Poly()._num, Poly()._den) == ((), 1)
+    assert Poly([3]) == 3 and Poly([Fraction(3, 4)]) == Fraction(3, 4)
+
+
+def test_poly_is_immutable():
+    p = Poly([1, 2])
+    with pytest.raises(AttributeError):
+        p._num = (5,)
