@@ -17,8 +17,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-import mpmath
-
 from .cumulants import Z_LIMIT, z_mobius
 from .errors import SizeError, StructureError
 from .ncpart import catalan
@@ -423,6 +421,8 @@ def pde_residual(
     the defect through order 2 n_max, records the first order that is
     not identically zero, and evaluates the defect series on the grids.
     """
+    import mpmath
+
     seq = xi_by_recursion(n_max)
     coeffs = [pde_z_coefficient(seq.entries, n) for n in range(1, 2 * n_max + 1)]
     defect_order = None

@@ -18,49 +18,10 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Optional, Sequence
 
-from .alternating import (
-    chi_expansion,
-    chi_roundtrip_defect,
-    lagrange_lambda,
-    lambda_series,
-    pde_residual,
-    pde_z_coefficient,
-    xi_by_inversion,
-    xi_by_mobius,
-    xi_by_recursion,
-)
-from .cumulants import haar_cumulant, z_mobius, z_recursive
+# Layers are imported by the handlers and suites that run them, so a
+# request loads only its own code (and mpmath only when it evaluates).
 from .errors import InsufficientDataError, SizeError, StructureError
-from .laplace import (
-    check_f_identity,
-    suffix_star_cumulant,
-    u_poly,
-    v_k1_closed,
-    v_poly,
-    z_from_laplace,
-)
-from .moments import Word, as_word, m_poly
-from .ncpart import (
-    NCPartition,
-    catalan,
-    enumerate_nc,
-    kreweras,
-    moebius_from_zero,
-    moebius_to_one,
-)
 from .qpoly import Poly, QuasiPoly, poly_text
-from .rdiag import (
-    Distribution,
-    beta_enumeration,
-    beta_mobius,
-    alpha_sequence,
-    haar_derivative,
-    haar_limit,
-    is_alternating,
-    mixed_q_cumulant,
-    nc_omega,
-    nc_omega_structured,
-)
 
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
@@ -145,11 +106,16 @@ def _eval_str(q: QuasiPoly, t: Fraction, prec_bits: int) -> str:
 
 
 def _all_words(n: int) -> Iterator[Word]:
+    from .moments import Word
+
     for bits in range(2 ** n):
         yield Word(tuple(1 if (bits >> i) & 1 else -1 for i in range(n)))
 
 
 def _derivative_formula(word: Word) -> int:
+    from .ncpart import catalan
+    from .rdiag import is_alternating
+
     if word.n % 2 == 0 or not is_alternating(word):
         return 0
     k = (word.n + 1) // 2
@@ -157,6 +123,8 @@ def _derivative_formula(word: Word) -> int:
 
 
 def _load_distribution(path: str) -> Distribution:
+    from .rdiag import Distribution
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data or not all(
@@ -169,6 +137,8 @@ def _load_distribution(path: str) -> Distribution:
 
 
 def _parse_partition(n: int, text: str) -> NCPartition:
+    from .ncpart import NCPartition
+
     try:
         blocks = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -202,6 +172,15 @@ class VerifyReport:
 
 
 def _suite_ncpart_lattice(args) -> tuple:
+    from .ncpart import (
+        NCPartition,
+        catalan,
+        enumerate_nc,
+        kreweras,
+        moebius_from_zero,
+        moebius_to_one,
+    )
+
     cap = args.max_n or 6
     failures = []
     cases = 0
@@ -230,6 +209,8 @@ def _suite_ncpart_lattice(args) -> tuple:
 
 
 def _suite_z_two_path(args) -> tuple:
+    from .cumulants import z_mobius, z_recursive
+
     cap = args.max_n or 7
     failures = []
     cases = 0
@@ -244,6 +225,8 @@ def _suite_z_two_path(args) -> tuple:
 
 
 def _suite_thm37(args) -> tuple:
+    from .cumulants import z_mobius
+
     cap = args.max_n or 7
     failures = []
     cases = 0
@@ -258,6 +241,9 @@ def _suite_thm37(args) -> tuple:
 
 
 def _suite_prop62(args) -> tuple:
+    from .cumulants import haar_cumulant
+    from .rdiag import haar_limit
+
     cap = args.max_n or 7
     failures = []
     cases = 0
@@ -272,6 +258,9 @@ def _suite_prop62(args) -> tuple:
 
 
 def _suite_thm63(args) -> tuple:
+    from .cumulants import z_mobius
+    from .rdiag import haar_derivative
+
     cap = args.max_n or 7
     failures = []
     cases = 0
@@ -290,6 +279,9 @@ def _suite_thm63(args) -> tuple:
 
 
 def _suite_laplace_cross(args) -> tuple:
+    from .cumulants import z_mobius
+    from .laplace import u_poly, v_k1_closed, v_poly, z_from_laplace
+
     cap = args.max_n or 8
     failures = []
     cases = 0
@@ -319,6 +311,9 @@ def _suite_laplace_cross(args) -> tuple:
 
 
 def _suite_remark45(args) -> tuple:
+    from .cumulants import z_mobius
+    from .laplace import suffix_star_cumulant
+
     cap = min(args.max_n or 7, 11)
     failures = []
     cases = 0
@@ -337,6 +332,8 @@ def _suite_remark45(args) -> tuple:
 
 
 def _suite_xi_three_path(args) -> tuple:
+    from .alternating import lambda_series, xi_by_inversion, xi_by_mobius, xi_by_recursion
+
     n_inv = args.max_n or 6
     n_mob = min(n_inv, 5)
     failures = []
@@ -367,6 +364,8 @@ def _suite_xi_three_path(args) -> tuple:
 
 
 def _suite_pde_coeff(args) -> tuple:
+    from .alternating import pde_residual, pde_z_coefficient, xi_by_recursion
+
     n = args.max_n or 6
     failures = []
     cases = 0
@@ -392,6 +391,8 @@ def _suite_pde_coeff(args) -> tuple:
 
 
 def _suite_chi_roundtrip(args) -> tuple:
+    from .alternating import chi_expansion, chi_roundtrip_defect, lagrange_lambda, lambda_series
+
     order = args.max_n or 6
     failures = []
     cases = 0
@@ -417,6 +418,9 @@ def _suite_chi_roundtrip(args) -> tuple:
 
 
 def _suite_prop67_cross(args) -> tuple:
+    from .ncpart import catalan
+    from .rdiag import Distribution, beta_enumeration, beta_mobius, mixed_q_cumulant
+
     rng = Random(args.seed)
     failures = []
     cases = 0
@@ -444,6 +448,9 @@ def _suite_prop67_cross(args) -> tuple:
 
 
 def _suite_lemma611(args) -> tuple:
+    from .moments import Word
+    from .rdiag import is_alternating, nc_omega
+
     cap = min(args.max_n or 6, 6)
     failures = []
     cases = 0
@@ -461,6 +468,8 @@ def _suite_lemma611(args) -> tuple:
 
 
 def _suite_example69(args) -> tuple:
+    from .rdiag import nc_omega, nc_omega_structured
+
     cap = min(args.max_n or 3, 4)
     failures = []
     cases = 1
@@ -538,6 +547,9 @@ def _print_report(report: VerifyReport) -> None:
 
 
 def _cmd_zpoly(args) -> int:
+    from .cumulants import z_mobius, z_recursive
+    from .moments import as_word
+
     word = as_word(args.word)
     if args.grade is not None and args.eval is not None:
         raise StructureError("--grade and --eval cannot be combined")
@@ -567,6 +579,8 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .alternating import xi_by_inversion, xi_by_mobius, xi_by_recursion
+
     n = args.n
     if n < 1:
         raise SizeError(f"--n must be >= 1, got {n}")
@@ -593,6 +607,8 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_special(args) -> int:
+    from .laplace import u_poly, v_poly, z_from_laplace
+
     k, l = args.k, args.l
     u = u_poly(k, l)
     v = v_poly(k, l)
@@ -615,6 +631,8 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_fcheck(args) -> int:
+    from .laplace import check_f_identity
+
     ok, failures = check_f_identity(args.order)
     if ok:
         print(f"OK: cleared-form identity holds through order {args.order}")
@@ -625,6 +643,8 @@ def _cmd_fcheck(args) -> int:
 
 
 def _cmd_pde_check(args) -> int:
+    from .alternating import pde_residual, pde_z_coefficient, xi_by_recursion
+
     n = args.n
     seq = xi_by_recursion(n)
     bad = [
@@ -644,6 +664,9 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_haar(args) -> int:
+    from .moments import as_word
+    from .rdiag import haar_derivative, haar_limit
+
     word = as_word(args.word)
     limit = haar_limit(word)
     derivative = haar_derivative(word)
@@ -661,6 +684,8 @@ def _cmd_haar(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    from .rdiag import alpha_sequence
+
     d = _load_distribution(args.q_cumulants)
     values = alpha_sequence(d, args.k)
     if args.format == "json":
@@ -672,6 +697,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from .rdiag import beta_enumeration, beta_mobius, nc_omega_structured
+
     d = _load_distribution(args.q_cumulants)
     results = {}
     if args.method in ("mobius", "both"):
@@ -703,6 +730,8 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_ncw(args) -> int:
+    from .rdiag import nc_omega
+
     onc = nc_omega(args.word)
     if args.format == "json":
         payload = {"word": str(onc.word), "count": len(onc)}
@@ -718,6 +747,8 @@ def _cmd_ncw(args) -> int:
 
 
 def _cmd_nc(args) -> int:
+    from .ncpart import enumerate_nc, kreweras, moebius_to_one
+
     n = args.n
     if args.kreweras is not None:
         p = _parse_partition(n, args.kreweras)
@@ -737,6 +768,8 @@ def _cmd_nc(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .moments import as_word, m_poly
+
     value = m_poly(as_word(args.word))
     if args.eval is not None:
         print(_eval_str(value, _parse_fraction(args.eval), args.prec))

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Union
 
-from . import ncpart
 from .errors import SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
+from .ncpart import _weight_table, catalan
 from .qpoly import POLY_ONE, POLY_ZERO, Poly, QuasiPoly
 
 Z_LIMIT = 12
@@ -110,14 +110,14 @@ def haar_cumulant(w: Union[Word, str]) -> int:
     if n % 2 != 0 or switch_number(word) != n:
         return 0
     k = n // 2
-    return (-1) ** (k - 1) * ncpart.catalan(k - 1)
+    return (-1) ** (k - 1) * catalan(k - 1)
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:
     """Raw Moebius-sum evaluation, no canonicalization or caching."""
     n = len(letters)
     acc: dict[int, Poly] = {}
-    for blocks, moeb in ncpart._weight_table(n):
+    for blocks, moeb in _weight_table(n):
         ypow = 0
         poly = POLY_ONE
         for blk in blocks:

@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-import mpmath
-
 from .errors import SizeError
 from .cumulants import ZPolynomial
 from .moments import diag_cumulant
@@ -109,6 +107,8 @@ def i_quadrature(k: int, l: int, t, prec_bits: int = 200) -> mpmath.mpf:
     Adaptive Gauss-Legendre; interior nodes keep the s = 0 factor harmless
     when k = 1 or l = 1.
     """
+    import mpmath
+
     _check_kl(k, l)
     with mpmath.workprec(prec_bits):
         if isinstance(t, Fraction):

@@ -1,9 +1,10 @@
 """Non-crossing set partitions of {1, ..., n}.
 
 Provides enumeration (lazy, in a deterministic first-block order), the
-reverse-refinement lattice order with its join, the Kreweras complement,
-and Moebius function values between a partition and the bottom / top
-elements of the lattice. All values are exact.
+Kreweras complement, and Moebius function values between a partition and
+the bottom / top elements of the lattice. All values are exact.  The
+lattice order, join and restriction, which only the tests use, live in
+tests/oracles.py.
 
 Ground sizes up to MAX_GROUND_SIZE are accepted; streaming enumeration is
 exercised up to n = 14 (2 674 440 partitions) by the test suite.
@@ -229,119 +230,12 @@ def _headed(a: int, hi: int) -> Iterator[tuple[tuple[int, ...], Blocks]]:
                 yield (a,) + tail, gap + rest
 
 
-def iter_blocks(n: int) -> Iterator[Blocks]:
-    """Raw block tuples of all partitions in NC(n), without object wrapping."""
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
-    return _parts(1, n + 1)
-
-
 def enumerate_nc(n: int) -> Iterator[NCPartition]:
     """Lazily stream every partition in NC(n), in first-block order."""
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
     make = NCPartition._trusted
     return (make(n, blocks) for blocks in _parts(1, n + 1))
-
-
-# ---------------------------------------------------------------------------
-# lattice structure
-
-
-def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """Whether the given partition of {1, ..., n} is non-crossing.
-
-    The blocks must form a partition of {1, ..., n} where n is the total
-    number of elements; anything else raises StructureError.
-    """
-    norm = _normalize_blocks(blocks)
-    n = sum(len(b) for b in norm)
-    _check_partition(n, norm)
-    return _noncrossing_blocks(norm, n)
-
-
-def _require_same_n(p: NCPartition, r: NCPartition) -> int:
-    if p.n != r.n:
-        raise StructureError(f"mismatched ground sizes {p.n} and {r.n}")
-    return p.n
-
-
-def leq(p: NCPartition, r: NCPartition) -> bool:
-    """Reverse refinement order: p <= r iff every block of p sits inside a block of r."""
-    n = _require_same_n(p, r)
-    rid = [0] * (n + 1)
-    for idx, blk in enumerate(r.blocks):
-        for e in blk:
-            rid[e] = idx
-    for blk in p.blocks:
-        target = rid[blk[0]]
-        for e in blk[1:]:
-            if rid[e] != target:
-                return False
-    return True
-
-
-def _interleaved(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # two disjoint sorted tuples cross iff their merge switches origin >= 3 times
-    i = j = switches = 0
-    last = -1
-    while i < len(a) or j < len(b):
-        if j >= len(b) or (i < len(a) and a[i] < b[j]):
-            cur = 0
-            i += 1
-        else:
-            cur = 1
-            j += 1
-        if cur != last:
-            if last != -1:
-                switches += 1
-                if switches >= 3:
-                    return True
-            last = cur
-    return False
-
-
-def join(p: NCPartition, r: NCPartition) -> NCPartition:
-    """Least upper bound of p and r in NC(n).
-
-    Computed as the set-partition join (overlap closure) followed by
-    repeated merging of interleaved blocks until none cross.
-    """
-    n = _require_same_n(p, r)
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for source in (p.blocks, r.blocks):
-        for blk in source:
-            root = find(blk[0])
-            for e in blk[1:]:
-                parent[find(e)] = root
-
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-
-    while True:
-        merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _interleaved(blocks[i], blocks[j]):
-                    fused = tuple(sorted(blocks[i] + blocks[j]))
-                    blocks = blocks[:i] + [fused] + blocks[i + 1 : j] + blocks[j + 1 :]
-                    blocks.sort(key=lambda b: b[0])
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
-            break
-    return NCPartition._trusted(n, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +308,3 @@ def _weight_table(n: int) -> tuple[tuple[Blocks, int], ...]:
         out.append((blocks, _moebius_from_zero_blocks(kr)))
     return tuple(out)
 
-
-def restrict(p: NCPartition, subset: Iterable[int]) -> NCPartition:
-    """Induced partition on a subset, relabeled to 1..|subset| by rank."""
-    labs = tuple(sorted(set(subset)))
-    if not labs:
-        raise SizeError("cannot restrict to an empty subset")
-    if labs[0] < 1 or labs[-1] > p.n:
-        raise SizeError(f"subset {labs} not within 1..{p.n}")
-    gm = GroundMap(labs)
-    members = set(labs)
-    blocks = []
-    for blk in p.blocks:
-        inter = tuple(gm.index_of(e) for e in blk if e in members)
-        if inter:
-            blocks.append(inter)
-    blocks.sort(key=lambda b: b[0])
-    return NCPartition._trusted(len(labs), tuple(blocks))

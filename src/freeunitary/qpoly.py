@@ -8,7 +8,8 @@ term with exp2 = -m into (polynomial) * y^m.
 A Poly stores integer numerators over one common denominator, kept in
 lowest terms, so every ring and calculus operation runs on Python ints and
 normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
-Numeric evaluation goes through mpmath at a caller-chosen binary precision.
+Numeric evaluation goes through mpmath at a caller-chosen binary precision;
+mpmath is imported by the evaluating methods, not with this module.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
-
-import mpmath
 
 Rat = Union[int, Fraction]
 
@@ -180,6 +179,8 @@ class Poly:
         return Fraction(out * q, self._den * qpow)
 
     def eval_mp(self, x) -> mpmath.mpf:
+        import mpmath
+
         out = mpmath.mpf(0)
         for c in reversed(self.coeffs):
             out = out * x + mpmath.mpf(c.numerator) / c.denominator
@@ -371,6 +372,8 @@ class QuasiPoly:
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""
+        import mpmath
+
         with mpmath.workprec(prec_bits):
             if isinstance(t, Fraction):
                 tv = mpmath.mpf(t.numerator) / t.denominator

@@ -29,7 +29,7 @@ from .ncpart import GroundMap, NCPartition, _weight_table, catalan, enumerate_nc
 Rat = Union[int, Fraction]
 
 BRUTE_LIMIT = 14
-STRUCTURED_LIMIT = 5
+STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
 
 class Distribution:

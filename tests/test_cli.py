@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,30 @@ def test_verify_refuses_max_n_zero(capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert "--max-n" in err and "got 0" in err
+
+
+def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps([f"1/{i}" for i in range(1, 11)]))
+    assert run(["beta", "--k", "5", "--q-cumulants", str(path), "--method", "enumeration"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "k <= 4" in err and "Traceback" not in err
+
+
+_IMPORT_FOOTPRINT = """
+import sys
+import freeunitary.cli as cli
+heavy = ("mpmath", "freeunitary.alternating", "freeunitary.laplace", "freeunitary.rdiag")
+print(sorted(m for m in heavy if m in sys.modules))
+cli.run(["zpoly", "1*1"])
+print(sorted(m for m in ("mpmath", "freeunitary.rdiag") if m in sys.modules))
+"""
+
+
+def test_cli_imports_only_the_layers_a_request_runs():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "-y + (x+1)y^3", "[]"]

@@ -12,7 +12,8 @@ from freeunitary import (
     moebius_from_zero,
     moebius_to_one,
 )
-from freeunitary.ncpart import MAX_GROUND_SIZE, is_noncrossing, join, leq, restrict
+from freeunitary.ncpart import MAX_GROUND_SIZE
+from oracles import is_noncrossing, join, leq, restrict
 
 CATALANS = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
