@@ -105,21 +105,13 @@ def _eval_str(q: QuasiPoly, t: Fraction, prec_bits: int) -> str:
         return mpmath.nstr(val, max(8, int(prec_bits * 0.301)))
 
 
-def _all_words(n: int) -> Iterator[Word]:
+def _all_words(cap: int) -> Iterator[Word]:
+    """Every word of length 1..cap; within a length, letter i is 1 where bit i is set."""
     from .moments import Word
 
-    for bits in range(2 ** n):
-        yield Word(tuple(1 if (bits >> i) & 1 else -1 for i in range(n)))
-
-
-def _derivative_formula(word: Word) -> int:
-    from .ncpart import catalan
-    from .rdiag import is_alternating
-
-    if word.n % 2 == 0 or not is_alternating(word):
-        return 0
-    k = (word.n + 1) // 2
-    return (-1) ** (k - 1) * catalan(k - 1)
+    for n in range(1, cap + 1):
+        for bits in range(2 ** n):
+            yield Word(tuple(1 if (bits >> i) & 1 else -1 for i in range(n)))
 
 
 def _load_distribution(path: str) -> Distribution:
@@ -152,26 +144,34 @@ def _parse_partition(n: int, text: str) -> NCPartition:
 
 # ---------------------------------------------------------------------------
 # verify harness
+#
+# A suite is a generator that yields one case at a time.  A case is a list
+# of checks (input, expected, got); a check fails when its two sides differ
+# and is reported as input, str(expected), str(got).  Where a suite asserts
+# a property rather than a value, both sides are the phrase stating it and
+# got becomes what was seen when the property fails (_claim).  _tally turns
+# a suite into the fn(args) -> (cases, failures) held in SUITES.
+# _cmd_verify looks each suite up in SUITES as it runs it, so a wrapper put
+# there after import (a timer, say) is the one that runs.
 
 
-class VerifyReport:
-    """Outcome of one identity suite."""
+def _tally(suite):
+    def run_suite(args) -> tuple:
+        cases, failures = 0, []
+        for case in suite(args):
+            cases += 1
+            failures += [(inp, str(want), str(got)) for inp, want, got in case if want != got]
+        return cases, failures
 
-    __slots__ = ("suite", "cases", "failures", "seconds", "note")
-
-    def __init__(self, suite, cases, failures, seconds, note=""):
-        self.suite = suite
-        self.cases = cases
-        self.failures = list(failures)
-        self.seconds = seconds
-        self.note = note
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    return run_suite
 
 
-def _suite_ncpart_lattice(args) -> tuple:
+def _claim(inp, phrase, holds: bool, seen) -> tuple:
+    return inp, phrase, phrase if holds else seen
+
+
+@_tally
+def _suite_ncpart_lattice(args):
     from .ncpart import (
         NCPartition,
         catalan,
@@ -181,315 +181,202 @@ def _suite_ncpart_lattice(args) -> tuple:
         moebius_to_one,
     )
 
-    cap = args.max_n or 6
-    failures = []
-    cases = 0
-    for n in range(1, cap + 1):
-        cases += 1
-        count = 0
-        moebius_sum = 0
+    for n in range(1, (args.max_n or 6) + 1):
+        count = moebius_sum = 0
+        case = []
+        # streamed, and a partition's check is kept only when it fails:
+        # NC(14) holds 2.7M partitions
         for p in enumerate_nc(n):
             count += 1
             moebius_sum += moebius_from_zero(p)
-            kr = kreweras(p)
-            if p.num_blocks + kr.num_blocks != n + 1:
-                failures.append(
-                    (f"n={n} pi={p}", f"{n + 1} blocks with complement", str(p.num_blocks + kr.num_blocks))
-                )
-        if count != catalan(n):
-            failures.append((f"n={n}", f"count {catalan(n)}", f"count {count}"))
+            blocks = p.num_blocks + kreweras(p).num_blocks
+            if blocks != n + 1:
+                case.append((f"n={n} pi={p}", f"{n + 1} blocks with complement", blocks))
         want = 1 if n == 1 else 0
-        if moebius_sum != want:
-            failures.append((f"n={n}", f"moebius sum {want}", str(moebius_sum)))
         a = moebius_to_one(NCPartition.zero(n))
         b = moebius_from_zero(NCPartition.one(n))
-        if a != b:
-            failures.append((f"n={n}", f"endpoint moebius {b}", str(a)))
-    return cases, failures
+        yield case + [
+            (f"n={n}", f"count {catalan(n)}", f"count {count}"),
+            _claim(f"n={n}", f"moebius sum {want}", moebius_sum == want, moebius_sum),
+            _claim(f"n={n}", f"endpoint moebius {b}", a == b, a),
+        ]
 
 
-def _suite_z_two_path(args) -> tuple:
+@_tally
+def _suite_z_two_path(args):
     from .cumulants import z_mobius, z_recursive
 
-    cap = args.max_n or 7
-    failures = []
-    cases = 0
-    for n in range(1, cap + 1):
-        for w in _all_words(n):
-            cases += 1
-            a = z_mobius(w).value
-            b = z_recursive(w).value
-            if a != b:
-                failures.append((str(w), a.to_text(), b.to_text()))
-    return cases, failures
+    for w in _all_words(args.max_n or 7):
+        yield [(str(w), z_mobius(w).value, z_recursive(w).value)]
 
 
-def _suite_thm37(args) -> tuple:
+@_tally
+def _suite_thm37(args):
     from .cumulants import z_mobius
 
-    cap = args.max_n or 7
-    failures = []
-    cases = 0
-    for n in range(1, cap + 1):
-        for w in _all_words(n):
-            cases += 1
-            if not z_mobius(w).switch_bound_holds():
-                failures.append(
-                    (str(w), "grades beyond the switch bound vanish", "nonzero grade")
-                )
-    return cases, failures
+    for w in _all_words(args.max_n or 7):
+        holds = z_mobius(w).switch_bound_holds()
+        yield [_claim(str(w), "grades beyond the switch bound vanish", holds, "nonzero grade")]
 
 
-def _suite_prop62(args) -> tuple:
+@_tally
+def _suite_prop62(args):
     from .cumulants import haar_cumulant
     from .rdiag import haar_limit
 
-    cap = args.max_n or 7
-    failures = []
-    cases = 0
-    for n in range(1, cap + 1):
-        for w in _all_words(n):
-            cases += 1
-            want = Fraction(haar_cumulant(w))
-            got = haar_limit(w)
-            if got != want:
-                failures.append((str(w), str(want), str(got)))
-    return cases, failures
+    for w in _all_words(args.max_n or 7):
+        yield [(str(w), Fraction(haar_cumulant(w)), haar_limit(w))]
 
 
-def _suite_thm63(args) -> tuple:
+@_tally
+def _suite_thm63(args):
     from .cumulants import z_mobius
-    from .rdiag import haar_derivative
+    from .ncpart import catalan
+    from .rdiag import haar_derivative, is_alternating
 
-    cap = args.max_n or 7
-    failures = []
-    cases = 0
-    for n in range(1, cap + 1):
-        for w in _all_words(n):
-            cases += 1
-            grade1 = z_mobius(w).grade(1)
-            if grade1.degree > 0:
-                failures.append((str(w), "constant grade-1 part", poly_text(grade1)))
-                continue
-            want = Fraction(_derivative_formula(w))
-            got = haar_derivative(w)
-            if got != want:
-                failures.append((str(w), str(want), str(got)))
-    return cases, failures
+    for w in _all_words(args.max_n or 7):
+        grade1 = z_mobius(w).grade(1)
+        if grade1.degree > 0:  # the derivative rule presumes a constant grade-1 part
+            yield [(str(w), "constant grade-1 part", grade1)]
+            continue
+        # (-1)^(k-1) C_(k-1) on alternating words of odd length 2k - 1, else 0
+        k = (w.n + 1) // 2
+        rule = (-1) ** (k - 1) * catalan(k - 1) if w.n % 2 and is_alternating(w) else 0
+        yield [(str(w), Fraction(rule), haar_derivative(w))]
 
 
-def _suite_laplace_cross(args) -> tuple:
+@_tally
+def _suite_laplace_cross(args):
     from .cumulants import z_mobius
     from .laplace import u_poly, v_k1_closed, v_poly, z_from_laplace
 
     cap = args.max_n or 8
-    failures = []
-    cases = 0
     for k in range(1, cap):
         for l in range(1, cap + 1 - k):
-            cases += 1
             closed = z_from_laplace(k, l).value
             generic = z_mobius("1" * k + "*" * l).value
-            if closed != generic:
-                failures.append((f"k={k} l={l}", generic.to_text(), closed.to_text()))
+            case = [(f"k={k} l={l}", generic, closed)]
             for name, p in (("U", u_poly(k, l)), ("V", v_poly(k, l))):
-                if any(c.denominator != 1 for c in p.coeffs):
-                    failures.append(
-                        (f"{name} k={k} l={l}", "integer coefficients", poly_text(p))
-                    )
+                integral = all(c.denominator == 1 for c in p.coeffs)
+                case.append(_claim(f"{name} k={k} l={l}", "integer coefficients", integral, p))
+            yield case
     for k in range(1, cap):
-        cases += 1
-        if u_poly(k, 1) != v_poly(k + 1, 1) * Fraction(-1, k):
-            failures.append((f"k={k}", "U(k,1) = -(1/k) V(k+1,1)", "mismatch"))
+        holds = u_poly(k, 1) == v_poly(k + 1, 1) * Fraction(-1, k)
+        yield [_claim(f"k={k}", "U(k,1) = -(1/k) V(k+1,1)", holds, "mismatch")]
     for k in range(1, cap + 1):
-        cases += 1
-        if v_k1_closed(k) != v_poly(k, 1):
-            failures.append(
-                (f"k={k}", poly_text(v_poly(k, 1)), poly_text(v_k1_closed(k)))
-            )
-    return cases, failures
+        closed = v_k1_closed(k)
+        yield [(f"k={k}", v_poly(k, 1), closed)]
 
 
-def _suite_remark45(args) -> tuple:
+@_tally
+def _suite_remark45(args):
     from .cumulants import z_mobius
     from .laplace import suffix_star_cumulant
 
-    cap = min(args.max_n or 7, 11)
-    failures = []
-    cases = 0
-    for k in range(1, cap + 1):
-        cases += 1
+    for k in range(1, min(args.max_n or 7, 11) + 1):
         closed = suffix_star_cumulant(k)
-        generic = z_mobius("1" * k + "*").value
-        if closed != generic:
-            failures.append((f"k={k}", generic.to_text(), closed.to_text()))
+        yield [(f"k={k}", z_mobius("1" * k + "*").value, closed)]
     for k, row in _SUFFIX_STAR_ROWS.items():
-        cases += 1
-        got = suffix_star_cumulant(k)
-        if got != row:
-            failures.append((f"frozen k={k}", row.to_text(), got.to_text()))
-    return cases, failures
+        yield [(f"frozen k={k}", row, suffix_star_cumulant(k))]
 
 
-def _suite_xi_three_path(args) -> tuple:
+@_tally
+def _suite_xi_three_path(args):
     from .alternating import lambda_series, xi_by_inversion, xi_by_mobius, xi_by_recursion
 
     n_inv = args.max_n or 6
     n_mob = min(n_inv, 5)
-    failures = []
-    cases = 0
     rec = xi_by_recursion(n_inv)
     inv = xi_by_inversion(n_inv)
     mob = xi_by_mobius(n_mob)
     for n in range(1, n_inv + 1):
-        cases += 1
-        if rec.xi(n) != inv.xi(n):
-            failures.append((f"xi_{n}", rec.xi(n).to_text(), inv.xi(n).to_text()))
+        yield [(f"xi_{n}", rec.xi(n), inv.xi(n))]
     for n in range(1, n_mob + 1):
-        cases += 1
-        if rec.xi(n) != mob.xi(n):
-            failures.append((f"xi_{n}", rec.xi(n).to_text(), mob.xi(n).to_text()))
+        yield [(f"xi_{n}", rec.xi(n), mob.xi(n))]
     for n, row in _XI_ROWS.items():
-        if n > n_inv:
-            continue
-        cases += 1
-        if rec.xi(n) != row:
-            failures.append((f"frozen xi_{n}", row.to_text(), rec.xi(n).to_text()))
+        if n <= n_inv:
+            yield [(f"frozen xi_{n}", row, rec.xi(n))]
     lam = lambda_series(2)
     for n, row in _LAMBDA_ROWS.items():
-        cases += 1
-        if lam.coeff(n) != row:
-            failures.append((f"frozen lambda_{n}", row.to_text(), lam.coeff(n).to_text()))
-    return cases, failures
+        yield [(f"frozen lambda_{n}", row, lam.coeff(n))]
 
 
-def _suite_pde_coeff(args) -> tuple:
+@_tally
+def _suite_pde_coeff(args):
     from .alternating import pde_residual, pde_z_coefficient, xi_by_recursion
 
     n = args.max_n or 6
-    failures = []
-    cases = 0
     seq = xi_by_recursion(n)
     for j in range(1, n + 1):
-        cases += 1
-        c = pde_z_coefficient(seq.entries, j)
-        if not c.is_zero:
-            failures.append((f"z^{j}", "0", c.to_text()))
+        yield [(f"z^{j}", 0, pde_z_coefficient(seq.entries, j))]
     report = pde_residual(n, prec_bits=args.prec)
-    cases += 1
-    if report.defect_order != n + 1:
-        failures.append(
-            ("defect order", str(n + 1), str(report.defect_order))
-        )
+    yield [("defect order", n + 1, report.defect_order)]
     if n >= 6:
-        cases += 1
-        if not report.max_residual < 1e-15:
-            failures.append(
-                ("max residual", "< 1e-15", f"{report.max_residual:.3e}")
-            )
-    return cases, failures
+        small = report.max_residual < 1e-15
+        yield [_claim("max residual", "< 1e-15", small, f"{report.max_residual:.3e}")]
 
 
-def _suite_chi_roundtrip(args) -> tuple:
+@_tally
+def _suite_chi_roundtrip(args):
     from .alternating import chi_expansion, chi_roundtrip_defect, lagrange_lambda, lambda_series
 
     order = args.max_n or 6
-    failures = []
-    cases = 0
     defect = chi_roundtrip_defect(order)
     for n in range(order + 1):
-        cases += 1
-        if not defect.coeff(n).is_zero:
-            failures.append((f"z^{n}", "0", defect.coeff(n).to_text()))
+        yield [(f"z^{n}", 0, defect.coeff(n))]
     tri = lambda_series(order)
     lag = lagrange_lambda(order)
     for n in range(1, order + 1):
-        cases += 1
-        if tri.coeff(n) != lag.coeff(n):
-            failures.append(
-                (f"lambda_{n}", tri.coeff(n).to_text(), lag.coeff(n).to_text())
-            )
+        yield [(f"lambda_{n}", tri.coeff(n), lag.coeff(n))]
     chi = chi_expansion(order)
     for n, row in _CHI_ROWS.items():
-        cases += 1
-        if chi.coeff(n) != row:
-            failures.append((f"frozen chi_{n}", row.to_text(), chi.coeff(n).to_text()))
-    return cases, failures
+        if n <= order:
+            yield [(f"frozen chi_{n}", row, chi.coeff(n))]
 
 
-def _suite_prop67_cross(args) -> tuple:
+@_tally
+def _suite_prop67_cross(args):
     from .ncpart import catalan
     from .rdiag import Distribution, beta_enumeration, beta_mobius, mixed_q_cumulant
 
     rng = Random(args.seed)
-    failures = []
-    cases = 0
     for trial in range(20):
         d = Distribution.random_small(rng, 10)
         bm = beta_mobius(d, 3)
         for k, word in ((2, "1*1"), (3, "1*1*1")):
-            cases += 1
-            got = beta_enumeration(d, word)
-            if got != bm[k - 1]:
-                failures.append(
-                    (f"trial={trial} k={k} d={d!r}", str(bm[k - 1]), str(got))
-                )
-        cases += 1
+            yield [(f"trial={trial} k={k} d={d!r}", bm[k - 1], beta_enumeration(d, word))]
         beta2_direct = mixed_q_cumulant(d, (2, 1)) - mixed_q_cumulant(d, (2,)) * d.kappa(1)
-        if bm[1] != beta2_direct:
-            failures.append((f"trial={trial} beta_2", str(beta2_direct), str(bm[1])))
+        yield [(f"trial={trial} beta_2", beta2_direct, bm[1])]
     one = Distribution.point_mass_one(10)
     for k, value in enumerate(beta_mobius(one, 4), start=1):
-        cases += 1
-        want = Fraction((-1) ** (k - 1) * catalan(k - 1))
-        if value != want:
-            failures.append((f"q=1 beta_{k}", str(want), str(value)))
-    return cases, failures
+        yield [(f"q=1 beta_{k}", Fraction((-1) ** (k - 1) * catalan(k - 1)), value)]
 
 
-def _suite_lemma611(args) -> tuple:
-    from .moments import Word
+@_tally
+def _suite_lemma611(args):
     from .rdiag import is_alternating, nc_omega
 
-    cap = min(args.max_n or 6, 6)
-    failures = []
-    cases = 0
-    for n in range(2, cap + 1):
-        for bits in range(2 ** max(n - 2, 0)):
-            mid = tuple(1 if (bits >> i) & 1 else -1 for i in range(n - 2))
-            word = Word((1,) + mid + (1,))
-            if is_alternating(word):
-                continue
-            cases += 1
-            found = len(nc_omega(word))
-            if found != 0:
-                failures.append((str(word), "empty support set", f"{found} partitions"))
-    return cases, failures
+    # words that begin and end with 1; the one-letter word is alternating
+    for w in _all_words(min(args.max_n or 6, 6)):
+        if w.letters[0] == w.letters[-1] == 1 and not is_alternating(w):
+            found = len(nc_omega(w))
+            yield [_claim(str(w), "empty support set", not found, f"{found} partitions")]
 
 
-def _suite_example69(args) -> tuple:
+@_tally
+def _suite_example69(args):
     from .rdiag import nc_omega, nc_omega_structured
 
-    cap = min(args.max_n or 3, 4)
-    failures = []
-    cases = 1
     got = [p.to_lists() for p in nc_omega("1*1").partitions]
     want = sorted(_EXAMPLE69_BLOCKS)
-    if sorted(got) != want:
-        failures.append(("1*1", str(want), str(got)))
-    for k in range(1, cap + 1):
-        cases += 1
-        word = "1" + "*1" * (k - 1)
+    yield [_claim("1*1", want, sorted(got) == want, got)]
+    for k in range(1, min(args.max_n or 3, 4) + 1):
         structured = nc_omega_structured(k)
-        brute = nc_omega(word)
-        if structured != brute:
-            failures.append(
-                (f"k={k}", f"{len(brute)} partitions (filter)", f"{len(structured)} (structured)")
-            )
-    cases += 1
-    if len(nc_omega_structured(1)) != 1:
-        failures.append(("k=1", "1 partition", str(len(nc_omega_structured(1)))))
-    return cases, failures
+        brute = nc_omega("1" + "*1" * (k - 1))
+        filtered = f"{len(brute)} partitions (filter)"
+        yield [_claim(f"k={k}", filtered, structured == brute, f"{len(structured)} (structured)")]
+    found = len(nc_omega_structured(1))
+    yield [_claim("k=1", "1 partition", found == 1, found)]
 
 
 SUITES = {
@@ -507,39 +394,6 @@ SUITES = {
     "lemma6.11": _suite_lemma611,
     "example6.9": _suite_example69,
 }
-
-
-def verify_all(names: Sequence[str], args) -> list:
-    reports = []
-    for name in names:
-        fn = SUITES[name]
-        note = f"seed={args.seed}" if name == "prop6.7-cross" else ""
-        start = time.monotonic()
-        try:
-            cases, failures = fn(args)
-        except Exception as exc:  # a crash is a failed suite, not a crash of the harness
-            cases, failures = 0, [("<exception>", "no exception", repr(exc))]
-        reports.append(
-            VerifyReport(name, cases, failures, time.monotonic() - start, note)
-        )
-    return reports
-
-
-def _print_report(report: VerifyReport) -> None:
-    suffix = f" [{report.note}]" if report.note else ""
-    if report.ok:
-        print(f"suite {report.suite}: PASS ({report.cases} cases){suffix}", flush=True)
-    else:
-        print(
-            f"suite {report.suite}: FAIL ({len(report.failures)} of {report.cases} cases){suffix}"
-        )
-        shown = report.failures[:20]
-        for inp, want, got in shown:
-            print(f"  input={inp} expected={want} got={got}")
-        if len(report.failures) > len(shown):
-            print(f"  ... {len(report.failures) - len(shown)} more")
-        sys.stdout.flush()
-    print(f"suite {report.suite}: {report.seconds:.2f}s", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +638,24 @@ def _cmd_verify(args) -> int:
     names = [args.suite] if args.suite else list(SUITES)
     passed = 0
     for name in names:
-        report = verify_all([name], args)[0]
-        _print_report(report)
-        passed += report.ok
+        start = time.monotonic()
+        try:
+            cases, failures = SUITES[name](args)
+        except Exception as exc:  # a crash is a failed suite, not a crash of the harness
+            cases, failures = 0, [("<exception>", "no exception", repr(exc))]
+        seconds = time.monotonic() - start
+        note = f" [seed={args.seed}]" if name == "prop6.7-cross" else ""
+        if failures:
+            print(f"suite {name}: FAIL ({len(failures)} of {cases} cases){note}")
+            for inp, want, got in failures[:20]:
+                print(f"  input={inp} expected={want} got={got}")
+            if len(failures) > 20:
+                print(f"  ... {len(failures) - 20} more")
+        else:
+            print(f"suite {name}: PASS ({cases} cases){note}")
+        sys.stdout.flush()
+        print(f"suite {name}: {seconds:.2f}s", file=sys.stderr)
+        passed += not failures
     print(f"{passed}/{len(names)} suites passed")
     return 0 if passed == len(names) else 1
 

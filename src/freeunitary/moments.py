@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import SizeError, StructureError
-from .qpoly import POLY_ONE, Poly, QuasiPoly
+from .qpoly import Poly, QuasiPoly
 
 Letters = tuple[int, ...]
 
@@ -149,29 +149,3 @@ def diag_cumulant(n: int) -> QuasiPoly:
         raise SizeError(f"order must be >= 1, got {n}")
     c = Fraction((-n) ** (n - 1), math.factorial(n))
     return QuasiPoly({-n: Poly((0,) * (n - 1) + (c,))})
-
-
-def lambert_coeff(n: int) -> Fraction:
-    """Taylor coefficient of the principal Lambert W branch at 0."""
-    if n < 1:
-        raise SizeError(f"index must be >= 1, got {n}")
-    return Fraction((-n) ** (n - 1), math.factorial(n))
-
-
-def exp_neg_sW_coeff(s, n: int):
-    """Coefficient of y^n in exp(-s W(y)): (-1)^n s (s+n)^(n-1) / n!.
-
-    Accepts a rational s (returns Fraction) or a symbolic s given as a
-    Poly (returns Poly). The n = 0 coefficient is 1.
-    """
-    if n < 0:
-        raise SizeError(f"index must be >= 0, got {n}")
-    if isinstance(s, Poly):
-        if n == 0:
-            return POLY_ONE
-        shift = s + Poly((n,))
-        return s * shift ** (n - 1) * Fraction((-1) ** n, math.factorial(n))
-    s = Fraction(s)
-    if n == 0:
-        return Fraction(1)
-    return Fraction((-1) ** n) * s * (s + n) ** (n - 1) / math.factorial(n)

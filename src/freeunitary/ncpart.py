@@ -13,7 +13,6 @@ exercised up to n = 14 (2 674 440 partitions) by the test suite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -121,12 +120,6 @@ class NCPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_containing(self, i: int) -> tuple[int, ...]:
-        for blk in self.blocks:
-            if i in blk:
-                return blk
-        raise SizeError(f"element {i} outside 1..{self.n}")
 
     def to_lists(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -242,36 +235,29 @@ def enumerate_nc(n: int) -> Iterator[NCPartition]:
 # Kreweras complement and Moebius values
 
 
-def _pair_linked(blocks: Blocks, i: int, j: int) -> bool:
-    # i < j may share a Kreweras block iff no block of the partition meets
-    # both {i+1, ..., j} and its complement in {1, ..., n}
-    for blk in blocks:
-        a = bisect_left(blk, i + 1)
-        if a == len(blk) or blk[a] > j:
-            continue
-        if blk[0] <= i or blk[-1] > j:
-            return False
-    return True
-
-
 def _kreweras_blocks(blocks: Blocks, n: int) -> Blocks:
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if find(i) != find(j) and _pair_linked(blocks, i, j):
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
+    # K(pi) is the permutation pi^-1 gamma, gamma = (1 2 ... n), with each
+    # block of pi read as the cycle through its elements in increasing order
+    # (Nica and Speicher, Lectures on the Combinatorics of Free Probability).
+    # For non-crossing pi each cycle of K(pi) climbs from its least element,
+    # and the cycles are met in order of their minima.
+    prev = [0] * (n + 1)  # pi^-1
+    for blk in blocks:
+        prev[blk[0]] = blk[-1]
+        for a, b in zip(blk, blk[1:]):
+            prev[b] = a
+    seen = [False] * (n + 1)
+    out = []
+    for first in range(1, n + 1):
+        cycle = []
+        i = first
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = prev[i % n + 1]
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
 
 
 def kreweras(p: NCPartition) -> NCPartition:

@@ -186,24 +186,6 @@ class Poly:
             out = out * x + mpmath.mpf(c.numerator) / c.denominator
         return out
 
-    def shift_arg(self, a: Rat) -> "Poly":
-        """The polynomial p(x + a)."""
-        # Horner in x + r/s: s^j times the partial sum after j steps stays integral
-        a = _frac(a)
-        r, s = a.numerator, a.denominator
-        out: list[int] = []
-        spow = 1
-        for c in reversed(self._num):
-            # out * (s x + r) + c * s^(j+1)
-            nxt = [0] * (len(out) + 1)
-            for i, v in enumerate(out):
-                nxt[i] += v * r
-                nxt[i + 1] += v * s
-            spow *= s
-            nxt[0] += c * spow
-            out = nxt
-        return _poly(out, self._den * spow)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):

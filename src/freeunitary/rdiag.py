@@ -48,11 +48,6 @@ class Distribution:
         object.__setattr__(self, "cumulants", vals)
 
     @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "Distribution":
-        """Parse 'p/q' strings, index n-1 holding kappa_n."""
-        return cls(Fraction(s) for s in items)
-
-    @classmethod
     def point_mass_one(cls, max_order: int) -> "Distribution":
         """q = 1: kappa_1 = 1 and nothing else."""
         if max_order < 1:
@@ -120,11 +115,6 @@ def u_indices(w: Union[Word, str]) -> frozenset:
         2 * i - 1 if letter == 1 else 2 * i
         for i, letter in enumerate(word.letters, start=1)
     )
-
-
-def q_indices(w: Union[Word, str]) -> frozenset:
-    word = as_word(w)
-    return frozenset(range(1, 2 * word.n + 1)) - u_indices(word)
 
 
 def haar_limit(w: Union[Word, str]) -> Fraction:

@@ -1,22 +1,29 @@
-"""Lattice helpers on non-crossing partitions that only the tests use.
+"""Reference routines that only the tests use.
 
 The order, join and restriction of NC(n) cross-check the Kreweras
-complement and the Moebius values of freeunitary.ncpart; nothing in the
-package needs them.
+complement and the Moebius values of freeunitary.ncpart; the Kreweras
+complement by pair linkage is the reference for its permutation form; the
+Lambert W series is the reference for moments.diag_cumulant.  Nothing in
+the package needs them.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from fractions import Fraction
 from typing import Iterable
 
 from freeunitary.errors import SizeError, StructureError
 from freeunitary.ncpart import (
+    Blocks,
     GroundMap,
     NCPartition,
     _check_partition,
     _noncrossing_blocks,
     _normalize_blocks,
 )
+from freeunitary.qpoly import POLY_ONE, Poly
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
@@ -131,3 +138,62 @@ def restrict(p: NCPartition, subset: Iterable[int]) -> NCPartition:
             blocks.append(inter)
     blocks.sort(key=lambda b: b[0])
     return NCPartition._trusted(len(labs), tuple(blocks))
+
+
+def _pair_linked(blocks: Blocks, i: int, j: int) -> bool:
+    # i < j may share a Kreweras block iff no block of the partition meets
+    # both {i+1, ..., j} and its complement in {1, ..., n}
+    for blk in blocks:
+        a = bisect_left(blk, i + 1)
+        if a == len(blk) or blk[a] > j:
+            continue
+        if blk[0] <= i or blk[-1] > j:
+            return False
+    return True
+
+
+def kreweras_blocks(blocks: Blocks, n: int) -> Blocks:
+    """Kreweras complement by pair linkage, merged with a union-find."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if find(i) != find(j) and _pair_linked(blocks, i, j):
+                parent[find(j)] = find(i)
+
+    groups: dict[int, list[int]] = {}
+    for e in range(1, n + 1):
+        groups.setdefault(find(e), []).append(e)
+    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
+
+
+def lambert_coeff(n: int) -> Fraction:
+    """Taylor coefficient of the principal Lambert W branch at 0."""
+    if n < 1:
+        raise SizeError(f"index must be >= 1, got {n}")
+    return Fraction((-n) ** (n - 1), math.factorial(n))
+
+
+def exp_neg_sW_coeff(s, n: int):
+    """Coefficient of y^n in exp(-s W(y)): (-1)^n s (s+n)^(n-1) / n!.
+
+    Accepts a rational s (returns Fraction) or a symbolic s given as a
+    Poly (returns Poly). The n = 0 coefficient is 1.
+    """
+    if n < 0:
+        raise SizeError(f"index must be >= 0, got {n}")
+    if isinstance(s, Poly):
+        if n == 0:
+            return POLY_ONE
+        shift = s + Poly((n,))
+        return s * shift ** (n - 1) * Fraction((-1) ** n, math.factorial(n))
+    s = Fraction(s)
+    if n == 0:
+        return Fraction(1)
+    return Fraction((-1) ** n) * s * (s + n) ** (n - 1) / math.factorial(n)

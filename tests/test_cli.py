@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from freeunitary import quasipoly_from_json, z_mobius
-from freeunitary.cli import SUITES, run
+from freeunitary.cli import DEFAULT_SEED, SUITES, run
 
 
 def _capture(capsys):
@@ -169,10 +172,91 @@ def test_verify_single_suite(capsys):
     assert out.strip().endswith("1/1 suites passed")
 
 
-def test_verify_respects_max_n(capsys):
-    assert run(["verify", "--suite", "ncpart-lattice", "--max-n", "4"]) == 0
+@pytest.mark.parametrize(
+    "suite, max_n, cases",
+    [
+        pytest.param("ncpart-lattice", 3, 3, id="ncpart-lattice"),
+        pytest.param("z-two-path", 3, 14, id="z-two-path"),
+        pytest.param("thm3.7", 3, 14, id="thm3.7"),
+        pytest.param("prop6.2", 3, 14, id="prop6.2"),
+        pytest.param("thm6.3", 3, 14, id="thm6.3"),
+        pytest.param("laplace-cross", 3, 8, id="laplace-cross"),
+        pytest.param("remark4.5", 3, 7, id="remark4.5"),
+        pytest.param("xi-three-path", 3, 11, id="xi-three-path"),
+        pytest.param("pde-coeff", 3, 4, id="pde-coeff"),
+        pytest.param("chi-roundtrip", 3, 9, id="chi-roundtrip"),
+        pytest.param("prop6.7-cross", 3, 64, id="prop6.7-cross"),
+        pytest.param("lemma6.11", 5, 13, id="lemma6.11"),
+        pytest.param("example6.9", 3, 5, id="example6.9"),
+    ],
+)
+def test_verify_respects_max_n(suite, max_n, cases, capsys):
+    assert run(["verify", "--suite", suite, "--max-n", str(max_n)]) == 0
+    out, err = _capture(capsys)
+    note = f" [seed={DEFAULT_SEED}]" if suite == "prop6.7-cross" else ""
+    assert out == f"suite {suite}: PASS ({cases} cases){note}\n1/1 suites passed\n"
+    assert re.fullmatch(rf"suite {re.escape(suite)}: \d+\.\d\ds\n", err)
+
+
+def test_verify_chi_roundtrip_passes_at_order_one(capsys):
+    # the frozen chi_2 row lies beyond a truncation at order 1 and is skipped
+    assert run(["verify", "--suite", "chi-roundtrip", "--max-n", "1"]) == 0
     out, _ = _capture(capsys)
-    assert "PASS (4 cases)" in out
+    assert out == "suite chi-roundtrip: PASS (4 cases)\n1/1 suites passed\n"
+
+
+def test_verify_reports_failing_checks_capped_at_twenty(monkeypatch, capsys):
+    from freeunitary import cumulants
+
+    def faulty(w):  # off by one on every word longer than one letter
+        value = z_mobius(w).value
+        return SimpleNamespace(value=value + 1 if len(w) > 1 else value)
+
+    monkeypatch.setattr(cumulants, "z_recursive", faulty)
+    assert run(["verify", "--suite", "z-two-path", "--max-n", "5"]) == 1
+    out, err = _capture(capsys)
+    lines = out.splitlines()
+    assert lines[0] == "suite z-two-path: FAIL (60 of 62 cases)"
+    want = z_mobius("**").value
+    assert lines[1] == f"  input=** expected={want.to_text()} got={(want + 1).to_text()}"
+    assert len(lines) == 1 + 20 + 2
+    assert all(line.startswith("  input=") for line in lines[1:21])
+    assert lines[21:] == ["  ... 40 more", "0/1 suites passed"]
+    assert re.fullmatch(r"suite z-two-path: \d+\.\d\ds\n", err)
+
+
+def test_verify_reports_an_exception_as_a_failed_suite(monkeypatch, capsys):
+    from freeunitary import laplace
+
+    def faulty(k):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(laplace, "suffix_star_cumulant", faulty)
+    assert run(["verify", "--suite", "remark4.5"]) == 1
+    out, err = _capture(capsys)
+    assert out == (
+        "suite remark4.5: FAIL (1 of 0 cases)\n"
+        "  input=<exception> expected=no exception got=RuntimeError('injected')\n"
+        "0/1 suites passed\n"
+    )
+    assert "Traceback" not in err
+
+
+def test_verify_failing_seeded_suite_echoes_the_seed(monkeypatch, capsys):
+    from freeunitary import rdiag
+
+    real = rdiag.beta_enumeration
+    monkeypatch.setattr(rdiag, "beta_enumeration", lambda d, w, **kw: real(d, w, **kw) + 1)
+    assert run(["verify", "--suite", "prop6.7-cross", "--seed", "123"]) == 1
+    out, err = _capture(capsys)
+    lines = out.splitlines()
+    assert lines[0] == "suite prop6.7-cross: FAIL (40 of 64 cases) [seed=123]"
+    first = re.fullmatch(
+        r"  input=trial=0 k=2 d=Distribution\(\[.*\]\) expected=(\S+) got=(\S+)", lines[1]
+    )
+    assert Fraction(first[2]) == Fraction(first[1]) + 1
+    assert lines[21:] == ["  ... 20 more", "0/1 suites passed"]
+    assert re.fullmatch(r"suite prop6.7-cross: \d+\.\d\ds\n", err)
 
 
 def test_verify_seed_is_echoed(capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from freeunitary import Poly, QuasiPoly, SizeError, StructureError, Word, as_word, biane_Q, m_poly
-from freeunitary.moments import diag_cumulant, exp_neg_sW_coeff, lambert_coeff
+from freeunitary.moments import diag_cumulant
+from oracles import exp_neg_sW_coeff, lambert_coeff
 
 # Frozen low-order moment polynomials: the moment of the n-th power is
 # Q_n(t) e^{-nt/2} with Q_1 = 1, Q_2 = 1 - t, Q_3 = 1 - 3t + (3/2)t^2.

@@ -12,8 +12,8 @@ from freeunitary import (
     moebius_from_zero,
     moebius_to_one,
 )
-from freeunitary.ncpart import MAX_GROUND_SIZE
-from oracles import is_noncrossing, join, leq, restrict
+from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts
+from oracles import is_noncrossing, join, kreweras_blocks, leq, restrict
 
 CATALANS = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -45,12 +45,6 @@ def test_str_format():
     assert p.to_lists() == [[1, 4, 5], [2, 3], [6]]
 
 
-def test_block_containing():
-    p = NCPartition(6, [[1, 4, 5], [2, 3], [6]])
-    assert p.block_containing(4) == (1, 4, 5)
-    assert p.block_containing(6) == (6,)
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enumeration_count_is_catalan(n):
     assert sum(1 for _ in enumerate_nc(n)) == catalan(n)
@@ -76,6 +70,12 @@ def test_kreweras_endpoints():
 def test_kreweras_block_count_complement(n):
     for p in enumerate_nc(n):
         assert p.num_blocks + kreweras(p).num_blocks == n + 1
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_permutation_matches_pair_linkage(n):
+    for blocks in _parts(1, n + 1):
+        assert _kreweras_blocks(blocks, n) == kreweras_blocks(blocks, n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -43,13 +43,6 @@ def test_poly_square():
     assert (p ** 3)(Fraction(1, 2)) == Fraction(27, 8)
 
 
-def test_poly_shift_arg():
-    p = Poly((2, -1, 3))
-    a = Fraction(1, 3)
-    for x in (Fraction(0), Fraction(1), Fraction(-5, 7)):
-        assert p.shift_arg(a)(x) == p(x + a)
-
-
 def test_poly_calculus_roundtrip():
     p = Poly((5, -2, 0, 7))
     assert p.antiderivative().derivative() == p
@@ -186,13 +179,6 @@ def _ref_eval(a, x):
     return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
 
 
-def _ref_shift(a, s):
-    out = ()
-    for i, c in enumerate(a):
-        out = _ref_add(out, _ref_mul(_ref_pow((Fraction(s), Fraction(1)), i), (c,)))
-    return out
-
-
 def _assert_canonical(p):
     num, den = p._num, p._den
     assert isinstance(num, tuple) and all(type(c) is int for c in num)
@@ -249,7 +235,6 @@ def test_poly_calculus_and_eval_match_reference(a, x):
     for got, want in (
         (pa.derivative(), _strip(i * c for i, c in enumerate(ra) if i >= 1)),
         (pa.antiderivative(), _strip([Fraction(0)] + [c / (i + 1) for i, c in enumerate(ra)])),
-        (pa.shift_arg(x), _ref_shift(ra, x)),
     ):
         _assert_canonical(got)
         assert got.coeffs == want
