@@ -379,6 +379,27 @@ def _suite_example69(args):
     yield [_claim("k=1", "1 partition", found == 1, found)]
 
 
+def _max_n_limits() -> dict:
+    """Suite -> (name, value) of the route limit its --max-n may not pass.
+
+    These suites feed --max-n to a size-capped route as a word length or a
+    ground size.  The table lives here, not on the SUITES entries, because
+    those entries may be swapped for wrappers after import.
+    """
+    from .cumulants import Z_LIMIT
+    from .ncpart import MAX_GROUND_SIZE
+
+    z = ("Z_LIMIT", Z_LIMIT)
+    return {
+        "ncpart-lattice": ("MAX_GROUND_SIZE", MAX_GROUND_SIZE),
+        "z-two-path": z,
+        "thm3.7": z,
+        "prop6.2": z,
+        "thm6.3": z,
+        "laplace-cross": z,
+    }
+
+
 SUITES = {
     "ncpart-lattice": _suite_ncpart_lattice,
     "z-two-path": _suite_z_two_path,
@@ -407,6 +428,8 @@ def _cmd_zpoly(args) -> int:
     word = as_word(args.word)
     if args.grade is not None and args.eval is not None:
         raise StructureError("--grade and --eval cannot be combined")
+    if args.method == "both" and (args.grade is not None or args.eval is not None):
+        raise StructureError("--grade and --eval take one method, not --method both")
     values = {}
     if args.method in ("mobius", "both"):
         values["mobius"] = z_mobius(word).value
@@ -438,6 +461,8 @@ def _cmd_xi(args) -> int:
     n = args.n
     if n < 1:
         raise SizeError(f"--n must be >= 1, got {n}")
+    if args.method == "all" and args.eval is not None:
+        raise StructureError("--eval takes one method, not --method all")
     routes = {
         "recursion": lambda: xi_by_recursion(n).xi(n),
         "mobius": lambda: xi_by_mobius(n).xi(n),
@@ -636,6 +661,14 @@ def _cmd_verify(args) -> int:
     if args.max_n is not None and args.max_n < 1:
         raise SizeError(f"--max-n must be >= 1, got {args.max_n}")
     names = [args.suite] if args.suite else list(SUITES)
+    if args.max_n is not None:
+        limits = _max_n_limits()
+        for name in names:
+            if name in limits and args.max_n > limits[name][1]:
+                const, limit = limits[name]
+                raise SizeError(
+                    f"--max-n {args.max_n} exceeds the limit of suite {name}: {const} = {limit}"
+                )
     passed = 0
     for name in names:
         start = time.monotonic()

@@ -6,6 +6,12 @@ whose y-powers (y = exp(-t/2)) all share the parity of |w| and stay within
 over non-crossing partitions weighted by word moments, and a concatenation
 recursion that splits the word after rotating it to start with 1 and end
 with *. They must agree; the test suite compares them word by word.
+
+The Moebius sum makes one pass over NC(|w|) that only adds integer
+weights, grouped by the multiset of nonzero block excesses; polynomial
+products are formed once per multiset (46 of them for the alternating
+word of length 12, against 208 012 partitions).  The per-partition sum is
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -114,21 +120,31 @@ def haar_cumulant(w: Union[Word, str]) -> int:
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:
-    """Raw Moebius-sum evaluation, no canonicalization or caching."""
-    n = len(letters)
-    acc: dict[int, Poly] = {}
-    for blocks, moeb in _weight_table(n):
-        ypow = 0
-        poly = POLY_ONE
+    """Raw Moebius-sum evaluation, no canonicalization or caching.
+
+    A block contributes the moment Q_d y^d of its letter excess d, so a
+    partition's term depends only on the multiset of its nonzero block
+    excesses.  The Moebius weights are summed per multiset first, and one
+    product of moment polynomials is formed per multiset.
+    """
+    weights: dict[tuple[int, ...], int] = {}
+    for blocks, moeb in _weight_table(len(letters)):
+        excesses = []
         for blk in blocks:
             d = sum(letters[i - 1] for i in blk)
-            if d < 0:
-                d = -d
             if d:
-                ypow += d
-                poly = poly * biane_Q(d)
-        e2 = -ypow
-        contrib = poly * moeb
+                excesses.append(abs(d))
+        key = tuple(sorted(excesses))
+        weights[key] = weights.get(key, 0) + moeb
+    acc: dict[int, Poly] = {}
+    for key, weight in weights.items():
+        if not weight:
+            continue
+        poly = POLY_ONE
+        for d in key:
+            poly = poly * biane_Q(d)
+        e2 = -sum(key)
+        contrib = poly * weight
         acc[e2] = acc[e2] + contrib if e2 in acc else contrib
     return QuasiPoly(acc)
 

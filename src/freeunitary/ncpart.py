@@ -1,8 +1,10 @@
 """Non-crossing set partitions of {1, ..., n}.
 
-Provides enumeration (lazy, in a deterministic first-block order), the
-Kreweras complement, and Moebius function values between a partition and
-the bottom / top elements of the lattice. All values are exact.  The
+Provides enumeration (lazy, in a deterministic first-block order) of
+the whole lattice or of the partitions whose blocks are each of one
+colour under a colouring of the ground set, the Kreweras complement, and
+Moebius function values between a partition and the bottom / top
+elements of the lattice. All values are exact.  The
 lattice order, join and restriction, which only the tests use, live in
 tests/oracles.py.
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeError, StructureError
 
@@ -221,6 +223,35 @@ def _headed(a: int, hi: int) -> Iterator[tuple[tuple[int, ...], Blocks]]:
         for gap in _parts(a + 1, c):
             for tail, rest in _headed(c, hi):
                 yield (a,) + tail, gap + rest
+
+
+def _pure_parts(colour: Sequence) -> Iterator[Blocks]:
+    """Blocks of every partition in NC(m), m = len(colour), whose blocks
+    are each of one colour; element i has colour[i - 1].
+
+    The recursion of _headed, with the later elements of the head block
+    restricted to the colour of its least element, so the stream keeps
+    first-block order and never builds a mixed block.
+    """
+    col = (None,) + tuple(colour)
+
+    def parts(lo: int, hi: int) -> Iterator[Blocks]:
+        if lo >= hi:
+            yield ()
+            return
+        for head, rest in headed(lo, hi):
+            yield (head,) + rest
+
+    def headed(a: int, hi: int) -> Iterator[tuple[tuple[int, ...], Blocks]]:
+        for rest in parts(a + 1, hi):
+            yield (a,), rest
+        for c in range(a + 1, hi):
+            if col[c] == col[a]:
+                for gap in parts(a + 1, c):
+                    for tail, rest in headed(c, hi):
+                        yield (a,) + tail, gap + rest
+
+    return parts(1, len(col))
 
 
 def enumerate_nc(n: int) -> Iterator[NCPartition]:

@@ -8,9 +8,12 @@ of the approach to stationarity) both arise as Moebius sums over NC(k)
 whose block factors are cumulants with q- or q^2-entries.  beta_k also
 has an independent expansion: a signed-Catalan weighted sum over the
 partitions of {1,...,2n} cut out by five structural conditions.  That
-support set is built here twice, by brute-force filtering of NC(2n) and
-by a structured generator running over Kreweras pairs of a smaller
-lattice, and the two constructions are cross-checked.
+support set is built here twice, by filtering the block-pure part of
+NC(2n) (blocks wholly in the u- or wholly in the q-positions, which is
+the first condition, generated directly) and by a structured generator
+running over Kreweras pairs of a smaller lattice, and the two
+constructions are cross-checked.  The filter over all of NC(2n) is kept
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from typing import Iterable, Optional, Sequence, Union
 from .cumulants import switch_number, z_mobius
 from .errors import InsufficientDataError, SizeError, StructureError
 from .moments import Word, as_word
-from .ncpart import GroundMap, NCPartition, _weight_table, catalan, enumerate_nc, kreweras
+from .ncpart import (
+    GroundMap,
+    NCPartition,
+    _pure_parts,
+    _weight_table,
+    catalan,
+    enumerate_nc,
+    kreweras,
+)
 
 Rat = Union[int, Fraction]
 
@@ -341,13 +352,19 @@ def _nc_omega_cached(letters: tuple) -> tuple:
     if 2 * n > BRUTE_LIMIT:
         raise SizeError(f"brute-force filter limited to 2n <= {BRUTE_LIMIT}")
     u_set = u_indices(Word(letters))
+    colour = [i in u_set for i in range(1, 2 * n + 1)]
+    make = NCPartition._trusted
     return tuple(
-        p for p in enumerate_nc(2 * n) if _omega_failure(n, p.blocks, u_set) is None
+        make(2 * n, blocks)
+        for blocks in _pure_parts(colour)
+        if _omega_failure(n, blocks, u_set) is None
     )
 
 
 def nc_omega(w: Union[Word, str]) -> OmegaNC:
-    """All supporting partitions of a word, by filtering NC(2n)."""
+    """All supporting partitions of a word, by filtering the partitions
+    of NC(2n) whose blocks lie wholly in the u- or wholly in the
+    q-positions."""
     word = as_word(w)
     return OmegaNC(word, _nc_omega_cached(word.letters))
 

@@ -3,8 +3,11 @@
 The order, join and restriction of NC(n) cross-check the Kreweras
 complement and the Moebius values of freeunitary.ncpart; the Kreweras
 complement by pair linkage is the reference for its permutation form; the
-Lambert W series is the reference for moments.diag_cumulant.  Nothing in
-the package needs them.
+Lambert W series is the reference for moments.diag_cumulant; the Moebius
+sum with one polynomial product per partition is the reference for the
+grouped sum of cumulants._mobius_value; the support-set filter over all of
+NC(2n) is the reference for rdiag.nc_omega, which filters only block-pure
+partitions.  Nothing in the package needs them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from freeunitary.errors import SizeError, StructureError
+from freeunitary.moments import Word, biane_Q
 from freeunitary.ncpart import (
     Blocks,
     GroundMap,
@@ -22,8 +26,11 @@ from freeunitary.ncpart import (
     _check_partition,
     _noncrossing_blocks,
     _normalize_blocks,
+    _weight_table,
+    enumerate_nc,
 )
-from freeunitary.qpoly import POLY_ONE, Poly
+from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly
+from freeunitary.rdiag import _omega_failure, u_indices
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
@@ -180,20 +187,27 @@ def lambert_coeff(n: int) -> Fraction:
     return Fraction((-n) ** (n - 1), math.factorial(n))
 
 
-def exp_neg_sW_coeff(s, n: int):
-    """Coefficient of y^n in exp(-s W(y)): (-1)^n s (s+n)^(n-1) / n!.
+def mobius_value(letters: tuple) -> QuasiPoly:
+    """Moebius sum over NC(n) for a letter tuple, one product per partition."""
+    n = len(letters)
+    acc: dict[int, Poly] = {}
+    for blocks, moeb in _weight_table(n):
+        ypow = 0
+        poly = POLY_ONE
+        for blk in blocks:
+            d = abs(sum(letters[i - 1] for i in blk))
+            if d:
+                ypow += d
+                poly = poly * biane_Q(d)
+        contrib = poly * moeb
+        acc[-ypow] = acc[-ypow] + contrib if -ypow in acc else contrib
+    return QuasiPoly(acc)
 
-    Accepts a rational s (returns Fraction) or a symbolic s given as a
-    Poly (returns Poly). The n = 0 coefficient is 1.
-    """
-    if n < 0:
-        raise SizeError(f"index must be >= 0, got {n}")
-    if isinstance(s, Poly):
-        if n == 0:
-            return POLY_ONE
-        shift = s + Poly((n,))
-        return s * shift ** (n - 1) * Fraction((-1) ** n, math.factorial(n))
-    s = Fraction(s)
-    if n == 0:
-        return Fraction(1)
-    return Fraction((-1) ** n) * s * (s + n) ** (n - 1) / math.factorial(n)
+
+def nc_omega_filter(letters: tuple) -> tuple:
+    """Supporting partitions of a word, filtered from all of NC(2n)."""
+    n = len(letters)
+    u_set = u_indices(Word(letters))
+    return tuple(
+        p for p in enumerate_nc(2 * n) if _omega_failure(n, p.blocks, u_set) is None
+    )

@@ -348,6 +348,53 @@ def test_verify_refuses_max_n_zero(capsys):
     assert "--max-n" in err and "got 0" in err
 
 
+@pytest.mark.parametrize(
+    "suite,module,const",
+    [("ncpart-lattice", "ncpart", "MAX_GROUND_SIZE")]
+    + [(name, "cumulants", "Z_LIMIT")
+       for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3", "laplace-cross")],
+)
+def test_verify_max_n_stops_at_the_suite_route_limit(suite, module, const, monkeypatch, capsys):
+    # with the limit lowered to 3, --max-n 3 runs and --max-n 4 is refused
+    # before the suite runs
+    monkeypatch.setattr(f"freeunitary.{module}.{const}", 3)
+    assert run(["verify", "--suite", suite, "--max-n", "3"]) == 0
+    assert _capture(capsys)[0].startswith(f"suite {suite}: PASS")
+    assert run(["verify", "--suite", suite, "--max-n", "4"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"error: --max-n 4 exceeds the limit of suite {suite}: {const} = 3\n"
+
+
+def test_verify_max_n_above_a_limit_runs_no_suite(monkeypatch, capsys):
+    def never(args):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, never)
+    assert run(["verify", "--max-n", "13"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "suite z-two-path: Z_LIMIT = 12" in err
+    assert run(["verify", "--suite", "ncpart-lattice", "--max-n", "17"]) == 2
+    assert "suite ncpart-lattice: MAX_GROUND_SIZE = 16" in _capture(capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zpoly", "1*1", "--method", "both", "--grade", "1"],
+        ["zpoly", "1*1", "--method", "both", "--eval", "1"],
+        ["xi", "--n", "2", "--method", "all", "--eval", "1"],
+    ],
+)
+def test_cross_check_modes_refuse_flags_they_would_ignore(argv, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "--method" in err and "Traceback" not in err
+
+
 def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps([f"1/{i}" for i in range(1, 11)]))

@@ -23,6 +23,7 @@ from freeunitary import (
 )
 from freeunitary.cumulants import Z_LIMIT, _mobius_value
 from freeunitary.moments import diag_cumulant
+from oracles import mobius_value
 
 # Frozen example table: the six low-order cumulants listed explicitly.
 FROZEN_Z = {
@@ -66,6 +67,17 @@ def test_mobius_value_is_rotation_invariant(n):
             assert _mobius_value(w.rotate(r).letters) == base
         assert _mobius_value(w.reverse().letters) == base
         assert _mobius_value(w.swap().letters) == base
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_grouped_mobius_sum_matches_per_partition_oracle(n):
+    # every word up to length 7 as given; at lengths 8 and 9 one word per
+    # orbit, the canonical keys that z_mobius passes
+    words = {w.letters for w in _all_words(n)}
+    if n > 7:
+        words = {canonical_word(Word(w)).letters for w in words}
+    for letters in sorted(words):
+        assert _mobius_value(letters) == mobius_value(letters)
 
 
 def test_canonical_word_stays_in_orbit():

@@ -7,7 +7,7 @@ import pytest
 
 from freeunitary import Poly, QuasiPoly, SizeError, StructureError, Word, as_word, biane_Q, m_poly
 from freeunitary.moments import diag_cumulant
-from oracles import exp_neg_sW_coeff, lambert_coeff
+from oracles import lambert_coeff
 
 # Frozen low-order moment polynomials: the moment of the n-th power is
 # Q_n(t) e^{-nt/2} with Q_1 = 1, Q_2 = 1 - t, Q_3 = 1 - 3t + (3/2)t^2.
@@ -106,23 +106,6 @@ def test_lambert_series_solves_w_exp_w():
     assert all(c == 0 for c in lhs[2:])
 
 
-@pytest.mark.parametrize("s", [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
-def test_exp_neg_sw_matches_direct_series(s):
-    order = 10
-    w = [Fraction(0)] + [lambert_coeff(n) for n in range(1, order + 1)]
-    direct = _exp_series([-s * c for c in w], order)
-    for n in range(order + 1):
-        assert exp_neg_sW_coeff(s, n) == direct[n]
-
-
-def test_exp_neg_sw_symbolic_specializes():
-    s_poly = Poly((0, 1))
-    for n in range(0, 8):
-        symbolic = exp_neg_sW_coeff(s_poly, n)
-        for s in (Fraction(1), Fraction(5, 3), Fraction(-2)):
-            assert symbolic(s) == exp_neg_sW_coeff(s, n)
-
-
 def test_diag_cumulant_matches_lambert_coefficient():
     for n in range(1, 9):
         got = diag_cumulant(n)
@@ -136,7 +119,5 @@ def test_index_guards():
         biane_Q(0)
     with pytest.raises(SizeError):
         lambert_coeff(0)
-    with pytest.raises(SizeError):
-        exp_neg_sW_coeff(Fraction(1), -1)
     with pytest.raises(SizeError):
         diag_cumulant(0)

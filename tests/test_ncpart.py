@@ -12,7 +12,7 @@ from freeunitary import (
     moebius_from_zero,
     moebius_to_one,
 )
-from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts
+from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts, _pure_parts
 from oracles import is_noncrossing, join, kreweras_blocks, leq, restrict
 
 CATALANS = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -53,6 +53,24 @@ def test_enumeration_count_is_catalan(n):
 def test_enumeration_is_duplicate_free():
     seen = set(enumerate_nc(6))
     assert len(seen) == catalan(6)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_pure_parts_is_the_purity_filter_of_enumerate_nc(m):
+    # A partition is pure under exactly the colourings that are constant on
+    # each of its blocks, so filtering NC(m) once per colouring is the same
+    # as sending each partition to those 2^blocks colourings, in stream order.
+    # Colouring c gives element i the colour bit i - 1 of c.
+    expected = [[] for _ in range(2 ** m)]
+    for p in enumerate_nc(m):
+        colourings = [0]
+        for blk in p.blocks:
+            mask = sum(1 << (e - 1) for e in blk)
+            colourings += [c | mask for c in colourings]
+        for c in colourings:
+            expected[c].append(p.blocks)
+    for c in range(2 ** m):
+        assert list(_pure_parts([c >> i & 1 for i in range(m)])) == expected[c]
 
 
 def test_kreweras_small_example():

@@ -12,6 +12,7 @@ from freeunitary import (
     NCPartition,
     SizeError,
     StructureError,
+    Word,
     alpha_sequence,
     beta_enumeration,
     beta_mobius,
@@ -27,6 +28,7 @@ from freeunitary import (
 )
 from freeunitary.ncpart import _weight_table
 from freeunitary.rdiag import u_indices
+from oracles import nc_omega_filter
 
 EXAMPLE_BLOCKS = sorted(
     [
@@ -213,6 +215,15 @@ def test_shortest_words():
 def test_non_alternating_words_have_empty_support():
     for text in ("111", "11*11", "1*11*1", "11111"):
         assert len(nc_omega(text)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_nc_omega_equals_filter_over_all_of_nc_2n(n):
+    for bits in range(2 ** n):
+        letters = tuple(1 if (bits >> i) & 1 else -1 for i in range(n))
+        assert nc_omega(Word(letters)).partitions == tuple(
+            sorted(nc_omega_filter(letters), key=lambda p: p.blocks)
+        )
 
 
 def test_enumeration_matches_mobius_on_random_data():
