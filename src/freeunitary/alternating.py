@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, z_mobius
 from .errors import SizeError, StructureError
 from .ncpart import catalan
 from .qpoly import Poly, QuasiPoly
-
-Rat = Union[int, Fraction]
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -409,12 +407,7 @@ class PdeReport(NamedTuple):
     defect_order: Optional[int]
 
 
-def pde_residual(
-    n_max: int,
-    t_grid: Optional[Sequence[Rat]] = None,
-    z_grid: Optional[Sequence[Rat]] = None,
-    prec_bits: int = 128,
-) -> PdeReport:
+def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
     """Numeric size of the truncation defect on small grids.
 
     Builds xi_1..xi_{n_max} by recursion, forms every z-coefficient of
@@ -430,15 +423,12 @@ def pde_residual(
         if not c.is_zero:
             defect_order = n
             break
-    ts = DEFAULT_T_GRID if t_grid is None else tuple(t_grid)
-    zs = DEFAULT_Z_GRID if z_grid is None else tuple(z_grid)
     worst = mpmath.mpf(0)
     with mpmath.workprec(prec_bits):
-        for t in ts:
+        for t in DEFAULT_T_GRID:
             vals = [c.eval(t, prec_bits) for c in coeffs]
-            for z in zs:
-                zf = Fraction(z)
-                zm = mpmath.mpf(zf.numerator) / zf.denominator
+            for z in DEFAULT_Z_GRID:
+                zm = mpmath.mpf(z.numerator) / z.denominator
                 total = mpmath.mpf(0)
                 zpow = mpmath.mpf(1)
                 for v in vals:

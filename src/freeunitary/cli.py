@@ -800,9 +800,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nc", help="non-crossing partition lattice utilities")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--list", action="store_true", help="list all partitions")
-    p.add_argument("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
-    p.add_argument("--moebius", metavar="P", help="Moebius weight of P against the full block")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true", help="list all partitions")
+    mode.add_argument("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
+    mode.add_argument("--moebius", metavar="P", help="Moebius weight of P against the full block")
     p.set_defaults(func=_cmd_nc)
 
     p = sub.add_parser("moments", help="moment quasi-polynomial of a word")

@@ -80,7 +80,7 @@ class ZPolynomial:
         return f"ZPolynomial({str(self.word)!r}, {self.value!r})"
 
     def __str__(self):
-        return self.value.to_text("y")
+        return self.value.to_text()
 
 
 def switch_number(w: Union[Word, str]) -> int:

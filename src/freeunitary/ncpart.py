@@ -1,12 +1,13 @@
 """Non-crossing set partitions of {1, ..., n}.
 
-Provides enumeration (lazy, in a deterministic first-block order) of
-the whole lattice or of the partitions whose blocks are each of one
-colour under a colouring of the ground set, the Kreweras complement, and
-Moebius function values between a partition and the bottom / top
-elements of the lattice. All values are exact.  The
+Provides one enumeration, a lazy first-block recursion over the
+partitions whose blocks are each of one colour under a colouring of the
+ground set (the whole lattice is the one-colour case), the Kreweras
+complement, and Moebius function values between a partition and the
+bottom / top elements of the lattice. All values are exact.  The
 lattice order, join and restriction, which only the tests use, live in
-tests/oracles.py.
+tests/oracles.py, with a brute-force enumeration that shares no code
+with the recursion.
 
 Ground sizes up to MAX_GROUND_SIZE are accepted; streaming enumeration is
 exercised up to n = 14 (2 674 440 partitions) by the test suite.
@@ -146,92 +147,22 @@ class NCPartition:
         return f"NCPartition({self.n}, {self.blocks})"
 
 
-class GroundMap:
-    """Order isomorphism between {1, ..., m} and an m-element label set."""
-
-    __slots__ = ("labels", "_index")
-
-    def __init__(self, labels: Iterable[int]):
-        labs = tuple(sorted(labels))
-        if not labs:
-            raise SizeError("empty label set")
-        if len(set(labs)) != len(labs):
-            raise StructureError(f"repeated labels: {labs}")
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "_index", {e: i + 1 for i, e in enumerate(labs)})
-
-    def __len__(self):
-        return len(self.labels)
-
-    def index_of(self, label: int) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise StructureError(f"label {label} not in ground map") from None
-
-    def label_of(self, i: int) -> int:
-        if not 1 <= i <= len(self.labels):
-            raise SizeError(f"index {i} outside 1..{len(self.labels)}")
-        return self.labels[i - 1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroundMap is immutable")
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 #
 # Partitions are produced by recursing on the block that contains the least
-# element: every later element of that block splits off an independent gap
-# interval. Small intervals are materialized once and shifted, which keeps
-# the stream fast enough to walk NC(14) in well under a minute.
-
-_CACHE_MAX = 9
+# element a: each later element c of that block closes off the gap
+# {a+1, ..., c-1}, whose blocks cannot meet anything outside it. The whole
+# lattice is the one-colour case.
 
 
-@lru_cache(maxsize=None)
-def _interval_parts(m: int) -> tuple[Blocks, ...]:
-    return tuple(_gen_parts(0, m))
-
-
-def _parts(lo: int, hi: int) -> Iterator[Blocks]:
-    m = hi - lo
-    if m <= _CACHE_MAX:
-        base = _interval_parts(m)
-        if lo == 0:
-            yield from base
-        else:
-            for blocks in base:
-                yield tuple(tuple(e + lo for e in blk) for blk in blocks)
-        return
-    yield from _gen_parts(lo, hi)
-
-
-def _gen_parts(lo: int, hi: int) -> Iterator[Blocks]:
-    if lo >= hi:
-        yield ()
-        return
-    for head, rest in _headed(lo, hi):
-        yield (head,) + rest
-
-
-def _headed(a: int, hi: int) -> Iterator[tuple[tuple[int, ...], Blocks]]:
-    """Pairs (block containing a, remaining blocks) over the ground range(a, hi)."""
-    for rest in _parts(a + 1, hi):
-        yield (a,), rest
-    for c in range(a + 1, hi):
-        for gap in _parts(a + 1, c):
-            for tail, rest in _headed(c, hi):
-                yield (a,) + tail, gap + rest
-
-
-def _pure_parts(colour: Sequence) -> Iterator[Blocks]:
+def _parts(colour: Sequence) -> Iterator[Blocks]:
     """Blocks of every partition in NC(m), m = len(colour), whose blocks
     are each of one colour; element i has colour[i - 1].
 
-    The recursion of _headed, with the later elements of the head block
-    restricted to the colour of its least element, so the stream keeps
-    first-block order and never builds a mixed block.
+    The later elements of each head block are restricted to the colour of
+    its least element, so the stream keeps first-block order and never
+    builds a mixed block.
     """
     col = (None,) + tuple(colour)
 
@@ -243,6 +174,7 @@ def _pure_parts(colour: Sequence) -> Iterator[Blocks]:
             yield (head,) + rest
 
     def headed(a: int, hi: int) -> Iterator[tuple[tuple[int, ...], Blocks]]:
+        """Pairs (block containing a, remaining blocks) over the ground range(a, hi)."""
         for rest in parts(a + 1, hi):
             yield (a,), rest
         for c in range(a + 1, hi):
@@ -259,7 +191,7 @@ def enumerate_nc(n: int) -> Iterator[NCPartition]:
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
     make = NCPartition._trusted
-    return (make(n, blocks) for blocks in _parts(1, n + 1))
+    return (make(n, blocks) for blocks in _parts((0,) * n))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +252,7 @@ def _weight_table(n: int) -> tuple[tuple[Blocks, int], ...]:
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
     out = []
-    for blocks in _parts(1, n + 1):
+    for blocks in _parts((0,) * n):
         kr = _kreweras_blocks(blocks, n)
         out.append((blocks, _moebius_from_zero_blocks(kr)))
     return tuple(out)

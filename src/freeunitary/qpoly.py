@@ -208,7 +208,6 @@ class Poly:
 
 POLY_ZERO = Poly(())
 POLY_ONE = Poly((1,))
-POLY_X = Poly((0, 1))
 
 
 class QuasiPoly:
@@ -241,8 +240,8 @@ class QuasiPoly:
         return cls({0: Poly((c,))})
 
     @classmethod
-    def from_poly(cls, p: Poly, exp2: int = 0) -> "QuasiPoly":
-        return cls({exp2: p})
+    def from_poly(cls, p: Poly) -> "QuasiPoly":
+        return cls({0: p})
 
     @property
     def terms(self) -> dict[int, Poly]:
@@ -373,11 +372,11 @@ class QuasiPoly:
             ]
         }
 
-    def to_text(self, picture: str = "y") -> str:
-        return _quasipoly_text(self, picture, latex=False)
+    def to_text(self) -> str:
+        return _quasipoly_text(self, latex=False)
 
-    def to_latex(self, picture: str = "y") -> str:
-        return _quasipoly_text(self, picture, latex=True)
+    def to_latex(self) -> str:
+        return _quasipoly_text(self, latex=True)
 
     def __eq__(self, other):
         if not isinstance(other, QuasiPoly):
@@ -396,11 +395,7 @@ class QuasiPoly:
         return f"QuasiPoly({{{', '.join(f'{e2}: {p!r}' for e2, p in self._terms)}}})"
 
     def __str__(self):
-        return self.to_text("y")
-
-
-QP_ZERO = QuasiPoly()
-QP_ONE = QuasiPoly.constant(1)
+        return self.to_text()
 
 
 def quasipoly_from_json(data: Mapping) -> QuasiPoly:
@@ -464,61 +459,41 @@ def poly_text(p: Poly, var: str = "x", latex: bool = False) -> str:
     return "".join(parts)
 
 
-def _exp_factor_text(e2: int, latex: bool) -> str:
-    # exp((e2/2) t) rendered in terms of t
-    if e2 == 0:
-        return ""
-    if e2 % 2 == 0:
-        k = e2 // 2
-        if latex:
-            inner = "t" if k == 1 else ("-t" if k == -1 else f"{k}t")
-            return f"e^{{{inner}}}"
-        if k == 1:
-            return "e^t"
-        if k == -1:
-            return "e^-t"
-        return f"e^({k}t)"
-    if latex:
-        inner = "t/2" if e2 == 1 else ("-t/2" if e2 == -1 else f"{e2}t/2")
-        return f"e^{{{inner}}}"
-    if e2 == 1:
-        return "e^(t/2)"
-    if e2 == -1:
-        return "e^(-t/2)"
-    return f"e^({e2}t/2)"
-
-
-def _factor_text(e2: int, picture: str, latex: bool) -> str:
-    if picture == "y" and e2 <= 0:
+def _factor_text(e2: int, latex: bool) -> str:
+    # y^m for exp2 = -m <= 0; a growing exp((e2/2) t) is written in t
+    if e2 <= 0:
         m = -e2
         if m == 0:
             return ""
         if m == 1:
             return "y"
         return f"y^{{{m}}}" if latex else f"y^{m}"
-    return _exp_factor_text(e2, latex)
+    if e2 % 2 == 0:
+        inner = "t" if e2 == 2 else f"{e2 // 2}t"
+    else:
+        inner = "t/2" if e2 == 1 else f"{e2}t/2"
+    if latex:
+        return f"e^{{{inner}}}"
+    return "e^t" if e2 == 2 else f"e^({inner})"
 
 
-def _quasipoly_text(f: QuasiPoly, picture: str, latex: bool) -> str:
-    if picture not in ("y", "t"):
-        raise ValueError(f"unknown picture {picture!r}")
+def _quasipoly_text(f: QuasiPoly, latex: bool) -> str:
     if f.is_zero:
         return "0"
-    var = "x" if picture == "y" else "t"
     pieces = []
     for e2, p in f._terms:  # exp2 descending, i.e. y-powers ascending
-        fac = _factor_text(e2, picture, latex)
+        fac = _factor_text(e2, latex)
         neg = p.leading() < 0
         if neg:
             p = -p
         if not fac:
-            body = poly_text(p, var, latex)
+            body = poly_text(p, latex=latex)
         elif p == POLY_ONE:
             body = fac
         elif p.degree == 0 and p._den == 1:
             body = f"{p._num[0]}{fac}"
         else:
-            body = f"({poly_text(p, var, latex)}){fac}"
+            body = f"({poly_text(p, latex=latex)}){fac}"
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:

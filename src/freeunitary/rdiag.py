@@ -10,10 +10,12 @@ has an independent expansion: a signed-Catalan weighted sum over the
 partitions of {1,...,2n} cut out by five structural conditions.  That
 support set is built here twice, by filtering the block-pure part of
 NC(2n) (blocks wholly in the u- or wholly in the q-positions, which is
-the first condition, generated directly) and by a structured generator
-running over Kreweras pairs of a smaller lattice, and the two
-constructions are cross-checked.  The filter over all of NC(2n) is kept
-as a test oracle.
+the first condition; the lattice enumeration generates it directly from
+the u/q colouring) and by a structured generator running over Kreweras
+pairs of a smaller lattice, and the two constructions are cross-checked.
+The filter over all of NC(2n) is kept as a test oracle.  The Moebius
+sums for alpha_k and beta_k take cumulants of up to 2k entries, so
+k_max is capped at MAX_GROUND_SIZE // 2.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .cumulants import switch_number, z_mobius
 from .errors import InsufficientDataError, SizeError, StructureError
 from .moments import Word, as_word
 from .ncpart import (
-    GroundMap,
+    MAX_GROUND_SIZE,
     NCPartition,
-    _pure_parts,
+    _parts,
     _weight_table,
     catalan,
     enumerate_nc,
@@ -40,6 +42,7 @@ from .ncpart import (
 Rat = Union[int, Fraction]
 
 BRUTE_LIMIT = 14
+MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k enumerates NC(2k), beta_k NC(2k - 1)
 STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
 
@@ -192,14 +195,25 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
     return total
 
 
+def _check_k_max(k_max: int) -> None:
+    # refuse before k = 1..k_max - 1 are summed, which takes minutes at k = 8
+    if k_max < 1:
+        raise SizeError(f"k_max must be >= 1, got {k_max}")
+    if k_max > MOBIUS_K_LIMIT:
+        raise SizeError(
+            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: the cumulants of "
+            f"alpha_k and beta_k sum over NC(2k) and NC(2k - 1), and "
+            f"MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
+        )
+
+
 def alpha_sequence(d: Distribution, k_max: int) -> list:
     """Determining sequence alpha_1..alpha_{k_max}.
 
     alpha_k is the Moebius sum over NC(k) with every block contributing
     the all-squares cumulant of its size.
     """
-    if k_max < 1:
-        raise SizeError(f"k_max must be >= 1, got {k_max}")
+    _check_k_max(k_max)
     out = []
     for k in range(1, k_max + 1):
         total = Fraction(0)
@@ -218,8 +232,7 @@ def beta_mobius(d: Distribution, k_max: int) -> list:
     The entry tuple carries squares in slots 1..k-1 and a plain q in
     slot k, so the block holding k picks up the single plain entry.
     """
-    if k_max < 1:
-        raise SizeError(f"k_max must be >= 1, got {k_max}")
+    _check_k_max(k_max)
     out = []
     for k in range(1, k_max + 1):
         total = Fraction(0)
@@ -356,7 +369,7 @@ def _nc_omega_cached(letters: tuple) -> tuple:
     make = NCPartition._trusted
     return tuple(
         make(2 * n, blocks)
-        for blocks in _pure_parts(colour)
+        for blocks in _parts(colour)
         if _omega_failure(n, blocks, u_set) is None
     )
 
@@ -430,7 +443,7 @@ def _fat_odd_block(block: Sequence[int]) -> tuple:
 
 def _fat_even_elements(block: Sequence[int], k: int) -> tuple:
     """Inflate a block on {1..k} to q-positions: i -> {4i-2, 4i-1} for
-    i < k and k -> {4k-2}."""
+    i < k and k -> {4k-2}; a sorted block gives sorted positions."""
     out = []
     for j in block:
         if j == k:
@@ -484,12 +497,9 @@ def nc_omega_structured(k: int) -> OmegaNC:
         for rb in rho.blocks:
             fat = _fat_even_elements(rb, k)
             pairing = _fat_even_pairing(rb, k)
-            gm = GroundMap(fat)
             choices = []
-            for sub in enumerate_nc(len(fat)):
-                global_blocks = [
-                    tuple(gm.label_of(i) for i in b) for b in sub.blocks
-                ]
+            for sub in enumerate_nc(len(fat)):  # point i of sub is fat[i - 1]
+                global_blocks = [tuple(fat[i - 1] for i in b) for b in sub.blocks]
                 if _connects(fat, global_blocks + pairing):
                     choices.append(global_blocks)
             per_block.append(choices)

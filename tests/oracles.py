@@ -7,7 +7,9 @@ Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
 grouped sum of cumulants._mobius_value; the support-set filter over all of
 NC(2n) is the reference for rdiag.nc_omega, which filters only block-pure
-partitions.  Nothing in the package needs them.
+partitions; the non-crossing members of all set partitions are the
+reference for the lattice enumeration, and share no code with its
+recursion.  Nothing in the package needs them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from freeunitary.errors import SizeError, StructureError
 from freeunitary.moments import Word, biane_Q
 from freeunitary.ncpart import (
     Blocks,
-    GroundMap,
     NCPartition,
     _check_partition,
     _noncrossing_blocks,
@@ -136,15 +137,34 @@ def restrict(p: NCPartition, subset: Iterable[int]) -> NCPartition:
         raise SizeError("cannot restrict to an empty subset")
     if labs[0] < 1 or labs[-1] > p.n:
         raise SizeError(f"subset {labs} not within 1..{p.n}")
-    gm = GroundMap(labs)
-    members = set(labs)
+    rank = {e: i for i, e in enumerate(labs, start=1)}
     blocks = []
     for blk in p.blocks:
-        inter = tuple(gm.index_of(e) for e in blk if e in members)
+        inter = tuple(rank[e] for e in blk if e in rank)
         if inter:
             blocks.append(inter)
     blocks.sort(key=lambda b: b[0])
     return NCPartition._trusted(len(labs), tuple(blocks))
+
+
+def nc_brute(m: int) -> list:
+    """Blocks of NC(m) by brute force: every set partition of {1, ..., m},
+    one per restricted growth string, kept when it is non-crossing."""
+    out = []
+
+    def grow(labels: list, top: int) -> None:
+        if len(labels) == m:
+            blocks = [[] for _ in range(top)]
+            for e, b in enumerate(labels, start=1):
+                blocks[b].append(e)
+            if is_noncrossing(blocks):
+                out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in range(top + 1):
+            grow(labels + [b], max(top, b + 1))
+
+    grow([], 0)
+    return out
 
 
 def _pair_linked(blocks: Blocks, i: int, j: int) -> bool:

@@ -404,6 +404,33 @@ def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
     assert "k <= 4" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["alpha", "beta"])
+def test_sequences_refuse_k_above_the_ground_cap(command, tmp_path, capsys):
+    # k = 8 would first sum NC(16) for minutes; the refusal comes at once
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(["1/2"] * 20))
+    assert run([command, "--k", "9", "--q-cumulants", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "k_max must be <= 8" in err and "MAX_GROUND_SIZE = 16" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--list", "--kreweras", "[[1,2],[3]]"],
+        ["--list", "--moebius", "[[1,2],[3]]"],
+        ["--kreweras", "[[1,2],[3]]", "--moebius", "[[1],[2],[3]]"],
+    ],
+)
+def test_nc_modes_are_exclusive(modes, capsys):
+    assert run(["nc", "--n", "3", *modes]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "not allowed with argument" in err and "Traceback" not in err
+
+
 _IMPORT_FOOTPRINT = """
 import sys
 import freeunitary.cli as cli

@@ -12,8 +12,8 @@ from freeunitary import (
     moebius_from_zero,
     moebius_to_one,
 )
-from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts, _pure_parts
-from oracles import is_noncrossing, join, kreweras_blocks, leq, restrict
+from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts
+from oracles import is_noncrossing, join, kreweras_blocks, leq, nc_brute, restrict
 
 CATALANS = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -55,6 +55,13 @@ def test_enumeration_is_duplicate_free():
     assert len(seen) == catalan(6)
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_enumeration_is_the_noncrossing_filter_of_all_set_partitions(m):
+    stream = [p.blocks for p in enumerate_nc(m)]
+    assert len(stream) == len(set(stream))
+    assert set(stream) == set(nc_brute(m))
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_pure_parts_is_the_purity_filter_of_enumerate_nc(m):
     # A partition is pure under exactly the colourings that are constant on
@@ -70,7 +77,7 @@ def test_pure_parts_is_the_purity_filter_of_enumerate_nc(m):
         for c in colourings:
             expected[c].append(p.blocks)
     for c in range(2 ** m):
-        assert list(_pure_parts([c >> i & 1 for i in range(m)])) == expected[c]
+        assert list(_parts([c >> i & 1 for i in range(m)])) == expected[c]
 
 
 def test_kreweras_small_example():
@@ -92,7 +99,7 @@ def test_kreweras_block_count_complement(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kreweras_permutation_matches_pair_linkage(n):
-    for blocks in _parts(1, n + 1):
+    for blocks in _parts((0,) * n):
         assert _kreweras_blocks(blocks, n) == kreweras_blocks(blocks, n)
 
 

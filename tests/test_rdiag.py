@@ -26,8 +26,9 @@ from freeunitary import (
     nc_omega,
     nc_omega_structured,
 )
-from freeunitary.ncpart import _weight_table
-from freeunitary.rdiag import u_indices
+from freeunitary import rdiag
+from freeunitary.ncpart import MAX_GROUND_SIZE, _weight_table
+from freeunitary.rdiag import MOBIUS_K_LIMIT, u_indices
 from oracles import nc_omega_filter
 
 EXAMPLE_BLOCKS = sorted(
@@ -265,3 +266,22 @@ def test_sequence_guards():
         beta_mobius(SAMPLE, 0)
     with pytest.raises(InsufficientDataError):
         alpha_sequence(Distribution.point_mass_one(3), 2)
+
+
+@pytest.mark.parametrize("sequence", [alpha_sequence, beta_mobius])
+def test_sequence_refuses_k_above_the_ground_cap_before_any_sum(sequence, monkeypatch):
+    # k = MOBIUS_K_LIMIT still reaches the Moebius sum; one more is refused
+    # before it starts, even with cumulants enough for 2 k_max entries
+    class Reached(Exception):
+        pass
+
+    def table(n):
+        raise Reached
+
+    monkeypatch.setattr(rdiag, "_weight_table", table)
+    d = Distribution([1] * 20)
+    assert MOBIUS_K_LIMIT == MAX_GROUND_SIZE // 2 == 8
+    with pytest.raises(Reached):
+        sequence(d, MOBIUS_K_LIMIT)
+    with pytest.raises(SizeError, match="k_max must be <= 8, got 9.*MAX_GROUND_SIZE = 16"):
+        sequence(d, MOBIUS_K_LIMIT + 1)

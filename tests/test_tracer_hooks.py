@@ -24,13 +24,15 @@ import freeunitary
 trace = tracer.Tracer()
 trace.install()
 freeunitary.z_mobius("1*1*1*")
+freeunitary.nc_omega("1*1")
 trace.snapshot_caches()
 unwrapped = [
     name
     for name, (mod, attr) in tracer.SPANS.items()
     if not hasattr(getattr(getattr(freeunitary, mod), attr), "__wrapped__")
 ]
-print(json.dumps({"unwrapped": unwrapped, "calls": trace.raw["calls"]}))
+print(json.dumps({"unwrapped": unwrapped, "calls": trace.raw["calls"],
+                  "count": trace.raw["count"]}))
 """
 
 
@@ -45,3 +47,5 @@ def test_tracer_installs_on_every_span_target():
     # the Moebius sum reaches the Kreweras complement through the wrapped name
     assert report["calls"]["ncpart.kreweras"] > 0
     assert report["calls"]["cumulants.z_mobius"] == 1
+    # nc_omega enumerates through the wrapped generator, so its candidates count
+    assert report["count"]["enumerated@rdiag.nc_omega"] > 0
