@@ -38,6 +38,9 @@ _EXPORTS = {
     "ZPolynomial": "cumulants",
     "canonical_word": "cumulants",
     "haar_cumulant": "cumulants",
+    "haar_derivative": "cumulants",
+    "haar_limit": "cumulants",
+    "is_alternating": "cumulants",
     "switch_number": "cumulants",
     "z_mobius": "cumulants",
     "z_recursive": "cumulants",
@@ -65,9 +68,6 @@ _EXPORTS = {
     "alpha_sequence": "rdiag",
     "beta_enumeration": "rdiag",
     "beta_mobius": "rdiag",
-    "haar_derivative": "rdiag",
-    "haar_limit": "rdiag",
-    "is_alternating": "rdiag",
     "mixed_q_cumulant": "rdiag",
     "nc_omega": "rdiag",
     "nc_omega_structured": "rdiag",

@@ -212,17 +212,16 @@ def _suite_z_two_path(args):
 
 @_tally
 def _suite_thm37(args):
-    from .cumulants import z_mobius
+    from .cumulants import z_recursive
 
     for w in _all_words(args.max_n or 7):
-        holds = z_mobius(w).switch_bound_holds()
+        holds = z_recursive(w).switch_bound_holds()
         yield [_claim(str(w), "grades beyond the switch bound vanish", holds, "nonzero grade")]
 
 
 @_tally
 def _suite_prop62(args):
-    from .cumulants import haar_cumulant
-    from .rdiag import haar_limit
+    from .cumulants import haar_cumulant, haar_limit
 
     for w in _all_words(args.max_n or 7):
         yield [(str(w), Fraction(haar_cumulant(w)), haar_limit(w))]
@@ -230,12 +229,11 @@ def _suite_prop62(args):
 
 @_tally
 def _suite_thm63(args):
-    from .cumulants import z_mobius
+    from .cumulants import haar_derivative, is_alternating, z_recursive
     from .ncpart import catalan
-    from .rdiag import haar_derivative, is_alternating
 
     for w in _all_words(args.max_n or 7):
-        grade1 = z_mobius(w).grade(1)
+        grade1 = z_recursive(w).grade(1)
         if grade1.degree > 0:  # the derivative rule presumes a constant grade-1 part
             yield [(str(w), "constant grade-1 part", grade1)]
             continue
@@ -247,14 +245,14 @@ def _suite_thm63(args):
 
 @_tally
 def _suite_laplace_cross(args):
-    from .cumulants import z_mobius
+    from .cumulants import z_recursive
     from .laplace import u_poly, v_k1_closed, v_poly, z_from_laplace
 
     cap = args.max_n or 8
     for k in range(1, cap):
         for l in range(1, cap + 1 - k):
             closed = z_from_laplace(k, l).value
-            generic = z_mobius("1" * k + "*" * l).value
+            generic = z_recursive("1" * k + "*" * l).value
             case = [(f"k={k} l={l}", generic, closed)]
             for name, p in (("U", u_poly(k, l)), ("V", v_poly(k, l))):
                 integral = all(c.denominator == 1 for c in p.coeffs)
@@ -270,12 +268,12 @@ def _suite_laplace_cross(args):
 
 @_tally
 def _suite_remark45(args):
-    from .cumulants import z_mobius
+    from .cumulants import z_recursive
     from .laplace import suffix_star_cumulant
 
     for k in range(1, min(args.max_n or 7, 11) + 1):
         closed = suffix_star_cumulant(k)
-        yield [(f"k={k}", z_mobius("1" * k + "*").value, closed)]
+        yield [(f"k={k}", z_recursive("1" * k + "*").value, closed)]
     for k, row in _SUFFIX_STAR_ROWS.items():
         yield [(f"frozen k={k}", row, suffix_star_cumulant(k))]
 
@@ -354,7 +352,8 @@ def _suite_prop67_cross(args):
 
 @_tally
 def _suite_lemma611(args):
-    from .rdiag import is_alternating, nc_omega
+    from .cumulants import is_alternating
+    from .rdiag import nc_omega
 
     # words that begin and end with 1; the one-letter word is alternating
     for w in _all_words(min(args.max_n or 6, 6)):
@@ -383,8 +382,12 @@ def _max_n_limits() -> dict:
     """Suite -> (name, value) of the route limit its --max-n may not pass.
 
     These suites feed --max-n to a size-capped route as a word length or a
-    ground size.  The table lives here, not on the SUITES entries, because
-    those entries may be swapped for wrappers after import.
+    ground size.  z-two-path runs the Moebius oracle, which Z_LIMIT caps.
+    The other word suites run the recursion, which has no cap; they keep
+    Z_LIMIT because thm3.7, prop6.2 and thm6.3 check all 2^n words of each
+    length n, so the word count is what bounds them (8190 words at 12).
+    The table lives here, not on the SUITES entries, because those entries
+    may be swapped for wrappers after import.
     """
     from .cumulants import Z_LIMIT
     from .ncpart import MAX_GROUND_SIZE
@@ -543,8 +546,8 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_haar(args) -> int:
+    from .cumulants import haar_derivative, haar_limit
     from .moments import as_word
-    from .rdiag import haar_derivative, haar_limit
 
     word = as_word(args.word)
     limit = haar_limit(word)
@@ -734,8 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=("mobius", "recursive", "both"),
-        default="mobius",
-        help="computation route; both cross-checks and exits 1 on mismatch",
+        default="recursive",
+        help="computation route (mobius is the oracle, for words up to Z_LIMIT letters); "
+        "both cross-checks and exits 1 on mismatch",
     )
     p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
     p.add_argument("--grade", type=int, metavar="M", help="emit the y^M coefficient")

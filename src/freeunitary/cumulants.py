@@ -2,21 +2,23 @@
 
 The cumulant attached to a word w over {1, *} is a quasi-polynomial Z_w
 whose y-powers (y = exp(-t/2)) all share the parity of |w| and stay within
-[0, |w|]. Two independent computation paths are provided: a Moebius sum
-over non-crossing partitions weighted by word moments, and a concatenation
+[0, |w|]. Two computation paths are provided, and they share no code.  The
+working route, which the library and the CLI read, is a concatenation
 recursion that splits the word after rotating it to start with 1 and end
-with *. They must agree; the test suite compares them word by word.
+with *.  The oracle is the defining Moebius sum over non-crossing
+partitions weighted by word moments, capped at Z_LIMIT letters.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of nonzero block excesses; polynomial
 products are formed once per multiset (46 of them for the alternating
 word of length 12, against 208 012 partitions).  The per-partition sum is
-kept as a test oracle.
+kept as a test oracle.  The stationary limit and the first-order
+coefficient of the approach to it are grades 0 and 1 of the recursion.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from fractions import Fraction
 from typing import Union
 
 from .errors import SizeError, StructureError
@@ -119,6 +121,38 @@ def haar_cumulant(w: Union[Word, str]) -> int:
     return (-1) ** (k - 1) * catalan(k - 1)
 
 
+def is_alternating(w: Union[Word, str]) -> bool:
+    """Even length: letters alternate strictly around the circle; odd
+    length: some rotation of the one-extra-letter pattern or its swap.
+
+    Both cases reduce to the cyclic switch count: n for even words,
+    n - 1 for odd ones.
+    """
+    word = as_word(w)
+    s = switch_number(word)
+    return s == word.n if word.n % 2 == 0 else s == word.n - 1
+
+
+def _constant_grade(w: Union[Word, str], m: int) -> Fraction:
+    # a nonconstant part at these grades is a hard failure, not data
+    p = z_recursive(w).grade(m)
+    if p.degree > 0:
+        raise StructureError(f"grade-{m} part must be a constant")
+    return p.leading()
+
+
+def haar_limit(w: Union[Word, str]) -> Fraction:
+    """Value of the cumulant at the stationary limit of the unitary: the
+    grade-0 constant of the recursion's polynomial."""
+    return _constant_grade(w, 0)
+
+
+def haar_derivative(w: Union[Word, str]) -> Fraction:
+    """First-order coefficient of the approach to the stationary limit:
+    the grade-1 constant of the recursion's polynomial."""
+    return _constant_grade(w, 1)
+
+
 def _mobius_value(letters: Letters) -> QuasiPoly:
     """Raw Moebius-sum evaluation, no canonicalization or caching.
 
@@ -157,7 +191,7 @@ def z_mobius(w: Union[Word, str]) -> ZPolynomial:
     """Cumulant of the word via the Moebius sum over NC(|w|)."""
     word = as_word(w)
     if word.n > Z_LIMIT:
-        raise SizeError(f"word length {word.n} exceeds the Moebius limit {Z_LIMIT}")
+        raise SizeError(f"word length {word.n} exceeds the Moebius limit Z_LIMIT = {Z_LIMIT}")
     key = canonical_word(word).letters
     val = _MOBIUS_MEMO.get(key)
     if val is None:
@@ -178,10 +212,10 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     if val is not None:
         return val
     n = len(letters)
-    if n <= 2:
-        val = _mobius_value(key)
-    elif all(l == key[0] for l in key):
+    if all(l == key[0] for l in key):
         val = diag_cumulant(n)
+    elif n == 2:
+        val = QuasiPoly({0: 1, -2: -1})  # 1*: 1 - y^2
     else:
         # rotate so the word starts with 1 and ends with *
         rot = None

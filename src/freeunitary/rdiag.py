@@ -1,21 +1,23 @@
-"""Determining sequences of R-diagonal elements and limits at large time.
+"""Determining sequences of R-diagonal elements.
 
 An R-diagonal element pairs a Haar unitary with a free self-adjoint q;
 its joint *-cumulants are supported on alternating words and collapse to
 two scalar sequences.  The determining sequence alpha_k and the
 infinitesimal determining sequence beta_k (the first-order coefficient
 of the approach to stationarity) both arise as Moebius sums over NC(k)
-whose block factors are cumulants with q- or q^2-entries.  beta_k also
-has an independent expansion: a signed-Catalan weighted sum over the
-partitions of {1,...,2n} cut out by five structural conditions.  That
-support set is built here twice, by filtering the block-pure part of
-NC(2n) (blocks wholly in the u- or wholly in the q-positions, which is
+whose block factors are cumulants with q- or q^2-entries; one loop
+serves both, with the block holding k taking a plain q for beta_k.
+beta_k also has an independent expansion: a signed-Catalan weighted sum
+over the partitions of {1,...,2n} cut out by five structural conditions.
+That support set is built here twice, by filtering the block-pure part
+of NC(2n) (blocks wholly in the u- or wholly in the q-positions, which is
 the first condition; the lattice enumeration generates it directly from
 the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
 The filter over all of NC(2n) is kept as a test oracle.  The Moebius
 sums for alpha_k and beta_k take cumulants of up to 2k entries, so
-k_max is capped at MAX_GROUND_SIZE // 2.
+k_max is capped at MAX_GROUND_SIZE // 2, and support sets at words of
+length BRUTE_LIMIT // 2 = 7.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .cumulants import switch_number, z_mobius
 from .errors import InsufficientDataError, SizeError, StructureError
 from .moments import Word, as_word
 from .ncpart import (
@@ -41,7 +42,7 @@ from .ncpart import (
 
 Rat = Union[int, Fraction]
 
-BRUTE_LIMIT = 14
+BRUTE_LIMIT = 14  # 2n for a word of length n
 MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k enumerates NC(2k), beta_k NC(2k - 1)
 STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
@@ -106,18 +107,6 @@ class Distribution:
         return f"Distribution({[str(c) for c in self.cumulants]})"
 
 
-def is_alternating(w: Union[Word, str]) -> bool:
-    """Even length: letters alternate strictly around the circle; odd
-    length: some rotation of the one-extra-letter pattern or its swap.
-
-    Both cases reduce to the cyclic switch count: n for even words,
-    n - 1 for odd ones.
-    """
-    word = as_word(w)
-    s = switch_number(word)
-    return s == word.n if word.n % 2 == 0 else s == word.n - 1
-
-
 def u_indices(w: Union[Word, str]) -> frozenset:
     """Positions of {1..2n} fed by the unitary letters.
 
@@ -129,31 +118,6 @@ def u_indices(w: Union[Word, str]) -> frozenset:
         2 * i - 1 if letter == 1 else 2 * i
         for i, letter in enumerate(word.letters, start=1)
     )
-
-
-def haar_limit(w: Union[Word, str]) -> Fraction:
-    """Value of the cumulant at the stationary limit of the unitary.
-
-    Read off as the grade-0 constant of the Moebius-route polynomial;
-    the closed signed-Catalan form is kept separate as a cross-check.
-    """
-    p = z_mobius(w).grade(0)
-    if p.degree > 0:
-        raise StructureError("grade-0 part must be a constant")
-    return p.leading()
-
-
-def haar_derivative(w: Union[Word, str]) -> Fraction:
-    """First-order coefficient of the approach to the stationary limit.
-
-    Read off as the grade-1 part of the Moebius-route polynomial, which
-    must be a constant; a nonconstant grade-1 part is a hard failure,
-    not data.
-    """
-    p = z_mobius(w).grade(1)
-    if p.degree > 0:
-        raise StructureError("grade-1 part must be a constant")
-    return p.leading()
 
 
 def mixed_q_cumulant(d: Distribution, pattern: Sequence[int]) -> Fraction:
@@ -207,12 +171,10 @@ def _check_k_max(k_max: int) -> None:
         )
 
 
-def alpha_sequence(d: Distribution, k_max: int) -> list:
-    """Determining sequence alpha_1..alpha_{k_max}.
-
-    alpha_k is the Moebius sum over NC(k) with every block contributing
-    the all-squares cumulant of its size.
-    """
+def _determining(d: Distribution, k_max: int, marked: bool) -> list:
+    """Moebius sums over NC(k), k = 1..k_max, whose blocks contribute
+    all-squares cumulants; when marked, the block holding k takes a plain
+    q in its last slot."""
     _check_k_max(k_max)
     out = []
     for k in range(1, k_max + 1):
@@ -220,10 +182,20 @@ def alpha_sequence(d: Distribution, k_max: int) -> list:
         for blocks, moeb in _weight_table(k):
             term = Fraction(moeb)
             for block in blocks:
-                term *= mixed_q_cumulant(d, (2,) * len(block))
+                last = 1 if marked and block[-1] == k else 2
+                term *= mixed_q_cumulant(d, (2,) * (len(block) - 1) + (last,))
             total += term
         out.append(total)
     return out
+
+
+def alpha_sequence(d: Distribution, k_max: int) -> list:
+    """Determining sequence alpha_1..alpha_{k_max}.
+
+    alpha_k is the Moebius sum over NC(k) with every block contributing
+    the all-squares cumulant of its size.
+    """
+    return _determining(d, k_max, marked=False)
 
 
 def beta_mobius(d: Distribution, k_max: int) -> list:
@@ -232,21 +204,7 @@ def beta_mobius(d: Distribution, k_max: int) -> list:
     The entry tuple carries squares in slots 1..k-1 and a plain q in
     slot k, so the block holding k picks up the single plain entry.
     """
-    _check_k_max(k_max)
-    out = []
-    for k in range(1, k_max + 1):
-        total = Fraction(0)
-        for blocks, moeb in _weight_table(k):
-            term = Fraction(moeb)
-            for block in blocks:
-                if block[-1] == k:
-                    widths = (2,) * (len(block) - 1) + (1,)
-                else:
-                    widths = (2,) * len(block)
-                term *= mixed_q_cumulant(d, widths)
-            total += term
-        out.append(total)
-    return out
+    return _determining(d, k_max, marked=True)
 
 
 def _connects(elements: Iterable[int], groups: Iterable[Iterable[int]]) -> bool:
@@ -363,7 +321,7 @@ class OmegaNC:
 def _nc_omega_cached(letters: tuple) -> tuple:
     n = len(letters)
     if 2 * n > BRUTE_LIMIT:
-        raise SizeError(f"brute-force filter limited to 2n <= {BRUTE_LIMIT}")
+        raise SizeError(f"support sets limited to words of length <= {BRUTE_LIMIT // 2}, got {n}")
     u_set = u_indices(Word(letters))
     colour = [i in u_set for i in range(1, 2 * n + 1)]
     make = NCPartition._trusted
@@ -375,9 +333,9 @@ def _nc_omega_cached(letters: tuple) -> tuple:
 
 
 def nc_omega(w: Union[Word, str]) -> OmegaNC:
-    """All supporting partitions of a word, by filtering the partitions
-    of NC(2n) whose blocks lie wholly in the u- or wholly in the
-    q-positions."""
+    """All supporting partitions of a word of length at most 7, by
+    filtering the partitions of NC(2n) whose blocks lie wholly in the u-
+    or wholly in the q-positions, the only ones enumerated."""
     word = as_word(w)
     return OmegaNC(word, _nc_omega_cached(word.letters))
 

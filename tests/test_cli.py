@@ -107,6 +107,24 @@ def test_haar(capsys):
     assert out == "limit = -1\nderivative = 0\n"
 
 
+@pytest.mark.parametrize("word", ["1*" * 7, "11*" + "1*" * 5 + "*"])
+def test_word_cumulants_beyond_the_moebius_cap(word, capsys):
+    from freeunitary import haar_cumulant, z_recursive
+
+    # haar and the default zpoly run the recursion, which has no length cap
+    assert len(word) == 14
+    assert run(["zpoly", word]) == 0
+    assert _capture(capsys)[0] == z_recursive(word).value.to_text() + "\n"
+    assert run(["haar", "--word", word]) == 0
+    # the signed-Catalan derivative rule vanishes on words of even length
+    assert _capture(capsys)[0] == f"limit = {haar_cumulant(word)}\nderivative = 0\n"
+    for method in ("mobius", "both"):
+        assert run(["zpoly", word, "--method", method]) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert "Z_LIMIT = 12" in err and "Traceback" not in err
+
+
 def test_alpha_beta_from_file(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(["1/2", "1/3", "-1/4", "2/5", "1/6"]))
@@ -178,6 +196,7 @@ def test_verify_single_suite(capsys):
         pytest.param("ncpart-lattice", 3, 3, id="ncpart-lattice"),
         pytest.param("z-two-path", 3, 14, id="z-two-path"),
         pytest.param("thm3.7", 3, 14, id="thm3.7"),
+        pytest.param("thm3.7", 12, 8190, id="thm3.7-at-Z_LIMIT"),
         pytest.param("prop6.2", 3, 14, id="prop6.2"),
         pytest.param("thm6.3", 3, 14, id="thm6.3"),
         pytest.param("laplace-cross", 3, 8, id="laplace-cross"),
@@ -438,6 +457,8 @@ heavy = ("mpmath", "freeunitary.alternating", "freeunitary.laplace", "freeunitar
 print(sorted(m for m in heavy if m in sys.modules))
 cli.run(["zpoly", "1*1"])
 print(sorted(m for m in ("mpmath", "freeunitary.rdiag") if m in sys.modules))
+cli.run(["haar", "--word", "1*1*1"])
+print(sorted(m for m in ("mpmath", "freeunitary.rdiag") if m in sys.modules))
 """
 
 
@@ -446,4 +467,6 @@ def test_cli_imports_only_the_layers_a_request_runs():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "-y + (x+1)y^3", "[]"]
+    assert proc.stdout.splitlines() == [
+        "[]", "-y + (x+1)y^3", "[]", "limit = 0", "derivative = 2", "[]"
+    ]

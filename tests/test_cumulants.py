@@ -185,6 +185,23 @@ def test_size_guard():
         z_mobius("1*" * 7)
 
 
+def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
+    # the two routes that z-two-path compares must share no code
+    from freeunitary import cumulants
+
+    words = [w for n in range(1, 9) for w in _all_words(n)]
+    want = {w: z_mobius(w).value for w in words}
+
+    def lattice(*args):
+        raise AssertionError("the recursion reached the NC lattice")
+
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+    monkeypatch.setattr(cumulants, "_mobius_value", lattice)
+    monkeypatch.setattr(cumulants, "_weight_table", lattice)
+    for w in words:
+        assert z_recursive(w).value == want[w]
+
+
 def test_zpolynomial_rejects_bad_shapes():
     with pytest.raises(StructureError):
         ZPolynomial("1*", QuasiPoly({-1: 1}))

@@ -251,8 +251,8 @@ def test_structured_generator_reuse_guard():
 
 
 def test_omega_guards():
-    with pytest.raises(SizeError):
-        nc_omega("1*1*1*11")  # 2n = 16 exceeds the brute-force window
+    with pytest.raises(SizeError, match="length <= 7, got 8"):
+        nc_omega("1*1*1*11")
     with pytest.raises(SizeError):
         nc_omega_structured(0)
     with pytest.raises(SizeError):
