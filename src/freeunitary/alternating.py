@@ -98,21 +98,33 @@ class TruncSeries1:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TruncSeries1":
-        """Multiplicative inverse; needs a nonzero rational constant term."""
-        c0 = _constant_fraction(self.coeffs[0])
+    def __truediv__(self, other):
+        """Quotient q with q * other = self, solved one coefficient at a time.
+
+        other needs a nonzero rational constant term c; then q_n =
+        (self_n - sum_{k=1}^n other_k q_{n-k}) / c, so a quotient through
+        order N takes about N^2/2 coefficient products and no inverse.
+        """
+        if not isinstance(other, TruncSeries1):
+            return NotImplemented
+        c0 = _constant_fraction(other.coeffs[0])
         if c0 == 0:
-            raise StructureError("series with constant term 0 has no inverse")
+            raise StructureError("cannot divide by a series with constant term 0")
         inv0 = 1 / c0
-        data = [QuasiPoly.constant(inv0)]
-        for n in range(1, self.order + 1):
+        order = min(self.order, other.order)
+        data: list[QuasiPoly] = []
+        for n in range(order + 1):
             s = QuasiPoly()
             for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not ak.is_zero:
-                    s = s + ak * data[n - k]
-            data.append(s.scale(-inv0))
-        return TruncSeries1(self.order, data)
+                bk = other.coeffs[k]
+                if not bk.is_zero:
+                    s = s + bk * data[n - k]
+            data.append((self.coeffs[n] - s).scale(inv0))
+        return TruncSeries1(order, data)
+
+    def inverse(self) -> "TruncSeries1":
+        """Multiplicative inverse, the quotient 1 / self; needs a nonzero rational constant term."""
+        return TruncSeries1(self.order, [1]) / self
 
     def compose(self, inner: "TruncSeries1") -> "TruncSeries1":
         """Substitute a series with zero constant term for the variable."""
@@ -214,21 +226,36 @@ class XiSequence:
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
 
 
+def _self_convolution(terms: Sequence[QuasiPoly], n: int) -> QuasiPoly:
+    """sum_{m=1}^{n-1} c_m c_{n-m} with c_m = terms[m - 1].
+
+    The sum is symmetric in m <-> n - m, so each pair is multiplied once
+    and doubled, and the middle square is added once when n is even:
+    floor(n/2) products instead of n - 1.
+    """
+    half = QuasiPoly()
+    for m in range(1, (n + 1) // 2):
+        half = half + terms[m - 1] * terms[n - m - 1]
+    total = half + half
+    if n % 2 == 0:
+        mid = terms[n // 2 - 1]
+        total = total + mid * mid
+    return total
+
+
 def xi_by_recursion(n_max: int) -> XiSequence:
     """Solve the quadratic ODE recursion exactly, one linear IVP per n.
 
     Each xi_n satisfies xi_n' + n xi_n = -n sum_{m<n} xi_m xi_{n-m} with
     xi_n(0) = 0; multiplying by e^{nt} turns the step into a single
-    exact antiderivative.
+    exact antiderivative.  The convolution counts each pair {m, n - m}
+    once, so xi_1..xi_N take about N^2/4 products.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
     xs: list[QuasiPoly] = [XI_ONE]
     for n in range(2, n_max + 1):
-        conv = QuasiPoly()
-        for m in range(1, n):
-            conv = conv + xs[m - 1] * xs[n - m - 1]
-        rhs = conv.scale(-n)
+        rhs = _self_convolution(xs, n).scale(-n)
         xs.append(rhs.shift_exp2(2 * n).integrate_from_zero().shift_exp2(-2 * n))
     return XiSequence(xs, "recursion")
 
@@ -250,9 +277,11 @@ def chi_expansion(order: int) -> TruncSeries1:
 
     chi(c) = c^2 (1 - c^2) e^{ct} / ((1 + c) - (1 - c) e^{ct})^2.  At
     c = 1 + w the numerator becomes (-2w - 5w^2 - 4w^3 - w^4) e^t e^{wt}
-    and the denominator ((2 + w) + w e^t e^{wt})^2, an invertible series
-    with constant term 4.  Coefficients live in the ring extended by
-    e^{+t}; the w^0 coefficient must cancel to zero exactly.
+    and the denominator ((2 + w) + w e^t e^{wt})^2, a series with
+    constant term 4.  The quotient is one series division, solved
+    triangularly without forming the inverse of the denominator.
+    Coefficients live in the ring extended by e^{+t}; the w^0
+    coefficient must cancel to zero exactly.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
@@ -266,7 +295,7 @@ def chi_expansion(order: int) -> TruncSeries1:
     num = TruncSeries1(order, [0, -2, -5, -4, -1]) * exp_wt
     w_exp_wt = TruncSeries1(order, (QuasiPoly(),) + exp_wt.coeffs[:order])
     den = TruncSeries1(order, [2, 1]) + w_exp_wt
-    chi = num * (den * den).inverse()
+    chi = num / (den * den)
     if not chi.coeff(0).is_zero:
         raise StructureError("w^0 coefficient of the expansion must vanish")
     return chi
@@ -275,26 +304,35 @@ def chi_expansion(order: int) -> TruncSeries1:
 def lambda_series(order: int) -> TruncSeries1:
     """Compositional inverse of the expansion, solved triangularly.
 
-    Writing the inverse as 1 + lambda_1 z + lambda_2 z^2 + ..., the
-    identity z = sum_m a_m (inverse(z) - 1)^m pins the lambda_n one at a
-    time; only the monomial a_1 = -(1/2) e^t ever needs inverting.  Each
+    Write the inverse as 1 + L(z) with L = lambda_1 z + lambda_2 z^2 + ...
+    The identity z = sum_m a_m L^m gives lambda_1 = 1/a_1, where a_1 =
+    -(1/2) e^t is the only coefficient ever inverted, and for n >= 2
+    lambda_n = -lambda_1 sum_{m=2}^n a_m [z^n] L^m.  A power table holds
+    [z^k] L^m, and row m gains its entry at z^n from row m - 1 as
+    sum_{j=1}^{n-m+1} lambda_j [z^{n-j}] L^{m-1}, all known by then.  Each
+    entry is computed once, so order N takes about N^3/6 products.  Each
     lambda_n is asserted to land back in Q[t, e^{-t}]: the positive
     exponents of the intermediate coefficients must all cancel.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     a = chi_expansion(order)
-    lam: list[QuasiPoly] = [_monomial_inverse(a.coeff(1))]
+    lam: list[QuasiPoly] = [QuasiPoly(), _monomial_inverse(a.coeff(1))]  # [z^k] L
+    powers: list[list[QuasiPoly]] = [[], lam]  # powers[m][k] = [z^k] L^m
     for n in range(2, order + 1):
-        prefix = TruncSeries1(n, [QuasiPoly()] + lam)
-        power = prefix
+        powers.append([QuasiPoly()] * n)  # [z^k] L^n vanishes for k < n
         b = QuasiPoly()
         for m in range(2, n + 1):
-            power = power * prefix
+            prev = powers[m - 1]
+            entry = QuasiPoly()
+            for j in range(1, n - m + 2):
+                entry = entry + lam[j] * prev[n - j]
+            powers[m].append(entry)
             am = a.coeff(m)
             if not am.is_zero:
-                b = b + am * power.coeff(n)
-        lam.append(-(lam[0] * b))
+                b = b + am * entry
+        lam.append(-(lam[1] * b))
+    lam = lam[1:]
     for n, q in enumerate(lam, start=1):
         for e2 in q.exp2_values():
             if e2 > 0 or e2 % 2:
@@ -335,19 +373,19 @@ def xi_by_inversion(n_max: int) -> XiSequence:
 
     Squaring H = 1/2 + sum xi_n z^n and the inverse series gives
     xi_n = [n=1] + (1/2) lambda_n + (1/4) sum lambda_m lambda_{n-m}
-    - sum xi_m xi_{n-m}, a triangular recovery.
+    - sum xi_m xi_{n-m}, a triangular recovery.  Both convolutions count
+    each pair {m, n - m} once, so the recovery through N takes about
+    N^2/2 products on top of lambda_series(N).
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    lam = lambda_series(n_max)
+    lam = lambda_series(n_max).coeffs[1:]
     xs: list[QuasiPoly] = []
     for n in range(1, n_max + 1):
         acc = QuasiPoly.constant(1) if n == 1 else QuasiPoly()
-        acc = acc + lam.coeff(n).scale(Fraction(1, 2))
-        for m in range(1, n):
-            acc = acc + (lam.coeff(m) * lam.coeff(n - m)).scale(Fraction(1, 4))
-            acc = acc - xs[m - 1] * xs[n - m - 1]
-        xs.append(acc)
+        acc = acc + lam[n - 1].scale(Fraction(1, 2))
+        acc = acc + _self_convolution(lam, n).scale(Fraction(1, 4))
+        xs.append(acc - _self_convolution(xs, n))
     return XiSequence(xs, "inversion")
 
 

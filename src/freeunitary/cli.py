@@ -5,13 +5,15 @@ pde-check, haar, alpha, beta, ncw, nc, moments) plus a verify harness
 that runs named cross-check suites and reports pass/fail with
 counterexamples.  Output on stdout is deterministic byte-for-byte for a
 fixed invocation; wall times go to stderr.  Exit codes: 0 success, 1
-verification failure, 2 usage or data error.
+verification failure, 2 usage or data error, 141 (128 + SIGPIPE) when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -834,10 +836,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (SizeError, StructureError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout, which is not bad input.  Point stdout
+        # at the null device so the flush at exit does not fail again.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

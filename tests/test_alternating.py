@@ -68,6 +68,13 @@ def test_trunc_series_inverse():
         TruncSeries1(2, [0, 1]).inverse()
     with pytest.raises(StructureError):
         TruncSeries1(2, [QuasiPoly({-2: 1})]).inverse()
+    # Division agrees with multiplying by the inverse on quasi-polynomial coefficients.
+    a = TruncSeries1(5, [QuasiPoly({2: 1}), 0, QuasiPoly({0: Poly((1, 2)), -2: -3}), 7])
+    b = TruncSeries1(5, [2, QuasiPoly({-2: Poly((0, 1))}), QuasiPoly({2: -1, -4: 5})])
+    assert a / b == a * b.inverse()
+    assert (a / b) * b == a
+    with pytest.raises(StructureError):
+        a / TruncSeries1(5, [0, 1, 1])
 
 
 def test_trunc_series_compose():
@@ -99,6 +106,8 @@ def test_three_routes_agree_beyond_frozen_rows():
     inv = xi_by_inversion(5)
     for n in range(1, 6):
         assert rec.xi(n) == mob.xi(n) == inv.xi(n)
+    # Order 14 reaches both parities of the halved convolutions far past the Moebius cap.
+    assert xi_by_inversion(14).entries == xi_by_recursion(14).entries
 
 
 def test_xi_accessor_guards():
@@ -153,7 +162,9 @@ def test_lambda_series_frozen_rows():
 
 
 def test_lagrange_route_agrees():
-    assert lagrange_lambda(6) == lambda_series(6)
+    # Order 14 fills power-table rows up to L^14.
+    for order in (6, 14):
+        assert lagrange_lambda(order) == lambda_series(order)
 
 
 def test_chi_roundtrip_is_exact():

@@ -470,3 +470,18 @@ def test_cli_imports_only_the_layers_a_request_runs():
     assert proc.stdout.splitlines() == [
         "[]", "-y + (x+1)y^3", "[]", "limit = 0", "derivative = 2", "[]"
     ]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The listing (about 570 KB) overflows the pipe, so the CLI is still
+    # writing when the reader goes away.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "freeunitary.cli", "nc", "--n", "10", "--list"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(16).startswith(b"[[1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 141
+    assert err == b""
