@@ -28,14 +28,6 @@ XI_METHODS = ("recursion", "mobius", "inversion")
 XI_ONE = QuasiPoly({0: 1, -2: -1})
 
 
-def _as_quasipoly(v) -> QuasiPoly:
-    if isinstance(v, QuasiPoly):
-        return v
-    if isinstance(v, Poly):
-        return QuasiPoly.from_poly(v)
-    return QuasiPoly.constant(v)
-
-
 class TruncSeries1:
     """Power series in one formal variable truncated at a fixed order.
 
@@ -53,7 +45,7 @@ class TruncSeries1:
         for n, val in enumerate(coeffs):
             if n > order:
                 break
-            data[n] = _as_quasipoly(val)
+            data[n] = val if isinstance(val, QuasiPoly) else QuasiPoly.constant(val)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(data))
 
@@ -79,9 +71,6 @@ class TruncSeries1:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, QuasiPoly)):
-            f = _as_quasipoly(other)
-            return TruncSeries1(self.order, [c * f for c in self.coeffs])
         if not isinstance(other, TruncSeries1):
             return NotImplemented
         order = min(self.order, other.order)
@@ -95,8 +84,6 @@ class TruncSeries1:
                 if not b.is_zero:
                     data[i + j] = data[i + j] + a * b
         return TruncSeries1(order, data)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Quotient q with q * other = self, solved one coefficient at a time.

@@ -164,12 +164,9 @@ class Poly:
         return _poly([0] + [c * (m // (i + 1)) for i, c in enumerate(self._num)], self._den * m)
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments."""
+        """Exact Horner evaluation at an int or Fraction; eval_mp takes the rest."""
         if not isinstance(x, (int, Fraction)):
-            out = x * 0
-            for c in reversed(self.coeffs):
-                out = out * x + c
-            return out
+            raise TypeError(f"exact evaluation needs an int or Fraction, got {type(x).__name__}")
         # q^d p(r/q) = sum_i num_i r^i q^(d-i), accumulated from the top
         r, q = x.numerator, x.denominator
         out, qpow = 0, 1
@@ -238,10 +235,6 @@ class QuasiPoly:
     @classmethod
     def constant(cls, c: Rat) -> "QuasiPoly":
         return cls({0: Poly((c,))})
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "QuasiPoly":
-        return cls({0: p})
 
     @property
     def terms(self) -> dict[int, Poly]:

@@ -27,11 +27,12 @@ def test_zpoly_text_example(capsys):
 
 
 def test_zpoly_accepts_u_spelling(capsys):
-    assert run(["zpoly", "uu*u"]) == 0
-    first, _ = _capture(capsys)
-    assert run(["zpoly", "11*"]) == 0
-    second, _ = _capture(capsys)
-    assert first == second
+    for u_word, word in (("uu*u", "1*1"), ("uuu*", "11*")):
+        assert run(["zpoly", u_word]) == 0
+        first, _ = _capture(capsys)
+        assert run(["zpoly", word]) == 0
+        second, _ = _capture(capsys)
+        assert first == second
 
 
 def test_zpoly_both_methods_consistent(capsys):

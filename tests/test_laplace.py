@@ -18,7 +18,8 @@ from freeunitary import (
     z_from_laplace,
     z_mobius,
 )
-from freeunitary.laplace import TruncSeries2, check_f_identity, f_bivariate
+from freeunitary import laplace
+from freeunitary.laplace import check_f_identity, f_bivariate
 
 # Frozen anchors for the two polynomial families.
 FROZEN_UV = {
@@ -99,28 +100,35 @@ def test_quadrature_reproduces_the_cumulant(kl):
         assert abs(lhs - rhs) < mpmath.mpf("1e-30")
 
 
-def test_trunc_series2_truncates_and_multiplies():
-    a = TruncSeries2(2, {(1, 0): QuasiPoly.constant(1), (0, 1): QuasiPoly.constant(2)})
-    b = TruncSeries2(2, {(1, 0): QuasiPoly.constant(3), (1, 1): QuasiPoly.constant(1)})
-    prod = a * b
-    assert prod.coeff(2, 0) == QuasiPoly.constant(3)
-    assert prod.coeff(1, 1) == QuasiPoly.constant(6)
-    assert prod.coeff(2, 1).is_zero  # beyond the total order
-    assert (a + b).coeff(1, 0) == QuasiPoly.constant(4)
-
-
 def test_f_bivariate_diagonal_entries():
     f = f_bivariate(4)
-    assert f.coeff(1, 1) == QuasiPoly({0: 1, -2: -1})
-    assert f.coeff(2, 2) == z_mobius("11**").value
-    assert f.coeff(0, 0).is_zero
-    assert f.coeff(3, 0).is_zero
+    assert f[(1, 1)] == QuasiPoly({0: 1, -2: -1})
+    assert f[(2, 2)] == z_mobius("11**").value
+    assert (0, 0) not in f
+    assert (3, 0) not in f
 
 
 def test_f_identity_holds_through_order_five():
     ok, failures = check_f_identity(5)
     assert ok
     assert failures == []
+
+
+def test_f_identity_reports_a_perturbed_coefficient(monkeypatch):
+    delta = QuasiPoly({-2: Poly((0, Fraction(1, 3)))})
+    exact = laplace.f_bivariate
+
+    def perturbed(order):
+        f = exact(order)
+        f[(2, 1)] = f[(2, 1)] + delta
+        return f
+
+    monkeypatch.setattr(laplace, "f_bivariate", perturbed)
+    ok, failures = check_f_identity(3)
+    assert not ok
+    assert [ij for ij, _, _ in failures] == [(2, 1)]
+    ((_, got, expected),) = failures
+    assert got - expected == delta
 
 
 def test_guards():

@@ -43,6 +43,15 @@ def test_poly_square():
     assert (p ** 3)(Fraction(1, 2)) == Fraction(27, 8)
 
 
+def test_poly_call_is_exact_only():
+    p = Poly((1, Fraction(1, 2), 3))
+    assert p(2) == 14
+    for x in (1.5, mpmath.mpf(2)):
+        with pytest.raises(TypeError):
+            p(x)
+    assert p.eval_mp(mpmath.mpf(2)) == 14
+
+
 def test_poly_calculus_roundtrip():
     p = Poly((5, -2, 0, 7))
     assert p.antiderivative().derivative() == p

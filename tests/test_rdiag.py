@@ -242,6 +242,12 @@ def test_structured_generator_equals_brute_force():
         assert nc_omega_structured(k) == nc_omega(word)
 
 
+def test_structured_support_set_sizes_are_catalan():
+    # 1, 5, 42, 429 partitions: C_{2k-1} for k = 1..4.
+    for k in range(1, 5):
+        assert len(nc_omega_structured(k)) == catalan(2 * k - 1)
+
+
 def test_structured_generator_reuse_guard():
     d = Distribution.point_mass_one(6)
     parts = nc_omega_structured(2)
