@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .cumulants import Z_LIMIT, z_mobius
 from .errors import SizeError, StructureError
 from .ncpart import catalan
-from .qpoly import Poly, QuasiPoly
+from .qpoly import Poly, QuasiPoly, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -74,16 +74,11 @@ class TruncSeries1:
         if not isinstance(other, TruncSeries1):
             return NotImplemented
         order = min(self.order, other.order)
-        data = [QuasiPoly() for _ in range(order + 1)]
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a.is_zero:
-                continue
-            for j in range(order - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    data[i + j] = data[i + j] + a * b
-        return TruncSeries1(order, data)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries1(
+            order,
+            [sum_of_products((a[i], b[n - i]) for i in range(n + 1)) for n in range(order + 1)],
+        )
 
     def __truediv__(self, other):
         """Quotient q with q * other = self, solved one coefficient at a time.
@@ -91,22 +86,21 @@ class TruncSeries1:
         other needs a nonzero rational constant term c; then q_n =
         (self_n - sum_{k=1}^n other_k q_{n-k}) / c, so a quotient through
         order N takes about N^2/2 coefficient products and no inverse.
+        Each q_n is one sum of products, with 1/c and -other_k/c as factors.
         """
         if not isinstance(other, TruncSeries1):
             return NotImplemented
         c0 = _constant_fraction(other.coeffs[0])
         if c0 == 0:
             raise StructureError("cannot divide by a series with constant term 0")
-        inv0 = 1 / c0
+        inv0 = QuasiPoly.constant(1 / c0)
         order = min(self.order, other.order)
+        scaled = [b.scale(-1 / c0) for b in other.coeffs[: order + 1]]
         data: list[QuasiPoly] = []
         for n in range(order + 1):
-            s = QuasiPoly()
-            for k in range(1, n + 1):
-                bk = other.coeffs[k]
-                if not bk.is_zero:
-                    s = s + bk * data[n - k]
-            data.append((self.coeffs[n] - s).scale(inv0))
+            pairs = [(self.coeffs[n], inv0)]
+            pairs += [(scaled[k], data[n - k]) for k in range(1, n + 1)]
+            data.append(sum_of_products(pairs))
         return TruncSeries1(order, data)
 
     def inverse(self) -> "TruncSeries1":
@@ -217,17 +211,15 @@ def _self_convolution(terms: Sequence[QuasiPoly], n: int) -> QuasiPoly:
     """sum_{m=1}^{n-1} c_m c_{n-m} with c_m = terms[m - 1].
 
     The sum is symmetric in m <-> n - m, so each pair is multiplied once
-    and doubled, and the middle square is added once when n is even:
-    floor(n/2) products instead of n - 1.
+    and doubled, and when n is even the middle square enters the half as
+    mid * (mid / 2): floor(n/2) products instead of n - 1.
     """
-    half = QuasiPoly()
-    for m in range(1, (n + 1) // 2):
-        half = half + terms[m - 1] * terms[n - m - 1]
-    total = half + half
+    pairs = [(terms[m - 1], terms[n - m - 1]) for m in range(1, (n + 1) // 2)]
     if n % 2 == 0:
         mid = terms[n // 2 - 1]
-        total = total + mid * mid
-    return total
+        pairs.append((mid, mid.scale(Fraction(1, 2))))
+    half = sum_of_products(pairs)
+    return half + half
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
@@ -308,16 +300,10 @@ def lambda_series(order: int) -> TruncSeries1:
     powers: list[list[QuasiPoly]] = [[], lam]  # powers[m][k] = [z^k] L^m
     for n in range(2, order + 1):
         powers.append([QuasiPoly()] * n)  # [z^k] L^n vanishes for k < n
-        b = QuasiPoly()
         for m in range(2, n + 1):
             prev = powers[m - 1]
-            entry = QuasiPoly()
-            for j in range(1, n - m + 2):
-                entry = entry + lam[j] * prev[n - j]
-            powers[m].append(entry)
-            am = a.coeff(m)
-            if not am.is_zero:
-                b = b + am * entry
+            powers[m].append(sum_of_products((lam[j], prev[n - j]) for j in range(1, n - m + 2)))
+        b = sum_of_products((a.coeff(m), powers[m][n]) for m in range(2, n + 1))
         lam.append(-(lam[1] * b))
     lam = lam[1:]
     for n, q in enumerate(lam, start=1):
@@ -400,13 +386,12 @@ def pde_z_coefficient(entries: Sequence[QuasiPoly], n: int) -> QuasiPoly:
         raise SizeError("need at least xi_1")
     if not 1 <= n <= 2 * count:
         raise SizeError(f"need 1 <= n <= {2 * count}, got {n}")
-    acc = entries[n - 1].ddt() if n <= count else QuasiPoly()
-    for k in range(max(1, n - count), min(n, count) + 1):
-        if n - k == 0:
-            h = QuasiPoly.constant(Fraction(1, 2))
-        else:
-            h = entries[n - k - 1]
-        acc = acc + (entries[k - 1] * h).scale(2 * k)
+    h = [QuasiPoly.constant(Fraction(1, 2))] + list(entries)  # h[k] = [z^k] H
+    acc = sum_of_products(
+        (entries[k - 1].scale(2 * k), h[n - k]) for k in range(max(1, n - count), min(n, count) + 1)
+    )
+    if n <= count:
+        acc = acc + entries[n - 1].ddt()
     if n == 1:
         acc = acc - QuasiPoly.constant(1)
     return acc

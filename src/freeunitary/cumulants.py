@@ -19,12 +19,13 @@ coefficient of the approach to it are grades 0 and 1 of the recursion.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Union
 
 from .errors import SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
 from .ncpart import _weight_table, catalan
-from .qpoly import POLY_ONE, POLY_ZERO, Poly, QuasiPoly
+from .qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
 
 Z_LIMIT = 12
 
@@ -100,11 +101,24 @@ def canonical_word(w: Union[Word, str]) -> Word:
     representative is the largest letter tuple among the rotations of the
     four variants.
     """
-    letters = as_word(w).letters
+    return Word(_canonical(as_word(w).letters))
+
+
+def _canonical(letters: Letters) -> Letters:
+    """The letters of canonical_word, computed on the letter tuple.
+
+    The letters or their swap hold a +1, so the largest rotation starts
+    with +1 and rotations starting with -1 are not compared.
+    """
     n = len(letters)
-    swapped = tuple(-l for l in letters)
-    doubled = [v + v for v in (letters, letters[::-1], swapped, swapped[::-1])]
-    return Word(max(d[r : r + n] for d in doubled for r in range(n)))
+    swapped = tuple(map(neg, letters))
+    best = letters
+    for v in (letters, letters[::-1], swapped, swapped[::-1]):
+        d = v + v
+        for r in range(n):
+            if d[r] == 1 and d[r : r + n] > best:
+                best = d[r : r + n]
+    return best
 
 
 def haar_cumulant(w: Union[Word, str]) -> int:
@@ -207,7 +221,7 @@ def z_recursive(w: Union[Word, str]) -> ZPolynomial:
 
 
 def _recursive_value(letters: Letters) -> QuasiPoly:
-    key = canonical_word(Word(letters)).letters
+    key = _canonical(letters)
     val = _RECURSIVE_MEMO.get(key)
     if val is not None:
         return val
@@ -224,9 +238,8 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
                 rot = letters[i + 1 :] + letters[: i + 1]
                 break
         assert rot is not None and rot[0] == 1 and rot[-1] == -1
-        total = QuasiPoly()
-        for m in range(1, n):
-            total = total + _recursive_value(rot[:m]) * _recursive_value(rot[m:])
-        val = -total
+        val = -sum_of_products(
+            (_recursive_value(rot[:m]), _recursive_value(rot[m:])) for m in range(1, n)
+        )
     _RECURSIVE_MEMO[key] = val
     return val

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import SizeError
 from .cumulants import ZPolynomial
 from .moments import diag_cumulant
-from .qpoly import Poly, QuasiPoly
+from .qpoly import Poly, QuasiPoly, sum_of_products
 
 F_ORDER_LIMIT = 8
 
@@ -154,15 +154,14 @@ def check_f_identity(order: int):
     if order < 2:
         raise SizeError(f"order must be >= 2, got {order}")
     f = f_bivariate(order)
-    r = [QuasiPoly()] + [diag_cumulant(n) for n in range(1, order)]
+    r = [QuasiPoly.constant(1)] + [diag_cumulant(n) for n in range(1, order)]
     failures = []
     for i in range(1, order):
         for j in range(1, order + 1 - i):
-            got = f[(i, j)] + r[i] * r[j]
-            for a in range(1, i):
-                got = got + r[a] * f[(i - a, j)]
-            for b in range(1, j):
-                got = got + r[b] * f[(i, j - b)]
+            pairs = [(r[0], f[(i, j)]), (r[i], r[j])]
+            pairs += [(r[a], f[(i - a, j)]) for a in range(1, i)]
+            pairs += [(r[b], f[(i, j - b)]) for b in range(1, j)]
+            got = sum_of_products(pairs)
             expected = QuasiPoly.constant(1) if (i, j) == (1, 1) else QuasiPoly()
             if got != expected:
                 failures.append(((i, j), got, expected))

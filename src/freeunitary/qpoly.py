@@ -8,15 +8,19 @@ term with exp2 = -m into (polynomial) * y^m.
 A Poly stores integer numerators over one common denominator, kept in
 lowest terms, so every ring and calculus operation runs on Python ints and
 normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
+``sum_of_products`` forms a sum of QuasiPoly products the same way: integer
+numerators accumulate in one slot per exponent, normalised once at the end.
+It is the one product path of the ring; ``QuasiPoly.__mul__`` calls it.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -283,13 +287,7 @@ class QuasiPoly:
             if not isinstance(other, (Poly, int, Fraction)):
                 return NotImplemented
             return QuasiPoly({e2: p * other for e2, p in self._terms})
-        acc: dict[int, Poly] = {}
-        for e2a, pa in self._terms:
-            for e2b, pb in other._terms:
-                e2 = e2a + e2b
-                prod = pa * pb
-                acc[e2] = acc[e2] + prod if e2 in acc else prod
-        return QuasiPoly(acc)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -308,33 +306,36 @@ class QuasiPoly:
         return QuasiPoly(out)
 
     def integrate_from_zero(self) -> "QuasiPoly":
-        """The antiderivative F with F(0) = 0 and F' = self."""
+        """The antiderivative F with F(0) = 0 and F' = self.
+
+        A term p e^{ct} with c = e2/2 != 0 integrates to q e^{ct} with
+        q_i = sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / c^(j-i+1).  Over the
+        denominator den * e2^(d+1) (d = deg p, p_j = num_j / den) the
+        numerator of q_i is C_i e2^i, where C_(d+1) = 0 and
+        C_i = 2 num_i e2^(d-i) - 2 (i+1) C_(i+1): one integer pass.
+        """
         acc: dict[int, Poly] = {}
         const = Fraction(0)
-
-        def add(e2: int, p: Poly) -> None:
-            if p.is_zero:
-                return
-            acc[e2] = acc[e2] + p if e2 in acc else p
-
         for e2, p in self._terms:
             if e2 == 0:
-                add(0, p.antiderivative())
+                acc[0] = p.antiderivative()
                 continue
-            c = Fraction(e2, 2)
-            total = POLY_ZERO
-            q = p
-            power = Fraction(1)
-            sign = 1
-            while not q.is_zero:
-                power *= c
-                total = total + q * (Fraction(sign) / power)
-                q = q.derivative()
-                sign = -sign
-            add(e2, total)
-            const -= total(Fraction(0))
-        if const != 0:
-            add(0, Poly((const,)))
+            num, d = p._num, len(p._num) - 1
+            pw = [1]
+            for _ in range(d + 1):
+                pw.append(pw[-1] * e2)
+            out = [0] * (d + 1)
+            c = 0
+            for i in range(d, -1, -1):
+                c = 2 * (num[i] * pw[d - i] - (i + 1) * c)
+                out[i] = c * pw[i]
+            den = p._den * pw[d + 1]
+            if den < 0:
+                out, den = [-v for v in out], -den
+            const -= Fraction(out[0], den)
+            acc[e2] = _poly(out, den)
+        if const:
+            acc[0] = acc[0] + const if 0 in acc else Poly((const,))
         return QuasiPoly(acc)
 
     def value_at_zero(self) -> Fraction:
@@ -389,6 +390,53 @@ class QuasiPoly:
 
     def __str__(self):
         return self.to_text()
+
+
+def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
+    """The sum of x * y over the pairs, normalised once per exp2.
+
+    Each exp2 keeps one slot of integer numerators over a denominator;
+    a product's numerators are multiplied straight into its slot, which is
+    rescaled only when the product's denominator does not divide the
+    slot's.  One _poly per slot and one sort give the canonical QuasiPoly.
+    """
+    slots: dict[int, list] = {}  # exp2 -> [numerators, denominator]
+    for x, y in pairs:
+        ys = y._terms
+        for e2a, pa in x._terms:
+            a, da = pa._num, pa._den
+            for e2b, pb in ys:
+                b = pb._num
+                den = da * pb._den
+                size = len(a) + len(b) - 1
+                slot = slots.get(e2a + e2b)
+                if slot is None:
+                    out, scale = [0] * size, 1
+                    slots[e2a + e2b] = [out, den]
+                else:
+                    out, sden = slot
+                    if len(out) < size:
+                        out.extend([0] * (size - len(out)))
+                    scale, rem = divmod(sden, den)
+                    if rem:
+                        g = gcd(sden, den)
+                        up = den // g
+                        out[:] = [c * up for c in out]
+                        slot[1] = sden * up
+                        scale = sden // g
+                for i, u in enumerate(a):
+                    if u:
+                        u *= scale
+                        for j, v in enumerate(b, i):
+                            out[j] += u * v
+    terms = []
+    for e2 in sorted(slots, reverse=True):
+        p = _poly(*slots[e2])
+        if p._num:
+            terms.append((e2, p))
+    q = object.__new__(QuasiPoly)
+    object.__setattr__(q, "_terms", tuple(terms))
+    return q
 
 
 def quasipoly_from_json(data: Mapping) -> QuasiPoly:

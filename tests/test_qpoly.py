@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeunitary import Poly, QuasiPoly, poly_text, quasipoly_from_json
+from freeunitary.qpoly import sum_of_products
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys = st.builds(Poly, st.lists(rationals, max_size=5))
@@ -76,8 +77,24 @@ def test_quasipoly_ring_axioms(a, b, c):
     assert a - a == QuasiPoly()
 
 
+# exp2 of either sign and parity, with four to seven drawn coefficients (degree
+# 3 to 6 unless the top ones are 0), so the antiderivative's common denominator
+# den * e2^(d+1) is negative whenever e2 < 0 and d is even
+exp_quasis = st.builds(
+    QuasiPoly,
+    st.dictionaries(
+        st.integers(min_value=-7, max_value=7),
+        st.builds(Poly, st.lists(rationals, min_size=4, max_size=7)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(quasis)
+@given(st.one_of(quasis, exp_quasis))
+@example(QuasiPoly({-3: Poly((1, -2, Fraction(1, 3), 5, 7))}))
+@example(QuasiPoly({5: Poly((0, 0, 0, Fraction(-4, 9))), -1: Poly((2, 1, 1, 1))}))
 def test_quasipoly_calculus_roundtrip(q):
     anti = q.integrate_from_zero()
     assert anti.ddt() == q
@@ -281,3 +298,62 @@ def test_poly_is_immutable():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p._num = (5,)
+
+
+# ---------------------------------------------------------------------------
+# sum_of_products against products formed term by term with Poly.__mul__ and
+# summed by the QuasiPoly constructor, which adds Polys one at a time.
+
+
+def _naive_sum_of_products(pairs):
+    return QuasiPoly(
+        [(ea + eb, pa * pb) for x, y in pairs for ea, pa in x._terms for eb, pb in y._terms]
+    )
+
+
+def _assert_canonical_quasi(q):
+    exps = [e2 for e2, _ in q._terms]
+    assert exps == sorted(set(exps), reverse=True)
+    for _, p in q._terms:
+        _assert_canonical(p)
+        assert p._num
+
+
+# denominators up to 30 make a later product's denominator miss the slot's
+mixed_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+mixed_quasis = st.builds(
+    QuasiPoly,
+    st.dictionaries(
+        st.integers(min_value=-4, max_value=4),
+        st.builds(Poly, st.lists(mixed_rationals, max_size=5)),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(mixed_quasis, mixed_quasis), max_size=5))
+def test_sum_of_products_matches_naive_sum(pairs):
+    got = sum_of_products(pairs)
+    assert got == _naive_sum_of_products(pairs)
+    _assert_canonical_quasi(got)
+    assert got == sum((x * y for x, y in pairs), QuasiPoly())
+
+
+def test_sum_of_products_edge_cases():
+    x = QuasiPoly({0: Poly((1, Fraction(1, 2))), -3: Poly((Fraction(-2, 3),))})
+    y = QuasiPoly({-1: Poly((Fraction(5, 7), 0, 1))})
+    # no pairs, and a zero factor on either side, give the zero QuasiPoly
+    assert sum_of_products(())._terms == ()
+    assert sum_of_products([(x, QuasiPoly())])._terms == ()
+    assert sum_of_products([(QuasiPoly(), y), (x, y)]) == x * y
+    # exact cancellation leaves no term at all
+    assert sum_of_products([(x, y), (-x, y)])._terms == ()
+    # a later product at the same exp2 is longer than the slot, and its
+    # denominator (1/5) does not divide the slot's (1/3)
+    short = (QuasiPoly({-2: Poly((Fraction(1, 3),))}), QuasiPoly({0: 1}))
+    long = (QuasiPoly({-1: Poly((0, 0, 1))}), QuasiPoly({-1: Poly((1, Fraction(1, 5)))}))
+    got = sum_of_products([short, long])
+    assert got == QuasiPoly({-2: Poly((Fraction(1, 3), 0, 1, Fraction(1, 5)))})
+    _assert_canonical_quasi(got)
+    assert sum_of_products(iter([short, long])) == got
