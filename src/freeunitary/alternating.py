@@ -5,10 +5,14 @@ quasi-polynomial xi_n(t).  Three independent computations produce it: a
 quadratic first-order ODE recursion solved exactly with an integrating
 factor, the generic Moebius sum over NC(2n), and a compositional
 inversion of the expansion of an exponential-rational map chi around its
-zero.  The truncated generating function H = 1/2 + sum xi_n z^n obeys
-the inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z; the module
-checks that identity exactly on z-coefficients and numerically on grids,
-where only the truncation itself contributes a defect.
+zero.  The inverse series is solved triangularly (lambda_series); the
+Lagrange formula, with the negative powers of the unit part taken by the
+log-derivative recurrence (lagrange_lambda), is its independent oracle,
+at the same N^3/6 cost.  The truncated generating function H = 1/2 +
+sum xi_n z^n obeys the inviscid-Burgers-type equation dH/dt + 2 z H dH/dz
+= z; the module checks that identity exactly on z-coefficients and
+numerically on grids, where only the truncation itself contributes a
+defect.
 """
 
 from __future__ import annotations
@@ -102,10 +106,6 @@ class TruncSeries1:
             pairs += [(scaled[k], data[n - k]) for k in range(1, n + 1)]
             data.append(sum_of_products(pairs))
         return TruncSeries1(order, data)
-
-    def inverse(self) -> "TruncSeries1":
-        """Multiplicative inverse, the quotient 1 / self; needs a nonzero rational constant term."""
-        return TruncSeries1(self.order, [1]) / self
 
     def compose(self, inner: "TruncSeries1") -> "TruncSeries1":
         """Substitute a series with zero constant term for the variable."""
@@ -318,26 +318,35 @@ def lambda_series(order: int) -> TruncSeries1:
 def lagrange_lambda(order: int) -> TruncSeries1:
     """Independent route to the inverse coefficients via Lagrange's formula.
 
-    lambda_n = (1/n) [w^{n-1}] (w / chi(1+w))^n.  The ratio is the
-    invertible monomial a_1 times a unit series, so the negative power
-    reduces to one series inverse plus repeated multiplication.  Kept
-    as an oracle against the triangular route.
+    lambda_n = (1/n) [w^{n-1}] (w / chi(1+w))^n.  Writing chi(1+w) =
+    a_1 w U(w) with U_0 = 1 turns this into lambda_n = (lambda_1^n / n)
+    [w^{n-1}] U^{-n}, where lambda_1 = 1/a_1.  The negative powers come
+    from the log-derivative D = w U'/U, solved once from U D = w U' as
+    D_k = k U_k - sum_{0<j<k} D_j U_{k-j}.  Then E = U^{-n} obeys
+    w E' = -n D E, so k E_k = -n sum_{j=1}^k D_j E_{k-j} (J. C. P.
+    Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7): one sum of
+    products per coefficient.  Order N takes about N^3/6 products, as the
+    triangular route does.  Kept as an oracle against that route: the two
+    share only chi_expansion.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     a = chi_expansion(order)
     lam1 = _monomial_inverse(a.coeff(1))
-    unit = TruncSeries1(
-        order - 1, [QuasiPoly.constant(1)] + [a.coeff(m) * lam1 for m in range(2, order + 1)]
-    )
-    inv_unit = unit.inverse()
+    unit = [a.coeff(k + 1) * lam1 for k in range(order)]  # [w^k] U, with U_0 = 1
+    logd = [QuasiPoly()]  # [w^k] D, with D_0 = 0
+    for k in range(1, order):
+        acc = sum_of_products((logd[j], unit[k - j]) for j in range(1, k))
+        logd.append(unit[k].scale(k) - acc)
     out = [QuasiPoly.constant(1)]
-    power = TruncSeries1(order - 1, [1])
     lam1_power = QuasiPoly.constant(1)
     for n in range(1, order + 1):
-        power = power * inv_unit
+        power = [QuasiPoly.constant(1)]  # [w^k] U^{-n}
+        for k in range(1, n):
+            acc = sum_of_products((logd[j], power[k - j]) for j in range(1, k + 1))
+            power.append(acc.scale(Fraction(-n, k)))
         lam1_power = lam1_power * lam1
-        out.append((power.coeff(n - 1) * lam1_power).scale(Fraction(1, n)))
+        out.append((power[n - 1] * lam1_power).scale(Fraction(1, n)))
     return TruncSeries1(order, out)
 
 

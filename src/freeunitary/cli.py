@@ -631,7 +631,7 @@ def _cmd_ncw(args) -> int:
 
 
 def _cmd_nc(args) -> int:
-    from .ncpart import enumerate_nc, kreweras, moebius_to_one
+    from .ncpart import catalan, check_ground_size, enumerate_nc, kreweras, moebius_to_one
 
     n = args.n
     if args.kreweras is not None:
@@ -646,8 +646,8 @@ def _cmd_nc(args) -> int:
         for p in enumerate_nc(n):
             print(str(p))
         return 0
-    count = sum(1 for _ in enumerate_nc(n))
-    print(f"count = {count}")
+    check_ground_size(n)
+    print(f"count = {catalan(n)}")
     return 0
 
 

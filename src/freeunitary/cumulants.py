@@ -221,9 +221,21 @@ def z_recursive(w: Union[Word, str]) -> ZPolynomial:
 
 
 def _recursive_value(letters: Letters) -> QuasiPoly:
+    """Cumulant of the letters by the concatenation recursion, memoised.
+
+    The memo is probed with the letters as given before they are
+    canonicalised, and a value found or computed under the canonical key is
+    stored under the given letters too.  The cumulant is invariant under
+    rotation, reversal and swap, so the alias is exact; the memo counts
+    entries, not orbits.
+    """
+    val = _RECURSIVE_MEMO.get(letters)
+    if val is not None:
+        return val
     key = _canonical(letters)
     val = _RECURSIVE_MEMO.get(key)
     if val is not None:
+        _RECURSIVE_MEMO[letters] = val
         return val
     n = len(letters)
     if all(l == key[0] for l in key):
@@ -241,5 +253,5 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
         val = -sum_of_products(
             (_recursive_value(rot[:m]), _recursive_value(rot[m:])) for m in range(1, n)
         )
-    _RECURSIVE_MEMO[key] = val
+    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = val
     return val

@@ -83,15 +83,6 @@ class Word:
         """Exchange the roles of 1 and *."""
         return Word(tuple(-l for l in self.letters))
 
-    def restrict(self, positions: Iterable[int]) -> "Word":
-        """Subword at the given 1-based positions, in increasing order."""
-        pos = sorted(set(positions))
-        if not pos:
-            raise SizeError("empty position set")
-        if pos[0] < 1 or pos[-1] > self.n:
-            raise SizeError(f"positions {pos} outside 1..{self.n}")
-        return Word(tuple(self.letters[i - 1] for i in pos))
-
     def __len__(self):
         return len(self.letters)
 

@@ -33,6 +33,12 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+def check_ground_size(n: int) -> None:
+    """Refuse a ground size outside 1..MAX_GROUND_SIZE."""
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+
+
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     out = []
     for blk in blocks:
@@ -89,8 +95,7 @@ class NCPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if not 1 <= n <= MAX_GROUND_SIZE:
-            raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+        check_ground_size(n)
         norm = _normalize_blocks(blocks)
         _check_partition(n, norm)
         if not _noncrossing_blocks(norm, n):
@@ -109,15 +114,13 @@ class NCPartition:
     @classmethod
     def zero(cls, n: int) -> "NCPartition":
         """The all-singletons partition 0_n."""
-        if not 1 <= n <= MAX_GROUND_SIZE:
-            raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+        check_ground_size(n)
         return cls._trusted(n, tuple((i,) for i in range(1, n + 1)))
 
     @classmethod
     def one(cls, n: int) -> "NCPartition":
         """The single-block partition 1_n."""
-        if not 1 <= n <= MAX_GROUND_SIZE:
-            raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+        check_ground_size(n)
         return cls._trusted(n, (tuple(range(1, n + 1)),))
 
     @property
@@ -188,8 +191,7 @@ def _parts(colour: Sequence) -> Iterator[Blocks]:
 
 def enumerate_nc(n: int) -> Iterator[NCPartition]:
     """Lazily stream every partition in NC(n), in first-block order."""
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+    check_ground_size(n)
     make = NCPartition._trusted
     return (make(n, blocks) for blocks in _parts((0,) * n))
 
@@ -249,8 +251,7 @@ def moebius_to_one(p: NCPartition) -> int:
 @lru_cache(maxsize=None)
 def _weight_table(n: int) -> tuple[tuple[Blocks, int], ...]:
     """All of NC(n) paired with Moebius-to-top weights; shared plumbing."""
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+    check_ground_size(n)
     out = []
     for blocks in _parts((0,) * n):
         kr = _kreweras_blocks(blocks, n)

@@ -1,7 +1,8 @@
 """Reference routines that only the tests use.
 
 The order, join and restriction of NC(n) cross-check the Kreweras
-complement and the Moebius values of freeunitary.ncpart; the Kreweras
+complement and the Moebius values of freeunitary.ncpart; the subword at a
+block's positions resums word cumulants into moments; the Kreweras
 complement by pair linkage is the reference for its permutation form; the
 Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
@@ -145,6 +146,16 @@ def restrict(p: NCPartition, subset: Iterable[int]) -> NCPartition:
             blocks.append(inter)
     blocks.sort(key=lambda b: b[0])
     return NCPartition._trusted(len(labs), tuple(blocks))
+
+
+def subword(w: Word, positions: Iterable[int]) -> Word:
+    """Subword at the given 1-based positions, in increasing order."""
+    pos = sorted(set(positions))
+    if not pos:
+        raise SizeError("empty position set")
+    if pos[0] < 1 or pos[-1] > w.n:
+        raise SizeError(f"positions {pos} outside 1..{w.n}")
+    return Word(tuple(w.letters[i - 1] for i in pos))
 
 
 def nc_brute(m: int) -> list:

@@ -22,6 +22,7 @@ from freeunitary import (
     xi_by_recursion,
 )
 from freeunitary.alternating import XI_METHODS, XI_ONE
+from freeunitary.qpoly import sum_of_products
 
 # Frozen alternating cumulants xi_1..xi_4.
 FROZEN_XI = {
@@ -56,22 +57,26 @@ def test_trunc_series_basics():
     assert (s - s).coeff(1).is_zero
 
 
+def _reciprocal(s):
+    return TruncSeries1(s.order, [1]) / s
+
+
 def test_trunc_series_inverse():
     s = TruncSeries1(4, [1, 1])
-    inv = s.inverse()
+    inv = _reciprocal(s)
     for n in range(5):
         assert inv.coeff(n) == QuasiPoly.constant((-1) ** n)
     prod = s * inv
     assert prod.coeff(0) == QuasiPoly.constant(1)
     assert all(prod.coeff(n).is_zero for n in range(1, 5))
     with pytest.raises(StructureError):
-        TruncSeries1(2, [0, 1]).inverse()
+        _reciprocal(TruncSeries1(2, [0, 1]))
     with pytest.raises(StructureError):
-        TruncSeries1(2, [QuasiPoly({-2: 1})]).inverse()
+        _reciprocal(TruncSeries1(2, [QuasiPoly({-2: 1})]))
     # Division agrees with multiplying by the inverse on quasi-polynomial coefficients.
     a = TruncSeries1(5, [QuasiPoly({2: 1}), 0, QuasiPoly({0: Poly((1, 2)), -2: -3}), 7])
     b = TruncSeries1(5, [2, QuasiPoly({-2: Poly((0, 1))}), QuasiPoly({2: -1, -4: 5})])
-    assert a / b == a * b.inverse()
+    assert a / b == a * _reciprocal(b)
     assert (a / b) * b == a
     with pytest.raises(StructureError):
         a / TruncSeries1(5, [0, 1, 1])
@@ -162,9 +167,29 @@ def test_lambda_series_frozen_rows():
 
 
 def test_lagrange_route_agrees():
-    # Order 14 fills power-table rows up to L^14.
-    for order in (6, 14):
+    # Order 16 reaches the power-table row L^16 and the Lagrange power U^-16.
+    for order in range(1, 17):
         assert lagrange_lambda(order) == lambda_series(order)
+
+
+def test_lagrange_route_costs_no_more_than_the_triangular_route(monkeypatch):
+    # Both routes take about N^3/6 coefficient products; recomputing the
+    # whole power for every n would take about N^3/2 (2,771 pairs at 16).
+    from freeunitary import alternating
+
+    pairs = []
+
+    def counting(items):
+        items = list(items)
+        pairs.append(len(items))
+        return sum_of_products(items)
+
+    monkeypatch.setattr(alternating, "sum_of_products", counting)
+    lambda_series(16)
+    triangular = sum(pairs)
+    pairs.clear()
+    lagrange_lambda(16)
+    assert sum(pairs) <= 1.1 * triangular
 
 
 def test_chi_roundtrip_is_exact():

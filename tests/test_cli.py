@@ -178,6 +178,20 @@ def test_nc(capsys):
     assert out == "-5\n"
 
 
+def test_nc_count_is_the_catalan_number(capsys):
+    from freeunitary.ncpart import enumerate_nc
+
+    for n in range(1, 11):
+        assert run(["nc", "--n", str(n)]) == 0
+        out, _ = _capture(capsys)
+        assert out == f"count = {sum(1 for _ in enumerate_nc(n))}\n"
+    for n in (0, 17):
+        assert run(["nc", "--n", str(n)]) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert err == f"error: ground size must be in 1..16, got {n}\n"
+
+
 def test_moments(capsys):
     assert run(["moments", "--word", "11"]) == 0
     out, _ = _capture(capsys)

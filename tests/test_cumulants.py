@@ -1,6 +1,7 @@
 """Unit tests for the word-cumulant quasi-polynomials."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from freeunitary import (
 )
 from freeunitary.cumulants import Z_LIMIT, _mobius_value
 from freeunitary.moments import diag_cumulant
-from oracles import mobius_value
+from oracles import mobius_value, subword
 
 # Frozen example table: the six low-order cumulants listed explicitly.
 FROZEN_Z = {
@@ -175,7 +176,7 @@ def test_moment_cumulant_formula(n):
         for p in enumerate_nc(n):
             term = QuasiPoly.constant(1)
             for block in p.blocks:
-                term = term * z_mobius(w.restrict(block)).value
+                term = term * z_mobius(subword(w, block)).value
             total = total + term
         assert total == m_poly(w)
 
@@ -200,6 +201,27 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
     monkeypatch.setattr(cumulants, "_weight_table", lattice)
     for w in words:
         assert z_recursive(w).value == want[w]
+
+
+def test_recursive_memo_aliases_are_exact(monkeypatch):
+    # the recursion probes its memo with the letters as given and stores
+    # each value under them as well as under the canonical key
+    from freeunitary import cumulants
+
+    rng = random.Random(20140)
+    for n in range(9, 15):
+        w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
+        variants = [w.rotate(r) for r in range(1, n)] + [w.reverse(), w.swap()]
+        rng.shuffle(variants)
+        memo = {}
+        monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+        want = z_recursive(w).value
+        for v in variants:
+            assert z_recursive(v).value == want
+            assert v.letters in memo
+        for key, val in list(memo.items()):
+            monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+            assert z_recursive(Word(key)).value == val
 
 
 def test_zpolynomial_rejects_bad_shapes():
