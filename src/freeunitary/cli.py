@@ -223,26 +223,19 @@ def _suite_thm37(args):
 
 @_tally
 def _suite_prop62(args):
-    from .cumulants import haar_cumulant, haar_limit
+    from .cumulants import haar_limit, z_recursive
 
     for w in _all_words(args.max_n or 7):
-        yield [(str(w), Fraction(haar_cumulant(w)), haar_limit(w))]
+        # compared as polynomials, so a grade that is not constant fails
+        yield [(str(w), Poly((haar_limit(w),)), z_recursive(w).grade(0))]
 
 
 @_tally
 def _suite_thm63(args):
-    from .cumulants import haar_derivative, is_alternating, z_recursive
-    from .ncpart import catalan
+    from .cumulants import haar_derivative, z_recursive
 
     for w in _all_words(args.max_n or 7):
-        grade1 = z_recursive(w).grade(1)
-        if grade1.degree > 0:  # the derivative rule presumes a constant grade-1 part
-            yield [(str(w), "constant grade-1 part", grade1)]
-            continue
-        # (-1)^(k-1) C_(k-1) on alternating words of odd length 2k - 1, else 0
-        k = (w.n + 1) // 2
-        rule = (-1) ** (k - 1) * catalan(k - 1) if w.n % 2 and is_alternating(w) else 0
-        yield [(str(w), Fraction(rule), haar_derivative(w))]
+        yield [(str(w), Poly((haar_derivative(w),)), z_recursive(w).grade(1))]
 
 
 @_tally
@@ -431,6 +424,8 @@ def _cmd_zpoly(args) -> int:
     from .moments import as_word
 
     word = as_word(args.word)
+    if args.grade is not None and args.grade < 0:
+        raise SizeError(f"--grade must be >= 0, got {args.grade}")
     if args.grade is not None and args.eval is not None:
         raise StructureError("--grade and --eval cannot be combined")
     if args.method == "both" and (args.grade is not None or args.eval is not None):
@@ -581,8 +576,16 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    from .rdiag import beta_enumeration, beta_mobius, nc_omega_structured
+    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, nc_omega_structured
 
+    # refuse before any sum: the Moebius sums take minutes at k = 8
+    if args.k < 1:
+        raise SizeError(f"--k must be >= 1, got {args.k}")
+    if args.method != "mobius" and args.k > STRUCTURED_LIMIT:
+        raise SizeError(
+            f"--method {args.method} needs k <= {STRUCTURED_LIMIT}, got {args.k}: "
+            f"the structured support sets stop at STRUCTURED_LIMIT = {STRUCTURED_LIMIT}"
+        )
     d = _load_distribution(args.q_cumulants)
     results = {}
     if args.method in ("mobius", "both"):

@@ -13,7 +13,9 @@ weights, grouped by the multiset of nonzero block excesses; polynomial
 products are formed once per multiset (46 of them for the alternating
 word of length 12, against 208 012 partitions).  The per-partition sum is
 kept as a test oracle.  The stationary limit and the first-order
-coefficient of the approach to it are grades 0 and 1 of the recursion.
+coefficient of the approach to it, grades 0 and 1 of the cumulant, are
+read from the paper's closed forms in O(|w|); the verify suites check
+them against the recursion's grades.
 """
 
 from __future__ import annotations
@@ -147,24 +149,21 @@ def is_alternating(w: Union[Word, str]) -> bool:
     return s == word.n if word.n % 2 == 0 else s == word.n - 1
 
 
-def _constant_grade(w: Union[Word, str], m: int) -> Fraction:
-    # a nonconstant part at these grades is a hard failure, not data
-    p = z_recursive(w).grade(m)
-    if p.degree > 0:
-        raise StructureError(f"grade-{m} part must be a constant")
-    return p.leading()
-
-
 def haar_limit(w: Union[Word, str]) -> Fraction:
     """Value of the cumulant at the stationary limit of the unitary: the
-    grade-0 constant of the recursion's polynomial."""
-    return _constant_grade(w, 0)
+    Haar cumulant (Prop 6.2)."""
+    return Fraction(haar_cumulant(w))
 
 
 def haar_derivative(w: Union[Word, str]) -> Fraction:
-    """First-order coefficient of the approach to the stationary limit:
-    the grade-1 constant of the recursion's polynomial."""
-    return _constant_grade(w, 1)
+    """First-order coefficient of the approach to the stationary limit
+    (Thm 6.3): (-1)^(k-1) C_(k-1) on alternating words of odd length
+    2k - 1, and 0 on every other word."""
+    word = as_word(w)
+    if word.n % 2 == 0 or not is_alternating(word):
+        return Fraction(0)
+    k = (word.n + 1) // 2
+    return Fraction((-1) ** (k - 1) * catalan(k - 1))
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:

@@ -27,38 +27,33 @@ def _check_kl(k: int, l: int) -> None:
         raise SizeError(f"exponents must be >= 1, got ({k}, {l})")
 
 
-def _laplace_poly(integrand: Poly, k: int, l: int, negate: bool) -> Poly:
-    # x^(k+l-1) * integral_0^inf exp(-xs) integrand(s) ds, term by term
+def _laplace_poly(k: int, l: int, shift: int, sign: int) -> Poly:
+    # sign * x^(k+l-1) * integral_0^inf exp(-xs) g(s) ds, term by term, where
+    # g(s) = (s+c)^(2-[k=1]-[l=1]) (s+k-1+c)^(k-2) (s+l-1+c)^(l-2) with c the
+    # shift, and a factor (s+j-1+c)^(j-2) enters only for j >= 3
+    _check_kl(k, l)
+    integrand = Poly((shift, 1)) ** (2 - (k == 1) - (l == 1))
+    for j in (k, l):
+        if j >= 3:
+            integrand = integrand * Poly((j - 1 + shift, 1)) ** (j - 2)
     top = k + l - 2
     coeffs = [Fraction(0)] * (top + 1)
     for m, c in enumerate(integrand.coeffs):
         if c == 0:
             continue
         assert top - m >= 0, "integrand degree exceeds the Laplace budget"
-        coeffs[top - m] = c * math.factorial(m) * (-1 if negate else 1)
+        coeffs[top - m] = c * math.factorial(m) * sign
     return Poly(coeffs)
 
 
 def u_poly(k: int, l: int) -> Poly:
     """The polynomial U_{k,l}; integer coefficients, degree k+l-2."""
-    _check_kl(k, l)
-    integrand = Poly((1, 1)) ** (2 - (k == 1) - (l == 1))
-    if k >= 3:
-        integrand = integrand * Poly((k, 1)) ** (k - 2)
-    if l >= 3:
-        integrand = integrand * Poly((l, 1)) ** (l - 2)
-    return _laplace_poly(integrand, k, l, negate=True)
+    return _laplace_poly(k, l, shift=1, sign=-1)
 
 
 def v_poly(k: int, l: int) -> Poly:
     """The polynomial V_{k,l}; integer coefficients, degree k+l-2."""
-    _check_kl(k, l)
-    integrand = Poly((0, 1)) ** (2 - (k == 1) - (l == 1))
-    if k >= 3:
-        integrand = integrand * Poly((k - 1, 1)) ** (k - 2)
-    if l >= 3:
-        integrand = integrand * Poly((l - 1, 1)) ** (l - 2)
-    return _laplace_poly(integrand, k, l, negate=False)
+    return _laplace_poly(k, l, shift=0, sign=1)
 
 
 def z_from_laplace(k: int, l: int) -> ZPolynomial:

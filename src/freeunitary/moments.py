@@ -72,17 +72,6 @@ class Word:
     def count_stars(self) -> int:
         return sum(1 for l in self.letters if l == -1)
 
-    def rotate(self, r: int) -> "Word":
-        r %= self.n
-        return Word(self.letters[r:] + self.letters[:r])
-
-    def reverse(self) -> "Word":
-        return Word(self.letters[::-1])
-
-    def swap(self) -> "Word":
-        """Exchange the roles of 1 and *."""
-        return Word(tuple(-l for l in self.letters))
-
     def __len__(self):
         return len(self.letters)
 

@@ -70,10 +70,6 @@ class Poly:
         object.__setattr__(self, "_num", p._num)
         object.__setattr__(self, "_den", p._den)
 
-    @classmethod
-    def const(cls, c: Rat) -> "Poly":
-        return cls((c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending order, as Fractions."""

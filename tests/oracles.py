@@ -2,8 +2,9 @@
 
 The order, join and restriction of NC(n) cross-check the Kreweras
 complement and the Moebius values of freeunitary.ncpart; the subword at a
-block's positions resums word cumulants into moments; the Kreweras
-complement by pair linkage is the reference for its permutation form; the
+block's positions resums word cumulants into moments; rotation, reversal
+and swap move a word within the orbit its cumulant is invariant on; the
+Kreweras complement by pair linkage is the reference for its permutation form; the
 Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
 grouped sum of cumulants._mobius_value; the support-set filter over all of
@@ -156,6 +157,21 @@ def subword(w: Word, positions: Iterable[int]) -> Word:
     if pos[0] < 1 or pos[-1] > w.n:
         raise SizeError(f"positions {pos} outside 1..{w.n}")
     return Word(tuple(w.letters[i - 1] for i in pos))
+
+
+def rotate(w: Word, r: int) -> Word:
+    """The word read from position r + 1 (0-based r, taken mod |w|), cyclically."""
+    r %= w.n
+    return Word(w.letters[r:] + w.letters[:r])
+
+
+def reverse(w: Word) -> Word:
+    return Word(w.letters[::-1])
+
+
+def swap(w: Word) -> Word:
+    """Exchange the roles of 1 and *."""
+    return Word(tuple(-l for l in w.letters))
 
 
 def nc_brute(m: int) -> list:

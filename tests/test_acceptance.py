@@ -192,19 +192,21 @@ def test_08_pde_coefficients_and_residual():
 
 
 def test_09_haar_asymptotics_for_all_words_up_to_length_7():
-    # grade-0 and grade-1 parts are constants; limits match the closed
-    # form and derivatives match the signed-Catalan rule; exact
+    # grade-0 and grade-1 parts of the Moebius sum are constants; they
+    # match the closed Catalan form and the signed-Catalan rule, as do
+    # haar_limit and haar_derivative; exact
     for n in range(1, 8):
         for w in _all_words(n):
             z = z_mobius(w)
             assert z.grade(0).degree <= 0
             assert z.grade(1).degree <= 0
-            assert haar_limit(w) == haar_cumulant(w)
+            assert z.grade(0) == Poly((haar_cumulant(w),)) == Poly((haar_limit(w),))
             if n % 2 == 1 and is_alternating(w):
                 k = (n + 1) // 2
                 want = Fraction((-1) ** (k - 1) * catalan(k - 1))
             else:
                 want = Fraction(0)
+            assert z.grade(1) == Poly((want,))
             assert haar_derivative(w) == want
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -65,6 +66,13 @@ def test_zpoly_grade_eval_conflict(capsys):
     assert run(["zpoly", "1*", "--grade", "0", "--eval", "1"]) == 2
 
 
+def test_zpoly_refuses_a_negative_grade(capsys):
+    assert run(["zpoly", "1*", "--grade", "-1"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "error: --grade must be >= 0, got -1\n"
+
+
 def test_xi_all_methods(capsys):
     assert run(["xi", "--n", "2", "--method", "all"]) == 0
     out, _ = _capture(capsys)
@@ -112,7 +120,8 @@ def test_haar(capsys):
 def test_word_cumulants_beyond_the_moebius_cap(word, capsys):
     from freeunitary import haar_cumulant, z_recursive
 
-    # haar and the default zpoly run the recursion, which has no length cap
+    # the default zpoly runs the recursion and haar the closed forms;
+    # neither has a length cap
     assert len(word) == 14
     assert run(["zpoly", word]) == 0
     assert _capture(capsys)[0] == z_recursive(word).value.to_text() + "\n"
@@ -124,6 +133,43 @@ def test_word_cumulants_beyond_the_moebius_cap(word, capsys):
         out, err = _capture(capsys)
         assert out == ""
         assert "Z_LIMIT = 12" in err and "Traceback" not in err
+
+
+def test_haar_reads_the_closed_forms_without_the_recursion(monkeypatch, capsys):
+    from freeunitary import catalan, cumulants, switch_number
+
+    def never(letters):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(cumulants, "_recursive_value", never)
+    rng = Random(20141)
+    word = "".join(rng.choice("1*") for _ in range(48))
+    assert switch_number(word) < 47  # neither closed form applies
+    cases = [
+        (word, 0, 0),
+        ("1*" * 20, -catalan(19), 0),
+        ("1" + "*1" * 20, 0, catalan(20)),
+    ]
+    for w, limit, derivative in cases:
+        assert run(["haar", "--word", w]) == 0
+        assert _capture(capsys)[0] == f"limit = {limit}\nderivative = {derivative}\n"
+        assert run(["haar", "--word", w, "--format", "json"]) == 0
+        want = {"word": w, "limit": str(limit), "derivative": str(derivative)}
+        assert json.loads(_capture(capsys)[0]) == want
+
+
+@pytest.mark.parametrize(
+    "suite, name", [("prop6.2", "haar_limit"), ("thm6.3", "haar_derivative")]
+)
+def test_haar_suites_catch_a_wrong_closed_form(suite, name, monkeypatch, capsys):
+    from freeunitary import cumulants
+
+    right = getattr(cumulants, name)
+    monkeypatch.setattr(cumulants, name, lambda w: right(w) + (str(w) == "1*1"))
+    assert run(["verify", "--suite", suite, "--max-n", "3"]) == 1
+    out, _ = _capture(capsys)
+    assert f"suite {suite}: FAIL (1 of 14 cases)" in out
+    assert "input=1*1 " in out
 
 
 def test_alpha_beta_from_file(tmp_path, capsys):
@@ -429,13 +475,35 @@ def test_cross_check_modes_refuse_flags_they_would_ignore(argv, capsys):
     assert "--method" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "k, method, message",
+    [
+        ("0", "enumeration", "--k must be >= 1, got 0"),
+        ("6", "both", "STRUCTURED_LIMIT = 4"),
+    ],
+)
+def test_beta_refuses_k_before_any_sum(k, method, message, monkeypatch, tmp_path, capsys):
+    from freeunitary import rdiag
+
+    def never(d, k_max):
+        raise AssertionError("a Moebius sum ran")
+
+    monkeypatch.setattr(rdiag, "beta_mobius", never)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(["1/2"] * 20))
+    assert run(["beta", "--k", k, "--q-cumulants", str(path), "--method", method]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps([f"1/{i}" for i in range(1, 11)]))
     assert run(["beta", "--k", "5", "--q-cumulants", str(path), "--method", "enumeration"]) == 2
     out, err = _capture(capsys)
     assert out == ""
-    assert "k <= 4" in err and "Traceback" not in err
+    assert "k <= 4" in err and "STRUCTURED_LIMIT = 4" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["alpha", "beta"])

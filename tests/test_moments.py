@@ -7,7 +7,7 @@ import pytest
 
 from freeunitary import Poly, QuasiPoly, SizeError, StructureError, Word, as_word, biane_Q, m_poly
 from freeunitary.moments import diag_cumulant
-from oracles import lambert_coeff, subword
+from oracles import lambert_coeff, reverse, rotate, subword, swap
 
 # Frozen low-order moment polynomials: the moment of the n-th power is
 # Q_n(t) e^{-nt/2} with Q_1 = 1, Q_2 = 1 - t, Q_3 = 1 - 3t + (3/2)t^2.
@@ -39,10 +39,10 @@ def test_word_operations():
     w = Word.parse("11*")
     assert w.n == 3
     assert (w.count_ones, w.count_stars) == (2, 1)
-    assert w.rotate(1) == Word.parse("1*1")
-    assert w.rotate(3) == w
-    assert w.reverse() == Word.parse("*11")
-    assert w.swap() == Word.parse("**1")
+    assert rotate(w, 1) == Word.parse("1*1")
+    assert rotate(w, 3) == w
+    assert reverse(w) == Word.parse("*11")
+    assert swap(w) == Word.parse("**1")
     assert subword(w, [1, 3]) == Word.parse("1*")
     with pytest.raises(SizeError):
         subword(w, [0, 1])

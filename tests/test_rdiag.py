@@ -10,6 +10,7 @@ from freeunitary import (
     Distribution,
     InsufficientDataError,
     NCPartition,
+    Poly,
     SizeError,
     StructureError,
     Word,
@@ -25,6 +26,8 @@ from freeunitary import (
     mixed_q_cumulant,
     nc_omega,
     nc_omega_structured,
+    z_mobius,
+    z_recursive,
 )
 from freeunitary import rdiag
 from freeunitary.ncpart import MAX_GROUND_SIZE, _weight_table
@@ -82,8 +85,12 @@ def test_u_and_q_positions():
 
 
 def test_haar_limit_matches_closed_form():
+    # the closed form against grade 0 of both cumulant routes
     for text in ("1*", "1*1*", "11**", "1*1", "111*", "1"):
-        assert haar_limit(text) == haar_cumulant(text)
+        want = Poly((haar_cumulant(text),))
+        assert Poly((haar_limit(text),)) == want
+        assert z_mobius(text).grade(0) == want
+        assert z_recursive(text).grade(0) == want
 
 
 def test_haar_derivative_values():
