@@ -4,9 +4,10 @@ Subcommands expose the library routes (zpoly, xi, special, fcheck,
 pde-check, haar, alpha, beta, ncw, nc, moments) plus a verify harness
 that runs named cross-check suites and reports pass/fail with
 counterexamples.  Output on stdout is deterministic byte-for-byte for a
-fixed invocation; wall times go to stderr.  Exit codes: 0 success, 1
-verification failure, 2 usage or data error, 141 (128 + SIGPIPE) when
-the reader closes stdout early.
+fixed invocation, and under --format json it is exactly one JSON object;
+wall times go to stderr.  Exit codes: 0 success, 1 verification failure,
+2 usage or data error, 141 (128 + SIGPIPE) when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .qpoly import Poly, QuasiPoly, poly_text
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
 MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
+MAX_PREC = 16384  # pde-check --n 12 takes about 3 s; the cost grows faster than the bits
 
 # Frozen reference rows used by the verify suites.
 _XI_ROWS = {
@@ -79,32 +81,57 @@ def _parse_fraction(text: str) -> Fraction:
         raise StructureError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def _poly_json(p: Poly) -> dict:
-    return {"coeffs": [str(c) for c in p.coeffs]}
+def _json(value):
+    """The JSON form of a list of rationals, a Poly or a QuasiPoly."""
+    if isinstance(value, list):
+        return [str(v) for v in value]
+    if isinstance(value, Poly):
+        return {"coeffs": [str(c) for c in value.coeffs]}
+    return value.to_json_dict()
 
 
-def _emit_quasipoly(q: QuasiPoly, fmt: str) -> str:
-    if fmt == "latex":
-        return q.to_latex()
+def _show(value, fmt: str) -> str:
+    """A Poly or a QuasiPoly in the output format fmt."""
     if fmt == "json":
-        return json.dumps(q.to_json_dict(), sort_keys=True)
-    return q.to_text()
+        return json.dumps(_json(value), sort_keys=True)
+    if isinstance(value, Poly):
+        return poly_text(value, "x", latex=fmt == "latex")
+    return value.to_latex() if fmt == "latex" else value.to_text()
 
 
-def _emit_poly(p: Poly, fmt: str) -> str:
-    if fmt == "latex":
-        return poly_text(p, "x", latex=True)
-    if fmt == "json":
-        return json.dumps(_poly_json(p), sort_keys=True)
-    return poly_text(p, "x")
-
-
-def _eval_str(q: QuasiPoly, t: Fraction, prec_bits: int) -> str:
+def _print_value(value, args) -> int:
+    """Print one value: a quasi-polynomial at t = --eval when given, else the
+    value in --format."""
+    if args.eval is None:
+        print(_show(value, args.format))
+        return 0
     import mpmath
 
-    with mpmath.workprec(prec_bits):
-        val = q.eval(t, prec_bits)
-        return mpmath.nstr(val, max(8, int(prec_bits * 0.301)))
+    with mpmath.workprec(args.prec):
+        number = value.eval(_parse_fraction(args.eval), args.prec)
+        print(mpmath.nstr(number, max(8, int(args.prec * 0.301))))
+    return 0
+
+
+def _report(fmt: str, lines: Sequence[str], payload: dict) -> int:
+    """Print the lines, or under --format json the payload as one JSON object."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
+def _verdict(fmt: str, values: dict, lines: Sequence[str]) -> int:
+    """Report the value of each route and CONSISTENT or INCONSISTENT (under
+    json, one key per route and "consistent"); exit 1 unless all agree."""
+    first = next(iter(values.values()))
+    consistent = all(v == first for v in values.values())
+    payload = {name: _json(v) for name, v in values.items()}
+    payload["consistent"] = consistent
+    _report(fmt, [*lines, "CONSISTENT" if consistent else "INCONSISTENT"], payload)
+    return 0 if consistent else 1
 
 
 def _all_words(cap: int) -> Iterator[Word]:
@@ -430,29 +457,16 @@ def _cmd_zpoly(args) -> int:
         raise StructureError("--grade and --eval cannot be combined")
     if args.method == "both" and (args.grade is not None or args.eval is not None):
         raise StructureError("--grade and --eval take one method, not --method both")
-    values = {}
-    if args.method in ("mobius", "both"):
-        values["mobius"] = z_mobius(word).value
-    if args.method in ("recursive", "both"):
-        values["recursive"] = z_recursive(word).value
-    if args.method == "both":
-        a, b = values["mobius"], values["recursive"]
-        print(f"mobius:    {_emit_quasipoly(a, args.format)}")
-        print(f"recursive: {_emit_quasipoly(b, args.format)}")
-        if a == b:
-            print("CONSISTENT")
-            return 0
-        print("INCONSISTENT")
-        return 1
-    value = values[args.method]
-    if args.grade is not None:
-        print(_emit_poly(value.grade(args.grade), args.format))
-        return 0
-    if args.eval is not None:
-        print(_eval_str(value, _parse_fraction(args.eval), args.prec))
-        return 0
-    print(_emit_quasipoly(value, args.format))
-    return 0
+    routes = {
+        "mobius": lambda: z_mobius(word).value,
+        "recursive": lambda: z_recursive(word).value,
+    }
+    if args.method != "both":
+        value = routes[args.method]()
+        return _print_value(value if args.grade is None else value.grade(args.grade), args)
+    values = {name: fn() for name, fn in routes.items()}
+    lines = [f"{name + ':':10} {_show(v, args.format)}" for name, v in values.items()]
+    return _verdict(args.format, values, lines)
 
 
 def _cmd_xi(args) -> int:
@@ -469,44 +483,20 @@ def _cmd_xi(args) -> int:
         "inversion": lambda: xi_by_inversion(n).xi(n),
     }
     if args.method != "all":
-        value = routes[args.method]()
-        if args.eval is not None:
-            print(_eval_str(value, _parse_fraction(args.eval), args.prec))
-            return 0
-        print(_emit_quasipoly(value, args.format))
-        return 0
+        return _print_value(routes[args.method](), args)
     values = {name: fn() for name, fn in routes.items()}
-    for name in ("recursion", "mobius", "inversion"):
-        print(f"{name}: {_emit_quasipoly(values[name], args.format)}")
-    if len(set(values.values())) == 1:
-        print("CONSISTENT")
-        return 0
-    print("INCONSISTENT")
-    return 1
+    lines = [f"{name}: {_show(v, args.format)}" for name, v in values.items()]
+    return _verdict(args.format, values, lines)
 
 
 def _cmd_special(args) -> int:
     from .laplace import u_poly, v_poly, z_from_laplace
 
     k, l = args.k, args.l
-    u = u_poly(k, l)
-    v = v_poly(k, l)
-    z = z_from_laplace(k, l).value
-    if args.format == "json":
-        payload = {
-            "k": k,
-            "l": l,
-            "U": _poly_json(u),
-            "V": _poly_json(v),
-            "Z": z.to_json_dict(),
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    latex = args.format == "latex"
-    print(f"U = {poly_text(u, 'x', latex=latex)}")
-    print(f"V = {poly_text(v, 'x', latex=latex)}")
-    print(f"Z = {z.to_latex() if latex else z.to_text()}")
-    return 0
+    values = {"U": u_poly(k, l), "V": v_poly(k, l), "Z": z_from_laplace(k, l).value}
+    lines = [f"{name} = {_show(v, args.format)}" for name, v in values.items()]
+    payload = {"k": k, "l": l, **{name: _json(v) for name, v in values.items()}}
+    return _report(args.format, lines, payload)
 
 
 def _cmd_fcheck(args) -> int:
@@ -547,36 +537,22 @@ def _cmd_haar(args) -> int:
     from .moments import as_word
 
     word = as_word(args.word)
-    limit = haar_limit(word)
-    derivative = haar_derivative(word)
-    if args.format == "json":
-        payload = {
-            "word": str(word),
-            "limit": str(limit),
-            "derivative": str(derivative),
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"limit = {limit}")
-    print(f"derivative = {derivative}")
-    return 0
+    limit, derivative = haar_limit(word), haar_derivative(word)
+    payload = {"word": str(word), "limit": str(limit), "derivative": str(derivative)}
+    return _report(args.format, [f"limit = {limit}", f"derivative = {derivative}"], payload)
 
 
 def _cmd_alpha(args) -> int:
     from .rdiag import alpha_sequence
 
-    d = _load_distribution(args.q_cumulants)
-    values = alpha_sequence(d, args.k)
-    if args.format == "json":
-        print(json.dumps({"alpha": [str(v) for v in values]}, sort_keys=True))
-        return 0
-    for k, v in enumerate(values, start=1):
-        print(f"alpha_{k} = {v}")
-    return 0
+    values = alpha_sequence(_load_distribution(args.q_cumulants), args.k)
+    lines = [f"alpha_{k} = {v}" for k, v in enumerate(values, start=1)]
+    return _report(args.format, lines, {"alpha": _json(values)})
 
 
 def _cmd_beta(args) -> int:
-    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, nc_omega_structured
+    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, check_cumulants
+    from .rdiag import nc_omega_structured
 
     # refuse before any sum: the Moebius sums take minutes at k = 8
     if args.k < 1:
@@ -587,50 +563,33 @@ def _cmd_beta(args) -> int:
             f"the structured support sets stop at STRUCTURED_LIMIT = {STRUCTURED_LIMIT}"
         )
     d = _load_distribution(args.q_cumulants)
-    results = {}
-    if args.method in ("mobius", "both"):
-        results["mobius"] = beta_mobius(d, args.k)
-    if args.method in ("enumeration", "both"):
-        values = []
-        for k in range(1, args.k + 1):
-            word = "1" + "*1" * (k - 1)
-            values.append(beta_enumeration(d, word, partitions=nc_omega_structured(k)))
-        results["enumeration"] = values
-    if args.format == "json":
-        payload = {
-            method: [str(v) for v in values] for method, values in results.items()
-        }
-        if args.method == "both":
-            payload["consistent"] = results["mobius"] == results["enumeration"]
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if args.method != "both" or payload["consistent"] else 1
-    for method, values in results.items():
-        for k, v in enumerate(values, start=1):
-            print(f"beta_{k} ({method}) = {v}")
+    check_cumulants(d, args.k, marked=True)
+    routes = {
+        "mobius": lambda: beta_mobius(d, args.k),
+        "enumeration": lambda: [
+            beta_enumeration(d, "1" + "*1" * (k - 1), partitions=nc_omega_structured(k))
+            for k in range(1, args.k + 1)
+        ],
+    }
+    names = list(routes) if args.method == "both" else [args.method]
+    values = {name: routes[name]() for name in names}
+    lines = [f"beta_{k} ({name}) = {v}" for name, seq in values.items()
+             for k, v in enumerate(seq, start=1)]
     if args.method == "both":
-        if results["mobius"] == results["enumeration"]:
-            print("CONSISTENT")
-            return 0
-        print("INCONSISTENT")
-        return 1
-    return 0
+        return _verdict(args.format, values, lines)
+    return _report(args.format, lines, {name: _json(seq) for name, seq in values.items()})
 
 
 def _cmd_ncw(args) -> int:
     from .rdiag import nc_omega
 
     onc = nc_omega(args.word)
-    if args.format == "json":
-        payload = {"word": str(onc.word), "count": len(onc)}
-        if not args.count_only:
-            payload["partitions"] = [p.to_lists() for p in onc.partitions]
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"count = {len(onc)}")
+    lines = [f"count = {len(onc)}"]
+    payload = {"word": str(onc.word), "count": len(onc)}
     if not args.count_only:
-        for p in onc.partitions:
-            print(str(p))
-    return 0
+        lines += [str(p) for p in onc.partitions]
+        payload["partitions"] = [p.to_lists() for p in onc.partitions]
+    return _report(args.format, lines, payload)
 
 
 def _cmd_nc(args) -> int:
@@ -657,12 +616,7 @@ def _cmd_nc(args) -> int:
 def _cmd_moments(args) -> int:
     from .moments import as_word, m_poly
 
-    value = m_poly(as_word(args.word))
-    if args.eval is not None:
-        print(_eval_str(value, _parse_fraction(args.eval), args.prec))
-        return 0
-    print(_emit_quasipoly(value, args.format))
-    return 0
+    return _print_value(m_poly(as_word(args.word)), args)
 
 
 def _cmd_verify(args) -> int:
@@ -705,10 +659,10 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
+def _add_format(p: argparse.ArgumentParser, choices=("text", "latex", "json")) -> None:
     p.add_argument(
         "--format",
-        choices=("text", "latex", "json"),
+        choices=choices,
         default="text",
         help="output format (default text)",
     )
@@ -718,6 +672,8 @@ def _prec_bits(text: str) -> int:
     bits = int(text)
     if bits < MIN_PREC:
         raise argparse.ArgumentTypeError(f"must be at least {MIN_PREC} bits, got {bits}")
+    if bits > MAX_PREC:
+        raise argparse.ArgumentTypeError(f"must be at most MAX_PREC = {MAX_PREC} bits, got {bits}")
     return bits
 
 
@@ -781,13 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("haar", help="stationary limit and first-order coefficient")
     p.add_argument("--word", required=True)
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_haar)
 
     p = sub.add_parser("alpha", help="determining sequence from q-cumulants")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q-cumulants", required=True, metavar="FILE")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("beta", help="infinitesimal determining sequence")
@@ -798,13 +754,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("mobius", "enumeration", "both"),
         default="mobius",
     )
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("ncw", help="supporting partitions of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--count-only", action="store_true")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_ncw)
 
     p = sub.add_parser("nc", help="non-crossing partition lattice utilities")

@@ -171,11 +171,24 @@ def _check_k_max(k_max: int) -> None:
         )
 
 
+def check_cumulants(d: Distribution, k_max: int, marked: bool) -> None:
+    """Refuse data too short for alpha_1..alpha_k_max, or for beta_1..beta_k_max
+    when marked, before any sum runs: alpha_k reads kappa_1..kappa_2k and
+    beta_k reads kappa_1..kappa_(2k-1)."""
+    order = 2 * k_max - marked
+    if order > d.max_order:
+        raise InsufficientDataError(
+            f"{'beta' if marked else 'alpha'}_{k_max} needs kappa_1..kappa_{order}, "
+            f"but only {d.max_order} cumulants were supplied"
+        )
+
+
 def _determining(d: Distribution, k_max: int, marked: bool) -> list:
     """Moebius sums over NC(k), k = 1..k_max, whose blocks contribute
     all-squares cumulants; when marked, the block holding k takes a plain
     q in its last slot."""
     _check_k_max(k_max)
+    check_cumulants(d, k_max, marked)
     out = []
     for k in range(1, k_max + 1):
         total = Fraction(0)

@@ -568,3 +568,179 @@ def test_closed_stdout_exits_141_quietly():
         code = proc.wait(timeout=60)
     assert code == 141
     assert err == b""
+
+
+# One sample input for every subcommand that takes --format, and the choices
+# it offers; latex only where a LaTeX form exists.
+_SAMPLE_Q = ["1/2", "1/3", "-1/4", "2/5", "1/6", "0"]
+_FORMATS = {
+    "zpoly": (["zpoly", "11*"], ("text", "latex", "json")),
+    "xi": (["xi", "--n", "2"], ("text", "latex", "json")),
+    "special": (["special", "--k", "2", "--l", "1"], ("text", "latex", "json")),
+    "moments": (["moments", "--word", "11"], ("text", "latex", "json")),
+    "haar": (["haar", "--word", "1*1*1"], ("text", "json")),
+    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"], ("text", "json")),
+    "beta": (["beta", "--k", "2", "--q-cumulants", "q.json"], ("text", "json")),
+    "ncw": (["ncw", "--word", "1*1"], ("text", "json")),
+}
+# the cross-checks print one object too: a key per route and "consistent"
+_JSON_RUNS = [argv for argv, _ in _FORMATS.values()] + [
+    ["zpoly", "1*1*", "--method", "both"],
+    ["xi", "--n", "2", "--method", "all"],
+    ["beta", "--k", "2", "--q-cumulants", "q.json", "--method", "both"],
+    ["ncw", "--word", "1*1", "--count-only"],
+    ["zpoly", "1*1*", "--grade", "4"],
+]
+
+
+@pytest.fixture
+def in_q_dir(tmp_path, monkeypatch):
+    """Run in a fresh directory that holds the sample q.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(_SAMPLE_Q))
+
+
+def _help(argv, capsys):
+    assert run([*argv, "--help"]) == 0
+    return _capture(capsys)[0]
+
+
+def test_format_choices_are_the_listed_ones(capsys):
+    commands = re.search(r"\{(.*?)\}", _help([], capsys))[1].split(",")
+    offered = {}
+    for command in commands:
+        found = re.search(r"--format \{(.*?)\}", _help([command], capsys))
+        if found:
+            offered[command] = tuple(found[1].split(","))
+    assert offered == {command: choices for command, (_, choices) in _FORMATS.items()}
+
+
+@pytest.mark.parametrize("command", list(_FORMATS))
+def test_each_format_choice_prints_its_own_output(command, in_q_dir, capsys):
+    argv, choices = _FORMATS[command]
+    outputs = set()
+    for fmt in choices:
+        assert run([*argv, "--format", fmt]) == 0
+        outputs.add(_capture(capsys)[0])
+    assert len(outputs) == len(choices)
+
+
+@pytest.mark.parametrize("argv", _JSON_RUNS, ids=" ".join)
+def test_json_output_is_exactly_one_object(argv, in_q_dir, capsys):
+    assert run([*argv, "--format", "json"]) == 0
+    out, _ = _capture(capsys)
+    assert out.count("\n") == 1 and out.endswith("}\n")
+    data = json.loads(out)
+    assert isinstance(data, dict)
+    if "--method" in argv:
+        assert data.pop("consistent") is True
+        assert len(set(map(json.dumps, data.values()))) == 1
+
+
+def test_cross_check_json_holds_every_route(capsys):
+    assert run(["xi", "--n", "2", "--method", "all", "--format", "json"]) == 0
+    data = json.loads(_capture(capsys)[0])
+    assert set(data) == {"recursion", "mobius", "inversion", "consistent"}
+    assert quasipoly_from_json(data["inversion"]) == z_mobius("1*1*").value
+
+
+def _wrong_zpoly(monkeypatch):
+    from freeunitary import cumulants
+
+    real = cumulants.z_mobius
+    monkeypatch.setattr(cumulants, "z_mobius", lambda w: SimpleNamespace(value=real(w).value + 1))
+    return ["zpoly", "1*1*", "--method", "both"]
+
+
+def _wrong_xi(monkeypatch):
+    from freeunitary import alternating
+
+    real = alternating.xi_by_inversion
+    wrong = lambda n: SimpleNamespace(xi=lambda m: real(n).xi(m) + 1)
+    monkeypatch.setattr(alternating, "xi_by_inversion", wrong)
+    return ["xi", "--n", "2", "--method", "all"]
+
+
+def _wrong_beta(monkeypatch):
+    from freeunitary import rdiag
+
+    real = rdiag.beta_enumeration
+    monkeypatch.setattr(rdiag, "beta_enumeration", lambda d, w, **kw: real(d, w, **kw) + 1)
+    return ["beta", "--k", "2", "--q-cumulants", "q.json", "--method", "both"]
+
+
+@pytest.mark.parametrize("wrong", [_wrong_zpoly, _wrong_xi, _wrong_beta])
+def test_a_wrong_route_is_inconsistent(wrong, in_q_dir, monkeypatch, capsys):
+    argv = wrong(monkeypatch)
+    assert run(argv) == 1
+    out, err = _capture(capsys)
+    assert out.splitlines()[-1] == "INCONSISTENT" and err == ""
+    assert run([*argv, "--format", "json"]) == 1
+    out, err = _capture(capsys)
+    assert json.loads(out)["consistent"] is False and err == ""
+
+
+@pytest.mark.parametrize("command", ["haar", "alpha", "beta", "ncw"])
+def test_latex_is_refused_where_no_latex_form_exists(command, in_q_dir, capsys):
+    argv, _ = _FORMATS[command]
+    assert run([*argv, "--format", "latex"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "invalid choice: 'latex'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zpoly", "11*", "--eval", "1"],
+        ["xi", "--n", "3", "--eval", "1"],
+        ["moments", "--word", "11*", "--eval", "1"],
+        ["pde-check", "--n", "2"],
+        ["verify", "--suite", "example6.9"],
+    ],
+)
+def test_prec_above_max_prec_is_refused(argv, capsys):
+    from freeunitary.cli import MAX_PREC
+
+    assert MAX_PREC == 16384
+    assert run([*argv, "--prec", str(MAX_PREC + 1)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert f"--prec: must be at most MAX_PREC = {MAX_PREC} bits, got {MAX_PREC + 1}" in err
+    assert "Traceback" not in err
+
+
+def test_max_prec_is_accepted(capsys):
+    from freeunitary.cli import MAX_PREC
+
+    assert run(["zpoly", "11*", "--eval", "1", "--prec", str(MAX_PREC)]) == 0
+    out, _ = _capture(capsys)
+    assert out.startswith("-0.16027033941577376573")
+    assert len(out) > 4900  # about 0.301 digits per bit
+
+
+@pytest.mark.parametrize(
+    "command, k, supplied, message",
+    [
+        ("alpha", 7, 13, "alpha_7 needs kappa_1..kappa_14, but only 13"),
+        ("beta", 7, 11, "beta_7 needs kappa_1..kappa_13, but only 11"),
+        ("beta --method enumeration", 3, 4, "beta_3 needs kappa_1..kappa_5, but only 4"),
+        ("beta --method both", 3, 4, "beta_3 needs kappa_1..kappa_5, but only 4"),
+    ],
+)
+def test_sequences_refuse_short_data_before_any_sum(
+    command, k, supplied, message, tmp_path, monkeypatch, capsys
+):
+    from freeunitary import rdiag
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum ran")
+
+    for name in ("_weight_table", "mixed_q_cumulant", "beta_enumeration"):
+        monkeypatch.setattr(rdiag, name, never)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(["1/2"] * supplied))
+    assert run([*command.split(), "--k", str(k), "--q-cumulants", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert message in err and "Traceback" not in err

@@ -281,6 +281,34 @@ def test_sequence_guards():
         alpha_sequence(Distribution.point_mass_one(3), 2)
 
 
+@pytest.mark.parametrize("sequence, needed", [(alpha_sequence, 14), (beta_mobius, 13)])
+def test_sequence_refuses_short_data_before_any_sum(sequence, needed, monkeypatch):
+    # alpha_7 reads kappa_1..kappa_14 and beta_7 kappa_1..kappa_13: data of
+    # exactly that length reaches the sums, one entry less is refused first
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(rdiag, "_weight_table", reached)
+    monkeypatch.setattr(rdiag, "mixed_q_cumulant", reached)
+    with pytest.raises(Reached):
+        sequence(Distribution([1] * needed), 7)
+    name = "alpha" if sequence is alpha_sequence else "beta"
+    message = f"{name}_7 needs kappa_1..kappa_{needed}, but only {needed - 1} cumulants"
+    with pytest.raises(InsufficientDataError, match=message):
+        sequence(Distribution([1] * (needed - 1)), 7)
+
+
+@pytest.mark.parametrize("sequence, needed", [(alpha_sequence, 6), (beta_mobius, 5)])
+def test_sequence_runs_on_data_of_exactly_the_needed_length(sequence, needed):
+    short = Distribution(SAMPLE.cumulants[:needed])
+    assert sequence(short, 3) == sequence(SAMPLE, 3)
+    with pytest.raises(InsufficientDataError):
+        sequence(Distribution(SAMPLE.cumulants[:needed - 1]), 3)
+
+
 @pytest.mark.parametrize("sequence", [alpha_sequence, beta_mobius])
 def test_sequence_refuses_k_above_the_ground_cap_before_any_sum(sequence, monkeypatch):
     # k = MOBIUS_K_LIMIT still reaches the Moebius sum; one more is refused
