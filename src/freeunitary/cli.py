@@ -554,7 +554,7 @@ def _cmd_beta(args) -> int:
     from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, check_cumulants
     from .rdiag import nc_omega_structured
 
-    # refuse before any sum: the Moebius sums take minutes at k = 8
+    # refuse before any sum, so --method both runs no Moebius sum it cannot cross-check
     if args.k < 1:
         raise SizeError(f"--k must be >= 1, got {args.k}")
     if args.method != "mobius" and args.k > STRUCTURED_LIMIT:

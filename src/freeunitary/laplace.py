@@ -126,7 +126,7 @@ def i_quadrature(k: int, l: int, t, prec_bits: int = 200) -> mpmath.mpf:
 def f_bivariate(order: int) -> dict[tuple[int, int], QuasiPoly]:
     """The cumulants of the words 1^k *^l with k + l <= order, keyed by (k, l)."""
     if order > F_ORDER_LIMIT:
-        raise SizeError(f"order {order} exceeds the limit {F_ORDER_LIMIT}")
+        raise SizeError(f"order {order} exceeds the limit F_ORDER_LIMIT = {F_ORDER_LIMIT}")
     return {
         (k, l): z_from_laplace(k, l).value
         for k in range(1, order)

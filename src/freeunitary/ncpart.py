@@ -36,7 +36,7 @@ def catalan(k: int) -> int:
 def check_ground_size(n: int) -> None:
     """Refuse a ground size outside 1..MAX_GROUND_SIZE."""
     if not 1 <= n <= MAX_GROUND_SIZE:
-        raise SizeError(f"ground size must be in 1..{MAX_GROUND_SIZE}, got {n}")
+        raise SizeError(f"ground size must be in 1..MAX_GROUND_SIZE = {MAX_GROUND_SIZE}, got {n}")
 
 
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:

@@ -7,6 +7,8 @@ infinitesimal determining sequence beta_k (the first-order coefficient
 of the approach to stationarity) both arise as Moebius sums over NC(k)
 whose block factors are cumulants with q- or q^2-entries; one loop
 serves both, with the block holding k taking a plain q for beta_k.
+Each block cumulant is a Moebius sum over NC(block size) of moments of
+q, so neither sequence enumerates more than NC(k).
 beta_k also has an independent expansion: a signed-Catalan weighted sum
 over the partitions of {1,...,2n} cut out by five structural conditions.
 That support set is built here twice, by filtering the block-pure part
@@ -14,10 +16,9 @@ of NC(2n) (blocks wholly in the u- or wholly in the q-positions, which is
 the first condition; the lattice enumeration generates it directly from
 the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
-The filter over all of NC(2n) is kept as a test oracle.  The Moebius
-sums for alpha_k and beta_k take cumulants of up to 2k entries, so
-k_max is capped at MAX_GROUND_SIZE // 2, and support sets at words of
-length BRUTE_LIMIT // 2 = 7.
+The filter over all of NC(2n) is kept as a test oracle.  k_max is
+capped at MAX_GROUND_SIZE // 2 = 8, and support sets at words of length
+BRUTE_LIMIT // 2 = 7.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .ncpart import (
 Rat = Union[int, Fraction]
 
 BRUTE_LIMIT = 14  # 2n for a word of length n
-MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k enumerates NC(2k), beta_k NC(2k - 1)
+MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.2 s
 STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
 
@@ -121,12 +122,11 @@ def u_indices(w: Union[Word, str]) -> frozenset:
 
 
 def mixed_q_cumulant(d: Distribution, pattern: Sequence[int]) -> Fraction:
-    """Cumulant whose entries are powers of q, via the product formula.
+    """Cumulant whose entries are powers of q, by the moment-cumulant sum.
 
-    pattern lists the power of q in each slot (1 or 2).  Flattening each
-    square into two adjacent letters yields an interval grouping sigma;
-    the value sums, over partitions whose join with sigma is the full
-    set, the products of plain q-cumulants over blocks.
+    pattern lists the power w_i of q in each of its r slots (1 or 2).
+    The value sums, over pi in NC(r), the Moebius weight mu(pi, 1_r)
+    times the moments m_{sum of w_i over V} of q over the blocks V of pi.
     """
     widths = tuple(pattern)
     if not widths:
@@ -143,31 +143,31 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
         raise InsufficientDataError(
             f"pattern needs kappa_{n} but only {len(kappas)} cumulants supplied"
         )
-    groups = []
-    pos = 1
-    for width in widths:
-        groups.append(tuple(range(pos, pos + width)))
-        pos += width
+    # moments m_0..m_n of q: m_j = sum_s kappa_s [z^(j-s)] M(z)^s, M = sum_i m_i z^i
+    moments = [Fraction(1)]
+    for j in range(1, n + 1):
+        power, m = [Fraction(1)] + [Fraction(0)] * (j - 1), Fraction(0)
+        for s in range(1, j + 1):  # power becomes M^s up to z^(j-s)
+            power = [sum(power[a] * moments[i - a] for a in range(i + 1))
+                     for i in range(j - s + 1)]
+            m += kappas[s - 1] * power[j - s]
+        moments.append(m)
     total = Fraction(0)
-    for p in enumerate_nc(n):
-        if not _connects(range(1, n + 1), list(p.blocks) + groups):
-            continue
-        term = Fraction(1)
-        for block in p.blocks:
-            term *= kappas[len(block) - 1]
+    for blocks, moeb in _weight_table(len(widths)):
+        term = Fraction(moeb)
+        for block in blocks:
+            term *= moments[sum(widths[i - 1] for i in block)]
         total += term
     return total
 
 
 def _check_k_max(k_max: int) -> None:
-    # refuse before k = 1..k_max - 1 are summed, which takes minutes at k = 8
     if k_max < 1:
         raise SizeError(f"k_max must be >= 1, got {k_max}")
     if k_max > MOBIUS_K_LIMIT:
         raise SizeError(
-            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: the cumulants of "
-            f"alpha_k and beta_k sum over NC(2k) and NC(2k - 1), and "
-            f"MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
+            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: alpha_k and beta_k "
+            f"are capped at MAX_GROUND_SIZE // 2, and MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
         )
 
 

@@ -9,9 +9,12 @@ Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
 grouped sum of cumulants._mobius_value; the support-set filter over all of
 NC(2n) is the reference for rdiag.nc_omega, which filters only block-pure
-partitions; the non-crossing members of all set partitions are the
-reference for the lattice enumeration, and share no code with its
-recursion.  Nothing in the package needs them.
+partitions; the products-as-arguments sum over NC(n), filtered by
+connectivity with the interval grouping, is the reference for
+rdiag.mixed_q_cumulant, which sums moments over NC(r); the non-crossing
+members of all set partitions are the reference for the lattice
+enumeration, and share no code with its recursion.  Nothing in the
+package needs them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from freeunitary.ncpart import (
     enumerate_nc,
 )
 from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly
-from freeunitary.rdiag import _omega_failure, u_indices
+from freeunitary.rdiag import _connects, _omega_failure, u_indices
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
@@ -258,3 +261,27 @@ def nc_omega_filter(letters: tuple) -> tuple:
     return tuple(
         p for p in enumerate_nc(2 * n) if _omega_failure(n, p.blocks, u_set) is None
     )
+
+
+def mixed_q_filter(widths: tuple, kappas: tuple) -> Fraction:
+    """Cumulant with entries q^w for w in widths, by products as arguments.
+
+    Flattening each q^w into w adjacent letters gives an interval grouping
+    sigma of {1, ..., n}, n = sum(widths); the value sums, over the
+    partitions of NC(n) whose join with sigma is the full set, the
+    products of plain q-cumulants over blocks.
+    """
+    n = sum(widths)
+    groups = []
+    pos = 1
+    for width in widths:
+        groups.append(tuple(range(pos, pos + width)))
+        pos += width
+    total = Fraction(0)
+    for p in enumerate_nc(n):
+        if _connects(range(1, n + 1), list(p.blocks) + groups):
+            term = Fraction(1)
+            for block in p.blocks:
+                term *= kappas[len(block) - 1]
+            total += term
+    return total

@@ -101,6 +101,14 @@ def test_fcheck(capsys):
     assert run(["fcheck", "--order", "3"]) == 0
     out, _ = _capture(capsys)
     assert out.startswith("OK")
+    # F_ORDER_LIMIT is reachable, and the refusal beyond it names the constant
+    assert run(["fcheck", "--order", "8"]) == 0
+    out, _ = _capture(capsys)
+    assert out == "OK: cleared-form identity holds through order 8\n"
+    assert run(["fcheck", "--order", "9"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "error: order 9 exceeds the limit F_ORDER_LIMIT = 8\n"
 
 
 def test_pde_check(capsys):
@@ -183,6 +191,18 @@ def test_alpha_beta_from_file(tmp_path, capsys):
     assert out.splitlines()[-1] == "CONSISTENT"
 
 
+@pytest.mark.parametrize("command", ["alpha", "beta"])
+def test_sequences_reach_the_ground_cap_at_q_equal_one(command, tmp_path, capsys):
+    # q = 1: both sequences are the signed Catalan numbers
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(["1"] + ["0"] * 15))
+    assert run([command, "--k", "8", "--q-cumulants", str(path)]) == 0
+    out, _ = _capture(capsys)
+    tag = " (mobius)" if command == "beta" else ""
+    signed = [1, -1, 2, -5, 14, -42, 132, -429]
+    assert out == "".join(f"{command}_{k}{tag} = {c}\n" for k, c in enumerate(signed, start=1))
+
+
 def test_beta_json(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(["1", "0", "0"]))
@@ -235,13 +255,21 @@ def test_nc_count_is_the_catalan_number(capsys):
         assert run(["nc", "--n", str(n)]) == 2
         out, err = _capture(capsys)
         assert out == ""
-        assert err == f"error: ground size must be in 1..16, got {n}\n"
+        assert err == f"error: ground size must be in 1..MAX_GROUND_SIZE = 16, got {n}\n"
 
 
 def test_moments(capsys):
     assert run(["moments", "--word", "11"]) == 0
     out, _ = _capture(capsys)
     assert out == "-(x-1)y^2\n"
+
+
+def test_verify_runs_every_suite_at_its_default_size(capsys):
+    assert run(["verify"]) == 0
+    lines = _capture(capsys)[0].splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"suite {name}" for name in SUITES]
+    assert all(": PASS (" in line for line in lines[:-1])
+    assert lines[-1] == f"{len(SUITES)}/{len(SUITES)} suites passed" == "13/13 suites passed"
 
 
 def test_verify_single_suite(capsys):
@@ -508,7 +536,7 @@ def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["alpha", "beta"])
 def test_sequences_refuse_k_above_the_ground_cap(command, tmp_path, capsys):
-    # k = 8 would first sum NC(16) for minutes; the refusal comes at once
+    # the refusal comes before any sum, with cumulants enough for k = 10
     path = tmp_path / "q.json"
     path.write_text(json.dumps(["1/2"] * 20))
     assert run([command, "--k", "9", "--q-cumulants", str(path)]) == 2

@@ -1,5 +1,6 @@
 """Unit tests for determining sequences and the supporting-partition sets."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -32,7 +33,7 @@ from freeunitary import (
 from freeunitary import rdiag
 from freeunitary.ncpart import MAX_GROUND_SIZE, _weight_table
 from freeunitary.rdiag import MOBIUS_K_LIMIT, u_indices
-from oracles import nc_omega_filter
+from oracles import mixed_q_filter, nc_omega_filter
 
 EXAMPLE_BLOCKS = sorted(
     [
@@ -146,11 +147,28 @@ def test_alpha_beta_symbolic_low_orders():
 
 
 def test_alpha_beta_at_q_equal_one_are_signed_catalans():
-    one = Distribution.point_mass_one(10)
-    for k, value in enumerate(alpha_sequence(one, 5), start=1):
+    one = Distribution.point_mass_one(2 * MOBIUS_K_LIMIT)
+    for k, value in enumerate(alpha_sequence(one, MOBIUS_K_LIMIT), start=1):
         assert value == (-1) ** (k - 1) * catalan(k - 1)
-    for k, value in enumerate(beta_mobius(one, 5), start=1):
+    for k, value in enumerate(beta_mobius(one, MOBIUS_K_LIMIT), start=1):
         assert value == (-1) ** (k - 1) * catalan(k - 1)
+
+
+# every pattern of 1s and 2s with at most 8 letters in all
+PATTERNS_UP_TO_8 = [
+    pattern
+    for r in range(1, 9)
+    for pattern in itertools.product((1, 2), repeat=r)
+    if sum(pattern) <= 8
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mixed_q_cumulant_matches_the_products_as_arguments_filter(seed):
+    d = Distribution.random_small(Random(seed), 8)
+    assert len(PATTERNS_UP_TO_8) == 87
+    for pattern in PATTERNS_UP_TO_8:
+        assert mixed_q_cumulant(d, pattern) == mixed_q_filter(pattern, d.cumulants), pattern
 
 
 # ---------------------------------------------------------------------------
