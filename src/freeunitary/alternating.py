@@ -8,17 +8,20 @@ inversion of the expansion of an exponential-rational map chi around its
 zero.  The inverse series is solved triangularly (lambda_series); the
 Lagrange formula, with the negative powers of the unit part taken by the
 log-derivative recurrence (lagrange_lambda), is its independent oracle,
-at the same N^3/6 cost.  The truncated generating function H = 1/2 +
-sum xi_n z^n obeys the inviscid-Burgers-type equation dH/dt + 2 z H dH/dz
-= z; the module checks that identity exactly on z-coefficients and
-numerically on grids, where only the truncation itself contributes a
-defect.
+at the same N^3/6 cost.  The two share only the expansion, which is
+cached for the last order, so both at one order expand chi once.  The
+inversion route reads [z^n] L^2 from the triangular power table.  The
+truncated generating function H = 1/2 + sum xi_n z^n obeys the
+inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z; the module checks
+that identity exactly on z-coefficients and numerically on grids, where
+only the truncation itself contributes a defect.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, z_mobius
@@ -251,6 +254,7 @@ def xi_by_mobius(n_max: int) -> XiSequence:
     return XiSequence(xs, "mobius")
 
 
+@lru_cache(maxsize=1)
 def chi_expansion(order: int) -> TruncSeries1:
     """Expand chi(1 + w) as a series in w with quasi-polynomial coefficients.
 
@@ -260,17 +264,13 @@ def chi_expansion(order: int) -> TruncSeries1:
     constant term 4.  The quotient is one series division, solved
     triangularly without forming the inverse of the denominator.
     Coefficients live in the ring extended by e^{+t}; the w^0
-    coefficient must cancel to zero exactly.
+    coefficient must cancel to zero exactly.  The last expansion is
+    cached, so the two inverse-series routes at one order expand once.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    exp_wt = TruncSeries1(
-        order,
-        [
-            QuasiPoly({2: Poly((0,) * j + (Fraction(1, math.factorial(j)),))})
-            for j in range(order + 1)
-        ],
-    )
+    taylor = [Poly((0,) * j + (Fraction(1, math.factorial(j)),)) for j in range(order + 1)]
+    exp_wt = TruncSeries1(order, [QuasiPoly({2: p}) for p in taylor])  # [w^j] e^t e^{wt}
     num = TruncSeries1(order, [0, -2, -5, -4, -1]) * exp_wt
     w_exp_wt = TruncSeries1(order, (QuasiPoly(),) + exp_wt.coeffs[:order])
     den = TruncSeries1(order, [2, 1]) + w_exp_wt
@@ -289,10 +289,16 @@ def lambda_series(order: int) -> TruncSeries1:
     lambda_n = -lambda_1 sum_{m=2}^n a_m [z^n] L^m.  A power table holds
     [z^k] L^m, and row m gains its entry at z^n from row m - 1 as
     sum_{j=1}^{n-m+1} lambda_j [z^{n-j}] L^{m-1}, all known by then.  Each
-    entry is computed once, so order N takes about N^3/6 products.  Each
+    entry is computed once, so order N takes about N^3/6 products on top
+    of the expansion; xi_by_inversion reads row 2 of the same table.  Each
     lambda_n is asserted to land back in Q[t, e^{-t}]: the positive
     exponents of the intermediate coefficients must all cancel.
     """
+    return TruncSeries1(order, [QuasiPoly.constant(1)] + _inverse_rows(order)[0][1:])
+
+
+def _inverse_rows(order: int) -> tuple[list[QuasiPoly], list[QuasiPoly]]:
+    """Rows L and L^2 of the power table of lambda_series: [z^k] L, [z^k] L^2."""
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     a = chi_expansion(order)
@@ -305,14 +311,11 @@ def lambda_series(order: int) -> TruncSeries1:
             powers[m].append(sum_of_products((lam[j], prev[n - j]) for j in range(1, n - m + 2)))
         b = sum_of_products((a.coeff(m), powers[m][n]) for m in range(2, n + 1))
         lam.append(-(lam[1] * b))
-    lam = lam[1:]
-    for n, q in enumerate(lam, start=1):
-        for e2 in q.exp2_values():
-            if e2 > 0 or e2 % 2:
-                raise StructureError(
-                    f"lambda_{n} escaped Q[t, e^-t]: found exp2={e2}"
-                )
-    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
+    for n, q in enumerate(lam[1:], start=1):
+        bad = [e2 for e2 in q.exp2_values() if e2 > 0 or e2 % 2]
+        if bad:
+            raise StructureError(f"lambda_{n} escaped Q[t, e^-t]: found exp2={bad[0]}")
+    return lam, powers[2] if order > 1 else [QuasiPoly()] * 2
 
 
 def lagrange_lambda(order: int) -> TruncSeries1:
@@ -354,19 +357,20 @@ def xi_by_inversion(n_max: int) -> XiSequence:
     """Recover xi_n coefficientwise from the inverse-series coefficients.
 
     Squaring H = 1/2 + sum xi_n z^n and the inverse series gives
-    xi_n = [n=1] + (1/2) lambda_n + (1/4) sum lambda_m lambda_{n-m}
-    - sum xi_m xi_{n-m}, a triangular recovery.  Both convolutions count
-    each pair {m, n - m} once, so the recovery through N takes about
-    N^2/2 products on top of lambda_series(N).
+    xi_n = [n=1] + (1/2) lambda_n + (1/4) [z^n] L^2 - sum xi_m xi_{n-m},
+    a triangular recovery.  [z^n] L^2 is read from the power table of
+    lambda_series, and the xi convolution counts each pair {m, n - m}
+    once, so the recovery through N takes about N^2/4 products on top of
+    that table.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    lam = lambda_series(n_max).coeffs[1:]
+    lam, square = _inverse_rows(n_max)
     xs: list[QuasiPoly] = []
     for n in range(1, n_max + 1):
         acc = QuasiPoly.constant(1) if n == 1 else QuasiPoly()
-        acc = acc + lam[n - 1].scale(Fraction(1, 2))
-        acc = acc + _self_convolution(lam, n).scale(Fraction(1, 4))
+        acc = acc + lam[n].scale(Fraction(1, 2))
+        acc = acc + square[n].scale(Fraction(1, 4))
         xs.append(acc - _self_convolution(xs, n))
     return XiSequence(xs, "inversion")
 

@@ -11,6 +11,7 @@ normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
 ``sum_of_products`` forms a sum of QuasiPoly products the same way: integer
 numerators accumulate in one slot per exponent, normalised once at the end.
 It is the one product path of the ring; ``QuasiPoly.__mul__`` calls it.
+Ring and calculus operations on canonical terms skip the validating constructor.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
@@ -213,24 +214,14 @@ class QuasiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[int, Poly], Iterable[tuple[int, Poly]]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
         acc: dict[int, Poly] = {}
-        for e2, p in items:
+        for e2, p in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(e2, int):
                 raise TypeError(f"exp2 must be int, got {e2!r}")
-            if not isinstance(p, Poly):
-                p = Poly((p,))
-            if p.is_zero:
-                continue
+            p = p if isinstance(p, Poly) else Poly((p,))
             acc[e2] = acc[e2] + p if e2 in acc else p
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(((e2, p) for e2, p in acc.items() if not p.is_zero), key=lambda kv: -kv[0])),
-        )
+        terms = sorted(((e2, p) for e2, p in acc.items() if p._num), key=lambda kv: -kv[0])
+        object.__setattr__(self, "_terms", tuple(terms))
 
     @classmethod
     def constant(cls, c: Rat) -> "QuasiPoly":
@@ -260,20 +251,19 @@ class QuasiPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = QuasiPoly.constant(other)
-        acc = dict(self._terms)
-        for e2, p in other._terms:
-            acc[e2] = acc[e2] + p if e2 in acc else p
-        return QuasiPoly(acc)
+        return _merge(self._terms, other._terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuasiPoly({e2: -p for e2, p in self._terms})
+        return _quasi([(e2, -p) for e2, p in self._terms])
 
     def __sub__(self, other):
-        if not isinstance(other, (QuasiPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, QuasiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QuasiPoly.constant(other)
+        return _merge(self._terms, other._terms, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -282,7 +272,7 @@ class QuasiPoly:
         if not isinstance(other, QuasiPoly):
             if not isinstance(other, (Poly, int, Fraction)):
                 return NotImplemented
-            return QuasiPoly({e2: p * other for e2, p in self._terms})
+            return _quasi([(e2, q) for e2, p in self._terms if (q := p * other)._num])
         return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
@@ -292,14 +282,12 @@ class QuasiPoly:
 
     def shift_exp2(self, delta: int) -> "QuasiPoly":
         """Multiply by exp((delta/2) t)."""
-        return QuasiPoly({e2 + delta: p for e2, p in self._terms})
+        return _quasi([(e2 + delta, p) for e2, p in self._terms])
 
     def ddt(self) -> "QuasiPoly":
         """Derivative in t."""
-        out: dict[int, Poly] = {}
-        for e2, p in self._terms:
-            out[e2] = p.derivative() + p * Fraction(e2, 2)
-        return QuasiPoly(out)
+        terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
+        return _quasi([(e2, p) for e2, p in terms if p._num])
 
     def integrate_from_zero(self) -> "QuasiPoly":
         """The antiderivative F with F(0) = 0 and F' = self.
@@ -310,11 +298,11 @@ class QuasiPoly:
         numerator of q_i is C_i e2^i, where C_(d+1) = 0 and
         C_i = 2 num_i e2^(d-i) - 2 (i+1) C_(i+1): one integer pass.
         """
-        acc: dict[int, Poly] = {}
-        const = Fraction(0)
+        above, below = [], []  # the terms with exp2 > 0 and exp2 < 0
+        zero, const = POLY_ZERO, Fraction(0)
         for e2, p in self._terms:
             if e2 == 0:
-                acc[0] = p.antiderivative()
+                zero = p.antiderivative()
                 continue
             num, d = p._num, len(p._num) - 1
             pw = [1]
@@ -329,10 +317,9 @@ class QuasiPoly:
             if den < 0:
                 out, den = [-v for v in out], -den
             const -= Fraction(out[0], den)
-            acc[e2] = _poly(out, den)
-        if const:
-            acc[0] = acc[0] + const if 0 in acc else Poly((const,))
-        return QuasiPoly(acc)
+            (above if e2 > 0 else below).append((e2, _poly(out, den)))
+        zero = zero + const
+        return _quasi(above + ([(0, zero)] if zero._num else []) + below)
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0."""
@@ -425,14 +412,23 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
                         u *= scale
                         for j, v in enumerate(b, i):
                             out[j] += u * v
-    terms = []
-    for e2 in sorted(slots, reverse=True):
-        p = _poly(*slots[e2])
-        if p._num:
-            terms.append((e2, p))
+    return _quasi([(e2, p) for e2 in sorted(slots, reverse=True) if (p := _poly(*slots[e2]))._num])
+
+
+def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
+    """The QuasiPoly of canonical terms: exp2 strictly descending, no zero Poly."""
     q = object.__new__(QuasiPoly)
     object.__setattr__(q, "_terms", tuple(terms))
     return q
+
+
+def _merge(a: tuple, b: tuple, negate: bool) -> QuasiPoly:
+    """a + b, or a - b when negate, for canonical term tuples, in one pass over b."""
+    acc = dict(a)
+    for e2, p in b:
+        p = -p if negate else p
+        acc[e2] = acc[e2] + p if e2 in acc else p
+    return _quasi(sorted([(e2, p) for e2, p in acc.items() if p._num], reverse=True))
 
 
 def quasipoly_from_json(data: Mapping) -> QuasiPoly:

@@ -17,8 +17,8 @@ the first condition; the lattice enumeration generates it directly from
 the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
 The filter over all of NC(2n) is kept as a test oracle.  k_max is
-capped at MAX_GROUND_SIZE // 2 = 8, and support sets at words of length
-BRUTE_LIMIT // 2 = 7.
+capped at MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2 = 8, and support sets at
+words of length BRUTE_LIMIT // 2 = 7.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ def _check_k_max(k_max: int) -> None:
         raise SizeError(f"k_max must be >= 1, got {k_max}")
     if k_max > MOBIUS_K_LIMIT:
         raise SizeError(
-            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: alpha_k and beta_k "
-            f"are capped at MAX_GROUND_SIZE // 2, and MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
+            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: alpha_k and beta_k are capped at"
+            f" MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2, and MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
         )
 
 

@@ -185,11 +185,25 @@ def test_lagrange_route_costs_no_more_than_the_triangular_route(monkeypatch):
         return sum_of_products(items)
 
     monkeypatch.setattr(alternating, "sum_of_products", counting)
+    # each route pays for its own expansion, so the two totals compare
+    chi_expansion.cache_clear()
     lambda_series(16)
     triangular = sum(pairs)
     pairs.clear()
+    chi_expansion.cache_clear()
     lagrange_lambda(16)
     assert sum(pairs) <= 1.1 * triangular
+
+
+def test_both_inverse_routes_at_one_order_expand_chi_once():
+    chi_expansion.cache_clear()
+    tri = lambda_series(9)
+    assert lagrange_lambda(9) == tri
+    assert chi_expansion.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # a new order expands again, and the cache keeps only the latest order
+    lambda_series(8)
+    lagrange_lambda(9)
+    assert chi_expansion.cache_info()[:2] == (1, 3)
 
 
 def test_chi_roundtrip_is_exact():

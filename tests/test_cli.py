@@ -543,6 +543,7 @@ def test_sequences_refuse_k_above_the_ground_cap(command, tmp_path, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert "k_max must be <= 8" in err and "MAX_GROUND_SIZE = 16" in err
+    assert "MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2" in err
     assert "Traceback" not in err
 
 

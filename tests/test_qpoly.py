@@ -357,3 +357,56 @@ def test_sum_of_products_edge_cases():
     assert got == QuasiPoly({-2: Poly((Fraction(1, 3), 0, 1, Fraction(1, 5)))})
     _assert_canonical_quasi(got)
     assert sum_of_products(iter([short, long])) == got
+
+
+# ---------------------------------------------------------------------------
+# ring operations that assemble their canonical terms directly, against the
+# same value built through the validating constructor
+
+
+def _same(got, ref):
+    _assert_canonical_quasi(got)
+    assert got._terms == ref._terms and hash(got) == hash(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quasis, quasis, rationals, polys, st.integers(min_value=-6, max_value=6))
+@example(QuasiPoly(), QuasiPoly(), Fraction(0), Poly(), 0)
+@example(QuasiPoly({0: 3, -2: Poly((1, 2))}), QuasiPoly({0: -3}), Fraction(0), Poly((0, 1)), 5)
+def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p, delta):
+    def negated(q):
+        return [(e2, -x) for e2, x in q._terms]
+
+    _same(a + b, QuasiPoly([*a._terms, *b._terms]))
+    _same(a - b, QuasiPoly([*a._terms, *negated(b)]))
+    _same((a + b) - a, QuasiPoly([*a._terms, *b._terms, *negated(a)]))
+    _same(-a, QuasiPoly(dict(negated(a))))
+    _same(a + c, QuasiPoly([*a._terms, (0, Poly((c,)))]))
+    _same(c + a, a + c)
+    _same(a - c, QuasiPoly([*a._terms, (0, Poly((-c,)))]))
+    _same(c - a, QuasiPoly([(0, Poly((c,))), *negated(a)]))
+    for scalar in (c, p, 3):
+        ref = QuasiPoly({e2: x * scalar for e2, x in a._terms})
+        _same(a * scalar, ref)
+        _same(scalar * a, ref)
+    _same(a.scale(c), QuasiPoly({e2: x * c for e2, x in a._terms}))
+    _same(a.shift_exp2(delta), QuasiPoly({e2 + delta: x for e2, x in a._terms}))
+    _same(a.ddt(), QuasiPoly({e2: x.derivative() + x * Fraction(e2, 2) for e2, x in a._terms}))
+    # each term integrates alone; the constants they leave merge at exp2 = 0
+    pieces = [QuasiPoly({e2: x}).integrate_from_zero()._terms for e2, x in a._terms]
+    _same(a.integrate_from_zero(), QuasiPoly([t for piece in pieces for t in piece]))
+    # zero results leave no term at all
+    zero = QuasiPoly({})
+    for got in (
+        a - a,
+        a + (-a),
+        -a + a,
+        a.scale(0),
+        a * 0,
+        a * Poly(),
+        zero.shift_exp2(delta),
+        zero.ddt(),
+        QuasiPoly.constant(c).ddt(),
+        zero.integrate_from_zero(),
+    ):
+        _same(got, zero)

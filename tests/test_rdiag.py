@@ -342,5 +342,8 @@ def test_sequence_refuses_k_above_the_ground_cap_before_any_sum(sequence, monkey
     assert MOBIUS_K_LIMIT == MAX_GROUND_SIZE // 2 == 8
     with pytest.raises(Reached):
         sequence(d, MOBIUS_K_LIMIT)
-    with pytest.raises(SizeError, match="k_max must be <= 8, got 9.*MAX_GROUND_SIZE = 16"):
+    refusal = (
+        "k_max must be <= 8, got 9.*MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2.*MAX_GROUND_SIZE = 16"
+    )
+    with pytest.raises(SizeError, match=refusal):
         sequence(d, MOBIUS_K_LIMIT + 1)
