@@ -248,7 +248,8 @@ def xi_by_mobius(n_max: int) -> XiSequence:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
     if 2 * n_max > Z_LIMIT:
         raise SizeError(
-            f"xi_{n_max} needs a word of length {2 * n_max}, beyond the Moebius limit {Z_LIMIT}"
+            f"xi_{n_max} needs a word of length {2 * n_max}, "
+            f"beyond the Moebius limit Z_LIMIT = {Z_LIMIT}"
         )
     xs = [z_mobius("1*" * n).value for n in range(1, n_max + 1)]
     return XiSequence(xs, "mobius")

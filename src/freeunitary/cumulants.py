@@ -21,12 +21,12 @@ them against the recursion's grades.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import neg
 from typing import Union
 
 from .errors import SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
-from .ncpart import _weight_table, catalan
 from .qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
 
 Z_LIMIT = 12
@@ -133,8 +133,7 @@ def haar_cumulant(w: Union[Word, str]) -> int:
     n = word.n
     if n % 2 != 0 or switch_number(word) != n:
         return 0
-    k = n // 2
-    return (-1) ** (k - 1) * catalan(k - 1)
+    return _signed_catalan(n // 2)
 
 
 def is_alternating(w: Union[Word, str]) -> bool:
@@ -162,8 +161,13 @@ def haar_derivative(w: Union[Word, str]) -> Fraction:
     word = as_word(w)
     if word.n % 2 == 0 or not is_alternating(word):
         return Fraction(0)
-    k = (word.n + 1) // 2
-    return Fraction((-1) ** (k - 1) * catalan(k - 1))
+    return Fraction(_signed_catalan((word.n + 1) // 2))
+
+
+def _signed_catalan(k: int) -> int:
+    """(-1)^(k-1) C_(k-1), with the Catalan number by its binomial form so
+    that the closed forms load no lattice code (ncpart.catalan is the same)."""
+    return (-1) ** (k - 1) * (comb(2 * k - 2, k - 1) // k)
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:
@@ -174,6 +178,8 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     excesses.  The Moebius weights are summed per multiset first, and one
     product of moment polynomials is formed per multiset.
     """
+    from .ncpart import _weight_table
+
     weights: dict[tuple[int, ...], int] = {}
     for blocks, moeb in _weight_table(len(letters)):
         excesses = []

@@ -334,7 +334,11 @@ class OmegaNC:
 def _nc_omega_cached(letters: tuple) -> tuple:
     n = len(letters)
     if 2 * n > BRUTE_LIMIT:
-        raise SizeError(f"support sets limited to words of length <= {BRUTE_LIMIT // 2}, got {n}")
+        limit = BRUTE_LIMIT // 2
+        raise SizeError(
+            f"support sets limited to words of length <= {limit}, got {n}: "
+            f"BRUTE_LIMIT // 2 = {limit}"
+        )
     u_set = u_indices(Word(letters))
     colour = [i in u_set for i in range(1, 2 * n + 1)]
     make = NCPartition._trusted

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 from freeunitary import quasipoly_from_json, z_mobius
-from freeunitary.cli import DEFAULT_SEED, SUITES, run
+from freeunitary.cli import DEFAULT_SEED, run
+from freeunitary.verify import SUITES
 
 
 def _capture(capsys):
@@ -416,13 +417,14 @@ def test_byte_determinism(capsys):
         ["zpoly", "11*", "--eval", "1", "--prec", "0"],
         ["zpoly", "11*", "--eval", "1", "--prec", "-5"],
         ["xi", "--n", "3", "--eval", "1", "--prec", "1"],
+        ["zpoly", "11*", "--eval", "1", "--prec", "10"],
     ],
 )
 def test_too_small_prec_is_refused(argv, capsys):
     assert run(argv) == 2
     out, err = _capture(capsys)
     assert out == ""
-    assert "--prec" in err and "at least 53 bits" in err
+    assert "--prec" in err and "at least MIN_PREC = 53 bits" in err
     assert "Traceback" not in err
 
 
@@ -564,24 +566,56 @@ def test_nc_modes_are_exclusive(modes, capsys):
 
 _IMPORT_FOOTPRINT = """
 import sys
+before = set(sys.modules)
 import freeunitary.cli as cli
-heavy = ("mpmath", "freeunitary.alternating", "freeunitary.laplace", "freeunitary.rdiag")
-print(sorted(m for m in heavy if m in sys.modules))
+layers = ("mpmath", "freeunitary.qpoly", "freeunitary.ncpart", "freeunitary.alternating",
+          "freeunitary.laplace", "freeunitary.rdiag", "freeunitary.verify")
+def loaded(names=layers):
+    print(sorted(m for m in names if m in sys.modules and m not in before))
+loaded(("json", "fractions") + layers)
 cli.run(["zpoly", "1*1"])
-print(sorted(m for m in ("mpmath", "freeunitary.rdiag") if m in sys.modules))
+loaded()
 cli.run(["haar", "--word", "1*1*1"])
-print(sorted(m for m in ("mpmath", "freeunitary.rdiag") if m in sys.modules))
+loaded()
+cli.run(["verify", "--suite", "thm3.7"])
+loaded()
 """
 
 
-def test_cli_imports_only_the_layers_a_request_runs():
+def test_cli_imports_only_the_layers_a_request_runs(capsys):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
-        "[]", "-y + (x+1)y^3", "[]", "limit = 0", "derivative = 2", "[]"
+        "[]",
+        "-y + (x+1)y^3", "['freeunitary.qpoly']",
+        "limit = 0", "derivative = 2", "['freeunitary.qpoly']",
+        "suite thm3.7: PASS (254 cases)", "1/1 suites passed",
+        "['freeunitary.qpoly', 'freeunitary.verify']",
     ]
+    # the forward perfbench reads, and the --suite choices, are verify's
+    from freeunitary import cli, verify
+
+    assert cli.SUITES is verify.SUITES
+    assert cli._XI_ROWS is verify._XI_ROWS
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+    choices = re.search(r"--suite \{(.*?)\}", _help(["verify"], capsys))[1].split(",")
+    assert choices == sorted(verify.SUITES)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["xi", "--n", "7", "--method", "mobius"], "Moebius limit Z_LIMIT = 12"),
+        (["ncw", "--word", "1*1*1*1*", "--count-only"], "BRUTE_LIMIT // 2 = 7"),
+    ],
+)
+def test_refusals_name_their_constant(argv, named, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert named in err and "Traceback" not in err
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -187,8 +187,9 @@ def test_size_guard():
 
 
 def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
-    # the two routes that z-two-path compares must share no code
-    from freeunitary import cumulants
+    # the two routes that z-two-path compares must share no code; the
+    # oracle reads the lattice from ncpart when it runs
+    from freeunitary import cumulants, ncpart
 
     words = [w for n in range(1, 9) for w in _all_words(n)]
     want = {w: z_mobius(w).value for w in words}
@@ -198,7 +199,7 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
 
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
     monkeypatch.setattr(cumulants, "_mobius_value", lattice)
-    monkeypatch.setattr(cumulants, "_weight_table", lattice)
+    monkeypatch.setattr(ncpart, "_weight_table", lattice)
     for w in words:
         assert z_recursive(w).value == want[w]
 
