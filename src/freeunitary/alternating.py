@@ -5,12 +5,11 @@ quasi-polynomial xi_n(t).  Three independent computations produce it: a
 quadratic first-order ODE recursion solved exactly with an integrating
 factor, the generic Moebius sum over NC(2n), and a compositional
 inversion of the expansion of an exponential-rational map chi around its
-zero.  The inverse series is solved triangularly (lambda_series); the
-Lagrange formula, with the negative powers of the unit part taken by the
-log-derivative recurrence (lagrange_lambda), is its independent oracle,
-at the same N^3/6 cost.  The two share only the expansion, which is
-cached for the last order, so both at one order expand chi once.  The
-inversion route reads [z^n] L^2 from the triangular power table.  The
+zero.  With g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2,
+so Lagrange-Buermann gives each [z^n] L^m of the inverse 1 + L(z) as a
+finite sum of binomials, with no series product: lagrange_lambda (the
+working route) and xi_by_inversion (L and L^2) read it.  The triangular
+solve against the computed expansion (lambda_series) is its oracle.  The
 truncated generating function H = 1/2 + sum xi_n z^n obeys the
 inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z; the module checks
 that identity exactly on z-coefficients and numerically on grids, where
@@ -21,13 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cumulants import Z_LIMIT, z_mobius
+from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import SizeError, StructureError
-from .ncpart import catalan
-from .qpoly import Poly, QuasiPoly, sum_of_products
+from .qpoly import Poly, QuasiPoly, _poly, _quasi, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -178,7 +175,7 @@ class XiSequence:
             for e2 in q.exp2_values():
                 if e2 > 0 or e2 < -2 * n or e2 % 2:
                     raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
-            want = (-1) ** (n - 1) * catalan(n - 1)
+            want = _signed_catalan(n)
             if q.grade(0) != Poly((want,)):
                 raise StructureError(f"xi_{n} constant term must be {want}")
         if entries[0] != XI_ONE:
@@ -242,20 +239,24 @@ def xi_by_recursion(n_max: int) -> XiSequence:
     return XiSequence(xs, "recursion")
 
 
-def xi_by_mobius(n_max: int) -> XiSequence:
-    """Read xi_n off the generic Moebius sum over the alternating 2n-word."""
-    if n_max < 1:
-        raise SizeError(f"n_max must be >= 1, got {n_max}")
+def check_mobius_size(n_max: int) -> None:
+    """Refuse an n_max whose alternating word is beyond the Moebius limit."""
     if 2 * n_max > Z_LIMIT:
         raise SizeError(
             f"xi_{n_max} needs a word of length {2 * n_max}, "
             f"beyond the Moebius limit Z_LIMIT = {Z_LIMIT}"
         )
+
+
+def xi_by_mobius(n_max: int) -> XiSequence:
+    """Read xi_n off the generic Moebius sum over the alternating 2n-word."""
+    if n_max < 1:
+        raise SizeError(f"n_max must be >= 1, got {n_max}")
+    check_mobius_size(n_max)
     xs = [z_mobius("1*" * n).value for n in range(1, n_max + 1)]
     return XiSequence(xs, "mobius")
 
 
-@lru_cache(maxsize=1)
 def chi_expansion(order: int) -> TruncSeries1:
     """Expand chi(1 + w) as a series in w with quasi-polynomial coefficients.
 
@@ -265,8 +266,8 @@ def chi_expansion(order: int) -> TruncSeries1:
     constant term 4.  The quotient is one series division, solved
     triangularly without forming the inverse of the denominator.
     Coefficients live in the ring extended by e^{+t}; the w^0
-    coefficient must cancel to zero exactly.  The last expansion is
-    cached, so the two inverse-series routes at one order expand once.
+    coefficient must cancel to zero exactly.  Only the oracle
+    lambda_series and the round trip read the expansion.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
@@ -282,7 +283,7 @@ def chi_expansion(order: int) -> TruncSeries1:
 
 
 def lambda_series(order: int) -> TruncSeries1:
-    """Compositional inverse of the expansion, solved triangularly.
+    """Compositional inverse of the expansion, solved triangularly: the oracle.
 
     Write the inverse as 1 + L(z) with L = lambda_1 z + lambda_2 z^2 + ...
     The identity z = sum_m a_m L^m gives lambda_1 = 1/a_1, where a_1 =
@@ -291,15 +292,10 @@ def lambda_series(order: int) -> TruncSeries1:
     [z^k] L^m, and row m gains its entry at z^n from row m - 1 as
     sum_{j=1}^{n-m+1} lambda_j [z^{n-j}] L^{m-1}, all known by then.  Each
     entry is computed once, so order N takes about N^3/6 products on top
-    of the expansion; xi_by_inversion reads row 2 of the same table.  Each
-    lambda_n is asserted to land back in Q[t, e^{-t}]: the positive
-    exponents of the intermediate coefficients must all cancel.
+    of the expansion.  Each lambda_n is asserted to land back in
+    Q[t, e^{-t}]: the positive exponents of the intermediate coefficients
+    must all cancel.  It shares no code with the closed form.
     """
-    return TruncSeries1(order, [QuasiPoly.constant(1)] + _inverse_rows(order)[0][1:])
-
-
-def _inverse_rows(order: int) -> tuple[list[QuasiPoly], list[QuasiPoly]]:
-    """Rows L and L^2 of the power table of lambda_series: [z^k] L, [z^k] L^2."""
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     a = chi_expansion(order)
@@ -316,42 +312,47 @@ def _inverse_rows(order: int) -> tuple[list[QuasiPoly], list[QuasiPoly]]:
         bad = [e2 for e2 in q.exp2_values() if e2 > 0 or e2 % 2]
         if bad:
             raise StructureError(f"lambda_{n} escaped Q[t, e^-t]: found exp2={bad[0]}")
-    return lam, powers[2] if order > 1 else [QuasiPoly()] * 2
+    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam[1:])
+
+
+def _lagrange_coeff(n: int, m: int) -> QuasiPoly:
+    """[z^n] L^m (m >= 1; zero for m > n) by Lagrange-Buermann (Stanley, EC2 5.4).
+
+    [z^n] L^m = (m/n) [w^{n-m}] (w / chi(1+w))^n.  With g = w e^{(1+w)t} /
+    (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2 and w/g = (2+w) e^{-(1+w)t}, so
+    expanding (1+g)^{2n} by the binomial theorem gives (-1)^n (m/n) times
+        sum_{k=m}^{n} C(2n, n-k) e^{-kt} [w^{k-m}] (2+w)^k (1+w)^{-2n} e^{-ktw}.
+    Term k is e^{-kt} times a polynomial in t of degree k - m: its t^c
+    coefficient is [w^{k-m-c}] (2+w)^k (1+w)^{-2n}, a convolution of two
+    binomial rows, times (-k)^c / c!, built as integer numerators over the
+    one denominator n (k-m)!; zero terms are dropped, so results stay canonical.
+    """
+    terms = []
+    for k in range(m, n + 1):
+        r = k - m
+        two = [math.comb(k, a) << (k - a) for a in range(r + 1)]  # [w^a] (2+w)^k
+        neg = [(-1) ** b * math.comb(2 * n + b - 1, b) for b in range(r + 1)]  # (1+w)^{-2n}
+        scale = (-1) ** n * m * math.comb(2 * n, n - k)
+        rows = [sum(two[a] * neg[s - a] for a in range(s + 1)) for s in range(r + 1)]
+        fr = math.factorial(r)
+        num = [scale * rows[r - c] * (-k) ** c * (fr // math.factorial(c)) for c in range(r + 1)]
+        p = _poly(num, n * fr)
+        if not p.is_zero:
+            terms.append((-2 * k, p))
+    return _quasi(terms)
 
 
 def lagrange_lambda(order: int) -> TruncSeries1:
-    """Independent route to the inverse coefficients via Lagrange's formula.
+    """The inverse-series coefficients lambda_n = [z^n] L in closed form.
 
-    lambda_n = (1/n) [w^{n-1}] (w / chi(1+w))^n.  Writing chi(1+w) =
-    a_1 w U(w) with U_0 = 1 turns this into lambda_n = (lambda_1^n / n)
-    [w^{n-1}] U^{-n}, where lambda_1 = 1/a_1.  The negative powers come
-    from the log-derivative D = w U'/U, solved once from U D = w U' as
-    D_k = k U_k - sum_{0<j<k} D_j U_{k-j}.  Then E = U^{-n} obeys
-    w E' = -n D E, so k E_k = -n sum_{j=1}^k D_j E_{k-j} (J. C. P.
-    Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7): one sum of
-    products per coefficient.  Order N takes about N^3/6 products, as the
-    triangular route does.  Kept as an oracle against that route: the two
-    share only chi_expansion.
+    Each lambda_n is the m = 1 sum of _lagrange_coeff, with no series
+    product and no expansion of chi.  This is the working route;
+    lambda_series, the triangular solve against the expansion, is its oracle.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    a = chi_expansion(order)
-    lam1 = _monomial_inverse(a.coeff(1))
-    unit = [a.coeff(k + 1) * lam1 for k in range(order)]  # [w^k] U, with U_0 = 1
-    logd = [QuasiPoly()]  # [w^k] D, with D_0 = 0
-    for k in range(1, order):
-        acc = sum_of_products((logd[j], unit[k - j]) for j in range(1, k))
-        logd.append(unit[k].scale(k) - acc)
-    out = [QuasiPoly.constant(1)]
-    lam1_power = QuasiPoly.constant(1)
-    for n in range(1, order + 1):
-        power = [QuasiPoly.constant(1)]  # [w^k] U^{-n}
-        for k in range(1, n):
-            acc = sum_of_products((logd[j], power[k - j]) for j in range(1, k + 1))
-            power.append(acc.scale(Fraction(-n, k)))
-        lam1_power = lam1_power * lam1
-        out.append((power[n - 1] * lam1_power).scale(Fraction(1, n)))
-    return TruncSeries1(order, out)
+    lam = [_lagrange_coeff(n, 1) for n in range(1, order + 1)]
+    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
 def xi_by_inversion(n_max: int) -> XiSequence:
@@ -359,19 +360,18 @@ def xi_by_inversion(n_max: int) -> XiSequence:
 
     Squaring H = 1/2 + sum xi_n z^n and the inverse series gives
     xi_n = [n=1] + (1/2) lambda_n + (1/4) [z^n] L^2 - sum xi_m xi_{n-m},
-    a triangular recovery.  [z^n] L^2 is read from the power table of
-    lambda_series, and the xi convolution counts each pair {m, n - m}
-    once, so the recovery through N takes about N^2/4 products on top of
-    that table.
+    a triangular recovery.  lambda_n and [z^n] L^2 are the m = 1 and
+    m = 2 closed-form sums of _lagrange_coeff, which form no series
+    product, and the xi convolution counts each pair {m, n - m} once, so
+    the recovery through N takes about N^2/4 products.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    lam, square = _inverse_rows(n_max)
     xs: list[QuasiPoly] = []
     for n in range(1, n_max + 1):
         acc = QuasiPoly.constant(1) if n == 1 else QuasiPoly()
-        acc = acc + lam[n].scale(Fraction(1, 2))
-        acc = acc + square[n].scale(Fraction(1, 4))
+        acc = acc + _lagrange_coeff(n, 1).scale(Fraction(1, 2))
+        acc = acc + _lagrange_coeff(n, 2).scale(Fraction(1, 4))
         xs.append(acc - _self_convolution(xs, n))
     return XiSequence(xs, "inversion")
 

@@ -186,13 +186,15 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    from .alternating import xi_by_inversion, xi_by_mobius, xi_by_recursion
+    from .alternating import check_mobius_size, xi_by_inversion, xi_by_mobius, xi_by_recursion
 
     n = args.n
     if n < 1:
         raise SizeError(f"--n must be >= 1, got {n}")
     if args.method == "all" and args.eval is not None:
         raise StructureError("--eval takes one method, not --method all")
+    if args.method == "all":
+        check_mobius_size(n)  # before the recursion runs, not after
     routes = {
         "recursion": lambda: xi_by_recursion(n).xi(n),
         "mobius": lambda: xi_by_mobius(n).xi(n),

@@ -22,7 +22,6 @@ from freeunitary import (
     xi_by_recursion,
 )
 from freeunitary.alternating import XI_METHODS, XI_ONE
-from freeunitary.qpoly import sum_of_products
 
 # Frozen alternating cumulants xi_1..xi_4.
 FROZEN_XI = {
@@ -111,8 +110,8 @@ def test_three_routes_agree_beyond_frozen_rows():
     inv = xi_by_inversion(5)
     for n in range(1, 6):
         assert rec.xi(n) == mob.xi(n) == inv.xi(n)
-    # Order 14 reaches both parities of the halved convolutions far past the Moebius cap.
-    assert xi_by_inversion(14).entries == xi_by_recursion(14).entries
+    # Order 24 reaches both parities of the halved convolutions far past the Moebius cap.
+    assert xi_by_inversion(24).entries == xi_by_recursion(24).entries
 
 
 def test_xi_accessor_guards():
@@ -166,44 +165,43 @@ def test_lambda_series_frozen_rows():
         assert lam.coeff(n) == want
 
 
-def test_lagrange_route_agrees():
-    # Order 16 reaches the power-table row L^16 and the Lagrange power U^-16.
-    for order in range(1, 17):
-        assert lagrange_lambda(order) == lambda_series(order)
-
-
-def test_lagrange_route_costs_no_more_than_the_triangular_route(monkeypatch):
-    # Both routes take about N^3/6 coefficient products; recomputing the
-    # whole power for every n would take about N^3/2 (2,771 pairs at 16).
+def test_lagrange_route_agrees(monkeypatch):
+    # Order 16 reaches the power-table row L^16.  The closed form runs with
+    # the expansion and every series product disabled, so it reads neither.
     from freeunitary import alternating
 
-    pairs = []
+    want = [lambda_series(order) for order in range(1, 17)]
 
-    def counting(items):
-        items = list(items)
-        pairs.append(len(items))
-        return sum_of_products(items)
+    def refuse(*args):
+        raise AssertionError("the closed form must not reach the series layer")
 
-    monkeypatch.setattr(alternating, "sum_of_products", counting)
-    # each route pays for its own expansion, so the two totals compare
-    chi_expansion.cache_clear()
-    lambda_series(16)
-    triangular = sum(pairs)
-    pairs.clear()
-    chi_expansion.cache_clear()
-    lagrange_lambda(16)
-    assert sum(pairs) <= 1.1 * triangular
+    monkeypatch.setattr(alternating, "chi_expansion", refuse)
+    monkeypatch.setattr(alternating, "sum_of_products", refuse)
+    for order, tri in enumerate(want, start=1):
+        assert lagrange_lambda(order) == tri
 
 
-def test_both_inverse_routes_at_one_order_expand_chi_once():
-    chi_expansion.cache_clear()
-    tri = lambda_series(9)
-    assert lagrange_lambda(9) == tri
-    assert chi_expansion.cache_info()[:2] == (1, 1)  # (hits, misses)
-    # a new order expands again, and the cache keeps only the latest order
-    lambda_series(8)
-    lagrange_lambda(9)
-    assert chi_expansion.cache_info()[:2] == (1, 3)
+def test_closed_form_square_equals_the_triangular_square():
+    from freeunitary.alternating import _lagrange_coeff
+
+    lam = lambda_series(16)
+    inner = TruncSeries1(16, (QuasiPoly(),) + lam.coeffs[1:])
+    square = inner * inner
+    assert _lagrange_coeff(1, 2).is_zero
+    for n in range(2, 17):
+        assert _lagrange_coeff(n, 2) == square.coeff(n)
+
+
+def test_inversion_route_expands_no_chi(monkeypatch):
+    from freeunitary import alternating
+
+    want = xi_by_recursion(10).entries
+
+    def refuse(*args):
+        raise AssertionError("the inversion route must not expand chi")
+
+    monkeypatch.setattr(alternating, "chi_expansion", refuse)
+    assert xi_by_inversion(10).entries == want
 
 
 def test_chi_roundtrip_is_exact():

@@ -579,6 +579,8 @@ cli.run(["haar", "--word", "1*1*1"])
 loaded()
 cli.run(["verify", "--suite", "thm3.7"])
 loaded()
+cli.run(["xi", "--n", "3"])
+loaded()
 """
 
 
@@ -593,6 +595,8 @@ def test_cli_imports_only_the_layers_a_request_runs(capsys):
         "limit = 0", "derivative = 2", "['freeunitary.qpoly']",
         "suite thm3.7: PASS (254 cases)", "1/1 suites passed",
         "['freeunitary.qpoly', 'freeunitary.verify']",
+        "2 - 15y^2 + (12x+30)y^4 - (6x^2+18x+17)y^6",
+        "['freeunitary.alternating', 'freeunitary.qpoly', 'freeunitary.verify']",
     ]
     # the forward perfbench reads, and the --suite choices, are verify's
     from freeunitary import cli, verify
@@ -616,6 +620,20 @@ def test_refusals_name_their_constant(argv, named, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, capsys):
+    from freeunitary import alternating
+
+    def refuse(n_max):
+        raise AssertionError("a route ran before the refusal")
+
+    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
+    monkeypatch.setattr(alternating, "xi_by_inversion", refuse)
+    assert run(["xi", "--n", "50", "--method", "all"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "Moebius limit Z_LIMIT = 12" in err and "Traceback" not in err
 
 
 def test_closed_stdout_exits_141_quietly():
