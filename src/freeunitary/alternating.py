@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
-from .errors import SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError
 from .qpoly import Poly, QuasiPoly, _poly, _quasi, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
@@ -32,7 +32,7 @@ XI_METHODS = ("recursion", "mobius", "inversion")
 XI_ONE = QuasiPoly({0: 1, -2: -1})
 
 
-class TruncSeries1:
+class TruncSeries1(Frozen):
     """Power series in one formal variable truncated at a fixed order.
 
     Coefficients live in the quasi-polynomial ring.  The series knows its
@@ -117,17 +117,6 @@ class TruncSeries1:
             result = result * inner + TruncSeries1(order, [self.coeffs[k]])
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries1 is immutable")
-
     def __repr__(self):
         return f"TruncSeries1(order={self.order})"
 
@@ -152,7 +141,7 @@ def _monomial_inverse(q: QuasiPoly) -> QuasiPoly:
     return QuasiPoly({-e2: Poly((1 / p.leading(),))})
 
 
-class XiSequence:
+class XiSequence(Frozen):
     """Exact alternating cumulants xi_1..xi_n plus the route that made them.
 
     The constructor enforces the structural facts every route must
@@ -191,17 +180,6 @@ class XiSequence:
         if not 1 <= n <= len(self.entries):
             raise SizeError(f"xi_{n} not computed; have 1..{len(self.entries)}")
         return self.entries[n - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, XiSequence):
-            return NotImplemented
-        return self.entries == other.entries and self.method == other.method
-
-    def __hash__(self):
-        return hash((self.entries, self.method))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiSequence is immutable")
 
     def __repr__(self):
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
@@ -429,6 +407,7 @@ DEFAULT_Z_GRID = (
 class PdeReport(NamedTuple):
     max_residual: float
     defect_order: Optional[int]
+    coefficients: tuple  # the exact defect coefficients of z^1..z^(2 n_max)
 
 
 def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
@@ -437,11 +416,12 @@ def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
     Builds xi_1..xi_{n_max} by recursion, forms every z-coefficient of
     the defect through order 2 n_max, records the first order that is
     not identically zero, and evaluates the defect series on the grids.
+    The report carries the exact coefficients too.
     """
     import mpmath
 
     seq = xi_by_recursion(n_max)
-    coeffs = [pde_z_coefficient(seq.entries, n) for n in range(1, 2 * n_max + 1)]
+    coeffs = tuple(pde_z_coefficient(seq.entries, n) for n in range(1, 2 * n_max + 1))
     defect_order = None
     for n, c in enumerate(coeffs, start=1):
         if not c.is_zero:
@@ -459,4 +439,4 @@ def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
                     zpow = zpow * zm
                     total += v * zpow
                 worst = max(worst, abs(total))
-    return PdeReport(float(worst), defect_order)
+    return PdeReport(float(worst), defect_order, coeffs)

@@ -26,6 +26,8 @@ DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
 MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
 MAX_PREC = 16384  # pde-check --n 12 takes about 3 s; the cost grows faster than the bits
+MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
+MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1
 
 # The names of freeunitary.verify.SUITES, in execution order, for the
 # --suite choices; a test pins the two together.
@@ -59,6 +61,13 @@ def __getattr__(name: str):
 def _parse_fraction(text: str) -> Fraction:
     from fractions import Fraction
 
+    _, e, exponent = text.lower().partition("e")
+    try:  # before Fraction, which expands the exponent in full
+        too_long = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:  # no integer exponent: Fraction refuses the text
+        too_long = False
+    if too_long:
+        raise SizeError(f"rational {text!r} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -98,7 +107,7 @@ def _print_value(value, args) -> int:
     import mpmath
 
     with mpmath.workprec(args.prec):
-        number = value.eval(_parse_fraction(args.eval), args.prec)
+        number = value.eval(args.eval, args.prec)
         print(mpmath.nstr(number, max(8, int(args.prec * 0.301))))
     return 0
 
@@ -230,16 +239,11 @@ def _cmd_fcheck(args) -> int:
 
 
 def _cmd_pde_check(args) -> int:
-    from .alternating import pde_residual, pde_z_coefficient, xi_by_recursion
+    from .alternating import pde_residual
 
     n = args.n
-    seq = xi_by_recursion(n)
-    bad = [
-        j
-        for j in range(1, n + 1)
-        if not pde_z_coefficient(seq.entries, j).is_zero
-    ]
     report = pde_residual(n, prec_bits=args.prec)
+    bad = [j for j, c in enumerate(report.coefficients[:n], start=1) if not c.is_zero]
     if bad:
         for j in bad:
             print(f"coefficient z^{j}: nonzero")
@@ -269,17 +273,14 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, check_cumulants
+    from .rdiag import beta_enumeration, beta_mobius, check_cumulants, check_structured_size
     from .rdiag import nc_omega_structured
 
     # refuse before any sum, so --method both runs no Moebius sum it cannot cross-check
     if args.k < 1:
         raise SizeError(f"--k must be >= 1, got {args.k}")
-    if args.method != "mobius" and args.k > STRUCTURED_LIMIT:
-        raise SizeError(
-            f"--method {args.method} needs k <= {STRUCTURED_LIMIT}, got {args.k}: "
-            f"the structured support sets stop at STRUCTURED_LIMIT = {STRUCTURED_LIMIT}"
-        )
+    if args.method != "mobius":
+        check_structured_size(args.k)
     d = _load_distribution(args.q_cumulants)
     check_cumulants(d, args.k, marked=True)
     routes = {
@@ -483,6 +484,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if getattr(args, "eval", None) is not None:  # before any sum runs
+            args.eval = _parse_fraction(args.eval)
+            if abs(args.eval) > 10**MAX_EVAL_EXPONENT:
+                raise SizeError(f"--eval |T| > 10^MAX_EVAL_EXPONENT = 10^{MAX_EVAL_EXPONENT}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

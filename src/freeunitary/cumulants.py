@@ -25,14 +25,14 @@ from math import comb
 from operator import neg
 from typing import Union
 
-from .errors import SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
 from .qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
 
 Z_LIMIT = 12
 
 
-class ZPolynomial:
+class ZPolynomial(Frozen):
     """A word together with its cumulant quasi-polynomial.
 
     The constructor enforces the structural facts shared by both
@@ -67,19 +67,6 @@ class ZPolynomial:
             if 2 * j > s and not self.value.grade(n - 2 * j).is_zero:
                 return False
         return True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZPolynomial)
-            and self.word == other.word
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.word, self.value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZPolynomial is immutable")
 
     def __repr__(self):
         return f"ZPolynomial({str(self.word)!r}, {self.value!r})"

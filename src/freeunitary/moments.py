@@ -14,13 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError
 from .qpoly import Poly, QuasiPoly
 
 Letters = tuple[int, ...]
 
 
-class Word:
+class Word(Frozen):
     """An immutable word over {1, *}; letters stored as +1 / -1."""
 
     __slots__ = ("letters",)
@@ -77,15 +77,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(("Word", self.letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __str__(self):
         return "".join("1" if l == 1 else "*" for l in self.letters)

@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError
 
 MAX_GROUND_SIZE = 16
 
@@ -85,7 +85,7 @@ def _noncrossing_blocks(blocks: Blocks, n: int) -> bool:
     return True
 
 
-class NCPartition:
+class NCPartition(Frozen):
     """A non-crossing partition of {1, ..., n}.
 
     Blocks are sorted tuples of ints, listed in order of their minima.
@@ -129,19 +129,6 @@ class NCPartition:
 
     def to_lists(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPartition is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
 
     def __str__(self):
         return "[" + ",".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks) + "]"

@@ -29,7 +29,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InsufficientDataError, SizeError, StructureError
+from .errors import Frozen, InsufficientDataError, SizeError, StructureError
 from .moments import Word, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
@@ -48,7 +48,7 @@ MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 t
 STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
 
-class Distribution:
+class Distribution(Frozen):
     """Cumulant data kappa_1..kappa_N of one self-adjoint element q.
 
     Queries beyond the supplied order raise instead of defaulting to
@@ -92,17 +92,6 @@ class Distribution:
                 f"kappa_{n} requested but only {len(self.cumulants)} cumulants supplied"
             )
         return self.cumulants[n - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.cumulants == other.cumulants
-
-    def __hash__(self):
-        return hash(self.cumulants)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
 
     def __repr__(self):
         return f"Distribution({[str(c) for c in self.cumulants]})"
@@ -281,7 +270,7 @@ def _omega_failure(n: int, blocks, u_set) -> Optional[str]:
     return None
 
 
-class OmegaNC:
+class OmegaNC(Frozen):
     """A word together with the partitions supporting its derivative at
     the stationary limit.
 
@@ -314,17 +303,6 @@ class OmegaNC:
 
     def __iter__(self):
         return iter(self.partitions)
-
-    def __eq__(self, other):
-        if not isinstance(other, OmegaNC):
-            return NotImplemented
-        return self.word == other.word and self.partitions == other.partitions
-
-    def __hash__(self):
-        return hash((self.word, self.partitions))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OmegaNC is immutable")
 
     def __repr__(self):
         return f"OmegaNC(word={self.word}, count={len(self.partitions)})"
@@ -447,6 +425,15 @@ def _fat_even_pairing(block: Sequence[int], k: int) -> list:
     return pairing
 
 
+def check_structured_size(k: int) -> None:
+    """Refuse a support set of 1(*1)^(k-1) beyond the structured generator's cap."""
+    if k > STRUCTURED_LIMIT:
+        raise SizeError(
+            f"structured support sets limited to k <= {STRUCTURED_LIMIT}, got {k}: "
+            f"STRUCTURED_LIMIT = {STRUCTURED_LIMIT}"
+        )
+
+
 def nc_omega_structured(k: int) -> OmegaNC:
     """Support set of the odd alternating word 1(*1)^{k-1}, generated
     structurally instead of filtered.
@@ -460,8 +447,7 @@ def nc_omega_structured(k: int) -> OmegaNC:
     """
     if k < 1:
         raise SizeError(f"k must be >= 1, got {k}")
-    if k > STRUCTURED_LIMIT:
-        raise SizeError(f"structured generator limited to k <= {STRUCTURED_LIMIT}")
+    check_structured_size(k)
     word = as_word("1" + "*1" * (k - 1))
     size = 4 * k - 2
     results = []

@@ -219,13 +219,12 @@ def _suite_xi_three_path(args):
 
 @_tally
 def _suite_pde_coeff(args):
-    from .alternating import pde_residual, pde_z_coefficient, xi_by_recursion
+    from .alternating import pde_residual
 
     n = args.max_n or 6
-    seq = xi_by_recursion(n)
-    for j in range(1, n + 1):
-        yield [(f"z^{j}", 0, pde_z_coefficient(seq.entries, j))]
     report = pde_residual(n, prec_bits=args.prec)
+    for j, coeff in enumerate(report.coefficients[:n], start=1):
+        yield [(f"z^{j}", 0, coeff)]
     yield [("defect order", n + 1, report.defect_order)]
     if n >= 6:
         small = report.max_residual < 1e-15
@@ -282,12 +281,12 @@ def _suite_lemma611(args):
 
 @_tally
 def _suite_example69(args):
-    from .rdiag import nc_omega, nc_omega_structured
+    from .rdiag import STRUCTURED_LIMIT, nc_omega, nc_omega_structured
 
     got = [p.to_lists() for p in nc_omega("1*1").partitions]
     want = sorted(_EXAMPLE69_BLOCKS)
     yield [_claim("1*1", want, sorted(got) == want, got)]
-    for k in range(1, min(args.max_n or 3, 4) + 1):
+    for k in range(1, min(args.max_n or 3, STRUCTURED_LIMIT) + 1):
         structured = nc_omega_structured(k)
         brute = nc_omega("1" + "*1" * (k - 1))
         filtered = f"{len(brute)} partitions (filter)"

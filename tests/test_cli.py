@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -613,10 +614,26 @@ def test_cli_imports_only_the_layers_a_request_runs(capsys):
     [
         (["xi", "--n", "7", "--method", "mobius"], "Moebius limit Z_LIMIT = 12"),
         (["ncw", "--word", "1*1*1*1*", "--count-only"], "BRUTE_LIMIT // 2 = 7"),
+        # Fraction("1e9999999") alone takes seconds, and --eval costs grow with the digits of T
+        (["zpoly", "1*", "--eval", "1e9999999"], "MAX_EXPONENT = 4300"),
+        (["zpoly", "1*", "--eval", str(10**300 + 1)], "10^MAX_EVAL_EXPONENT = 10^300"),
+        (["zpoly", "1*", "--eval=-1e301"], "10^MAX_EVAL_EXPONENT = 10^300"),
+        (["alpha", "--k", "1", "--q-cumulants", "q_big.json"], "MAX_EXPONENT = 4300"),
+        (["beta", "--k", "1", "--q-cumulants", "q_big.json"], "MAX_EXPONENT = 4300"),
     ],
 )
-def test_refusals_name_their_constant(argv, named, capsys):
+def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys):
+    from freeunitary import cumulants
+
+    def never(word):
+        raise AssertionError("a sum ran before the refusal")
+
+    monkeypatch.setattr(cumulants, "z_recursive", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q_big.json").write_text(json.dumps(["1e9999999"]))
+    start = time.monotonic()
     assert run(argv) == 2
+    assert time.monotonic() - start < 1
     out, err = _capture(capsys)
     assert out == ""
     assert named in err and "Traceback" not in err
@@ -634,6 +651,29 @@ def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, cap
     out, err = _capture(capsys)
     assert out == ""
     assert "Moebius limit Z_LIMIT = 12" in err and "Traceback" not in err
+
+
+def test_eval_at_the_bound_prints_a_value(capsys):
+    assert run(["zpoly", "1*", "--eval", "1e300"]) == 0
+    assert _capture(capsys)[0] == "1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["pde-check", "--n", "6"], ["verify", "--suite", "pde-coeff"]]
+)
+def test_pde_checks_solve_the_recursion_once(argv, monkeypatch, capsys):
+    from freeunitary import alternating
+
+    calls = []
+    solve = alternating.xi_by_recursion
+
+    def counted(n_max):
+        calls.append(n_max)
+        return solve(n_max)
+
+    monkeypatch.setattr(alternating, "xi_by_recursion", counted)
+    assert run(argv) == 0
+    assert calls == [6]
 
 
 def test_closed_stdout_exits_141_quietly():

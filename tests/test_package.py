@@ -134,3 +134,50 @@ def test_unknown_attribute_raises_attribute_error():
 def test_submodule_outside_the_table_still_imports():
     code = "import json\nfrom freeunitary import cli\nprint(json.dumps(cli.__name__))\n"
     assert _fresh(code) == "freeunitary.cli"
+
+
+# Two different values of each immutable value class, built by a thunk so
+# that each call gives a fresh instance.
+VALUES = {
+    "Word": (lambda: freeunitary.Word.parse("1*1"), lambda: freeunitary.Word.parse("1**")),
+    "NCPartition": (
+        lambda: freeunitary.NCPartition(3, [[1, 3], [2]]),
+        lambda: freeunitary.NCPartition(3, [[1], [2, 3]]),
+    ),
+    "ZPolynomial": (lambda: freeunitary.z_recursive("11*"), lambda: freeunitary.z_recursive("1*")),
+    "XiSequence": (
+        lambda: freeunitary.xi_by_recursion(3),
+        lambda: freeunitary.xi_by_inversion(3),  # same entries, another route
+    ),
+    "TruncSeries1": (
+        lambda: freeunitary.TruncSeries1(2, [1, 2]),
+        lambda: freeunitary.TruncSeries1(3, [1, 2]),  # same coefficients, another order
+    ),
+    "Distribution": (
+        lambda: freeunitary.Distribution(["1/2", 1]),
+        lambda: freeunitary.Distribution([1, "1/2"]),
+    ),
+    "OmegaNC": (lambda: freeunitary.nc_omega("1*1"), lambda: freeunitary.nc_omega("1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_share_one_equality_hash_and_immutability(name):
+    from freeunitary.errors import Frozen
+
+    cls = getattr(freeunitary, name)
+    assert issubclass(cls, Frozen)
+    assert not {"__eq__", "__hash__", "__setattr__"} & set(vars(cls))
+    make_a, make_b = VALUES[name]
+    a, b = make_a(), make_b()
+    assert a == make_a() and hash(a) == hash(make_a())
+    assert a != b and not a == b
+    slots = tuple(getattr(a, slot) for slot in cls.__slots__)
+    for bare in (slots, *slots, str(a), repr(a)):
+        assert a != bare and bare != a
+    for slot in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(a, slot, getattr(b, slot))
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        a.extra = 1
+    assert a == make_a()

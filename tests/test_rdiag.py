@@ -288,6 +288,8 @@ def test_omega_guards():
         nc_omega_structured(0)
     with pytest.raises(SizeError):
         nc_omega_structured(6)
+    with pytest.raises(SizeError, match=r"got 5: STRUCTURED_LIMIT = 4"):
+        nc_omega_structured(5)
 
 
 def test_sequence_guards():
