@@ -27,6 +27,7 @@ DEFAULT_PREC = 128
 MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
 MAX_PREC = 16384  # pde-check --n 12 takes about 3 s; the cost grows faster than the bits
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
+MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1
 
 # The names of freeunitary.verify.SUITES, in execution order, for the
@@ -61,17 +62,28 @@ def __getattr__(name: str):
 def _parse_fraction(text: str) -> Fraction:
     from fractions import Fraction
 
-    _, e, exponent = text.lower().partition("e")
+    mantissa, e, exponent = text.lower().partition("e")
     try:  # before Fraction, which expands the exponent in full
         too_long = bool(e) and abs(int(exponent)) > MAX_EXPONENT
     except ValueError:  # no integer exponent: Fraction refuses the text
         too_long = False
     if too_long:
         raise SizeError(f"rational {text!r} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
+    if any(sum(c.isdigit() for c in part) > MAX_DIGITS for part in mantissa.split("/")):
+        raise SizeError(f"rational with more than MAX_DIGITS = {MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise StructureError(f"cannot parse rational {text!r}: {exc}") from None
+
+
+def _check_printable(values) -> None:
+    """Refuse rationals whose numerator or denominator has more than
+    MAX_DIGITS digits, before any of them is turned into text."""
+    bound = 10**MAX_DIGITS
+    for v in values:
+        if abs(v.numerator) >= bound or v.denominator >= bound:
+            raise SizeError(f"a result has more than MAX_DIGITS = {MAX_DIGITS} digits")
 
 
 def _json(value):
@@ -268,6 +280,7 @@ def _cmd_alpha(args) -> int:
     from .rdiag import alpha_sequence
 
     values = alpha_sequence(_load_distribution(args.q_cumulants), args.k)
+    _check_printable(values)
     lines = [f"alpha_{k} = {v}" for k, v in enumerate(values, start=1)]
     return _report(args.format, lines, {"alpha": _json(values)})
 
@@ -292,6 +305,7 @@ def _cmd_beta(args) -> int:
     }
     names = list(routes) if args.method == "both" else [args.method]
     values = {name: routes[name]() for name in names}
+    _check_printable(v for seq in values.values() for v in seq)
     lines = [f"beta_{k} ({name}) = {v}" for name, seq in values.items()
              for k, v in enumerate(seq, start=1)]
     if args.method == "both":

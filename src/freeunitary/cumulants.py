@@ -4,9 +4,13 @@ The cumulant attached to a word w over {1, *} is a quasi-polynomial Z_w
 whose y-powers (y = exp(-t/2)) all share the parity of |w| and stay within
 [0, |w|]. Two computation paths are provided, and they share no code.  The
 working route, which the library and the CLI read, is a concatenation
-recursion that splits the word after rotating it to start with 1 and end
-with *.  The oracle is the defining Moebius sum over non-crossing
-partitions weighted by word moments, capped at Z_LIMIT letters.
+recursion (products as arguments at a wrap pair * | 1) that splits the
+word after rotating it to start with 1 and end with *.  Of those rotations
+it takes the least, which starts at the shortest run of 1s: every rotation
+gives the same value, and this one visits far fewer states than the first
+(226 against 783 for (1*)^15).  The oracle is the defining Moebius sum
+over non-crossing partitions weighted by word moments, capped at Z_LIMIT
+letters.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of nonzero block excesses; polynomial
@@ -215,6 +219,16 @@ def z_recursive(w: Union[Word, str]) -> ZPolynomial:
 def _recursive_value(letters: Letters) -> QuasiPoly:
     """Cumulant of the letters by the concatenation recursion, memoised.
 
+    The letters are cut at the least of their rotations that start with 1
+    and end with * (+1 > -1, so at the shortest run of 1s).  Any such
+    rotation gives the same value.  The least one depends only on the
+    cyclic word, not on where the given letters start, and its prefixes
+    and suffixes recur among the pieces: random 14-16-letter words with 8
+    switches reach about 85 states instead of 137 at the first boundary,
+    and random 30-letter words an eighth of the memo entries.  The largest
+    such rotation gives fewer states on (1*)^k but more on random words
+    (about 93 on that family).
+
     The memo is probed with the letters as given before they are
     canonicalised, and a value found or computed under the canonical key is
     stored under the given letters too.  The cumulant is invariant under
@@ -235,13 +249,12 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     elif n == 2:
         val = QuasiPoly({0: 1, -2: -1})  # 1*: 1 - y^2
     else:
-        # rotate so the word starts with 1 and ends with *
-        rot = None
-        for i in range(n):
-            if letters[i] == -1 and letters[(i + 1) % n] == 1:
-                rot = letters[i + 1 :] + letters[: i + 1]
-                break
-        assert rot is not None and rot[0] == 1 and rot[-1] == -1
+        # the least rotation that starts with 1 and ends with *
+        rot = min(
+            letters[i + 1 :] + letters[: i + 1]
+            for i in range(n)
+            if letters[i] == -1 and letters[(i + 1) % n] == 1
+        )
         val = -sum_of_products(
             (_recursive_value(rot[:m]), _recursive_value(rot[m:])) for m in range(1, n)
         )

@@ -16,7 +16,7 @@ class InsufficientDataError(LookupError):
 class Frozen:
     """An immutable value whose identity is the tuple of its __slots__,
     compared only within one type.  Subclasses set their slots through
-    object.__setattr__; any other assignment is refused."""
+    object.__setattr__; any other assignment, and any deletion, is refused."""
 
     __slots__ = ()
 
@@ -32,4 +32,7 @@ class Frozen:
         return hash(self._slot_values())
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -197,6 +197,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
@@ -366,6 +369,9 @@ class QuasiPoly:
         return hash(("QuasiPoly", self._terms))
 
     def __setattr__(self, name, value):
+        raise AttributeError("QuasiPoly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("QuasiPoly is immutable")
 
     def __repr__(self):

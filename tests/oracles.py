@@ -7,14 +7,16 @@ and swap move a word within the orbit its cumulant is invariant on; the
 Kreweras complement by pair linkage is the reference for its permutation form; the
 Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
-grouped sum of cumulants._mobius_value; the support-set filter over all of
-NC(2n) is the reference for rdiag.nc_omega, which filters only block-pure
-partitions; the products-as-arguments sum over NC(n), filtered by
-connectivity with the interval grouping, is the reference for
-rdiag.mixed_q_cumulant, which sums moments over NC(r); the non-crossing
-members of all set partitions are the reference for the lattice
-enumeration, and share no code with its recursion.  Nothing in the
-package needs them.
+grouped sum of cumulants._mobius_value; the concatenation recursion cut
+at the first wrap pair is the reference for the least-rotation cut of
+cumulants._recursive_value on words past the Moebius cap; the
+support-set filter over all of NC(2n) is the reference for
+rdiag.nc_omega, which filters only block-pure partitions; the
+products-as-arguments sum over NC(n), filtered by connectivity with the
+interval grouping, is the reference for rdiag.mixed_q_cumulant, which
+sums moments over NC(r); the non-crossing members of all set partitions
+are the reference for the lattice enumeration, and share no code with
+its recursion.  Nothing in the package needs them.
 """
 
 from __future__ import annotations
@@ -252,6 +254,45 @@ def mobius_value(letters: tuple) -> QuasiPoly:
         contrib = poly * moeb
         acc[-ypow] = acc[-ypow] + contrib if -ypow in acc else contrib
     return QuasiPoly(acc)
+
+
+def _orbit_key(letters: tuple) -> tuple:
+    """Largest rotation of the letters, their reversal, swap or both."""
+    swapped = tuple(-l for l in letters)
+    return max(
+        v[r:] + v[:r]
+        for v in (letters, letters[::-1], swapped, swapped[::-1])
+        for r in range(len(letters))
+    )
+
+
+def first_boundary_value(letters: tuple, memo: dict | None = None) -> QuasiPoly:
+    """Word cumulant by the concatenation recursion cut at the first wrap pair.
+
+    The letters are rotated at their first * | 1 boundary, so that they
+    start with 1 and end with *, and the cumulant is minus the sum of the
+    products of the cumulants of each prefix and the matching suffix.
+    Values are memoised under the orbit key in memo, which may be shared
+    between calls; products are plain QuasiPoly products.
+    """
+    if memo is None:
+        memo = {}
+    key = _orbit_key(letters)
+    if key in memo:
+        return memo[key]
+    n = len(letters)
+    if all(l == letters[0] for l in letters):
+        val = QuasiPoly({-n: Poly((0,) * (n - 1) + (lambert_coeff(n),))})
+    elif n == 2:
+        val = QuasiPoly({0: 1, -2: -1})
+    else:
+        i = next(i for i in range(n) if letters[i] == -1 and letters[(i + 1) % n] == 1)
+        rot = letters[i + 1 :] + letters[: i + 1]
+        val = QuasiPoly({})
+        for m in range(1, n):
+            val = val - first_boundary_value(rot[:m], memo) * first_boundary_value(rot[m:], memo)
+    memo[key] = val
+    return val
 
 
 def nc_omega_filter(letters: tuple) -> tuple:

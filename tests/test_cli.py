@@ -620,6 +620,9 @@ def test_cli_imports_only_the_layers_a_request_runs(capsys):
         (["zpoly", "1*", "--eval=-1e301"], "10^MAX_EVAL_EXPONENT = 10^300"),
         (["alpha", "--k", "1", "--q-cumulants", "q_big.json"], "MAX_EXPONENT = 4300"),
         (["beta", "--k", "1", "--q-cumulants", "q_big.json"], "MAX_EXPONENT = 4300"),
+        # alpha_1 of 10^4300 has 8601 digits, more than Python turns into text
+        (["alpha", "--k", "1", "--q-cumulants", "q_wide.json"], "MAX_DIGITS = 4300"),
+        (["beta", "--k", "1", "--q-cumulants", "q_long.json"], "MAX_DIGITS = 4300"),
     ],
 )
 def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys):
@@ -631,12 +634,14 @@ def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cumulants, "z_recursive", never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q_big.json").write_text(json.dumps(["1e9999999"]))
+    (tmp_path / "q_wide.json").write_text(json.dumps(["1e4300", "1"]))
+    (tmp_path / "q_long.json").write_text(json.dumps(["1" * 4301]))
     start = time.monotonic()
     assert run(argv) == 2
     assert time.monotonic() - start < 1
     out, err = _capture(capsys)
     assert out == ""
-    assert named in err and "Traceback" not in err
+    assert named in err and "Traceback" not in err and "Exceeds the limit" not in err
 
 
 def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, capsys):

@@ -22,9 +22,9 @@ from freeunitary import (
     z_mobius,
     z_recursive,
 )
-from freeunitary.cumulants import Z_LIMIT, _mobius_value
+from freeunitary.cumulants import Z_LIMIT, _canonical, _mobius_value
 from freeunitary.moments import diag_cumulant
-from oracles import mobius_value, reverse, rotate, subword, swap
+from oracles import first_boundary_value, mobius_value, reverse, rotate, subword, swap
 
 # Frozen example table: the six low-order cumulants listed explicitly.
 FROZEN_Z = {
@@ -223,6 +223,35 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
         for key, val in list(memo.items()):
             monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
             assert z_recursive(Word(key)).value == val
+
+
+def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
+    # past Z_LIMIT the recursion is checked against itself cut at the
+    # first wrap pair, every rotation giving the same value
+    from freeunitary import cumulants
+
+    rng = random.Random(20141)
+    words = [tuple(rng.choice((1, -1)) for _ in range(n)) for n in range(13, 19) for _ in range(4)]
+    words += [Word.parse("1*" * 9).letters, Word.parse("1*" * 8 + "1").letters]
+    memo = {}
+    for w in words:
+        monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+        assert z_recursive(Word(w)).value == first_boundary_value(w, memo)
+
+
+@pytest.mark.parametrize(
+    "text, most, exact",
+    # at the first-boundary cut these took 783, 633 and 58 states
+    [("1*" * 15, 226, False), ("1*" * 12 + "1", 168, False), ("1" * 29 + "*", 58, True)],
+)
+def test_least_rotation_cut_bounds_the_states(text, most, exact, monkeypatch):
+    from freeunitary import cumulants
+
+    memo = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+    z_recursive(text)
+    states = len({_canonical(key) for key in memo})
+    assert states == most if exact else states <= most
 
 
 def test_zpolynomial_rejects_bad_shapes():

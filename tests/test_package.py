@@ -167,7 +167,7 @@ def test_value_classes_share_one_equality_hash_and_immutability(name):
 
     cls = getattr(freeunitary, name)
     assert issubclass(cls, Frozen)
-    assert not {"__eq__", "__hash__", "__setattr__"} & set(vars(cls))
+    assert not {"__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls))
     make_a, make_b = VALUES[name]
     a, b = make_a(), make_b()
     assert a == make_a() and hash(a) == hash(make_a())
@@ -180,4 +180,9 @@ def test_value_classes_share_one_equality_hash_and_immutability(name):
             setattr(a, slot, getattr(b, slot))
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         a.extra = 1
+    for slot in cls.__slots__:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(a, slot)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        del a.extra
     assert a == make_a()

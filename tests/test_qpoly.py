@@ -298,6 +298,12 @@ def test_poly_is_immutable():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p._num = (5,)
+    q = QuasiPoly({0: 1, -2: p})
+    for value, name in ((p, "Poly"), (q, "QuasiPoly")):
+        for slot in type(value).__slots__:
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                delattr(value, slot)
+    assert p == Poly([1, 2]) and q == QuasiPoly({0: 1, -2: Poly([1, 2])})
 
 
 # ---------------------------------------------------------------------------
