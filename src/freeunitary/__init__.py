@@ -3,7 +3,7 @@
 Everything is computed in exact rational arithmetic over the
 quasi-polynomial ring Q[t, e^{-t/2}]; floats appear only when a caller
 asks for a numeric evaluation at a specific time, and mpmath is imported
-only then (QuasiPoly.eval, pde_residual, i_quadrature).
+only then (QuasiPoly.eval, pde_residual).
 
 The layers are bound on first use: importing the package, or one of its
 submodules such as freeunitary.cli, loads no layer it does not need.  The
@@ -23,7 +23,6 @@ _EXPORTS = {
     "Poly": "qpoly",
     "QuasiPoly": "qpoly",
     "poly_text": "qpoly",
-    "quasipoly_from_json": "qpoly",
     "NCPartition": "ncpart",
     "catalan": "ncpart",
     "enumerate_nc": "ncpart",
@@ -57,7 +56,6 @@ _EXPORTS = {
     "xi_by_recursion": "alternating",
     "check_f_identity": "laplace",
     "f_bivariate": "laplace",
-    "i_quadrature": "laplace",
     "suffix_star_cumulant": "laplace",
     "u_poly": "laplace",
     "v_k1_closed": "laplace",

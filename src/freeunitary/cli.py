@@ -491,14 +491,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_eval(argv: Sequence[str]) -> list[str]:
+    """The arguments with --eval T (or an abbreviation such as --ev T)
+    written as --eval=T when T is negative.
+
+    argparse reads a value that starts with - as an option unless it is a
+    plain negative decimal, so -1/2 and -1e-3 would leave --eval without one.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (flag[:3] == "--e" and "--eval".startswith(flag)
+                and arg[:1] == "-" and arg[1:2] in tuple("0123456789.")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_eval(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         if getattr(args, "eval", None) is not None:  # before any sum runs
+            if args.format != "text":
+                raise StructureError(f"--eval and --format {args.format} cannot be combined")
             args.eval = _parse_fraction(args.eval)
             if abs(args.eval) > 10**MAX_EVAL_EXPONENT:
                 raise SizeError(f"--eval |T| > 10^MAX_EVAL_EXPONENT = 10^{MAX_EVAL_EXPONENT}")

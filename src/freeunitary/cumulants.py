@@ -13,13 +13,13 @@ over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
-weights, grouped by the multiset of nonzero block excesses; polynomial
-products are formed once per multiset (46 of them for the alternating
-word of length 12, against 208 012 partitions).  The per-partition sum is
-kept as a test oracle.  The stationary limit and the first-order
-coefficient of the approach to it, grades 0 and 1 of the cumulant, are
-read from the paper's closed forms in O(|w|); the verify suites check
-them against the recursion's grades.
+weights, grouped by the multiset of block excesses (ncpart.block_sum);
+polynomial products are formed once per multiset (102 of them for the
+alternating word of length 12, against 208 012 partitions).  The
+per-partition sum is kept as a test oracle.  The stationary limit and
+the first-order coefficient of the approach to it, grades 0 and 1 of the
+cumulant, are read from the paper's closed forms in O(|w|); the verify
+suites check them against the recursion's grades.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
-from .qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
+from .qpoly import Poly, QuasiPoly, sum_of_products
 
 Z_LIMIT = 12
 
@@ -164,33 +164,17 @@ def _signed_catalan(k: int) -> int:
 def _mobius_value(letters: Letters) -> QuasiPoly:
     """Raw Moebius-sum evaluation, no canonicalization or caching.
 
-    A block contributes the moment Q_d y^d of its letter excess d, so a
-    partition's term depends only on the multiset of its nonzero block
-    excesses.  The Moebius weights are summed per multiset first, and one
-    product of moment polynomials is formed per multiset.
+    A block contributes the moment Q_d y^d of its letter excess d (1 when
+    d = 0), so a partition's term depends only on the multiset of its block
+    excesses, and ncpart.block_sum forms one product per multiset.
     """
-    from .ncpart import _weight_table
+    from .ncpart import _weight_table, block_sum
 
-    weights: dict[tuple[int, ...], int] = {}
-    for blocks, moeb in _weight_table(len(letters)):
-        excesses = []
-        for blk in blocks:
-            d = sum(letters[i - 1] for i in blk)
-            if d:
-                excesses.append(abs(d))
-        key = tuple(sorted(excesses))
-        weights[key] = weights.get(key, 0) + moeb
-    acc: dict[int, Poly] = {}
-    for key, weight in weights.items():
-        if not weight:
-            continue
-        poly = POLY_ONE
-        for d in key:
-            poly = poly * biane_Q(d)
-        e2 = -sum(key)
-        contrib = poly * weight
-        acc[e2] = acc[e2] + contrib if e2 in acc else contrib
-    return QuasiPoly(acc)
+    return block_sum(
+        _weight_table(len(letters)),
+        lambda blk: abs(sum(letters[i - 1] for i in blk)),
+        lambda d: QuasiPoly({-d: biane_Q(d)}) if d else 1,
+    )
 
 
 _MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}

@@ -4,9 +4,8 @@ Words of the shape 1^k *^l admit a closed two-term description: the
 cumulant equals a prefactor times (U y^(k+l) + V y^(k+l-2)), where U and V
 are integer-coefficient polynomials obtained by applying the elementary
 Laplace rule  integral_0^inf exp(-x s) s^m ds = m!/x^(m+1)  to explicit
-polynomial integrands. A finite-interval integral I relates U and V; an
-adaptive Gauss-Legendre quadrature of I serves as an independent numeric
-oracle for the whole pipeline.
+polynomial integrands. A finite-interval integral I relates U and V; the
+tests check the whole pipeline against a quadrature of I.
 """
 
 from __future__ import annotations
@@ -93,34 +92,6 @@ def suffix_star_cumulant(k: int) -> QuasiPoly:
     vk1 = v_k1_closed(k + 1) * Fraction(1, math.factorial(k))
     sign = (-1) ** (k - 1)
     return QuasiPoly({-(k - 1): vk * sign, -(k + 1): vk1 * (-sign)})
-
-
-def i_quadrature(k: int, l: int, t, prec_bits: int = 200) -> mpmath.mpf:
-    """Numeric value of integral_0^1 exp(-ts) s^2 (s+k-1)^(k-2) (s+l-1)^(l-2) ds.
-
-    Adaptive Gauss-Legendre; interior nodes keep the s = 0 factor harmless
-    when k = 1 or l = 1.
-    """
-    import mpmath
-
-    _check_kl(k, l)
-    with mpmath.workprec(prec_bits):
-        if isinstance(t, Fraction):
-            tv = mpmath.mpf(t.numerator) / t.denominator
-        else:
-            tv = mpmath.mpf(t)
-
-        def f(s):
-            if s == 0:
-                return mpmath.mpf(0)
-            return (
-                mpmath.exp(-tv * s)
-                * s**2
-                * (s + k - 1) ** (k - 2)
-                * (s + l - 1) ** (l - 2)
-            )
-
-        return +mpmath.quad(f, [0, 1], method="gauss-legendre")
 
 
 def f_bivariate(order: int) -> dict[tuple[int, int], QuasiPoly]:

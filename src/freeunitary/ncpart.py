@@ -4,7 +4,8 @@ Provides one enumeration, a lazy first-block recursion over the
 partitions whose blocks are each of one colour under a colouring of the
 ground set (the whole lattice is the one-colour case), the Kreweras
 complement, and Moebius function values between a partition and the
-bottom / top elements of the lattice. All values are exact.  The
+bottom / top elements of the lattice, and block_sum, the one weighted
+sum of block products over partitions. All values are exact.  The
 lattice order, join and restriction, which only the tests use, live in
 tests/oracles.py, with a brute-force enumeration that shares no code
 with the recursion.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Frozen, SizeError, StructureError
 
@@ -245,3 +246,26 @@ def _weight_table(n: int) -> tuple[tuple[Blocks, int], ...]:
         out.append((blocks, _moebius_from_zero_blocks(kr)))
     return tuple(out)
 
+
+def block_sum(weighted: Iterable[tuple[Blocks, int]], key: Callable, value: Callable):
+    """Sum over the (blocks, weight) pairs of weight * prod value(key(B)), B in blocks.
+
+    The integer weights are summed per sorted multiset of block keys first;
+    one product is formed per multiset of nonzero weight, and value is read
+    once per key.
+    """
+    grouped: dict[tuple, int] = {}
+    for blocks, weight in weighted:
+        keys = tuple(sorted(map(key, blocks)))
+        grouped[keys] = grouped.get(keys, 0) + weight
+    values: dict = {}
+    total = 0
+    for keys, weight in grouped.items():
+        if weight:
+            term = weight
+            for k in keys:
+                if k not in values:
+                    values[k] = value(k)
+                term = term * values[k]
+            total = total + term
+    return total

@@ -437,18 +437,6 @@ def _merge(a: tuple, b: tuple, negate: bool) -> QuasiPoly:
     return _quasi(sorted([(e2, p) for e2, p in acc.items() if p._num], reverse=True))
 
 
-def quasipoly_from_json(data: Mapping) -> QuasiPoly:
-    """Inverse of QuasiPoly.to_json_dict; extra keys are ignored."""
-    terms = {}
-    for item in data["terms"]:
-        e2 = int(item["exp2"])
-        p = Poly(tuple(Fraction(s) for s in item["coeffs"]))
-        if e2 in terms:
-            raise ValueError(f"duplicate exp2 {e2}")
-        terms[e2] = p
-    return QuasiPoly(terms)
-
-
 # ---------------------------------------------------------------------------
 # text / LaTeX emitters
 

@@ -5,10 +5,11 @@ its joint *-cumulants are supported on alternating words and collapse to
 two scalar sequences.  The determining sequence alpha_k and the
 infinitesimal determining sequence beta_k (the first-order coefficient
 of the approach to stationarity) both arise as Moebius sums over NC(k)
-whose block factors are cumulants with q- or q^2-entries; one loop
+whose block factors are cumulants with q- or q^2-entries; one sum
 serves both, with the block holding k taking a plain q for beta_k.
 Each block cumulant is a Moebius sum over NC(block size) of moments of
-q, so neither sequence enumerates more than NC(k).
+q, so neither sequence enumerates more than NC(k).  These sums and the
+expansion below are each one ncpart.block_sum over a key of the block.
 beta_k also has an independent expansion: a signed-Catalan weighted sum
 over the partitions of {1,...,2n} cut out by five structural conditions.
 That support set is built here twice, by filtering the block-pure part
@@ -36,6 +37,7 @@ from .ncpart import (
     NCPartition,
     _parts,
     _weight_table,
+    block_sum,
     catalan,
     enumerate_nc,
     kreweras,
@@ -44,7 +46,7 @@ from .ncpart import (
 Rat = Union[int, Fraction]
 
 BRUTE_LIMIT = 14  # 2n for a word of length n
-MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.2 s
+MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.05 s
 STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
 
 
@@ -141,13 +143,11 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
                      for i in range(j - s + 1)]
             m += kappas[s - 1] * power[j - s]
         moments.append(m)
-    total = Fraction(0)
-    for blocks, moeb in _weight_table(len(widths)):
-        term = Fraction(moeb)
-        for block in blocks:
-            term *= moments[sum(widths[i - 1] for i in block)]
-        total += term
-    return total
+    return block_sum(
+        _weight_table(len(widths)),
+        lambda block: sum(widths[i - 1] for i in block),
+        moments.__getitem__,
+    )
 
 
 def _check_k_max(k_max: int) -> None:
@@ -178,17 +178,14 @@ def _determining(d: Distribution, k_max: int, marked: bool) -> list:
     q in its last slot."""
     _check_k_max(k_max)
     check_cumulants(d, k_max, marked)
-    out = []
-    for k in range(1, k_max + 1):
-        total = Fraction(0)
-        for blocks, moeb in _weight_table(k):
-            term = Fraction(moeb)
-            for block in blocks:
-                last = 1 if marked and block[-1] == k else 2
-                term *= mixed_q_cumulant(d, (2,) * (len(block) - 1) + (last,))
-            total += term
-        out.append(total)
-    return out
+
+    def factor(key):  # (block size, whether the block holds k)
+        return mixed_q_cumulant(d, (2,) * (key[0] - 1) + (1 if key[1] else 2,))
+
+    return [
+        block_sum(_weight_table(k), lambda block: (len(block), marked and block[-1] == k), factor)
+        for k in range(1, k_max + 1)
+    ]
 
 
 def alpha_sequence(d: Distribution, k_max: int) -> list:
@@ -335,27 +332,6 @@ def nc_omega(w: Union[Word, str]) -> OmegaNC:
     return OmegaNC(word, _nc_omega_cached(word.letters))
 
 
-def _term_u(blocks, u_set) -> int:
-    """Signed-Catalan weight carried by the unitary blocks."""
-    val = 1
-    for block in blocks:
-        if block[0] not in u_set:
-            continue
-        size = len(block)
-        half = (size - 1) // 2 if size % 2 else (size - 2) // 2
-        val *= (-1) ** half * catalan(half)
-    return val
-
-
-def _term_q(blocks, u_set, d: Distribution) -> Fraction:
-    """Product of plain q-cumulants over the q-blocks."""
-    val = Fraction(1)
-    for block in blocks:
-        if block[0] not in u_set:
-            val *= d.kappa(len(block))
-    return val
-
-
 def beta_enumeration(
     d: Distribution,
     w: Union[Word, str],
@@ -376,10 +352,14 @@ def beta_enumeration(
             raise StructureError("partitions were built for a different word")
         onc = partitions
     u_set = u_indices(word)
-    total = Fraction(0)
-    for p in onc.partitions:
-        total += _term_u(p.blocks, u_set) * _term_q(p.blocks, u_set, d)
-    return total
+
+    def factor(key):
+        unitary, size = key
+        h = (size - 1) // 2
+        return (-1) ** h * catalan(h) if unitary else d.kappa(size)
+
+    weighted = ((p.blocks, 1) for p in onc.partitions)
+    return Fraction(block_sum(weighted, lambda block: (block[0] in u_set, len(block)), factor))
 
 
 def _fat_odd_block(block: Sequence[int]) -> tuple:

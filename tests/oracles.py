@@ -14,17 +14,24 @@ support-set filter over all of NC(2n) is the reference for
 rdiag.nc_omega, which filters only block-pure partitions; the
 products-as-arguments sum over NC(n), filtered by connectivity with the
 interval grouping, is the reference for rdiag.mixed_q_cumulant, which
-sums moments over NC(r); the non-crossing members of all set partitions
-are the reference for the lattice enumeration, and share no code with
-its recursion.  Nothing in the package needs them.
+sums moments over NC(r); one-variable series, with no lattice, are the
+reference for rdiag.alpha_sequence and rdiag.beta_mobius; the
+non-crossing members of all set partitions are the reference for the
+lattice enumeration, and share no code with its recursion.  The
+quadrature of the finite-interval integral checks the Laplace route
+numerically, and quasipoly_from_json reads back the JSON the CLI prints.
+Nothing in the package needs them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable
+
+import mpmath
 
 from freeunitary.errors import SizeError, StructureError
 from freeunitary.moments import Word, biane_Q
@@ -37,6 +44,7 @@ from freeunitary.ncpart import (
     _weight_table,
     enumerate_nc,
 )
+from freeunitary.laplace import _check_kl
 from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly
 from freeunitary.rdiag import _connects, _omega_failure, u_indices
 
@@ -326,3 +334,97 @@ def mixed_q_filter(widths: tuple, kappas: tuple) -> Fraction:
                 term *= kappas[len(block) - 1]
             total += term
     return total
+
+
+def _series_mul(a: list, b: list) -> list:
+    """Product of two power series, truncated to the length of a."""
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
+
+
+def moment_series(kappas: Iterable) -> list:
+    """[1, m_1, ..., m_N] from kappa_1..kappa_N by M(z) = 1 + sum_s kappa_s z^s M(z)^s.
+
+    M is iterated from 1; each pass fixes one more coefficient, so N
+    passes reach the fixed point m_n = sum_s kappa_s [z^(n-s)] M(z)^s.
+    """
+    kappas = [Fraction(k) for k in kappas]
+    m = [Fraction(1)] + [Fraction(0)] * len(kappas)
+    for _ in kappas:
+        new, power = [Fraction(1)] + [Fraction(0)] * len(kappas), m
+        for s, kappa in enumerate(kappas, start=1):
+            for n in range(s, len(m)):
+                new[n] += kappa * power[n - s]
+            power = _series_mul(power, m)
+        m = new
+    return m
+
+
+def cumulant_series(targets: list, base: list) -> list:
+    """[1, x_1, ..., x_N] solving targets[n] = sum_s x_s [z^(n-s)] B(z)^s
+    for n = 1..N, where B(z) = sum_j base[j] z^j and base[0] = 1.
+
+    With base = targets these are the cumulants of the moments targets;
+    with base the moments of the other entries, they are the cumulants
+    whose last entry is marked.
+    """
+    powers = [[Fraction(1)] + [Fraction(0)] * (len(targets) - 1)]
+    for _ in targets[1:]:
+        powers.append(_series_mul(powers[-1], base))
+    x = [Fraction(1)]
+    for n in range(1, len(targets)):
+        x.append(targets[n] - sum(x[s] * powers[s][n - s] for s in range(1, n)))
+    return x
+
+
+def series_alpha_beta(kappas: Iterable, k_max: int) -> tuple[list, list]:
+    """alpha_1..alpha_k_max and beta_1..beta_k_max from the q-cumulants
+    kappa_1..kappa_(2 k_max), by one-variable series alone.
+
+    The moments of q give those of q^2 (m_2n) and the cumulants
+    kappa_n(q^2, ..., q^2); alpha is the cumulant sequence of those read as
+    moments.  The odd moments m_(2n-1) give kappa_n(q^2, ..., q^2, q), and
+    beta is the marked cumulant sequence of those against the same moments.
+    """
+    m = moment_series(list(kappas)[: 2 * k_max])
+    squares = m[::2]
+    c = cumulant_series(squares, squares)
+    c_marked = cumulant_series([Fraction(1)] + m[1::2], squares)
+    return cumulant_series(c, c)[1:], cumulant_series(c_marked, c)[1:]
+
+
+def i_quadrature(k: int, l: int, t, prec_bits: int = 200) -> mpmath.mpf:
+    """Numeric value of integral_0^1 exp(-ts) s^2 (s+k-1)^(k-2) (s+l-1)^(l-2) ds.
+
+    Adaptive Gauss-Legendre; interior nodes keep the s = 0 factor harmless
+    when k = 1 or l = 1.
+    """
+    _check_kl(k, l)
+    with mpmath.workprec(prec_bits):
+        if isinstance(t, Fraction):
+            tv = mpmath.mpf(t.numerator) / t.denominator
+        else:
+            tv = mpmath.mpf(t)
+
+        def f(s):
+            if s == 0:
+                return mpmath.mpf(0)
+            return (
+                mpmath.exp(-tv * s)
+                * s**2
+                * (s + k - 1) ** (k - 2)
+                * (s + l - 1) ** (l - 2)
+            )
+
+        return +mpmath.quad(f, [0, 1], method="gauss-legendre")
+
+
+def quasipoly_from_json(data: Mapping) -> QuasiPoly:
+    """Inverse of QuasiPoly.to_json_dict; extra keys are ignored."""
+    terms = {}
+    for item in data["terms"]:
+        e2 = int(item["exp2"])
+        p = Poly(tuple(Fraction(s) for s in item["coeffs"]))
+        if e2 in terms:
+            raise ValueError(f"duplicate exp2 {e2}")
+        terms[e2] = p
+    return QuasiPoly(terms)

@@ -26,7 +26,6 @@ from freeunitary import (
     haar_cumulant,
     haar_derivative,
     haar_limit,
-    i_quadrature,
     is_alternating,
     lambda_series,
     nc_omega,
@@ -46,6 +45,7 @@ from freeunitary import (
 )
 from freeunitary.laplace import check_f_identity
 from freeunitary.rdiag import mixed_q_cumulant
+from oracles import i_quadrature
 
 SEED = 20260813
 

@@ -13,9 +13,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from freeunitary import quasipoly_from_json, z_mobius
+from freeunitary import z_mobius
 from freeunitary.cli import DEFAULT_SEED, run
 from freeunitary.verify import SUITES
+from oracles import quasipoly_from_json
 
 
 def _capture(capsys):
@@ -66,6 +67,55 @@ def test_zpoly_eval(capsys):
 
 def test_zpoly_grade_eval_conflict(capsys):
     assert run(["zpoly", "1*", "--grade", "0", "--eval", "1"]) == 2
+
+
+EVAL_COMMANDS = [["zpoly", "11*"], ["xi", "--n", "3"], ["moments", "--word", "11*"]]
+
+
+@pytest.mark.parametrize("argv", EVAL_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("t", ["-1/2", "-1e-3", "-0.5", "-.25", "-2"])
+def test_negative_eval_reads_as_a_value_in_every_form(argv, t, capsys):
+    # argparse takes only plain negative decimals as option values; the
+    # fraction and exponent forms must read as if written --eval=T
+    assert run([*argv, "--eval=" + t]) == 0
+    joined = _capture(capsys)[0]
+    for flag in ("--eval", "--ev"):
+        assert run([*argv, flag, t]) == 0
+        out, err = _capture(capsys)
+        assert out == joined and err == ""
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [["--eval"], ["--eval", "--prec", "64"], ["--eval", "-x"], ["--eval", "-1e301"]],
+    ids=" ".join,
+)
+def test_eval_without_a_usable_value_exits_2(tail, capsys):
+    assert run(["zpoly", "1*", *tail]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "Traceback" not in err
+    if tail[-1] == "-1e301":
+        assert "10^MAX_EVAL_EXPONENT = 10^300" in err
+    else:
+        assert "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv", EVAL_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_eval_refuses_a_format_other_than_text_before_any_sum(argv, fmt, monkeypatch, capsys):
+    # --eval prints a bare decimal, which is not one JSON object nor LaTeX
+    from freeunitary import alternating, cumulants, moments
+
+    def never(*args):
+        raise AssertionError("a sum ran before the refusal")
+
+    monkeypatch.setattr(cumulants, "z_recursive", never)
+    monkeypatch.setattr(alternating, "xi_by_recursion", never)
+    monkeypatch.setattr(moments, "m_poly", never)
+    assert run([*argv, "--eval", "1", "--format", fmt]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert f"--eval and --format {fmt} cannot be combined" in err
 
 
 def test_zpoly_refuses_a_negative_grade(capsys):

@@ -10,7 +10,6 @@ from freeunitary import (
     Poly,
     QuasiPoly,
     SizeError,
-    i_quadrature,
     suffix_star_cumulant,
     u_poly,
     v_k1_closed,
@@ -20,6 +19,7 @@ from freeunitary import (
 )
 from freeunitary import laplace
 from freeunitary.laplace import check_f_identity, f_bivariate
+from oracles import i_quadrature
 
 # Frozen anchors for the two polynomial families.
 FROZEN_UV = {

@@ -43,7 +43,6 @@ PUBLIC = [
     "haar_cumulant",
     "haar_derivative",
     "haar_limit",
-    "i_quadrature",
     "is_alternating",
     "kreweras",
     "lagrange_lambda",
@@ -57,7 +56,6 @@ PUBLIC = [
     "pde_residual",
     "pde_z_coefficient",
     "poly_text",
-    "quasipoly_from_json",
     "suffix_star_cumulant",
     "switch_number",
     "u_poly",

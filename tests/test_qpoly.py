@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freeunitary import Poly, QuasiPoly, poly_text, quasipoly_from_json
+from freeunitary import Poly, QuasiPoly, poly_text
 from freeunitary.qpoly import sum_of_products
+from oracles import quasipoly_from_json
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys = st.builds(Poly, st.lists(rationals, max_size=5))

@@ -32,8 +32,8 @@ from freeunitary import (
 )
 from freeunitary import rdiag
 from freeunitary.ncpart import MAX_GROUND_SIZE, _weight_table
-from freeunitary.rdiag import MOBIUS_K_LIMIT, u_indices
-from oracles import mixed_q_filter, nc_omega_filter
+from freeunitary.rdiag import MOBIUS_K_LIMIT, STRUCTURED_LIMIT, u_indices
+from oracles import mixed_q_filter, nc_omega_filter, series_alpha_beta
 
 EXAMPLE_BLOCKS = sorted(
     [
@@ -154,6 +154,27 @@ def test_alpha_beta_at_q_equal_one_are_signed_catalans():
         assert value == (-1) ** (k - 1) * catalan(k - 1)
 
 
+def test_series_oracle_at_known_values():
+    k = SAMPLE.kappa
+    alpha, beta = series_alpha_beta(SAMPLE.cumulants, 2)
+    assert alpha == [k(2) + k(1) ** 2, (
+        k(4) + 4 * k(3) * k(1) + k(2) ** 2 + 4 * k(2) * k(1) ** 2
+    ) - (k(2) + k(1) ** 2) ** 2]
+    assert beta == [k(1), k(3) + k(2) * k(1) - k(1) ** 3]
+    signed_catalans = [(-1) ** (j - 1) * catalan(j - 1) for j in range(1, 9)]
+    assert series_alpha_beta([1] + [0] * 15, 8) == (signed_catalans, signed_catalans)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_alpha_and_beta_match_the_series_oracle_up_to_the_cap(seed):
+    # unlike q = 1, where only kappa_1 is nonzero, random data gives every
+    # block shape of NC(k) a factor of its own
+    d = Distribution.random_small(Random(seed), 2 * MOBIUS_K_LIMIT)
+    alpha, beta = series_alpha_beta(d.cumulants, MOBIUS_K_LIMIT)
+    assert alpha_sequence(d, MOBIUS_K_LIMIT) == alpha
+    assert beta_mobius(d, MOBIUS_K_LIMIT) == beta
+
+
 # every pattern of 1s and 2s with at most 8 letters in all
 PATTERNS_UP_TO_8 = [
     pattern
@@ -254,11 +275,13 @@ def test_nc_omega_equals_filter_over_all_of_nc_2n(n):
 
 def test_enumeration_matches_mobius_on_random_data():
     rng = Random(99)
+    support = nc_omega_structured(STRUCTURED_LIMIT)
     for _ in range(5):
         d = Distribution.random_small(rng, 8)
-        bm = beta_mobius(d, 3)
+        bm = beta_mobius(d, STRUCTURED_LIMIT)
         assert beta_enumeration(d, "1*1") == bm[1]
         assert beta_enumeration(d, "1*1*1") == bm[2]
+        assert beta_enumeration(d, "1*1*1*1", partitions=support) == bm[3]
 
 
 def test_structured_generator_equals_brute_force():
