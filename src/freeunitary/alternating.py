@@ -3,17 +3,19 @@
 The cumulant attached to the strictly alternating word of length 2n is a
 quasi-polynomial xi_n(t).  Three independent computations produce it: a
 quadratic first-order ODE recursion solved exactly with an integrating
-factor, the generic Moebius sum over NC(2n), and a compositional
-inversion of the expansion of an exponential-rational map chi around its
-zero.  With g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2,
-so Lagrange-Buermann gives each [z^n] L^m of the inverse 1 + L(z) as a
-finite sum of binomials, with no series product: lagrange_lambda (the
-working route) and xi_by_inversion (L and L^2) read it.  The triangular
-solve against the computed expansion (lambda_series) is its oracle.  The
-truncated generating function H = 1/2 + sum xi_n z^n obeys the
-inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z; the module checks
-that identity exactly on z-coefficients and numerically on grids, where
-only the truncation itself contributes a defect.
+factor, the generic Moebius sum over NC(2n), and Lagrange-Buermann
+inversion of an exponential-rational map chi around its zero.  With
+g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2, so each
+[z^n] L^m of the inverse 1 + L(z) is a finite sum of binomials, with no
+series product: lagrange_lambda (the working route for lambda_n) reads
+it, and the triangular solve against the computed expansion
+(lambda_series) is its oracle.  Since H = (1+L)/(1+g(L)) - (1+L)/2,
+xi_by_inversion reads each xi_n as one such sum of integers, with no
+lower xi_m; it is the fastest route.  The truncated generating function
+H = 1/2 + sum xi_n z^n obeys the inviscid-Burgers-type equation
+dH/dt + 2 z H dH/dz = z; the module checks that identity exactly on
+z-coefficients and numerically on grids, where only the truncation
+itself contributes a defect.
 """
 
 from __future__ import annotations
@@ -333,25 +335,54 @@ def lagrange_lambda(order: int) -> TruncSeries1:
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
-def xi_by_inversion(n_max: int) -> XiSequence:
-    """Recover xi_n coefficientwise from the inverse-series coefficients.
+def _xi_closed(n: int) -> QuasiPoly:
+    """xi_n as one finite sum of integers by Lagrange-Buermann (Stanley, EC2 5.4).
 
-    Squaring H = 1/2 + sum xi_n z^n and the inverse series gives
-    xi_n = [n=1] + (1/2) lambda_n + (1/4) [z^n] L^2 - sum xi_m xi_{n-m},
-    a triangular recovery.  lambda_n and [z^n] L^2 are the m = 1 and
-    m = 2 closed-form sums of _lagrange_coeff, which form no series
-    product, and the xi convolution counts each pair {m, n - m} once, so
-    the recovery through N takes about N^2/4 products.
+    H = F(L) - (1+L)/2 with F(w) = (1+w)/(1+g), and [z^n] F(L) =
+    (1/n) [w^{n-1}] F'(w) (w / chi(1+w))^n.  With P = (1+g)^{2n-1},
+    F'(w) (1+g)^{2n} = P - (1+w) P' / (2n-1), and g' = g (2 + tw(2+w)) /
+    (w(2+w)).  Expanding both powers of 1 + g by the binomial theorem and
+    folding in -lambda_n / 2 through C(2n, j) = C(2n-1, j) + C(2n-1, j-1)
+    gives, with S_k = (2+w)^k (1+w)^{-2n} and R_k = (1+w) S_k,
+        (-1)^n n xi_n = -C(2n-2, n-1) + sum_{k=1}^n e^{-kt} ( a_k [w^{k-1}] e^{-ktw} S_k
+            - b_k [w^k] e^{-ktw} (2 R_{k-1} + tw R_k) ),
+    where a_k = (C(2n-1, n-k) - C(2n-1, n-k-1)) / 2 and b_k = C(2n-2, n-k-1).
+    S_0 is a binomial row and S_k = (2+w) S_{k-1}, all truncated at w^n.
+    Term k is e^{-kt} times a polynomial of degree k - 1 in t, built as
+    integer numerators over 2 k! n, so xi_n takes O(n^2) integer operations.
+    """
+    sign = (-1) ** n
+    s = [(-1) ** j * math.comb(2 * n + j - 1, j) for j in range(n + 1)]  # [w^j] S_0
+    r = [s[0]] + [s[j] + s[j - 1] for j in range(1, n + 1)]  # [w^j] R_0
+    terms = [(0, _poly([-sign * math.comb(2 * n - 2, n - 1)], n))]
+    fact = 1
+    for k in range(1, n + 1):
+        fact *= k
+        s = [2 * s[0]] + [2 * s[j] + s[j - 1] for j in range(1, n + 1)]
+        r_prev, r = r, [s[0]] + [s[j] + s[j - 1] for j in range(1, n + 1)]
+        # 2 a_k and 2 b_k, over the common denominator 2 k! n
+        a2 = math.comb(2 * n - 1, n - k) - (math.comb(2 * n - 1, n - k - 1) if k < n else 0)
+        b2 = 2 * math.comb(2 * n - 2, n - k - 1) if k < n else 0
+        num = []
+        f_prev, f = 0, fact  # (-k)^c k!/c! at c = d - 1 and c = d
+        for d in range(k):
+            tail = 2 * f * r_prev[k - d] + f_prev * r[k - d]
+            num.append(sign * (a2 * f * s[k - 1 - d] - b2 * tail))
+            f_prev, f = f, f * -k // (d + 1)
+        terms.append((-2 * k, _poly(num, 2 * n * fact)))
+    return _quasi(terms)
+
+
+def xi_by_inversion(n_max: int) -> XiSequence:
+    """Each xi_n in closed form from the compositional inverse 1 + L of chi.
+
+    xi_n is the one integer sum of _xi_closed: no series product, no
+    [z^n] L^2, no xi convolution and no lower xi_m, so every n stands
+    alone and is independent of the ODE recursion, which is its oracle.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    xs: list[QuasiPoly] = []
-    for n in range(1, n_max + 1):
-        acc = QuasiPoly.constant(1) if n == 1 else QuasiPoly()
-        acc = acc + _lagrange_coeff(n, 1).scale(Fraction(1, 2))
-        acc = acc + _lagrange_coeff(n, 2).scale(Fraction(1, 4))
-        xs.append(acc - _self_convolution(xs, n))
-    return XiSequence(xs, "inversion")
+    return XiSequence([_xi_closed(n) for n in range(1, n_max + 1)], "inversion")
 
 
 def chi_roundtrip_defect(order: int) -> TruncSeries1:

@@ -416,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=("recursion", "mobius", "inversion", "all"),
-        default="recursion",
+        default="inversion",
+        help="computation route (inversion, one closed sum per n, is the fastest; recursion "
+        "is its oracle; mobius reaches n <= Z_LIMIT/2); all cross-checks and exits 1 on mismatch",
     )
     p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
     _add_format(p)

@@ -325,11 +325,8 @@ class QuasiPoly:
         return _quasi(above + ([(0, zero)] if zero._num else []) + below)
 
     def value_at_zero(self) -> Fraction:
-        """Exact value at t = 0."""
-        out = Fraction(0)
-        for _, p in self._terms:
-            out += p(Fraction(0))
-        return out
+        """Exact value at t = 0: the sum of the constant coefficients."""
+        return sum((Fraction(p._num[0], p._den) for _, p in self._terms), Fraction(0))
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""

@@ -1,5 +1,6 @@
 """Unit tests for the three xi routes, the inverse series, and the PDE check."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -192,16 +193,35 @@ def test_closed_form_square_equals_the_triangular_square():
         assert _lagrange_coeff(n, 2) == square.coeff(n)
 
 
-def test_inversion_route_expands_no_chi(monkeypatch):
+def test_inversion_route_forms_no_product_and_reads_no_lower_xi(monkeypatch):
+    # Each xi_n is one closed integer sum: no series or QuasiPoly product, no
+    # xi convolution, no expansion of chi and no recursion, so every n stands alone.
     from freeunitary import alternating
 
-    want = xi_by_recursion(10).entries
+    want = xi_by_recursion(24).entries
 
     def refuse(*args):
-        raise AssertionError("the inversion route must not expand chi")
+        raise AssertionError("the inversion route must form no product and no lower xi")
 
-    monkeypatch.setattr(alternating, "chi_expansion", refuse)
-    assert xi_by_inversion(10).entries == want
+    for name in ("sum_of_products", "_self_convolution", "chi_expansion", "xi_by_recursion"):
+        monkeypatch.setattr(alternating, name, refuse)
+    monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
+    assert xi_by_inversion(24).entries == want
+    for n in (1, 2, 7, 24):
+        assert alternating._xi_closed(n) == want[n - 1]
+    for n, row in FROZEN_XI.items():
+        assert xi_by_inversion(n).xi(n) == row
+
+
+def test_inversion_equals_recursion_at_forty():
+    assert xi_by_inversion(40).entries == xi_by_recursion(40).entries
+
+
+def test_grade_two_is_a_signed_binomial():
+    # grade 2 of xi_n is the e^{-t} term: (-1)^n C(2n, n-1)
+    seq = xi_by_inversion(40)
+    for n in range(1, 41):
+        assert seq.xi(n).grade(2) == Poly(((-1) ** n * math.comb(2 * n, n - 1),))
 
 
 def test_chi_roundtrip_is_exact():

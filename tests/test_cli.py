@@ -708,6 +708,27 @@ def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, cap
     assert "Moebius limit Z_LIMIT = 12" in err and "Traceback" not in err
 
 
+def _xi_stdout(capsys, *argv):
+    assert run(["xi", *argv]) == 0
+    out, err = _capture(capsys)
+    assert err == ""
+    return out
+
+
+def test_xi_default_route_prints_what_the_recursion_prints(monkeypatch, capsys):
+    from freeunitary import alternating
+
+    calls = []
+    real = alternating.xi_by_inversion
+    monkeypatch.setattr(alternating, "xi_by_inversion", lambda n: calls.append(n) or real(n))
+    for k in range(1, 13):
+        default = _xi_stdout(capsys, "--n", str(k))
+        assert default == _xi_stdout(capsys, "--n", str(k), "--method", "recursion")
+    assert calls == list(range(1, 13))  # the default is the inversion route
+    rec = _xi_stdout(capsys, "--n", "30", "--method", "recursion")
+    assert _xi_stdout(capsys, "--n", "30", "--method", "inversion") == rec
+
+
 def test_eval_at_the_bound_prints_a_value(capsys):
     assert run(["zpoly", "1*", "--eval", "1e300"]) == 0
     assert _capture(capsys)[0] == "1.0\n"
