@@ -2,18 +2,20 @@
 
 The cumulant attached to the strictly alternating word of length 2n is a
 quasi-polynomial xi_n(t).  Three independent computations produce it: a
-quadratic first-order ODE recursion solved exactly with an integrating
-factor, the generic Moebius sum over NC(2n), and Lagrange-Buermann
-inversion of an exponential-rational map chi around its zero.  With
+quadratic first-order ODE recursion, each step one exact linear solve,
+the generic Moebius sum over NC(2n), and Lagrange-Buermann inversion of
+an exponential-rational map chi around its zero.  With
 g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2, so each
-[z^n] L^m of the inverse 1 + L(z) is a finite sum of binomials, with no
-series product: lagrange_lambda (the working route for lambda_n) reads
-it, and the triangular solve against the computed expansion
-(lambda_series) is its oracle.  Since H = (1+L)/(1+g(L)) - (1+L)/2,
-xi_by_inversion reads each xi_n as one such sum of integers, with no
-lower xi_m; it is the fastest route.  The truncated generating function
-H = 1/2 + sum xi_n z^n obeys the inviscid-Burgers-type equation
-dH/dt + 2 z H dH/dz = z; the module checks that identity exactly on
+lambda_n = [z^n] L of the inverse 1 + L(z) is a finite sum of binomials,
+with no series product: lagrange_lambda (the working route for lambda_n)
+reads it.  Since H = (1+L)/(1+g(L)) - (1+L)/2, xi_by_inversion reads
+each xi_n as one such sum of integers, with no lower xi_m; it is the
+fastest route.  The truncated generating function H = 1/2 + sum xi_n z^n
+obeys the inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z, which
+is the ODE recursion; with H^2 = z + ((1+L)/2)^2 it gives each lambda_n
+from xi_n' and lower lambda_j, and lambda_series, the oracle of
+lagrange_lambda, reads L that way.  The round trip composes the
+expansion of chi with that L.  The module checks the equation exactly on
 z-coefficients and numerically on grids, where only the truncation
 itself contributes a defect.
 """
@@ -132,24 +134,30 @@ def _constant_fraction(q: QuasiPoly) -> Fraction:
     return q.grade(0).leading()
 
 
-def _monomial_inverse(q: QuasiPoly) -> QuasiPoly:
-    """Invert c * exp((e2/2) t); anything richer has no inverse in the ring."""
-    terms = q.terms
-    if len(terms) != 1:
-        raise StructureError("not an invertible monomial")
-    ((e2, p),) = terms.items()
-    if p.degree != 0:
-        raise StructureError("not an invertible monomial")
-    return QuasiPoly({-e2: Poly((1 / p.leading(),))})
+def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
+    """Return q after checking the structural facts every route's xi_n has.
+
+    xi_n vanishes at t = 0, only even half-exponents in [-2n, 0] occur,
+    the grade-0 part is the signed Catalan constant, and xi_1 is
+    1 - e^{-t}.
+    """
+    if q.value_at_zero() != 0:
+        raise StructureError(f"xi_{n}(0) must be 0")
+    for e2 in q.exp2_values():
+        if e2 > 0 or e2 < -2 * n or e2 % 2:
+            raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
+    want = _signed_catalan(n)
+    if q.grade(0) != Poly((want,)):
+        raise StructureError(f"xi_{n} constant term must be {want}")
+    if n == 1 and q != XI_ONE:
+        raise StructureError("xi_1 must be 1 - e^{-t}")
+    return q
 
 
 class XiSequence(Frozen):
     """Exact alternating cumulants xi_1..xi_n plus the route that made them.
 
-    The constructor enforces the structural facts every route must
-    deliver: xi_n vanishes at t = 0, only even half-exponents in
-    [-2n, 0] occur, the grade-0 part is the signed Catalan constant,
-    and the first entry is 1 - e^{-t}.
+    The constructor runs check_xi on every entry.
     """
 
     __slots__ = ("entries", "method")
@@ -161,16 +169,7 @@ class XiSequence(Frozen):
         if method not in XI_METHODS:
             raise StructureError(f"unknown method {method!r}")
         for n, q in enumerate(entries, start=1):
-            if q.value_at_zero() != 0:
-                raise StructureError(f"xi_{n}(0) must be 0")
-            for e2 in q.exp2_values():
-                if e2 > 0 or e2 < -2 * n or e2 % 2:
-                    raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
-            want = _signed_catalan(n)
-            if q.grade(0) != Poly((want,)):
-                raise StructureError(f"xi_{n} constant term must be {want}")
-        if entries[0] != XI_ONE:
-            raise StructureError("xi_1 must be 1 - e^{-t}")
+            check_xi(n, q)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "method", method)
 
@@ -187,35 +186,33 @@ class XiSequence(Frozen):
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
 
 
-def _self_convolution(terms: Sequence[QuasiPoly], n: int) -> QuasiPoly:
-    """sum_{m=1}^{n-1} c_m c_{n-m} with c_m = terms[m - 1].
+def _half_pairs(terms: Sequence[QuasiPoly], n: int) -> list:
+    """Pairs whose products sum to (1/2) sum_{m=1}^{n-1} c_m c_{n-m}, c_m = terms[m - 1].
 
-    The sum is symmetric in m <-> n - m, so each pair is multiplied once
-    and doubled, and when n is even the middle square enters the half as
-    mid * (mid / 2): floor(n/2) products instead of n - 1.
+    The sum is symmetric in m <-> n - m, so each pair {m, n - m} enters
+    once, and when n is even the middle square enters as mid * (mid / 2):
+    floor(n/2) products instead of n - 1.
     """
     pairs = [(terms[m - 1], terms[n - m - 1]) for m in range(1, (n + 1) // 2)]
     if n % 2 == 0:
         mid = terms[n // 2 - 1]
         pairs.append((mid, mid.scale(Fraction(1, 2))))
-    half = sum_of_products(pairs)
-    return half + half
+    return pairs
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
     """Solve the quadratic ODE recursion exactly, one linear IVP per n.
 
-    Each xi_n satisfies xi_n' + n xi_n = -n sum_{m<n} xi_m xi_{n-m} with
-    xi_n(0) = 0; multiplying by e^{nt} turns the step into a single
-    exact antiderivative.  The convolution counts each pair {m, n - m}
-    once, so xi_1..xi_N take about N^2/4 products.
+    Each xi_n satisfies xi_n' + n xi_n = -2n h_n with xi_n(0) = 0, where
+    h_n = (1/2) sum_{m<n} xi_m xi_{n-m}; QuasiPoly.solve_from_zero solves
+    that step in one integer pass.  The half-sum h_n counts each pair
+    {m, n - m} once, so xi_1..xi_N take about N^2/4 products.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
     xs: list[QuasiPoly] = [XI_ONE]
     for n in range(2, n_max + 1):
-        rhs = _self_convolution(xs, n).scale(-n)
-        xs.append(rhs.shift_exp2(2 * n).integrate_from_zero().shift_exp2(-2 * n))
+        xs.append(sum_of_products(_half_pairs(xs, n)).solve_from_zero(n, -2 * n))
     return XiSequence(xs, "recursion")
 
 
@@ -246,8 +243,8 @@ def chi_expansion(order: int) -> TruncSeries1:
     constant term 4.  The quotient is one series division, solved
     triangularly without forming the inverse of the denominator.
     Coefficients live in the ring extended by e^{+t}; the w^0
-    coefficient must cancel to zero exactly.  Only the oracle
-    lambda_series and the round trip read the expansion.
+    coefficient must cancel to zero exactly.  Only the round trip reads
+    the expansion.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
@@ -263,56 +260,50 @@ def chi_expansion(order: int) -> TruncSeries1:
 
 
 def lambda_series(order: int) -> TruncSeries1:
-    """Compositional inverse of the expansion, solved triangularly: the oracle.
+    """The inverse-series coefficients lambda_n read off the ODE recursion: the oracle.
 
-    Write the inverse as 1 + L(z) with L = lambda_1 z + lambda_2 z^2 + ...
-    The identity z = sum_m a_m L^m gives lambda_1 = 1/a_1, where a_1 =
-    -(1/2) e^t is the only coefficient ever inverted, and for n >= 2
-    lambda_n = -lambda_1 sum_{m=2}^n a_m [z^n] L^m.  A power table holds
-    [z^k] L^m, and row m gains its entry at z^n from row m - 1 as
-    sum_{j=1}^{n-m+1} lambda_j [z^{n-j}] L^{m-1}, all known by then.  Each
-    entry is computed once, so order N takes about N^3/6 products on top
-    of the expansion.  Each lambda_n is asserted to land back in
-    Q[t, e^{-t}]: the positive exponents of the intermediate coefficients
-    must all cancel.  It shares no code with the closed form.
+    Write the inverse of chi as 1 + L(z), L = lambda_1 z + lambda_2 z^2 + ...
+    It satisfies H^2 = z + ((1 + L)/2)^2, and the recursion xi_n' + n xi_n
+    + n sum_{m<n} xi_m xi_{n-m} = [n = 1] says [z^n] (H^2 - z) = -xi_n'/n
+    for every n >= 1.  So (1 + L)^2 / 4 = 1/4 - sum_n (xi_n'/n) z^n, and
+        lambda_n = -(2/n) xi_n' - (1/2) sum_{j=1}^{n-1} lambda_j lambda_{n-j},
+    one sum of products per n with floor(n/2) symmetric products.  Each
+    lambda_n is asserted to carry only even exp2 in [-2n, -2].  The route
+    reads xi_by_recursion, not the expansion of chi, and shares no code
+    with the closed form lagrange_lambda.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    a = chi_expansion(order)
-    lam: list[QuasiPoly] = [QuasiPoly(), _monomial_inverse(a.coeff(1))]  # [z^k] L
-    powers: list[list[QuasiPoly]] = [[], lam]  # powers[m][k] = [z^k] L^m
-    for n in range(2, order + 1):
-        powers.append([QuasiPoly()] * n)  # [z^k] L^n vanishes for k < n
-        for m in range(2, n + 1):
-            prev = powers[m - 1]
-            powers[m].append(sum_of_products((lam[j], prev[n - j]) for j in range(1, n - m + 2)))
-        b = sum_of_products((a.coeff(m), powers[m][n]) for m in range(2, n + 1))
-        lam.append(-(lam[1] * b))
-    for n, q in enumerate(lam[1:], start=1):
-        bad = [e2 for e2 in q.exp2_values() if e2 > 0 or e2 % 2]
-        if bad:
-            raise StructureError(f"lambda_{n} escaped Q[t, e^-t]: found exp2={bad[0]}")
-    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam[1:])
+    xs = xi_by_recursion(order).entries
+    lam: list[QuasiPoly] = []  # lam[j - 1] = lambda_j
+    for n in range(1, order + 1):
+        pairs = _half_pairs(lam, n) + [(xs[n - 1].ddt(), QuasiPoly.constant(Fraction(2, n)))]
+        q = -sum_of_products(pairs)
+        for e2 in q.exp2_values():
+            if e2 > -2 or e2 < -2 * n or e2 % 2:
+                raise StructureError(f"lambda_{n} carries an impossible term exp2={e2}")
+        lam.append(q)
+    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
-def _lagrange_coeff(n: int, m: int) -> QuasiPoly:
-    """[z^n] L^m (m >= 1; zero for m > n) by Lagrange-Buermann (Stanley, EC2 5.4).
+def _lagrange_coeff(n: int) -> QuasiPoly:
+    """lambda_n = [z^n] L by Lagrange-Buermann (Stanley, EC2 5.4).
 
-    [z^n] L^m = (m/n) [w^{n-m}] (w / chi(1+w))^n.  With g = w e^{(1+w)t} /
+    [z^n] L = (1/n) [w^{n-1}] (w / chi(1+w))^n.  With g = w e^{(1+w)t} /
     (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2 and w/g = (2+w) e^{-(1+w)t}, so
-    expanding (1+g)^{2n} by the binomial theorem gives (-1)^n (m/n) times
-        sum_{k=m}^{n} C(2n, n-k) e^{-kt} [w^{k-m}] (2+w)^k (1+w)^{-2n} e^{-ktw}.
-    Term k is e^{-kt} times a polynomial in t of degree k - m: its t^c
-    coefficient is [w^{k-m-c}] (2+w)^k (1+w)^{-2n}, a convolution of two
+    expanding (1+g)^{2n} by the binomial theorem gives (-1)^n / n times
+        sum_{k=1}^{n} C(2n, n-k) e^{-kt} [w^{k-1}] (2+w)^k (1+w)^{-2n} e^{-ktw}.
+    Term k is e^{-kt} times a polynomial in t of degree k - 1: its t^c
+    coefficient is [w^{k-1-c}] (2+w)^k (1+w)^{-2n}, a convolution of two
     binomial rows, times (-k)^c / c!, built as integer numerators over the
-    one denominator n (k-m)!; zero terms are dropped, so results stay canonical.
+    one denominator n (k-1)!; zero terms are dropped, so results stay canonical.
     """
     terms = []
-    for k in range(m, n + 1):
-        r = k - m
+    for k in range(1, n + 1):
+        r = k - 1
         two = [math.comb(k, a) << (k - a) for a in range(r + 1)]  # [w^a] (2+w)^k
         neg = [(-1) ** b * math.comb(2 * n + b - 1, b) for b in range(r + 1)]  # (1+w)^{-2n}
-        scale = (-1) ** n * m * math.comb(2 * n, n - k)
+        scale = (-1) ** n * math.comb(2 * n, n - k)
         rows = [sum(two[a] * neg[s - a] for a in range(s + 1)) for s in range(r + 1)]
         fr = math.factorial(r)
         num = [scale * rows[r - c] * (-k) ** c * (fr // math.factorial(c)) for c in range(r + 1)]
@@ -325,13 +316,13 @@ def _lagrange_coeff(n: int, m: int) -> QuasiPoly:
 def lagrange_lambda(order: int) -> TruncSeries1:
     """The inverse-series coefficients lambda_n = [z^n] L in closed form.
 
-    Each lambda_n is the m = 1 sum of _lagrange_coeff, with no series
-    product and no expansion of chi.  This is the working route;
-    lambda_series, the triangular solve against the expansion, is its oracle.
+    Each lambda_n is the sum of _lagrange_coeff, with no series product
+    and no expansion of chi.  This is the working route; lambda_series,
+    read off the ODE recursion, is its oracle.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    lam = [_lagrange_coeff(n, 1) for n in range(1, order + 1)]
+    lam = [_lagrange_coeff(n) for n in range(1, order + 1)]
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
@@ -386,10 +377,11 @@ def xi_by_inversion(n_max: int) -> XiSequence:
 
 
 def chi_roundtrip_defect(order: int) -> TruncSeries1:
-    """Compose the expansion with its computed inverse and subtract z.
+    """Compose the expansion with the L of lambda_series and subtract z.
 
-    An exact zero series certifies the compositional round trip through
-    the stated order.
+    L is read off the ODE recursion, not solved against the expansion, so
+    an exact zero series certifies that it inverts chi through the stated
+    order.
     """
     chi = chi_expansion(order)
     lam = lambda_series(order)

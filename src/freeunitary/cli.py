@@ -207,7 +207,7 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    from .alternating import check_mobius_size, xi_by_inversion, xi_by_mobius, xi_by_recursion
+    from .alternating import _xi_closed, check_mobius_size, check_xi, xi_by_mobius, xi_by_recursion
 
     n = args.n
     if n < 1:
@@ -219,7 +219,7 @@ def _cmd_xi(args) -> int:
     routes = {
         "recursion": lambda: xi_by_recursion(n).xi(n),
         "mobius": lambda: xi_by_mobius(n).xi(n),
-        "inversion": lambda: xi_by_inversion(n).xi(n),
+        "inversion": lambda: check_xi(n, _xi_closed(n)),  # no xi_m for m < n
     }
     if args.method != "all":
         return _print_value(routes[args.method](), args)

@@ -292,37 +292,51 @@ class QuasiPoly:
         terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
         return _quasi([(e2, p) for e2, p in terms if p._num])
 
-    def integrate_from_zero(self) -> "QuasiPoly":
-        """The antiderivative F with F(0) = 0 and F' = self.
+    def solve_from_zero(self, n: int, c: int = 1) -> "QuasiPoly":
+        """The solution f of f' + n f = c * self with f(0) = 0, for integers n and c.
 
-        A term p e^{ct} with c = e2/2 != 0 integrates to q e^{ct} with
-        q_i = sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / c^(j-i+1).  Over the
-        denominator den * e2^(d+1) (d = deg p, p_j = num_j / den) the
-        numerator of q_i is C_i e2^i, where C_(d+1) = 0 and
-        C_i = 2 num_i e2^(d-i) - 2 (i+1) C_(i+1): one integer pass.
+        A term p e^{at} with s = 2(a + n) = e2 + 2n != 0 gives r e^{at} with
+        r_i = c sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / (s/2)^(j-i+1).  Over the
+        denominator den * s^(d+1) (d = deg p, p_j = num_j / den) the
+        numerator of r_i is C_i s^i, where C_(d+1) = 0 and
+        C_i = 2 c num_i s^(d-i) - 2 (i+1) C_(i+1): one integer pass.  The
+        term with s = 0 gives c times the antiderivative of p vanishing at
+        0, and the homogeneous solution -f(0) e^{-nt}, with f(0) summed as
+        one integer fraction, joins it at exp2 = -2n.  With n = 0 and c = 1,
+        f is the antiderivative of self vanishing at 0.
         """
-        above, below = [], []  # the terms with exp2 > 0 and exp2 < 0
-        zero, const = POLY_ZERO, Fraction(0)
+        if not c:
+            return _quasi(())
+        above, below = [], []  # the terms with s > 0 and s < 0
+        hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
+        at0, at0_den = 0, 1  # the particular solution at t = 0
         for e2, p in self._terms:
-            if e2 == 0:
-                zero = p.antiderivative()
+            s = e2 + 2 * n
+            if s == 0:
+                anti = p.antiderivative()
+                hom, hom_den = [c * v for v in anti._num], anti._den
                 continue
             num, d = p._num, len(p._num) - 1
             pw = [1]
             for _ in range(d + 1):
-                pw.append(pw[-1] * e2)
+                pw.append(pw[-1] * s)
             out = [0] * (d + 1)
-            c = 0
+            acc, two_c = 0, 2 * c
             for i in range(d, -1, -1):
-                c = 2 * (num[i] * pw[d - i] - (i + 1) * c)
-                out[i] = c * pw[i]
+                acc = two_c * num[i] * pw[d - i] - 2 * (i + 1) * acc
+                out[i] = acc * pw[i]
             den = p._den * pw[d + 1]
             if den < 0:
                 out, den = [-v for v in out], -den
-            const -= Fraction(out[0], den)
-            (above if e2 > 0 else below).append((e2, _poly(out, den)))
-        zero = zero + const
-        return _quasi(above + ([(0, zero)] if zero._num else []) + below)
+            g = gcd(at0_den, den)
+            at0, at0_den = at0 * (den // g) + out[0] * (at0_den // g), at0_den // g * den
+            (above if s > 0 else below).append((e2, _poly(out, den)))
+        g = gcd(hom_den, at0_den)
+        up = at0_den // g
+        hom = [v * up for v in hom] if up != 1 else hom
+        hom[0] -= at0 * (hom_den // g)
+        h = _poly(hom, hom_den * up)
+        return _quasi(above + ([(-2 * n, h)] if h._num else []) + below)
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0: the sum of the constant coefficients."""

@@ -20,6 +20,9 @@ non-crossing members of all set partitions are the reference for the
 lattice enumeration, and share no code with its recursion.  The
 quadrature of the finite-interval integral checks the Laplace route
 numerically, and quasipoly_from_json reads back the JSON the CLI prints.
+The triangular solve against the expansion of chi, through a table of
+the powers of L, is the reference for "L inverts the chi expansion":
+alternating.lambda_series reads L off the ODE recursion instead.
 Nothing in the package needs them.
 """
 
@@ -33,6 +36,7 @@ from typing import Iterable
 
 import mpmath
 
+from freeunitary.alternating import TruncSeries1, chi_expansion
 from freeunitary.errors import SizeError, StructureError
 from freeunitary.moments import Word, biane_Q
 from freeunitary.ncpart import (
@@ -45,7 +49,7 @@ from freeunitary.ncpart import (
     enumerate_nc,
 )
 from freeunitary.laplace import _check_kl
-from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly
+from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
 from freeunitary.rdiag import _connects, _omega_failure, u_indices
 
 
@@ -428,3 +432,45 @@ def quasipoly_from_json(data: Mapping) -> QuasiPoly:
             raise ValueError(f"duplicate exp2 {e2}")
         terms[e2] = p
     return QuasiPoly(terms)
+
+
+def _monomial_inverse(q: QuasiPoly) -> QuasiPoly:
+    """Invert c * exp((e2/2) t); anything richer has no inverse in the ring."""
+    terms = q.terms
+    if len(terms) != 1:
+        raise StructureError("not an invertible monomial")
+    ((e2, p),) = terms.items()
+    if p.degree != 0:
+        raise StructureError("not an invertible monomial")
+    return QuasiPoly({-e2: Poly((1 / p.leading(),))})
+
+
+def chi_inverse(order: int) -> TruncSeries1:
+    """The compositional inverse 1 + L of the expansion of chi, solved triangularly.
+
+    The identity z = sum_m a_m L^m gives lambda_1 = 1/a_1, where a_1 =
+    -(1/2) e^t is the only coefficient ever inverted, and for n >= 2
+    lambda_n = -lambda_1 sum_{m=2}^n a_m [z^n] L^m.  A power table holds
+    [z^k] L^m, and row m gains its entry at z^n from row m - 1 as
+    sum_{j=1}^{n-m+1} lambda_j [z^{n-j}] L^{m-1}, all known by then, so
+    order N takes about N^3/6 products on top of the expansion.  Each
+    lambda_n is asserted to land back in Q[t, e^{-t}]: the positive
+    exponents of the intermediate coefficients must all cancel.
+    """
+    if order < 1:
+        raise SizeError(f"order must be >= 1, got {order}")
+    a = chi_expansion(order)
+    lam: list[QuasiPoly] = [QuasiPoly(), _monomial_inverse(a.coeff(1))]  # [z^k] L
+    powers: list[list[QuasiPoly]] = [[], lam]  # powers[m][k] = [z^k] L^m
+    for n in range(2, order + 1):
+        powers.append([QuasiPoly()] * n)  # [z^k] L^n vanishes for k < n
+        for m in range(2, n + 1):
+            prev = powers[m - 1]
+            powers[m].append(sum_of_products((lam[j], prev[n - j]) for j in range(1, n - m + 2)))
+        b = sum_of_products((a.coeff(m), powers[m][n]) for m in range(2, n + 1))
+        lam.append(-(lam[1] * b))
+    for n, q in enumerate(lam[1:], start=1):
+        bad = [e2 for e2 in q.exp2_values() if e2 > 0 or e2 % 2]
+        if bad:
+            raise StructureError(f"lambda_{n} escaped Q[t, e^-t]: found exp2={bad[0]}")
+    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam[1:])

@@ -1,6 +1,7 @@
 """Unit tests for the three xi routes, the inverse series, and the PDE check."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from freeunitary import (
     xi_by_recursion,
 )
 from freeunitary.alternating import XI_METHODS, XI_ONE
+from oracles import chi_inverse
 
 # Frozen alternating cumulants xi_1..xi_4.
 FROZEN_XI = {
@@ -115,6 +117,21 @@ def test_three_routes_agree_beyond_frozen_rows():
     assert xi_by_inversion(24).entries == xi_by_recursion(24).entries
 
 
+def test_check_xi_refuses_each_structural_breach():
+    from freeunitary.alternating import check_xi
+
+    assert check_xi(2, FROZEN_XI[2]) is FROZEN_XI[2]
+    for n, q, named in (
+        (2, FROZEN_XI[2] + QuasiPoly({-2: 1}), "xi_2(0) must be 0"),
+        (2, FROZEN_XI[2] + QuasiPoly({-6: 1, -4: -1}), "impossible term exp2=-6"),
+        (2, FROZEN_XI[2] + QuasiPoly({-3: 1, -4: -1}), "impossible term exp2=-3"),
+        (2, FROZEN_XI[2] + QuasiPoly({0: 1, -4: -1}), "constant term must be -1"),
+        (1, QuasiPoly({0: 1, -2: Poly((-1, 1))}), "xi_1 must be 1 - e^{-t}"),
+    ):
+        with pytest.raises(StructureError, match=re.escape(named)):
+            check_xi(n, q)
+
+
 def test_xi_accessor_guards():
     seq = xi_by_recursion(3)
     assert seq.n_max == 3
@@ -166,31 +183,50 @@ def test_lambda_series_frozen_rows():
         assert lam.coeff(n) == want
 
 
+def test_lambda_series_inverts_the_triangular_solve():
+    # the L read off the ODE recursion equals the power-table inverse of chi
+    for order in range(1, 11):
+        assert lambda_series(order) == chi_inverse(order)
+
+
 def test_lagrange_route_agrees(monkeypatch):
-    # Order 16 reaches the power-table row L^16.  The closed form runs with
-    # the expansion and every series product disabled, so it reads neither.
+    # The ODE route runs with the expansion of chi disabled, and the closed
+    # form with every series product disabled too, so neither reads chi and
+    # the closed form reads no series layer.
     from freeunitary import alternating
 
-    want = [lambda_series(order) for order in range(1, 17)]
-
     def refuse(*args):
-        raise AssertionError("the closed form must not reach the series layer")
+        raise AssertionError("the route must not reach this layer")
 
     monkeypatch.setattr(alternating, "chi_expansion", refuse)
+    want = [lambda_series(order) for order in range(1, 25)]
     monkeypatch.setattr(alternating, "sum_of_products", refuse)
     for order, tri in enumerate(want, start=1):
         assert lagrange_lambda(order) == tri
 
 
-def test_closed_form_square_equals_the_triangular_square():
-    from freeunitary.alternating import _lagrange_coeff
+def test_lambda_at_forty_starts_at_the_catalan_row():
+    # at t = 0, (1 + L)^2 = 1 - 4z, so lambda_n(0) = -2 C_{n-1}
+    lam = lagrange_lambda(40)
+    assert lambda_series(40) == lam
+    for n in range(1, 41):
+        q = lam.coeff(n)
+        assert q.value_at_zero() == -2 * catalan(n - 1)
+        assert q.exp2_values()[0] == -2 and q.exp2_values()[-1] == -2 * n
+        assert all(e2 % 2 == 0 for e2 in q.exp2_values())
 
-    lam = lambda_series(16)
-    inner = TruncSeries1(16, (QuasiPoly(),) + lam.coeffs[1:])
-    square = inner * inner
-    assert _lagrange_coeff(1, 2).is_zero
-    for n in range(2, 17):
-        assert _lagrange_coeff(n, 2) == square.coeff(n)
+
+def test_lambda_series_refuses_an_impossible_term(monkeypatch):
+    # xi_2 with an e^{+t} term: lambda_2 then carries exp2 = 2
+    from types import SimpleNamespace
+
+    from freeunitary import alternating
+
+    bad = (XI_ONE, FROZEN_XI[2] + QuasiPoly({2: 1}))
+    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
+    assert lambda_series(1).coeff(1) == FROZEN_LAMBDA[1]
+    with pytest.raises(StructureError, match="lambda_2"):
+        lambda_series(2)
 
 
 def test_inversion_route_forms_no_product_and_reads_no_lower_xi(monkeypatch):
@@ -203,7 +239,7 @@ def test_inversion_route_forms_no_product_and_reads_no_lower_xi(monkeypatch):
     def refuse(*args):
         raise AssertionError("the inversion route must form no product and no lower xi")
 
-    for name in ("sum_of_products", "_self_convolution", "chi_expansion", "xi_by_recursion"):
+    for name in ("sum_of_products", "_half_pairs", "chi_expansion", "xi_by_recursion"):
         monkeypatch.setattr(alternating, name, refuse)
     monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
     assert xi_by_inversion(24).entries == want

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from freeunitary import z_mobius
+from freeunitary import Poly, QuasiPoly, z_mobius
 from freeunitary.cli import DEFAULT_SEED, run
 from freeunitary.verify import SUITES
 from oracles import quasipoly_from_json
@@ -700,8 +700,8 @@ def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, cap
     def refuse(n_max):
         raise AssertionError("a route ran before the refusal")
 
-    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
-    monkeypatch.setattr(alternating, "xi_by_inversion", refuse)
+    for name in ("xi_by_recursion", "xi_by_inversion", "_xi_closed"):
+        monkeypatch.setattr(alternating, name, refuse)
     assert run(["xi", "--n", "50", "--method", "all"]) == 2
     out, err = _capture(capsys)
     assert out == ""
@@ -718,13 +718,17 @@ def _xi_stdout(capsys, *argv):
 def test_xi_default_route_prints_what_the_recursion_prints(monkeypatch, capsys):
     from freeunitary import alternating
 
-    calls = []
-    real = alternating.xi_by_inversion
-    monkeypatch.setattr(alternating, "xi_by_inversion", lambda n: calls.append(n) or real(n))
+    # the default is the closed inversion sum for xi_n alone, checked as
+    # XiSequence checks its entries
+    calls, checked = [], []
+    closed, check = alternating._xi_closed, alternating.check_xi
+    monkeypatch.setattr(alternating, "_xi_closed", lambda n: calls.append(n) or closed(n))
+    monkeypatch.setattr(alternating, "check_xi", lambda n, q: checked.append(n) or check(n, q))
     for k in range(1, 13):
+        calls.clear(), checked.clear()
         default = _xi_stdout(capsys, "--n", str(k))
+        assert calls == checked == [k]
         assert default == _xi_stdout(capsys, "--n", str(k), "--method", "recursion")
-    assert calls == list(range(1, 13))  # the default is the inversion route
     rec = _xi_stdout(capsys, "--n", "30", "--method", "recursion")
     assert _xi_stdout(capsys, "--n", "30", "--method", "inversion") == rec
 
@@ -852,9 +856,9 @@ def _wrong_zpoly(monkeypatch):
 def _wrong_xi(monkeypatch):
     from freeunitary import alternating
 
-    real = alternating.xi_by_inversion
-    wrong = lambda n: SimpleNamespace(xi=lambda m: real(n).xi(m) + 1)
-    monkeypatch.setattr(alternating, "xi_by_inversion", wrong)
+    # t e^{-t} keeps every structural fact that check_xi asks of xi_2
+    real = alternating._xi_closed
+    monkeypatch.setattr(alternating, "_xi_closed", lambda n: real(n) + QuasiPoly({-2: Poly((0, 1))}))
     return ["xi", "--n", "2", "--method", "all"]
 
 
