@@ -5,26 +5,30 @@ quasi-polynomial xi_n(t).  Three independent computations produce it: a
 quadratic first-order ODE recursion, each step one exact linear solve,
 the generic Moebius sum over NC(2n), and Lagrange-Buermann inversion of
 an exponential-rational map chi around its zero.  With
-g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2, so each
-lambda_n = [z^n] L of the inverse 1 + L(z) is a finite sum of binomials,
-with no series product: lagrange_lambda (the working route for lambda_n)
-reads it.  Since H = (1+L)/(1+g(L)) - (1+L)/2, xi_by_inversion reads
-each xi_n as one such sum of integers, with no lower xi_m; it is the
-fastest route.  The truncated generating function H = 1/2 + sum xi_n z^n
-obeys the inviscid-Burgers-type equation dH/dt + 2 z H dH/dz = z, which
-is the ODE recursion; with H^2 = z + ((1+L)/2)^2 it gives each lambda_n
-from xi_n' and lower lambda_j, and lambda_series, the oracle of
-lagrange_lambda, reads L that way.  The round trip composes the
-expansion of chi with that L.  The module checks the equation exactly on
-z-coefficients and numerically on grids, where only the truncation
-itself contributes a defect.
+g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2, and one
+kernel, _lagrange_rows, runs the rows S_k = (2+w) S_{k-1} and the
+factor tables of [w^j] S_k e^{stw} behind three closed integer sums,
+each with no series product and no division: chi_expansion reads
+[w^n] chi(1+w) off g / (1+g)^2 = sum_m (-1)^{m-1} m g^m;
+lagrange_lambda (the working route for lambda_n) reads each
+lambda_n = [z^n] L of the inverse 1 + L(z); and, since
+H = (1+L)/(1+g(L)) - (1+L)/2, xi_by_inversion reads each xi_n with no
+lower xi_m, the fastest route.  The truncated generating function
+H = 1/2 + sum xi_n z^n obeys the inviscid-Burgers-type equation
+dH/dt + 2 z H dH/dz = z, which is the ODE recursion; with
+H^2 = z + ((1+L)/2)^2 it gives each lambda_n from xi_n' and lower
+lambda_j, and lambda_series, the oracle of lagrange_lambda, reads L
+that way.  The round trip composes the expansion of chi with that L.
+The module checks the equation exactly on z-coefficients and
+numerically on grids, where only the truncation itself contributes a
+defect.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import Frozen, SizeError, StructureError
@@ -88,29 +92,6 @@ class TruncSeries1(Frozen):
             [sum_of_products((a[i], b[n - i]) for i in range(n + 1)) for n in range(order + 1)],
         )
 
-    def __truediv__(self, other):
-        """Quotient q with q * other = self, solved one coefficient at a time.
-
-        other needs a nonzero rational constant term c; then q_n =
-        (self_n - sum_{k=1}^n other_k q_{n-k}) / c, so a quotient through
-        order N takes about N^2/2 coefficient products and no inverse.
-        Each q_n is one sum of products, with 1/c and -other_k/c as factors.
-        """
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        c0 = _constant_fraction(other.coeffs[0])
-        if c0 == 0:
-            raise StructureError("cannot divide by a series with constant term 0")
-        inv0 = QuasiPoly.constant(1 / c0)
-        order = min(self.order, other.order)
-        scaled = [b.scale(-1 / c0) for b in other.coeffs[: order + 1]]
-        data: list[QuasiPoly] = []
-        for n in range(order + 1):
-            pairs = [(self.coeffs[n], inv0)]
-            pairs += [(scaled[k], data[n - k]) for k in range(1, n + 1)]
-            data.append(sum_of_products(pairs))
-        return TruncSeries1(order, data)
-
     def compose(self, inner: "TruncSeries1") -> "TruncSeries1":
         """Substitute a series with zero constant term for the variable."""
         if not inner.coeff(0).is_zero:
@@ -123,15 +104,6 @@ class TruncSeries1(Frozen):
 
     def __repr__(self):
         return f"TruncSeries1(order={self.order})"
-
-
-def _constant_fraction(q: QuasiPoly) -> Fraction:
-    """The value of a quasi-polynomial known to be a plain rational."""
-    if q.is_zero:
-        return Fraction(0)
-    if q.exp2_values() != (0,) or q.grade(0).degree > 0:
-        raise StructureError("expected a constant quasi-polynomial")
-    return q.grade(0).leading()
 
 
 def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
@@ -234,29 +206,56 @@ def xi_by_mobius(n_max: int) -> XiSequence:
     return XiSequence(xs, "mobius")
 
 
+def _lagrange_rows(base: list, shift: int) -> Iterator[tuple]:
+    """The one kernel of the closed sums for chi_n, lambda_n and xi_n.
+
+    Each sum (Lagrange-Buermann, Stanley EC2 5.4, for lambda_n and xi_n)
+    runs over k of e^{st} [w^j] S_k(w) e^{stw} with s = shift - k.  For
+    k = 0..len(base) - 1 this yields (k, S_{k-1}, S_k, f): the integer
+    rows S_0 = base and S_k = (2+w) S_{k-1}, truncated at the length of
+    base (S_{-1} = S_0), and the factor table f[c] = s^c k!/c!, c = 0..k, so
+        k! [w^j] S(w) e^{stw} = sum_{c<=j} f[c] S[j-c] t^c  for j <= k,
+    with f[0] = k! the denominator: O(len(base)^2) integer operations.
+    """
+    prev = row = base
+    fact = 1
+    for k in range(len(base)):
+        if k:
+            fact *= k
+            prev, row = row, [2 * row[0]] + [2 * row[j] + row[j - 1] for j in range(1, len(row))]
+        f = [fact]
+        for c in range(1, k + 1):
+            f.append(f[-1] * (shift - k) // c)
+        yield k, prev, row, f
+
+
 def chi_expansion(order: int) -> TruncSeries1:
     """Expand chi(1 + w) as a series in w with quasi-polynomial coefficients.
 
-    chi(c) = c^2 (1 - c^2) e^{ct} / ((1 + c) - (1 - c) e^{ct})^2.  At
-    c = 1 + w the numerator becomes (-2w - 5w^2 - 4w^3 - w^4) e^t e^{wt}
-    and the denominator ((2 + w) + w e^t e^{wt})^2, a series with
-    constant term 4.  The quotient is one series division, solved
-    triangularly without forming the inverse of the denominator.
-    Coefficients live in the ring extended by e^{+t}; the w^0
-    coefficient must cancel to zero exactly.  Only the round trip reads
-    the expansion.
+    chi(c) = c^2 (1 - c^2) e^{ct} / ((1 + c) - (1 - c) e^{ct})^2, so
+    chi(1+w) = -(1+w)^2 g / (1+g)^2 with g = w e^{(1+w)t} / (2+w), and
+    g / (1+g)^2 = sum_m (-1)^{m-1} m g^m makes each coefficient the finite sum
+        [w^n] chi(1+w) = -sum_{m=1}^n (-1)^{m-1} m e^{mt} [w^{n-m}] (1+w)^2 (2+w)^{-m} e^{mtw}.
+    Term m = n - k reads the row S_k = 4^n (1+w)^2 (2+w)^{k-n} of
+    _lagrange_rows with shift n, as integer numerators over k! 4^n: no
+    series product and no division.  Coefficients live in the ring
+    extended by e^{+t}, and the w^0 coefficient is 0.  Only the round trip
+    reads the expansion.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    taylor = [Poly((0,) * j + (Fraction(1, math.factorial(j)),)) for j in range(order + 1)]
-    exp_wt = TruncSeries1(order, [QuasiPoly({2: p}) for p in taylor])  # [w^j] e^t e^{wt}
-    num = TruncSeries1(order, [0, -2, -5, -4, -1]) * exp_wt
-    w_exp_wt = TruncSeries1(order, (QuasiPoly(),) + exp_wt.coeffs[:order])
-    den = TruncSeries1(order, [2, 1]) + w_exp_wt
-    chi = num / (den * den)
-    if not chi.coeff(0).is_zero:
-        raise StructureError("w^0 coefficient of the expansion must vanish")
-    return chi
+    coeffs = [QuasiPoly()]
+    for n in range(1, order + 1):
+        # 4^n [w^j] (2+w)^{-n}, then times (1+w)^2, truncated at w^{n-1}
+        inv = [0, 0] + [(-1) ** j * math.comb(n + j - 1, j) << (n - j) for j in range(n)]
+        base = [inv[j + 2] + 2 * inv[j + 1] + inv[j] for j in range(n)]
+        terms = []
+        for k, _, s, f in _lagrange_rows(base, n):
+            m = n - k
+            num = [(-1) ** m * m * f[c] * s[k - c] for c in range(k + 1)]
+            terms.append((2 * m, _poly(num, f[0] << 2 * n)))
+        coeffs.append(_quasi(terms))
+    return TruncSeries1(order, coeffs)
 
 
 def lambda_series(order: int) -> TruncSeries1:
@@ -286,31 +285,44 @@ def lambda_series(order: int) -> TruncSeries1:
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
+def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int]) -> list:
+    """The terms k = 1..n of the closed sums of _lagrange_coeff and _xi_closed.
+
+    Term k is (-1)^n / n times
+        e^{-kt} ( a_k [w^{k-1}] e^{-ktw} S_k - b_k [w^k] e^{-ktw} (2 R_{k-1} + tw R_k) )
+    over the rows S_k = (2+w)^k (1+w)^{-2n} of _lagrange_rows at shift 0,
+    with R_k = (1+w) S_k, 2 a_k = a2[k-1] and 2 b_k = b2[k-1], as integer
+    numerators over 2 k! n.
+    """
+    sign = (-1) ** n
+    base = [(-1) ** j * math.comb(2 * n + j - 1, j) for j in range(n + 1)]  # [w^j] (1+w)^{-2n}
+    terms = []
+    for k, sp, s, f in _lagrange_rows(base, 0):
+        if not k:
+            continue
+        a = sign * a2[k - 1]
+        num = [a * f[d] * s[k - 1 - d] for d in range(k)]
+        b = sign * b2[k - 1]
+        if b:  # [w^j] R_k = S_k[j] + S_k[j-1]
+            for d in range(k):
+                j = k - d
+                tail = 2 * f[d] * (sp[j] + sp[j - 1]) + (f[d - 1] * (s[j] + s[j - 1]) if d else 0)
+                num[d] -= b * tail
+        terms.append((-2 * k, _poly(num, 2 * n * f[0])))
+    return terms
+
+
 def _lagrange_coeff(n: int) -> QuasiPoly:
     """lambda_n = [z^n] L by Lagrange-Buermann (Stanley, EC2 5.4).
 
-    [z^n] L = (1/n) [w^{n-1}] (w / chi(1+w))^n.  With g = w e^{(1+w)t} /
-    (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2 and w/g = (2+w) e^{-(1+w)t}, so
-    expanding (1+g)^{2n} by the binomial theorem gives (-1)^n / n times
-        sum_{k=1}^{n} C(2n, n-k) e^{-kt} [w^{k-1}] (2+w)^k (1+w)^{-2n} e^{-ktw}.
-    Term k is e^{-kt} times a polynomial in t of degree k - 1: its t^c
-    coefficient is [w^{k-1-c}] (2+w)^k (1+w)^{-2n}, a convolution of two
-    binomial rows, times (-k)^c / c!, built as integer numerators over the
-    one denominator n (k-1)!; zero terms are dropped, so results stay canonical.
+    [z^n] L = (1/n) [w^{n-1}] (w / chi(1+w))^n, and w/g = (2+w) e^{-(1+w)t},
+    so expanding (1+g)^{2n} by the binomial theorem gives (-1)^n / n times
+        sum_{k=1}^{n} C(2n, n-k) e^{-kt} [w^{k-1}] (2+w)^k (1+w)^{-2n} e^{-ktw}:
+    the a-part of _inverse_terms with a_k = C(2n, n-k) and no b-part, one
+    O(n^2) integer pass.
     """
-    terms = []
-    for k in range(1, n + 1):
-        r = k - 1
-        two = [math.comb(k, a) << (k - a) for a in range(r + 1)]  # [w^a] (2+w)^k
-        neg = [(-1) ** b * math.comb(2 * n + b - 1, b) for b in range(r + 1)]  # (1+w)^{-2n}
-        scale = (-1) ** n * math.comb(2 * n, n - k)
-        rows = [sum(two[a] * neg[s - a] for a in range(s + 1)) for s in range(r + 1)]
-        fr = math.factorial(r)
-        num = [scale * rows[r - c] * (-k) ** c * (fr // math.factorial(c)) for c in range(r + 1)]
-        p = _poly(num, n * fr)
-        if not p.is_zero:
-            terms.append((-2 * k, p))
-    return _quasi(terms)
+    a2 = [2 * math.comb(2 * n, n - k) for k in range(1, n + 1)]
+    return _quasi(_inverse_terms(n, a2, [0] * n))
 
 
 def lagrange_lambda(order: int) -> TruncSeries1:
@@ -334,34 +346,14 @@ def _xi_closed(n: int) -> QuasiPoly:
     F'(w) (1+g)^{2n} = P - (1+w) P' / (2n-1), and g' = g (2 + tw(2+w)) /
     (w(2+w)).  Expanding both powers of 1 + g by the binomial theorem and
     folding in -lambda_n / 2 through C(2n, j) = C(2n-1, j) + C(2n-1, j-1)
-    gives, with S_k = (2+w)^k (1+w)^{-2n} and R_k = (1+w) S_k,
-        (-1)^n n xi_n = -C(2n-2, n-1) + sum_{k=1}^n e^{-kt} ( a_k [w^{k-1}] e^{-ktw} S_k
-            - b_k [w^k] e^{-ktw} (2 R_{k-1} + tw R_k) ),
-    where a_k = (C(2n-1, n-k) - C(2n-1, n-k-1)) / 2 and b_k = C(2n-2, n-k-1).
-    S_0 is a binomial row and S_k = (2+w) S_{k-1}, all truncated at w^n.
-    Term k is e^{-kt} times a polynomial of degree k - 1 in t, built as
-    integer numerators over 2 k! n, so xi_n takes O(n^2) integer operations.
+    gives xi_n = (-1)^{n+1} C(2n-2, n-1) / n plus the terms of
+    _inverse_terms with a_k = (C(2n-1, n-k) - C(2n-1, n-k-1)) / 2 and
+    b_k = C(2n-2, n-k-1), which is 0 at k = n: O(n^2) integer operations.
     """
-    sign = (-1) ** n
-    s = [(-1) ** j * math.comb(2 * n + j - 1, j) for j in range(n + 1)]  # [w^j] S_0
-    r = [s[0]] + [s[j] + s[j - 1] for j in range(1, n + 1)]  # [w^j] R_0
-    terms = [(0, _poly([-sign * math.comb(2 * n - 2, n - 1)], n))]
-    fact = 1
-    for k in range(1, n + 1):
-        fact *= k
-        s = [2 * s[0]] + [2 * s[j] + s[j - 1] for j in range(1, n + 1)]
-        r_prev, r = r, [s[0]] + [s[j] + s[j - 1] for j in range(1, n + 1)]
-        # 2 a_k and 2 b_k, over the common denominator 2 k! n
-        a2 = math.comb(2 * n - 1, n - k) - (math.comb(2 * n - 1, n - k - 1) if k < n else 0)
-        b2 = 2 * math.comb(2 * n - 2, n - k - 1) if k < n else 0
-        num = []
-        f_prev, f = 0, fact  # (-k)^c k!/c! at c = d - 1 and c = d
-        for d in range(k):
-            tail = 2 * f * r_prev[k - d] + f_prev * r[k - d]
-            num.append(sign * (a2 * f * s[k - 1 - d] - b2 * tail))
-            f_prev, f = f, f * -k // (d + 1)
-        terms.append((-2 * k, _poly(num, 2 * n * fact)))
-    return _quasi(terms)
+    a2 = [math.comb(2 * n - 1, n - k) - math.comb(2 * n - 1, n - k - 1) for k in range(1, n)] + [1]
+    b2 = [2 * math.comb(2 * n - 2, n - k - 1) for k in range(1, n)] + [0]
+    constant = (0, _poly([(-1) ** (n + 1) * math.comb(2 * n - 2, n - 1)], n))
+    return _quasi([constant] + _inverse_terms(n, a2, b2))
 
 
 def xi_by_inversion(n_max: int) -> XiSequence:

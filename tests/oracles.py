@@ -22,7 +22,9 @@ quadrature of the finite-interval integral checks the Laplace route
 numerically, and quasipoly_from_json reads back the JSON the CLI prints.
 The triangular solve against the expansion of chi, through a table of
 the powers of L, is the reference for "L inverts the chi expansion":
-alternating.lambda_series reads L off the ODE recursion instead.
+alternating.lambda_series reads L off the ODE recursion instead.  The
+definition of chi as one triangular series division is the reference
+for the closed sum of alternating.chi_expansion.
 Nothing in the package needs them.
 """
 
@@ -474,3 +476,44 @@ def chi_inverse(order: int) -> TruncSeries1:
         if bad:
             raise StructureError(f"lambda_{n} escaped Q[t, e^-t]: found exp2={bad[0]}")
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam[1:])
+
+
+def series_quotient(num: TruncSeries1, den: TruncSeries1) -> TruncSeries1:
+    """The quotient q with q * den = num, solved one coefficient at a time.
+
+    den needs a nonzero rational constant term c; then q_n =
+    (num_n - sum_{k=1}^n den_k q_{n-k}) / c, so the inverse of den is
+    never formed.
+    """
+    c0 = den.coeff(0)
+    if c0.exp2_values() != (0,) or c0.grade(0).degree > 0:
+        raise StructureError("the divisor needs a nonzero rational constant term")
+    inv0 = 1 / c0.grade(0).leading()
+    order = min(num.order, den.order)
+    q: list[QuasiPoly] = []
+    for n in range(order + 1):
+        rest = sum_of_products((den.coeff(k), q[n - k]) for k in range(1, n + 1))
+        q.append((num.coeff(n) - rest).scale(inv0))
+    return TruncSeries1(order, q)
+
+
+def chi_series(order: int) -> TruncSeries1:
+    """chi(1 + w) through order w^order, straight from its definition.
+
+    chi(c) = c^2 (1 - c^2) e^{ct} / ((1 + c) - (1 - c) e^{ct})^2.  At
+    c = 1 + w the numerator is (-2w - 5w^2 - 4w^3 - w^4) e^t e^{wt} and
+    the denominator ((2 + w) + w e^t e^{wt})^2, a series with constant
+    term 4, so the expansion is one series_quotient.  Its w^0 coefficient
+    must cancel to zero exactly.
+    """
+    if order < 1:
+        raise SizeError(f"order must be >= 1, got {order}")
+    taylor = [Poly((0,) * j + (Fraction(1, math.factorial(j)),)) for j in range(order + 1)]
+    exp_wt = TruncSeries1(order, [QuasiPoly({2: p}) for p in taylor])  # [w^j] e^t e^{wt}
+    num = TruncSeries1(order, [0, -2, -5, -4, -1]) * exp_wt
+    w_exp_wt = TruncSeries1(order, (QuasiPoly(),) + exp_wt.coeffs[:order])
+    den = TruncSeries1(order, [2, 1]) + w_exp_wt
+    chi = series_quotient(num, den * den)
+    if not chi.coeff(0).is_zero:
+        raise StructureError("w^0 coefficient of the expansion must vanish")
+    return chi

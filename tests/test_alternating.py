@@ -24,7 +24,7 @@ from freeunitary import (
     xi_by_recursion,
 )
 from freeunitary.alternating import XI_METHODS, XI_ONE
-from oracles import chi_inverse
+from oracles import chi_inverse, chi_series, series_quotient
 
 # Frozen alternating cumulants xi_1..xi_4.
 FROZEN_XI = {
@@ -60,7 +60,7 @@ def test_trunc_series_basics():
 
 
 def _reciprocal(s):
-    return TruncSeries1(s.order, [1]) / s
+    return series_quotient(TruncSeries1(s.order, [1]), s)
 
 
 def test_trunc_series_inverse():
@@ -78,10 +78,10 @@ def test_trunc_series_inverse():
     # Division agrees with multiplying by the inverse on quasi-polynomial coefficients.
     a = TruncSeries1(5, [QuasiPoly({2: 1}), 0, QuasiPoly({0: Poly((1, 2)), -2: -3}), 7])
     b = TruncSeries1(5, [2, QuasiPoly({-2: Poly((0, 1))}), QuasiPoly({2: -1, -4: 5})])
-    assert a / b == a * _reciprocal(b)
-    assert (a / b) * b == a
+    assert series_quotient(a, b) == a * _reciprocal(b)
+    assert series_quotient(a, b) * b == a
     with pytest.raises(StructureError):
-        a / TruncSeries1(5, [0, 1, 1])
+        series_quotient(a, TruncSeries1(5, [0, 1, 1]))
 
 
 def test_trunc_series_compose():
@@ -189,10 +189,23 @@ def test_lambda_series_inverts_the_triangular_solve():
         assert lambda_series(order) == chi_inverse(order)
 
 
+def _refuse_products(monkeypatch):
+    # every product of the series layer, and every route through the xi recursion
+    from freeunitary import alternating
+
+    def refuse(*args):
+        raise AssertionError("the closed sum must form no product and no lower xi")
+
+    for name in ("sum_of_products", "_half_pairs", "xi_by_recursion"):
+        monkeypatch.setattr(alternating, name, refuse)
+    monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
+    monkeypatch.setattr(TruncSeries1, "__mul__", refuse)
+
+
 def test_lagrange_route_agrees(monkeypatch):
     # The ODE route runs with the expansion of chi disabled, and the closed
-    # form with every series product disabled too, so neither reads chi and
-    # the closed form reads no series layer.
+    # form with every product and the xi recursion disabled too, so neither
+    # reads chi and the closed form reads no series layer.
     from freeunitary import alternating
 
     def refuse(*args):
@@ -200,9 +213,30 @@ def test_lagrange_route_agrees(monkeypatch):
 
     monkeypatch.setattr(alternating, "chi_expansion", refuse)
     want = [lambda_series(order) for order in range(1, 25)]
-    monkeypatch.setattr(alternating, "sum_of_products", refuse)
+    _refuse_products(monkeypatch)
     for order, tri in enumerate(want, start=1):
         assert lagrange_lambda(order) == tri
+
+
+def test_chi_expansion_is_its_definition_with_no_product(monkeypatch):
+    # the closed sum equals one series division of the definition of chi
+    want = [chi_series(order) for order in range(1, 17)]
+    _refuse_products(monkeypatch)
+    for order, series in enumerate(want, start=1):
+        assert chi_expansion(order) == series
+
+
+def test_chi_expansion_at_zero_and_at_its_top_term():
+    # two facts of the definition, with no second route: at t = 0,
+    # chi(1+w) = -w/2 - w^2/4, and the top term of chi_n, from g^n alone,
+    # is (-1)^n n / 2^n e^{nt}
+    chi = chi_expansion(30)
+    assert chi.coeff(0).is_zero
+    for n in range(1, 31):
+        q = chi.coeff(n)
+        assert q.value_at_zero() == {1: Fraction(-1, 2), 2: Fraction(-1, 4)}.get(n, 0)
+        assert q.exp2_values()[0] == 2 * n
+        assert q.grade(-2 * n) == Poly((Fraction((-1) ** n * n, 2**n),))
 
 
 def test_lambda_at_forty_starts_at_the_catalan_row():
@@ -237,11 +271,10 @@ def test_inversion_route_forms_no_product_and_reads_no_lower_xi(monkeypatch):
     want = xi_by_recursion(24).entries
 
     def refuse(*args):
-        raise AssertionError("the inversion route must form no product and no lower xi")
+        raise AssertionError("the inversion route must not expand chi")
 
-    for name in ("sum_of_products", "_half_pairs", "chi_expansion", "xi_by_recursion"):
-        monkeypatch.setattr(alternating, name, refuse)
-    monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
+    monkeypatch.setattr(alternating, "chi_expansion", refuse)
+    _refuse_products(monkeypatch)
     assert xi_by_inversion(24).entries == want
     for n in (1, 2, 7, 24):
         assert alternating._xi_closed(n) == want[n - 1]
