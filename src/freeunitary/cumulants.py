@@ -12,6 +12,12 @@ gives the same value, and this one visits far fewer states than the first
 over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
+The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
+Z[t, y], each K one flat row of (index, coefficient) pairs, so that a
+product is one double loop of integer multiply-adds.  No denominator or
+gcd enters until the top word's row is read back into its QuasiPoly
+(_recursive_value gives the layout and the proof).
+
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
 polynomial products are formed once per multiset (102 of them for the
@@ -25,13 +31,13 @@ suites check them against the recursion's grades.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from operator import neg
 from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
-from .moments import Letters, Word, as_word, biane_Q, diag_cumulant
-from .qpoly import Poly, QuasiPoly, sum_of_products
+from .moments import Letters, Word, as_word, biane_Q
+from .qpoly import Poly, QuasiPoly, _poly, _quasi
 
 Z_LIMIT = 12
 
@@ -100,18 +106,35 @@ def canonical_word(w: Union[Word, str]) -> Word:
 def _canonical(letters: Letters) -> Letters:
     """The letters of canonical_word, computed on the letter tuple.
 
-    The letters or their swap hold a +1, so the largest rotation starts
-    with +1 and rotations starting with -1 are not compared.
+    The largest rotation of a variant starts a run of 1s: one that starts
+    k letters into the run is smaller than the one at its start, which has
+    1 where it has -1 after the shorter run.  So only the run starts are
+    compared, found in one pass over the given letters: a run of 1s is one
+    of -1s in the swap, and a run that ends at r - 1 starts at n - r in
+    the reversal.  The all-ones word is its own key and that of the
+    all-stars word.
     """
     n = len(letters)
-    swapped = tuple(map(neg, letters))
-    best = letters
-    for v in (letters, letters[::-1], swapped, swapped[::-1]):
-        d = v + v
-        for r in range(n):
-            if d[r] == 1 and d[r : r + n] > best:
-                best = d[r : r + n]
-    return best
+    d = letters + letters
+    sw = tuple(map(neg, d))
+    rd, rs = d[::-1], sw[::-1]
+    best = ()
+    prev = letters[-1]
+    for r, l in enumerate(letters):
+        if l == prev:
+            continue
+        prev = l
+        # a run of 1s (of -1s) of the letters starts at r, and one of -1s
+        # (of 1s) ends at r - 1
+        if l == 1:
+            a, b = d[r : r + n], rs[n - r : 2 * n - r]
+        else:
+            a, b = sw[r : r + n], rd[n - r : 2 * n - r]
+        if a > best:
+            best = a
+        if b > best:
+            best = b
+    return best or (1,) * n
 
 
 def haar_cumulant(w: Union[Word, str]) -> int:
@@ -177,8 +200,12 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     )
 
 
+Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see _scaled_row
+
 _MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}
-_RECURSIVE_MEMO: dict[Letters, QuasiPoly] = {}
+_RECURSIVE_MEMO: dict[Letters, Row] = {}
+# the base B of the rows of _RECURSIVE_MEMO, with the memo dict it was set for
+_BASE: tuple[dict[Letters, Row], int] = (_RECURSIVE_MEMO, 16)
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
@@ -203,6 +230,44 @@ def z_recursive(w: Union[Word, str]) -> ZPolynomial:
 def _recursive_value(letters: Letters) -> QuasiPoly:
     """Cumulant of the letters by the concatenation recursion, memoised.
 
+    The recursion (_scaled_row) runs on K(w) = |w|! kappa(w).  Multiplying
+    kappa(w) = -sum_m kappa(w[:m]) kappa(w[m:]) by |w|! gives
+    K(w) = -sum_m C(|w|, m) K(w[:m]) K(w[m:]), and the leaves are integral:
+    n! diag_cumulant(n) = (-n)^(n-1) t^(n-1) y^n and 2! kappa(1*) =
+    2 - 2y^2.  So by induction every K lies in Z[t, y].
+
+    Its y-powers are |w| - 2j for 0 <= j <= |w|/2 and its t-degree is below
+    |w|, so a row holds the coefficient of t^i y^(|w|-2j) at the index
+    j*B + i, nonzero coefficients only.  B is at least the length of every
+    word in the memo, so in a product the t-powers i + i' < B and the j + j'
+    are read off the sum of the two indices, with no carry.  B is a power of
+    two: a longer word raises it to the next power of two at or above its
+    length and empties the memo, whose rows were laid out in the old base.
+    B is kept with the memo dict it was set for, so a dict put in place of
+    _RECURSIVE_MEMO, or put back, is emptied too rather than read in
+    another base.  The top word's row is read back with one _poly over
+    |w|! per grade.
+    """
+    global _BASE
+    n = len(letters)
+    memo, base = _BASE
+    if n > base or memo is not _RECURSIVE_MEMO:
+        base = max(base, 1 << (n - 1).bit_length())
+        _RECURSIVE_MEMO.clear()
+        _BASE = (_RECURSIVE_MEMO, base)
+    grades: dict[int, list[int]] = {}
+    for p, c in _scaled_row(letters, base):
+        j, i = divmod(p, base)
+        if j not in grades:
+            grades[j] = [0] * n
+        grades[j][i] = c
+    den = factorial(n)  # every grade holds a nonzero coefficient
+    return _quasi([(2 * j - n, _poly(grades[j], den)) for j in sorted(grades, reverse=True)])
+
+
+def _scaled_row(letters: Letters, base: int) -> Row:
+    """The row of K(w) = |w|! kappa(w) in base B, memoised (see _recursive_value).
+
     The letters are cut at the least of their rotations that start with 1
     and end with * (+1 > -1, so at the shortest run of 1s).  Any such
     rotation gives the same value.  The least one depends only on the
@@ -214,24 +279,24 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     (about 93 on that family).
 
     The memo is probed with the letters as given before they are
-    canonicalised, and a value found or computed under the canonical key is
+    canonicalised, and a row found or computed under the canonical key is
     stored under the given letters too.  The cumulant is invariant under
     rotation, reversal and swap, so the alias is exact; the memo counts
     entries, not orbits.
     """
-    val = _RECURSIVE_MEMO.get(letters)
-    if val is not None:
-        return val
+    row = _RECURSIVE_MEMO.get(letters)
+    if row is not None:
+        return row
     key = _canonical(letters)
-    val = _RECURSIVE_MEMO.get(key)
-    if val is not None:
-        _RECURSIVE_MEMO[letters] = val
-        return val
+    row = _RECURSIVE_MEMO.get(key)
+    if row is not None:
+        _RECURSIVE_MEMO[letters] = row
+        return row
     n = len(letters)
-    if all(l == key[0] for l in key):
-        val = diag_cumulant(n)
+    if key[-1] == 1:  # only the all-ones key ends with 1
+        row = ((n - 1, (-n) ** (n - 1)),)
     elif n == 2:
-        val = QuasiPoly({0: 1, -2: -1})  # 1*: 1 - y^2
+        row = ((0, -2), (base, 2))  # 2! (1 - y^2)
     else:
         # the least rotation that starts with 1 and ends with *
         rot = min(
@@ -239,8 +304,16 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
             for i in range(n)
             if letters[i] == -1 and letters[(i + 1) % n] == 1
         )
-        val = -sum_of_products(
-            (_recursive_value(rot[:m]), _recursive_value(rot[m:])) for m in range(1, n)
-        )
-    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = val
-    return val
+        out = [0] * ((n // 2) * base + n)
+        for m in range(1, n):
+            a, b = _scaled_row(rot[:m], base), _scaled_row(rot[m:], base)
+            if len(a) > len(b):
+                a, b = b, a
+            c = -comb(n, m)
+            for p, u in a:
+                u *= c
+                for q, v in b:
+                    out[p + q] += u * v
+        row = tuple([(i, c) for i, c in enumerate(out) if c])
+    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = row
+    return row

@@ -18,6 +18,7 @@ from freeunitary import (
     enumerate_nc,
     haar_cumulant,
     m_poly,
+    suffix_star_cumulant,
     switch_number,
     z_mobius,
     z_recursive,
@@ -220,9 +221,11 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
         for v in variants:
             assert z_recursive(v).value == want
             assert v.letters in memo
-        for key, val in list(memo.items()):
-            monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-            assert z_recursive(Word(key)).value == val
+        for key, row in list(memo.items()):
+            fresh = {}
+            monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
+            z_recursive(Word(key))
+            assert fresh[key] == row
 
 
 def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
@@ -237,6 +240,24 @@ def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
     for w in words:
         monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
         assert z_recursive(Word(w)).value == first_boundary_value(w, memo)
+
+
+def test_long_suffix_star_words_match_the_laplace_closed_form(monkeypatch):
+    # words past the initial base of the integer rows: the memo filled by a
+    # short word is emptied when the base grows, and the short word's value
+    # is the same after it
+    from freeunitary import cumulants
+
+    memo = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+    monkeypatch.setattr(cumulants, "_BASE", (memo, 16))
+    short = "11*1**1*"
+    want = z_recursive(short).value
+    assert want == z_mobius(short).value
+    for k in (40, 63, 64, 65, 100):
+        assert z_recursive("1" * k + "*").value == suffix_star_cumulant(k)
+    assert cumulants._BASE == (memo, 128)
+    assert z_recursive(short).value == want
 
 
 @pytest.mark.parametrize(
