@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import Frozen, SizeError, StructureError
-from .qpoly import Poly, QuasiPoly, _poly, _quasi, sum_of_products
+from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -249,12 +249,12 @@ def chi_expansion(order: int) -> TruncSeries1:
         # 4^n [w^j] (2+w)^{-n}, then times (1+w)^2, truncated at w^{n-1}
         inv = [0, 0] + [(-1) ** j * math.comb(n + j - 1, j) << (n - j) for j in range(n)]
         base = [inv[j + 2] + 2 * inv[j + 1] + inv[j] for j in range(n)]
-        terms = []
+        rows = {}
         for k, _, s, f in _lagrange_rows(base, n):
             m = n - k
             num = [(-1) ** m * m * f[c] * s[k - c] for c in range(k + 1)]
-            terms.append((2 * m, _poly(num, f[0] << 2 * n)))
-        coeffs.append(_quasi(terms))
+            rows[2 * m] = (num, f[0] << 2 * n)
+        coeffs.append(from_rows(rows))
     return TruncSeries1(order, coeffs)
 
 
@@ -285,18 +285,18 @@ def lambda_series(order: int) -> TruncSeries1:
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
-def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int]) -> list:
-    """The terms k = 1..n of the closed sums of _lagrange_coeff and _xi_closed.
+def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int]) -> dict:
+    """The rows k = 1..n of the closed sums of lagrange_lambda and _xi_closed.
 
     Term k is (-1)^n / n times
         e^{-kt} ( a_k [w^{k-1}] e^{-ktw} S_k - b_k [w^k] e^{-ktw} (2 R_{k-1} + tw R_k) )
     over the rows S_k = (2+w)^k (1+w)^{-2n} of _lagrange_rows at shift 0,
-    with R_k = (1+w) S_k, 2 a_k = a2[k-1] and 2 b_k = b2[k-1], as integer
-    numerators over 2 k! n.
+    with R_k = (1+w) S_k, 2 a_k = a2[k-1] and 2 b_k = b2[k-1], as the row
+    {-2k: (integer numerators, 2 k! n)} of qpoly.from_rows.
     """
     sign = (-1) ** n
     base = [(-1) ** j * math.comb(2 * n + j - 1, j) for j in range(n + 1)]  # [w^j] (1+w)^{-2n}
-    terms = []
+    rows = {}
     for k, sp, s, f in _lagrange_rows(base, 0):
         if not k:
             continue
@@ -308,33 +308,28 @@ def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int]) -> list:
                 j = k - d
                 tail = 2 * f[d] * (sp[j] + sp[j - 1]) + (f[d - 1] * (s[j] + s[j - 1]) if d else 0)
                 num[d] -= b * tail
-        terms.append((-2 * k, _poly(num, 2 * n * f[0])))
-    return terms
-
-
-def _lagrange_coeff(n: int) -> QuasiPoly:
-    """lambda_n = [z^n] L by Lagrange-Buermann (Stanley, EC2 5.4).
-
-    [z^n] L = (1/n) [w^{n-1}] (w / chi(1+w))^n, and w/g = (2+w) e^{-(1+w)t},
-    so expanding (1+g)^{2n} by the binomial theorem gives (-1)^n / n times
-        sum_{k=1}^{n} C(2n, n-k) e^{-kt} [w^{k-1}] (2+w)^k (1+w)^{-2n} e^{-ktw}:
-    the a-part of _inverse_terms with a_k = C(2n, n-k) and no b-part, one
-    O(n^2) integer pass.
-    """
-    a2 = [2 * math.comb(2 * n, n - k) for k in range(1, n + 1)]
-    return _quasi(_inverse_terms(n, a2, [0] * n))
+        rows[-2 * k] = (num, 2 * n * f[0])
+    return rows
 
 
 def lagrange_lambda(order: int) -> TruncSeries1:
     """The inverse-series coefficients lambda_n = [z^n] L in closed form.
 
-    Each lambda_n is the sum of _lagrange_coeff, with no series product
-    and no expansion of chi.  This is the working route; lambda_series,
-    read off the ODE recursion, is its oracle.
+    By Lagrange-Buermann (Stanley, EC2 5.4), [z^n] L = (1/n) [w^{n-1}]
+    (w / chi(1+w))^n, and w/g = (2+w) e^{-(1+w)t}, so expanding (1+g)^{2n}
+    by the binomial theorem gives (-1)^n / n times
+        sum_{k=1}^{n} C(2n, n-k) e^{-kt} [w^{k-1}] (2+w)^k (1+w)^{-2n} e^{-ktw}:
+    the a-part of _inverse_terms with a_k = C(2n, n-k) and no b-part, one
+    O(n^2) integer pass per n, with no series product and no expansion of
+    chi.  This is the working route; lambda_series, read off the ODE
+    recursion, is its oracle.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    lam = [_lagrange_coeff(n) for n in range(1, order + 1)]
+    lam = []
+    for n in range(1, order + 1):
+        a2 = [2 * math.comb(2 * n, n - k) for k in range(1, n + 1)]
+        lam.append(from_rows(_inverse_terms(n, a2, [0] * n)))
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
@@ -352,8 +347,8 @@ def _xi_closed(n: int) -> QuasiPoly:
     """
     a2 = [math.comb(2 * n - 1, n - k) - math.comb(2 * n - 1, n - k - 1) for k in range(1, n)] + [1]
     b2 = [2 * math.comb(2 * n - 2, n - k - 1) for k in range(1, n)] + [0]
-    constant = (0, _poly([(-1) ** (n + 1) * math.comb(2 * n - 2, n - 1)], n))
-    return _quasi([constant] + _inverse_terms(n, a2, b2))
+    constant = ([(-1) ** (n + 1) * math.comb(2 * n - 2, n - 1)], n)
+    return from_rows({0: constant, **_inverse_terms(n, a2, b2)})
 
 
 def xi_by_inversion(n_max: int) -> XiSequence:

@@ -37,7 +37,7 @@ from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q
-from .qpoly import Poly, QuasiPoly, _poly, _quasi
+from .qpoly import Poly, QuasiPoly, from_rows
 
 Z_LIMIT = 12
 
@@ -245,8 +245,8 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     length and empties the memo, whose rows were laid out in the old base.
     B is kept with the memo dict it was set for, so a dict put in place of
     _RECURSIVE_MEMO, or put back, is emptied too rather than read in
-    another base.  The top word's row is read back with one _poly over
-    |w|! per grade.
+    another base.  The top word's row is read back as one integer row over
+    |w|! per grade, at exp2 = 2j - |w|, for qpoly.from_rows.
     """
     global _BASE
     n = len(letters)
@@ -255,14 +255,14 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
         base = max(base, 1 << (n - 1).bit_length())
         _RECURSIVE_MEMO.clear()
         _BASE = (_RECURSIVE_MEMO, base)
-    grades: dict[int, list[int]] = {}
+    rows, den = {}, factorial(n)  # exp2 -> (numerators, den)
     for p, c in _scaled_row(letters, base):
         j, i = divmod(p, base)
-        if j not in grades:
-            grades[j] = [0] * n
-        grades[j][i] = c
-    den = factorial(n)  # every grade holds a nonzero coefficient
-    return _quasi([(2 * j - n, _poly(grades[j], den)) for j in sorted(grades, reverse=True)])
+        e2 = 2 * j - n
+        if e2 not in rows:
+            rows[e2] = ([0] * n, den)
+        rows[e2][0][i] = c
+    return from_rows(rows)
 
 
 def _scaled_row(letters: Letters, base: int) -> Row:

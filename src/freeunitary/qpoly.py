@@ -8,10 +8,13 @@ term with exp2 = -m into (polynomial) * y^m.
 A Poly stores integer numerators over one common denominator, kept in
 lowest terms, so every ring and calculus operation runs on Python ints and
 normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
-``sum_of_products`` forms a sum of QuasiPoly products the same way: integer
-numerators accumulate in one slot per exponent, normalised once at the end.
-It is the one product path of the ring; ``QuasiPoly.__mul__`` calls it.
-Ring and calculus operations on canonical terms skip the validating constructor.
+A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
+put in that form only by ``from_rows``, from integer rows {exp2:
+(numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
+validating constructor, ``+`` and ``-`` run on ``_collect``.
+``sum_of_products``, the one product path of the ring, accumulates integer
+numerators in one row per exponent for ``from_rows``, as do the kernels of
+other modules.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
@@ -217,14 +220,12 @@ class QuasiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[int, Poly], Iterable[tuple[int, Poly]]] = ()):
-        acc: dict[int, Poly] = {}
+        pairs = []
         for e2, p in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(e2, int):
                 raise TypeError(f"exp2 must be int, got {e2!r}")
-            p = p if isinstance(p, Poly) else Poly((p,))
-            acc[e2] = acc[e2] + p if e2 in acc else p
-        terms = sorted(((e2, p) for e2, p in acc.items() if p._num), key=lambda kv: -kv[0])
-        object.__setattr__(self, "_terms", tuple(terms))
+            pairs.append((e2, p if isinstance(p, Poly) else Poly((p,))))
+        object.__setattr__(self, "_terms", _collect(pairs)._terms)
 
     @classmethod
     def constant(cls, c: Rat) -> "QuasiPoly":
@@ -254,7 +255,7 @@ class QuasiPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = QuasiPoly.constant(other)
-        return _merge(self._terms, other._terms, False)
+        return _collect(self._terms + other._terms)
 
     __radd__ = __add__
 
@@ -262,11 +263,9 @@ class QuasiPoly:
         return _quasi([(e2, -p) for e2, p in self._terms])
 
     def __sub__(self, other):
-        if not isinstance(other, QuasiPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = QuasiPoly.constant(other)
-        return _merge(self._terms, other._terms, True)
+        if not isinstance(other, (QuasiPoly, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -305,9 +304,7 @@ class QuasiPoly:
         one integer fraction, joins it at exp2 = -2n.  With n = 0 and c = 1,
         f is the antiderivative of self vanishing at 0.
         """
-        if not c:
-            return _quasi(())
-        above, below = [], []  # the terms with s > 0 and s < 0
+        rows = {}  # exp2 -> (numerators, denominator)
         hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
         at0, at0_den = 0, 1  # the particular solution at t = 0
         for e2, p in self._terms:
@@ -330,13 +327,13 @@ class QuasiPoly:
                 out, den = [-v for v in out], -den
             g = gcd(at0_den, den)
             at0, at0_den = at0 * (den // g) + out[0] * (at0_den // g), at0_den // g * den
-            (above if s > 0 else below).append((e2, _poly(out, den)))
+            rows[e2] = (out, den)
         g = gcd(hom_den, at0_den)
         up = at0_den // g
         hom = [v * up for v in hom] if up != 1 else hom
         hom[0] -= at0 * (hom_den // g)
-        h = _poly(hom, hom_den * up)
-        return _quasi(above + ([(-2 * n, h)] if h._num else []) + below)
+        rows[-2 * n] = (hom, hom_den * up)
+        return from_rows(rows)
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0: the sum of the constant coefficients."""
@@ -398,7 +395,7 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     Each exp2 keeps one slot of integer numerators over a denominator;
     a product's numerators are multiplied straight into its slot, which is
     rescaled only when the product's denominator does not divide the
-    slot's.  One _poly per slot and one sort give the canonical QuasiPoly.
+    slot's.  The slots are the rows of from_rows.
     """
     slots: dict[int, list] = {}  # exp2 -> [numerators, denominator]
     for x, y in pairs:
@@ -429,7 +426,7 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
                         u *= scale
                         for j, v in enumerate(b, i):
                             out[j] += u * v
-    return _quasi([(e2, p) for e2 in sorted(slots, reverse=True) if (p := _poly(*slots[e2]))._num])
+    return from_rows(slots)
 
 
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
@@ -439,11 +436,18 @@ def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
     return q
 
 
-def _merge(a: tuple, b: tuple, negate: bool) -> QuasiPoly:
-    """a + b, or a - b when negate, for canonical term tuples, in one pass over b."""
-    acc = dict(a)
-    for e2, p in b:
-        p = -p if negate else p
+def from_rows(rows: Mapping[int, tuple[list[int], int]]) -> QuasiPoly:
+    """The canonical QuasiPoly of integer rows {exp2: (numerators, den > 0)} in
+    any order: each row, ascending, is reduced by _poly (which may modify it)
+    and zero rows are dropped."""
+    return _quasi([(e2, p) for e2 in sorted(rows, reverse=True) if (p := _poly(*rows[e2]))._num])
+
+
+def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:
+    """The canonical QuasiPoly of (exp2, Poly) terms: Polys at one exp2 are
+    added, zero sums dropped and the rest sorted."""
+    acc: dict[int, Poly] = {}
+    for e2, p in pairs:
         acc[e2] = acc[e2] + p if e2 in acc else p
     return _quasi(sorted([(e2, p) for e2, p in acc.items() if p._num], reverse=True))
 

@@ -134,15 +134,15 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
         raise InsufficientDataError(
             f"pattern needs kappa_{n} but only {len(kappas)} cumulants supplied"
         )
-    # moments m_0..m_n of q: m_j = sum_s kappa_s [z^(j-s)] M(z)^s, M = sum_i m_i z^i
-    moments = [Fraction(1)]
+    # moments m_0..m_n of q: m_j = sum_s kappa_s [z^(j-s)] M(z)^s, M = sum_i m_i z^i, and
+    # powers[s][d] = [z^d] M^s needs only m_0..m_d: fill the antidiagonals s + d = j in turn
+    moments, powers = [Fraction(1)], [[Fraction(1)] + [0] * n]
     for j in range(1, n + 1):
-        power, m = [Fraction(1)] + [Fraction(0)] * (j - 1), Fraction(0)
-        for s in range(1, j + 1):  # power becomes M^s up to z^(j-s)
-            power = [sum(power[a] * moments[i - a] for a in range(i + 1))
-                     for i in range(j - s + 1)]
-            m += kappas[s - 1] * power[j - s]
-        moments.append(m)
+        powers.append([])
+        for s in range(1, j + 1):
+            prev, d = powers[s - 1], j - s
+            powers[s].append(sum(prev[a] * moments[d - a] for a in range(d + 1)))
+        moments.append(sum(kappas[s - 1] * powers[s][j - s] for s in range(1, j + 1)))
     return block_sum(
         _weight_table(len(widths)),
         lambda block: sum(widths[i - 1] for i in block),
@@ -232,8 +232,8 @@ def _alternates_linearly(bits: Sequence[int]) -> bool:
 
 
 def _alternates_cyclically(bits: Sequence[int]) -> bool:
-    p = len(bits)
-    return any(_alternates_linearly(bits[r:] + bits[:r]) for r in range(p))
+    """Whether some rotation alternates: at most one cyclically adjacent pair is equal."""
+    return sum(a == b for a, b in zip(bits, bits[1:] + bits[:1])) <= 1
 
 
 def _omega_failure(n: int, blocks, u_set) -> Optional[str]:

@@ -1,8 +1,10 @@
 """Unit tests for the exact polynomial and quasi-polynomial ring."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeunitary import Poly, QuasiPoly, poly_text
-from freeunitary.qpoly import sum_of_products
+from freeunitary.qpoly import from_rows, sum_of_products
 from oracles import quasipoly_from_json
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -429,3 +431,52 @@ def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p, delta):
         a.solve_from_zero(n, 0),
     ):
         _same(got, zero)
+
+
+# ---------------------------------------------------------------------------
+# from_rows, the canonical form of integer rows, against the validating
+# constructor; and qpoly as the only module that builds canonical terms
+
+
+def test_from_rows_drops_zero_rows_and_reduces_each_row():
+    rows = {-2: ([0, 0], 3), 0: ([6, -4, 0], 8), -1: ([5], 5)}
+    got = from_rows(rows)
+    assert got._terms == ((0, Poly((Fraction(3, 4), Fraction(-1, 2)))), (-1, Poly((1,))))
+    assert [(p._num, p._den) for _, p in got._terms] == [((3, -2), 4), ((1,), 1)]
+    assert from_rows({})._terms == () and from_rows({0: ([0], 7)})._terms == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=-6, max_value=6),
+        st.tuples(
+            st.lists(st.integers(min_value=-12, max_value=12), max_size=5),
+            st.integers(min_value=1, max_value=24),
+        ),
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_from_rows_in_any_order_matches_the_validating_constructor(rows, rng):
+    ref = QuasiPoly({e2: Poly(Fraction(v, den) for v in num) for e2, (num, den) in rows.items()})
+    keys = list(rows)
+    rng.shuffle(keys)
+    got = from_rows({e2: (list(rows[e2][0]), rows[e2][1]) for e2 in keys})
+    _same(got, ref)
+
+
+def test_only_qpoly_references_the_raw_constructors():
+    # _poly and _quasi skip every check, so a module outside qpoly that
+    # calls them could hand out terms that are not canonical
+    src = Path(__file__).resolve().parent.parent / "src" / "freeunitary"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            if names & {"_poly", "_quasi"}:
+                users.add(path.name)
+    assert users == {"qpoly.py"}
+

@@ -79,6 +79,17 @@ def test_is_alternating():
     assert not is_alternating("1*11*1")
 
 
+@pytest.mark.parametrize("length", range(1, 11))
+def test_cyclic_alternation_rule_matches_the_rotation_definition(length):
+    def rotation_alternates(bits):
+        rotations = (bits[r:] + bits[:r] for r in range(len(bits)))
+        return any(all(a != b for a, b in zip(rot, rot[1:])) for rot in rotations)
+
+    for bits in itertools.product((0, 1), repeat=length):
+        bits = list(bits)
+        assert rdiag._alternates_cyclically(bits) == rotation_alternates(bits), bits
+
+
 def test_u_and_q_positions():
     assert u_indices("1*1") == frozenset({1, 4, 5})
     assert u_indices("11") == frozenset({1, 3})
