@@ -18,7 +18,8 @@ H = 1/2 + sum xi_n z^n obeys the inviscid-Burgers-type equation
 dH/dt + 2 z H dH/dz = z, which is the ODE recursion; with
 H^2 = z + ((1+L)/2)^2 it gives each lambda_n from xi_n' and lower
 lambda_j, and lambda_series, the oracle of lagrange_lambda, reads L
-that way.  The round trip composes the expansion of chi with that L.
+that way.  The round trip composes the expansion of chi with that L by
+Horner's rule, one sum_of_products per coefficient.
 The module checks the equation exactly on z-coefficients and
 numerically on grids, where only the truncation itself contributes a
 defect.
@@ -41,11 +42,13 @@ XI_ONE = QuasiPoly({0: 1, -2: -1})
 
 
 class TruncSeries1(Frozen):
-    """Power series in one formal variable truncated at a fixed order.
+    """Power series in one formal variable truncated at a fixed order: a
+    checked result container.
 
-    Coefficients live in the quasi-polynomial ring.  The series knows its
-    truncation order and drops anything beyond it, so a product of two
-    series keeps only the honest common prefix.
+    Coefficients live in the quasi-polynomial ring; the constructor pads
+    missing ones with zero, drops any beyond the order and coerces
+    rationals.  The type has no arithmetic: each series product is one
+    sum_of_products at the place that needs it.
     """
 
     __slots__ = ("order", "coeffs")
@@ -65,42 +68,6 @@ class TruncSeries1(Frozen):
         if not 0 <= n <= self.order:
             raise SizeError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncSeries1(
-            order, [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)]
-        )
-
-    def __neg__(self):
-        return TruncSeries1(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries1):
-            return NotImplemented
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncSeries1(
-            order,
-            [sum_of_products((a[i], b[n - i]) for i in range(n + 1)) for n in range(order + 1)],
-        )
-
-    def compose(self, inner: "TruncSeries1") -> "TruncSeries1":
-        """Substitute a series with zero constant term for the variable."""
-        if not inner.coeff(0).is_zero:
-            raise StructureError("composition needs inner constant term 0")
-        order = min(self.order, inner.order)
-        result = TruncSeries1(order, [self.coeffs[order]])
-        for k in range(order - 1, -1, -1):
-            result = result * inner + TruncSeries1(order, [self.coeffs[k]])
-        return result
 
     def __repr__(self):
         return f"TruncSeries1(order={self.order})"
@@ -364,16 +331,24 @@ def xi_by_inversion(n_max: int) -> XiSequence:
 
 
 def chi_roundtrip_defect(order: int) -> TruncSeries1:
-    """Compose the expansion with the L of lambda_series and subtract z.
+    """chi(1 + L(z)) - z through z^order, for the L of lambda_series.
 
-    L is read off the ODE recursion, not solved against the expansion, so
-    an exact zero series certifies that it inverts chi through the stated
+    With a_m = [w^m] chi(1+w), the sum of a_m L^m runs by Horner's rule
+    from a_order down to a_0, each step one truncated product with L (its
+    constant term 1 dropped) as one sum_of_products per coefficient.  L is
+    read off the ODE recursion, not solved against the expansion, so an
+    exact zero series certifies that it inverts chi through the stated
     order.
     """
-    chi = chi_expansion(order)
-    lam = lambda_series(order)
-    inner = TruncSeries1(order, (QuasiPoly(),) + lam.coeffs[1:])
-    return chi.compose(inner) - TruncSeries1(order, [0, 1])
+    a = chi_expansion(order).coeffs
+    lam = lambda_series(order).coeffs
+    acc = [a[order]] + [QuasiPoly()] * order
+    for k in range(order - 1, -1, -1):
+        acc = [a[k]] + [
+            sum_of_products((acc[i], lam[n - i]) for i in range(n)) for n in range(1, order + 1)
+        ]
+    acc[1] = acc[1] - 1
+    return TruncSeries1(order, acc)
 
 
 def pde_z_coefficient(entries: Sequence[QuasiPoly], n: int) -> QuasiPoly:

@@ -458,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("mobius", "enumeration", "both"),
         default="mobius",
+        help="computation route (mobius, the default, sums over NC(k); enumeration sums over "
+        "the support sets, for k up to STRUCTURED_LIMIT); both cross-checks and exits 1 on "
+        "mismatch",
     )
     _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_beta)

@@ -187,8 +187,9 @@ def _signed_catalan(k: int) -> int:
 def _mobius_value(letters: Letters) -> QuasiPoly:
     """Raw Moebius-sum evaluation, no canonicalization or caching.
 
-    A block contributes the moment Q_d y^d of its letter excess d (1 when
-    d = 0), so a partition's term depends only on the multiset of its block
+    A block contributes the moment Q_d y^d of its letter excess d, and a
+    block of excess 0 the factor 1, which its falsy key 0 stands for.  So a
+    partition's term depends only on the multiset of its nonzero block
     excesses, and ncpart.block_sum forms one product per multiset.
     """
     from .ncpart import _weight_table, block_sum
@@ -196,7 +197,7 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     return block_sum(
         _weight_table(len(letters)),
         lambda blk: abs(sum(letters[i - 1] for i in blk)),
-        lambda d: QuasiPoly({-d: biane_Q(d)}) if d else 1,
+        lambda d: QuasiPoly({-d: biane_Q(d)}),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Frozen, SizeError, StructureError
@@ -250,22 +251,25 @@ def _weight_table(n: int) -> tuple[tuple[Blocks, int], ...]:
 def block_sum(weighted: Iterable[tuple[Blocks, int]], key: Callable, value: Callable):
     """Sum over the (blocks, weight) pairs of weight * prod value(key(B)), B in blocks.
 
-    The integer weights are summed per sorted multiset of block keys first;
-    one product is formed per multiset of nonzero weight, and value is read
-    once per key.
+    A falsy key stands for the factor 1 and is never passed to value.  The
+    integer weights are summed per sorted multiset of block keys first,
+    and those sums per multiset of its truthy keys; one product is formed
+    per multiset of nonzero weight, and value is read once per key.
     """
     grouped: dict[tuple, int] = {}
     for blocks, weight in weighted:
         keys = tuple(sorted(map(key, blocks)))
         grouped[keys] = grouped.get(keys, 0) + weight
+    collapsed: dict[tuple, int] = {}
+    for keys, weight in grouped.items():
+        keys = tuple(filter(None, keys))
+        collapsed[keys] = collapsed.get(keys, 0) + weight
     values: dict = {}
     total = 0
-    for keys, weight in grouped.items():
+    for keys, weight in collapsed.items():
         if weight:
-            term = weight
             for k in keys:
                 if k not in values:
                     values[k] = value(k)
-                term = term * values[k]
-            total = total + term
+            total = total + prod((values[k] for k in keys), start=weight)
     return total

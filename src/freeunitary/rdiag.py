@@ -306,7 +306,7 @@ class OmegaNC(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _nc_omega_cached(letters: tuple) -> tuple:
+def _nc_omega_cached(letters: tuple) -> OmegaNC:
     n = len(letters)
     if 2 * n > BRUTE_LIMIT:
         limit = BRUTE_LIMIT // 2
@@ -314,22 +314,19 @@ def _nc_omega_cached(letters: tuple) -> tuple:
             f"support sets limited to words of length <= {limit}, got {n}: "
             f"BRUTE_LIMIT // 2 = {limit}"
         )
-    u_set = u_indices(Word(letters))
+    word = Word(letters)
+    u_set = u_indices(word)
     colour = [i in u_set for i in range(1, 2 * n + 1)]
-    make = NCPartition._trusted
-    return tuple(
-        make(2 * n, blocks)
-        for blocks in _parts(colour)
-        if _omega_failure(n, blocks, u_set) is None
-    )
+    kept = (blocks for blocks in _parts(colour) if _omega_failure(n, blocks, u_set) is None)
+    return OmegaNC(word, (NCPartition._trusted(2 * n, blocks) for blocks in kept))
 
 
 def nc_omega(w: Union[Word, str]) -> OmegaNC:
     """All supporting partitions of a word of length at most 7, by
     filtering the partitions of NC(2n) whose blocks lie wholly in the u-
-    or wholly in the q-positions, the only ones enumerated."""
-    word = as_word(w)
-    return OmegaNC(word, _nc_omega_cached(word.letters))
+    or wholly in the q-positions, the only ones enumerated.  The set is
+    built and validated once per word and cached."""
+    return _nc_omega_cached(as_word(w).letters)
 
 
 def beta_enumeration(

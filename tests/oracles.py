@@ -24,7 +24,10 @@ The triangular solve against the expansion of chi, through a table of
 the powers of L, is the reference for "L inverts the chi expansion":
 alternating.lambda_series reads L off the ODE recursion instead.  The
 definition of chi as one triangular series division is the reference
-for the closed sum of alternating.chi_expansion.
+for the closed sum of alternating.chi_expansion.  The package's series
+type, alternating.TruncSeries1, has no arithmetic, so these form their
+series products on coefficient lists with _series_mul, the same helper
+as the moment series above, or by sum_of_products.
 Nothing in the package needs them.
 """
 
@@ -34,7 +37,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import mpmath
 
@@ -342,8 +345,9 @@ def mixed_q_filter(widths: tuple, kappas: tuple) -> Fraction:
     return total
 
 
-def _series_mul(a: list, b: list) -> list:
-    """Product of two power series, truncated to the length of a."""
+def _series_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two power series as coefficient lists, truncated to the
+    length of a; b needs at least that length."""
     return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
 
 
@@ -503,17 +507,17 @@ def chi_series(order: int) -> TruncSeries1:
     chi(c) = c^2 (1 - c^2) e^{ct} / ((1 + c) - (1 - c) e^{ct})^2.  At
     c = 1 + w the numerator is (-2w - 5w^2 - 4w^3 - w^4) e^t e^{wt} and
     the denominator ((2 + w) + w e^t e^{wt})^2, a series with constant
-    term 4, so the expansion is one series_quotient.  Its w^0 coefficient
-    must cancel to zero exactly.
+    term 4, so the expansion is two _series_mul products and one
+    series_quotient.  Its w^0 coefficient must cancel to zero exactly.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     taylor = [Poly((0,) * j + (Fraction(1, math.factorial(j)),)) for j in range(order + 1)]
-    exp_wt = TruncSeries1(order, [QuasiPoly({2: p}) for p in taylor])  # [w^j] e^t e^{wt}
-    num = TruncSeries1(order, [0, -2, -5, -4, -1]) * exp_wt
-    w_exp_wt = TruncSeries1(order, (QuasiPoly(),) + exp_wt.coeffs[:order])
-    den = TruncSeries1(order, [2, 1]) + w_exp_wt
-    chi = series_quotient(num, den * den)
+    exp_wt = [QuasiPoly({2: p}) for p in taylor]  # [w^j] e^t e^{wt}
+    num = _series_mul(TruncSeries1(order, [0, -2, -5, -4, -1]).coeffs, exp_wt)
+    # [w^j] (2 + w) + w e^t e^{wt}
+    den = [QuasiPoly.constant(2), QuasiPoly.constant(1) + exp_wt[0]] + exp_wt[1:order]
+    chi = series_quotient(TruncSeries1(order, num), TruncSeries1(order, _series_mul(den, den)))
     if not chi.coeff(0).is_zero:
         raise StructureError("w^0 coefficient of the expansion must vanish")
     return chi

@@ -24,7 +24,7 @@ from freeunitary import (
     xi_by_recursion,
 )
 from freeunitary.alternating import XI_METHODS, XI_ONE
-from oracles import chi_inverse, chi_series, series_quotient
+from oracles import _series_mul, chi_inverse, chi_series, series_quotient
 
 # Frozen alternating cumulants xi_1..xi_4.
 FROZEN_XI = {
@@ -55,8 +55,12 @@ def test_trunc_series_basics():
     assert s.coeff(3).is_zero
     with pytest.raises(SizeError):
         s.coeff(4)
-    assert (s * s).coeff(2) == QuasiPoly.constant(10)
-    assert (s - s).coeff(1).is_zero
+    with pytest.raises(SizeError):
+        TruncSeries1(-1)
+    # a plain container: coefficients past the order are dropped, and it has no arithmetic
+    assert TruncSeries1(1, [1, 2, 3]).coeffs == (QuasiPoly.constant(1), QuasiPoly.constant(2))
+    for name in ("__add__", "__neg__", "__sub__", "__mul__", "compose"):
+        assert not hasattr(TruncSeries1, name)
 
 
 def _reciprocal(s):
@@ -68,9 +72,9 @@ def test_trunc_series_inverse():
     inv = _reciprocal(s)
     for n in range(5):
         assert inv.coeff(n) == QuasiPoly.constant((-1) ** n)
-    prod = s * inv
-    assert prod.coeff(0) == QuasiPoly.constant(1)
-    assert all(prod.coeff(n).is_zero for n in range(1, 5))
+    prod = _series_mul(s.coeffs, inv.coeffs)
+    assert prod[0] == QuasiPoly.constant(1)
+    assert all(prod[n].is_zero for n in range(1, 5))
     with pytest.raises(StructureError):
         _reciprocal(TruncSeries1(2, [0, 1]))
     with pytest.raises(StructureError):
@@ -78,20 +82,23 @@ def test_trunc_series_inverse():
     # Division agrees with multiplying by the inverse on quasi-polynomial coefficients.
     a = TruncSeries1(5, [QuasiPoly({2: 1}), 0, QuasiPoly({0: Poly((1, 2)), -2: -3}), 7])
     b = TruncSeries1(5, [2, QuasiPoly({-2: Poly((0, 1))}), QuasiPoly({2: -1, -4: 5})])
-    assert series_quotient(a, b) == a * _reciprocal(b)
-    assert series_quotient(a, b) * b == a
+    quotient = series_quotient(a, b)
+    assert list(quotient.coeffs) == _series_mul(a.coeffs, _reciprocal(b).coeffs)
+    assert _series_mul(quotient.coeffs, b.coeffs) == list(a.coeffs)
     with pytest.raises(StructureError):
         series_quotient(a, TruncSeries1(5, [0, 1, 1]))
 
 
-def test_trunc_series_compose():
-    outer = TruncSeries1(3, [0, 1, 1])  # z + z^2
-    inner = TruncSeries1(3, [0, 2])  # 2z
-    got = outer.compose(inner)
-    assert got.coeff(1) == QuasiPoly.constant(2)
-    assert got.coeff(2) == QuasiPoly.constant(4)
-    with pytest.raises(StructureError):
-        outer.compose(TruncSeries1(3, [1, 1]))
+def test_trunc_series_compose(monkeypatch):
+    # The round trip composes by Horner's rule and drops the constant term
+    # of 1 + L: with chi(1+w) = 3 + w + w^2 + w^3 and L = 2z + z^2,
+    # chi(1 + L) - z = 3 + z + 5z^2 + 12z^3 through z^3.
+    from freeunitary import alternating
+
+    monkeypatch.setattr(alternating, "chi_expansion", lambda n: TruncSeries1(n, [3, 1, 1, 1]))
+    monkeypatch.setattr(alternating, "lambda_series", lambda n: TruncSeries1(n, [7, 2, 1]))
+    assert chi_roundtrip_defect(3) == TruncSeries1(3, [3, 1, 5, 12])
+    assert chi_roundtrip_defect(1) == TruncSeries1(1, [3, 1])
 
 
 @pytest.mark.parametrize("method", XI_METHODS)
@@ -190,7 +197,8 @@ def test_lambda_series_inverts_the_triangular_solve():
 
 
 def _refuse_products(monkeypatch):
-    # every product of the series layer, and every route through the xi recursion
+    # every product the series layer can form (TruncSeries1 has no arithmetic),
+    # and every route through the xi recursion
     from freeunitary import alternating
 
     def refuse(*args):
@@ -199,7 +207,6 @@ def _refuse_products(monkeypatch):
     for name in ("sum_of_products", "_half_pairs", "xi_by_recursion"):
         monkeypatch.setattr(alternating, name, refuse)
     monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
-    monkeypatch.setattr(TruncSeries1, "__mul__", refuse)
 
 
 def test_lagrange_route_agrees(monkeypatch):
@@ -320,3 +327,23 @@ def test_route_size_guards():
         xi_by_recursion(0)
     with pytest.raises(SizeError):
         xi_by_mobius(7)  # the Moebius route is capped by the word-length limit
+
+
+def test_chi_roundtrip_catches_a_wrong_lambda(monkeypatch, capsys):
+    # lambda_3 off by 1: chi(1 + L + z^3) = z + a_1 z^3 + O(z^4), a_1 = -(1/2) e^t
+    from freeunitary import alternating
+    from freeunitary.cli import run
+
+    right = alternating.lambda_series
+
+    def wrong(order):
+        lam = list(right(order).coeffs)
+        lam[3] = lam[3] + 1
+        return TruncSeries1(order, lam)
+
+    monkeypatch.setattr(alternating, "lambda_series", wrong)
+    defect = chi_roundtrip_defect(6)
+    assert all(defect.coeff(n).is_zero for n in range(3))
+    assert defect.coeff(3) == QuasiPoly({2: Fraction(-1, 2)})
+    assert run(["verify", "--suite", "chi-roundtrip"]) == 1
+    assert "input=z^3 expected=0 got=-(1/2)e^t\n" in capsys.readouterr().out

@@ -816,6 +816,22 @@ def test_format_choices_are_the_listed_ones(capsys):
     assert offered == {command: choices for command, (_, choices) in _FORMATS.items()}
 
 
+def test_every_cross_checking_method_option_labels_its_routes(capsys):
+    # each subcommand with a cross-checking --method says what the check does
+    commands = re.search(r"\{(.*?)\}", _help([], capsys))[1].split(",")
+    crossing = []
+    for command in commands:
+        text = " ".join(_help([command], capsys).split())
+        found = re.search(r"--method \{(.*?)\}", text)
+        if found and {"both", "all"} & set(found[1].split(",")):
+            crossing.append(command)
+            assert "cross-checks and exits 1 on mismatch" in text, command
+    assert crossing == ["zpoly", "xi", "beta"]
+    beta = " ".join(_help(["beta"], capsys).split())
+    assert "mobius, the default, sums over NC(k)" in beta
+    assert "enumeration sums over the support sets, for k up to STRUCTURED_LIMIT" in beta
+
+
 @pytest.mark.parametrize("command", list(_FORMATS))
 def test_each_format_choice_prints_its_own_output(command, in_q_dir, capsys):
     argv, choices = _FORMATS[command]

@@ -82,6 +82,24 @@ def test_grouped_mobius_sum_matches_per_partition_oracle(n):
         assert _mobius_value(letters) == mobius_value(letters)
 
 
+def test_mobius_value_forms_one_product_per_multiset_of_nonzero_excesses(monkeypatch):
+    # Blocks of excess 0 contribute the factor 1, so on (1*)^6 the 102
+    # multisets of block excesses collapse to 46 of nonzero excesses (one
+    # of them empty) before any product is formed.
+    from freeunitary import ncpart
+
+    starts = []
+    real = ncpart.prod
+
+    def counting(factors, start):
+        starts.append(start)
+        return real(factors, start=start)
+
+    monkeypatch.setattr(ncpart, "prod", counting)
+    assert _mobius_value((1, -1) * 6) == z_recursive("1*" * 6).value
+    assert len(starts) == 46
+
+
 def test_canonical_word_stays_in_orbit():
     w = Word.parse("11*1*")
     canon = canonical_word(w)

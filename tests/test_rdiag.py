@@ -284,6 +284,20 @@ def test_nc_omega_equals_filter_over_all_of_nc_2n(n):
         )
 
 
+def test_nc_omega_validates_each_support_set_once(monkeypatch):
+    # the cached set is the validated OmegaNC itself, so a second call on
+    # the same word, spelled either way, checks no member again
+    first = nc_omega("1*1*1")
+
+    def refuse(*args):
+        raise AssertionError("a cached support set must not be validated again")
+
+    monkeypatch.setattr(rdiag, "_omega_failure", refuse)
+    assert nc_omega("uu*uu*u") is first
+    assert nc_omega(Word((1, -1, 1, -1, 1))) is first
+    assert len(first) == 42
+
+
 def test_enumeration_matches_mobius_on_random_data():
     rng = Random(99)
     support = nc_omega_structured(STRUCTURED_LIMIT)
