@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -292,52 +292,16 @@ class QuasiPoly:
         return _quasi([(e2, p) for e2, p in terms if p._num])
 
     def solve_from_zero(self, n: int, c: int = 1) -> "QuasiPoly":
-        """The solution f of f' + n f = c * self with f(0) = 0, for integers n and c.
-
-        A term p e^{at} with s = 2(a + n) = e2 + 2n != 0 gives r e^{at} with
-        r_i = c sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / (s/2)^(j-i+1).  Over the
-        denominator den * s^(d+1) (d = deg p, p_j = num_j / den) the
-        numerator of r_i is C_i s^i, where C_(d+1) = 0 and
-        C_i = 2 c num_i s^(d-i) - 2 (i+1) C_(i+1): one integer pass.  The
-        term with s = 0 gives c times the antiderivative of p vanishing at
-        0, and the homogeneous solution -f(0) e^{-nt}, with f(0) summed as
-        one integer fraction, joins it at exp2 = -2n.  With n = 0 and c = 1,
-        f is the antiderivative of self vanishing at 0.
-        """
-        rows = {}  # exp2 -> (numerators, denominator)
-        hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
-        at0, at0_den = 0, 1  # the particular solution at t = 0
-        for e2, p in self._terms:
-            s = e2 + 2 * n
-            if s == 0:
-                anti = p.antiderivative()
-                hom, hom_den = [c * v for v in anti._num], anti._den
-                continue
-            num, d = p._num, len(p._num) - 1
-            pw = [1]
-            for _ in range(d + 1):
-                pw.append(pw[-1] * s)
-            out = [0] * (d + 1)
-            acc, two_c = 0, 2 * c
-            for i in range(d, -1, -1):
-                acc = two_c * num[i] * pw[d - i] - 2 * (i + 1) * acc
-                out[i] = acc * pw[i]
-            den = p._den * pw[d + 1]
-            if den < 0:
-                out, den = [-v for v in out], -den
-            g = gcd(at0_den, den)
-            at0, at0_den = at0 * (den // g) + out[0] * (at0_den // g), at0_den // g * den
-            rows[e2] = (out, den)
-        g = gcd(hom_den, at0_den)
-        up = at0_den // g
-        hom = [v * up for v in hom] if up != 1 else hom
-        hom[0] -= at0 * (hom_den // g)
-        rows[-2 * n] = (hom, hom_den * up)
-        return from_rows(rows)
+        """The solution f of f' + n f = c * self with f(0) = 0, for integers n
+        and c (see solve_rows).  With n = 0 and c = 1, f is the antiderivative
+        of self vanishing at 0."""
+        return from_rows(solve_rows(to_rows(self), n, c))
 
     def value_at_zero(self) -> Fraction:
-        """Exact value at t = 0: the sum of the constant coefficients."""
-        return sum((Fraction(p._num[0], p._den) for _, p in self._terms), Fraction(0))
+        """Exact value at t = 0: the sum of the constant coefficients, as one
+        integer sum over the lcm of the denominators."""
+        den = lcm(*(p._den for _, p in self._terms))
+        return Fraction(sum(p._num[0] * (den // p._den) for _, p in self._terms), den)
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""
@@ -429,6 +393,53 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     return from_rows(slots)
 
 
+def solve_rows(rows: Iterable[tuple[int, Sequence[int], int]], n: int, c: int) -> dict:
+    """The rows {exp2: (numerators, den)} of the solution f of f' + n f = c g
+    with f(0) = 0, for integers n and c and g given as integer rows
+    (exp2, numerators, den > 0), one per exp2.
+
+    A term p e^{at} with s = 2(a + n) = e2 + 2n != 0 gives r e^{at} with
+    r_i = c sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / (s/2)^(j-i+1).  Over the
+    denominator den * s^(d+1) (d = deg p, p_j = num_j / den) the
+    numerator of r_i is C_i s^i, where C_(d+1) = 0 and
+    C_i = 2 c num_i s^(d-i) - 2 (i+1) C_(i+1): one integer pass.  The
+    term with s = 0 gives c times the antiderivative of p vanishing at
+    0, and the homogeneous solution -f(0) e^{-nt}, with f(0) summed as
+    one integer fraction, joins it at exp2 = -2n.  The rows are for
+    from_rows.
+    """
+    out_rows = {}
+    hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
+    at0, at0_den = 0, 1  # the particular solution at t = 0
+    for e2, num, den in rows:
+        s = e2 + 2 * n
+        if s == 0:
+            anti = _poly(list(num), den).antiderivative()
+            hom, hom_den = [c * v for v in anti._num], anti._den
+            continue
+        d = len(num) - 1
+        pw = [1]
+        for _ in range(d + 1):
+            pw.append(pw[-1] * s)
+        out = [0] * (d + 1)
+        acc, two_c = 0, 2 * c
+        for i in range(d, -1, -1):
+            acc = two_c * num[i] * pw[d - i] - 2 * (i + 1) * acc
+            out[i] = acc * pw[i]
+        den *= pw[d + 1]
+        if den < 0:
+            out, den = [-v for v in out], -den
+        g = gcd(at0_den, den)
+        at0, at0_den = at0 * (den // g) + out[0] * (at0_den // g), at0_den // g * den
+        out_rows[e2] = (out, den)
+    g = gcd(hom_den, at0_den)
+    up = at0_den // g
+    hom = [v * up for v in hom] if up != 1 else hom
+    hom[0] -= at0 * (hom_den // g)
+    out_rows[-2 * n] = (hom, hom_den * up)
+    return out_rows
+
+
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
     """The QuasiPoly of canonical terms: exp2 strictly descending, no zero Poly."""
     q = object.__new__(QuasiPoly)
@@ -441,6 +452,12 @@ def from_rows(rows: Mapping[int, tuple[list[int], int]]) -> QuasiPoly:
     any order: each row, ascending, is reduced by _poly (which may modify it)
     and zero rows are dropped."""
     return _quasi([(e2, p) for e2 in sorted(rows, reverse=True) if (p := _poly(*rows[e2]))._num])
+
+
+def to_rows(q: QuasiPoly) -> list[tuple[int, tuple[int, ...], int]]:
+    """The integer rows (exp2, numerators, den) of q, exp2 descending, each in
+    lowest terms: the inverse of from_rows."""
+    return [(e2, p._num, p._den) for e2, p in q._terms]
 
 
 def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:

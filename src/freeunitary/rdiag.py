@@ -273,7 +273,9 @@ class OmegaNC(Frozen):
 
     The constructor re-checks the five conditions for every member and
     sorts them canonically, so any generator feeding it a bad partition
-    fails loudly and set comparisons are order-free.
+    fails loudly and set comparisons are order-free.  nc_omega, whose
+    filter has just checked every member, builds through _trusted, which
+    only sorts.
     """
 
     __slots__ = ("word", "partitions")
@@ -294,6 +296,14 @@ class OmegaNC(Frozen):
         parts.sort(key=lambda p: p.blocks)
         object.__setattr__(self, "word", w)
         object.__setattr__(self, "partitions", tuple(parts))
+
+    @classmethod
+    def _trusted(cls, word: Word, partitions: Iterable[NCPartition]) -> "OmegaNC":
+        """Build without re-checking; callers guarantee every member passed _omega_failure."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "partitions", tuple(sorted(partitions, key=lambda p: p.blocks)))
+        return self
 
     def __len__(self):
         return len(self.partitions)
@@ -318,14 +328,15 @@ def _nc_omega_cached(letters: tuple) -> OmegaNC:
     u_set = u_indices(word)
     colour = [i in u_set for i in range(1, 2 * n + 1)]
     kept = (blocks for blocks in _parts(colour) if _omega_failure(n, blocks, u_set) is None)
-    return OmegaNC(word, (NCPartition._trusted(2 * n, blocks) for blocks in kept))
+    return OmegaNC._trusted(word, (NCPartition._trusted(2 * n, blocks) for blocks in kept))
 
 
 def nc_omega(w: Union[Word, str]) -> OmegaNC:
     """All supporting partitions of a word of length at most 7, by
     filtering the partitions of NC(2n) whose blocks lie wholly in the u-
     or wholly in the q-positions, the only ones enumerated.  The set is
-    built and validated once per word and cached."""
+    built once per word and cached, and the filter checks each candidate
+    once: its survivors are not checked again."""
     return _nc_omega_cached(as_word(w).letters)
 
 

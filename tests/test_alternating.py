@@ -204,7 +204,7 @@ def _refuse_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed sum must form no product and no lower xi")
 
-    for name in ("sum_of_products", "_half_pairs", "xi_by_recursion"):
+    for name in ("sum_of_products", "_half_square", "xi_by_recursion"):
         monkeypatch.setattr(alternating, name, refuse)
     monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
 
@@ -267,6 +267,27 @@ def test_lambda_series_refuses_an_impossible_term(monkeypatch):
     monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
     assert lambda_series(1).coeff(1) == FROZEN_LAMBDA[1]
     with pytest.raises(StructureError, match="lambda_2"):
+        lambda_series(2)
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (QuasiPoly({-3: 1}), "lambda_2 carries an impossible term exp2=-3"),
+        # t^2 y^4: its t-degree reaches the row base B = 2 of lambda_series(2)
+        (QuasiPoly({-4: Poly((0, 0, 1))}), "lambda_2 carries t-degree 2 at exp2=-4"),
+    ],
+)
+def test_lambda_series_refuses_a_xi_term_outside_the_rows(monkeypatch, extra, named):
+    # an odd exp2 has no grade and a t-degree at B would land in the next
+    # grade, so either is refused before any index of the flat rows is formed
+    from types import SimpleNamespace
+
+    from freeunitary import alternating
+
+    bad = (XI_ONE, FROZEN_XI[2] + extra)
+    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
+    with pytest.raises(StructureError, match=re.escape(named)):
         lambda_series(2)
 
 

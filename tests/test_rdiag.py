@@ -298,6 +298,33 @@ def test_nc_omega_validates_each_support_set_once(monkeypatch):
     assert len(first) == 42
 
 
+def test_cold_nc_omega_checks_each_candidate_once(monkeypatch):
+    # the filter's survivors are not checked a second time by the constructor
+    calls, candidates = [0], [0]
+    check, parts = rdiag._omega_failure, rdiag._parts
+
+    def counted_check(*args):
+        calls[0] += 1
+        return check(*args)
+
+    def counted_parts(*args):
+        for blocks in parts(*args):
+            candidates[0] += 1
+            yield blocks
+
+    monkeypatch.setattr(rdiag, "_omega_failure", counted_check)
+    monkeypatch.setattr(rdiag, "_parts", counted_parts)
+    rdiag._nc_omega_cached.cache_clear()
+    support = nc_omega("1*1*1*1")
+    assert len(support) == catalan(7)
+    assert calls[0] == candidates[0] > len(support)
+    # the public constructor still checks every member
+    assert rdiag.OmegaNC(support.word, support.partitions) == support
+    bad = NCPartition(14, [[2 * i + 1, 2 * i + 2] for i in range(7)])
+    with pytest.raises(StructureError, match="mixes unitary and q positions"):
+        rdiag.OmegaNC(support.word, [bad])
+
+
 def test_enumeration_matches_mobius_on_random_data():
     rng = Random(99)
     support = nc_omega_structured(STRUCTURED_LIMIT)
