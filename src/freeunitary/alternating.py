@@ -18,11 +18,11 @@ H = 1/2 + sum xi_n z^n obeys the inviscid-Burgers-type equation
 dH/dt + 2 z H dH/dz = z, which is the ODE recursion; with
 H^2 = z + ((1+L)/2)^2 it gives each lambda_n from xi_n' and lower
 lambda_j, and lambda_series, the oracle of lagrange_lambda, reads L
-that way.  Both recursions run on flat integer rows, the layout of
-cumulants._scaled_row: each xi_m and lambda_m is also held as one tuple
-of (index, coefficient) pairs over one denominator, and one kernel,
-_half_square, sums each convolution by its symmetric half as integer
-multiply-adds over one common denominator.  The round trip composes the
+that way.  Both recursions run on factorial-scaled integer rows with no
+denominator, X_m = (m-1)! xi_m and Lambda_m = m! lambda_m, each one flat
+qpoly.Row as in cumulants, and each convolution is one call of
+qpoly._row_products, the kernel of the word recursion, over its
+symmetric half with binomial weights.  The round trip composes the
 expansion of chi with that L by Horner's rule, one sum_of_products per
 coefficient.
 The module checks the equation exactly on z-coefficients and
@@ -36,9 +36,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cumulants import Z_LIMIT, Row, _signed_catalan, z_mobius
+from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import Frozen, SizeError, StructureError
-from .qpoly import QuasiPoly, from_rows, solve_rows, sum_of_products, to_rows
+from .qpoly import QuasiPoly, Row, _row_products, from_rows, solve_rows, sum_of_products, to_rows
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -88,11 +88,11 @@ def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
     if q.value_at_zero():
         raise StructureError(f"xi_{n}(0) must be 0")
     rows = to_rows(q)
-    for e2, _, _ in rows:
+    for e2 in rows:
         if e2 > 0 or e2 < -2 * n or e2 % 2:
             raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
     want = _signed_catalan(n)
-    if not rows or rows[0] != (0, (want,), 1):  # every exp2 <= 0, so exp2 = 0 is first
+    if rows.get(0) != ((want,), 1):
         raise StructureError(f"xi_{n} constant term must be {want}")
     if n == 1 and q != XI_ONE:
         raise StructureError("xi_1 must be 1 - e^{-t}")
@@ -131,101 +131,69 @@ class XiSequence(Frozen):
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
 
 
-def _flat(q: QuasiPoly, base: int, m: int, name: str) -> tuple[Row, int]:
-    """Row m of the recursion as one tuple of (index, numerator) pairs over
-    one denominator D: the coefficient of t^i y^(2j) sits at j*B + i.
+def _flat(q: QuasiPoly, base: int, m: int, scale: int, name: str) -> Row:
+    """The integer row of scale * q for row m of a recursion: the
+    coefficient of t^i y^(2j) sits at j*B + i.
 
     Grade 2j of xi_m and of lambda_m has t-degree at most j - 1 (0 at
     j = 0) and j <= m.  A product of two such terms obeys the same bound
     at the sum of their grades, and so does the solve of each step, so
     every t-power through xi_N lies below B = N.  A term outside that
     layout, whose exp2 is odd, positive or below -2m or whose t-degree
-    passes the bound, is refused before any index is formed.
+    passes the bound, is refused before any index is formed, and so is a
+    scale that leaves a denominator.
     """
-    rows = to_rows(q)
-    den = math.lcm(*(d for _, _, d in rows))
     out = []
-    for e2, num, d in rows:
+    for e2, (num, d) in to_rows(q).items():
         if e2 > 0 or e2 < -2 * m or e2 % 2:
             raise StructureError(f"{name} carries an impossible term exp2={e2}")
         j = -e2 // 2
         if len(num) > (j or 1):
             raise StructureError(f"{name} carries t-degree {len(num) - 1} at exp2={e2}")
-        k, up = j * base, den // d
-        out += [(k + i, v * up) for i, v in enumerate(num) if v]
-    return tuple(out), den
+        up, rem = divmod(scale, d)
+        if rem:
+            raise StructureError(f"{name} times {scale} keeps the denominator {d} at exp2={e2}")
+        out += [(j * base + i, v * up) for i, v in enumerate(num) if v]
+    return tuple(out)
 
 
-def _half_square(rows: Sequence[tuple[Row, int]], n: int, size: int) -> tuple[list, int]:
-    """The integer row of sum_{m=1}^{n-1} r_m r_{n-m} over one L, r_m = rows[m - 1].
-
-    Each pair {m, n - m} enters once, doubled when m != n - m, and the
-    middle square takes each unordered pair of its terms once, doubled off
-    the diagonal: integer multiply-adds into one list.  The pairs run from
-    the middle out and L is the lcm of the D_m D_{n-m} met so far, so the
-    list is rescaled when L grows and the multiplier L // (D_m D_{n-m})
-    scales one row of the pair once.  The middle pairs hold most of the
-    products, and L reaches D_1 D_{n-1}, far above their D_m D_{n-m}, only
-    at the last pair.
-    """
-    out, den = [0] * size, 1
-    for m in range(n // 2, 0, -1):
-        (a, da), (b, db) = rows[m - 1], rows[n - m - 1]
-        d = da * db
-        if den % d:
-            up = d // math.gcd(den, d)
-            if m < n // 2:  # the list is still zero at the middle pair
-                out = [v * up for v in out]
-            den *= up
-        c = den // d
-        if 2 * m == n:  # the middle square: each unordered pair of terms once
-            for x, (p, v) in enumerate(a):
-                u = c * v
-                out[2 * p] += u * v
-                u *= 2
-                for q, w in a[x + 1 :]:
-                    out[p + q] += u * w
-            continue
-        if len(a) > len(b):
-            a, b = b, a
-        c *= 2
-        for p, u in a:
-            u *= c
-            for q, v in b:
-                out[p + q] += u * v
-    return out, den
-
-
-def _grades(out: list, base: int, den: int) -> Iterator[tuple[int, list, int]]:
-    """The integer rows (exp2, numerators, den) of a list laid out as by _flat,
-    zero grades dropped."""
+def _grades(out: list, base: int, den: int) -> dict:
+    """The integer rows {exp2: (numerators, den)} of a list laid out as by
+    _flat, zero grades dropped."""
+    rows = {}
     for j in range(len(out) // base):
         num = out[j * base : j * base + (j or 1)]
         while num and not num[-1]:
             num.pop()
         if num:
-            yield -2 * j, num, den
+            rows[-2 * j] = (num, den)
+    return rows
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
     """Solve the quadratic ODE recursion exactly, one linear IVP per n.
 
     Each xi_n satisfies xi_n' + n xi_n = -n R_n with xi_n(0) = 0, where
-    R_n = sum_{m<n} xi_m xi_{n-m}.  Each xi_m is also held as one flat
-    integer row over one denominator (_flat); _half_square sums R_n over
-    one L with about N^2/4 row products through xi_N, and qpoly.solve_rows
-    solves the step in one integer pass on R_n / L, read back through
-    from_rows.
+    R_n = sum_{m<n} xi_m xi_{n-m}.  The step runs on the flat rows (_flat)
+    of X_m = (m-1)! xi_m, which lies in Z[t, y] (Biane's Q_d has its t^j
+    coefficient in Z/j!, which the Moebius sum keeps, and xi_m has t-degree
+    below m), so (n-2)! R_n = sum_m C(n-2, m-1) X_m X_{n-m} is one
+    qpoly._row_products over the pairs {m, n - m}, and qpoly.solve_rows
+    solves the step on the rows of R_n over (n-2)!.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
     xs: list[QuasiPoly] = [XI_ONE]
-    rows = [_flat(XI_ONE, n_max, 1, "xi_1")]
+    rows = [_flat(XI_ONE, n_max, 1, 1, "xi_1")]  # rows[m - 1] = X_m
     for n in range(2, n_max + 1):
-        out, den = _half_square(rows, n, (n + 1) * n_max)
-        q = from_rows(solve_rows(_grades(out, n_max, den), n, -n))
+        pairs = [
+            (rows[m - 1], rows[n - m - 1], math.comb(n - 2, m - 1) << (2 * m != n))
+            for m in range(1, n // 2 + 1)
+        ]
+        out = _row_products(pairs, (n + 1) * n_max)
+        q = from_rows(solve_rows(_grades(out, n_max, math.factorial(n - 2)), n, -n))
         xs.append(q)
-        rows.append(_flat(q, n_max, n, f"xi_{n}"))
+        rows.append(_flat(q, n_max, n, math.factorial(n - 1), f"xi_{n}"))
     return XiSequence(xs, "recursion")
 
 
@@ -306,39 +274,42 @@ def lambda_series(order: int) -> TruncSeries1:
     It satisfies H^2 = z + ((1 + L)/2)^2, and the recursion xi_n' + n xi_n
     + n sum_{m<n} xi_m xi_{n-m} = [n = 1] says [z^n] (H^2 - z) = -xi_n'/n
     for every n >= 1.  So (1 + L)^2 / 4 = 1/4 - sum_n (xi_n'/n) z^n, and
-        lambda_n = -(2/n) xi_n' - (1/2) sum_{j=1}^{n-1} lambda_j lambda_{n-j},
-    on the flat integer rows of xi_by_recursion: xi_n' is read off the row
-    of xi_n and the sum is one _half_square.  A term of xi_n that does not
-    fit the rows, and any lambda_n with an exp2 outside the even values in
-    [-2n, -2], is refused.  The route reads xi_by_recursion, not the
-    expansion of chi, and shares no code with the closed form
-    lagrange_lambda.
+        lambda_n = -(2/n) xi_n' - (1/2) sum_{j=1}^{n-1} lambda_j lambda_{n-j}.
+    On Lambda_n = n! lambda_n and X_n = (n-1)! xi_n that is Lambda_n =
+    -2 X_n' - sum_{j<n/2} C(n, j) Lambda_j Lambda_{n-j} - C(n, n/2)/2 Lambda_{n/2}^2,
+    in Z[t, y] since C(n, n/2) is even: one qpoly._row_products on the flat
+    rows, with X_n' read off the row of X_n, read back over n!.  A term of
+    xi_n that does not fit the rows or leaves a denominator in X_n, and any
+    lambda_n with an exp2 outside the even values in [-2n, -2], is refused.
+    The route reads xi_by_recursion, not the expansion of chi, and shares
+    no code with the closed form lagrange_lambda.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
     xs = xi_by_recursion(order).entries
     base = order
     lam: list[QuasiPoly] = []  # lam[j - 1] = lambda_j
-    rows = []
+    rows = []  # rows[j - 1] = Lambda_j
     for n in range(1, order + 1):
         name = f"lambda_{n}"
-        x, xd = _flat(xs[n - 1], base, n, name)
-        s, sd = _half_square(rows, n, (n + 1) * base)
-        # lambda_n = -(2 xi_n' / (n xd) + s / (2 sd)), over den
-        den = math.lcm(n * xd, 2 * sd)
-        cx, cs = 2 * (den // (n * xd)), den // (2 * sd)
-        out = [-cs * v for v in s]
+        x = _flat(xs[n - 1], base, n, math.factorial(n - 1), name)
+        pairs = [
+            (rows[j - 1], rows[n - j - 1], -(math.comb(n, j) >> (2 * j == n)))
+            for j in range(1, n // 2 + 1)
+        ]
+        out = _row_products(pairs, (n + 1) * base)
         for p, v in x:  # d/dt (t^i y^(2j)) = i t^(i-1) y^(2j) - j t^i y^(2j)
             j, i = divmod(p, base)
-            out[p] += cx * j * v
+            out[p] += 2 * j * v
             if i:
-                out[p - 1] -= cx * i * v
-        q = from_rows({e2: (num, d) for e2, num, d in _grades(out, base, den)})
+                out[p - 1] -= 2 * i * v
+        fact = math.factorial(n)
+        q = from_rows(_grades(out, base, fact))
         for e2 in q.exp2_values():
             if e2 > -2 or e2 < -2 * n or e2 % 2:
                 raise StructureError(f"{name} carries an impossible term exp2={e2}")
         lam.append(q)
-        rows.append(_flat(q, base, n, name))
+        rows.append(_flat(q, base, n, fact, name))
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 
@@ -488,14 +459,15 @@ class PdeReport(NamedTuple):
 def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
     """Numeric size of the truncation defect on small grids.
 
-    Builds xi_1..xi_{n_max} by recursion, forms every z-coefficient of
-    the defect through order 2 n_max, records the first order that is
+    Builds xi_1..xi_{n_max} by the closed inversion sum, not by the
+    recursion whose equations the defect checks, forms every z-coefficient
+    of the defect through order 2 n_max, records the first order that is
     not identically zero, and evaluates the defect series on the grids.
     The report carries the exact coefficients too.
     """
     import mpmath
 
-    seq = xi_by_recursion(n_max)
+    seq = xi_by_inversion(n_max)
     coeffs = tuple(pde_z_coefficient(seq.entries, n) for n in range(1, 2 * n_max + 1))
     defect_order = None
     for n, c in enumerate(coeffs, start=1):

@@ -13,9 +13,10 @@ over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
 The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
-Z[t, y], each K one flat row of (index, coefficient) pairs, so that a
-product is one double loop of integer multiply-adds.  No denominator or
-gcd enters until the top word's row is read back into its QuasiPoly
+Z[t, y], each K one flat row of (index, coefficient) pairs, so that the
+cuts of a word are one call of qpoly._row_products, the integer kernel
+that the xi and lambda recursions share.  No denominator or gcd enters
+until the top word's row is read back into its QuasiPoly
 (_recursive_value gives the layout and the proof).
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
@@ -37,7 +38,7 @@ from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q
-from .qpoly import Poly, QuasiPoly, from_rows
+from .qpoly import Poly, QuasiPoly, Row, _row_products, from_rows
 
 Z_LIMIT = 12
 
@@ -201,8 +202,6 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     )
 
 
-Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see _scaled_row
-
 _MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}
 _RECURSIVE_MEMO: dict[Letters, Row] = {}
 # the base B of the rows of _RECURSIVE_MEMO, with the memo dict it was set for
@@ -305,16 +304,12 @@ def _scaled_row(letters: Letters, base: int) -> Row:
             for i in range(n)
             if letters[i] == -1 and letters[(i + 1) % n] == 1
         )
-        out = [0] * ((n // 2) * base + n)
-        for m in range(1, n):
-            a, b = _scaled_row(rot[:m], base), _scaled_row(rot[m:], base)
-            if len(a) > len(b):
-                a, b = b, a
-            c = -comb(n, m)
-            for p, u in a:
-                u *= c
-                for q, v in b:
-                    out[p + q] += u * v
+        # two pieces in one orbit share one memo row, a square of the kernel
+        cuts = [
+            (_scaled_row(rot[:m], base), _scaled_row(rot[m:], base), -comb(n, m))
+            for m in range(1, n)
+        ]
+        out = _row_products(cuts, (n // 2) * base + n)
         row = tuple([(i, c) for i, c in enumerate(out) if c])
     _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = row
     return row

@@ -10,11 +10,14 @@ lowest terms, so every ring and calculus operation runs on Python ints and
 normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
 A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
 put in that form only by ``from_rows``, from integer rows {exp2:
-(numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
+(numerators, den)}, the one row shape that ``to_rows`` returns and
+``solve_rows`` takes, and ``_collect``, from (exp2, Poly) terms; the
 validating constructor, ``+`` and ``-`` run on ``_collect``.
-``sum_of_products``, the one product path of the ring, accumulates integer
-numerators in one row per exponent for ``from_rows``, as do the kernels of
-other modules.
+``sum_of_products``, the product path of the ring, accumulates integer
+numerators in one row per exponent for ``from_rows``.  The integer
+recursions of other modules hold each value as one flat ``Row`` of
+(index, coefficient) pairs with no denominator, and ``_row_products`` is
+their one product kernel.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
@@ -27,6 +30,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
+Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see _row_products
 
 
 def _frac(v) -> Fraction:
@@ -393,10 +397,10 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     return from_rows(slots)
 
 
-def solve_rows(rows: Iterable[tuple[int, Sequence[int], int]], n: int, c: int) -> dict:
+def solve_rows(rows: Mapping[int, tuple[Sequence[int], int]], n: int, c: int) -> dict:
     """The rows {exp2: (numerators, den)} of the solution f of f' + n f = c g
     with f(0) = 0, for integers n and c and g given as integer rows
-    (exp2, numerators, den > 0), one per exp2.
+    {exp2: (numerators, den > 0)}.
 
     A term p e^{at} with s = 2(a + n) = e2 + 2n != 0 gives r e^{at} with
     r_i = c sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / (s/2)^(j-i+1).  Over the
@@ -411,7 +415,7 @@ def solve_rows(rows: Iterable[tuple[int, Sequence[int], int]], n: int, c: int) -
     out_rows = {}
     hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
     at0, at0_den = 0, 1  # the particular solution at t = 0
-    for e2, num, den in rows:
+    for e2, (num, den) in rows.items():
         s = e2 + 2 * n
         if s == 0:
             anti = _poly(list(num), den).antiderivative()
@@ -440,6 +444,30 @@ def solve_rows(rows: Iterable[tuple[int, Sequence[int], int]], n: int, c: int) -
     return out_rows
 
 
+def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]:
+    """The integer list, of length size, of sum c a*b over the (a, b, c) terms
+    of rows: a product puts u v at the sum of the two indices.  The shorter
+    row is scaled by c, and a square, a is b, takes each unordered pair of
+    its entries once.  This is the one product kernel of the integer rows."""
+    out = [0] * size
+    for a, b, c in terms:
+        if a is b:
+            for x, (p, v) in enumerate(a):
+                u = c * v
+                out[2 * p] += u * v
+                u *= 2
+                for q, w in a[x + 1 :]:
+                    out[p + q] += u * w
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        for p, u in a:
+            u *= c
+            for q, v in b:
+                out[p + q] += u * v
+    return out
+
+
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
     """The QuasiPoly of canonical terms: exp2 strictly descending, no zero Poly."""
     q = object.__new__(QuasiPoly)
@@ -454,10 +482,10 @@ def from_rows(rows: Mapping[int, tuple[list[int], int]]) -> QuasiPoly:
     return _quasi([(e2, p) for e2 in sorted(rows, reverse=True) if (p := _poly(*rows[e2]))._num])
 
 
-def to_rows(q: QuasiPoly) -> list[tuple[int, tuple[int, ...], int]]:
-    """The integer rows (exp2, numerators, den) of q, exp2 descending, each in
-    lowest terms: the inverse of from_rows."""
-    return [(e2, p._num, p._den) for e2, p in q._terms]
+def to_rows(q: QuasiPoly) -> dict[int, tuple[tuple[int, ...], int]]:
+    """The integer rows {exp2: (numerators, den)} of q, exp2 descending, each
+    in lowest terms: the inverse of from_rows."""
+    return {e2: (p._num, p._den) for e2, p in q._terms}
 
 
 def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:

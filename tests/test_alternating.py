@@ -23,7 +23,7 @@ from freeunitary import (
     xi_by_mobius,
     xi_by_recursion,
 )
-from freeunitary.alternating import XI_METHODS, XI_ONE
+from freeunitary.alternating import XI_METHODS, XI_ONE, _xi_closed
 from oracles import _series_mul, chi_inverse, chi_series, series_quotient
 
 # Frozen alternating cumulants xi_1..xi_4.
@@ -204,7 +204,7 @@ def _refuse_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed sum must form no product and no lower xi")
 
-    for name in ("sum_of_products", "_half_square", "xi_by_recursion"):
+    for name in ("sum_of_products", "_row_products", "xi_by_recursion"):
         monkeypatch.setattr(alternating, name, refuse)
     monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
 
@@ -289,6 +289,29 @@ def test_lambda_series_refuses_a_xi_term_outside_the_rows(monkeypatch, extra, na
     monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
     with pytest.raises(StructureError, match=re.escape(named)):
         lambda_series(2)
+
+
+def test_lambda_series_refuses_a_xi_term_that_leaves_a_denominator(monkeypatch):
+    # X_2 = 1! xi_2 must be integral, so a term (1/3) y^2 is refused and
+    # named, not folded into a wrong lambda_2
+    from types import SimpleNamespace
+
+    from freeunitary import alternating
+
+    bad = (XI_ONE, FROZEN_XI[2] + QuasiPoly({-2: Fraction(1, 3)}))
+    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
+    named = "lambda_2 times 1 keeps the denominator 3 at exp2=-2"
+    with pytest.raises(StructureError, match=re.escape(named)):
+        lambda_series(2)
+
+
+def test_factorial_scaled_rows_are_integral():
+    # (n-1)! xi_n and n! lambda_n lie in Z[t, y], read off the closed routes,
+    # which do not run the recursion that relies on it
+    lam = lagrange_lambda(40)
+    for n in range(1, 41):
+        for q, scale in ((_xi_closed(n), math.factorial(n - 1)), (lam.coeff(n), math.factorial(n))):
+            assert all((c * scale).denominator == 1 for p in q.terms.values() for c in p.coeffs)
 
 
 def test_inversion_route_forms_no_product_and_reads_no_lower_xi(monkeypatch):

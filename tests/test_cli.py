@@ -741,17 +741,23 @@ def test_eval_at_the_bound_prints_a_value(capsys):
 @pytest.mark.parametrize(
     "argv", [["pde-check", "--n", "6"], ["verify", "--suite", "pde-coeff"]]
 )
-def test_pde_checks_solve_the_recursion_once(argv, monkeypatch, capsys):
+def test_pde_checks_build_xi_once_by_inversion(argv, monkeypatch, capsys):
+    # the defect is checked on the closed xi_n, not on the recursion that
+    # solves the very z-coefficient equations under test
     from freeunitary import alternating
 
     calls = []
-    solve = alternating.xi_by_recursion
+    build = alternating.xi_by_inversion
 
     def counted(n_max):
         calls.append(n_max)
-        return solve(n_max)
+        return build(n_max)
 
-    monkeypatch.setattr(alternating, "xi_by_recursion", counted)
+    def refuse(n_max):
+        raise AssertionError("the PDE check must not run the recursion it tests")
+
+    monkeypatch.setattr(alternating, "xi_by_inversion", counted)
+    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
     assert run(argv) == 0
     assert calls == [6]
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeunitary import Poly, QuasiPoly, poly_text
-from freeunitary.qpoly import from_rows, sum_of_products
+from freeunitary.qpoly import _row_products, from_rows, sum_of_products
 from oracles import quasipoly_from_json
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -466,6 +466,29 @@ def test_from_rows_in_any_order_matches_the_validating_constructor(rows, rng):
     _same(got, ref)
 
 
+# _row_products against a dict convolution; a row is a list of (index,
+# coefficient) pairs, so tuple(a) is a copy that takes the unsquared path
+flat_rows = st.dictionaries(
+    st.integers(min_value=0, max_value=8), st.integers(min_value=-50, max_value=50), max_size=6
+).map(lambda d: sorted(d.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(flat_rows, flat_rows, st.integers(min_value=-9, max_value=9)), max_size=4),
+    flat_rows,
+    st.integers(min_value=-9, max_value=9),
+)
+def test_row_products_matches_a_dict_convolution(terms, a, c):
+    for square in ((a, a, c), (a, tuple(a), c)):
+        want = {}
+        for x, y, k in terms + [square]:
+            for p, u in x:
+                for q, v in y:
+                    want[p + q] = want.get(p + q, 0) + k * u * v
+        assert _row_products(terms + [square], 17) == [want.get(i, 0) for i in range(17)]
+
+
 def test_only_qpoly_references_the_raw_constructors():
     # _poly and _quasi skip every check, so a module outside qpoly that
     # calls them could hand out terms that are not canonical
@@ -480,3 +503,24 @@ def test_only_qpoly_references_the_raw_constructors():
                 users.add(path.name)
     assert users == {"qpoly.py"}
 
+
+
+def test_only_qpoly_holds_a_flat_row_product_loop():
+    # a loop that adds into out[p + q] is a flat-row product; outside qpoly
+    # the integer recursions go through _row_products instead
+    src = Path(__file__).resolve().parent.parent / "src" / "freeunitary"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.Add)
+                    and isinstance(node.target, ast.Subscript)
+                    and isinstance(node.target.slice, ast.BinOp)
+                    and isinstance(node.target.slice.op, ast.Add)
+                ):
+                    users.add(path.name)
+    assert users == {"qpoly.py"}
