@@ -22,9 +22,11 @@ that way.  Both recursions run on factorial-scaled integer rows with no
 denominator, X_m = (m-1)! xi_m and Lambda_m = m! lambda_m, each one flat
 qpoly.Row as in cumulants, and each convolution is one call of
 qpoly._row_products, the kernel of the word recursion, over its
-symmetric half with binomial weights.  The round trip composes the
-expansion of chi with that L by Horner's rule, one sum_of_products per
-coefficient.
+symmetric half with binomial weights.  Each xi step is solved on the
+integer list by exact divisions (_xi_rows), and a row becomes a
+QuasiPoly only when it is read back over its factorial.  The round trip
+composes the expansion of chi with that L by Horner's rule, one
+sum_of_products per coefficient.
 The module checks the equation exactly on z-coefficients and
 numerically on grids, where only the truncation itself contributes a
 defect.
@@ -38,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import Frozen, SizeError, StructureError
-from .qpoly import QuasiPoly, Row, _row_products, from_rows, solve_rows, sum_of_products, to_rows
+from .qpoly import QuasiPoly, Row, _row_products, from_rows, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -83,16 +85,15 @@ def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
 
     xi_n vanishes at t = 0, only even half-exponents in [-2n, 0] occur,
     the grade-0 part is the signed Catalan constant, and xi_1 is
-    1 - e^{-t}.  The checks read the integer rows of q.
+    1 - e^{-t}.
     """
     if q.value_at_zero():
         raise StructureError(f"xi_{n}(0) must be 0")
-    rows = to_rows(q)
-    for e2 in rows:
+    for e2 in q.exp2_values():
         if e2 > 0 or e2 < -2 * n or e2 % 2:
             raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
     want = _signed_catalan(n)
-    if rows.get(0) != ((want,), 1):
+    if q.grade(0) != want:
         raise StructureError(f"xi_{n} constant term must be {want}")
     if n == 1 and q != XI_ONE:
         raise StructureError("xi_1 must be 1 - e^{-t}")
@@ -131,69 +132,81 @@ class XiSequence(Frozen):
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
 
 
-def _flat(q: QuasiPoly, base: int, m: int, scale: int, name: str) -> Row:
-    """The integer row of scale * q for row m of a recursion: the
-    coefficient of t^i y^(2j) sits at j*B + i.
+def _xi_rows(n_max: int) -> list[Row]:
+    """The flat integer rows X_1..X_N of X_n = (n-1)! xi_n, N = n_max.
 
-    Grade 2j of xi_m and of lambda_m has t-degree at most j - 1 (0 at
-    j = 0) and j <= m.  A product of two such terms obeys the same bound
-    at the sum of their grades, and so does the solve of each step, so
-    every t-power through xi_N lies below B = N.  A term outside that
-    layout, whose exp2 is odd, positive or below -2m or whose t-degree
-    passes the bound, is refused before any index is formed, and so is a
-    scale that leaves a denominator.
+    The coefficient of t^i y^(2j) sits at j*B + i with B = N: grade 2j of
+    xi_n has t-degree below max(j, 1) and j <= n, and X_n lies in Z[t, y]
+    (Biane's Q_d has its t^j coefficient in Z/j!, which the Moebius sum
+    keeps).  With S_n = sum_m C(n-2, m-1) X_m X_{n-m}, one
+    qpoly._row_products over the pairs {m, n - m}, the recursion is
+    X_n' + n X_n = G = -n(n-1) S_n with X_n(0) = 0, which on grade 2j is
+    P' + (n-j) P = G_j.  For j < n that gives
+    p_i = (g_i - (i+1) p_{i+1}) / (n-j) from the top t-power down; for
+    j = n, p_{i+1} = g_i / (i+1) and p_0 = -sum_{j<n} P_j(0).  Every
+    division is exact, so one that leaves a remainder, or a grade 0 other
+    than (n-1)! times the signed Catalan constant of xi_n, is refused.
     """
-    out = []
-    for e2, (num, d) in to_rows(q).items():
-        if e2 > 0 or e2 < -2 * m or e2 % 2:
-            raise StructureError(f"{name} carries an impossible term exp2={e2}")
-        j = -e2 // 2
-        if len(num) > (j or 1):
-            raise StructureError(f"{name} carries t-degree {len(num) - 1} at exp2={e2}")
-        up, rem = divmod(scale, d)
-        if rem:
-            raise StructureError(f"{name} times {scale} keeps the denominator {d} at exp2={e2}")
-        out += [(j * base + i, v * up) for i, v in enumerate(num) if v]
-    return tuple(out)
-
-
-def _grades(out: list, base: int, den: int) -> dict:
-    """The integer rows {exp2: (numerators, den)} of a list laid out as by
-    _flat, zero grades dropped."""
-    rows = {}
-    for j in range(len(out) // base):
-        num = out[j * base : j * base + (j or 1)]
-        while num and not num[-1]:
-            num.pop()
-        if num:
-            rows[-2 * j] = (num, den)
+    base = n_max
+    rows: list[Row] = [((0, 1), (base, -1))]  # rows[n - 1] = X_n; X_1 = xi_1
+    fact = 1  # (n-1)!
+    for n in range(2, n_max + 1):
+        fact *= n - 1
+        pairs = [
+            (rows[m - 1], rows[n - m - 1], math.comb(n - 2, m - 1) << (2 * m != n))
+            for m in range(1, n // 2 + 1)
+        ]
+        s = _row_products(pairs, (n + 1) * base)
+        c = -n * (n - 1)  # G = c S_n
+        x = [0] * len(s)
+        at0 = 0
+        for j in range(n):
+            p = 0
+            for i in range(base - 1, -1, -1):
+                p, r = divmod(c * s[j * base + i] - (i + 1) * p, n - j)
+                if r:
+                    raise StructureError(f"{fact} xi_{n} is not integral at exp2={-2 * j}")
+                x[j * base + i] = p
+            at0 += p
+        top = n * base  # grade n of S_n has t-degree at most n - 2 <= B - 2
+        for i in range(base - 1):
+            p, r = divmod(c * s[top + i], i + 1)
+            if r:
+                raise StructureError(f"{fact} xi_{n} is not integral at exp2={-2 * n}")
+            x[top + i + 1] = p
+        x[top] = -at0
+        if x[0] != fact * _signed_catalan(n):
+            raise StructureError(f"xi_{n} constant term must be {_signed_catalan(n)}")
+        rows.append(tuple((p, v) for p, v in enumerate(x) if v))
     return rows
+
+
+def _readback(row: Row, base: int, den: int, name: str) -> QuasiPoly:
+    """The QuasiPoly row / den of a flat row laid out as by _xi_rows.
+
+    A t-degree at or past max(j, 1) at grade 2j does not fit the layout
+    and is refused.
+    """
+    grades = {}
+    for p, v in row:
+        j, i = divmod(p, base)
+        if i >= (j or 1):
+            raise StructureError(f"{name} carries t-degree {i} at exp2={-2 * j}")
+        grades.setdefault(-2 * j, ([0] * (j or 1), den))[0][i] = v
+    return from_rows(grades)
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
     """Solve the quadratic ODE recursion exactly, one linear IVP per n.
 
     Each xi_n satisfies xi_n' + n xi_n = -n R_n with xi_n(0) = 0, where
-    R_n = sum_{m<n} xi_m xi_{n-m}.  The step runs on the flat rows (_flat)
-    of X_m = (m-1)! xi_m, which lies in Z[t, y] (Biane's Q_d has its t^j
-    coefficient in Z/j!, which the Moebius sum keeps, and xi_m has t-degree
-    below m), so (n-2)! R_n = sum_m C(n-2, m-1) X_m X_{n-m} is one
-    qpoly._row_products over the pairs {m, n - m}, and qpoly.solve_rows
-    solves the step on the rows of R_n over (n-2)!.
+    R_n = sum_{m<n} xi_m xi_{n-m}.  The steps run on the integer rows of
+    _xi_rows, each read back over (n-1)!.
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    xs: list[QuasiPoly] = [XI_ONE]
-    rows = [_flat(XI_ONE, n_max, 1, 1, "xi_1")]  # rows[m - 1] = X_m
-    for n in range(2, n_max + 1):
-        pairs = [
-            (rows[m - 1], rows[n - m - 1], math.comb(n - 2, m - 1) << (2 * m != n))
-            for m in range(1, n // 2 + 1)
-        ]
-        out = _row_products(pairs, (n + 1) * n_max)
-        q = from_rows(solve_rows(_grades(out, n_max, math.factorial(n - 2)), n, -n))
-        xs.append(q)
-        rows.append(_flat(q, n_max, n, math.factorial(n - 1), f"xi_{n}"))
+    rows = _xi_rows(n_max)
+    xs = [_readback(row, n_max, math.factorial(n - 1), f"xi_{n}") for n, row in enumerate(rows, 1)]
     return XiSequence(xs, "recursion")
 
 
@@ -278,38 +291,36 @@ def lambda_series(order: int) -> TruncSeries1:
     On Lambda_n = n! lambda_n and X_n = (n-1)! xi_n that is Lambda_n =
     -2 X_n' - sum_{j<n/2} C(n, j) Lambda_j Lambda_{n-j} - C(n, n/2)/2 Lambda_{n/2}^2,
     in Z[t, y] since C(n, n/2) is even: one qpoly._row_products on the flat
-    rows, with X_n' read off the row of X_n, read back over n!.  A term of
-    xi_n that does not fit the rows or leaves a denominator in X_n, and any
-    lambda_n with an exp2 outside the even values in [-2n, -2], is refused.
-    The route reads xi_by_recursion, not the expansion of chi, and shares
-    no code with the closed form lagrange_lambda.
+    rows, with X_n' read off the row of X_n from _xi_rows, read back over n!.
+    A Lambda_n with a nonzero grade 0, or a t-degree outside the layout, is
+    refused.  The route reads the xi recursion, not the expansion of chi,
+    and shares no code with the closed form lagrange_lambda.
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    xs = xi_by_recursion(order).entries
+    x_rows = _xi_rows(order)  # x_rows[n - 1] = X_n
     base = order
     lam: list[QuasiPoly] = []  # lam[j - 1] = lambda_j
     rows = []  # rows[j - 1] = Lambda_j
+    fact = 1  # n!
     for n in range(1, order + 1):
+        fact *= n
         name = f"lambda_{n}"
-        x = _flat(xs[n - 1], base, n, math.factorial(n - 1), name)
         pairs = [
             (rows[j - 1], rows[n - j - 1], -(math.comb(n, j) >> (2 * j == n)))
             for j in range(1, n // 2 + 1)
         ]
         out = _row_products(pairs, (n + 1) * base)
-        for p, v in x:  # d/dt (t^i y^(2j)) = i t^(i-1) y^(2j) - j t^i y^(2j)
+        for p, v in x_rows[n - 1]:  # d/dt (t^i y^(2j)) = i t^(i-1) y^(2j) - j t^i y^(2j)
             j, i = divmod(p, base)
             out[p] += 2 * j * v
             if i:
                 out[p - 1] -= 2 * i * v
-        fact = math.factorial(n)
-        q = from_rows(_grades(out, base, fact))
-        for e2 in q.exp2_values():
-            if e2 > -2 or e2 < -2 * n or e2 % 2:
-                raise StructureError(f"{name} carries an impossible term exp2={e2}")
-        lam.append(q)
-        rows.append(_flat(q, base, n, fact, name))
+        if any(out[:base]):
+            raise StructureError(f"{name} carries an impossible term exp2=0")
+        row = tuple((p, v) for p, v in enumerate(out) if v)
+        lam.append(_readback(row, base, fact, name))
+        rows.append(row)
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 

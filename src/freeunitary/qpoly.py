@@ -10,8 +10,7 @@ lowest terms, so every ring and calculus operation runs on Python ints and
 normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
 A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
 put in that form only by ``from_rows``, from integer rows {exp2:
-(numerators, den)}, the one row shape that ``to_rows`` returns and
-``solve_rows`` takes, and ``_collect``, from (exp2, Poly) terms; the
+(numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
 validating constructor, ``+`` and ``-`` run on ``_collect``.
 ``sum_of_products``, the product path of the ring, accumulates integer
 numerators in one row per exponent for ``from_rows``.  The integer
@@ -27,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see _row_products
@@ -286,20 +285,10 @@ class QuasiPoly:
     def scale(self, c: Rat) -> "QuasiPoly":
         return self * _frac(c)
 
-    def shift_exp2(self, delta: int) -> "QuasiPoly":
-        """Multiply by exp((delta/2) t)."""
-        return _quasi([(e2 + delta, p) for e2, p in self._terms])
-
     def ddt(self) -> "QuasiPoly":
         """Derivative in t."""
         terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
         return _quasi([(e2, p) for e2, p in terms if p._num])
-
-    def solve_from_zero(self, n: int, c: int = 1) -> "QuasiPoly":
-        """The solution f of f' + n f = c * self with f(0) = 0, for integers n
-        and c (see solve_rows).  With n = 0 and c = 1, f is the antiderivative
-        of self vanishing at 0."""
-        return from_rows(solve_rows(to_rows(self), n, c))
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0: the sum of the constant coefficients, as one
@@ -397,53 +386,6 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     return from_rows(slots)
 
 
-def solve_rows(rows: Mapping[int, tuple[Sequence[int], int]], n: int, c: int) -> dict:
-    """The rows {exp2: (numerators, den)} of the solution f of f' + n f = c g
-    with f(0) = 0, for integers n and c and g given as integer rows
-    {exp2: (numerators, den > 0)}.
-
-    A term p e^{at} with s = 2(a + n) = e2 + 2n != 0 gives r e^{at} with
-    r_i = c sum_{j>=i} (-1)^(j-i) (j!/i!) p_j / (s/2)^(j-i+1).  Over the
-    denominator den * s^(d+1) (d = deg p, p_j = num_j / den) the
-    numerator of r_i is C_i s^i, where C_(d+1) = 0 and
-    C_i = 2 c num_i s^(d-i) - 2 (i+1) C_(i+1): one integer pass.  The
-    term with s = 0 gives c times the antiderivative of p vanishing at
-    0, and the homogeneous solution -f(0) e^{-nt}, with f(0) summed as
-    one integer fraction, joins it at exp2 = -2n.  The rows are for
-    from_rows.
-    """
-    out_rows = {}
-    hom, hom_den = [0], 1  # numerators of the term at exp2 = -2n
-    at0, at0_den = 0, 1  # the particular solution at t = 0
-    for e2, (num, den) in rows.items():
-        s = e2 + 2 * n
-        if s == 0:
-            anti = _poly(list(num), den).antiderivative()
-            hom, hom_den = [c * v for v in anti._num], anti._den
-            continue
-        d = len(num) - 1
-        pw = [1]
-        for _ in range(d + 1):
-            pw.append(pw[-1] * s)
-        out = [0] * (d + 1)
-        acc, two_c = 0, 2 * c
-        for i in range(d, -1, -1):
-            acc = two_c * num[i] * pw[d - i] - 2 * (i + 1) * acc
-            out[i] = acc * pw[i]
-        den *= pw[d + 1]
-        if den < 0:
-            out, den = [-v for v in out], -den
-        g = gcd(at0_den, den)
-        at0, at0_den = at0 * (den // g) + out[0] * (at0_den // g), at0_den // g * den
-        out_rows[e2] = (out, den)
-    g = gcd(hom_den, at0_den)
-    up = at0_den // g
-    hom = [v * up for v in hom] if up != 1 else hom
-    hom[0] -= at0 * (hom_den // g)
-    out_rows[-2 * n] = (hom, hom_den * up)
-    return out_rows
-
-
 def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]:
     """The integer list, of length size, of sum c a*b over the (a, b, c) terms
     of rows: a product puts u v at the sum of the two indices.  The shorter
@@ -480,12 +422,6 @@ def from_rows(rows: Mapping[int, tuple[list[int], int]]) -> QuasiPoly:
     any order: each row, ascending, is reduced by _poly (which may modify it)
     and zero rows are dropped."""
     return _quasi([(e2, p) for e2 in sorted(rows, reverse=True) if (p := _poly(*rows[e2]))._num])
-
-
-def to_rows(q: QuasiPoly) -> dict[int, tuple[tuple[int, ...], int]]:
-    """The integer rows {exp2: (numerators, den)} of q, exp2 descending, each
-    in lowest terms: the inverse of from_rows."""
-    return {e2: (p._num, p._den) for e2, p in q._terms}
 
 
 def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:

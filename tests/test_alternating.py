@@ -204,7 +204,7 @@ def _refuse_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed sum must form no product and no lower xi")
 
-    for name in ("sum_of_products", "_row_products", "xi_by_recursion"):
+    for name in ("sum_of_products", "_row_products", "_xi_rows", "xi_by_recursion"):
         monkeypatch.setattr(alternating, name, refuse)
     monkeypatch.setattr(QuasiPoly, "__mul__", refuse)
 
@@ -257,52 +257,70 @@ def test_lambda_at_forty_starts_at_the_catalan_row():
         assert all(e2 % 2 == 0 for e2 in q.exp2_values())
 
 
-def test_lambda_series_refuses_an_impossible_term(monkeypatch):
-    # xi_2 with an e^{+t} term: lambda_2 then carries exp2 = 2
-    from types import SimpleNamespace
-
+def _patch_x2(monkeypatch, extra):
+    # _xi_rows(2) with the (index, coefficient) pairs extra added to X_2; the
+    # row base is 2, so index 2j + i holds t^i y^(2j)
     from freeunitary import alternating
 
-    bad = (XI_ONE, FROZEN_XI[2] + QuasiPoly({2: 1}))
-    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
-    assert lambda_series(1).coeff(1) == FROZEN_LAMBDA[1]
-    with pytest.raises(StructureError, match="lambda_2"):
+    real = alternating._xi_rows
+    x1, x2 = real(2)
+    monkeypatch.setattr(alternating, "_xi_rows", lambda n: [x1, x2 + extra] if n == 2 else real(n))
+
+
+def test_lambda_series_refuses_an_impossible_term(monkeypatch):
+    # t in X_2: -2 X_2' then puts a constant in grade 0 of Lambda_2
+    _patch_x2(monkeypatch, ((1, 1),))
+    with pytest.raises(StructureError, match="lambda_2 carries an impossible term exp2=0"):
+        lambda_series(2)
+
+
+def test_lambda_series_refuses_a_xi_row_outside_the_layout(monkeypatch):
+    # t y^2 in X_2 reaches the t-degree bound of grade 2, and -2 X_2' keeps
+    # it in Lambda_2, whose readback refuses it
+    _patch_x2(monkeypatch, ((3, 1),))
+    with pytest.raises(StructureError, match=re.escape("lambda_2 carries t-degree 1 at exp2=-2")):
         lambda_series(2)
 
 
 @pytest.mark.parametrize(
-    "extra, named",
+    "slot, named",
     [
-        (QuasiPoly({-3: 1}), "lambda_2 carries an impossible term exp2=-3"),
-        # t^2 y^4: its t-degree reaches the row base B = 2 of lambda_series(2)
-        (QuasiPoly({-4: Poly((0, 0, 1))}), "lambda_2 carries t-degree 2 at exp2=-4"),
+        # t^0 y^4: G = -20 S_5 at grade 4 is divided by n - j = 3
+        (10, "24 xi_5 is not integral at exp2=-4"),
+        # the constant: -20 divides by 5, leaving a wrong Catalan constant
+        (0, "xi_5 constant term must be 14"),
     ],
 )
-def test_lambda_series_refuses_a_xi_term_outside_the_rows(monkeypatch, extra, named):
-    # an odd exp2 has no grade and a t-degree at B would land in the next
-    # grade, so either is refused before any index of the flat rows is formed
-    from types import SimpleNamespace
-
+def test_xi_step_refuses_a_wrong_product_sum(monkeypatch, slot, named):
+    # S_5, the product sum of step n = 5 (row base 5, so 6 * 5 slots), gains
+    # 1 at one slot; both routes that run the xi recursion refuse it and name xi_5
     from freeunitary import alternating
 
-    bad = (XI_ONE, FROZEN_XI[2] + extra)
-    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
-    with pytest.raises(StructureError, match=re.escape(named)):
-        lambda_series(2)
+    real = alternating._row_products
+
+    def bumped(pairs, size):
+        out = real(pairs, size)
+        if size == 30:
+            out[slot] += 1
+        return out
+
+    monkeypatch.setattr(alternating, "_row_products", bumped)
+    for route in (xi_by_recursion, lambda_series):
+        with pytest.raises(StructureError, match=re.escape(named)):
+            route(5)
 
 
-def test_lambda_series_refuses_a_xi_term_that_leaves_a_denominator(monkeypatch):
-    # X_2 = 1! xi_2 must be integral, so a term (1/3) y^2 is refused and
-    # named, not folded into a wrong lambda_2
-    from types import SimpleNamespace
-
+def test_lambda_series_reads_no_xi_sequence(monkeypatch):
+    # lambda_series takes the integer rows X_n, not the checked xi_n
     from freeunitary import alternating
 
-    bad = (XI_ONE, FROZEN_XI[2] + QuasiPoly({-2: Fraction(1, 3)}))
-    monkeypatch.setattr(alternating, "xi_by_recursion", lambda n: SimpleNamespace(entries=bad))
-    named = "lambda_2 times 1 keeps the denominator 3 at exp2=-2"
-    with pytest.raises(StructureError, match=re.escape(named)):
-        lambda_series(2)
+    want = lagrange_lambda(12)
+
+    def refuse(n_max):
+        raise AssertionError("lambda_series must not build an XiSequence")
+
+    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
+    assert lambda_series(12) == want
 
 
 def test_factorial_scaled_rows_are_integral():

@@ -80,40 +80,6 @@ def test_quasipoly_ring_axioms(a, b, c):
     assert a - a == QuasiPoly()
 
 
-# exp2 of either sign and parity, with four to seven drawn coefficients (degree
-# 3 to 6 unless the top ones are 0), so the solution's common denominator
-# den * (e2 + 2n)^(d+1) is negative whenever e2 + 2n < 0 and d is even
-exp_quasis = st.builds(
-    QuasiPoly,
-    st.dictionaries(
-        st.integers(min_value=-7, max_value=7),
-        st.builds(Poly, st.lists(rationals, min_size=4, max_size=7)),
-        min_size=1,
-        max_size=4,
-    ),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.one_of(quasis, exp_quasis),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=-12, max_value=12),
-    polys,
-)
-# n = 0, c = 1: the antiderivative vanishing at 0
-@example(QuasiPoly({-3: Poly((1, -2, Fraction(1, 3), 5, 7))}), 0, 1, Poly())
-@example(QuasiPoly({5: Poly((0, 0, 0, Fraction(-4, 9))), -1: Poly((2, 1, 1, 1))}), 0, 1, Poly())
-# a term with exp2 = -2n (the polynomial branch) beside one with exp2 > 0
-@example(QuasiPoly({4: Poly((1, 2)), -3: Poly((0, 7))}), 3, -6, Poly((Fraction(1, 3), 0, 5)))
-def test_quasipoly_calculus_roundtrip(q, n, c, p):
-    # f' + n f = c q with f(0) = 0; p, when not zero, adds a term at exp2 = -2n
-    q = q + QuasiPoly({-2 * n: p})
-    f = q.solve_from_zero(n, c)
-    assert f.ddt() + f * n == q * c
-    assert f.value_at_zero() == 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(quasis, quasis, st.fractions(min_value=-3, max_value=3, max_denominator=8))
 def test_eval_is_a_homomorphism(a, b, t):
@@ -141,7 +107,6 @@ def test_grade_reads_y_powers():
 
 def test_shift_exp2_and_scale():
     q = QuasiPoly({0: 1, -2: -1})
-    assert q.shift_exp2(-2) == QuasiPoly({-2: 1, -4: -1})
     assert q.scale(Fraction(-1, 2)) == QuasiPoly({0: Fraction(-1, 2), -2: Fraction(1, 2)})
 
 
@@ -389,10 +354,10 @@ def _same(got, ref):
 
 
 @settings(max_examples=100, deadline=None)
-@given(quasis, quasis, rationals, polys, st.integers(min_value=-6, max_value=6))
-@example(QuasiPoly(), QuasiPoly(), Fraction(0), Poly(), 0)
-@example(QuasiPoly({0: 3, -2: Poly((1, 2))}), QuasiPoly({0: -3}), Fraction(0), Poly((0, 1)), 5)
-def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p, delta):
+@given(quasis, quasis, rationals, polys)
+@example(QuasiPoly(), QuasiPoly(), Fraction(0), Poly())
+@example(QuasiPoly({0: 3, -2: Poly((1, 2))}), QuasiPoly({0: -3}), Fraction(0), Poly((0, 1)))
+def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p):
     def negated(q):
         return [(e2, -x) for e2, x in q._terms]
 
@@ -409,12 +374,7 @@ def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p, delta):
         _same(a * scalar, ref)
         _same(scalar * a, ref)
     _same(a.scale(c), QuasiPoly({e2: x * c for e2, x in a._terms}))
-    _same(a.shift_exp2(delta), QuasiPoly({e2 + delta: x for e2, x in a._terms}))
     _same(a.ddt(), QuasiPoly({e2: x.derivative() + x * Fraction(e2, 2) for e2, x in a._terms}))
-    # each term is solved alone; the homogeneous terms they leave merge at exp2 = -2n
-    n = abs(delta)
-    pieces = [QuasiPoly({e2: x}).solve_from_zero(n, -3)._terms for e2, x in a._terms]
-    _same(a.solve_from_zero(n, -3), QuasiPoly([t for piece in pieces for t in piece]))
     # zero results leave no term at all
     zero = QuasiPoly({})
     for got in (
@@ -424,11 +384,8 @@ def test_direct_ring_ops_match_the_validating_constructor(a, b, c, p, delta):
         a.scale(0),
         a * 0,
         a * Poly(),
-        zero.shift_exp2(delta),
         zero.ddt(),
         QuasiPoly.constant(c).ddt(),
-        zero.solve_from_zero(n),
-        a.solve_from_zero(n, 0),
     ):
         _same(got, zero)
 
