@@ -20,13 +20,12 @@ H^2 = z + ((1+L)/2)^2 it gives each lambda_n from xi_n' and lower
 lambda_j, and lambda_series, the oracle of lagrange_lambda, reads L
 that way.  Both recursions run on factorial-scaled integer rows with no
 denominator, X_m = (m-1)! xi_m and Lambda_m = m! lambda_m, each one flat
-qpoly.Row as in cumulants, and each convolution is one call of
-qpoly._row_products, the kernel of the word recursion, over its
-symmetric half with binomial weights.  Each xi step is solved on the
-integer list by exact divisions (_xi_rows), and a row becomes a
-QuasiPoly only when it is read back over its factorial.  The round trip
-composes the expansion of chi with that L by Horner's rule, one
-sum_of_products per coefficient.
+row of qpoly, and each convolution is one call of qpoly._row_products,
+the kernel of the word recursion, over its symmetric half with binomial
+weights.  Each xi step is solved on the integer list by exact divisions
+(_xi_rows), and a row becomes a QuasiPoly only when qpoly._readback
+reads it over its factorial.  The round trip composes the expansion of
+chi with that L by Horner's rule, one sum_of_products per coefficient.
 The module checks the equation exactly on z-coefficients and
 numerically on grids, where only the truncation itself contributes a
 defect.
@@ -40,7 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
 from .errors import Frozen, SizeError, StructureError
-from .qpoly import QuasiPoly, Row, _row_products, from_rows, sum_of_products
+from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
@@ -135,10 +134,10 @@ class XiSequence(Frozen):
 def _xi_rows(n_max: int) -> list[Row]:
     """The flat integer rows X_1..X_N of X_n = (n-1)! xi_n, N = n_max.
 
-    The coefficient of t^i y^(2j) sits at j*B + i with B = N: grade 2j of
-    xi_n has t-degree below max(j, 1) and j <= n, and X_n lies in Z[t, y]
-    (Biane's Q_d has its t^j coefficient in Z/j!, which the Moebius sum
-    keeps).  With S_n = sum_m C(n-2, m-1) X_m X_{n-m}, one
+    Grade j of a flat row of qpoly in base B = N is y^(2j): grade 2j of
+    xi_n has t-degree below max(j, 1) <= B and j <= n, and X_n lies in
+    Z[t, y] (Biane's Q_d has its t^j coefficient in Z/j!, which the
+    Moebius sum keeps).  With S_n = sum_m C(n-2, m-1) X_m X_{n-m}, one
     qpoly._row_products over the pairs {m, n - m}, the recursion is
     X_n' + n X_n = G = -n(n-1) S_n with X_n(0) = 0, which on grade 2j is
     P' + (n-j) P = G_j.  For j < n that gives
@@ -177,23 +176,8 @@ def _xi_rows(n_max: int) -> list[Row]:
         x[top] = -at0
         if x[0] != fact * _signed_catalan(n):
             raise StructureError(f"xi_{n} constant term must be {_signed_catalan(n)}")
-        rows.append(tuple((p, v) for p, v in enumerate(x) if v))
+        rows.append(_sparse(x))
     return rows
-
-
-def _readback(row: Row, base: int, den: int, name: str) -> QuasiPoly:
-    """The QuasiPoly row / den of a flat row laid out as by _xi_rows.
-
-    A t-degree at or past max(j, 1) at grade 2j does not fit the layout
-    and is refused.
-    """
-    grades = {}
-    for p, v in row:
-        j, i = divmod(p, base)
-        if i >= (j or 1):
-            raise StructureError(f"{name} carries t-degree {i} at exp2={-2 * j}")
-        grades.setdefault(-2 * j, ([0] * (j or 1), den))[0][i] = v
-    return from_rows(grades)
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
@@ -206,7 +190,10 @@ def xi_by_recursion(n_max: int) -> XiSequence:
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
     rows = _xi_rows(n_max)
-    xs = [_readback(row, n_max, math.factorial(n - 1), f"xi_{n}") for n, row in enumerate(rows, 1)]
+    xs = [
+        _readback(row, n_max, math.factorial(n - 1), 0, -2, lambda j: max(j, 1), f"xi_{n}")
+        for n, row in enumerate(rows, 1)
+    ]
     return XiSequence(xs, "recursion")
 
 
@@ -318,9 +305,8 @@ def lambda_series(order: int) -> TruncSeries1:
                 out[p - 1] -= 2 * i * v
         if any(out[:base]):
             raise StructureError(f"{name} carries an impossible term exp2=0")
-        row = tuple((p, v) for p, v in enumerate(out) if v)
-        lam.append(_readback(row, base, fact, name))
-        rows.append(row)
+        rows.append(_sparse(out))
+        lam.append(_readback(rows[-1], base, fact, 0, -2, lambda j: max(j, 1), name))
     return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
 
 

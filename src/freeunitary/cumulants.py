@@ -13,11 +13,10 @@ over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
 The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
-Z[t, y], each K one flat row of (index, coefficient) pairs, so that the
-cuts of a word are one call of qpoly._row_products, the integer kernel
-that the xi and lambda recursions share.  No denominator or gcd enters
-until the top word's row is read back into its QuasiPoly
-(_recursive_value gives the layout and the proof).
+Z[t, y], each K one flat row of qpoly, so that the cuts of a word are
+one call of qpoly._row_products, the kernel that the xi and lambda
+recursions share.  No denominator or gcd enters until the top word's row
+is read back (_recursive_value gives the proof and the base).
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
@@ -38,7 +37,7 @@ from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
 from .moments import Letters, Word, as_word, biane_Q
-from .qpoly import Poly, QuasiPoly, Row, _row_products, from_rows
+from .qpoly import Poly, QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
 
@@ -203,9 +202,7 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
 
 
 _MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}
-_RECURSIVE_MEMO: dict[Letters, Row] = {}
-# the base B of the rows of _RECURSIVE_MEMO, with the memo dict it was set for
-_BASE: tuple[dict[Letters, Row], int] = (_RECURSIVE_MEMO, 16)
+_RECURSIVE_MEMO: dict[Letters, tuple[int, Row]] = {}  # letters -> (base B, row)
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
@@ -236,33 +233,16 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     n! diag_cumulant(n) = (-n)^(n-1) t^(n-1) y^n and 2! kappa(1*) =
     2 - 2y^2.  So by induction every K lies in Z[t, y].
 
-    Its y-powers are |w| - 2j for 0 <= j <= |w|/2 and its t-degree is below
-    |w|, so a row holds the coefficient of t^i y^(|w|-2j) at the index
-    j*B + i, nonzero coefficients only.  B is at least the length of every
-    word in the memo, so in a product the t-powers i + i' < B and the j + j'
-    are read off the sum of the two indices, with no carry.  B is a power of
-    two: a longer word raises it to the next power of two at or above its
-    length and empties the memo, whose rows were laid out in the old base.
-    B is kept with the memo dict it was set for, so a dict put in place of
-    _RECURSIVE_MEMO, or put back, is emptied too rather than read in
-    another base.  The top word's row is read back as one integer row over
-    |w|! per grade, at exp2 = 2j - |w|, for qpoly.from_rows.
+    Its y-powers are |w| - 2j, 0 <= j <= |w|/2, and its t-degree is below
+    |w|: grade j of its flat row is y^(|w|-2j).  Each call sets the base B
+    to the least power of two at or above |w|, and at least 16; no piece of
+    the word is longer, so the t-powers of a product stay below B.  The row
+    is read back over |w|!.
     """
-    global _BASE
     n = len(letters)
-    memo, base = _BASE
-    if n > base or memo is not _RECURSIVE_MEMO:
-        base = max(base, 1 << (n - 1).bit_length())
-        _RECURSIVE_MEMO.clear()
-        _BASE = (_RECURSIVE_MEMO, base)
-    rows, den = {}, factorial(n)  # exp2 -> (numerators, den)
-    for p, c in _scaled_row(letters, base):
-        j, i = divmod(p, base)
-        e2 = 2 * j - n
-        if e2 not in rows:
-            rows[e2] = ([0] * n, den)
-        rows[e2][0][i] = c
-    return from_rows(rows)
+    base = max(16, 1 << (n - 1).bit_length())
+    row = _scaled_row(letters, base)
+    return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})")
 
 
 def _scaled_row(letters: Letters, base: int) -> Row:
@@ -282,16 +262,16 @@ def _scaled_row(letters: Letters, base: int) -> Row:
     canonicalised, and a row found or computed under the canonical key is
     stored under the given letters too.  The cumulant is invariant under
     rotation, reversal and swap, so the alias is exact; the memo counts
-    entries, not orbits.
+    entries, not orbits, and reads an entry only in its own base.
     """
-    row = _RECURSIVE_MEMO.get(letters)
-    if row is not None:
-        return row
+    hit = _RECURSIVE_MEMO.get(letters, (0, ()))
+    if hit[0] == base:
+        return hit[1]
     key = _canonical(letters)
-    row = _RECURSIVE_MEMO.get(key)
-    if row is not None:
-        _RECURSIVE_MEMO[letters] = row
-        return row
+    hit = _RECURSIVE_MEMO.get(key, (0, ()))
+    if hit[0] == base:
+        _RECURSIVE_MEMO[letters] = hit
+        return hit[1]
     n = len(letters)
     if key[-1] == 1:  # only the all-ones key ends with 1
         row = ((n - 1, (-n) ** (n - 1)),)
@@ -309,7 +289,6 @@ def _scaled_row(letters: Letters, base: int) -> Row:
             (_scaled_row(rot[:m], base), _scaled_row(rot[m:], base), -comb(n, m))
             for m in range(1, n)
         ]
-        out = _row_products(cuts, (n // 2) * base + n)
-        row = tuple([(i, c) for i, c in enumerate(out) if c])
-    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = row
+        row = _sparse(_row_products(cuts, (n // 2) * base + n))
+    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = (base, row)
     return row

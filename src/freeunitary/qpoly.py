@@ -13,10 +13,15 @@ put in that form only by ``from_rows``, from integer rows {exp2:
 (numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
 validating constructor, ``+`` and ``-`` run on ``_collect``.
 ``sum_of_products``, the product path of the ring, accumulates integer
-numerators in one row per exponent for ``from_rows``.  The integer
-recursions of other modules hold each value as one flat ``Row`` of
-(index, coefficient) pairs with no denominator, and ``_row_products`` is
-their one product kernel.
+numerators in one row per exponent for ``from_rows``.
+
+The integer recursions of ``cumulants`` and ``alternating`` hold each
+value as one flat ``Row`` of (index, coefficient) pairs, nonzero only,
+with the integer coefficient of t^i at grade j at index j*B + i.  The
+caller picks the base B above every t-degree its products reach, so a
+product's index is the sum of the two with no carry.  ``_sparse`` makes
+a row of a dense list, ``_row_products`` is the one product kernel and
+``_readback`` the one way back, over the caller's denominator.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
@@ -26,10 +31,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
+
+from .errors import Frozen, StructureError
 
 Rat = Union[int, Fraction]
-Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see _row_products
+Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see the module docstring
 
 
 def _frac(v) -> Fraction:
@@ -59,7 +66,7 @@ def _poly(num: list[int], den: int) -> "Poly":
     return p
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial over Q, stored as integer numerators over one denominator.
 
     The coefficients, ascending, are ``_num[i] / _den`` with ``_den > 0``,
@@ -165,11 +172,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return _poly([c * i for i, c in enumerate(self._num) if i >= 1], self._den)
 
-    def antiderivative(self) -> "Poly":
-        """Antiderivative vanishing at 0."""
-        m = lcm(*range(1, len(self._num) + 1))
-        return _poly([0] + [c * (m // (i + 1)) for i, c in enumerate(self._num)], self._den * m)
-
     def __call__(self, x):
         """Exact Horner evaluation at an int or Fraction; eval_mp takes the rest."""
         if not isinstance(x, (int, Fraction)):
@@ -200,12 +202,6 @@ class Poly:
     def __hash__(self):
         return hash((self._num, self._den))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
@@ -217,7 +213,7 @@ POLY_ZERO = Poly(())
 POLY_ONE = Poly((1,))
 
 
-class QuasiPoly:
+class QuasiPoly(Frozen):
     """Finite sum of Poly(t) * exp((exp2/2) * t) terms, exp2 integer."""
 
     __slots__ = ("_terms",)
@@ -333,12 +329,6 @@ class QuasiPoly:
     def __hash__(self):
         return hash(("QuasiPoly", self._terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuasiPoly is immutable")
-
     def __repr__(self):
         return f"QuasiPoly({{{', '.join(f'{e2}: {p!r}' for e2, p in self._terms)}}})"
 
@@ -408,6 +398,30 @@ def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]
             for q, v in b:
                 out[p + q] += u * v
     return out
+
+
+def _sparse(dense: Iterable[int]) -> Row:
+    """The row of the nonzero entries of a dense integer list, index ascending."""
+    return tuple([(p, v) for p, v in enumerate(dense) if v])
+
+
+def _readback(
+    row: Row, base: int, den: int, e0: int, step: int, width: Callable[[int], int], name: str
+) -> QuasiPoly:
+    """The QuasiPoly row / den of a flat row in base B = base: the entry at
+    j*B + i is the coefficient of t^i at exp2 = e0 + step*j.  Grade j has
+    t-degree below width(j); an entry at or past it does not fit the layout
+    and is refused, naming the value name."""
+    grades: dict[int, list[int]] = {}  # j -> numerators
+    for p, v in row:
+        j, i = divmod(p, base)
+        nums = grades.get(j)
+        if nums is None:
+            nums = grades[j] = [0] * width(j)
+        if i >= len(nums):
+            raise StructureError(f"{name} carries t-degree {i} at exp2={e0 + step * j}")
+        nums[i] = v
+    return from_rows({e0 + step * j: (nums, den) for j, nums in grades.items()})
 
 
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:

@@ -282,6 +282,14 @@ def test_lambda_series_refuses_a_xi_row_outside_the_layout(monkeypatch):
         lambda_series(2)
 
 
+def test_xi_by_recursion_refuses_a_row_outside_the_layout(monkeypatch):
+    # t y^2 in X_2 reaches the t-degree bound of grade 2, and the readback of
+    # xi_2 refuses it before any check of the sequence
+    _patch_x2(monkeypatch, ((3, 1),))
+    with pytest.raises(StructureError, match=re.escape("xi_2 carries t-degree 1 at exp2=-2")):
+        xi_by_recursion(2)
+
+
 @pytest.mark.parametrize(
     "slot, named",
     [

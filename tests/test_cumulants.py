@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -261,21 +262,43 @@ def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
 
 
 def test_long_suffix_star_words_match_the_laplace_closed_form(monkeypatch):
-    # words past the initial base of the integer rows: the memo filled by a
-    # short word is emptied when the base grows, and the short word's value
-    # is the same after it
+    # words past the smallest row base, 16, up to base 128
     from freeunitary import cumulants
 
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
-    monkeypatch.setattr(cumulants, "_BASE", (memo, 16))
-    short = "11*1**1*"
-    want = z_recursive(short).value
-    assert want == z_mobius(short).value
-    for k in (40, 63, 64, 65, 100):
+    for k in (15, 16, 40, 63, 64, 65, 100):
         assert z_recursive("1" * k + "*").value == suffix_star_cumulant(k)
-    assert cumulants._BASE == (memo, 128)
+    assert memo[Word.parse("1" * 100 + "*").letters][0] == 128
+
+
+def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
+    # after 1^100 *, whose rows are in base 128, a 16-letter word has the same
+    # value, and every memo entry it reaches is its own, in base 16
+    from freeunitary import cumulants
+
+    short = "11*1**1*1*11**1*"
+    alone = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", alone)
+    want = z_recursive(short).value
+    memo = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+    z_recursive("1" * 100 + "*")
+    shared = alone.keys() & memo.keys()
+    assert shared and all(memo[key][0] == 128 for key in shared)
     assert z_recursive(short).value == want
+    assert all(memo[key] == alone[key] for key in alone)
+    assert {base for base, _ in alone.values()} == {16}
+
+
+def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
+    # a t-power |w| does not fit the row of K(w), whose t-degree is below |w|
+    from freeunitary import cumulants
+
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+    monkeypatch.setattr(cumulants, "_scaled_row", lambda letters, base: ((0, 2), (3, 1)))
+    with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
+        z_recursive("1*1")
 
 
 @pytest.mark.parametrize(
