@@ -237,11 +237,15 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     |w|: grade j of its flat row is y^(|w|-2j).  Each call sets the base B
     to the least power of two at or above |w|, and at least 16; no piece of
     the word is longer, so the t-powers of a product stay below B.  The row
-    is read back over |w|!.
+    is read back over |w|!.  A word whose recursion passes Python's depth
+    limit is refused with SizeError.
     """
     n = len(letters)
     base = max(16, 1 << (n - 1).bit_length())
-    row = _scaled_row(letters, base)
+    try:
+        row = _scaled_row(letters, base)
+    except RecursionError:
+        raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
     return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})")
 
 
@@ -262,18 +266,24 @@ def _scaled_row(letters: Letters, base: int) -> Row:
     canonicalised, and a row found or computed under the canonical key is
     stored under the given letters too.  The cumulant is invariant under
     rotation, reversal and swap, so the alias is exact; the memo counts
-    entries, not orbits, and reads an entry only in its own base.
+    entries, not orbits.  A row stored in another base b is re-based, not
+    recomputed: its t-degree is below |w|, which is at most both bases, so
+    index p moves to (p // b) B + p % b.  The re-based row is stored under
+    both keys, so two pieces in one orbit still share one row.
     """
     hit = _RECURSIVE_MEMO.get(letters, (0, ()))
     if hit[0] == base:
         return hit[1]
     key = _canonical(letters)
-    hit = _RECURSIVE_MEMO.get(key, (0, ()))
+    hit = _RECURSIVE_MEMO.get(key, hit)
     if hit[0] == base:
         _RECURSIVE_MEMO[letters] = hit
         return hit[1]
     n = len(letters)
-    if key[-1] == 1:  # only the all-ones key ends with 1
+    if hit[0]:  # stored in another base b, re-based as above
+        b = hit[0]
+        row = tuple([((p // b) * base + p % b, v) for p, v in hit[1]])
+    elif key[-1] == 1:  # only the all-ones key ends with 1
         row = ((n - 1, (-n) ** (n - 1)),)
     elif n == 2:
         row = ((0, -2), (base, 2))  # 2! (1 - y^2)

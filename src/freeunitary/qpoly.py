@@ -12,16 +12,17 @@ A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
 put in that form only by ``from_rows``, from integer rows {exp2:
 (numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
 validating constructor, ``+`` and ``-`` run on ``_collect``.
-``sum_of_products``, the product path of the ring, accumulates integer
-numerators in one row per exponent for ``from_rows``.
 
 The integer recursions of ``cumulants`` and ``alternating`` hold each
 value as one flat ``Row`` of (index, coefficient) pairs, nonzero only,
 with the integer coefficient of t^i at grade j at index j*B + i.  The
 caller picks the base B above every t-degree its products reach, so a
 product's index is the sum of the two with no carry.  ``_sparse`` makes
-a row of a dense list, ``_row_products`` is the one product kernel and
+a row of a dense list, ``_row_products`` is the one product loop and
 ``_readback`` the one way back, over the caller's denominator.
+``Poly.__mul__`` multiplies the rows of two numerator tuples, and
+``sum_of_products``, the product path of the ring, lays each factor out
+as one row over its denominators and reads the sum back by ``from_rows``.
 Numeric evaluation goes through mpmath at a caller-chosen binary precision;
 mpmath is imported by the evaluating methods, not with this module.
 """
@@ -147,13 +148,9 @@ class Poly(Frozen):
         a, b = self._num, other._num
         if not a or not b:
             return POLY_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return _poly(out, self._den * other._den)
+        ra = _sparse(a)
+        rb = ra if other is self else _sparse(b)  # a square takes the square path
+        return _poly(_row_products(((ra, rb, 1),), len(a) + len(b) - 1), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -337,50 +334,41 @@ class QuasiPoly(Frozen):
 
 
 def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
-    """The sum of x * y over the pairs, normalised once per exp2.
+    """The sum of x * y over the pairs, as one _row_products call.
 
-    Each exp2 keeps one slot of integer numerators over a denominator;
-    a product's numerators are multiplied straight into its slot, which is
-    rescaled only when the product's denominator does not divide the
-    slot's.  The slots are the rows of from_rows.
+    Each factor is one flat row over the lcm D of its denominators, grade
+    exp2 - lo with lo the least exp2 on its side of the pairs, in a base
+    above every t-degree a product reaches.  A pair is weighted by
+    L / (D_x D_y), L the lcm of those products, and the sum is read back
+    through from_rows over L.  The work and memory are dense in the grades:
+    they grow with the span of the exp2 sums times the base.
     """
-    slots: dict[int, list] = {}  # exp2 -> [numerators, denominator]
-    for x, y in pairs:
-        ys = y._terms
-        for e2a, pa in x._terms:
-            a, da = pa._num, pa._den
-            for e2b, pb in ys:
-                b = pb._num
-                den = da * pb._den
-                size = len(a) + len(b) - 1
-                slot = slots.get(e2a + e2b)
-                if slot is None:
-                    out, scale = [0] * size, 1
-                    slots[e2a + e2b] = [out, den]
-                else:
-                    out, sden = slot
-                    if len(out) < size:
-                        out.extend([0] * (size - len(out)))
-                    scale, rem = divmod(sden, den)
-                    if rem:
-                        g = gcd(sden, den)
-                        up = den // g
-                        out[:] = [c * up for c in out]
-                        slot[1] = sden * up
-                        scale = sden // g
-                for i, u in enumerate(a):
-                    if u:
-                        u *= scale
-                        for j, v in enumerate(b, i):
-                            out[j] += u * v
-    return from_rows(slots)
+    pairs = [(x._terms, y._terms) for x, y in pairs if x._terms and y._terms]
+    if not pairs:
+        return _quasi(())
+    lo_x = min([xs[-1][0] for xs, _ in pairs])  # terms are exp2 descending
+    lo_y = min([ys[-1][0] for _, ys in pairs])
+    base = 2 * max([len(p._num) for xs, ys in pairs for _, p in xs + ys])
+
+    def flat(terms, lo):
+        d = lcm(*[p._den for _, p in terms])
+        row = [((e2 - lo) * base + i, v * (d // p._den)) for e2, p in reversed(terms)
+               for i, v in enumerate(p._num) if v]
+        return tuple(row), d
+
+    terms = [(*flat(xs, lo_x), *flat(ys, lo_y)) for xs, ys in pairs]
+    den = lcm(*[dx * dy for _, dx, _, dy in terms])
+    grades = max([xs[0][0] + ys[0][0] for xs, ys in pairs]) - lo_x - lo_y + 1
+    out = _row_products([(a, b, den // (dx * dy)) for a, dx, b, dy in terms], grades * base)
+    e0 = lo_x + lo_y
+    return from_rows({e0 + g: (out[g * base : (g + 1) * base], den) for g in range(grades)})
 
 
 def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]:
     """The integer list, of length size, of sum c a*b over the (a, b, c) terms
     of rows: a product puts u v at the sum of the two indices.  The shorter
     row is scaled by c, and a square, a is b, takes each unordered pair of
-    its entries once.  This is the one product kernel of the integer rows."""
+    its entries once.  This is the one product loop of the package."""
     out = [0] * size
     for a, b, c in terms:
         if a is b:

@@ -386,6 +386,16 @@ def test_pde_coefficients_vanish_up_to_truncation():
         pde_z_coefficient(seq.entries, 0)
 
 
+def test_first_pde_defect_is_the_missing_xi_term():
+    # with xi_1..xi_N the z^(N+1) equation lacks only the terms of xi_(N+1):
+    # its t-derivative, and 2 (N+1) xi_(N+1) times the constant 1/2 of H
+    xs = xi_by_inversion(9).entries
+    for n in range(1, 9):
+        want = -(xs[n].ddt() + xs[n].scale(n + 1))
+        assert not want.is_zero
+        assert pde_z_coefficient(xs[:n], n + 1) == want
+
+
 def test_pde_residual_report():
     report = pde_residual(6)
     assert report.defect_order == 7

@@ -777,6 +777,18 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
+def test_a_word_past_the_recursion_depth_exits_2_without_a_traceback():
+    # 2000 letters pass Python's default depth on 3.10 to 3.12 alike; 3.12
+    # inlines comprehensions, so it reaches about twice as deep as 3.11
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "freeunitary.cli", "zpoly", "1" * 2000 + "*"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: word length 2001 [^\n]*\n", proc.stderr)
+
+
 # One sample input for every subcommand that takes --format, and the choices
 # it offers; latex only where a LaTeX form exists.
 _SAMPLE_Q = ["1/2", "1/3", "-1/4", "2/5", "1/6", "0"]

@@ -291,6 +291,40 @@ def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
     assert {base for base, _ in alone.values()} == {16}
 
 
+def test_a_row_in_another_base_is_rebased_not_recomputed(monkeypatch):
+    # after a 40-letter word (base 64), a 15-letter one (base 16) computes
+    # no state whose canonical key the memo already held, and keeps its value
+    from freeunitary import cumulants
+
+    short = "1*1**1*1*11*1*1"
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+    want = z_recursive(short).value
+    memo = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+    z_recursive("1*" * 20)
+    held = {_canonical(key) for key in memo}
+    # a state is computed when _row_products runs on its cuts, which is after
+    # every piece below it has returned, so the innermost open call is it
+    stack, computed = [], []
+    scaled_row, row_products = cumulants._scaled_row, cumulants._row_products
+
+    def traced(letters, base):
+        stack.append(letters)
+        try:
+            return scaled_row(letters, base)
+        finally:
+            stack.pop()
+
+    def counted(terms, size):
+        computed.append(stack[-1])
+        return row_products(terms, size)
+
+    monkeypatch.setattr(cumulants, "_scaled_row", traced)
+    monkeypatch.setattr(cumulants, "_row_products", counted)
+    assert z_recursive(short).value == want
+    assert computed and not {_canonical(letters) for letters in computed} & held
+
+
 def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     # a t-power |w| does not fit the row of K(w), whose t-degree is below |w|
     from freeunitary import cumulants

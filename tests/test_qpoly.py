@@ -293,14 +293,18 @@ def test_poly_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# sum_of_products against products formed term by term with Poly.__mul__ and
-# summed by the QuasiPoly constructor, which adds Polys one at a time.
+# sum_of_products against products formed term by term on Fraction lists by
+# _ref_mul and summed per exp2 by _ref_add, so that neither Poly.__mul__ nor
+# the row kernel behind it enters the oracle.
 
 
 def _naive_sum_of_products(pairs):
-    return QuasiPoly(
-        [(ea + eb, pa * pb) for x, y in pairs for ea, pa in x._terms for eb, pb in y._terms]
-    )
+    acc = {}
+    for x, y in pairs:
+        for ea, pa in x._terms:
+            for eb, pb in y._terms:
+                acc[ea + eb] = _ref_add(acc.get(ea + eb, ()), _ref_mul(pa.coeffs, pb.coeffs))
+    return QuasiPoly({e2: Poly(cs) for e2, cs in acc.items()})
 
 
 def _assert_canonical_quasi(q):
@@ -311,7 +315,7 @@ def _assert_canonical_quasi(q):
         assert p._num
 
 
-# denominators up to 30 make a later product's denominator miss the slot's
+# denominators up to 30 give the pairs different denominators, and so weights
 mixed_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=30)
 mixed_quasis = st.builds(
     QuasiPoly,
@@ -341,8 +345,8 @@ def test_sum_of_products_edge_cases():
     assert sum_of_products([(QuasiPoly(), y), (x, y)]) == x * y
     # exact cancellation leaves no term at all
     assert sum_of_products([(x, y), (-x, y)])._terms == ()
-    # a later product at the same exp2 is longer than the slot, and its
-    # denominator (1/5) does not divide the slot's (1/3)
+    # two products of different lengths and denominators (3 and 5) meet at
+    # one exp2, and each side has a factor above its least exp2
     short = (QuasiPoly({-2: Poly((Fraction(1, 3),))}), QuasiPoly({0: 1}))
     long = (QuasiPoly({-1: Poly((0, 0, 1))}), QuasiPoly({-1: Poly((1, Fraction(1, 5)))}))
     got = sum_of_products([short, long])
@@ -471,21 +475,28 @@ def test_only_qpoly_references_the_raw_constructors():
 
 
 def test_only_qpoly_holds_a_flat_row_product_loop():
-    # a loop that adds into out[p + q] is a flat-row product; outside qpoly
-    # the integer recursions go through _row_products instead
+    # a loop that adds into out[p + q] is a flat-row product; every product
+    # of the package, Poly.__mul__ and sum_of_products included, goes through
+    # the one such loop, in qpoly._row_products
     src = Path(__file__).resolve().parent.parent / "src" / "freeunitary"
-    users = set()
-    for path in sorted(src.glob("*.py")):
-        for loop in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(loop, (ast.For, ast.While)):
+    holders = set()
+
+    def visit(node, where, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}", False)
                 continue
-            for node in ast.walk(loop):
-                if (
-                    isinstance(node, ast.AugAssign)
-                    and isinstance(node.op, ast.Add)
-                    and isinstance(node.target, ast.Subscript)
-                    and isinstance(node.target.slice, ast.BinOp)
-                    and isinstance(node.target.slice.op, ast.Add)
-                ):
-                    users.add(path.name)
-    assert users == {"qpoly.py"}
+            if (
+                in_loop
+                and isinstance(child, ast.AugAssign)
+                and isinstance(child.op, ast.Add)
+                and isinstance(child.target, ast.Subscript)
+                and isinstance(child.target.slice, ast.BinOp)
+                and isinstance(child.target.slice.op, ast.Add)
+            ):
+                holders.add(where)
+            visit(child, where, in_loop or isinstance(child, (ast.For, ast.While)))
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, False)
+    assert holders == {"qpoly._row_products"}
