@@ -34,13 +34,13 @@ _EXPORTS = {
     "biane_Q": "moments",
     "diag_cumulant": "moments",
     "m_poly": "moments",
+    "haar_cumulant": "moments",
+    "haar_derivative": "moments",
+    "haar_limit": "moments",
+    "is_alternating": "moments",
+    "switch_number": "moments",
     "ZPolynomial": "cumulants",
     "canonical_word": "cumulants",
-    "haar_cumulant": "cumulants",
-    "haar_derivative": "cumulants",
-    "haar_limit": "cumulants",
-    "is_alternating": "cumulants",
-    "switch_number": "cumulants",
     "z_mobius": "cumulants",
     "z_recursive": "cumulants",
     "TruncSeries1": "alternating",

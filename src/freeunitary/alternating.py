@@ -37,11 +37,20 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cumulants import Z_LIMIT, _signed_catalan, z_mobius
+from .cumulants import Z_LIMIT, z_mobius
 from .errors import Frozen, SizeError, StructureError
+from .moments import _signed_catalan
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows, sum_of_products
 
 XI_METHODS = ("recursion", "mobius", "inversion")
+
+# Both caps sit at one budget, about 10 s from a fresh process on a 2-core
+# host (Python 3.11).  pde_residual is timed at MAX_PREC = 16384 bits, where
+# n = 18 took 7.7 to 9.4 s and 20 took 10.5 s (n = 24 takes 3.2 s at 128
+# bits); the chi-roundtrip suite took 7.4 to 7.7 s at order 21 and 10.6 s
+# at 22.
+PDE_LIMIT = 18
+CHI_ORDER_LIMIT = 21
 
 # xi_1 = 1 - e^{-t}, the seed shared by every route.
 XI_ONE = QuasiPoly({0: 1, -2: -1})
@@ -396,8 +405,10 @@ def chi_roundtrip_defect(order: int) -> TruncSeries1:
     constant term 1 dropped) as one sum_of_products per coefficient.  L is
     read off the ODE recursion, not solved against the expansion, so an
     exact zero series certifies that it inverts chi through the stated
-    order.
+    order, which is capped at CHI_ORDER_LIMIT.
     """
+    if order > CHI_ORDER_LIMIT:
+        raise SizeError(f"order {order} exceeds the limit CHI_ORDER_LIMIT = {CHI_ORDER_LIMIT}")
     a = chi_expansion(order).coeffs
     lam = lambda_series(order).coeffs
     acc = [a[order]] + [QuasiPoly()] * order
@@ -460,8 +471,11 @@ def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
     recursion whose equations the defect checks, forms every z-coefficient
     of the defect through order 2 n_max, records the first order that is
     not identically zero, and evaluates the defect series on the grids.
-    The report carries the exact coefficients too.
+    The report carries the exact coefficients too.  n_max is capped at
+    PDE_LIMIT.
     """
+    if n_max > PDE_LIMIT:
+        raise SizeError(f"n_max {n_max} exceeds the limit PDE_LIMIT = {PDE_LIMIT}")
     import mpmath
 
     seq = xi_by_inversion(n_max)

@@ -9,9 +9,10 @@ wall times go to stderr.  Exit codes: 0 success, 1 verification failure,
 early.
 
 A request compiles and imports only the code its subcommand runs, which
-matters when no bytecode is cached (PYTHONDONTWRITEBYTECODE): each handler
-imports its layers (and mpmath only when it evaluates), and the output
-helpers import json, fractions and qpoly when they are called.
+matters when no bytecode is cached (PYTHONDONTWRITEBYTECODE): it builds
+only its own subparser, each handler imports its layers (and mpmath only
+when it evaluates), and the output helpers import json, fractions and
+qpoly when they are called.
 """
 
 from __future__ import annotations
@@ -29,24 +30,6 @@ MAX_PREC = 16384  # pde-check --n 12 takes about 3 s; the cost grows faster than
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1
-
-# The names of freeunitary.verify.SUITES, in execution order, for the
-# --suite choices; a test pins the two together.
-SUITE_NAMES = (
-    "ncpart-lattice",
-    "z-two-path",
-    "thm3.7",
-    "prop6.2",
-    "thm6.3",
-    "laplace-cross",
-    "remark4.5",
-    "xi-three-path",
-    "pde-coeff",
-    "chi-roundtrip",
-    "prop6.7-cross",
-    "lemma6.11",
-    "example6.9",
-)
 
 
 def __getattr__(name: str):
@@ -88,10 +71,10 @@ def _check_printable(values) -> None:
 
 def _json(value):
     """The JSON form of a list of rationals, a Poly or a QuasiPoly."""
+    if isinstance(value, list):  # before qpoly, which a list of rationals does not need
+        return [str(v) for v in value]
     from .qpoly import Poly
 
-    if isinstance(value, list):
-        return [str(v) for v in value]
     if isinstance(value, Poly):
         return {"coeffs": [str(c) for c in value.coeffs]}
     return value.to_json_dict()
@@ -267,8 +250,7 @@ def _cmd_pde_check(args) -> int:
 
 
 def _cmd_haar(args) -> int:
-    from .cumulants import haar_derivative, haar_limit
-    from .moments import as_word
+    from .moments import as_word, haar_derivative, haar_limit
 
     word = as_word(args.word)
     limit, derivative = haar_limit(word), haar_derivative(word)
@@ -352,12 +334,6 @@ def _cmd_moments(args) -> int:
     return _print_value(m_poly(as_word(args.word)), args)
 
 
-def _cmd_verify(args) -> int:
-    from .verify import run_suites
-
-    return run_suites(args)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -389,110 +365,119 @@ def _add_prec(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command alone, or with all of them
+    when command is None or names no subcommand, so that the top-level help
+    and the errors that list the subcommands read the same."""
     parser = argparse.ArgumentParser(
         prog="freeunitary",
         description="Exact joint cumulants of a free unitary flow and its adjoint.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command in (None, "zpoly"):
+        p = sub.add_parser("zpoly", help="cumulant quasi-polynomial of a word")
+        p.add_argument("word", help="word over {1,*}, e.g. '1*1' or 'uu*u'")
+        p.add_argument(
+            "--method",
+            choices=("mobius", "recursive", "both"),
+            default="recursive",
+            help="computation route (mobius is the oracle, for words up to Z_LIMIT letters); "
+            "both cross-checks and exits 1 on mismatch",
+        )
+        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
+        p.add_argument("--grade", type=int, metavar="M", help="emit the y^M coefficient")
+        _add_format(p)
+        _add_prec(p)
+        p.set_defaults(func=_cmd_zpoly)
+    if command in (None, "xi"):
+        p = sub.add_parser("xi", help="alternating cumulant xi_n")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument(
+            "--method",
+            choices=("recursion", "mobius", "inversion", "all"),
+            default="inversion",
+            help="computation route (inversion, one closed sum per n, is the fastest; recursion "
+            "is its oracle; mobius reaches n <= Z_LIMIT/2); all cross-checks and exits 1 on "
+            "mismatch",
+        )
+        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
+        _add_format(p)
+        _add_prec(p)
+        p.set_defaults(func=_cmd_xi)
+    if command in (None, "special"):
+        p = sub.add_parser("special", help="closed two-term form for 1^k *^l words")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        _add_format(p)
+        p.set_defaults(func=_cmd_special)
+    if command in (None, "fcheck"):
+        p = sub.add_parser("fcheck", help="cleared-form functional identity check")
+        p.add_argument("--order", type=int, required=True)
+        p.set_defaults(func=_cmd_fcheck)
+    if command in (None, "pde-check"):
+        p = sub.add_parser("pde-check", help="PDE coefficient and residual check")
+        p.add_argument("--n", type=int, required=True)
+        _add_prec(p)
+        p.set_defaults(func=_cmd_pde_check)
+    if command in (None, "haar"):
+        p = sub.add_parser("haar", help="stationary limit and first-order coefficient")
+        p.add_argument("--word", required=True)
+        _add_format(p, ("text", "json"))
+        p.set_defaults(func=_cmd_haar)
+    if command in (None, "alpha"):
+        p = sub.add_parser("alpha", help="determining sequence from q-cumulants")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--q-cumulants", required=True, metavar="FILE")
+        _add_format(p, ("text", "json"))
+        p.set_defaults(func=_cmd_alpha)
+    if command in (None, "beta"):
+        p = sub.add_parser("beta", help="infinitesimal determining sequence")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--q-cumulants", required=True, metavar="FILE")
+        p.add_argument(
+            "--method",
+            choices=("mobius", "enumeration", "both"),
+            default="mobius",
+            help="computation route (mobius, the default, sums over NC(k); enumeration sums "
+            "over the support sets, for k up to STRUCTURED_LIMIT); both cross-checks and exits "
+            "1 on mismatch",
+        )
+        _add_format(p, ("text", "json"))
+        p.set_defaults(func=_cmd_beta)
+    if command in (None, "ncw"):
+        p = sub.add_parser("ncw", help="supporting partitions of a word")
+        p.add_argument("--word", required=True)
+        p.add_argument("--count-only", action="store_true")
+        _add_format(p, ("text", "json"))
+        p.set_defaults(func=_cmd_ncw)
+    if command in (None, "nc"):
+        p = sub.add_parser("nc", help="non-crossing partition lattice utilities")
+        p.add_argument("--n", type=int, required=True)
+        add = p.add_mutually_exclusive_group().add_argument
+        add("--list", action="store_true", help="list all partitions")
+        add("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
+        add("--moebius", metavar="P", help="Moebius weight of P against the full block")
+        p.set_defaults(func=_cmd_nc)
+    if command in (None, "moments"):
+        p = sub.add_parser("moments", help="moment quasi-polynomial of a word")
+        p.add_argument("--word", required=True)
+        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
+        _add_format(p)
+        _add_prec(p)
+        p.set_defaults(func=_cmd_moments)
+    if command in (None, "verify"):
+        from .verify import SUITES, run_suites
 
-    p = sub.add_parser("zpoly", help="cumulant quasi-polynomial of a word")
-    p.add_argument("word", help="word over {1,*}, e.g. '1*1' or 'uu*u'")
-    p.add_argument(
-        "--method",
-        choices=("mobius", "recursive", "both"),
-        default="recursive",
-        help="computation route (mobius is the oracle, for words up to Z_LIMIT letters); "
-        "both cross-checks and exits 1 on mismatch",
-    )
-    p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-    p.add_argument("--grade", type=int, metavar="M", help="emit the y^M coefficient")
-    _add_format(p)
-    _add_prec(p)
-    p.set_defaults(func=_cmd_zpoly)
-
-    p = sub.add_parser("xi", help="alternating cumulant xi_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("recursion", "mobius", "inversion", "all"),
-        default="inversion",
-        help="computation route (inversion, one closed sum per n, is the fastest; recursion "
-        "is its oracle; mobius reaches n <= Z_LIMIT/2); all cross-checks and exits 1 on mismatch",
-    )
-    p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-    _add_format(p)
-    _add_prec(p)
-    p.set_defaults(func=_cmd_xi)
-
-    p = sub.add_parser("special", help="closed two-term form for 1^k *^l words")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("fcheck", help="cleared-form functional identity check")
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_fcheck)
-
-    p = sub.add_parser("pde-check", help="PDE coefficient and residual check")
-    p.add_argument("--n", type=int, required=True)
-    _add_prec(p)
-    p.set_defaults(func=_cmd_pde_check)
-
-    p = sub.add_parser("haar", help="stationary limit and first-order coefficient")
-    p.add_argument("--word", required=True)
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_haar)
-
-    p = sub.add_parser("alpha", help="determining sequence from q-cumulants")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q-cumulants", required=True, metavar="FILE")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("beta", help="infinitesimal determining sequence")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q-cumulants", required=True, metavar="FILE")
-    p.add_argument(
-        "--method",
-        choices=("mobius", "enumeration", "both"),
-        default="mobius",
-        help="computation route (mobius, the default, sums over NC(k); enumeration sums over "
-        "the support sets, for k up to STRUCTURED_LIMIT); both cross-checks and exits 1 on "
-        "mismatch",
-    )
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_beta)
-
-    p = sub.add_parser("ncw", help="supporting partitions of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--count-only", action="store_true")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_ncw)
-
-    p = sub.add_parser("nc", help="non-crossing partition lattice utilities")
-    p.add_argument("--n", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--list", action="store_true", help="list all partitions")
-    mode.add_argument("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
-    mode.add_argument("--moebius", metavar="P", help="Moebius weight of P against the full block")
-    p.set_defaults(func=_cmd_nc)
-
-    p = sub.add_parser("moments", help="moment quasi-polynomial of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-    _add_format(p)
-    _add_prec(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("--suite", choices=sorted(SUITE_NAMES), help="run one suite (default all)")
-    p.add_argument("--max-n", type=int, default=None, help="override the suite size knob")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_prec(p)
-    p.set_defaults(func=_cmd_verify)
-
+        p = sub.add_parser("verify", help="run identity suites")
+        p.add_argument("--suite", choices=sorted(SUITES), help="run one suite (default all)")
+        p.add_argument("--max-n", type=int, default=None, help="override the suite size knob")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        _add_prec(p)
+        p.set_defaults(func=run_suites)
+    if not sub.choices:  # command names no subcommand
+        return build_parser()
+    if command is not None:  # a top-level error, such as an unknown option, lists them all
+        parser.error = lambda message: build_parser().error(message)
     return parser
 
 
@@ -515,9 +500,9 @@ def _join_eval(argv: Sequence[str]) -> list[str]:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = _join_eval(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_join_eval(sys.argv[1:] if argv is None else argv))
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -22,21 +22,21 @@ The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
 polynomial products are formed once per multiset (102 of them for the
 alternating word of length 12, against 208 012 partitions).  The
-per-partition sum is kept as a test oracle.  The stationary limit and
-the first-order coefficient of the approach to it, grades 0 and 1 of the
-cumulant, are read from the paper's closed forms in O(|w|); the verify
-suites check them against the recursion's grades.
+per-partition sum is kept as a test oracle.  Grades 0 and 1 of the
+cumulant, the stationary limit and the first-order coefficient of the
+approach to it, also have closed forms in O(|w|) (moments.haar_limit,
+moments.haar_derivative); the verify suites check them against the
+recursion's grades.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from operator import neg
 from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
-from .moments import Letters, Word, as_word, biane_Q
+from .moments import Letters, Word, as_word, biane_Q, switch_number
 from .qpoly import Poly, QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
@@ -85,13 +85,6 @@ class ZPolynomial(Frozen):
         return self.value.to_text()
 
 
-def switch_number(w: Union[Word, str]) -> int:
-    """Number of adjacent unequal letter pairs, counted cyclically."""
-    letters = as_word(w).letters
-    n = len(letters)
-    return sum(1 for i in range(n) if letters[i] != letters[(i + 1) % n])
-
-
 def canonical_word(w: Union[Word, str]) -> Word:
     """Least representative of the orbit under rotation, reversal and swap.
 
@@ -135,53 +128,6 @@ def _canonical(letters: Letters) -> Letters:
         if b > best:
             best = b
     return best or (1,) * n
-
-
-def haar_cumulant(w: Union[Word, str]) -> int:
-    """Closed-form cumulant of a Haar unitary for the given word.
-
-    Nonzero exactly on even words that alternate cyclically, where the
-    value is the signed Catalan number (-1)^(k-1) C_(k-1) for |w| = 2k.
-    """
-    word = as_word(w)
-    n = word.n
-    if n % 2 != 0 or switch_number(word) != n:
-        return 0
-    return _signed_catalan(n // 2)
-
-
-def is_alternating(w: Union[Word, str]) -> bool:
-    """Even length: letters alternate strictly around the circle; odd
-    length: some rotation of the one-extra-letter pattern or its swap.
-
-    Both cases reduce to the cyclic switch count: n for even words,
-    n - 1 for odd ones.
-    """
-    word = as_word(w)
-    s = switch_number(word)
-    return s == word.n if word.n % 2 == 0 else s == word.n - 1
-
-
-def haar_limit(w: Union[Word, str]) -> Fraction:
-    """Value of the cumulant at the stationary limit of the unitary: the
-    Haar cumulant (Prop 6.2)."""
-    return Fraction(haar_cumulant(w))
-
-
-def haar_derivative(w: Union[Word, str]) -> Fraction:
-    """First-order coefficient of the approach to the stationary limit
-    (Thm 6.3): (-1)^(k-1) C_(k-1) on alternating words of odd length
-    2k - 1, and 0 on every other word."""
-    word = as_word(w)
-    if word.n % 2 == 0 or not is_alternating(word):
-        return Fraction(0)
-    return Fraction(_signed_catalan((word.n + 1) // 2))
-
-
-def _signed_catalan(k: int) -> int:
-    """(-1)^(k-1) C_(k-1), with the Catalan number by its binomial form so
-    that the closed forms load no lattice code (ncpart.catalan is the same)."""
-    return (-1) ** (k - 1) * (comb(2 * k - 2, k - 1) // k)
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:

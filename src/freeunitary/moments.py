@@ -1,10 +1,17 @@
-"""Words in a unitary and its adjoint, and their moment quasi-polynomials.
+"""Words in a unitary and its adjoint, their moment quasi-polynomials, and
+the closed forms that read only the letters.
 
 A Word is a string over the two-letter alphabet {1, *}, standing for a
 product of first powers of a unitary (letter 1) and its adjoint (letter *).
 The moment of such a word under the free unitary flow depends only
 on the signed letter excess d = |#1 - #*|, through the degree-(d-1)
 polynomial family Q_d and the substitution y = exp(-t/2).
+
+The stationary limit of a word cumulant and the first-order coefficient
+of the approach to it (Prop 6.2, Thm 6.3) depend only on the cyclic
+switch count of the letters, so they live here, next to Word: the `haar`
+request loads this module alone.  The functions that form a
+quasi-polynomial import qpoly when they are called.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import Frozen, SizeError, StructureError
-from .qpoly import Poly, QuasiPoly
 
 Letters = tuple[int, ...]
 
@@ -93,9 +99,65 @@ def as_word(w: Union[Word, str, Iterable[int]]) -> Word:
     return Word(w)
 
 
+def switch_number(w: Union[Word, str]) -> int:
+    """Number of adjacent unequal letter pairs, counted cyclically."""
+    letters = as_word(w).letters
+    n = len(letters)
+    return sum(1 for i in range(n) if letters[i] != letters[(i + 1) % n])
+
+
+def haar_cumulant(w: Union[Word, str]) -> int:
+    """Closed-form cumulant of a Haar unitary for the given word.
+
+    Nonzero exactly on even words that alternate cyclically, where the
+    value is the signed Catalan number (-1)^(k-1) C_(k-1) for |w| = 2k.
+    """
+    word = as_word(w)
+    n = word.n
+    if n % 2 != 0 or switch_number(word) != n:
+        return 0
+    return _signed_catalan(n // 2)
+
+
+def is_alternating(w: Union[Word, str]) -> bool:
+    """Even length: letters alternate strictly around the circle; odd
+    length: some rotation of the one-extra-letter pattern or its swap.
+
+    Both cases reduce to the cyclic switch count: n for even words,
+    n - 1 for odd ones.
+    """
+    word = as_word(w)
+    s = switch_number(word)
+    return s == word.n if word.n % 2 == 0 else s == word.n - 1
+
+
+def haar_limit(w: Union[Word, str]) -> Fraction:
+    """Value of the cumulant at the stationary limit of the unitary: the
+    Haar cumulant (Prop 6.2)."""
+    return Fraction(haar_cumulant(w))
+
+
+def haar_derivative(w: Union[Word, str]) -> Fraction:
+    """First-order coefficient of the approach to the stationary limit
+    (Thm 6.3): (-1)^(k-1) C_(k-1) on alternating words of odd length
+    2k - 1, and 0 on every other word."""
+    word = as_word(w)
+    if word.n % 2 == 0 or not is_alternating(word):
+        return Fraction(0)
+    return Fraction(_signed_catalan((word.n + 1) // 2))
+
+
+def _signed_catalan(k: int) -> int:
+    """(-1)^(k-1) C_(k-1), with the Catalan number by its binomial form so
+    that the closed forms load no lattice code (ncpart.catalan is the same)."""
+    return (-1) ** (k - 1) * (math.comb(2 * k - 2, k - 1) // k)
+
+
 @lru_cache(maxsize=None)
 def biane_Q(n: int) -> Poly:
     """The degree-(n-1) moment polynomial Q_n, normalized by Q_n(0) = 1."""
+    from .qpoly import Poly
+
     if n < 1:
         raise SizeError(f"Q index must be >= 1, got {n}")
     coeffs = []
@@ -107,6 +169,8 @@ def biane_Q(n: int) -> Poly:
 
 def m_poly(w: Union[Word, str]) -> QuasiPoly:
     """Moment of the word as a quasi-polynomial: Q_d(t) y^d with d the letter excess."""
+    from .qpoly import QuasiPoly
+
     word = as_word(w)
     d = abs(word.count_ones - word.count_stars)
     if d == 0:
@@ -116,6 +180,8 @@ def m_poly(w: Union[Word, str]) -> QuasiPoly:
 
 def diag_cumulant(n: int) -> QuasiPoly:
     """Free cumulant of n copies of the same letter: ((-n)^(n-1)/n!) t^(n-1) y^n."""
+    from .qpoly import Poly, QuasiPoly
+
     if n < 1:
         raise SizeError(f"order must be >= 1, got {n}")
     c = Fraction((-n) ** (n - 1), math.factorial(n))

@@ -337,11 +337,12 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     """The sum of x * y over the pairs, as one _row_products call.
 
     Each factor is one flat row over the lcm D of its denominators, grade
-    exp2 - lo with lo the least exp2 on its side of the pairs, in a base
-    above every t-degree a product reaches.  A pair is weighted by
-    L / (D_x D_y), L the lcm of those products, and the sum is read back
-    through from_rows over L.  The work and memory are dense in the grades:
-    they grow with the span of the exp2 sums times the base.
+    (exp2 - lo) / step with lo the least exp2 on its side of the pairs and
+    step the gcd of every such offset on both sides, in a base above every
+    t-degree a product reaches.  A pair is weighted by L / (D_x D_y), L the
+    lcm of those products, and the sum is read back through from_rows over
+    L.  The work and memory grow with the span of the exp2 sums over step
+    times the base, so squaring 1 + e^{-100000 t} takes three grades.
     """
     pairs = [(x._terms, y._terms) for x, y in pairs if x._terms and y._terms]
     if not pairs:
@@ -349,19 +350,21 @@ def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     lo_x = min([xs[-1][0] for xs, _ in pairs])  # terms are exp2 descending
     lo_y = min([ys[-1][0] for _, ys in pairs])
     base = 2 * max([len(p._num) for xs, ys in pairs for _, p in xs + ys])
+    step = gcd(*[e2 - lo_x for xs, _ in pairs for e2, _ in xs],
+               *[e2 - lo_y for _, ys in pairs for e2, _ in ys]) or 1
 
     def flat(terms, lo):
         d = lcm(*[p._den for _, p in terms])
-        row = [((e2 - lo) * base + i, v * (d // p._den)) for e2, p in reversed(terms)
+        row = [((e2 - lo) // step * base + i, v * (d // p._den)) for e2, p in reversed(terms)
                for i, v in enumerate(p._num) if v]
         return tuple(row), d
 
     terms = [(*flat(xs, lo_x), *flat(ys, lo_y)) for xs, ys in pairs]
     den = lcm(*[dx * dy for _, dx, _, dy in terms])
-    grades = max([xs[0][0] + ys[0][0] for xs, ys in pairs]) - lo_x - lo_y + 1
+    grades = (max([xs[0][0] + ys[0][0] for xs, ys in pairs]) - lo_x - lo_y) // step + 1
     out = _row_products([(a, b, den // (dx * dy)) for a, dx, b, dy in terms], grades * base)
     e0 = lo_x + lo_y
-    return from_rows({e0 + g: (out[g * base : (g + 1) * base], den) for g in range(grades)})
+    return from_rows({e0 + step * g: (out[g * base : (g + 1) * base], den) for g in range(grades)})
 
 
 def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]:

@@ -146,7 +146,8 @@ def _suite_thm37(args):
 
 @_tally
 def _suite_prop62(args):
-    from .cumulants import haar_limit, z_recursive
+    from .cumulants import z_recursive
+    from .moments import haar_limit
 
     for w in _all_words(args.max_n or 7):
         # compared as polynomials, so a grade that is not constant fails
@@ -155,7 +156,8 @@ def _suite_prop62(args):
 
 @_tally
 def _suite_thm63(args):
-    from .cumulants import haar_derivative, z_recursive
+    from .cumulants import z_recursive
+    from .moments import haar_derivative
 
     for w in _all_words(args.max_n or 7):
         yield [(str(w), Poly((haar_derivative(w),)), z_recursive(w).grade(1))]
@@ -269,7 +271,7 @@ def _suite_prop67_cross(args):
 
 @_tally
 def _suite_lemma611(args):
-    from .cumulants import is_alternating
+    from .moments import is_alternating
     from .rdiag import nc_omega
 
     # words that begin and end with 1; the one-letter word is alternating
@@ -303,9 +305,11 @@ def _max_n_limits() -> dict:
     The other word suites run the recursion, which has no cap; they keep
     Z_LIMIT because thm3.7, prop6.2 and thm6.3 check all 2^n words of each
     length n, so the word count is what bounds them (8190 words at 12).
-    The table lives here, not on the SUITES entries, because those entries
-    may be swapped for wrappers after import.
+    pde-coeff and chi-roundtrip feed it to the capped PDE and round-trip
+    routes of alternating.  The table lives here, not on the SUITES
+    entries, because those entries may be swapped for wrappers after import.
     """
+    from .alternating import CHI_ORDER_LIMIT, PDE_LIMIT
     from .cumulants import Z_LIMIT
     from .ncpart import MAX_GROUND_SIZE
 
@@ -317,6 +321,8 @@ def _max_n_limits() -> dict:
         "prop6.2": z,
         "thm6.3": z,
         "laplace-cross": z,
+        "pde-coeff": ("PDE_LIMIT", PDE_LIMIT),
+        "chi-roundtrip": ("CHI_ORDER_LIMIT", CHI_ORDER_LIMIT),
     }
 
 

@@ -101,6 +101,21 @@ def test_trunc_series_compose(monkeypatch):
     assert chi_roundtrip_defect(1) == TruncSeries1(1, [3, 1])
 
 
+def test_pde_and_round_trip_routes_refuse_past_their_caps(monkeypatch):
+    # before any sum: the routes they would build are patched to raise
+    from freeunitary import alternating
+
+    def never(n):
+        raise AssertionError("a sum ran before the refusal")
+
+    for name in ("xi_by_inversion", "chi_expansion", "lambda_series"):
+        monkeypatch.setattr(alternating, name, never)
+    with pytest.raises(SizeError, match=r"n_max 19 exceeds the limit PDE_LIMIT = 18$"):
+        pde_residual(alternating.PDE_LIMIT + 1)
+    with pytest.raises(SizeError, match=r"order 22 exceeds the limit CHI_ORDER_LIMIT = 21$"):
+        chi_roundtrip_defect(alternating.CHI_ORDER_LIMIT + 1)
+
+
 @pytest.mark.parametrize("method", XI_METHODS)
 def test_frozen_xi_rows(method):
     builder = {

@@ -222,10 +222,10 @@ def test_haar_reads_the_closed_forms_without_the_recursion(monkeypatch, capsys):
     "suite, name", [("prop6.2", "haar_limit"), ("thm6.3", "haar_derivative")]
 )
 def test_haar_suites_catch_a_wrong_closed_form(suite, name, monkeypatch, capsys):
-    from freeunitary import cumulants
+    from freeunitary import moments
 
-    right = getattr(cumulants, name)
-    monkeypatch.setattr(cumulants, name, lambda w: right(w) + (str(w) == "1*1"))
+    right = getattr(moments, name)
+    monkeypatch.setattr(moments, name, lambda w: right(w) + (str(w) == "1*1"))
     assert run(["verify", "--suite", suite, "--max-n", "3"]) == 1
     out, _ = _capture(capsys)
     assert f"suite {suite}: FAIL (1 of 14 cases)" in out
@@ -513,7 +513,9 @@ def test_verify_refuses_max_n_zero(capsys):
     "suite,module,const",
     [("ncpart-lattice", "ncpart", "MAX_GROUND_SIZE")]
     + [(name, "cumulants", "Z_LIMIT")
-       for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3", "laplace-cross")],
+       for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3", "laplace-cross")]
+    + [("pde-coeff", "alternating", "PDE_LIMIT"),
+       ("chi-roundtrip", "alternating", "CHI_ORDER_LIMIT")],
 )
 def test_verify_max_n_stops_at_the_suite_route_limit(suite, module, const, monkeypatch, capsys):
     # with the limit lowered to 3, --max-n 3 runs and --max-n 4 is refused
@@ -539,6 +541,30 @@ def test_verify_max_n_above_a_limit_runs_no_suite(monkeypatch, capsys):
     assert "suite z-two-path: Z_LIMIT = 12" in err
     assert run(["verify", "--suite", "ncpart-lattice", "--max-n", "17"]) == 2
     assert "suite ncpart-lattice: MAX_GROUND_SIZE = 16" in _capture(capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["pde-check", "--n", "19"], "n_max 19 exceeds the limit PDE_LIMIT = 18"),
+        (["pde-check", "--n", "19", "--prec", "16384"], "PDE_LIMIT = 18"),
+        (["verify", "--suite", "pde-coeff", "--max-n", "19"], "suite pde-coeff: PDE_LIMIT = 18"),
+        (["verify", "--suite", "chi-roundtrip", "--max-n", "22"],
+         "suite chi-roundtrip: CHI_ORDER_LIMIT = 21"),
+    ],
+)
+def test_pde_and_round_trip_caps_refuse_before_any_sum(argv, named, monkeypatch, capsys):
+    from freeunitary import alternating
+
+    def never(n):
+        raise AssertionError("a sum ran before the refusal")
+
+    for name in ("xi_by_inversion", "chi_expansion", "lambda_series", "lagrange_lambda"):
+        monkeypatch.setattr(alternating, name, never)
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -619,44 +645,86 @@ _IMPORT_FOOTPRINT = """
 import sys
 before = set(sys.modules)
 import freeunitary.cli as cli
-layers = ("mpmath", "freeunitary.qpoly", "freeunitary.ncpart", "freeunitary.alternating",
-          "freeunitary.laplace", "freeunitary.rdiag", "freeunitary.verify")
-def loaded(names=layers):
-    print(sorted(m for m in names if m in sys.modules and m not in before))
-loaded(("json", "fractions") + layers)
-cli.run(["zpoly", "1*1"])
-loaded()
-cli.run(["haar", "--word", "1*1*1"])
-loaded()
-cli.run(["verify", "--suite", "thm3.7"])
-loaded()
-cli.run(["xi", "--n", "3"])
-loaded()
+watched = ("freeunitary", "json", "fractions", "mpmath")
+print("imported", sorted(m for m in set(sys.modules) - before if m.split(".")[0] in watched))
+cli.run(sys.argv[1:])
+sys.stdout.flush()
+print("loaded", sorted(m for m in sys.modules if m.startswith("freeunitary.") or m == "mpmath"))
 """
+_BASE = ["freeunitary.cli", "freeunitary.errors"]
+_RDIAG = [*_BASE, "freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag"]
+_WORDS = [*_BASE, "freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
+_XI = [*_WORDS, "freeunitary.alternating"]
+# one request per subcommand, and the freeunitary modules its process loads
+_FOOTPRINTS = {
+    "zpoly": (["zpoly", "1*1"], _WORDS),
+    "xi": (["xi", "--n", "3"], _XI),
+    "special": (["special", "--k", "2", "--l", "1"], [*_WORDS, "freeunitary.laplace"]),
+    "fcheck": (["fcheck", "--order", "2"], [*_WORDS, "freeunitary.laplace"]),
+    "pde-check": (["pde-check", "--n", "2"], [*_XI, "mpmath"]),
+    "haar": (["haar", "--word", "1*1*1"], [*_BASE, "freeunitary.moments"]),
+    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"], _RDIAG),
+    "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"], _RDIAG),
+    "ncw": (["ncw", "--word", "1*1", "--format", "json"], _RDIAG),
+    "nc": (["nc", "--n", "4"], [*_BASE, "freeunitary.ncpart"]),
+    "moments": (["moments", "--word", "11"], [*_BASE, "freeunitary.moments", "freeunitary.qpoly"]),
+    "verify": (["verify", "--suite", "thm3.7"], [*_WORDS, "freeunitary.verify"]),
+}
 
 
-def test_cli_imports_only_the_layers_a_request_runs(capsys):
+def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
+    # a fresh process per request: haar reads its closed forms off the
+    # letters, and alpha, beta and ncw print no quasi-polynomial
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [
-        "[]",
-        "-y + (x+1)y^3", "['freeunitary.qpoly']",
-        "limit = 0", "derivative = 2", "['freeunitary.qpoly']",
-        "suite thm3.7: PASS (254 cases)", "1/1 suites passed",
-        "['freeunitary.qpoly', 'freeunitary.verify']",
-        "2 - 15y^2 + (12x+30)y^4 - (6x^2+18x+17)y^6",
-        "['freeunitary.alternating', 'freeunitary.qpoly', 'freeunitary.verify']",
-    ]
+    loaded = {}
+    for command, (argv, _) in _FOOTPRINTS.items():
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        lines = proc.stdout.splitlines()
+        loaded[command] = (lines[0], lines[-1])
+    # importing the CLI loads no layer, and no json or fractions
+    imported = f"imported {['freeunitary', *_BASE]}"
+    assert loaded == {command: (imported, f"loaded {sorted(modules)}")
+                      for command, (_, modules) in _FOOTPRINTS.items()}
+
+
+def test_the_suite_names_live_in_verify(capsys):
     # the forward perfbench reads, and the --suite choices, are verify's
     from freeunitary import cli, verify
 
     assert cli.SUITES is verify.SUITES
     assert cli._XI_ROWS is verify._XI_ROWS
-    assert cli.SUITE_NAMES == tuple(verify.SUITES)
     choices = re.search(r"--suite \{(.*?)\}", _help(["verify"], capsys))[1].split(",")
     assert choices == sorted(verify.SUITES)
+
+
+_COMMANDS = list(_FOOTPRINTS)
+
+
+def test_a_request_builds_only_its_own_subparser():
+    from freeunitary.cli import build_parser
+
+    def subparsers(parser):
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    full = subparsers(build_parser())
+    assert list(full) == _COMMANDS
+    for command in _COMMANDS:
+        alone = subparsers(build_parser(command))
+        assert list(alone) == [command]
+        # the subparser's help reads the same alone as among the others
+        assert alone[command].format_help() == full[command].format_help()
+    for unknown in ("bogus", "-h", "zpo"):
+        assert list(subparsers(build_parser(unknown))) == _COMMANDS
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["zpoly", "1*", "--bogus"]], ids=repr)
+def test_top_level_errors_list_every_subcommand(argv, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "{" + ",".join(_COMMANDS) + "}" in err
 
 
 @pytest.mark.parametrize(

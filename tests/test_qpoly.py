@@ -355,6 +355,30 @@ def test_sum_of_products_edge_cases():
     assert sum_of_products(iter([short, long])) == got
 
 
+def test_sum_of_products_lays_the_grades_out_in_steps_of_their_gcd(monkeypatch):
+    # the exp2 offsets 0 and 200000 have gcd 200000: the square takes three
+    # grades of base 2, not 400001
+    from freeunitary import qpoly
+
+    sizes = []
+    kernel = qpoly._row_products
+
+    def spy(terms, size):
+        sizes.append(size)
+        return kernel(terms, size)
+
+    monkeypatch.setattr(qpoly, "_row_products", spy)
+    x = QuasiPoly({0: 1, -200000: 1})
+    assert x * x == QuasiPoly({0: 1, -200000: 2, -400000: 1})
+    assert sizes and max(sizes) <= 3 * 2
+    # offsets 200000 and 6 step by 2, a lone exp2 adds no offset, and lone
+    # exp2s on both sides have no offset at all
+    y = QuasiPoly({0: 1, -6: Poly((0, 1))})
+    z = QuasiPoly({5: Poly((1, Fraction(1, 2)))})
+    for pairs in ([(x, y)], [(x, z)], [(z, z)], [(x, y), (y, z)]):
+        assert sum_of_products(pairs) == _naive_sum_of_products(pairs)
+
+
 # ---------------------------------------------------------------------------
 # ring operations that assemble their canonical terms directly, against the
 # same value built through the validating constructor
