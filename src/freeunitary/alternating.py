@@ -44,11 +44,12 @@ from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows,
 
 XI_METHODS = ("recursion", "mobius", "inversion")
 
-# Both caps sit at one budget, about 10 s from a fresh process on a 2-core
-# host (Python 3.11).  pde_residual is timed at MAX_PREC = 16384 bits, where
-# n = 18 took 7.7 to 9.4 s and 20 took 10.5 s (n = 24 takes 3.2 s at 128
-# bits); the chi-roundtrip suite took 7.4 to 7.7 s at order 21 and 10.6 s
-# at 22.
+# Both caps were set at one budget, about 10 s from a fresh process on a
+# 2-core host (Python 3.11).  pde_residual is timed at MAX_PREC = 16384
+# bits: with one exponential per (t, exp2) n = 18 takes 2.4 to 3.0 s and
+# 20 takes 3.6 s in-process (n = 24 takes 2.8 s at 128 bits), under that
+# budget, and the cap stays at 18; the chi-roundtrip suite took 7.4 to
+# 7.7 s at order 21 and 10.6 s at 22.
 PDE_LIMIT = 18
 CHI_ORDER_LIMIT = 21
 
@@ -100,8 +101,8 @@ def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
     for e2 in q.exp2_values():
         if e2 > 0 or e2 < -2 * n or e2 % 2:
             raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
-    want = _signed_catalan(n)
-    if q.grade(0) != want:
+    want, g = _signed_catalan(n), q.grade(0)
+    if g._num != (want,) or g._den != 1:
         raise StructureError(f"xi_{n} constant term must be {want}")
     if n == 1 and q != XI_ONE:
         raise StructureError("xi_1 must be 1 - e^{-t}")
@@ -151,9 +152,13 @@ def _xi_rows(n_max: int) -> list[Row]:
     X_n' + n X_n = G = -n(n-1) S_n with X_n(0) = 0, which on grade 2j is
     P' + (n-j) P = G_j.  For j < n that gives
     p_i = (g_i - (i+1) p_{i+1}) / (n-j) from the top t-power down; for
-    j = n, p_{i+1} = g_i / (i+1) and p_0 = -sum_{j<n} P_j(0).  Every
-    division is exact, so one that leaves a remainder, or a grade 0 other
-    than (n-1)! times the signed Catalan constant of xi_n, is refused.
+    j = n, p_{i+1} = g_i / (i+1) and p_0 = -sum_{j<n} P_j(0).  So grade j
+    of S_n must have t-degree below max(j, 1), and grade n below n - 1:
+    one check refuses any nonzero slot past that bound, naming the
+    t-degree it would give xi_n, and each grade is solved only below it.
+    Every division is exact, so one that leaves a remainder, or a grade 0
+    other than (n-1)! times the signed Catalan constant of xi_n, is
+    refused.
     """
     base = n_max
     rows: list[Row] = [((0, 1), (base, -1))]  # rows[n - 1] = X_n; X_1 = xi_1
@@ -165,19 +170,26 @@ def _xi_rows(n_max: int) -> list[Row]:
             for m in range(1, n // 2 + 1)
         ]
         s = _row_products(pairs, (n + 1) * base)
+        for j in range(n + 1):
+            lo, w = j * base, max(j, 1) - (j == n)
+            if any(s[lo + w : lo + base]):
+                i = w
+                while not s[lo + i]:
+                    i += 1
+                raise StructureError(f"xi_{n} carries t-degree {i + (j == n)} at exp2={-2 * j}")
         c = -n * (n - 1)  # G = c S_n
         x = [0] * len(s)
         at0 = 0
         for j in range(n):
-            p = 0
-            for i in range(base - 1, -1, -1):
-                p, r = divmod(c * s[j * base + i] - (i + 1) * p, n - j)
+            p, lo = 0, j * base
+            for i in range(max(j, 1) - 1, -1, -1):
+                p, r = divmod(c * s[lo + i] - (i + 1) * p, n - j)
                 if r:
                     raise StructureError(f"{fact} xi_{n} is not integral at exp2={-2 * j}")
-                x[j * base + i] = p
+                x[lo + i] = p
             at0 += p
-        top = n * base  # grade n of S_n has t-degree at most n - 2 <= B - 2
-        for i in range(base - 1):
+        top = n * base
+        for i in range(n - 1):
             p, r = divmod(c * s[top + i], i + 1)
             if r:
                 raise StructureError(f"{fact} xi_{n} is not integral at exp2={-2 * n}")
@@ -488,7 +500,19 @@ def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
     worst = mpmath.mpf(0)
     with mpmath.workprec(prec_bits):
         for t in DEFAULT_T_GRID:
-            vals = [c.eval(t, prec_bits) for c in coeffs]
+            # QuasiPoly.eval of each coefficient, with one exponential per
+            # exp2 shared by all of them
+            tv = mpmath.mpf(t.numerator) / t.denominator
+            exps = {}
+            vals = []
+            for c in coeffs:
+                total = mpmath.mpf(0)
+                for e2, p in c._terms:
+                    e = exps.get(e2)
+                    if e is None:
+                        e = exps[e2] = mpmath.exp(tv * e2 / 2)
+                    total += p.eval_mp(tv) * e
+                vals.append(total)
             for z in DEFAULT_Z_GRID:
                 zm = mpmath.mpf(z.numerator) / z.denominator
                 total = mpmath.mpf(0)

@@ -26,7 +26,7 @@ from .errors import InsufficientDataError, SizeError, StructureError
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
 MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
-MAX_PREC = 16384  # pde-check --n 12 takes about 3 s; the cost grows faster than the bits
+MAX_PREC = 16384  # pde-check --n 12 takes about 1.1 s; the cost grows faster than the bits
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1

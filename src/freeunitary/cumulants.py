@@ -16,7 +16,12 @@ The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
 Z[t, y], each K one flat row of qpoly, so that the cuts of a word are
 one call of qpoly._row_products, the kernel that the xi and lambda
 recursions share.  No denominator or gcd enters until the top word's row
-is read back (_recursive_value gives the proof and the base).
+is read back (_recursive_value gives the proof and the base).  Its states
+are integer keys (_key), one bit per letter under a sentinel bit, so the
+two pieces of a cut are a shift and a mask, and the least rotation and
+the canonical key under rotation, reversal and swap are bit operations
+over the run starts (_rotations, _canonical); canonical_word reads the
+same key.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
@@ -32,7 +37,6 @@ recursion's grades.
 from __future__ import annotations
 
 from math import comb, factorial
-from operator import neg
 from typing import Union
 
 from .errors import Frozen, SizeError, StructureError
@@ -88,46 +92,64 @@ class ZPolynomial(Frozen):
 def canonical_word(w: Union[Word, str]) -> Word:
     """Least representative of the orbit under rotation, reversal and swap.
 
-    Words are ordered letter by letter with 1 before *.  On the stored
-    letters (+1 before -1) that is the reverse of tuple order, so the least
-    representative is the largest letter tuple among the rotations of the
-    four variants.
+    Words are ordered letter by letter with 1 before *.  That is the
+    reverse of the order of their integer keys (_key), so the least
+    representative is the word of the largest key, _canonical.
     """
-    return Word(_canonical(as_word(w).letters))
+    return Word.parse(bin(_canonical(_key(as_word(w).letters)))[3:].replace("0", "*"))
 
 
-def _canonical(letters: Letters) -> Letters:
-    """The letters of canonical_word, computed on the letter tuple.
+def _key(letters: Letters) -> int:
+    """The integer key of ±1 letters: a leading sentinel 1, then one bit per
+    letter, 1 for the letter 1, the first letter highest.  The prefix of m
+    letters of key k of n letters is k >> (n - m), and the suffix of s
+    letters is k & (1 << s) - 1 | 1 << s."""
+    key = 1
+    for l in letters:
+        key = 2 * key + (l == 1)
+    return key
+
+
+def _rotations(v: int, n: int) -> list[int]:
+    """The rotations of the n letter bits v (no sentinel) that start a run of
+    1s, one per run.  Letter i sits at bit n - 1 - i, so the letter before
+    the one at bit b is at bit b + 1 (at bit 0 for bit n - 1), and the
+    rotation that starts at bit b is the n bits above bit b of v << n | v."""
+    starts = v & ~(v >> 1 | (v & 1) << (n - 1))
+    vv, mask, out = v << n | v, (1 << n) - 1, []
+    while starts:
+        b = starts.bit_length() - 1
+        out.append(vv >> (b + 1) & mask)
+        starts ^= 1 << b
+    return out
+
+
+def _canonical(key: int) -> int:
+    """The key of canonical_word: the largest key in the orbit of the word.
 
     The largest rotation of a variant starts a run of 1s: one that starts
     k letters into the run is smaller than the one at its start, which has
-    1 where it has -1 after the shorter run.  So only the run starts are
-    compared, found in one pass over the given letters: a run of 1s is one
-    of -1s in the swap, and a run that ends at r - 1 starts at n - r in
-    the reversal.  The all-ones word is its own key and that of the
+    1 where it has * after the shorter run.  So only the rotations at run
+    starts (those of _rotations, in its loop inlined with a running max,
+    since every memo miss runs it) of the word, its swap (the bits
+    flipped), its reversal and the swap of that are compared.  The
+    all-ones word has no run start; it is its own key and that of the
     all-stars word.
     """
-    n = len(letters)
-    d = letters + letters
-    sw = tuple(map(neg, d))
-    rd, rs = d[::-1], sw[::-1]
-    best = ()
-    prev = letters[-1]
-    for r, l in enumerate(letters):
-        if l == prev:
-            continue
-        prev = l
-        # a run of 1s (of -1s) of the letters starts at r, and one of -1s
-        # (of 1s) ends at r - 1
-        if l == 1:
-            a, b = d[r : r + n], rs[n - r : 2 * n - r]
-        else:
-            a, b = sw[r : r + n], rd[n - r : 2 * n - r]
-        if a > best:
-            best = a
-        if b > best:
-            best = b
-    return best or (1,) * n
+    n = key.bit_length() - 1
+    mask = (1 << n) - 1
+    v, r = key & mask, int(bin(key)[:2:-1], 2)
+    best = 0
+    for x in (v, v ^ mask, r, r ^ mask):
+        starts = x & ~(x >> 1 | (x & 1) << (n - 1))
+        xx = x << n | x
+        while starts:
+            b = starts.bit_length() - 1
+            c = xx >> (b + 1) & mask
+            if c > best:
+                best = c
+            starts ^= 1 << b
+    return (best or mask) | 1 << n
 
 
 def _mobius_value(letters: Letters) -> QuasiPoly:
@@ -148,7 +170,8 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
 
 
 _MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}
-_RECURSIVE_MEMO: dict[Letters, tuple[int, Row]] = {}  # letters -> (base B, row)
+_RECURSIVE_MEMO: dict[int, tuple[int, Row]] = {}  # _key -> (base B, row)
+_MISS = (0, ())
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
@@ -189,17 +212,18 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     n = len(letters)
     base = max(16, 1 << (n - 1).bit_length())
     try:
-        row = _scaled_row(letters, base)
+        row = _scaled_row(_key(letters), base)
     except RecursionError:
         raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
     return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})")
 
 
-def _scaled_row(letters: Letters, base: int) -> Row:
-    """The row of K(w) = |w|! kappa(w) in base B, memoised (see _recursive_value).
+def _scaled_row(key: int, base: int) -> Row:
+    """The row of K(w) = |w|! kappa(w) in base B, memoised (see _recursive_value);
+    key is the word's _key.
 
-    The letters are cut at the least of their rotations that start with 1
-    and end with * (+1 > -1, so at the shortest run of 1s).  Any such
+    The word is cut at the least of its rotations that start with 1 and
+    end with * (the least key, so at the shortest run of 1s).  Any such
     rotation gives the same value.  The least one depends only on the
     cyclic word, not on where the given letters start, and its prefixes
     and suffixes recur among the pieces: random 14-16-letter words with 8
@@ -208,43 +232,44 @@ def _scaled_row(letters: Letters, base: int) -> Row:
     such rotation gives fewer states on (1*)^k but more on random words
     (about 93 on that family).
 
-    The memo is probed with the letters as given before they are
-    canonicalised, and a row found or computed under the canonical key is
-    stored under the given letters too.  The cumulant is invariant under
-    rotation, reversal and swap, so the alias is exact; the memo counts
-    entries, not orbits.  A row stored in another base b is re-based, not
+    The memo is probed with the key as given before it is canonicalised,
+    and a row found or computed under the canonical key is stored under
+    the given key too.  The cumulant is invariant under rotation, reversal
+    and swap, so the alias is exact; the memo counts entries, not orbits.
+    The caller probes it for each piece the same way, inline, and calls
+    this only on a miss.  A row stored in another base b is re-based, not
     recomputed: its t-degree is below |w|, which is at most both bases, so
     index p moves to (p // b) B + p % b.  The re-based row is stored under
     both keys, so two pieces in one orbit still share one row.
     """
-    hit = _RECURSIVE_MEMO.get(letters, (0, ()))
+    memo = _RECURSIVE_MEMO
+    hit = memo.get(key, _MISS)
     if hit[0] == base:
         return hit[1]
-    key = _canonical(letters)
-    hit = _RECURSIVE_MEMO.get(key, hit)
+    canon = _canonical(key)
+    hit = memo.get(canon, hit)
     if hit[0] == base:
-        _RECURSIVE_MEMO[letters] = hit
+        memo[key] = hit
         return hit[1]
-    n = len(letters)
+    n = key.bit_length() - 1
     if hit[0]:  # stored in another base b, re-based as above
         b = hit[0]
         row = tuple([((p // b) * base + p % b, v) for p, v in hit[1]])
-    elif key[-1] == 1:  # only the all-ones key ends with 1
+    elif canon & 1:  # only the all-ones key ends with 1
         row = ((n - 1, (-n) ** (n - 1)),)
     elif n == 2:
         row = ((0, -2), (base, 2))  # 2! (1 - y^2)
     else:
-        # the least rotation that starts with 1 and ends with *
-        rot = min(
-            letters[i + 1 :] + letters[: i + 1]
-            for i in range(n)
-            if letters[i] == -1 and letters[(i + 1) % n] == 1
-        )
-        # two pieces in one orbit share one memo row, a square of the kernel
-        cuts = [
-            (_scaled_row(rot[:m], base), _scaled_row(rot[m:], base), -comb(n, m))
-            for m in range(1, n)
-        ]
+        # the least rotation that starts with 1 and ends with *, cut into a
+        # prefix of n - s letters and a suffix of s: two pieces in one orbit
+        # share one memo row, a square of the kernel
+        rot = min(_rotations(key ^ 1 << n, n)) | 1 << n
+        cuts = []
+        for s in range(n - 1, 0, -1):
+            head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
+            hh, ht = memo.get(head, _MISS), memo.get(tail, _MISS)
+            cuts.append((hh[1] if hh[0] == base else _scaled_row(head, base),
+                         ht[1] if ht[0] == base else _scaled_row(tail, base), -comb(n, s)))
         row = _sparse(_row_products(cuts, (n // 2) * base + n))
-    _RECURSIVE_MEMO[key] = _RECURSIVE_MEMO[letters] = (base, row)
+    memo[canon] = memo[key] = (base, row)
     return row

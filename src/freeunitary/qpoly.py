@@ -400,19 +400,24 @@ def _readback(
     row: Row, base: int, den: int, e0: int, step: int, width: Callable[[int], int], name: str
 ) -> QuasiPoly:
     """The QuasiPoly row / den of a flat row in base B = base: the entry at
-    j*B + i is the coefficient of t^i at exp2 = e0 + step*j.  Grade j has
-    t-degree below width(j); an entry at or past it does not fit the layout
-    and is refused, naming the value name."""
-    grades: dict[int, list[int]] = {}  # j -> numerators
+    j*B + i is the coefficient of t^i at exp2 = e0 + step*j.  The row is
+    scattered once into a dense list, and grade j is read as one slice of
+    it.  Grade j has t-degree below width(j); an entry at or past it does
+    not fit the layout and is refused, naming the value name."""
+    dense = [0] * (max(row)[0] + 1 if row else 0)
     for p, v in row:
-        j, i = divmod(p, base)
-        nums = grades.get(j)
-        if nums is None:
-            nums = grades[j] = [0] * width(j)
-        if i >= len(nums):
+        dense[p] = v
+    grades = {}
+    for lo in range(0, len(dense), base):
+        j, nums = lo // base, dense[lo : lo + base]
+        w = width(j)
+        if any(nums[w:]):
+            i = w
+            while not nums[i]:
+                i += 1
             raise StructureError(f"{name} carries t-degree {i} at exp2={e0 + step * j}")
-        nums[i] = v
-    return from_rows({e0 + step * j: (nums, den) for j, nums in grades.items()})
+        grades[e0 + step * j] = (nums[:w], den)
+    return from_rows(grades)
 
 
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:

@@ -5,7 +5,9 @@ complement and the Moebius values of freeunitary.ncpart; the subword at a
 block's positions resums word cumulants into moments; rotation, reversal
 and swap move a word within the orbit its cumulant is invariant on; the
 Kreweras complement by pair linkage is the reference for its permutation form; the
-Lambert W series is the reference for moments.diag_cumulant; the Moebius
+orbit representative and the least cut rotation on letter tuples are the
+references for cumulants._canonical and cumulants._rotations on integer
+keys; the Lambert W series is the reference for moments.diag_cumulant; the Moebius
 sum with one polynomial product per partition is the reference for the
 grouped sum of cumulants._mobius_value; the concatenation recursion cut
 at the first wrap pair is the reference for the least-rotation cut of
@@ -194,6 +196,48 @@ def reverse(w: Word) -> Word:
 def swap(w: Word) -> Word:
     """Exchange the roles of 1 and *."""
     return Word(tuple(-l for l in w.letters))
+
+
+def canonical_letters(letters: tuple) -> tuple:
+    """The letters of canonical_word, on the letter tuple: the largest tuple
+    (+1 before -1) among the rotations of the word, its reversal, its swap
+    and the swap of its reversal.
+
+    The largest rotation of a variant starts a run of 1s, so only the run
+    starts are compared, found in one pass over the given letters: a run of
+    1s is one of -1s in the swap, and a run that ends at r - 1 starts at
+    n - r in the reversal.  The all-ones word is its own key and that of
+    the all-stars word.
+    """
+    n = len(letters)
+    d = letters + letters
+    sw = tuple(-l for l in d)
+    rd, rs = d[::-1], sw[::-1]
+    best = ()
+    prev = letters[-1]
+    for r, l in enumerate(letters):
+        if l == prev:
+            continue
+        prev = l
+        # a run of 1s (of -1s) of the letters starts at r, and one of -1s
+        # (of 1s) ends at r - 1
+        if l == 1:
+            a, b = d[r : r + n], rs[n - r : 2 * n - r]
+        else:
+            a, b = sw[r : r + n], rd[n - r : 2 * n - r]
+        best = max(best, a, b)
+    return best or (1,) * n
+
+
+def least_cut_rotation(letters: tuple) -> tuple:
+    """The least rotation of the letters that starts with 1 and ends with -1,
+    where the word recursion cuts a word with both letters."""
+    n = len(letters)
+    return min(
+        letters[i + 1 :] + letters[: i + 1]
+        for i in range(n)
+        if letters[i] == -1 and letters[(i + 1) % n] == 1
+    )
 
 
 def nc_brute(m: int) -> list:

@@ -312,6 +312,8 @@ def test_xi_by_recursion_refuses_a_row_outside_the_layout(monkeypatch):
         (10, "24 xi_5 is not integral at exp2=-4"),
         # the constant: -20 divides by 5, leaving a wrong Catalan constant
         (0, "xi_5 constant term must be 14"),
+        # t y^2: past the t-degree bound 1 of grade 1, refused before the solve
+        (6, "xi_5 carries t-degree 1 at exp2=-2"),
     ],
 )
 def test_xi_step_refuses_a_wrong_product_sum(monkeypatch, slot, named):
@@ -415,6 +417,28 @@ def test_pde_residual_report():
     report = pde_residual(6)
     assert report.defect_order == 7
     assert report.max_residual < 1e-15
+
+
+def test_pde_residual_equals_the_sum_of_coefficient_evaluations():
+    # the shared exponentials give the value of QuasiPoly.eval on each
+    # coefficient, summed over the z grid at the same precision
+    import mpmath
+
+    from freeunitary.alternating import DEFAULT_T_GRID, DEFAULT_Z_GRID
+
+    report = pde_residual(6)
+    worst = mpmath.mpf(0)
+    with mpmath.workprec(128):
+        for t in DEFAULT_T_GRID:
+            vals = [c.eval(t, 128) for c in report.coefficients]
+            for z in DEFAULT_Z_GRID:
+                zm = mpmath.mpf(z.numerator) / z.denominator
+                total, zpow = mpmath.mpf(0), mpmath.mpf(1)
+                for v in vals:
+                    zpow = zpow * zm
+                    total += v * zpow
+                worst = max(worst, abs(total))
+    assert report.max_residual == float(worst)
 
 
 def test_route_size_guards():

@@ -24,9 +24,18 @@ from freeunitary import (
     z_mobius,
     z_recursive,
 )
-from freeunitary.cumulants import Z_LIMIT, _canonical, _mobius_value
+from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _rotations
 from freeunitary.moments import diag_cumulant
-from oracles import first_boundary_value, mobius_value, reverse, rotate, subword, swap
+from oracles import (
+    canonical_letters,
+    first_boundary_value,
+    least_cut_rotation,
+    mobius_value,
+    reverse,
+    rotate,
+    subword,
+    swap,
+)
 
 # Frozen example table: the six low-order cumulants listed explicitly.
 FROZEN_Z = {
@@ -42,6 +51,11 @@ FROZEN_Z = {
 def _all_words(n):
     for bits in range(2 ** n):
         yield Word(tuple(1 if (bits >> i) & 1 else -1 for i in range(n)))
+
+
+def _word_of(key):
+    """The word of an integer memo key (cumulants._key)."""
+    return Word(tuple(1 if c == "1" else -1 for c in bin(key)[3:]))
 
 
 @pytest.mark.parametrize("text,want", sorted(FROZEN_Z.items()))
@@ -141,6 +155,28 @@ def test_canonical_word_matches_key_oracle_up_to_length_12():
             assert canonical_word(Word(letters)).letters == _canonical_word_by_key(letters)
 
 
+def _check_integer_key(letters):
+    n, key = len(letters), _key(letters)
+    assert _word_of(key).letters == letters
+    assert _canonical(key) == _key(canonical_letters(letters))
+    if len(set(letters)) == 2:
+        assert min(_rotations(key ^ 1 << n, n)) | 1 << n == _key(least_cut_rotation(letters))
+
+
+def test_integer_key_matches_the_tuple_oracle():
+    # every word of up to 12 letters, then seeded words of 13 to 130 letters
+    # with the constant words and the lengths at a sentinel or row-base bit
+    for n in range(1, 13):
+        for letters in itertools.product((1, -1), repeat=n):
+            _check_integer_key(letters)
+    rng = random.Random(20142)
+    for n in sorted({*range(13, 131, 7), 63, 64, 65, 127, 128, 129, 130}):
+        _check_integer_key((1,) * n)
+        _check_integer_key((-1,) * n)
+        for _ in range(6):
+            _check_integer_key(tuple(rng.choice((1, -1)) for _ in range(n)))
+
+
 def test_switch_number_counts_cyclically():
     assert switch_number("11") == 0
     assert switch_number("1*") == 2
@@ -225,8 +261,8 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
 
 
 def test_recursive_memo_aliases_are_exact(monkeypatch):
-    # the recursion probes its memo with the letters as given and stores
-    # each value under them as well as under the canonical key
+    # the recursion probes its memo with the key of the letters as given and
+    # stores each value under it as well as under the canonical key
     from freeunitary import cumulants
 
     rng = random.Random(20140)
@@ -239,11 +275,11 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
         want = z_recursive(w).value
         for v in variants:
             assert z_recursive(v).value == want
-            assert v.letters in memo
+            assert _key(v.letters) in memo
         for key, row in list(memo.items()):
             fresh = {}
             monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
-            z_recursive(Word(key))
+            z_recursive(_word_of(key))
             assert fresh[key] == row
 
 
@@ -269,7 +305,7 @@ def test_long_suffix_star_words_match_the_laplace_closed_form(monkeypatch):
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     for k in (15, 16, 40, 63, 64, 65, 100):
         assert z_recursive("1" * k + "*").value == suffix_star_cumulant(k)
-    assert memo[Word.parse("1" * 100 + "*").letters][0] == 128
+    assert memo[_key(Word.parse("1" * 100 + "*").letters)][0] == 128
 
 
 def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
@@ -308,10 +344,10 @@ def test_a_row_in_another_base_is_rebased_not_recomputed(monkeypatch):
     stack, computed = [], []
     scaled_row, row_products = cumulants._scaled_row, cumulants._row_products
 
-    def traced(letters, base):
-        stack.append(letters)
+    def traced(key, base):
+        stack.append(key)
         try:
-            return scaled_row(letters, base)
+            return scaled_row(key, base)
         finally:
             stack.pop()
 
@@ -322,7 +358,7 @@ def test_a_row_in_another_base_is_rebased_not_recomputed(monkeypatch):
     monkeypatch.setattr(cumulants, "_scaled_row", traced)
     monkeypatch.setattr(cumulants, "_row_products", counted)
     assert z_recursive(short).value == want
-    assert computed and not {_canonical(letters) for letters in computed} & held
+    assert computed and not {_canonical(key) for key in computed} & held
 
 
 def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
@@ -330,7 +366,7 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     from freeunitary import cumulants
 
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-    monkeypatch.setattr(cumulants, "_scaled_row", lambda letters, base: ((0, 2), (3, 1)))
+    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base: ((0, 2), (3, 1)))
     with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
         z_recursive("1*1")
 
