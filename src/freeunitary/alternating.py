@@ -6,9 +6,10 @@ quadratic first-order ODE recursion, each step one exact linear solve,
 the generic Moebius sum over NC(2n), and Lagrange-Buermann inversion of
 an exponential-rational map chi around its zero.  With
 g = w e^{(1+w)t} / (2+w), chi(1+w) = -(1+w)^2 g / (1+g)^2, and one
-kernel, _lagrange_rows, runs the rows S_k = (2+w) S_{k-1} and the
-factor tables of [w^j] S_k e^{stw} behind three closed integer sums,
-each with no series product and no division: chi_expansion reads
+kernel, _lagrange_rows, runs the rows S_k = (2+w) S_{k-1} with the
+factor tables of [w^j] S_k e^{stw} (_factor_tables, shared across n at
+shift 0) behind three closed integer sums, each with no series product
+and no division: chi_expansion reads
 [w^n] chi(1+w) off g / (1+g)^2 = sum_m (-1)^{m-1} m g^m;
 lagrange_lambda (the working route for lambda_n) reads each
 lambda_n = [z^n] L of the inverse 1 + L(z); and, since
@@ -55,6 +56,8 @@ CHI_ORDER_LIMIT = 21
 
 # xi_1 = 1 - e^{-t}, the seed shared by every route.
 XI_ONE = QuasiPoly({0: 1, -2: -1})
+# the leading 1 of the inverse series 1 + L(z)
+_ONE = QuasiPoly.constant(1)
 
 
 class TruncSeries1(Frozen):
@@ -94,15 +97,19 @@ def check_xi(n: int, q: QuasiPoly) -> QuasiPoly:
 
     xi_n vanishes at t = 0, only even half-exponents in [-2n, 0] occur,
     the grade-0 part is the signed Catalan constant, and xi_1 is
-    1 - e^{-t}.
+    1 - e^{-t}.  All on integers: xi_n(0) is the sum of the constant
+    numerators over the lcm of the denominators, and grade 0, once every
+    exp2 is at most 0, is the first of the exp2-descending terms.
     """
-    if q.value_at_zero():
+    terms = q._terms
+    den = math.lcm(*[p._den for _, p in terms])
+    if sum([p._num[0] * (den // p._den) for _, p in terms]):
         raise StructureError(f"xi_{n}(0) must be 0")
-    for e2 in q.exp2_values():
+    for e2, _ in terms:
         if e2 > 0 or e2 < -2 * n or e2 % 2:
             raise StructureError(f"xi_{n} carries an impossible term exp2={e2}")
-    want, g = _signed_catalan(n), q.grade(0)
-    if g._num != (want,) or g._den != 1:
+    want = _signed_catalan(n)
+    if not terms or terms[0][0] or terms[0][1]._num != (want,) or terms[0][1]._den != 1:
         raise StructureError(f"xi_{n} constant term must be {want}")
     if n == 1 and q != XI_ONE:
         raise StructureError("xi_1 must be 1 - e^{-t}")
@@ -236,27 +243,38 @@ def xi_by_mobius(n_max: int) -> XiSequence:
     return XiSequence(xs, "mobius")
 
 
-def _lagrange_rows(base: list, shift: int) -> Iterator[tuple]:
+def _factor_tables(k_max: int, shift: int = 0) -> list[list[int]]:
+    """The factor tables f_k[c] = s^c k!/c!, c = 0..k, s = shift - k, for
+    k = 0..k_max.  At shift 0, f_k[c] = (-k)^c k!/c! depends on k alone,
+    so lagrange_lambda and xi_by_inversion build one list for every n."""
+    tables, fact = [], 1
+    for k in range(k_max + 1):
+        if k:
+            fact *= k
+        f = [fact]
+        for c in range(1, k + 1):
+            f.append(f[-1] * (shift - k) // c)
+        tables.append(f)
+    return tables
+
+
+def _lagrange_rows(base: list, tables: Sequence[list[int]]) -> Iterator[tuple]:
     """The one kernel of the closed sums for chi_n, lambda_n and xi_n.
 
     Each sum (Lagrange-Buermann, Stanley EC2 5.4, for lambda_n and xi_n)
     runs over k of e^{st} [w^j] S_k(w) e^{stw} with s = shift - k.  For
     k = 0..len(base) - 1 this yields (k, S_{k-1}, S_k, f): the integer
     rows S_0 = base and S_k = (2+w) S_{k-1}, truncated at the length of
-    base (S_{-1} = S_0), and the factor table f[c] = s^c k!/c!, c = 0..k, so
+    base (S_{-1} = S_0), and f = tables[k], the factor table of
+    _factor_tables at that shift, so
         k! [w^j] S(w) e^{stw} = sum_{c<=j} f[c] S[j-c] t^c  for j <= k,
     with f[0] = k! the denominator: O(len(base)^2) integer operations.
     """
     prev = row = base
-    fact = 1
     for k in range(len(base)):
         if k:
-            fact *= k
             prev, row = row, [2 * row[0]] + [2 * row[j] + row[j - 1] for j in range(1, len(row))]
-        f = [fact]
-        for c in range(1, k + 1):
-            f.append(f[-1] * (shift - k) // c)
-        yield k, prev, row, f
+        yield k, prev, row, tables[k]
 
 
 def chi_expansion(order: int) -> TruncSeries1:
@@ -280,7 +298,7 @@ def chi_expansion(order: int) -> TruncSeries1:
         inv = [0, 0] + [(-1) ** j * math.comb(n + j - 1, j) << (n - j) for j in range(n)]
         base = [inv[j + 2] + 2 * inv[j + 1] + inv[j] for j in range(n)]
         rows = {}
-        for k, _, s, f in _lagrange_rows(base, n):
+        for k, _, s, f in _lagrange_rows(base, _factor_tables(n - 1, n)):
             m = n - k
             num = [(-1) ** m * m * f[c] * s[k - c] for c in range(k + 1)]
             rows[2 * m] = (num, f[0] << 2 * n)
@@ -328,22 +346,24 @@ def lambda_series(order: int) -> TruncSeries1:
             raise StructureError(f"{name} carries an impossible term exp2=0")
         rows.append(_sparse(out))
         lam.append(_readback(rows[-1], base, fact, 0, -2, lambda j: max(j, 1), name))
-    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
+    return TruncSeries1(order, [_ONE] + lam)
 
 
-def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int]) -> dict:
+def _inverse_terms(n: int, a2: Sequence[int], b2: Sequence[int], tables: Sequence) -> dict:
     """The rows k = 1..n of the closed sums of lagrange_lambda and _xi_closed.
 
     Term k is (-1)^n / n times
         e^{-kt} ( a_k [w^{k-1}] e^{-ktw} S_k - b_k [w^k] e^{-ktw} (2 R_{k-1} + tw R_k) )
     over the rows S_k = (2+w)^k (1+w)^{-2n} of _lagrange_rows at shift 0,
-    with R_k = (1+w) S_k, 2 a_k = a2[k-1] and 2 b_k = b2[k-1], as the row
-    {-2k: (integer numerators, 2 k! n)} of qpoly.from_rows.
+    whose factor tables, those of _factor_tables(m) for any m >= n, the
+    caller shares across n; R_k = (1+w) S_k is read off S_{k-1} and S_k,
+    not kept as a row.  With 2 a_k = a2[k-1] and 2 b_k = b2[k-1], term k
+    is the row {-2k: (integer numerators, 2 k! n)} of qpoly.from_rows.
     """
     sign = (-1) ** n
     base = [(-1) ** j * math.comb(2 * n + j - 1, j) for j in range(n + 1)]  # [w^j] (1+w)^{-2n}
     rows = {}
-    for k, sp, s, f in _lagrange_rows(base, 0):
+    for k, sp, s, f in _lagrange_rows(base, tables):
         if not k:
             continue
         a = sign * a2[k - 1]
@@ -372,14 +392,14 @@ def lagrange_lambda(order: int) -> TruncSeries1:
     """
     if order < 1:
         raise SizeError(f"order must be >= 1, got {order}")
-    lam = []
+    lam, tables = [], _factor_tables(order)
     for n in range(1, order + 1):
         a2 = [2 * math.comb(2 * n, n - k) for k in range(1, n + 1)]
-        lam.append(from_rows(_inverse_terms(n, a2, [0] * n)))
-    return TruncSeries1(order, [QuasiPoly.constant(1)] + lam)
+        lam.append(from_rows(_inverse_terms(n, a2, [0] * n, tables)))
+    return TruncSeries1(order, [_ONE] + lam)
 
 
-def _xi_closed(n: int) -> QuasiPoly:
+def _xi_closed(n: int, tables: Optional[Sequence] = None) -> QuasiPoly:
     """xi_n as one finite sum of integers by Lagrange-Buermann (Stanley, EC2 5.4).
 
     H = F(L) - (1+L)/2 with F(w) = (1+w)/(1+g), and [z^n] F(L) =
@@ -390,11 +410,14 @@ def _xi_closed(n: int) -> QuasiPoly:
     gives xi_n = (-1)^{n+1} C(2n-2, n-1) / n plus the terms of
     _inverse_terms with a_k = (C(2n-1, n-k) - C(2n-1, n-k-1)) / 2 and
     b_k = C(2n-2, n-k-1), which is 0 at k = n: O(n^2) integer operations.
+    tables are the factor tables of _factor_tables(m) for some m >= n;
+    xi_n alone builds its own.
     """
     a2 = [math.comb(2 * n - 1, n - k) - math.comb(2 * n - 1, n - k - 1) for k in range(1, n)] + [1]
     b2 = [2 * math.comb(2 * n - 2, n - k - 1) for k in range(1, n)] + [0]
     constant = ([(-1) ** (n + 1) * math.comb(2 * n - 2, n - 1)], n)
-    return from_rows({0: constant, **_inverse_terms(n, a2, b2)})
+    rows = _inverse_terms(n, a2, b2, tables or _factor_tables(n))
+    return from_rows({0: constant, **rows})
 
 
 def xi_by_inversion(n_max: int) -> XiSequence:
@@ -406,7 +429,8 @@ def xi_by_inversion(n_max: int) -> XiSequence:
     """
     if n_max < 1:
         raise SizeError(f"n_max must be >= 1, got {n_max}")
-    return XiSequence([_xi_closed(n) for n in range(1, n_max + 1)], "inversion")
+    tables = _factor_tables(n_max)
+    return XiSequence([_xi_closed(n, tables) for n in range(1, n_max + 1)], "inversion")
 
 
 def chi_roundtrip_defect(order: int) -> TruncSeries1:
@@ -451,7 +475,7 @@ def pde_z_coefficient(entries: Sequence[QuasiPoly], n: int) -> QuasiPoly:
     if n <= count:
         acc = acc + entries[n - 1].ddt()
     if n == 1:
-        acc = acc - QuasiPoly.constant(1)
+        acc = acc - _ONE
     return acc
 
 

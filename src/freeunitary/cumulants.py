@@ -232,10 +232,13 @@ def _scaled_row(key: int, base: int) -> Row:
     such rotation gives fewer states on (1*)^k but more on random words
     (about 93 on that family).
 
-    The memo is probed with the key as given before it is canonicalised,
-    and a row found or computed under the canonical key is stored under
-    the given key too.  The cumulant is invariant under rotation, reversal
-    and swap, so the alias is exact; the memo counts entries, not orbits.
+    The memo is probed with the key as given, then, on a miss, with the
+    key of the least cut rotation, which a miss needs anyway to cut, and
+    only then with the canonical key; a row found or computed is stored
+    under all three.  The rotation key catches most pieces whose orbit is
+    stored under another key without a call of _canonical.  The cumulant
+    is invariant under rotation, reversal and swap, so each alias is
+    exact; the memo counts entries, not orbits.
     The caller probes it for each piece the same way, inline, and calls
     this only on a miss.  A row stored in another base b is re-based, not
     recomputed: its t-degree is below |w|, which is at most both bases, so
@@ -246,12 +249,20 @@ def _scaled_row(key: int, base: int) -> Row:
     hit = memo.get(key, _MISS)
     if hit[0] == base:
         return hit[1]
-    canon = _canonical(key)
-    hit = memo.get(canon, hit)
+    n = key.bit_length() - 1
+    # the least rotation that starts with 1 and ends with *; the all-ones
+    # and all-stars words have none and are their own rotation key
+    rots = _rotations(key ^ 1 << n, n)
+    rot = min(rots) | 1 << n if rots else key
+    hit = memo.get(rot, hit)
     if hit[0] == base:
         memo[key] = hit
         return hit[1]
-    n = key.bit_length() - 1
+    canon = _canonical(key)
+    hit = memo.get(canon, hit)
+    if hit[0] == base:
+        memo[key] = memo[rot] = hit
+        return hit[1]
     if hit[0]:  # stored in another base b, re-based as above
         b = hit[0]
         row = tuple([((p // b) * base + p % b, v) for p, v in hit[1]])
@@ -260,10 +271,9 @@ def _scaled_row(key: int, base: int) -> Row:
     elif n == 2:
         row = ((0, -2), (base, 2))  # 2! (1 - y^2)
     else:
-        # the least rotation that starts with 1 and ends with *, cut into a
-        # prefix of n - s letters and a suffix of s: two pieces in one orbit
-        # share one memo row, a square of the kernel
-        rot = min(_rotations(key ^ 1 << n, n)) | 1 << n
+        # the least cut rotation, cut into a prefix of n - s letters and a
+        # suffix of s: two pieces in one orbit share one memo row, a square
+        # of the kernel
         cuts = []
         for s in range(n - 1, 0, -1):
             head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
@@ -271,5 +281,5 @@ def _scaled_row(key: int, base: int) -> Row:
             cuts.append((hh[1] if hh[0] == base else _scaled_row(head, base),
                          ht[1] if ht[0] == base else _scaled_row(tail, base), -comb(n, s)))
         row = _sparse(_row_products(cuts, (n // 2) * base + n))
-    memo[canon] = memo[key] = (base, row)
+    memo[canon] = memo[rot] = memo[key] = (base, row)
     return row

@@ -16,7 +16,8 @@ class InsufficientDataError(LookupError):
 class Frozen:
     """An immutable value whose identity is the tuple of its __slots__,
     compared only within one type.  Subclasses set their slots through
-    object.__setattr__; any other assignment, and any deletion, is refused."""
+    object.__setattr__ or the slot descriptor's __set__; any other
+    assignment, and any deletion, is refused."""
 
     __slots__ = ()
 

@@ -1,11 +1,14 @@
 """Closed Laplace-transform route to the cumulants of one-sided words.
 
 Words of the shape 1^k *^l admit a closed two-term description: the
-cumulant equals a prefactor times (U y^(k+l) + V y^(k+l-2)), where U and V
-are integer-coefficient polynomials obtained by applying the elementary
-Laplace rule  integral_0^inf exp(-x s) s^m ds = m!/x^(m+1)  to explicit
-polynomial integrands. A finite-interval integral I relates U and V; the
-tests check the whole pipeline against a quadrature of I.
+cumulant equals (-1)^(k+l) / ((k-1)! (l-1)!) times (U y^(k+l) + V y^(k+l-2)),
+where U and V are integer-coefficient polynomials obtained by applying the
+elementary Laplace rule  integral_0^inf exp(-x s) s^m ds = m!/x^(m+1)  to
+explicit polynomial integrands.  The integrands have integer
+coefficients, so U and V are built from integers, and the cumulant is
+read over (k-1)! (l-1)! by qpoly.from_rows.  A finite-interval integral I
+relates U and V; the tests check the whole pipeline against a quadrature
+of I, and against the Fraction form of the same rule in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from .errors import SizeError
 from .cumulants import ZPolynomial
 from .moments import diag_cumulant
-from .qpoly import Poly, QuasiPoly, sum_of_products
+from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
 
 F_ORDER_LIMIT = 8
 
@@ -26,45 +29,45 @@ def _check_kl(k: int, l: int) -> None:
         raise SizeError(f"exponents must be >= 1, got ({k}, {l})")
 
 
-def _laplace_poly(k: int, l: int, shift: int, sign: int) -> Poly:
-    # sign * x^(k+l-1) * integral_0^inf exp(-xs) g(s) ds, term by term, where
-    # g(s) = (s+c)^(2-[k=1]-[l=1]) (s+k-1+c)^(k-2) (s+l-1+c)^(l-2) with c the
-    # shift, and a factor (s+j-1+c)^(j-2) enters only for j >= 3
+def _laplace_poly(k: int, l: int, shift: int, sign: int) -> list[int]:
+    """The integer coefficients, ascending, of sign x^(k+l-1) times
+    integral_0^inf exp(-xs) g(s) ds, where
+    g(s) = (s+c)^(2-[k=1]-[l=1]) (s+k-1+c)^(k-2) (s+l-1+c)^(l-2) with c the
+    shift, and a factor (s+j-1+c)^(j-2) enters only for j >= 3.  g has
+    integer coefficients g_m and degree k+l-2, and the Laplace rule sends
+    s^m to m!/x^(m+1), so x^(k+l-2-m) takes sign m! g_m."""
     _check_kl(k, l)
     integrand = Poly((shift, 1)) ** (2 - (k == 1) - (l == 1))
     for j in (k, l):
         if j >= 3:
             integrand = integrand * Poly((j - 1 + shift, 1)) ** (j - 2)
-    top = k + l - 2
-    coeffs = [Fraction(0)] * (top + 1)
-    for m, c in enumerate(integrand.coeffs):
-        if c == 0:
-            continue
-        assert top - m >= 0, "integrand degree exceeds the Laplace budget"
-        coeffs[top - m] = c * math.factorial(m) * sign
-    return Poly(coeffs)
+    out, fact = [], sign
+    for m, c in enumerate(integrand._num):  # over the denominator 1
+        fact *= m or 1
+        out.append(fact * c)
+    out.reverse()
+    return out
 
 
 def u_poly(k: int, l: int) -> Poly:
     """The polynomial U_{k,l}; integer coefficients, degree k+l-2."""
-    return _laplace_poly(k, l, shift=1, sign=-1)
+    return Poly.from_ints(_laplace_poly(k, l, shift=1, sign=-1))
 
 
 def v_poly(k: int, l: int) -> Poly:
     """The polynomial V_{k,l}; integer coefficients, degree k+l-2."""
-    return _laplace_poly(k, l, shift=0, sign=1)
+    return Poly.from_ints(_laplace_poly(k, l, shift=0, sign=1))
 
 
 def z_from_laplace(k: int, l: int) -> ZPolynomial:
-    """Cumulant of the word 1^k *^l assembled from U and V."""
+    """Cumulant of the word 1^k *^l assembled from U and V, both over
+    (k-1)! (l-1)! with the sign (-1)^(k+l) folded into their numerators."""
     _check_kl(k, l)
-    pref = Fraction((-1) ** (k + l), math.factorial(k - 1) * math.factorial(l - 1))
-    value = QuasiPoly(
-        {
-            -(k + l): u_poly(k, l) * pref,
-            -(k + l - 2): v_poly(k, l) * pref,
-        }
-    )
+    sign, den = (-1) ** (k + l), math.factorial(k - 1) * math.factorial(l - 1)
+    value = from_rows({
+        -(k + l): (_laplace_poly(k, l, shift=1, sign=-sign), den),
+        -(k + l - 2): (_laplace_poly(k, l, shift=0, sign=sign), den),
+    })
     return ZPolynomial("1" * k + "*" * l, value)
 
 
@@ -74,11 +77,9 @@ def v_k1_closed(k: int) -> Poly:
         raise SizeError(f"k must be >= 1, got {k}")
     if k <= 2:
         return Poly((1,))
-    coeffs = [
-        Fraction(math.comb(k - 2, j) * math.factorial(k - 1 - j) * (k - 1) ** j)
-        for j in range(k - 1)
-    ]
-    return Poly(coeffs)
+    return Poly.from_ints(
+        [math.comb(k - 2, j) * math.factorial(k - 1 - j) * (k - 1) ** j for j in range(k - 1)]
+    )
 
 
 def suffix_star_cumulant(k: int) -> QuasiPoly:

@@ -7,7 +7,8 @@ term with exp2 = -m into (polynomial) * y^m.
 
 A Poly stores integer numerators over one common denominator, kept in
 lowest terms, so every ring and calculus operation runs on Python ints and
-normalises once; ``Poly.coeffs`` gives the coefficients as Fractions.
+normalises once, in ``_poly`` (``Poly.from_ints`` outside this module);
+``Poly.coeffs`` gives the coefficients as Fractions.
 A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
 put in that form only by ``from_rows``, from integer rows {exp2:
 (numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
@@ -61,9 +62,9 @@ def _poly(num: list[int], den: int) -> "Poly":
         if g != 1:
             num = [c // g for c in num]
             den //= g
-    p = object.__new__(Poly)
-    object.__setattr__(p, "_num", tuple(num))
-    object.__setattr__(p, "_den", den)
+    p = _new(Poly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
     return p
 
 
@@ -82,8 +83,13 @@ class Poly(Frozen):
         cs = [_frac(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
-        object.__setattr__(self, "_num", p._num)
-        object.__setattr__(self, "_den", p._den)
+        _set_num(self, p._num)
+        _set_den(self, p._den)
+
+    @staticmethod
+    def from_ints(num: Iterable[int]) -> "Poly":
+        """The Poly of the integer coefficients num, ascending."""
+        return _poly(list(num), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -206,6 +212,11 @@ class Poly(Frozen):
         return poly_text(self, "x")
 
 
+# The slot setters of the raw constructors, bound once: a descriptor's
+# __set__ bypasses Frozen.__setattr__, which refuses every assignment.
+_new = object.__new__
+_set_num, _set_den = Poly._num.__set__, Poly._den.__set__
+
 POLY_ZERO = Poly(())
 POLY_ONE = Poly((1,))
 
@@ -221,7 +232,7 @@ class QuasiPoly(Frozen):
             if not isinstance(e2, int):
                 raise TypeError(f"exp2 must be int, got {e2!r}")
             pairs.append((e2, p if isinstance(p, Poly) else Poly((p,))))
-        object.__setattr__(self, "_terms", _collect(pairs)._terms)
+        _set_terms(self, _collect(pairs)._terms)
 
     @classmethod
     def constant(cls, c: Rat) -> "QuasiPoly":
@@ -333,6 +344,9 @@ class QuasiPoly(Frozen):
         return self.to_text()
 
 
+_set_terms = QuasiPoly._terms.__set__
+
+
 def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
     """The sum of x * y over the pairs, as one _row_products call.
 
@@ -422,8 +436,8 @@ def _readback(
 
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:
     """The QuasiPoly of canonical terms: exp2 strictly descending, no zero Poly."""
-    q = object.__new__(QuasiPoly)
-    object.__setattr__(q, "_terms", tuple(terms))
+    q = _new(QuasiPoly)
+    _set_terms(q, tuple(terms))
     return q
 
 

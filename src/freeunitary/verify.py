@@ -28,6 +28,14 @@ from random import Random
 from .errors import SizeError
 from .qpoly import Poly, QuasiPoly
 
+# --max-n of laplace-cross, which runs only the word recursion and the
+# closed form on the n(n - 1)/2 words 1^k *^l with k + l <= n, not on all
+# 2^n words.  Set at a budget of about 10 s from a fresh process on a
+# loaded 2-core host (Python 3.11): it took 4.7 to 6.2 s at 64 and 6.2 to
+# 10.4 s at 72, where the words pass 64 letters and the row base of the
+# recursion doubles to 128.
+LAPLACE_LIMIT = 64
+
 # Frozen reference rows used by the suites.
 _XI_ROWS = {
     1: QuasiPoly({0: 1, -2: -1}),
@@ -302,12 +310,14 @@ def _max_n_limits() -> dict:
 
     These suites feed --max-n to a size-capped route as a word length or a
     ground size.  z-two-path runs the Moebius oracle, which Z_LIMIT caps.
-    The other word suites run the recursion, which has no cap; they keep
-    Z_LIMIT because thm3.7, prop6.2 and thm6.3 check all 2^n words of each
-    length n, so the word count is what bounds them (8190 words at 12).
-    pde-coeff and chi-roundtrip feed it to the capped PDE and round-trip
-    routes of alternating.  The table lives here, not on the SUITES
-    entries, because those entries may be swapped for wrappers after import.
+    thm3.7, prop6.2 and thm6.3 run the recursion, which has no cap; they
+    keep Z_LIMIT because they check all 2^n words of each length n, so the
+    word count is what bounds them (8190 words at 12).  laplace-cross runs
+    the recursion on n(n - 1)/2 words and has its own budget cap,
+    LAPLACE_LIMIT.  pde-coeff and chi-roundtrip feed it to the capped PDE
+    and round-trip routes of alternating.  The table lives here, not on
+    the SUITES entries, because those entries may be swapped for wrappers
+    after import.
     """
     from .alternating import CHI_ORDER_LIMIT, PDE_LIMIT
     from .cumulants import Z_LIMIT
@@ -320,7 +330,7 @@ def _max_n_limits() -> dict:
         "thm3.7": z,
         "prop6.2": z,
         "thm6.3": z,
-        "laplace-cross": z,
+        "laplace-cross": ("LAPLACE_LIMIT", LAPLACE_LIMIT),
         "pde-coeff": ("PDE_LIMIT", PDE_LIMIT),
         "chi-roundtrip": ("CHI_ORDER_LIMIT", CHI_ORDER_LIMIT),
     }

@@ -21,7 +21,9 @@ reference for rdiag.alpha_sequence and rdiag.beta_mobius; the
 non-crossing members of all set partitions are the reference for the
 lattice enumeration, and share no code with its recursion.  The
 quadrature of the finite-interval integral checks the Laplace route
-numerically, and quasipoly_from_json reads back the JSON the CLI prints.
+numerically, and the same Laplace rule on Fraction coefficients, through
+the rational Poly constructor, is the reference for the integer closed
+form of laplace; quasipoly_from_json reads back the JSON the CLI prints.
 The triangular solve against the expansion of chi, through a table of
 the powers of L, is the reference for "L inverts the chi expansion":
 alternating.lambda_series reads L off the ODE recursion instead.  The
@@ -470,6 +472,37 @@ def i_quadrature(k: int, l: int, t, prec_bits: int = 200) -> mpmath.mpf:
             )
 
         return +mpmath.quad(f, [0, 1], method="gauss-legendre")
+
+
+def laplace_poly(k: int, l: int, shift: int, sign: int) -> Poly:
+    """sign x^(k+l-1) integral_0^inf exp(-xs) g(s) ds on Fractions, term by term.
+
+    g(s) = (s+c)^(2-[k=1]-[l=1]) (s+k-1+c)^(k-2) (s+l-1+c)^(l-2) with c the
+    shift, and a factor (s+j-1+c)^(j-2) enters only for j >= 3.  U_{k,l} is
+    shift 1, sign -1 and V_{k,l} shift 0, sign 1.
+    """
+    _check_kl(k, l)
+    integrand = Poly((shift, 1)) ** (2 - (k == 1) - (l == 1))
+    for j in (k, l):
+        if j >= 3:
+            integrand = integrand * Poly((j - 1 + shift, 1)) ** (j - 2)
+    top = k + l - 2
+    coeffs = [Fraction(0)] * (top + 1)
+    for m, c in enumerate(integrand.coeffs):
+        if c == 0:
+            continue
+        assert top - m >= 0, "integrand degree exceeds the Laplace budget"
+        coeffs[top - m] = c * math.factorial(m) * sign
+    return Poly(coeffs)
+
+
+def laplace_cumulant(k: int, l: int) -> QuasiPoly:
+    """The cumulant of 1^k *^l from laplace_poly, times the Fraction prefactor."""
+    pref = Fraction((-1) ** (k + l), math.factorial(k - 1) * math.factorial(l - 1))
+    return QuasiPoly({
+        -(k + l): laplace_poly(k, l, 1, -1) * pref,
+        -(k + l - 2): laplace_poly(k, l, 0, 1) * pref,
+    })
 
 
 def quasipoly_from_json(data: Mapping) -> QuasiPoly:

@@ -154,6 +154,17 @@ def test_check_xi_refuses_each_structural_breach():
             check_xi(n, q)
 
 
+def test_check_xi_zero_test_is_exact_across_denominators():
+    # the constant terms of xi_n are summed as integers over the lcm of their
+    # denominators: a cancellation across halves is zero, a miss by 1/6 is not
+    from freeunitary.alternating import check_xi
+
+    q = QuasiPoly({0: -1, -2: Fraction(7, 2), -4: Fraction(-5, 2)})
+    assert check_xi(2, q) is q
+    with pytest.raises(StructureError, match=re.escape("xi_2(0) must be 0")):
+        check_xi(2, QuasiPoly({0: -1, -2: Fraction(7, 2), -4: Fraction(-7, 3)}))
+
+
 def test_xi_accessor_guards():
     seq = xi_by_recursion(3)
     assert seq.n_max == 3

@@ -513,8 +513,9 @@ def test_verify_refuses_max_n_zero(capsys):
     "suite,module,const",
     [("ncpart-lattice", "ncpart", "MAX_GROUND_SIZE")]
     + [(name, "cumulants", "Z_LIMIT")
-       for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3", "laplace-cross")]
-    + [("pde-coeff", "alternating", "PDE_LIMIT"),
+       for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3")]
+    + [("laplace-cross", "verify", "LAPLACE_LIMIT"),
+       ("pde-coeff", "alternating", "PDE_LIMIT"),
        ("chi-roundtrip", "alternating", "CHI_ORDER_LIMIT")],
 )
 def test_verify_max_n_stops_at_the_suite_route_limit(suite, module, const, monkeypatch, capsys):
@@ -541,6 +542,26 @@ def test_verify_max_n_above_a_limit_runs_no_suite(monkeypatch, capsys):
     assert "suite z-two-path: Z_LIMIT = 12" in err
     assert run(["verify", "--suite", "ncpart-lattice", "--max-n", "17"]) == 2
     assert "suite ncpart-lattice: MAX_GROUND_SIZE = 16" in _capture(capsys)[1]
+
+
+def test_laplace_cross_cap_refuses_before_any_sum(monkeypatch, capsys):
+    # the suite's own cap, not Z_LIMIT: 65 is refused before the recursion
+    # or the closed form runs
+    from freeunitary import cumulants, laplace, verify
+
+    assert verify.LAPLACE_LIMIT == 64
+    assert verify._max_n_limits()["laplace-cross"] == ("LAPLACE_LIMIT", 64)
+
+    def never(*args):
+        raise AssertionError("a sum ran before the refusal")
+
+    for module, name in ((cumulants, "z_recursive"), (laplace, "z_from_laplace"),
+                         (laplace, "u_poly"), (laplace, "v_poly"), (laplace, "v_k1_closed")):
+        monkeypatch.setattr(module, name, never)
+    assert run(["verify", "--suite", "laplace-cross", "--max-n", "65"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "error: --max-n 65 exceeds the limit of suite laplace-cross: LAPLACE_LIMIT = 64\n"
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,11 @@ from freeunitary import (
     v_poly,
     z_from_laplace,
     z_mobius,
+    z_recursive,
 )
 from freeunitary import laplace
 from freeunitary.laplace import check_f_identity, f_bivariate
-from oracles import i_quadrature
+from oracles import i_quadrature, laplace_cumulant, laplace_poly
 
 # Frozen anchors for the two polynomial families.
 FROZEN_UV = {
@@ -51,6 +52,19 @@ def test_uv_are_symmetric_and_integral():
 def test_u_from_v_recurrence():
     for k in range(1, 8):
         assert u_poly(k, 1) == v_poly(k + 1, 1) * Fraction(-1, k)
+
+
+def test_integer_closed_form_matches_the_fraction_oracle():
+    # every k + l <= 16: U and V against the Laplace rule on Fractions, and
+    # the assembled cumulant against that oracle and the word recursion
+    for k in range(1, 16):
+        for l in range(1, 17 - k):
+            u, v = u_poly(k, l), v_poly(k, l)
+            assert u == laplace_poly(k, l, 1, -1)
+            assert v == laplace_poly(k, l, 0, 1)
+            z = z_from_laplace(k, l).value
+            assert z == laplace_cumulant(k, l)
+            assert z == z_recursive("1" * k + "*" * l).value
 
 
 def test_v_k1_closed_matches_laplace():
