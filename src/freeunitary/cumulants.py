@@ -16,11 +16,12 @@ The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
 Z[t, y], each K one flat row of qpoly, so that the cuts of a word are
 one call of qpoly._row_products, the kernel that the xi and lambda
 recursions share.  No denominator or gcd enters until the top word's row
-is read back (_recursive_value gives the proof and the base).  Its states
-are integer keys (_key), one bit per letter under a sentinel bit, so the
-two pieces of a cut are a shift and a mask, and the least rotation and
-the canonical key under rotation, reversal and swap are bit operations
-over the run starts (_rotations, _canonical); canonical_word reads the
+is read back (_recursive_value gives the proof and the base; the memo
+keeps one dict of plain rows per base).  Its states are integer keys
+(_key), one bit per letter under a sentinel bit, so the two pieces of a
+cut are a shift and a mask, and the least rotation and the canonical key
+under rotation, reversal and swap are bit operations over the run starts
+(_rotations, _canonical); canonical_word and the Moebius memo read the
 same key.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
@@ -169,21 +170,20 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     )
 
 
-_MOBIUS_MEMO: dict[Letters, QuasiPoly] = {}
-_RECURSIVE_MEMO: dict[int, tuple[int, Row]] = {}  # _key -> (base B, row)
-_MISS = (0, ())
+_MOBIUS_MEMO: dict[int, QuasiPoly] = {}  # _canonical key -> value on the orbit
+_RECURSIVE_MEMO: dict[int, dict[int, Row]] = {}  # base B -> {_key: row}
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
-    """Cumulant of the word via the Moebius sum over NC(|w|)."""
+    """Cumulant of the word via the Moebius sum over NC(|w|), on the letters
+    as given: the value is invariant on the orbit that keys the memo."""
     word = as_word(w)
     if word.n > Z_LIMIT:
         raise SizeError(f"word length {word.n} exceeds the Moebius limit Z_LIMIT = {Z_LIMIT}")
-    key = canonical_word(word).letters
+    key = _canonical(_key(word.letters))
     val = _MOBIUS_MEMO.get(key)
     if val is None:
-        val = _mobius_value(key)
-        _MOBIUS_MEMO[key] = val
+        val = _MOBIUS_MEMO[key] = _mobius_value(word.letters)
     return ZPolynomial(word, val)
 
 
@@ -205,22 +205,25 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     Its y-powers are |w| - 2j, 0 <= j <= |w|/2, and its t-degree is below
     |w|: grade j of its flat row is y^(|w|-2j).  Each call sets the base B
     to the least power of two at or above |w|, and at least 16; no piece of
-    the word is longer, so the t-powers of a product stay below B.  The row
-    is read back over |w|!.  A word whose recursion passes Python's depth
-    limit is refused with SizeError.
+    the word is longer, so the t-powers of a product stay below B.  Each
+    base has its own dict of rows in _RECURSIVE_MEMO, probed here with the
+    key as given.  The row is read back over |w|!.  A word whose recursion
+    passes Python's depth limit is refused with SizeError.
     """
     n = len(letters)
     base = max(16, 1 << (n - 1).bit_length())
+    memo, key = _RECURSIVE_MEMO.setdefault(base, {}), _key(letters)
     try:
-        row = _scaled_row(_key(letters), base)
+        row = memo.get(key) or _scaled_row(key, base, memo)
     except RecursionError:
         raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
     return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})")
 
 
-def _scaled_row(key: int, base: int) -> Row:
-    """The row of K(w) = |w|! kappa(w) in base B, memoised (see _recursive_value);
-    key is the word's _key.
+def _scaled_row(key: int, base: int, memo: dict[int, Row]) -> Row:
+    """The row of K(w) = |w|! kappa(w) in base B, memoised in memo, the dict
+    of that base (see _recursive_value); key is the word's _key, which the
+    caller has probed.
 
     The word is cut at the least of its rotations that start with 1 and
     end with * (the least key, so at the shortest run of 1s).  Any such
@@ -232,54 +235,40 @@ def _scaled_row(key: int, base: int) -> Row:
     such rotation gives fewer states on (1*)^k but more on random words
     (about 93 on that family).
 
-    The memo is probed with the key as given, then, on a miss, with the
-    key of the least cut rotation, which a miss needs anyway to cut, and
-    only then with the canonical key; a row found or computed is stored
-    under all three.  The rotation key catches most pieces whose orbit is
-    stored under another key without a call of _canonical.  The cumulant
-    is invariant under rotation, reversal and swap, so each alias is
-    exact; the memo counts entries, not orbits.
-    The caller probes it for each piece the same way, inline, and calls
-    this only on a miss.  A row stored in another base b is re-based, not
-    recomputed: its t-degree is below |w|, which is at most both bases, so
-    index p moves to (p // b) B + p % b.  The re-based row is stored under
-    both keys, so two pieces in one orbit still share one row.
+    The memo is probed with the key of the least cut rotation, which a miss
+    needs anyway to cut, and only then with the canonical key; a row found
+    or computed is stored under both and under the key as given.  The
+    rotation key catches most pieces whose orbit is stored under another
+    key without a call of _canonical.  The cumulant is invariant under
+    rotation, reversal and swap, so each alias is exact; the memo counts
+    entries, not orbits.  The caller probes each piece of a cut with its
+    key as given, inline, and calls this only on a miss (or on an empty
+    row, a zero cumulant, which the rotation probe then finds).
     """
-    memo = _RECURSIVE_MEMO
-    hit = memo.get(key, _MISS)
-    if hit[0] == base:
-        return hit[1]
     n = key.bit_length() - 1
     # the least rotation that starts with 1 and ends with *; the all-ones
     # and all-stars words have none and are their own rotation key
     rots = _rotations(key ^ 1 << n, n)
     rot = min(rots) | 1 << n if rots else key
-    hit = memo.get(rot, hit)
-    if hit[0] == base:
-        memo[key] = hit
-        return hit[1]
-    canon = _canonical(key)
-    hit = memo.get(canon, hit)
-    if hit[0] == base:
-        memo[key] = memo[rot] = hit
-        return hit[1]
-    if hit[0]:  # stored in another base b, re-based as above
-        b = hit[0]
-        row = tuple([((p // b) * base + p % b, v) for p, v in hit[1]])
-    elif canon & 1:  # only the all-ones key ends with 1
-        row = ((n - 1, (-n) ** (n - 1)),)
-    elif n == 2:
-        row = ((0, -2), (base, 2))  # 2! (1 - y^2)
-    else:
-        # the least cut rotation, cut into a prefix of n - s letters and a
-        # suffix of s: two pieces in one orbit share one memo row, a square
-        # of the kernel
-        cuts = []
-        for s in range(n - 1, 0, -1):
-            head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
-            hh, ht = memo.get(head, _MISS), memo.get(tail, _MISS)
-            cuts.append((hh[1] if hh[0] == base else _scaled_row(head, base),
-                         ht[1] if ht[0] == base else _scaled_row(tail, base), -comb(n, s)))
-        row = _sparse(_row_products(cuts, (n // 2) * base + n))
-    memo[canon] = memo[rot] = memo[key] = (base, row)
+    row = memo.get(rot)
+    if row is None:
+        canon = _canonical(key)
+        row = memo.get(canon)
+    if row is None:
+        if canon & 1:  # only the all-ones key ends with 1
+            row = ((n - 1, (-n) ** (n - 1)),)
+        elif n == 2:
+            row = ((0, -2), (base, 2))  # 2! (1 - y^2)
+        else:
+            # the least cut rotation, cut into a prefix of n - s letters and
+            # a suffix of s: two pieces in one orbit share one memo row, a
+            # square of the kernel
+            cuts = []
+            for s in range(n - 1, 0, -1):
+                head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
+                cuts.append((memo.get(head) or _scaled_row(head, base, memo),
+                             memo.get(tail) or _scaled_row(tail, base, memo), -comb(n, s)))
+            row = _sparse(_row_products(cuts, (n // 2) * base + n))
+        memo[canon] = row
+    memo[rot] = memo[key] = row
     return row

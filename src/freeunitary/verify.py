@@ -36,6 +36,11 @@ from .qpoly import Poly, QuasiPoly
 # recursion doubles to 128.
 LAPLACE_LIMIT = 64
 
+# --max-n of xi-three-path, the order of xi_by_recursion, at the budget and
+# margin of LAPLACE_LIMIT on the same host: 3.5 to 4.6 s at 52, 5.4 to 7.1 s
+# at 54 and 8.5 s at 58.
+XI_THREE_PATH_LIMIT = 52
+
 # Frozen reference rows used by the suites.
 _XI_ROWS = {
     1: QuasiPoly({0: 1, -2: -1}),
@@ -308,16 +313,17 @@ def _suite_example69(args):
 def _max_n_limits() -> dict:
     """Suite -> (name, value) of the route limit its --max-n may not pass.
 
-    These suites feed --max-n to a size-capped route as a word length or a
-    ground size.  z-two-path runs the Moebius oracle, which Z_LIMIT caps.
-    thm3.7, prop6.2 and thm6.3 run the recursion, which has no cap; they
-    keep Z_LIMIT because they check all 2^n words of each length n, so the
-    word count is what bounds them (8190 words at 12).  laplace-cross runs
-    the recursion on n(n - 1)/2 words and has its own budget cap,
-    LAPLACE_LIMIT.  pde-coeff and chi-roundtrip feed it to the capped PDE
-    and round-trip routes of alternating.  The table lives here, not on
-    the SUITES entries, because those entries may be swapped for wrappers
-    after import.
+    These suites feed --max-n to a size-capped route as a word length, a
+    ground size or an order.  z-two-path runs the Moebius oracle, which
+    Z_LIMIT caps.  thm3.7, prop6.2 and thm6.3 run the recursion, which has
+    no cap; they keep Z_LIMIT because they check all 2^n words of each
+    length n, so the word count is what bounds them (8190 words at 12).
+    laplace-cross runs the recursion on n(n - 1)/2 words and xi-three-path
+    runs xi_by_recursion to order n; each has its own budget cap,
+    LAPLACE_LIMIT and XI_THREE_PATH_LIMIT.  pde-coeff and chi-roundtrip
+    feed it to the capped PDE and round-trip routes of alternating.  The
+    table lives here, not on the SUITES entries, because those entries may
+    be swapped for wrappers after import.
     """
     from .alternating import CHI_ORDER_LIMIT, PDE_LIMIT
     from .cumulants import Z_LIMIT
@@ -331,6 +337,7 @@ def _max_n_limits() -> dict:
         "prop6.2": z,
         "thm6.3": z,
         "laplace-cross": ("LAPLACE_LIMIT", LAPLACE_LIMIT),
+        "xi-three-path": ("XI_THREE_PATH_LIMIT", XI_THREE_PATH_LIMIT),
         "pde-coeff": ("PDE_LIMIT", PDE_LIMIT),
         "chi-roundtrip": ("CHI_ORDER_LIMIT", CHI_ORDER_LIMIT),
     }

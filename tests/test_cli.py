@@ -515,6 +515,7 @@ def test_verify_refuses_max_n_zero(capsys):
     + [(name, "cumulants", "Z_LIMIT")
        for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3")]
     + [("laplace-cross", "verify", "LAPLACE_LIMIT"),
+       ("xi-three-path", "verify", "XI_THREE_PATH_LIMIT"),
        ("pde-coeff", "alternating", "PDE_LIMIT"),
        ("chi-roundtrip", "alternating", "CHI_ORDER_LIMIT")],
 )
@@ -562,6 +563,24 @@ def test_laplace_cross_cap_refuses_before_any_sum(monkeypatch, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert err == "error: --max-n 65 exceeds the limit of suite laplace-cross: LAPLACE_LIMIT = 64\n"
+
+
+def test_xi_three_path_cap_refuses_before_any_sum(monkeypatch, capsys):
+    # 53 is refused before any of the three xi routes runs
+    from freeunitary import alternating, verify
+
+    assert verify.XI_THREE_PATH_LIMIT == 52
+    assert verify._max_n_limits()["xi-three-path"] == ("XI_THREE_PATH_LIMIT", 52)
+
+    def never(*args):
+        raise AssertionError("a sum ran before the refusal")
+
+    for name in ("xi_by_recursion", "xi_by_inversion", "xi_by_mobius"):
+        monkeypatch.setattr(alternating, name, never)
+    assert run(["verify", "--suite", "xi-three-path", "--max-n", "53"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "error: --max-n 53 exceeds the limit of suite xi-three-path: XI_THREE_PATH_LIMIT = 52\n"
 
 
 @pytest.mark.parametrize(

@@ -89,12 +89,36 @@ def test_mobius_value_is_rotation_invariant(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_grouped_mobius_sum_matches_per_partition_oracle(n):
     # every word up to length 7 as given; at lengths 8 and 9 one word per
-    # orbit, the canonical keys that z_mobius passes
+    # orbit, its canonical word
     words = {w.letters for w in _all_words(n)}
     if n > 7:
         words = {canonical_word(Word(w)).letters for w in words}
     for letters in sorted(words):
         assert _mobius_value(letters) == mobius_value(letters)
+
+
+def test_mobius_memo_keys_an_orbit_by_its_canonical_integer(monkeypatch):
+    # every rotation, reversal and swap of a word makes one Moebius sum, on
+    # the letters first given, under the orbit's canonical key
+    from freeunitary import cumulants
+
+    rng = random.Random(20142)
+    w = Word(tuple(rng.choice((1, -1)) for _ in range(10)))
+    variants = [rotate(v, r) for v in (w, reverse(w), swap(w), reverse(swap(w))) for r in range(10)]
+    calls = []
+
+    def counted(letters):
+        calls.append(letters)
+        return _mobius_value(letters)
+
+    memo = {}
+    monkeypatch.setattr(cumulants, "_MOBIUS_MEMO", memo)
+    monkeypatch.setattr(cumulants, "_mobius_value", counted)
+    want = z_recursive(w).value
+    for v in variants:
+        assert z_mobius(v).value == want
+    assert calls == [w.letters]
+    assert list(memo) == [_canonical(_key(w.letters))]
 
 
 def test_mobius_value_forms_one_product_per_multiset_of_nonzero_excesses(monkeypatch):
@@ -262,7 +286,8 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
 
 def test_recursive_memo_aliases_are_exact(monkeypatch):
     # the recursion probes its memo with the key of the letters as given and
-    # stores each value under it as well as under the canonical key
+    # stores each value under it as well as under the canonical key; words
+    # of 9 to 14 letters all keep their rows in the dict of base 16
     from freeunitary import cumulants
 
     rng = random.Random(20140)
@@ -275,12 +300,13 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
         want = z_recursive(w).value
         for v in variants:
             assert z_recursive(v).value == want
-            assert _key(v.letters) in memo
-        for key, row in list(memo.items()):
+            assert _key(v.letters) in memo[16]
+        assert list(memo) == [16]
+        for key, row in list(memo[16].items()):
             fresh = {}
             monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
             z_recursive(_word_of(key))
-            assert fresh[key] == row
+            assert fresh[16][key] == row
 
 
 def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
@@ -305,12 +331,14 @@ def test_long_suffix_star_words_match_the_laplace_closed_form(monkeypatch):
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     for k in (15, 16, 40, 63, 64, 65, 100):
         assert z_recursive("1" * k + "*").value == suffix_star_cumulant(k)
-    assert memo[_key(Word.parse("1" * 100 + "*").letters)][0] == 128
+    assert sorted(memo) == [16, 32, 64, 128]
+    assert _key(Word.parse("1" * 100 + "*").letters) in memo[128]
 
 
 def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
     # after 1^100 *, whose rows are in base 128, a 16-letter word has the same
-    # value, and every memo entry it reaches is its own, in base 16
+    # value and fills only the dict of base 16, as it does alone, though
+    # some of its states are in the dict of base 128
     from freeunitary import cumulants
 
     short = "11*1**1*1*11**1*"
@@ -320,45 +348,11 @@ def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     z_recursive("1" * 100 + "*")
-    shared = alone.keys() & memo.keys()
-    assert shared and all(memo[key][0] == 128 for key in shared)
+    long_rows = dict(memo[128])
+    assert list(memo) == [128] and alone[16].keys() & long_rows.keys()
     assert z_recursive(short).value == want
-    assert all(memo[key] == alone[key] for key in alone)
-    assert {base for base, _ in alone.values()} == {16}
-
-
-def test_a_row_in_another_base_is_rebased_not_recomputed(monkeypatch):
-    # after a 40-letter word (base 64), a 15-letter one (base 16) computes
-    # no state whose canonical key the memo already held, and keeps its value
-    from freeunitary import cumulants
-
-    short = "1*1**1*1*11*1*1"
-    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-    want = z_recursive(short).value
-    memo = {}
-    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
-    z_recursive("1*" * 20)
-    held = {_canonical(key) for key in memo}
-    # a state is computed when _row_products runs on its cuts, which is after
-    # every piece below it has returned, so the innermost open call is it
-    stack, computed = [], []
-    scaled_row, row_products = cumulants._scaled_row, cumulants._row_products
-
-    def traced(key, base):
-        stack.append(key)
-        try:
-            return scaled_row(key, base)
-        finally:
-            stack.pop()
-
-    def counted(terms, size):
-        computed.append(stack[-1])
-        return row_products(terms, size)
-
-    monkeypatch.setattr(cumulants, "_scaled_row", traced)
-    monkeypatch.setattr(cumulants, "_row_products", counted)
-    assert z_recursive(short).value == want
-    assert computed and not {_canonical(key) for key in computed} & held
+    assert sorted(memo) == [16, 128]
+    assert memo[16] == alone[16] and memo[128] == long_rows
 
 
 def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
@@ -366,7 +360,7 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     from freeunitary import cumulants
 
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base: ((0, 2), (3, 1)))
+    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base, memo: ((0, 2), (3, 1)))
     with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
         z_recursive("1*1")
 
@@ -377,13 +371,20 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     [("1*" * 15, 226, False), ("1*" * 12 + "1", 168, False), ("1" * 29 + "*", 58, True)],
 )
 def test_least_rotation_cut_bounds_the_states(text, most, exact, monkeypatch):
+    # states and memo entries (up to three aliases a state) in the one dict
+    # of the word's base, 32
     from freeunitary import cumulants
 
+    entries = {"1*" * 15: 760, "1*" * 12 + "1": 585, "1" * 29 + "*": 59}[text]
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     z_recursive(text)
-    states = len({_canonical(key) for key in memo})
-    assert states == most if exact else states <= most
+    (rows,) = memo.values()
+    states = len({_canonical(key) for key in rows})
+    if exact:
+        assert (states, len(rows)) == (most, entries)
+    else:
+        assert states <= most and len(rows) <= entries
 
 
 def test_zpolynomial_rejects_bad_shapes():
