@@ -46,11 +46,11 @@ from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows,
 XI_METHODS = ("recursion", "mobius", "inversion")
 
 # Both caps were set at one budget, about 10 s from a fresh process on a
-# 2-core host (Python 3.11).  pde_residual is timed at MAX_PREC = 16384
-# bits: with one exponential per (t, exp2) n = 18 takes 2.4 to 3.0 s and
-# 20 takes 3.6 s in-process (n = 24 takes 2.8 s at 128 bits), under that
-# budget, and the cap stays at 18; the chi-roundtrip suite took 7.4 to
-# 7.7 s at order 21 and 10.6 s at 22.
+# 2-core host (Python 3.11).  pde_residual runs at 128 bits: n = 18 takes
+# 0.6 to 0.9 s from a fresh process, and with the cap lifted n = 20 takes
+# about 1.4 s and n = 24 2.0 to 3.3 s in-process, well under that budget;
+# the cap stays at 18 until a benchmark frontier shows the gain.  The
+# chi-roundtrip suite took 7.4 to 7.7 s at order 21 and 10.6 s at 22.
 PDE_LIMIT = 18
 CHI_ORDER_LIMIT = 21
 
@@ -500,15 +500,15 @@ class PdeReport(NamedTuple):
     coefficients: tuple  # the exact defect coefficients of z^1..z^(2 n_max)
 
 
-def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
+def pde_residual(n_max: int) -> PdeReport:
     """Numeric size of the truncation defect on small grids.
 
     Builds xi_1..xi_{n_max} by the closed inversion sum, not by the
     recursion whose equations the defect checks, forms every z-coefficient
     of the defect through order 2 n_max, records the first order that is
-    not identically zero, and evaluates the defect series on the grids.
-    The report carries the exact coefficients too.  n_max is capped at
-    PDE_LIMIT.
+    not identically zero, and evaluates the defect series on the grids at
+    128 bits, each coefficient by QuasiPoly.eval.  The report carries the
+    exact coefficients too.  n_max is capped at PDE_LIMIT.
     """
     if n_max > PDE_LIMIT:
         raise SizeError(f"n_max {n_max} exceeds the limit PDE_LIMIT = {PDE_LIMIT}")
@@ -522,21 +522,9 @@ def pde_residual(n_max: int, prec_bits: int = 128) -> PdeReport:
             defect_order = n
             break
     worst = mpmath.mpf(0)
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(128):
         for t in DEFAULT_T_GRID:
-            # QuasiPoly.eval of each coefficient, with one exponential per
-            # exp2 shared by all of them
-            tv = mpmath.mpf(t.numerator) / t.denominator
-            exps = {}
-            vals = []
-            for c in coeffs:
-                total = mpmath.mpf(0)
-                for e2, p in c._terms:
-                    e = exps.get(e2)
-                    if e is None:
-                        e = exps[e2] = mpmath.exp(tv * e2 / 2)
-                    total += p.eval_mp(tv) * e
-                vals.append(total)
+            vals = [c.eval(t) for c in coeffs]
             for z in DEFAULT_Z_GRID:
                 zm = mpmath.mpf(z.numerator) / z.denominator
                 total = mpmath.mpf(0)

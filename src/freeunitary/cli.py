@@ -26,7 +26,7 @@ from .errors import InsufficientDataError, SizeError, StructureError
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
 MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
-MAX_PREC = 16384  # pde-check --n 12 takes about 1.1 s; the cost grows faster than the bits
+MAX_PREC = 16384  # bits of --eval; xi --n 12 --eval 1 at MAX_PREC: about 0.2 s from a fresh process
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1
@@ -89,7 +89,7 @@ def _show(value, fmt: str) -> str:
     from .qpoly import Poly, poly_text
 
     if isinstance(value, Poly):
-        return poly_text(value, "x", latex=fmt == "latex")
+        return poly_text(value, latex=fmt == "latex")
     return value.to_latex() if fmt == "latex" else value.to_text()
 
 
@@ -101,9 +101,7 @@ def _print_value(value, args) -> int:
         return 0
     import mpmath
 
-    with mpmath.workprec(args.prec):
-        number = value.eval(args.eval, args.prec)
-        print(mpmath.nstr(number, max(8, int(args.prec * 0.301))))
+    print(mpmath.nstr(value.eval(args.eval, args.prec), max(8, int(args.prec * 0.301))))
     return 0
 
 
@@ -237,7 +235,7 @@ def _cmd_pde_check(args) -> int:
     from .alternating import pde_residual
 
     n = args.n
-    report = pde_residual(n, prec_bits=args.prec)
+    report = pde_residual(n)
     bad = [j for j, c in enumerate(report.coefficients[:n], start=1) if not c.is_zero]
     if bad:
         for j in bad:
@@ -417,7 +415,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "pde-check"):
         p = sub.add_parser("pde-check", help="PDE coefficient and residual check")
         p.add_argument("--n", type=int, required=True)
-        _add_prec(p)
         p.set_defaults(func=_cmd_pde_check)
     if command in (None, "haar"):
         p = sub.add_parser("haar", help="stationary limit and first-order coefficient")
@@ -472,7 +469,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--suite", choices=sorted(SUITES), help="run one suite (default all)")
         p.add_argument("--max-n", type=int, default=None, help="override the suite size knob")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        _add_prec(p)
         p.set_defaults(func=run_suites)
     if not sub.choices:  # command names no subcommand
         return build_parser()
@@ -515,15 +511,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except (SizeError, StructureError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed stdout, which is not bad input.  Point stdout
         # at the null device so the flush at exit does not fail again.
         sys.stdout = open(os.devnull, "w")
         return 141
-    except (OSError, ValueError) as exc:
+    except (InsufficientDataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

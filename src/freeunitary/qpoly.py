@@ -209,7 +209,7 @@ class Poly(Frozen):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        return poly_text(self, "x")
+        return poly_text(self)
 
 
 # The slot setters of the raw constructors, bound once: a descriptor's
@@ -470,16 +470,17 @@ def _frac_text(c: Fraction, latex: bool) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _var_power(var: str, k: int, latex: bool) -> str:
+def _x_power(k: int, latex: bool) -> str:
     if k == 0:
         return ""
     if k == 1:
-        return var
-    return f"{var}^{{{k}}}" if latex else f"{var}^{k}"
+        return "x"
+    return f"x^{{{k}}}" if latex else f"x^{k}"
 
 
-def poly_text(p: Poly, var: str = "x", latex: bool = False) -> str:
-    """Render with powers descending, e.g. (3/2)x^2+2x+1."""
+def poly_text(p: Poly, *, latex: bool = False) -> str:
+    """Render in the time variable x with powers descending, e.g.
+    (3/2)x^2+2x+1."""
     if p.is_zero:
         return "0"
     parts = []
@@ -488,7 +489,7 @@ def poly_text(p: Poly, var: str = "x", latex: bool = False) -> str:
         c = coeffs[k]
         if c == 0:
             continue
-        vp = _var_power(var, k, latex)
+        vp = _x_power(k, latex)
         if not vp:
             body = _frac_text(c, latex)
         elif c == 1:

@@ -31,14 +31,13 @@ from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import Frozen, InsufficientDataError, SizeError, StructureError
-from .moments import Word, as_word
+from .moments import Word, _signed_catalan, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
     NCPartition,
     _parts,
     _weight_table,
     block_sum,
-    catalan,
     enumerate_nc,
     kreweras,
 )
@@ -363,8 +362,7 @@ def beta_enumeration(
 
     def factor(key):
         unitary, size = key
-        h = (size - 1) // 2
-        return (-1) ** h * catalan(h) if unitary else d.kappa(size)
+        return _signed_catalan((size + 1) // 2) if unitary else d.kappa(size)
 
     weighted = ((p.blocks, 1) for p in onc.partitions)
     return Fraction(block_sum(weighted, lambda block: (block[0] in u_set, len(block)), factor))

@@ -237,7 +237,7 @@ def _suite_pde_coeff(args):
     from .alternating import pde_residual
 
     n = args.max_n or 6
-    report = pde_residual(n, prec_bits=args.prec)
+    report = pde_residual(n)
     for j, coeff in enumerate(report.coefficients[:n], start=1):
         yield [(f"z^{j}", 0, coeff)]
     yield [("defect order", n + 1, report.defect_order)]
@@ -266,7 +266,7 @@ def _suite_chi_roundtrip(args):
 
 @_tally
 def _suite_prop67_cross(args):
-    from .ncpart import catalan
+    from .moments import _signed_catalan
     from .rdiag import Distribution, beta_enumeration, beta_mobius, mixed_q_cumulant
 
     rng = Random(args.seed)
@@ -279,7 +279,7 @@ def _suite_prop67_cross(args):
         yield [(f"trial={trial} beta_2", beta2_direct, bm[1])]
     one = Distribution.point_mass_one(10)
     for k, value in enumerate(beta_mobius(one, 4), start=1):
-        yield [(f"q=1 beta_{k}", Fraction((-1) ** (k - 1) * catalan(k - 1)), value)]
+        yield [(f"q=1 beta_{k}", Fraction(_signed_catalan(k)), value)]
 
 
 @_tally

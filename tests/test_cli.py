@@ -170,6 +170,34 @@ def test_pde_check(capsys):
     assert "defect order: 4" in out
 
 
+@pytest.mark.parametrize(
+    "n, order, residual",
+    [(1, 2, "1.973e-06"), (3, 4, "1.893e-11"), (6, 7, "8.137e-19"), (12, 13, "2.047e-33"),
+     (18, 19, "5.889e-48")],
+)
+def test_pde_check_prints_the_pinned_residual(n, order, residual, capsys):
+    # the whole stdout, so that a change of the residual's precision or
+    # evaluator that moves a printed digit fails here
+    assert run(["pde-check", "--n", str(n)]) == 0
+    out, _ = _capture(capsys)
+    assert out == (
+        f"coefficients z^1..z^{n}: all zero\n"
+        f"defect order: {order}\n"
+        f"max residual on default grids: {residual}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["pde-check", "--n", "2"], ["verify", "--suite", "pde-coeff"]]
+)
+def test_pde_check_and_verify_take_no_prec(argv, capsys):
+    # the PDE residual runs at one precision, so neither takes --prec
+    assert run([*argv, "--prec", "128"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "unrecognized arguments: --prec 128" in err and "Traceback" not in err
+
+
 def test_haar(capsys):
     assert run(["haar", "--word", "1*1*"]) == 0
     out, _ = _capture(capsys)
@@ -587,7 +615,7 @@ def test_xi_three_path_cap_refuses_before_any_sum(monkeypatch, capsys):
     "argv, named",
     [
         (["pde-check", "--n", "19"], "n_max 19 exceeds the limit PDE_LIMIT = 18"),
-        (["pde-check", "--n", "19", "--prec", "16384"], "PDE_LIMIT = 18"),
+        (["pde-check", "--n", "1000000"], "PDE_LIMIT = 18"),
         (["verify", "--suite", "pde-coeff", "--max-n", "19"], "suite pde-coeff: PDE_LIMIT = 18"),
         (["verify", "--suite", "chi-roundtrip", "--max-n", "22"],
          "suite chi-roundtrip: CHI_ORDER_LIMIT = 21"),
@@ -1038,8 +1066,6 @@ def test_latex_is_refused_where_no_latex_form_exists(command, in_q_dir, capsys):
         ["zpoly", "11*", "--eval", "1"],
         ["xi", "--n", "3", "--eval", "1"],
         ["moments", "--word", "11*", "--eval", "1"],
-        ["pde-check", "--n", "2"],
-        ["verify", "--suite", "example6.9"],
     ],
 )
 def test_prec_above_max_prec_is_refused(argv, capsys):
