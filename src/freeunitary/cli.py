@@ -29,7 +29,7 @@ MIN_PREC = 53  # an IEEE double; fewer bits print digits that are wrong
 MAX_PREC = 16384  # bits of --eval; xi --n 12 --eval 1 at MAX_PREC: about 0.2 s from a fresh process
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
-MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 1.5 s at 1e300, 0.07 s at 1
+MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 2.2-3.9 s at 1e300, 0.1 s at 1
 
 
 def __getattr__(name: str):
@@ -128,13 +128,22 @@ def _verdict(fmt: str, values: dict, lines: Sequence[str]) -> int:
     return 0 if consistent else 1
 
 
-def _load_distribution(path: str) -> Distribution:
+def _decode_json(text: str, what: str):
+    """The JSON value of text; malformed or too deeply nested text is
+    refused as a StructureError that names what was read."""
     import json
 
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise StructureError(f"cannot parse {what}: {exc}") from None
+
+
+def _load_distribution(path: str) -> Distribution:
     from .rdiag import Distribution
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _decode_json(fh.read(), f"q-cumulants file {path!r}")
     if not isinstance(data, list) or not data or not all(
         isinstance(s, str) for s in data
     ):
@@ -145,14 +154,9 @@ def _load_distribution(path: str) -> Distribution:
 
 
 def _parse_partition(n: int, text: str) -> NCPartition:
-    import json
-
     from .ncpart import NCPartition
 
-    try:
-        blocks = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"cannot parse partition {text!r}: {exc}") from None
+    blocks = _decode_json(text, f"partition {text!r}")
     if not isinstance(blocks, list) or not all(
         isinstance(b, list) and all(type(e) is int for e in b) for b in blocks
     ):

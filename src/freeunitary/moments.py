@@ -17,6 +17,7 @@ quasi-polynomial import qpoly when they are called.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -24,6 +25,10 @@ from typing import Iterable, Union
 from .errors import Frozen, SizeError, StructureError
 
 Letters = tuple[int, ...]
+
+# the spellings of the two letters; u* is read before u
+_TOKENS = {"1": 1, "u": 1, "U": 1, "*": -1, "u*": -1, "U*": -1}
+_TOKEN = re.compile(r"[uU]\*|.", re.DOTALL)
 
 
 class Word(Frozen):
@@ -41,27 +46,14 @@ class Word(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse '1*1' or 'uu*u' style spellings (case-insensitive)."""
+        """Parse '1*1' or 'uu*u' style spellings (case-insensitive).  _TOKEN
+        cuts the stripped text into tokens, skipping no character, and each
+        token must be a spelling of _TOKENS."""
         letters = []
-        i = 0
-        s = text.strip()
-        while i < len(s):
-            ch = s[i]
-            if ch == "1":
-                letters.append(1)
-                i += 1
-            elif ch in ("u", "U"):
-                if i + 1 < len(s) and s[i + 1] == "*":
-                    letters.append(-1)
-                    i += 2
-                else:
-                    letters.append(1)
-                    i += 1
-            elif ch == "*":
-                letters.append(-1)
-                i += 1
-            else:
-                raise StructureError(f"cannot parse word {text!r} at {ch!r}")
+        for token in _TOKEN.findall(text.strip()):
+            if token not in _TOKENS:
+                raise StructureError(f"cannot parse word {text!r} at {token!r}")
+            letters.append(_TOKENS[token])
         if not letters:
             raise SizeError(f"empty word {text!r}")
         return cls(letters)

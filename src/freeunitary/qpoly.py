@@ -531,16 +531,19 @@ def _quasipoly_text(f: QuasiPoly, latex: bool) -> str:
     pieces = []
     for e2, p in f._terms:  # exp2 descending, i.e. y-powers ascending
         fac = _factor_text(e2, latex)
+        if not (fac or pieces):  # a leading y^0 term reads as its polynomial
+            pieces.append(poly_text(p, latex=latex))
+            continue
         neg = p.leading() < 0
         if neg:
             p = -p
-        if not fac:
+        if not fac and p.degree == 0:
             body = poly_text(p, latex=latex)
         elif p == POLY_ONE:
             body = fac
         elif p.degree == 0 and p._den == 1:
             body = f"{p._num[0]}{fac}"
-        else:
+        else:  # a whole polynomial, its sign outside the brackets
             body = f"({poly_text(p, latex=latex)}){fac}"
         if not pieces:
             pieces.append(("-" if neg else "") + body)

@@ -46,7 +46,7 @@ Rat = Union[int, Fraction]
 
 BRUTE_LIMIT = 14  # 2n for a word of length n
 MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.05 s
-STRUCTURED_LIMIT = 4  # k = 5 needs a ground set of 18 > MAX_GROUND_SIZE
+STRUCTURED_LIMIT = (MAX_GROUND_SIZE + 2) // 4  # the support set of 1(*1)^(k-1) lies on 4k - 2 points
 
 
 class Distribution(Frozen):

@@ -4,6 +4,7 @@ The order, join and restriction of NC(n) cross-check the Kreweras
 complement and the Moebius values of freeunitary.ncpart; the subword at a
 block's positions resums word cumulants into moments; rotation, reversal
 and swap move a word within the orbit its cumulant is invariant on; the
+character scanner is the reference for the token table of Word.parse; the
 Kreweras complement by pair linkage is the reference for its permutation form; the
 orbit representative and the least cut rotation on letter tuples are the
 references for cumulants._canonical and cumulants._rotations on integer
@@ -198,6 +199,34 @@ def reverse(w: Word) -> Word:
 def swap(w: Word) -> Word:
     """Exchange the roles of 1 and *."""
     return Word(tuple(-l for l in w.letters))
+
+
+def parse_letters(text: str) -> tuple:
+    """The letters of Word.parse(text), by a character scanner with one
+    character of lookahead for u*."""
+    letters = []
+    i = 0
+    s = text.strip()
+    while i < len(s):
+        ch = s[i]
+        if ch == "1":
+            letters.append(1)
+            i += 1
+        elif ch in ("u", "U"):
+            if i + 1 < len(s) and s[i + 1] == "*":
+                letters.append(-1)
+                i += 2
+            else:
+                letters.append(1)
+                i += 1
+        elif ch == "*":
+            letters.append(-1)
+            i += 1
+        else:
+            raise StructureError(f"cannot parse word {text!r} at {ch!r}")
+    if not letters:
+        raise SizeError(f"empty word {text!r}")
+    return tuple(letters)
 
 
 def canonical_letters(letters: tuple) -> tuple:

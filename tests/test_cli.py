@@ -530,6 +530,53 @@ def test_kreweras_of_non_integer_block_is_refused(capsys):
     assert '[[1,"a"],[2]]' in err and "Traceback" not in err
 
 
+DEEP_JSON = "[" * 100_000  # past the decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "--n", "4", "--kreweras", DEEP_JSON],
+        ["nc", "--n", "4", "--moebius", DEEP_JSON],
+        ["alpha", "--k", "1", "--q-cumulants", "deep.json"],
+        ["beta", "--k", "1", "--q-cumulants", "deep.json"],
+    ],
+    ids=["kreweras", "moebius", "alpha", "beta"],
+)
+def test_deeply_nested_json_is_refused(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.startswith("error: cannot parse ") and err.count("\n") == 1
+
+
+def test_malformed_json_is_refused_naming_what_was_read(tmp_path, capsys):
+    assert run(["nc", "--n", "4", "--moebius", "nope"]) == 2
+    assert _capture(capsys) == (
+        "", "error: cannot parse partition 'nope': Expecting value: line 1 column 1 (char 0)\n"
+    )
+    path = tmp_path / "q.json"
+    path.write_text('["1/2",')
+    assert run(["alpha", "--k", "1", "--q-cumulants", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.startswith(f"error: cannot parse q-cumulants file {str(path)!r}: ")
+
+
+def test_recursion_error_inside_a_route_is_not_refused(monkeypatch):
+    # only the JSON decode turns a RecursionError into bad input
+    from freeunitary import ncpart
+
+    def deep(p):
+        raise RecursionError("deep route")
+
+    monkeypatch.setattr(ncpart, "kreweras", deep)
+    with pytest.raises(RecursionError, match="deep route"):
+        run(["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"])
+
+
 def test_verify_refuses_max_n_zero(capsys):
     assert run(["verify", "--max-n", "0"]) == 2
     out, err = _capture(capsys)

@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from freeunitary import Poly, QuasiPoly, SizeError, StructureError, Word, as_word, biane_Q, m_poly
 from freeunitary.moments import diag_cumulant
-from oracles import lambert_coeff, reverse, rotate, subword, swap
+from oracles import lambert_coeff, parse_letters, reverse, rotate, subword, swap
 
 # Frozen low-order moment polynomials: the moment of the n-th power is
 # Q_n(t) e^{-nt/2} with Q_1 = 1, Q_2 = 1 - t, Q_3 = 1 - 3t + (3/2)t^2.
@@ -24,6 +25,23 @@ def test_word_parse_spellings():
     assert Word.parse("uu*u") == Word((1, -1, 1))
     assert str(Word.parse("uu*u")) == "1*1"
     assert as_word("11**") == Word((1, 1, -1, -1))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return tuple(parse(text))
+    except (SizeError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+def test_word_parse_agrees_with_the_character_scanner():
+    # every string of up to five characters over 1 * u U x, space and
+    # newline, and some with surrounding whitespace: the same letters, or
+    # the same error type and text
+    texts = ["".join(p) for n in range(6) for p in product("1*uUx \n", repeat=n)]
+    texts += [f"{pad}{w}{pad}" for pad in (" ", "\t", "\n ", "\r\n") for w in ("u*U", "Uu*", "1 *", "x", "")]
+    for text in texts:
+        assert _parse_outcome(lambda s: Word.parse(s).letters, text) == _parse_outcome(parse_letters, text)
 
 
 def test_word_parse_rejects_garbage():

@@ -128,6 +128,21 @@ def test_to_text_examples():
     assert row.to_text() == "-1 + 4y^2 - (2x+3)y^4"
 
 
+@given(polys)
+@example(Poly((-1, -1)))
+def test_leading_y0_term_prints_as_its_polynomial(p):
+    assert QuasiPoly({0: p}).to_text() == poly_text(p)
+    assert QuasiPoly({0: p}).to_latex() == poly_text(p, latex=True)
+
+
+def test_y0_term_after_a_growing_exponential_is_bracketed():
+    # -1 - x after e^t: the sign is pulled out of the whole polynomial
+    q = QuasiPoly({2: 1, 0: Poly((-1, -1))})
+    assert q.to_text() == "e^t - (x+1)"
+    assert q.to_latex() == "e^{t} - (x+1)"
+    assert QuasiPoly({2: 1, 0: -3}).to_text() == "e^t - 3"
+
+
 def test_eval_known_value():
     # 1 - e^{-t} at t = ln 4 is 3/4
     q = QuasiPoly({0: 1, -2: -1})

@@ -342,6 +342,12 @@ def test_structured_generator_equals_brute_force():
         assert nc_omega_structured(k) == nc_omega(word)
 
 
+def test_structured_limit_is_the_largest_k_whose_support_set_fits_the_ground_cap():
+    # the support set of 1(*1)^(k-1) lies on 4k - 2 points
+    assert STRUCTURED_LIMIT == 4
+    assert 4 * STRUCTURED_LIMIT - 2 <= MAX_GROUND_SIZE < 4 * (STRUCTURED_LIMIT + 1) - 2
+
+
 def test_structured_support_set_sizes_are_catalan():
     # 1, 5, 42, 429 partitions: C_{2k-1} for k = 1..4.
     for k in range(1, 5):
