@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .errors import InsufficientDataError, SizeError, StructureError
+from .errors import QUOTE_LIMIT, InsufficientDataError, SizeError, StructureError, quote
 
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
@@ -30,6 +30,8 @@ MAX_PREC = 16384  # bits of --eval; xi --n 12 --eval 1 at MAX_PREC: about 0.2 s 
 MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e9999999 took 5.7 s
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 2.2-3.9 s at 1e300, 0.1 s at 1
+MAX_XI_N = 350  # xi --n: 3.7 s and 39 MB of text at 350, 6.9 s and 60 MB at 400
+MAX_LIST_SIZE = 12  # nc --n with --list: 208,012 lines in 3.1 s at 12, 742,900 in 12.9 s at 13
 
 
 def __getattr__(name: str):
@@ -51,13 +53,14 @@ def _parse_fraction(text: str) -> Fraction:
     except ValueError:  # no integer exponent: Fraction refuses the text
         too_long = False
     if too_long:
-        raise SizeError(f"rational {text!r} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
+        raise SizeError(f"rational {quote(text)} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
     if any(sum(c.isdigit() for c in part) > MAX_DIGITS for part in mantissa.split("/")):
         raise SizeError(f"rational with more than MAX_DIGITS = {MAX_DIGITS} digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructureError(f"cannot parse rational {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:  # its message may repeat all of text
+        detail = f": {exc}" if len(text) <= QUOTE_LIMIT else ""
+        raise StructureError(f"cannot parse rational {quote(text)}{detail}") from None
 
 
 def _check_printable(values) -> None:
@@ -128,6 +131,17 @@ def _verdict(fmt: str, values: dict, lines: Sequence[str]) -> int:
     return 0 if consistent else 1
 
 
+def _run_routes(args, routes: dict, every: str, label: str) -> int:
+    """Print the value of the route that --method names, or when it names
+    every route, one line per route, label.format(name + ":", value), and
+    the verdict."""
+    if args.method != every:
+        return _print_value(routes[args.method](), args)
+    values = {name: fn() for name, fn in routes.items()}
+    lines = [label.format(name + ":", _show(v, args.format)) for name, v in values.items()]
+    return _verdict(args.format, values, lines)
+
+
 def _decode_json(text: str, what: str):
     """The JSON value of text; malformed or too deeply nested text is
     refused as a StructureError that names what was read."""
@@ -156,11 +170,11 @@ def _load_distribution(path: str) -> Distribution:
 def _parse_partition(n: int, text: str) -> NCPartition:
     from .ncpart import NCPartition
 
-    blocks = _decode_json(text, f"partition {text!r}")
+    blocks = _decode_json(text, f"partition {quote(text)}")
     if not isinstance(blocks, list) or not all(
         isinstance(b, list) and all(type(e) is int for e in b) for b in blocks
     ):
-        raise StructureError(f"partition {text!r} must be a JSON list of lists of integers")
+        raise StructureError(f"partition {quote(text)} must be a JSON list of lists of integers")
     return NCPartition(n, blocks)
 
 
@@ -183,12 +197,9 @@ def _cmd_zpoly(args) -> int:
         "mobius": lambda: z_mobius(word).value,
         "recursive": lambda: z_recursive(word).value,
     }
-    if args.method != "both":
-        value = routes[args.method]()
-        return _print_value(value if args.grade is None else value.grade(args.grade), args)
-    values = {name: fn() for name, fn in routes.items()}
-    lines = [f"{name + ':':10} {_show(v, args.format)}" for name, v in values.items()]
-    return _verdict(args.format, values, lines)
+    if args.grade is not None:
+        routes = {name: lambda fn=fn: fn().grade(args.grade) for name, fn in routes.items()}
+    return _run_routes(args, routes, "both", "{:10} {}")
 
 
 def _cmd_xi(args) -> int:
@@ -197,6 +208,8 @@ def _cmd_xi(args) -> int:
     n = args.n
     if n < 1:
         raise SizeError(f"--n must be >= 1, got {n}")
+    if n > MAX_XI_N:
+        raise SizeError(f"--n {n} exceeds the limit MAX_XI_N = {MAX_XI_N}")
     if args.method == "all" and args.eval is not None:
         raise StructureError("--eval takes one method, not --method all")
     if args.method == "all":
@@ -206,11 +219,7 @@ def _cmd_xi(args) -> int:
         "mobius": lambda: xi_by_mobius(n).xi(n),
         "inversion": lambda: check_xi(n, _xi_closed(n)),  # no xi_m for m < n
     }
-    if args.method != "all":
-        return _print_value(routes[args.method](), args)
-    values = {name: fn() for name, fn in routes.items()}
-    lines = [f"{name}: {_show(v, args.format)}" for name, v in values.items()]
-    return _verdict(args.format, values, lines)
+    return _run_routes(args, routes, "all", "{} {}")
 
 
 def _cmd_special(args) -> int:
@@ -322,6 +331,8 @@ def _cmd_nc(args) -> int:
         print(moebius_to_one(p))
         return 0
     if args.list:
+        if n > MAX_LIST_SIZE:
+            raise SizeError(f"--n {n} exceeds the limit of --list: MAX_LIST_SIZE = {MAX_LIST_SIZE}")
         for p in enumerate_nc(n):
             print(str(p))
         return 0
@@ -358,13 +369,32 @@ def _prec_bits(text: str) -> int:
     return bits
 
 
-def _add_prec(p: argparse.ArgumentParser) -> None:
+def _add_value_options(p: argparse.ArgumentParser, grade: bool = False, **method) -> None:
+    """The options of a value request (zpoly, xi, moments): --method when
+    its arguments are given, --eval, --grade when asked for, --format and
+    --prec."""
+    if method:
+        p.add_argument("--method", **method)
+    p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
+    if grade:
+        p.add_argument("--grade", type=int, metavar="M", help="emit the y^M coefficient")
+    _add_format(p)
     p.add_argument(
         "--prec",
         type=_prec_bits,
         default=DEFAULT_PREC,
         help=f"working precision in bits (default {DEFAULT_PREC})",
     )
+
+
+def _add_sequence_options(p: argparse.ArgumentParser, **method) -> None:
+    """The options of a sequence request (alpha, beta): --k, --q-cumulants,
+    --method when its arguments are given, and --format text or json."""
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--q-cumulants", required=True, metavar="FILE")
+    if method:
+        p.add_argument("--method", **method)
+    _add_format(p, ("text", "json"))
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -376,104 +406,83 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact joint cumulants of a free unitary flow and its adjoint.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     if command in (None, "zpoly"):
-        p = sub.add_parser("zpoly", help="cumulant quasi-polynomial of a word")
+        p = add("zpoly", "cumulant quasi-polynomial of a word", _cmd_zpoly)
         p.add_argument("word", help="word over {1,*}, e.g. '1*1' or 'uu*u'")
-        p.add_argument(
-            "--method",
+        _add_value_options(
+            p,
+            grade=True,
             choices=("mobius", "recursive", "both"),
             default="recursive",
             help="computation route (mobius is the oracle, for words up to Z_LIMIT letters); "
             "both cross-checks and exits 1 on mismatch",
         )
-        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-        p.add_argument("--grade", type=int, metavar="M", help="emit the y^M coefficient")
-        _add_format(p)
-        _add_prec(p)
-        p.set_defaults(func=_cmd_zpoly)
     if command in (None, "xi"):
-        p = sub.add_parser("xi", help="alternating cumulant xi_n")
+        p = add("xi", "alternating cumulant xi_n", _cmd_xi)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument(
-            "--method",
+        _add_value_options(
+            p,
             choices=("recursion", "mobius", "inversion", "all"),
             default="inversion",
             help="computation route (inversion, one closed sum per n, is the fastest; recursion "
             "is its oracle; mobius reaches n <= Z_LIMIT/2); all cross-checks and exits 1 on "
             "mismatch",
         )
-        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-        _add_format(p)
-        _add_prec(p)
-        p.set_defaults(func=_cmd_xi)
     if command in (None, "special"):
-        p = sub.add_parser("special", help="closed two-term form for 1^k *^l words")
+        p = add("special", "closed two-term form for 1^k *^l words", _cmd_special)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--l", type=int, required=True)
         _add_format(p)
-        p.set_defaults(func=_cmd_special)
     if command in (None, "fcheck"):
-        p = sub.add_parser("fcheck", help="cleared-form functional identity check")
+        p = add("fcheck", "cleared-form functional identity check", _cmd_fcheck)
         p.add_argument("--order", type=int, required=True)
-        p.set_defaults(func=_cmd_fcheck)
     if command in (None, "pde-check"):
-        p = sub.add_parser("pde-check", help="PDE coefficient and residual check")
+        p = add("pde-check", "PDE coefficient and residual check", _cmd_pde_check)
         p.add_argument("--n", type=int, required=True)
-        p.set_defaults(func=_cmd_pde_check)
     if command in (None, "haar"):
-        p = sub.add_parser("haar", help="stationary limit and first-order coefficient")
+        p = add("haar", "stationary limit and first-order coefficient", _cmd_haar)
         p.add_argument("--word", required=True)
         _add_format(p, ("text", "json"))
-        p.set_defaults(func=_cmd_haar)
     if command in (None, "alpha"):
-        p = sub.add_parser("alpha", help="determining sequence from q-cumulants")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--q-cumulants", required=True, metavar="FILE")
-        _add_format(p, ("text", "json"))
-        p.set_defaults(func=_cmd_alpha)
+        _add_sequence_options(add("alpha", "determining sequence from q-cumulants", _cmd_alpha))
     if command in (None, "beta"):
-        p = sub.add_parser("beta", help="infinitesimal determining sequence")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--q-cumulants", required=True, metavar="FILE")
-        p.add_argument(
-            "--method",
+        _add_sequence_options(
+            add("beta", "infinitesimal determining sequence", _cmd_beta),
             choices=("mobius", "enumeration", "both"),
             default="mobius",
             help="computation route (mobius, the default, sums over NC(k); enumeration sums "
             "over the support sets, for k up to STRUCTURED_LIMIT); both cross-checks and exits "
             "1 on mismatch",
         )
-        _add_format(p, ("text", "json"))
-        p.set_defaults(func=_cmd_beta)
     if command in (None, "ncw"):
-        p = sub.add_parser("ncw", help="supporting partitions of a word")
+        p = add("ncw", "supporting partitions of a word", _cmd_ncw)
         p.add_argument("--word", required=True)
         p.add_argument("--count-only", action="store_true")
         _add_format(p, ("text", "json"))
-        p.set_defaults(func=_cmd_ncw)
     if command in (None, "nc"):
-        p = sub.add_parser("nc", help="non-crossing partition lattice utilities")
+        p = add("nc", "non-crossing partition lattice utilities", _cmd_nc)
         p.add_argument("--n", type=int, required=True)
-        add = p.add_mutually_exclusive_group().add_argument
-        add("--list", action="store_true", help="list all partitions")
-        add("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
-        add("--moebius", metavar="P", help="Moebius weight of P against the full block")
-        p.set_defaults(func=_cmd_nc)
+        mode = p.add_mutually_exclusive_group().add_argument
+        mode("--list", action="store_true", help="list all partitions")
+        mode("--kreweras", metavar="P", help="complement of P, e.g. '[[1,4],[2,3]]'")
+        mode("--moebius", metavar="P", help="Moebius weight of P against the full block")
     if command in (None, "moments"):
-        p = sub.add_parser("moments", help="moment quasi-polynomial of a word")
+        p = add("moments", "moment quasi-polynomial of a word", _cmd_moments)
         p.add_argument("--word", required=True)
-        p.add_argument("--eval", metavar="T", help="evaluate at t = T (rational)")
-        _add_format(p)
-        _add_prec(p)
-        p.set_defaults(func=_cmd_moments)
+        _add_value_options(p)
     if command in (None, "verify"):
         from .verify import SUITES, run_suites
 
-        p = sub.add_parser("verify", help="run identity suites")
+        p = add("verify", "run identity suites", run_suites)
         p.add_argument("--suite", choices=sorted(SUITES), help="run one suite (default all)")
         p.add_argument("--max-n", type=int, default=None, help="override the suite size knob")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.set_defaults(func=run_suites)
     if not sub.choices:  # command names no subcommand
         return build_parser()
     if command is not None:  # a top-level error, such as an unknown option, lists them all

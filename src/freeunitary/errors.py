@@ -1,4 +1,7 @@
-"""Shared exception types, and the base of the immutable value classes."""
+"""Shared exception types, the quoting of input in their messages, and the
+base of the immutable value classes."""
+
+QUOTE_LIMIT = 60  # characters of an input that an error message repeats in full
 
 
 class SizeError(ValueError):
@@ -11,6 +14,15 @@ class StructureError(ValueError):
 
 class InsufficientDataError(LookupError):
     """A cumulant of higher order than the supplied data was requested."""
+
+
+def quote(text: str) -> str:
+    """repr(text) for an error message; past QUOTE_LIMIT characters, the
+    repr of its first QUOTE_LIMIT characters and the length of the whole,
+    so that a long bad input gives a short message."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class Frozen:

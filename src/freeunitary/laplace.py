@@ -22,11 +22,19 @@ from .moments import diag_cumulant
 from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
 
 F_ORDER_LIMIT = 8
+# k + l of the closed forms, the length of the word 1^k *^l.  At the budget
+# of the other caps, from a fresh CLI on a 2-core host: special takes 1.1 to
+# 2.2 s at k + l = 512 and 7 to 8 s at 514, where the exponent k - 2 or
+# l - 2 of a factor of the integrand reaches 512 and Poly.__pow__ squares
+# once more.
+KL_LIMIT = 512
 
 
 def _check_kl(k: int, l: int) -> None:
     if k < 1 or l < 1:
         raise SizeError(f"exponents must be >= 1, got ({k}, {l})")
+    if k + l > KL_LIMIT:
+        raise SizeError(f"k + l = {k + l} exceeds the limit KL_LIMIT = {KL_LIMIT}")
 
 
 def _laplace_poly(k: int, l: int, shift: int, sign: int) -> list[int]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import Frozen, SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError, quote
 
 Letters = tuple[int, ...]
 
@@ -52,10 +52,10 @@ class Word(Frozen):
         letters = []
         for token in _TOKEN.findall(text.strip()):
             if token not in _TOKENS:
-                raise StructureError(f"cannot parse word {text!r} at {token!r}")
+                raise StructureError(f"cannot parse word {quote(text)} at {token!r}")
             letters.append(_TOKENS[token])
         if not letters:
-            raise SizeError(f"empty word {text!r}")
+            raise SizeError(f"empty word {quote(text)}")
         return cls(letters)
 
     @property

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterator, Optional
@@ -34,6 +35,8 @@ FORMATS = ("text", "latex", "json")
 Q_SEEDS = (1, 2, 3, 4)  # seeded q-cumulant data of alpha and beta
 Q_ORDER = 18  # cumulants per seed: enough for k = 8 in both sequences
 K_MAX = 8
+EVAL_SEED = 1  # of the words, t and xi orders of the eval family
+EVAL_CASES = 40
 
 
 def _renderings(value) -> str:
@@ -86,14 +89,34 @@ def _sequence(route: Callable) -> Iterator[tuple[str, str]]:
             yield f"seed {seed}, k {k}", str(value)
 
 
+def _stdout(argv: list[str]) -> str:
+    """The stdout of the CLI run on argv; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        run(argv)
+    return out.getvalue()
+
+
+def _eval() -> Iterator[tuple[str, str]]:
+    """The decimals that --eval T --prec P prints for zpoly and moments on
+    seeded words of up to 10 letters, and for xi up to n = 5, at rational
+    T and at 64 and 128 bits."""
+    rng = Random(EVAL_SEED)
+    for _ in range(EVAL_CASES):
+        word = "".join(rng.choice("1*") for _ in range(rng.randint(1, 10)))
+        t = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
+        n = rng.randint(1, 5)
+        for prec in (64, 128):
+            for request in (["zpoly", word], ["xi", "--n", str(n)], ["moments", "--word", word]):
+                argv = [*request, f"--eval={t}", "--prec", str(prec)]
+                yield " ".join(argv), _stdout(argv)
+
+
 def _verify() -> Iterator[tuple[str, str]]:
     """The stdout of the full verify, one entry per suite and one for the
     closing tally; the timings on stderr are dropped."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        run(["verify"])
     suite, lines = None, []
-    for line in out.getvalue().splitlines():
+    for line in _stdout(["verify"]).splitlines():
         if not line.startswith("  "):  # a suite's verdict or the tally
             if suite is not None:
                 yield suite, "\n".join(lines)
@@ -111,6 +134,7 @@ FAMILIES = {
     "alpha": lambda: _sequence(rdiag.alpha_sequence),
     "beta": lambda: _sequence(rdiag.beta_mobius),
     "verify": _verify,
+    "eval": _eval,
 }
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from freeunitary import Poly, QuasiPoly, z_mobius
 from freeunitary.cli import DEFAULT_SEED, run
+from freeunitary.errors import SizeError
 from freeunitary.verify import SUITES
 from oracles import quasipoly_from_json
 
@@ -680,6 +681,87 @@ def test_pde_and_round_trip_caps_refuse_before_any_sum(argv, named, monkeypatch,
     out, err = _capture(capsys)
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a sum ran before the refusal")
+
+
+@pytest.mark.parametrize("method", ["inversion", "recursion", "mobius", "all"])
+def test_xi_n_cap_refuses_before_any_route(method, monkeypatch, capsys):
+    from freeunitary import alternating, cli
+
+    assert cli.MAX_XI_N == 350
+    for name in ("xi_by_recursion", "xi_by_inversion", "xi_by_mobius", "_xi_closed", "check_xi"):
+        monkeypatch.setattr(alternating, name, _never)
+    assert run(["xi", "--n", "351", "--method", method]) == 2
+    assert _capture(capsys) == ("", "error: --n 351 exceeds the limit MAX_XI_N = 350\n")
+
+
+@pytest.mark.parametrize("k, l", [(1, 512), (512, 1), (300, 213)])
+def test_special_cap_refuses_before_any_sum(k, l, monkeypatch, capsys):
+    # the integrand is raised to its powers and multiplied only after the check
+    from freeunitary import laplace
+
+    assert laplace.KL_LIMIT == 512
+    for name in ("__pow__", "__mul__"):
+        monkeypatch.setattr(Poly, name, _never)
+    monkeypatch.setattr(laplace, "from_rows", _never)
+    assert run(["special", "--k", str(k), "--l", str(l)]) == 2
+    assert _capture(capsys) == ("", "error: k + l = 513 exceeds the limit KL_LIMIT = 512\n")
+
+
+def test_the_closed_forms_keep_the_special_cap_in_the_library():
+    from freeunitary import laplace
+
+    for route in (laplace.u_poly, laplace.v_poly, laplace.z_from_laplace):
+        with pytest.raises(SizeError, match="k \\+ l = 513 exceeds the limit KL_LIMIT = 512"):
+            route(2, 511)
+
+
+def test_nc_list_cap_refuses_before_any_partition(monkeypatch, capsys):
+    from freeunitary import cli, ncpart
+
+    assert cli.MAX_LIST_SIZE == 12
+    monkeypatch.setattr(ncpart, "enumerate_nc", _never)
+    monkeypatch.setattr(ncpart, "_parts", _never)
+    assert run(["nc", "--n", "13", "--list"]) == 2
+    assert _capture(capsys) == ("", "error: --n 13 exceeds the limit of --list: MAX_LIST_SIZE = 12\n")
+    monkeypatch.undo()
+    assert run(["nc", "--n", "13"]) == 0  # the count is a closed form, under MAX_GROUND_SIZE
+    assert _capture(capsys) == ("count = 742900\n", "")
+
+
+_LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "--n", "4", "--moebius", DEEP_JSON],
+        ["zpoly", "1*" * (_LONG // 4) + "x" + "*1" * (_LONG // 4 - 1) + "*"],
+        ["zpoly", "1*", "--eval", "x" * _LONG],
+        ["alpha", "--k", "1", "--q-cumulants", "q_long_entry.json"],
+    ],
+    ids=["deep-partition", "long-word", "long-eval", "long-q-entry"],
+)
+def test_a_long_bad_input_gives_one_short_error_line(argv, tmp_path, monkeypatch, capsys):
+    # the message quotes a prefix of the input and its length, not all of it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q_long_entry.json").write_text(json.dumps(["1/2", "y" * _LONG]))
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300
+    assert f"... ({_LONG} characters)" in err
+
+
+def test_a_long_bad_word_is_quoted_by_its_prefix(capsys):
+    word = "1" * 59 + "x" + "1" * 40
+    assert run(["zpoly", word]) == 2
+    assert _capture(capsys)[1] == f"error: cannot parse word {word[:60]!r}... (100 characters) at 'x'\n"
+    assert run(["zpoly", word[:60]]) == 2  # 60 characters are quoted whole, as before
+    assert _capture(capsys)[1] == f"error: cannot parse word {word[:60]!r} at 'x'\n"
 
 
 @pytest.mark.parametrize(
