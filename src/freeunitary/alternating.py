@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, z_mobius
-from .errors import Frozen, SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError, check_at_least
 from .moments import _signed_catalan
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows, sum_of_products
 
@@ -73,8 +73,7 @@ class TruncSeries1(Frozen):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise SizeError(f"order must be >= 0, got {order}")
+        check_at_least("order", order, 0)
         data = [QuasiPoly()] * (order + 1)
         for n, val in enumerate(coeffs):
             if n > order:
@@ -215,8 +214,7 @@ def xi_by_recursion(n_max: int) -> XiSequence:
     R_n = sum_{m<n} xi_m xi_{n-m}.  The steps run on the integer rows of
     _xi_rows, each read back over (n-1)!.
     """
-    if n_max < 1:
-        raise SizeError(f"n_max must be >= 1, got {n_max}")
+    check_at_least("n_max", n_max, 1)
     rows = _xi_rows(n_max)
     xs = [
         _readback(row, n_max, math.factorial(n - 1), 0, -2, lambda j: max(j, 1), f"xi_{n}")
@@ -236,8 +234,7 @@ def check_mobius_size(n_max: int) -> None:
 
 def xi_by_mobius(n_max: int) -> XiSequence:
     """Read xi_n off the generic Moebius sum over the alternating 2n-word."""
-    if n_max < 1:
-        raise SizeError(f"n_max must be >= 1, got {n_max}")
+    check_at_least("n_max", n_max, 1)
     check_mobius_size(n_max)
     xs = [z_mobius("1*" * n).value for n in range(1, n_max + 1)]
     return XiSequence(xs, "mobius")
@@ -290,8 +287,7 @@ def chi_expansion(order: int) -> TruncSeries1:
     extended by e^{+t}, and the w^0 coefficient is 0.  Only the round trip
     reads the expansion.
     """
-    if order < 1:
-        raise SizeError(f"order must be >= 1, got {order}")
+    check_at_least("order", order, 1)
     coeffs = [QuasiPoly()]
     for n in range(1, order + 1):
         # 4^n [w^j] (2+w)^{-n}, then times (1+w)^2, truncated at w^{n-1}
@@ -322,8 +318,7 @@ def lambda_series(order: int) -> TruncSeries1:
     refused.  The route reads the xi recursion, not the expansion of chi,
     and shares no code with the closed form lagrange_lambda.
     """
-    if order < 1:
-        raise SizeError(f"order must be >= 1, got {order}")
+    check_at_least("order", order, 1)
     x_rows = _xi_rows(order)  # x_rows[n - 1] = X_n
     base = order
     lam: list[QuasiPoly] = []  # lam[j - 1] = lambda_j
@@ -390,8 +385,7 @@ def lagrange_lambda(order: int) -> TruncSeries1:
     chi.  This is the working route; lambda_series, read off the ODE
     recursion, is its oracle.
     """
-    if order < 1:
-        raise SizeError(f"order must be >= 1, got {order}")
+    check_at_least("order", order, 1)
     lam, tables = [], _factor_tables(order)
     for n in range(1, order + 1):
         a2 = [2 * math.comb(2 * n, n - k) for k in range(1, n + 1)]
@@ -427,8 +421,7 @@ def xi_by_inversion(n_max: int) -> XiSequence:
     [z^n] L^2, no xi convolution and no lower xi_m, so every n stands
     alone and is independent of the ODE recursion, which is its oracle.
     """
-    if n_max < 1:
-        raise SizeError(f"n_max must be >= 1, got {n_max}")
+    check_at_least("n_max", n_max, 1)
     tables = _factor_tables(n_max)
     return XiSequence([_xi_closed(n, tables) for n in range(1, n_max + 1)], "inversion")
 

@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .errors import QUOTE_LIMIT, InsufficientDataError, SizeError, StructureError, quote
+from .errors import QUOTE_LIMIT, InsufficientDataError, SizeError, StructureError, check_at_least, quote
 
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
@@ -31,6 +31,7 @@ MAX_EXPONENT = 4300  # of a decimal rational, as Python caps int digits; 1e99999
 MAX_DIGITS = 4300  # of an integer read or printed, as Python caps int-to-text conversion
 MAX_EVAL_EXPONENT = 300  # |T| of --eval; at MAX_PREC xi --n 12 takes 2.2-3.9 s at 1e300, 0.1 s at 1
 MAX_XI_N = 350  # xi --n: 3.7 s and 39 MB of text at 350, 6.9 s and 60 MB at 400
+MAX_XI_RECURSION_N = 60  # xi --n of --method recursion: 6.9 s at 56, 9 to 10 s at 60, 14 s at 64
 MAX_LIST_SIZE = 12  # nc --n with --list: 208,012 lines in 3.1 s at 12, 742,900 in 12.9 s at 13
 
 
@@ -48,11 +49,10 @@ def _parse_fraction(text: str) -> Fraction:
     from fractions import Fraction
 
     mantissa, e, exponent = text.lower().partition("e")
-    try:  # before Fraction, which expands the exponent in full
-        too_long = bool(e) and abs(int(exponent)) > MAX_EXPONENT
-    except ValueError:  # no integer exponent: Fraction refuses the text
-        too_long = False
-    if too_long:
+    # read off the digit string, before Fraction, which expands the exponent
+    # in full, and before int(), which refuses more than 4300 digits
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
         raise SizeError(f"rational {quote(text)} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
     if any(sum(c.isdigit() for c in part) > MAX_DIGITS for part in mantissa.split("/")):
         raise SizeError(f"rational with more than MAX_DIGITS = {MAX_DIGITS} digits")
@@ -206,10 +206,11 @@ def _cmd_xi(args) -> int:
     from .alternating import _xi_closed, check_mobius_size, check_xi, xi_by_mobius, xi_by_recursion
 
     n = args.n
-    if n < 1:
-        raise SizeError(f"--n must be >= 1, got {n}")
+    check_at_least("--n", n, 1)
     if n > MAX_XI_N:
         raise SizeError(f"--n {n} exceeds the limit MAX_XI_N = {MAX_XI_N}")
+    if args.method == "recursion" and n > MAX_XI_RECURSION_N:
+        raise SizeError(f"--n {n} exceeds the limit MAX_XI_RECURSION_N = {MAX_XI_RECURSION_N}")
     if args.method == "all" and args.eval is not None:
         raise StructureError("--eval takes one method, not --method all")
     if args.method == "all":
@@ -283,8 +284,7 @@ def _cmd_beta(args) -> int:
     from .rdiag import nc_omega_structured
 
     # refuse before any sum, so --method both runs no Moebius sum it cannot cross-check
-    if args.k < 1:
-        raise SizeError(f"--k must be >= 1, got {args.k}")
+    check_at_least("--k", args.k, 1)
     if args.method != "mobius":
         check_structured_size(args.k)
     d = _load_distribution(args.q_cumulants)

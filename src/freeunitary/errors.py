@@ -1,5 +1,6 @@
-"""Shared exception types, the quoting of input in their messages, and the
-base of the immutable value classes."""
+"""Shared exception types, the quoting of input in their messages, the one
+refusal of a value below its lower bound, and the base of the immutable
+value classes."""
 
 QUOTE_LIMIT = 60  # characters of an input that an error message repeats in full
 
@@ -23,6 +24,12 @@ def quote(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def check_at_least(name: str, value, low: int) -> None:
+    """Refuse value < low with the SizeError "{name} must be >= {low}, got {value}"."""
+    if value < low:
+        raise SizeError(f"{name} must be >= {low}, got {value}")
 
 
 class Frozen:

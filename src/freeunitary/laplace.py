@@ -16,17 +16,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SizeError
+from .errors import SizeError, check_at_least
 from .cumulants import ZPolynomial
 from .moments import diag_cumulant
 from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
 
 F_ORDER_LIMIT = 8
-# k + l of the closed forms, the length of the word 1^k *^l.  At the budget
-# of the other caps, from a fresh CLI on a 2-core host: special takes 1.1 to
-# 2.2 s at k + l = 512 and 7 to 8 s at 514, where the exponent k - 2 or
-# l - 2 of a factor of the integrand reaches 512 and Poly.__pow__ squares
-# once more.
+# k + l of the closed forms, the length of the word 1^k *^l.  From a fresh
+# CLI on a 2-core host, special takes 0.3 s at k + l = 512; in-process, U, V
+# and Z take 0.05 s at 512 and 0.4 s at 1024.  The cap is kept until a
+# benchmark frontier shows a larger one.
 KL_LIMIT = 512
 
 
@@ -46,9 +45,9 @@ def _laplace_poly(k: int, l: int, shift: int, sign: int) -> list[int]:
     s^m to m!/x^(m+1), so x^(k+l-2-m) takes sign m! g_m."""
     _check_kl(k, l)
     integrand = Poly((shift, 1)) ** (2 - (k == 1) - (l == 1))
-    for j in (k, l):
-        if j >= 3:
-            integrand = integrand * Poly((j - 1 + shift, 1)) ** (j - 2)
+    for a, m in ((k - 1 + shift, k - 2), (l - 1 + shift, l - 2)):
+        if m >= 1:  # the factor (s + a)^m, by the binomial theorem
+            integrand *= Poly.from_ints(math.comb(m, i) * a ** (m - i) for i in range(m + 1))
     out, fact = [], sign
     for m, c in enumerate(integrand._num):  # over the denominator 1
         fact *= m or 1
@@ -81,8 +80,7 @@ def z_from_laplace(k: int, l: int) -> ZPolynomial:
 
 def v_k1_closed(k: int) -> Poly:
     """Closed form for V_{k,1} as a sum of binomial-factorial terms."""
-    if k < 1:
-        raise SizeError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1)
     if k <= 2:
         return Poly((1,))
     return Poly.from_ints(
@@ -95,8 +93,7 @@ def suffix_star_cumulant(k: int) -> QuasiPoly:
 
     Equals (-y)^(k-1) (V_k(t) - y^2 V_{k+1}(t)) with V_j = V_{j,1}/(j-1)!.
     """
-    if k < 1:
-        raise SizeError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1)
     vk = v_k1_closed(k) * Fraction(1, math.factorial(k - 1))
     vk1 = v_k1_closed(k + 1) * Fraction(1, math.factorial(k))
     sign = (-1) ** (k - 1)
@@ -126,8 +123,7 @@ def check_f_identity(order: int):
     Returns (ok, failures) where failures lists ((i, j), got, expected)
     triples for every coefficient that deviates.
     """
-    if order < 2:
-        raise SizeError(f"order must be >= 2, got {order}")
+    check_at_least("order", order, 2)
     f = f_bivariate(order)
     r = [QuasiPoly.constant(1)] + [diag_cumulant(n) for n in range(1, order)]
     failures = []

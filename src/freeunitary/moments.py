@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import Frozen, SizeError, StructureError, quote
+from .errors import Frozen, SizeError, StructureError, check_at_least, quote
 
 Letters = tuple[int, ...]
 
@@ -150,8 +150,7 @@ def biane_Q(n: int) -> Poly:
     """The degree-(n-1) moment polynomial Q_n, normalized by Q_n(0) = 1."""
     from .qpoly import Poly
 
-    if n < 1:
-        raise SizeError(f"Q index must be >= 1, got {n}")
+    check_at_least("Q index", n, 1)
     coeffs = []
     for j in range(n):
         base = Fraction(1, -n) if j == 0 else Fraction((-n) ** (j - 1))
@@ -174,7 +173,6 @@ def diag_cumulant(n: int) -> QuasiPoly:
     """Free cumulant of n copies of the same letter: ((-n)^(n-1)/n!) t^(n-1) y^n."""
     from .qpoly import Poly, QuasiPoly
 
-    if n < 1:
-        raise SizeError(f"order must be >= 1, got {n}")
+    check_at_least("order", n, 1)
     c = Fraction((-n) ** (n - 1), math.factorial(n))
     return QuasiPoly({-n: Poly((0,) * (n - 1) + (c,))})

@@ -8,7 +8,15 @@ bottom / top elements of the lattice, and block_sum, the one weighted
 sum of block products over partitions. All values are exact.  The
 lattice order, join and restriction, which only the tests use, live in
 tests/oracles.py, with a brute-force enumeration that shares no code
-with the recursion.
+with the recursion, nor with the validation of NCPartition.
+
+A partition of {1, ..., n} is non-crossing exactly when it and its
+Kreweras complement have n + 1 blocks between them (the genus identity of
+Biane, Some properties of crossings and partitions, 1997: the blocks
+number n + 1 - 2g, with g the genus).  NCPartition decides by that count,
+through the same complement that kreweras returns; the brute-force
+enumeration of the tests decides by a pairwise interleaving test of its
+own.
 
 Ground sizes up to MAX_GROUND_SIZE are accepted; streaming enumeration is
 exercised up to n = 14 (2 674 440 partitions) by the test suite.
@@ -21,7 +29,7 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import Frozen, SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError, check_at_least
 
 MAX_GROUND_SIZE = 16
 
@@ -30,8 +38,7 @@ Blocks = tuple[tuple[int, ...], ...]
 
 def catalan(k: int) -> int:
     """Return the k-th Catalan number, C_0 = 1."""
-    if k < 0:
-        raise SizeError(f"catalan index must be >= 0, got {k}")
+    check_at_least("catalan index", k, 0)
     return math.comb(2 * k, k) // (k + 1)
 
 
@@ -67,26 +74,6 @@ def _check_partition(n: int, blocks: Blocks) -> None:
         raise StructureError(f"blocks cover {count} of {n} elements")
 
 
-def _noncrossing_blocks(blocks: Blocks, n: int) -> bool:
-    # single left-to-right pass with a stack of open blocks
-    block_id = [0] * (n + 1)
-    for idx, blk in enumerate(blocks):
-        for e in blk:
-            block_id[e] = idx
-    first = {idx: blk[0] for idx, blk in enumerate(blocks)}
-    last = {idx: blk[-1] for idx, blk in enumerate(blocks)}
-    stack: list[int] = []
-    for i in range(1, n + 1):
-        b = block_id[i]
-        if first[b] == i:
-            stack.append(b)
-        if stack[-1] != b:
-            return False
-        if last[b] == i:
-            stack.pop()
-    return True
-
-
 class NCPartition(Frozen):
     """A non-crossing partition of {1, ..., n}.
 
@@ -100,7 +87,7 @@ class NCPartition(Frozen):
         check_ground_size(n)
         norm = _normalize_blocks(blocks)
         _check_partition(n, norm)
-        if not _noncrossing_blocks(norm, n):
+        if len(norm) + len(_kreweras_blocks(norm, n)) != n + 1:
             raise StructureError(f"crossing blocks: {norm}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", norm)
@@ -194,7 +181,8 @@ def _kreweras_blocks(blocks: Blocks, n: int) -> Blocks:
     # block of pi read as the cycle through its elements in increasing order
     # (Nica and Speicher, Lectures on the Combinatorics of Free Probability).
     # For non-crossing pi each cycle of K(pi) climbs from its least element,
-    # and the cycles are met in order of their minima.
+    # and the cycles are met in order of their minima.  For crossing pi the
+    # cycles are still those of pi^-1 gamma, which NCPartition counts.
     prev = [0] * (n + 1)  # pi^-1
     for blk in blocks:
         prev[blk[0]] = blk[-1]

@@ -30,7 +30,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import Frozen, InsufficientDataError, SizeError, StructureError
+from .errors import Frozen, InsufficientDataError, SizeError, StructureError, check_at_least
 from .moments import Word, _signed_catalan, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
@@ -67,15 +67,13 @@ class Distribution(Frozen):
     @classmethod
     def point_mass_one(cls, max_order: int) -> "Distribution":
         """q = 1: kappa_1 = 1 and nothing else."""
-        if max_order < 1:
-            raise SizeError(f"max_order must be >= 1, got {max_order}")
+        check_at_least("max_order", max_order, 1)
         return cls((1,) + (0,) * (max_order - 1))
 
     @classmethod
     def random_small(cls, rng: Random, max_order: int) -> "Distribution":
         """Random rationals with numerator in [-6, 6], denominator in [1, 6]."""
-        if max_order < 1:
-            raise SizeError(f"max_order must be >= 1, got {max_order}")
+        check_at_least("max_order", max_order, 1)
         return cls(
             Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             for _ in range(max_order)
@@ -150,8 +148,7 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
 
 
 def _check_k_max(k_max: int) -> None:
-    if k_max < 1:
-        raise SizeError(f"k_max must be >= 1, got {k_max}")
+    check_at_least("k_max", k_max, 1)
     if k_max > MOBIUS_K_LIMIT:
         raise SizeError(
             f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: alpha_k and beta_k are capped at"
@@ -431,8 +428,7 @@ def nc_omega_structured(k: int) -> OmegaNC:
     re-checks every candidate, and brute-force cross-checks at small k
     guard the construction.
     """
-    if k < 1:
-        raise SizeError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1)
     check_structured_size(k)
     word = as_word("1" + "*1" * (k - 1))
     size = 4 * k - 2

@@ -31,8 +31,8 @@ from .qpoly import Poly, QuasiPoly
 # --max-n of laplace-cross, which runs only the word recursion and the
 # closed form on the n(n - 1)/2 words 1^k *^l with k + l <= n, not on all
 # 2^n words.  Set at a budget of about 10 s from a fresh process on a
-# loaded 2-core host (Python 3.11): it took 4.7 to 6.2 s at 64 and 6.2 to
-# 10.4 s at 72, where the words pass 64 letters and the row base of the
+# loaded 2-core host (Python 3.11): it takes 1.9 to 2.1 s at 64 and 4.8 to
+# 5.3 s at 72, where the words pass 64 letters and the row base of the
 # recursion doubles to 128.
 LAPLACE_LIMIT = 64
 

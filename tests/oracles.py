@@ -19,8 +19,9 @@ products-as-arguments sum over NC(n), filtered by connectivity with the
 interval grouping, is the reference for rdiag.mixed_q_cumulant, which
 sums moments over NC(r); one-variable series, with no lattice, are the
 reference for rdiag.alpha_sequence and rdiag.beta_mobius; the
-non-crossing members of all set partitions are the reference for the
-lattice enumeration, and share no code with its recursion.  The
+non-crossing members of all set partitions, by a pairwise interleaving
+test, are the reference for the lattice enumeration, and share no code
+with its recursion or with the Kreweras count that validates NCPartition.  The
 quadrature of the finite-interval integral checks the Laplace route
 numerically, and the same Laplace rule on Fraction coefficients, through
 the rational Poly constructor, is the reference for the integer closed
@@ -52,9 +53,6 @@ from freeunitary.moments import Word, biane_Q
 from freeunitary.ncpart import (
     Blocks,
     NCPartition,
-    _check_partition,
-    _noncrossing_blocks,
-    _normalize_blocks,
     _weight_table,
     enumerate_nc,
 )
@@ -64,15 +62,17 @@ from freeunitary.rdiag import _connects, _omega_failure, u_indices
 
 
 def is_noncrossing(blocks: Iterable[Iterable[int]]) -> bool:
-    """Whether the given partition of {1, ..., n} is non-crossing.
+    """Whether the given partition of {1, ..., n} is non-crossing: no two
+    of its blocks interleave.
 
     The blocks must form a partition of {1, ..., n} where n is the total
     number of elements; anything else raises StructureError.
     """
-    norm = _normalize_blocks(blocks)
-    n = sum(len(b) for b in norm)
-    _check_partition(n, norm)
-    return _noncrossing_blocks(norm, n)
+    norm = [tuple(sorted(b)) for b in blocks]
+    n = sum(map(len, norm))
+    if not all(norm) or sorted(e for b in norm for e in b) != list(range(1, n + 1)):
+        raise StructureError(f"not a partition of 1..{n}: {norm}")
+    return not any(_interleaved(a, b) for i, a in enumerate(norm) for b in norm[i + 1 :])
 
 
 def _require_same_n(p: NCPartition, r: NCPartition) -> int:
@@ -271,9 +271,9 @@ def least_cut_rotation(letters: tuple) -> tuple:
     )
 
 
-def nc_brute(m: int) -> list:
-    """Blocks of NC(m) by brute force: every set partition of {1, ..., m},
-    one per restricted growth string, kept when it is non-crossing."""
+def set_partitions(m: int) -> list:
+    """Blocks of every set partition of {1, ..., m}, one per restricted
+    growth string."""
     out = []
 
     def grow(labels: list, top: int) -> None:
@@ -281,14 +281,19 @@ def nc_brute(m: int) -> list:
             blocks = [[] for _ in range(top)]
             for e, b in enumerate(labels, start=1):
                 blocks[b].append(e)
-            if is_noncrossing(blocks):
-                out.append(tuple(tuple(b) for b in blocks))
+            out.append(tuple(tuple(b) for b in blocks))
             return
         for b in range(top + 1):
             grow(labels + [b], max(top, b + 1))
 
     grow([], 0)
     return out
+
+
+def nc_brute(m: int) -> list:
+    """Blocks of NC(m) by brute force: the non-crossing set partitions of
+    {1, ..., m}."""
+    return [blocks for blocks in set_partitions(m) if is_noncrossing(blocks)]
 
 
 def _pair_linked(blocks: Blocks, i: int, j: int) -> bool:

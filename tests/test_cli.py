@@ -15,7 +15,7 @@ import pytest
 
 from freeunitary import Poly, QuasiPoly, z_mobius
 from freeunitary.cli import DEFAULT_SEED, run
-from freeunitary.errors import SizeError
+from freeunitary.errors import SizeError, quote
 from freeunitary.verify import SUITES
 from oracles import quasipoly_from_json
 
@@ -971,6 +971,31 @@ def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, cap
     out, err = _capture(capsys)
     assert out == ""
     assert "Moebius limit Z_LIMIT = 12" in err and "Traceback" not in err
+
+
+def test_xi_recursion_refuses_past_its_cap_before_any_step(monkeypatch, capsys):
+    from freeunitary import alternating
+
+    def refuse(n_max):
+        raise AssertionError("the recursion ran before the refusal")
+
+    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
+    assert run(["xi", "--n", "61", "--method", "recursion"]) == 2
+    assert _capture(capsys) == ("", "error: --n 61 exceeds the limit MAX_XI_RECURSION_N = 60\n")
+    # the default inversion route is not capped there
+    assert run(["xi", "--n", "61"]) == 0
+
+
+@pytest.mark.parametrize(
+    "exponent", ["9" * 50, "9" * 4301, "-" + "9" * 4301], ids=["50 nines", "4301 nines", "-4301 nines"]
+)
+def test_long_exponents_are_refused_by_their_digits(exponent, capsys):
+    # more than 4300 digits are past what int() reads, so the length of the
+    # digit string alone must refuse them
+    text = "1e" + exponent
+    assert run(["zpoly", "1*", "--eval", text]) == 2
+    message = f"error: rational {quote(text)} has an exponent beyond MAX_EXPONENT = 4300\n"
+    assert _capture(capsys) == ("", message)
 
 
 def _xi_stdout(capsys, *argv):

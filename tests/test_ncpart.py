@@ -13,9 +13,10 @@ from freeunitary import (
     moebius_to_one,
 )
 from freeunitary.ncpart import MAX_GROUND_SIZE, _kreweras_blocks, _parts
-from oracles import is_noncrossing, join, kreweras_blocks, leq, nc_brute, restrict
+from oracles import is_noncrossing, join, kreweras_blocks, leq, nc_brute, restrict, set_partitions
 
 CATALANS = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+BELLS = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
 
 
 def test_catalan_values():
@@ -37,6 +38,20 @@ def test_constructor_validates():
 def test_is_noncrossing():
     assert is_noncrossing([[1, 4, 5], [2, 3], [6]])
     assert not is_noncrossing([[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_constructor_accepts_exactly_the_noncrossing_set_partitions(n):
+    # the Kreweras count of the constructor against the pairwise oracle, on
+    # every set partition of {1, ..., n}: 26,442 of them for n <= 9
+    partitions = set_partitions(n)
+    assert len(partitions) == BELLS[n]
+    for blocks in partitions:
+        if is_noncrossing(blocks):
+            assert NCPartition(n, blocks).blocks == blocks
+        else:
+            with pytest.raises(StructureError, match="^crossing blocks: "):
+                NCPartition(n, blocks)
 
 
 def test_str_format():

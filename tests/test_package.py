@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -184,3 +185,51 @@ def test_value_classes_share_one_equality_hash_and_immutability(name):
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         del a.extra
     assert a == make_a()
+
+
+# Each refusal of a value below its lower bound, at one below the bound:
+# errors.check_at_least words every one of them alike.
+_fu = freeunitary
+LOWER_BOUNDS = {
+    "TruncSeries1": (lambda: _fu.TruncSeries1(-1), "order must be >= 0, got -1"),
+    "xi_by_recursion": (lambda: _fu.xi_by_recursion(0), "n_max must be >= 1, got 0"),
+    "xi_by_mobius": (lambda: _fu.xi_by_mobius(0), "n_max must be >= 1, got 0"),
+    "xi_by_inversion": (lambda: _fu.xi_by_inversion(0), "n_max must be >= 1, got 0"),
+    "chi_expansion": (lambda: _fu.chi_expansion(0), "order must be >= 1, got 0"),
+    "lambda_series": (lambda: _fu.lambda_series(0), "order must be >= 1, got 0"),
+    "lagrange_lambda": (lambda: _fu.lagrange_lambda(0), "order must be >= 1, got 0"),
+    "Distribution.point_mass_one": (
+        lambda: _fu.Distribution.point_mass_one(0),
+        "max_order must be >= 1, got 0",
+    ),
+    "Distribution.random_small": (
+        lambda: _fu.Distribution.random_small(random.Random(0), 0),
+        "max_order must be >= 1, got 0",
+    ),
+    "alpha_sequence": (lambda: _fu.alpha_sequence(_fu.Distribution([1]), 0), "k_max must be >= 1, got 0"),
+    "nc_omega_structured": (lambda: _fu.nc_omega_structured(0), "k must be >= 1, got 0"),
+    "v_k1_closed": (lambda: _fu.v_k1_closed(0), "k must be >= 1, got 0"),
+    "suffix_star_cumulant": (lambda: _fu.suffix_star_cumulant(0), "k must be >= 1, got 0"),
+    "check_f_identity": (lambda: _fu.check_f_identity(1), "order must be >= 2, got 1"),
+    "biane_Q": (lambda: _fu.biane_Q(0), "Q index must be >= 1, got 0"),
+    "diag_cumulant": (lambda: _fu.diag_cumulant(0), "order must be >= 1, got 0"),
+    "catalan": (lambda: _fu.catalan(-1), "catalan index must be >= 0, got -1"),
+    # the q-cumulants file is never opened: the refusal comes first
+    "xi --n 0": (["xi", "--n", "0"], "--n must be >= 1, got 0"),
+    "beta --k 0": (["beta", "--k", "0", "--q-cumulants", "absent.json"], "--k must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOWER_BOUNDS))
+def test_lower_bound_refusals_share_one_wording(name, capsys):
+    from freeunitary.cli import run
+
+    call, message = LOWER_BOUNDS[name]
+    if isinstance(call, list):
+        assert run(call) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+    else:
+        with pytest.raises(freeunitary.SizeError) as caught:
+            call()
+        assert str(caught.value) == message
