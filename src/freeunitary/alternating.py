@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cumulants import Z_LIMIT, z_mobius
-from .errors import Frozen, SizeError, StructureError, check_at_least
+from .errors import Frozen, SizeError, StructureError, check_at_least, check_at_most
 from .moments import _signed_catalan
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse, from_rows, sum_of_products
 
@@ -223,19 +223,10 @@ def xi_by_recursion(n_max: int) -> XiSequence:
     return XiSequence(xs, "recursion")
 
 
-def check_mobius_size(n_max: int) -> None:
-    """Refuse an n_max whose alternating word is beyond the Moebius limit."""
-    if 2 * n_max > Z_LIMIT:
-        raise SizeError(
-            f"xi_{n_max} needs a word of length {2 * n_max}, "
-            f"beyond the Moebius limit Z_LIMIT = {Z_LIMIT}"
-        )
-
-
 def xi_by_mobius(n_max: int) -> XiSequence:
     """Read xi_n off the generic Moebius sum over the alternating 2n-word."""
     check_at_least("n_max", n_max, 1)
-    check_mobius_size(n_max)
+    check_at_most("Moebius word length", 2 * n_max, "Z_LIMIT", Z_LIMIT)  # of (1*)^n_max
     xs = [z_mobius("1*" * n).value for n in range(1, n_max + 1)]
     return XiSequence(xs, "mobius")
 
@@ -436,8 +427,7 @@ def chi_roundtrip_defect(order: int) -> TruncSeries1:
     exact zero series certifies that it inverts chi through the stated
     order, which is capped at CHI_ORDER_LIMIT.
     """
-    if order > CHI_ORDER_LIMIT:
-        raise SizeError(f"order {order} exceeds the limit CHI_ORDER_LIMIT = {CHI_ORDER_LIMIT}")
+    check_at_most("order", order, "CHI_ORDER_LIMIT", CHI_ORDER_LIMIT)
     a = chi_expansion(order).coeffs
     lam = lambda_series(order).coeffs
     acc = [a[order]] + [QuasiPoly()] * order
@@ -503,8 +493,7 @@ def pde_residual(n_max: int) -> PdeReport:
     128 bits, each coefficient by QuasiPoly.eval.  The report carries the
     exact coefficients too.  n_max is capped at PDE_LIMIT.
     """
-    if n_max > PDE_LIMIT:
-        raise SizeError(f"n_max {n_max} exceeds the limit PDE_LIMIT = {PDE_LIMIT}")
+    check_at_most("n_max", n_max, "PDE_LIMIT", PDE_LIMIT)
     import mpmath
 
     seq = xi_by_inversion(n_max)

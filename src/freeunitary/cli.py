@@ -21,7 +21,8 @@ import argparse
 import os
 import sys
 
-from .errors import QUOTE_LIMIT, InsufficientDataError, SizeError, StructureError, check_at_least, quote
+from .errors import QUOTE_LIMIT, InsufficientDataError, SizeError, StructureError, quote
+from .errors import check_at_least, check_at_most
 
 DEFAULT_SEED = 20260813
 DEFAULT_PREC = 128
@@ -46,6 +47,7 @@ def __getattr__(name: str):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    import re
     from fractions import Fraction
 
     mantissa, e, exponent = text.lower().partition("e")
@@ -56,8 +58,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise SizeError(f"rational {quote(text)} has an exponent beyond MAX_EXPONENT = {MAX_EXPONENT}")
     if any(sum(c.isdigit() for c in part) > MAX_DIGITS for part in mantissa.split("/")):
         raise SizeError(f"rational with more than MAX_DIGITS = {MAX_DIGITS} digits")
+    literal = text
+    if len(exponent) > MAX_DIGITS:  # Fraction runs int() on all of it, leading zeros too
+        literal = re.sub(r"(?<=[eE])([-+]?)0+(?=\d)", r"\1", text, count=1)
     try:
-        return Fraction(text)
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:  # its message may repeat all of text
         detail = f": {exc}" if len(text) <= QUOTE_LIMIT else ""
         raise StructureError(f"cannot parse rational {quote(text)}{detail}") from None
@@ -72,12 +77,26 @@ def _check_printable(values) -> None:
             raise SizeError(f"a result has more than MAX_DIGITS = {MAX_DIGITS} digits")
 
 
+def _check_poly(value) -> None:
+    """_check_printable on the coefficients of a Poly, or of every term of a
+    QuasiPoly, in the lowest terms in which they print.  They are formed
+    only when an integer numerator or the common denominator passes
+    MAX_DIGITS, which can happen while they print: so it is for Q_1283."""
+    from .qpoly import Poly
+
+    polys = [value] if isinstance(value, Poly) else [p for _, p in value._terms]
+    bound = 10**MAX_DIGITS
+    if any(max(p._den, *map(abs, p._num)) >= bound for p in polys):
+        _check_printable(c for p in polys for c in p.coeffs)
+
+
 def _json(value):
     """The JSON form of a list of rationals, a Poly or a QuasiPoly."""
     if isinstance(value, list):  # before qpoly, which a list of rationals does not need
         return [str(v) for v in value]
     from .qpoly import Poly
 
+    _check_poly(value)
     if isinstance(value, Poly):
         return {"coeffs": [str(c) for c in value.coeffs]}
     return value.to_json_dict()
@@ -91,6 +110,7 @@ def _show(value, fmt: str) -> str:
         return json.dumps(_json(value), sort_keys=True)
     from .qpoly import Poly, poly_text
 
+    _check_poly(value)
     if isinstance(value, Poly):
         return poly_text(value, latex=fmt == "latex")
     return value.to_latex() if fmt == "latex" else value.to_text()
@@ -187,8 +207,8 @@ def _cmd_zpoly(args) -> int:
     from .moments import as_word
 
     word = as_word(args.word)
-    if args.grade is not None and args.grade < 0:
-        raise SizeError(f"--grade must be >= 0, got {args.grade}")
+    if args.grade is not None:
+        check_at_least("--grade", args.grade, 0)
     if args.grade is not None and args.eval is not None:
         raise StructureError("--grade and --eval cannot be combined")
     if args.method == "both" and (args.grade is not None or args.eval is not None):
@@ -203,18 +223,18 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    from .alternating import _xi_closed, check_mobius_size, check_xi, xi_by_mobius, xi_by_recursion
+    from .alternating import _xi_closed, check_xi, xi_by_mobius, xi_by_recursion
+    from .cumulants import Z_LIMIT
 
     n = args.n
     check_at_least("--n", n, 1)
-    if n > MAX_XI_N:
-        raise SizeError(f"--n {n} exceeds the limit MAX_XI_N = {MAX_XI_N}")
-    if args.method == "recursion" and n > MAX_XI_RECURSION_N:
-        raise SizeError(f"--n {n} exceeds the limit MAX_XI_RECURSION_N = {MAX_XI_RECURSION_N}")
+    check_at_most("--n", n, "MAX_XI_N", MAX_XI_N)
+    if args.method == "recursion":
+        check_at_most("--n", n, "MAX_XI_RECURSION_N", MAX_XI_RECURSION_N)
     if args.method == "all" and args.eval is not None:
         raise StructureError("--eval takes one method, not --method all")
-    if args.method == "all":
-        check_mobius_size(n)  # before the recursion runs, not after
+    if args.method == "all":  # xi_by_mobius's own check, before the recursion runs
+        check_at_most("Moebius word length", 2 * n, "Z_LIMIT", Z_LIMIT)
     routes = {
         "recursion": lambda: xi_by_recursion(n).xi(n),
         "mobius": lambda: xi_by_mobius(n).xi(n),
@@ -280,13 +300,13 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    from .rdiag import beta_enumeration, beta_mobius, check_cumulants, check_structured_size
+    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, check_cumulants
     from .rdiag import nc_omega_structured
 
     # refuse before any sum, so --method both runs no Moebius sum it cannot cross-check
     check_at_least("--k", args.k, 1)
     if args.method != "mobius":
-        check_structured_size(args.k)
+        check_at_most("--k", args.k, "STRUCTURED_LIMIT", STRUCTURED_LIMIT)
     d = _load_distribution(args.q_cumulants)
     check_cumulants(d, args.k, marked=True)
     routes = {
@@ -331,8 +351,7 @@ def _cmd_nc(args) -> int:
         print(moebius_to_one(p))
         return 0
     if args.list:
-        if n > MAX_LIST_SIZE:
-            raise SizeError(f"--n {n} exceeds the limit of --list: MAX_LIST_SIZE = {MAX_LIST_SIZE}")
+        check_at_most("--list --n", n, "MAX_LIST_SIZE", MAX_LIST_SIZE)
         for p in enumerate_nc(n):
             print(str(p))
         return 0

@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Union
 
-from .errors import Frozen, SizeError, StructureError
+from .errors import Frozen, SizeError, StructureError, check_at_most
 from .moments import Letters, Word, as_word, biane_Q, switch_number
 from .qpoly import Poly, QuasiPoly, Row, _readback, _row_products, _sparse
 
@@ -178,8 +178,7 @@ def z_mobius(w: Union[Word, str]) -> ZPolynomial:
     """Cumulant of the word via the Moebius sum over NC(|w|), on the letters
     as given: the value is invariant on the orbit that keys the memo."""
     word = as_word(w)
-    if word.n > Z_LIMIT:
-        raise SizeError(f"word length {word.n} exceeds the Moebius limit Z_LIMIT = {Z_LIMIT}")
+    check_at_most("Moebius word length", word.n, "Z_LIMIT", Z_LIMIT)
     key = _canonical(_key(word.letters))
     val = _MOBIUS_MEMO.get(key)
     if val is None:

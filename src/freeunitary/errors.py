@@ -1,6 +1,6 @@
 """Shared exception types, the quoting of input in their messages, the one
-refusal of a value below its lower bound, and the base of the immutable
-value classes."""
+refusal of a value below its lower bound and the one of a value above its
+cap, and the base of the immutable value classes."""
 
 QUOTE_LIMIT = 60  # characters of an input that an error message repeats in full
 
@@ -30,6 +30,13 @@ def check_at_least(name: str, value, low: int) -> None:
     """Refuse value < low with the SizeError "{name} must be >= {low}, got {value}"."""
     if value < low:
         raise SizeError(f"{name} must be >= {low}, got {value}")
+
+
+def check_at_most(name: str, value, const: str, limit: int) -> None:
+    """Refuse value > limit with the SizeError "{name} {value} exceeds the
+    limit {const} = {limit}", where const names the cap."""
+    if value > limit:
+        raise SizeError(f"{name} {value} exceeds the limit {const} = {limit}")
 
 
 class Frozen:

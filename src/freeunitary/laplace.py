@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SizeError, check_at_least
+from .errors import SizeError, check_at_least, check_at_most
 from .cumulants import ZPolynomial
 from .moments import diag_cumulant
 from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
@@ -32,8 +32,7 @@ KL_LIMIT = 512
 def _check_kl(k: int, l: int) -> None:
     if k < 1 or l < 1:
         raise SizeError(f"exponents must be >= 1, got ({k}, {l})")
-    if k + l > KL_LIMIT:
-        raise SizeError(f"k + l = {k + l} exceeds the limit KL_LIMIT = {KL_LIMIT}")
+    check_at_most("k + l =", k + l, "KL_LIMIT", KL_LIMIT)
 
 
 def _laplace_poly(k: int, l: int, shift: int, sign: int) -> list[int]:
@@ -102,8 +101,7 @@ def suffix_star_cumulant(k: int) -> QuasiPoly:
 
 def f_bivariate(order: int) -> dict[tuple[int, int], QuasiPoly]:
     """The cumulants of the words 1^k *^l with k + l <= order, keyed by (k, l)."""
-    if order > F_ORDER_LIMIT:
-        raise SizeError(f"order {order} exceeds the limit F_ORDER_LIMIT = {F_ORDER_LIMIT}")
+    check_at_most("order", order, "F_ORDER_LIMIT", F_ORDER_LIMIT)
     return {
         (k, l): z_from_laplace(k, l).value
         for k in range(1, order)

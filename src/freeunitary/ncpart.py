@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import Frozen, SizeError, StructureError, check_at_least
+from .errors import Frozen, StructureError, check_at_least, check_at_most
 
 MAX_GROUND_SIZE = 16
 
@@ -44,8 +44,8 @@ def catalan(k: int) -> int:
 
 def check_ground_size(n: int) -> None:
     """Refuse a ground size outside 1..MAX_GROUND_SIZE."""
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise SizeError(f"ground size must be in 1..MAX_GROUND_SIZE = {MAX_GROUND_SIZE}, got {n}")
+    check_at_least("ground size", n, 1)
+    check_at_most("ground size", n, "MAX_GROUND_SIZE", MAX_GROUND_SIZE)
 
 
 def _normalize_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:

@@ -30,7 +30,8 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import Frozen, InsufficientDataError, SizeError, StructureError, check_at_least
+from .errors import Frozen, InsufficientDataError, SizeError, StructureError
+from .errors import check_at_least, check_at_most
 from .moments import Word, _signed_catalan, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
@@ -147,15 +148,6 @@ def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
     )
 
 
-def _check_k_max(k_max: int) -> None:
-    check_at_least("k_max", k_max, 1)
-    if k_max > MOBIUS_K_LIMIT:
-        raise SizeError(
-            f"k_max must be <= {MOBIUS_K_LIMIT}, got {k_max}: alpha_k and beta_k are capped at"
-            f" MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2, and MAX_GROUND_SIZE = {MAX_GROUND_SIZE}"
-        )
-
-
 def check_cumulants(d: Distribution, k_max: int, marked: bool) -> None:
     """Refuse data too short for alpha_1..alpha_k_max, or for beta_1..beta_k_max
     when marked, before any sum runs: alpha_k reads kappa_1..kappa_2k and
@@ -172,7 +164,8 @@ def _determining(d: Distribution, k_max: int, marked: bool) -> list:
     """Moebius sums over NC(k), k = 1..k_max, whose blocks contribute
     all-squares cumulants; when marked, the block holding k takes a plain
     q in its last slot."""
-    _check_k_max(k_max)
+    check_at_least("k_max", k_max, 1)
+    check_at_most("k_max", k_max, "MOBIUS_K_LIMIT", MOBIUS_K_LIMIT)
     check_cumulants(d, k_max, marked)
 
     def factor(key):  # (block size, whether the block holds k)
@@ -314,12 +307,7 @@ class OmegaNC(Frozen):
 @lru_cache(maxsize=None)
 def _nc_omega_cached(letters: tuple) -> OmegaNC:
     n = len(letters)
-    if 2 * n > BRUTE_LIMIT:
-        limit = BRUTE_LIMIT // 2
-        raise SizeError(
-            f"support sets limited to words of length <= {limit}, got {n}: "
-            f"BRUTE_LIMIT // 2 = {limit}"
-        )
+    check_at_most("word length", n, "BRUTE_LIMIT // 2", BRUTE_LIMIT // 2)
     word = Word(letters)
     u_set = u_indices(word)
     colour = [i in u_set for i in range(1, 2 * n + 1)]
@@ -408,15 +396,6 @@ def _fat_even_pairing(block: Sequence[int], k: int) -> list:
     return pairing
 
 
-def check_structured_size(k: int) -> None:
-    """Refuse a support set of 1(*1)^(k-1) beyond the structured generator's cap."""
-    if k > STRUCTURED_LIMIT:
-        raise SizeError(
-            f"structured support sets limited to k <= {STRUCTURED_LIMIT}, got {k}: "
-            f"STRUCTURED_LIMIT = {STRUCTURED_LIMIT}"
-        )
-
-
 def nc_omega_structured(k: int) -> OmegaNC:
     """Support set of the odd alternating word 1(*1)^{k-1}, generated
     structurally instead of filtered.
@@ -429,7 +408,7 @@ def nc_omega_structured(k: int) -> OmegaNC:
     guard the construction.
     """
     check_at_least("k", k, 1)
-    check_structured_size(k)
+    check_at_most("k", k, "STRUCTURED_LIMIT", STRUCTURED_LIMIT)
     word = as_word("1" + "*1" * (k - 1))
     size = 4 * k - 2
     results = []

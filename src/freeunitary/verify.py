@@ -25,7 +25,7 @@ from fractions import Fraction
 from random import Random
 
 # Layers are imported by the suites that run them.
-from .errors import SizeError
+from .errors import check_at_least, check_at_most
 from .qpoly import Poly, QuasiPoly
 
 # --max-n of laplace-cross, which runs only the word recursion and the
@@ -362,17 +362,13 @@ SUITES = {
 
 def run_suites(args) -> int:
     """Run args.suite, or every suite in order; exit code 0 if all pass, else 1."""
-    if args.max_n is not None and args.max_n < 1:
-        raise SizeError(f"--max-n must be >= 1, got {args.max_n}")
     names = [args.suite] if args.suite else list(SUITES)
     if args.max_n is not None:
+        check_at_least("--max-n", args.max_n, 1)
         limits = _max_n_limits()
         for name in names:
-            if name in limits and args.max_n > limits[name][1]:
-                const, limit = limits[name]
-                raise SizeError(
-                    f"--max-n {args.max_n} exceeds the limit of suite {name}: {const} = {limit}"
-                )
+            if name in limits:
+                check_at_most(f"suite {name} --max-n", args.max_n, *limits[name])
     passed = 0
     for name in names:
         start = time.monotonic()

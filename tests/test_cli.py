@@ -154,14 +154,10 @@ def test_fcheck(capsys):
     assert run(["fcheck", "--order", "3"]) == 0
     out, _ = _capture(capsys)
     assert out.startswith("OK")
-    # F_ORDER_LIMIT is reachable, and the refusal beyond it names the constant
+    # F_ORDER_LIMIT is reachable; CAPS refuses one past it
     assert run(["fcheck", "--order", "8"]) == 0
     out, _ = _capture(capsys)
     assert out == "OK: cleared-form identity holds through order 8\n"
-    assert run(["fcheck", "--order", "9"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert err == "error: order 9 exceeds the limit F_ORDER_LIMIT = 8\n"
 
 
 def test_pde_check(capsys):
@@ -210,18 +206,13 @@ def test_word_cumulants_beyond_the_moebius_cap(word, capsys):
     from freeunitary import haar_cumulant, z_recursive
 
     # the default zpoly runs the recursion and haar the closed forms;
-    # neither has a length cap
+    # neither has a length cap (CAPS refuses --method mobius and both)
     assert len(word) == 14
     assert run(["zpoly", word]) == 0
     assert _capture(capsys)[0] == z_recursive(word).value.to_text() + "\n"
     assert run(["haar", "--word", word]) == 0
     # the signed-Catalan derivative rule vanishes on words of even length
     assert _capture(capsys)[0] == f"limit = {haar_cumulant(word)}\nderivative = 0\n"
-    for method in ("mobius", "both"):
-        assert run(["zpoly", word, "--method", method]) == 2
-        out, err = _capture(capsys)
-        assert out == ""
-        assert "Z_LIMIT = 12" in err and "Traceback" not in err
 
 
 def test_haar_reads_the_closed_forms_without_the_recursion(monkeypatch, capsys):
@@ -332,11 +323,11 @@ def test_nc_count_is_the_catalan_number(capsys):
         assert run(["nc", "--n", str(n)]) == 0
         out, _ = _capture(capsys)
         assert out == f"count = {sum(1 for _ in enumerate_nc(n))}\n"
-    for n in (0, 17):
-        assert run(["nc", "--n", str(n)]) == 2
-        out, err = _capture(capsys)
-        assert out == ""
-        assert err == f"error: ground size must be in 1..MAX_GROUND_SIZE = 16, got {n}\n"
+    # a closed form, so past MAX_LIST_SIZE; CAPS refuses 17
+    assert run(["nc", "--n", "13"]) == 0
+    assert _capture(capsys) == ("count = 742900\n", "")
+    assert run(["nc", "--n", "0"]) == 2
+    assert _capture(capsys) == ("", "error: ground size must be >= 1, got 0\n")
 
 
 def test_moments(capsys):
@@ -580,9 +571,7 @@ def test_recursion_error_inside_a_route_is_not_refused(monkeypatch):
 
 def test_verify_refuses_max_n_zero(capsys):
     assert run(["verify", "--max-n", "0"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert "--max-n" in err and "got 0" in err
+    assert _capture(capsys) == ("", "error: --max-n must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize(
@@ -604,111 +593,111 @@ def test_verify_max_n_stops_at_the_suite_route_limit(suite, module, const, monke
     assert run(["verify", "--suite", suite, "--max-n", "4"]) == 2
     out, err = _capture(capsys)
     assert out == ""
-    assert err == f"error: --max-n 4 exceeds the limit of suite {suite}: {const} = 3\n"
-
-
-def test_verify_max_n_above_a_limit_runs_no_suite(monkeypatch, capsys):
-    def never(args):
-        raise AssertionError("a suite ran")
-
-    for name in SUITES:
-        monkeypatch.setitem(SUITES, name, never)
-    assert run(["verify", "--max-n", "13"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert "suite z-two-path: Z_LIMIT = 12" in err
-    assert run(["verify", "--suite", "ncpart-lattice", "--max-n", "17"]) == 2
-    assert "suite ncpart-lattice: MAX_GROUND_SIZE = 16" in _capture(capsys)[1]
-
-
-def test_laplace_cross_cap_refuses_before_any_sum(monkeypatch, capsys):
-    # the suite's own cap, not Z_LIMIT: 65 is refused before the recursion
-    # or the closed form runs
-    from freeunitary import cumulants, laplace, verify
-
-    assert verify.LAPLACE_LIMIT == 64
-    assert verify._max_n_limits()["laplace-cross"] == ("LAPLACE_LIMIT", 64)
-
-    def never(*args):
-        raise AssertionError("a sum ran before the refusal")
-
-    for module, name in ((cumulants, "z_recursive"), (laplace, "z_from_laplace"),
-                         (laplace, "u_poly"), (laplace, "v_poly"), (laplace, "v_k1_closed")):
-        monkeypatch.setattr(module, name, never)
-    assert run(["verify", "--suite", "laplace-cross", "--max-n", "65"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert err == "error: --max-n 65 exceeds the limit of suite laplace-cross: LAPLACE_LIMIT = 64\n"
-
-
-def test_xi_three_path_cap_refuses_before_any_sum(monkeypatch, capsys):
-    # 53 is refused before any of the three xi routes runs
-    from freeunitary import alternating, verify
-
-    assert verify.XI_THREE_PATH_LIMIT == 52
-    assert verify._max_n_limits()["xi-three-path"] == ("XI_THREE_PATH_LIMIT", 52)
-
-    def never(*args):
-        raise AssertionError("a sum ran before the refusal")
-
-    for name in ("xi_by_recursion", "xi_by_inversion", "xi_by_mobius"):
-        monkeypatch.setattr(alternating, name, never)
-    assert run(["verify", "--suite", "xi-three-path", "--max-n", "53"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert err == "error: --max-n 53 exceeds the limit of suite xi-three-path: XI_THREE_PATH_LIMIT = 52\n"
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["pde-check", "--n", "19"], "n_max 19 exceeds the limit PDE_LIMIT = 18"),
-        (["pde-check", "--n", "1000000"], "PDE_LIMIT = 18"),
-        (["verify", "--suite", "pde-coeff", "--max-n", "19"], "suite pde-coeff: PDE_LIMIT = 18"),
-        (["verify", "--suite", "chi-roundtrip", "--max-n", "22"],
-         "suite chi-roundtrip: CHI_ORDER_LIMIT = 21"),
-    ],
-)
-def test_pde_and_round_trip_caps_refuse_before_any_sum(argv, named, monkeypatch, capsys):
-    from freeunitary import alternating
-
-    def never(n):
-        raise AssertionError("a sum ran before the refusal")
-
-    for name in ("xi_by_inversion", "chi_expansion", "lambda_series", "lagrange_lambda"):
-        monkeypatch.setattr(alternating, name, never)
-    assert run(argv) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert named in err and "Traceback" not in err
+    assert err == f"error: suite {suite} --max-n 4 exceeds the limit {const} = 3\n"
 
 
 def _never(*args, **kwargs):
     raise AssertionError("a sum ran before the refusal")
 
 
-@pytest.mark.parametrize("method", ["inversion", "recursion", "mobius", "all"])
-def test_xi_n_cap_refuses_before_any_route(method, monkeypatch, capsys):
-    from freeunitary import alternating, cli
+# Every size cap, just past it: argv, the one stderr line, and the routes
+# that must not run (module.name under freeunitary; every verify suite is
+# patched as well).  q.json holds 20 cumulants, enough for k = 10, so that
+# alpha and beta meet the cap and not short data.
+_XI_ROUTES = ("alternating.xi_by_recursion", "alternating.xi_by_inversion",
+              "alternating.xi_by_mobius", "alternating._xi_closed", "alternating.check_xi")
+_PDE_ROUTES = ("alternating.xi_by_inversion", "alternating.chi_expansion",
+               "alternating.lambda_series", "alternating.lagrange_lambda")
+_KL_ROUTES = ("qpoly.Poly.__pow__", "qpoly.Poly.__mul__", "laplace.from_rows")
+_Q = ["--q-cumulants", "q.json"]
+CAPS = {
+    "zpoly (1*)^7 --method mobius": (
+        ["zpoly", "1*" * 7, "--method", "mobius"],
+        "Moebius word length 14 exceeds the limit Z_LIMIT = 12",
+        ("cumulants._mobius_value", "cumulants.z_recursive")),
+    "zpoly (1*)^7 --method both": (
+        ["zpoly", "1*" * 7, "--method", "both"],
+        "Moebius word length 14 exceeds the limit Z_LIMIT = 12",
+        ("cumulants._mobius_value", "cumulants.z_recursive")),
+    "xi --n 7 --method mobius": (
+        ["xi", "--n", "7", "--method", "mobius"],
+        "Moebius word length 14 exceeds the limit Z_LIMIT = 12",
+        ("alternating.z_mobius", "alternating.xi_by_recursion")),
+    "xi --n 50 --method all": (
+        ["xi", "--n", "50", "--method", "all"],
+        "Moebius word length 100 exceeds the limit Z_LIMIT = 12", _XI_ROUTES),
+    "verify --max-n 13": (
+        ["verify", "--max-n", "13"],
+        "suite z-two-path --max-n 13 exceeds the limit Z_LIMIT = 12", ()),
+    "nc --n 17": (
+        ["nc", "--n", "17"],
+        "ground size 17 exceeds the limit MAX_GROUND_SIZE = 16", ("ncpart.catalan",)),
+    "verify --suite ncpart-lattice --max-n 17": (
+        ["verify", "--suite", "ncpart-lattice", "--max-n", "17"],
+        "suite ncpart-lattice --max-n 17 exceeds the limit MAX_GROUND_SIZE = 16", ()),
+    "nc --n 13 --list": (
+        ["nc", "--n", "13", "--list"],
+        "--list --n 13 exceeds the limit MAX_LIST_SIZE = 12", ("ncpart.enumerate_nc", "ncpart._parts")),
+    "ncw --word 1*1*1*1*": (
+        ["ncw", "--word", "1*1*1*1*", "--count-only"],
+        "word length 8 exceeds the limit BRUTE_LIMIT // 2 = 7", ("rdiag._parts",)),
+    **{f"{command} --k 9": (
+        [command, "--k", "9", *_Q],
+        "k_max 9 exceeds the limit MOBIUS_K_LIMIT = 8", ("rdiag._weight_table",))
+       for command in ("alpha", "beta")},
+    **{f"beta --k {k} --method {method}": (
+        ["beta", "--k", str(k), *_Q, "--method", method],
+        f"--k {k} exceeds the limit STRUCTURED_LIMIT = 4",
+        ("rdiag._weight_table", "rdiag.nc_omega_structured"))
+       for k, method in ((5, "enumeration"), (6, "both"))},
+    "fcheck --order 9": (
+        ["fcheck", "--order", "9"],
+        "order 9 exceeds the limit F_ORDER_LIMIT = 8", ("laplace.z_from_laplace",)),
+    **{f"special --k {k} --l {l}": (
+        ["special", "--k", str(k), "--l", str(l)],
+        "k + l = 513 exceeds the limit KL_LIMIT = 512", _KL_ROUTES)
+       for k, l in ((1, 512), (512, 1), (300, 213))},
+    **{f"xi --n 351 --method {method}": (
+        ["xi", "--n", "351", "--method", method],
+        "--n 351 exceeds the limit MAX_XI_N = 350", _XI_ROUTES)
+       for method in ("inversion", "recursion", "mobius", "all")},
+    "xi --n 61 --method recursion": (
+        ["xi", "--n", "61", "--method", "recursion"],
+        "--n 61 exceeds the limit MAX_XI_RECURSION_N = 60", _XI_ROUTES),
+    **{f"pde-check --n {n}": (
+        ["pde-check", "--n", str(n)],
+        f"n_max {n} exceeds the limit PDE_LIMIT = 18", _PDE_ROUTES)
+       for n in (19, 1000000)},
+    **{f"verify --suite {suite} --max-n {n}": (
+        ["verify", "--suite", suite, "--max-n", str(n)],
+        f"suite {suite} --max-n {n} exceeds the limit {const} = {n - 1}", routes)
+       for suite, n, const, routes in (
+           ("pde-coeff", 19, "PDE_LIMIT", _PDE_ROUTES),
+           ("chi-roundtrip", 22, "CHI_ORDER_LIMIT", _PDE_ROUTES),
+           ("laplace-cross", 65, "LAPLACE_LIMIT",
+            ("cumulants.z_recursive", "laplace.z_from_laplace", "laplace.u_poly", "laplace.v_poly",
+             "laplace.v_k1_closed")),
+           ("xi-three-path", 53, "XI_THREE_PATH_LIMIT", _XI_ROUTES))},
+    "moments --word 1^1717": (
+        ["moments", "--word", "1" * 1717],
+        "letter excess 1717 exceeds the limit EXCESS_LIMIT = 1716", ("moments.biane_Q",)),
+}
+_SHAPE = re.compile(r".+ (\d+) exceeds the limit [A-Z_]+(?: // 2)? = (\d+)")
 
-    assert cli.MAX_XI_N == 350
-    for name in ("xi_by_recursion", "xi_by_inversion", "xi_by_mobius", "_xi_closed", "check_xi"):
-        monkeypatch.setattr(alternating, name, _never)
-    assert run(["xi", "--n", "351", "--method", method]) == 2
-    assert _capture(capsys) == ("", "error: --n 351 exceeds the limit MAX_XI_N = 350\n")
 
-
-@pytest.mark.parametrize("k, l", [(1, 512), (512, 1), (300, 213)])
-def test_special_cap_refuses_before_any_sum(k, l, monkeypatch, capsys):
-    # the integrand is raised to its powers and multiplied only after the check
-    from freeunitary import laplace
-
-    assert laplace.KL_LIMIT == 512
-    for name in ("__pow__", "__mul__"):
-        monkeypatch.setattr(Poly, name, _never)
-    monkeypatch.setattr(laplace, "from_rows", _never)
-    assert run(["special", "--k", str(k), "--l", str(l)]) == 2
-    assert _capture(capsys) == ("", "error: k + l = 513 exceeds the limit KL_LIMIT = 512\n")
+@pytest.mark.parametrize("row", CAPS)
+def test_every_cap_refuses_in_one_shape(row, tmp_path, monkeypatch, capsys):
+    argv, line, routes = CAPS[row]
+    shape = _SHAPE.fullmatch(line)
+    assert shape and int(shape[1]) > int(shape[2])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(["1/2"] * 20))
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, _never)
+    for route in routes:
+        monkeypatch.setattr(f"freeunitary.{route}", _never)
+    assert run(argv) == 2
+    assert _capture(capsys) == ("", f"error: {line}\n")
 
 
 def test_the_closed_forms_keep_the_special_cap_in_the_library():
@@ -717,19 +706,6 @@ def test_the_closed_forms_keep_the_special_cap_in_the_library():
     for route in (laplace.u_poly, laplace.v_poly, laplace.z_from_laplace):
         with pytest.raises(SizeError, match="k \\+ l = 513 exceeds the limit KL_LIMIT = 512"):
             route(2, 511)
-
-
-def test_nc_list_cap_refuses_before_any_partition(monkeypatch, capsys):
-    from freeunitary import cli, ncpart
-
-    assert cli.MAX_LIST_SIZE == 12
-    monkeypatch.setattr(ncpart, "enumerate_nc", _never)
-    monkeypatch.setattr(ncpart, "_parts", _never)
-    assert run(["nc", "--n", "13", "--list"]) == 2
-    assert _capture(capsys) == ("", "error: --n 13 exceeds the limit of --list: MAX_LIST_SIZE = 12\n")
-    monkeypatch.undo()
-    assert run(["nc", "--n", "13"]) == 0  # the count is a closed form, under MAX_GROUND_SIZE
-    assert _capture(capsys) == ("count = 742900\n", "")
 
 
 _LONG = 100_000
@@ -777,50 +753,6 @@ def test_cross_check_modes_refuse_flags_they_would_ignore(argv, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert "--method" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "k, method, message",
-    [
-        ("0", "enumeration", "--k must be >= 1, got 0"),
-        ("6", "both", "STRUCTURED_LIMIT = 4"),
-    ],
-)
-def test_beta_refuses_k_before_any_sum(k, method, message, monkeypatch, tmp_path, capsys):
-    from freeunitary import rdiag
-
-    def never(d, k_max):
-        raise AssertionError("a Moebius sum ran")
-
-    monkeypatch.setattr(rdiag, "beta_mobius", never)
-    path = tmp_path / "q.json"
-    path.write_text(json.dumps(["1/2"] * 20))
-    assert run(["beta", "--k", k, "--q-cumulants", str(path), "--method", method]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert message in err and "Traceback" not in err
-
-
-def test_beta_enumeration_refuses_k_beyond_structured_limit(tmp_path, capsys):
-    path = tmp_path / "q.json"
-    path.write_text(json.dumps([f"1/{i}" for i in range(1, 11)]))
-    assert run(["beta", "--k", "5", "--q-cumulants", str(path), "--method", "enumeration"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert "k <= 4" in err and "STRUCTURED_LIMIT = 4" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["alpha", "beta"])
-def test_sequences_refuse_k_above_the_ground_cap(command, tmp_path, capsys):
-    # the refusal comes before any sum, with cumulants enough for k = 10
-    path = tmp_path / "q.json"
-    path.write_text(json.dumps(["1/2"] * 20))
-    assert run([command, "--k", "9", "--q-cumulants", str(path)]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert "k_max must be <= 8" in err and "MAX_GROUND_SIZE = 16" in err
-    assert "MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2" in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -927,7 +859,7 @@ def test_top_level_errors_list_every_subcommand(argv, capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["xi", "--n", "7", "--method", "mobius"], "Moebius limit Z_LIMIT = 12"),
+        (["zpoly", "1*", "--eval", "1" * 4301], "MAX_DIGITS = 4300"),
         (["ncw", "--word", "1*1*1*1*", "--count-only"], "BRUTE_LIMIT // 2 = 7"),
         # Fraction("1e9999999") alone takes seconds, and --eval costs grow with the digits of T
         (["zpoly", "1*", "--eval", "1e9999999"], "MAX_EXPONENT = 4300"),
@@ -959,33 +891,6 @@ def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys
     assert named in err and "Traceback" not in err and "Exceeds the limit" not in err
 
 
-def test_xi_all_refuses_beyond_the_moebius_cap_before_any_route(monkeypatch, capsys):
-    from freeunitary import alternating
-
-    def refuse(n_max):
-        raise AssertionError("a route ran before the refusal")
-
-    for name in ("xi_by_recursion", "xi_by_inversion", "_xi_closed"):
-        monkeypatch.setattr(alternating, name, refuse)
-    assert run(["xi", "--n", "50", "--method", "all"]) == 2
-    out, err = _capture(capsys)
-    assert out == ""
-    assert "Moebius limit Z_LIMIT = 12" in err and "Traceback" not in err
-
-
-def test_xi_recursion_refuses_past_its_cap_before_any_step(monkeypatch, capsys):
-    from freeunitary import alternating
-
-    def refuse(n_max):
-        raise AssertionError("the recursion ran before the refusal")
-
-    monkeypatch.setattr(alternating, "xi_by_recursion", refuse)
-    assert run(["xi", "--n", "61", "--method", "recursion"]) == 2
-    assert _capture(capsys) == ("", "error: --n 61 exceeds the limit MAX_XI_RECURSION_N = 60\n")
-    # the default inversion route is not capped there
-    assert run(["xi", "--n", "61"]) == 0
-
-
 @pytest.mark.parametrize(
     "exponent", ["9" * 50, "9" * 4301, "-" + "9" * 4301], ids=["50 nines", "4301 nines", "-4301 nines"]
 )
@@ -996,6 +901,50 @@ def test_long_exponents_are_refused_by_their_digits(exponent, capsys):
     assert run(["zpoly", "1*", "--eval", text]) == 2
     message = f"error: rational {quote(text)} has an exponent beyond MAX_EXPONENT = 4300\n"
     assert _capture(capsys) == ("", message)
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_leading_zeros_of_an_exponent_are_not_digits(sign, capsys):
+    # Fraction runs int() on the whole exponent, which refuses more than 4300 digits
+    assert run(["zpoly", "1*", "--eval", f"1e{sign}5"]) == 0
+    want = _capture(capsys)
+    assert run(["zpoly", "1*", "--eval", f"1e{sign}{'0' * 4300}5"]) == 0
+    assert _capture(capsys) == want
+
+
+@pytest.mark.parametrize("tail", [[], ["--format", "json"], ["--format", "latex"], ["--grade", "1999"]])
+def test_a_result_too_long_to_print_is_refused_by_name(tail, capsys):
+    # one coefficient of about 6600 digits over 1999!, past what Python turns into text
+    assert run(["zpoly", "1" * 1999, *tail]) == 2
+    assert _capture(capsys) == ("", "error: a result has more than MAX_DIGITS = 4300 digits\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["zpoly", "1*1*1*", "--method", "both"], ["xi", "--n", "4", "--method", "all"],
+     ["special", "--k", "3", "--l", "2"], ["special", "--k", "3", "--l", "2", "--format", "json"],
+     ["moments", "--word", "1111"]],
+    ids=" ".join,
+)
+def test_every_value_output_is_checked_before_it_prints(argv, monkeypatch, capsys):
+    from freeunitary import cli
+
+    monkeypatch.setattr(cli, "MAX_DIGITS", 0)
+    assert run(argv) == 2
+    assert _capture(capsys) == ("", "error: a result has more than MAX_DIGITS = 0 digits\n")
+
+
+def test_lowest_terms_decide_whether_a_result_prints(monkeypatch, capsys):
+    # Q_4 over its common denominator 3 has the numerators 3, -18, 24, -8,
+    # but prints 1, -6, 8 and -8/3, as Q_1283 passes 4300 digits over one
+    # denominator and prints
+    from freeunitary import cli
+
+    assert run(["moments", "--word", "1111"]) == 0
+    want = _capture(capsys)
+    monkeypatch.setattr(cli, "MAX_DIGITS", 1)
+    assert run(["moments", "--word", "1111"]) == 0
+    assert _capture(capsys) == want
 
 
 def _xi_stdout(capsys, *argv):
@@ -1021,6 +970,7 @@ def test_xi_default_route_prints_what_the_recursion_prints(monkeypatch, capsys):
         assert default == _xi_stdout(capsys, "--n", str(k), "--method", "recursion")
     rec = _xi_stdout(capsys, "--n", "30", "--method", "recursion")
     assert _xi_stdout(capsys, "--n", "30", "--method", "inversion") == rec
+    _xi_stdout(capsys, "--n", "61")  # past MAX_XI_RECURSION_N, which holds only the recursion
 
 
 def test_eval_at_the_bound_prints_a_value(capsys):

@@ -214,9 +214,14 @@ LOWER_BOUNDS = {
     "biane_Q": (lambda: _fu.biane_Q(0), "Q index must be >= 1, got 0"),
     "diag_cumulant": (lambda: _fu.diag_cumulant(0), "order must be >= 1, got 0"),
     "catalan": (lambda: _fu.catalan(-1), "catalan index must be >= 0, got -1"),
+    "NCPartition.zero": (lambda: _fu.NCPartition.zero(0), "ground size must be >= 1, got 0"),
     # the q-cumulants file is never opened: the refusal comes first
     "xi --n 0": (["xi", "--n", "0"], "--n must be >= 1, got 0"),
     "beta --k 0": (["beta", "--k", "0", "--q-cumulants", "absent.json"], "--k must be >= 1, got 0"),
+    "beta --k 0 --method enumeration": (
+        ["beta", "--k", "0", "--q-cumulants", "absent.json", "--method", "enumeration"],
+        "--k must be >= 1, got 0",
+    ),
 }
 
 
