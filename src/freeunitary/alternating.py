@@ -223,10 +223,15 @@ def xi_by_recursion(n_max: int) -> XiSequence:
     return XiSequence(xs, "recursion")
 
 
+def check_mobius_size(n_max: int) -> None:
+    """Refuse an n_max whose alternating word (1*)^n_max is past Z_LIMIT."""
+    check_at_most("Moebius word length", 2 * n_max, "Z_LIMIT", Z_LIMIT)
+
+
 def xi_by_mobius(n_max: int) -> XiSequence:
     """Read xi_n off the generic Moebius sum over the alternating 2n-word."""
     check_at_least("n_max", n_max, 1)
-    check_at_most("Moebius word length", 2 * n_max, "Z_LIMIT", Z_LIMIT)  # of (1*)^n_max
+    check_mobius_size(n_max)
     xs = [z_mobius("1*" * n).value for n in range(1, n_max + 1)]
     return XiSequence(xs, "mobius")
 

@@ -78,15 +78,13 @@ def _check_printable(values) -> None:
 
 
 def _check_poly(value) -> None:
-    """_check_printable on the coefficients of a Poly, or of every term of a
-    QuasiPoly, in the lowest terms in which they print.  They are formed
-    only when an integer numerator or the common denominator passes
-    MAX_DIGITS, which can happen while they print: so it is for Q_1283."""
+    """_check_printable on the coefficients of a Poly or a QuasiPoly, in the
+    lowest terms in which they print.  They are formed only when its height
+    passes MAX_DIGITS, which can happen while they print: so it is for Q_1283."""
     from .qpoly import Poly
 
-    polys = [value] if isinstance(value, Poly) else [p for _, p in value._terms]
-    bound = 10**MAX_DIGITS
-    if any(max(p._den, *map(abs, p._num)) >= bound for p in polys):
+    if value.height >= 10**MAX_DIGITS:
+        polys = [value] if isinstance(value, Poly) else value.terms.values()
         _check_printable(c for p in polys for c in p.coeffs)
 
 
@@ -223,8 +221,7 @@ def _cmd_zpoly(args) -> int:
 
 
 def _cmd_xi(args) -> int:
-    from .alternating import _xi_closed, check_xi, xi_by_mobius, xi_by_recursion
-    from .cumulants import Z_LIMIT
+    from .alternating import _xi_closed, check_mobius_size, check_xi, xi_by_mobius, xi_by_recursion
 
     n = args.n
     check_at_least("--n", n, 1)
@@ -234,7 +231,7 @@ def _cmd_xi(args) -> int:
     if args.method == "all" and args.eval is not None:
         raise StructureError("--eval takes one method, not --method all")
     if args.method == "all":  # xi_by_mobius's own check, before the recursion runs
-        check_at_most("Moebius word length", 2 * n, "Z_LIMIT", Z_LIMIT)
+        check_mobius_size(n)
     routes = {
         "recursion": lambda: xi_by_recursion(n).xi(n),
         "mobius": lambda: xi_by_mobius(n).xi(n),
@@ -300,13 +297,13 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    from .rdiag import STRUCTURED_LIMIT, beta_enumeration, beta_mobius, check_cumulants
+    from .rdiag import beta_enumeration, beta_mobius, check_cumulants, check_structured_size
     from .rdiag import nc_omega_structured
 
     # refuse before any sum, so --method both runs no Moebius sum it cannot cross-check
     check_at_least("--k", args.k, 1)
     if args.method != "mobius":
-        check_at_most("--k", args.k, "STRUCTURED_LIMIT", STRUCTURED_LIMIT)
+        check_structured_size(args.k)
     d = _load_distribution(args.q_cumulants)
     check_cumulants(d, args.k, marked=True)
     routes = {

@@ -106,6 +106,12 @@ class Poly(Frozen):
     def is_zero(self) -> bool:
         return not self._num
 
+    @property
+    def height(self) -> int:
+        """The largest of the denominator and the |numerators|: no coefficient
+        in lowest terms has a longer numerator or denominator."""
+        return max((self._den, *map(abs, self._num)))
+
     def leading(self) -> Fraction:
         if not self._num:
             return Fraction(0)
@@ -246,6 +252,11 @@ class QuasiPoly(Frozen):
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    @property
+    def height(self) -> int:
+        """The largest height of a term's Poly (1 for zero)."""
+        return max((p.height for _, p in self._terms), default=1)
 
     def exp2_values(self) -> tuple[int, ...]:
         return tuple(e2 for e2, _ in self._terms)

@@ -396,6 +396,11 @@ def _fat_even_pairing(block: Sequence[int], k: int) -> list:
     return pairing
 
 
+def check_structured_size(k: int) -> None:
+    """Refuse a support set of 1(*1)^(k-1) past the structured generator's cap."""
+    check_at_most("k", k, "STRUCTURED_LIMIT", STRUCTURED_LIMIT)
+
+
 def nc_omega_structured(k: int) -> OmegaNC:
     """Support set of the odd alternating word 1(*1)^{k-1}, generated
     structurally instead of filtered.
@@ -408,7 +413,7 @@ def nc_omega_structured(k: int) -> OmegaNC:
     guard the construction.
     """
     check_at_least("k", k, 1)
-    check_at_most("k", k, "STRUCTURED_LIMIT", STRUCTURED_LIMIT)
+    check_structured_size(k)
     word = as_word("1" + "*1" * (k - 1))
     size = 4 * k - 2
     results = []

@@ -60,6 +60,12 @@ def test_zpoly_grade(capsys):
     assert out.strip() == "-2x-3"
 
 
+@pytest.mark.parametrize("fmt,shown", [("text", "0"), ("json", '{"coeffs": []}')])
+def test_zpoly_prints_an_absent_grade_as_zero(fmt, shown, capsys):
+    assert run(["zpoly", "1*", "--grade", "5", "--format", fmt]) == 0
+    assert _capture(capsys) == (shown + "\n", "")
+
+
 def test_zpoly_eval(capsys):
     assert run(["zpoly", "1*", "--eval", "1"]) == 0
     out, _ = _capture(capsys)
@@ -647,7 +653,7 @@ CAPS = {
        for command in ("alpha", "beta")},
     **{f"beta --k {k} --method {method}": (
         ["beta", "--k", str(k), *_Q, "--method", method],
-        f"--k {k} exceeds the limit STRUCTURED_LIMIT = 4",
+        f"k {k} exceeds the limit STRUCTURED_LIMIT = 4",
         ("rdiag._weight_table", "rdiag.nc_omega_structured"))
        for k, method in ((5, "enumeration"), (6, "both"))},
     "fcheck --order 9": (

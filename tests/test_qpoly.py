@@ -33,6 +33,15 @@ def test_poly_zero_conventions():
     assert zero.is_zero
     assert zero.degree == -1
     assert zero.leading() == 0
+    assert zero.height == QuasiPoly().height == 1
+
+
+@given(polys)
+def test_height_is_the_largest_integer_over_one_denominator(p):
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    assert p.height == max([den] + [abs(c * den) for c in p.coeffs])
+    assert all(abs(c.numerator) <= p.height and c.denominator <= p.height for c in p.coeffs)
+    assert QuasiPoly({0: p, -2: Poly((1,))}).height == p.height
 
 
 def test_poly_rejects_floats():
