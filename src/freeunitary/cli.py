@@ -283,6 +283,7 @@ def _cmd_haar(args) -> int:
 
     word = as_word(args.word)
     limit, derivative = haar_limit(word), haar_derivative(word)
+    _check_printable((limit, derivative))
     payload = {"word": str(word), "limit": str(limit), "derivative": str(derivative)}
     return _report(args.format, [f"limit = {limit}", f"derivative = {derivative}"], payload)
 

@@ -19,7 +19,7 @@ the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
 The filter over all of NC(2n) is kept as a test oracle.  k_max is
 capped at MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2 = 8, and support sets at
-words of length BRUTE_LIMIT // 2 = 7.
+words of length BRUTE_LIMIT = 7, which lie on NC(14).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .ncpart import (
 
 Rat = Union[int, Fraction]
 
-BRUTE_LIMIT = 14  # 2n for a word of length n
+BRUTE_LIMIT = 7  # letters of a word whose support set nc_omega filters out of NC(2n)
 MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.05 s
 STRUCTURED_LIMIT = (MAX_GROUND_SIZE + 2) // 4  # the support set of 1(*1)^(k-1) lies on 4k - 2 points
 
@@ -307,7 +307,7 @@ class OmegaNC(Frozen):
 @lru_cache(maxsize=None)
 def _nc_omega_cached(letters: tuple) -> OmegaNC:
     n = len(letters)
-    check_at_most("word length", n, "BRUTE_LIMIT // 2", BRUTE_LIMIT // 2)
+    check_at_most("word length", n, "BRUTE_LIMIT", BRUTE_LIMIT)
     word = Word(letters)
     u_set = u_indices(word)
     colour = [i in u_set for i in range(1, 2 * n + 1)]

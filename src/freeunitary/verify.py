@@ -11,10 +11,12 @@ A suite is a generator that yields one case at a time.  A case is a list
 of checks (input, expected, got); a check fails when its two sides differ
 and is reported as input, str(expected), str(got).  Where a suite asserts
 a property rather than a value, both sides are the phrase stating it and
-got becomes what was seen when the property fails (_claim).  _tally turns
-a suite into the fn(args) -> (cases, failures) held in SUITES.
-run_suites looks each suite up in SUITES as it runs it, so a wrapper put
-there after import (a timer, say) is the one that runs.
+got becomes what was seen when the property fails (_claim).  _suite
+registers each suite once, with its name, its default size and the cap its
+--max-n may not pass: it puts the fn(args) -> (cases, failures) of the
+suite into SUITES and its sizes into SIZES.  run_suites looks each suite up
+in SUITES as it runs it, so a wrapper put there after import (a timer, say)
+is the one that runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 from random import Random
 
 # Layers are imported by the suites that run them.
@@ -33,7 +36,8 @@ from .qpoly import Poly, QuasiPoly
 # 2^n words.  Set at a budget of about 10 s from a fresh process on a
 # loaded 2-core host (Python 3.11): it takes 1.9 to 2.1 s at 64 and 4.8 to
 # 5.3 s at 72, where the words pass 64 letters and the row base of the
-# recursion doubles to 128.
+# recursion doubles to 128.  Also --max-n of remark4.5, whose words 1^k *
+# are those with l = 1 (0.06 s in-process at 64).
 LAPLACE_LIMIT = 64
 
 # --max-n of xi-three-path, the order of xi_by_recursion, at the budget and
@@ -84,15 +88,29 @@ _EXAMPLE69_BLOCKS = (
 )
 
 
-def _tally(suite):
-    def run_suite(args) -> tuple:
-        cases, failures = 0, []
-        for case in suite(args):
-            cases += 1
-            failures += [(inp, str(want), str(got)) for inp, want, got in case if want != got]
-        return cases, failures
+SUITES = {}  # name -> fn(args) -> (cases, failures), in the order the suites run
+SIZES = {}  # name -> (default size, "module.CONSTANT" capping --max-n); None for prop6.7-cross
 
-    return run_suite
+
+def _suite(name: str, size: int | None = None, bound: str | None = None):
+    """Register the suite body(n, args) under name, where n is --max-n or
+    else size.  bound is the cap of the route that n sizes (a word length, a
+    ground size or an order) or a budget cap of the suite; run_suites reads
+    it when it runs, so a value patched after import is the one that applies."""
+
+    def register(body):
+        def run_suite(args) -> tuple:
+            cases, failures = 0, []
+            for case in body(args.max_n or size, args):
+                cases += 1
+                failures += [(inp, str(want), str(got)) for inp, want, got in case if want != got]
+            return cases, failures
+
+        SUITES[name] = run_suite
+        SIZES[name] = size, bound
+        return body
+
+    return register
 
 
 def _claim(inp, phrase, holds: bool, seen) -> tuple:
@@ -108,8 +126,8 @@ def _all_words(cap: int) -> Iterator[Word]:
             yield Word(tuple(1 if (bits >> i) & 1 else -1 for i in range(n)))
 
 
-@_tally
-def _suite_ncpart_lattice(args):
+@_suite("ncpart-lattice", 6, "ncpart.MAX_GROUND_SIZE")
+def _suite_ncpart_lattice(max_n, args):
     from .ncpart import (
         NCPartition,
         catalan,
@@ -119,7 +137,7 @@ def _suite_ncpart_lattice(args):
         moebius_to_one,
     )
 
-    for n in range(1, (args.max_n or 6) + 1):
+    for n in range(1, max_n + 1):
         count = moebius_sum = 0
         case = []
         # streamed, and a partition's check is kept only when it fails:
@@ -140,48 +158,51 @@ def _suite_ncpart_lattice(args):
         ]
 
 
-@_tally
-def _suite_z_two_path(args):
+# the Moebius oracle, which Z_LIMIT caps
+@_suite("z-two-path", 7, "cumulants.Z_LIMIT")
+def _suite_z_two_path(n, args):
     from .cumulants import z_mobius, z_recursive
 
-    for w in _all_words(args.max_n or 7):
+    for w in _all_words(n):
         yield [(str(w), z_mobius(w).value, z_recursive(w).value)]
 
 
-@_tally
-def _suite_thm37(args):
+# thm3.7, prop6.2 and thm6.3 run the recursion, which has no cap; they keep
+# Z_LIMIT because they check all 2^n words of each length n, so the word
+# count is what bounds them (8190 words at 12)
+@_suite("thm3.7", 7, "cumulants.Z_LIMIT")
+def _suite_thm37(n, args):
     from .cumulants import z_recursive
 
-    for w in _all_words(args.max_n or 7):
+    for w in _all_words(n):
         holds = z_recursive(w).switch_bound_holds()
         yield [_claim(str(w), "grades beyond the switch bound vanish", holds, "nonzero grade")]
 
 
-@_tally
-def _suite_prop62(args):
+@_suite("prop6.2", 7, "cumulants.Z_LIMIT")
+def _suite_prop62(n, args):
     from .cumulants import z_recursive
     from .moments import haar_limit
 
-    for w in _all_words(args.max_n or 7):
+    for w in _all_words(n):
         # compared as polynomials, so a grade that is not constant fails
         yield [(str(w), Poly((haar_limit(w),)), z_recursive(w).grade(0))]
 
 
-@_tally
-def _suite_thm63(args):
+@_suite("thm6.3", 7, "cumulants.Z_LIMIT")
+def _suite_thm63(n, args):
     from .cumulants import z_recursive
     from .moments import haar_derivative
 
-    for w in _all_words(args.max_n or 7):
+    for w in _all_words(n):
         yield [(str(w), Poly((haar_derivative(w),)), z_recursive(w).grade(1))]
 
 
-@_tally
-def _suite_laplace_cross(args):
+@_suite("laplace-cross", 8, "verify.LAPLACE_LIMIT")
+def _suite_laplace_cross(cap, args):
     from .cumulants import z_recursive
     from .laplace import u_poly, v_k1_closed, v_poly, z_from_laplace
 
-    cap = args.max_n or 8
     for k in range(1, cap):
         for l in range(1, cap + 1 - k):
             closed = z_from_laplace(k, l).value
@@ -199,23 +220,22 @@ def _suite_laplace_cross(args):
         yield [(f"k={k}", v_poly(k, 1), closed)]
 
 
-@_tally
-def _suite_remark45(args):
+@_suite("remark4.5", 7, "verify.LAPLACE_LIMIT")
+def _suite_remark45(n, args):
     from .cumulants import z_recursive
     from .laplace import suffix_star_cumulant
 
-    for k in range(1, min(args.max_n or 7, 11) + 1):
+    for k in range(1, n + 1):
         closed = suffix_star_cumulant(k)
         yield [(f"k={k}", z_recursive("1" * k + "*").value, closed)]
     for k, row in _SUFFIX_STAR_ROWS.items():
         yield [(f"frozen k={k}", row, suffix_star_cumulant(k))]
 
 
-@_tally
-def _suite_xi_three_path(args):
+@_suite("xi-three-path", 6, "verify.XI_THREE_PATH_LIMIT")
+def _suite_xi_three_path(n_inv, args):
     from .alternating import lambda_series, xi_by_inversion, xi_by_mobius, xi_by_recursion
 
-    n_inv = args.max_n or 6
     n_mob = min(n_inv, 5)
     rec = xi_by_recursion(n_inv)
     inv = xi_by_inversion(n_inv)
@@ -232,11 +252,10 @@ def _suite_xi_three_path(args):
         yield [(f"frozen lambda_{n}", row, lam.coeff(n))]
 
 
-@_tally
-def _suite_pde_coeff(args):
+@_suite("pde-coeff", 6, "alternating.PDE_LIMIT")
+def _suite_pde_coeff(n, args):
     from .alternating import pde_residual
 
-    n = args.max_n or 6
     report = pde_residual(n)
     for j, coeff in enumerate(report.coefficients[:n], start=1):
         yield [(f"z^{j}", 0, coeff)]
@@ -246,11 +265,10 @@ def _suite_pde_coeff(args):
         yield [_claim("max residual", "< 1e-15", small, f"{report.max_residual:.3e}")]
 
 
-@_tally
-def _suite_chi_roundtrip(args):
+@_suite("chi-roundtrip", 6, "alternating.CHI_ORDER_LIMIT")
+def _suite_chi_roundtrip(order, args):
     from .alternating import chi_expansion, chi_roundtrip_defect, lagrange_lambda, lambda_series
 
-    order = args.max_n or 6
     defect = chi_roundtrip_defect(order)
     for n in range(order + 1):
         yield [(f"z^{n}", 0, defect.coeff(n))]
@@ -264,8 +282,8 @@ def _suite_chi_roundtrip(args):
             yield [(f"frozen chi_{n}", row, chi.coeff(n))]
 
 
-@_tally
-def _suite_prop67_cross(args):
+@_suite("prop6.7-cross")
+def _suite_prop67_cross(_, args):
     from .moments import _signed_catalan
     from .rdiag import Distribution, beta_enumeration, beta_mobius, mixed_q_cumulant
 
@@ -282,26 +300,26 @@ def _suite_prop67_cross(args):
         yield [(f"q=1 beta_{k}", Fraction(_signed_catalan(k)), value)]
 
 
-@_tally
-def _suite_lemma611(args):
+@_suite("lemma6.11", 6, "rdiag.BRUTE_LIMIT")
+def _suite_lemma611(n, args):
     from .moments import is_alternating
     from .rdiag import nc_omega
 
     # words that begin and end with 1; the one-letter word is alternating
-    for w in _all_words(min(args.max_n or 6, 6)):
+    for w in _all_words(n):
         if w.letters[0] == w.letters[-1] == 1 and not is_alternating(w):
             found = len(nc_omega(w))
             yield [_claim(str(w), "empty support set", not found, f"{found} partitions")]
 
 
-@_tally
-def _suite_example69(args):
-    from .rdiag import STRUCTURED_LIMIT, nc_omega, nc_omega_structured
+@_suite("example6.9", 3, "rdiag.STRUCTURED_LIMIT")
+def _suite_example69(n, args):
+    from .rdiag import nc_omega, nc_omega_structured
 
     got = [p.to_lists() for p in nc_omega("1*1").partitions]
     want = sorted(_EXAMPLE69_BLOCKS)
     yield [_claim("1*1", want, sorted(got) == want, got)]
-    for k in range(1, min(args.max_n or 3, STRUCTURED_LIMIT) + 1):
+    for k in range(1, n + 1):
         structured = nc_omega_structured(k)
         brute = nc_omega("1" + "*1" * (k - 1))
         filtered = f"{len(brute)} partitions (filter)"
@@ -310,65 +328,17 @@ def _suite_example69(args):
     yield [_claim("k=1", "1 partition", found == 1, found)]
 
 
-def _max_n_limits() -> dict:
-    """Suite -> (name, value) of the route limit its --max-n may not pass.
-
-    These suites feed --max-n to a size-capped route as a word length, a
-    ground size or an order.  z-two-path runs the Moebius oracle, which
-    Z_LIMIT caps.  thm3.7, prop6.2 and thm6.3 run the recursion, which has
-    no cap; they keep Z_LIMIT because they check all 2^n words of each
-    length n, so the word count is what bounds them (8190 words at 12).
-    laplace-cross runs the recursion on n(n - 1)/2 words and xi-three-path
-    runs xi_by_recursion to order n; each has its own budget cap,
-    LAPLACE_LIMIT and XI_THREE_PATH_LIMIT.  pde-coeff and chi-roundtrip
-    feed it to the capped PDE and round-trip routes of alternating.  The
-    table lives here, not on the SUITES entries, because those entries may
-    be swapped for wrappers after import.
-    """
-    from .alternating import CHI_ORDER_LIMIT, PDE_LIMIT
-    from .cumulants import Z_LIMIT
-    from .ncpart import MAX_GROUND_SIZE
-
-    z = ("Z_LIMIT", Z_LIMIT)
-    return {
-        "ncpart-lattice": ("MAX_GROUND_SIZE", MAX_GROUND_SIZE),
-        "z-two-path": z,
-        "thm3.7": z,
-        "prop6.2": z,
-        "thm6.3": z,
-        "laplace-cross": ("LAPLACE_LIMIT", LAPLACE_LIMIT),
-        "xi-three-path": ("XI_THREE_PATH_LIMIT", XI_THREE_PATH_LIMIT),
-        "pde-coeff": ("PDE_LIMIT", PDE_LIMIT),
-        "chi-roundtrip": ("CHI_ORDER_LIMIT", CHI_ORDER_LIMIT),
-    }
-
-
-SUITES = {
-    "ncpart-lattice": _suite_ncpart_lattice,
-    "z-two-path": _suite_z_two_path,
-    "thm3.7": _suite_thm37,
-    "prop6.2": _suite_prop62,
-    "thm6.3": _suite_thm63,
-    "laplace-cross": _suite_laplace_cross,
-    "remark4.5": _suite_remark45,
-    "xi-three-path": _suite_xi_three_path,
-    "pde-coeff": _suite_pde_coeff,
-    "chi-roundtrip": _suite_chi_roundtrip,
-    "prop6.7-cross": _suite_prop67_cross,
-    "lemma6.11": _suite_lemma611,
-    "example6.9": _suite_example69,
-}
-
-
 def run_suites(args) -> int:
     """Run args.suite, or every suite in order; exit code 0 if all pass, else 1."""
     names = [args.suite] if args.suite else list(SUITES)
     if args.max_n is not None:
         check_at_least("--max-n", args.max_n, 1)
-        limits = _max_n_limits()
         for name in names:
-            if name in limits:
-                check_at_most(f"suite {name} --max-n", args.max_n, *limits[name])
+            bound = SIZES[name][1]
+            if bound:
+                module, const = bound.split(".")
+                limit = getattr(import_module(f"{__package__}.{module}"), const)
+                check_at_most(f"suite {name} --max-n", args.max_n, const, limit)
     passed = 0
     for name in names:
         start = time.monotonic()

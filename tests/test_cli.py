@@ -235,6 +235,7 @@ def test_haar_reads_the_closed_forms_without_the_recursion(monkeypatch, capsys):
         (word, 0, 0),
         ("1*" * 20, -catalan(19), 0),
         ("1" + "*1" * 20, 0, catalan(20)),
+        ("1*" * 7000, -catalan(6999), 0),  # about 4200 digits, under MAX_DIGITS
     ]
     for w, limit, derivative in cases:
         assert run(["haar", "--word", w]) == 0
@@ -368,12 +369,14 @@ def test_verify_single_suite(capsys):
         pytest.param("thm6.3", 3, 14, id="thm6.3"),
         pytest.param("laplace-cross", 3, 8, id="laplace-cross"),
         pytest.param("remark4.5", 3, 7, id="remark4.5"),
+        pytest.param("remark4.5", 64, 68, id="remark4.5-at-LAPLACE_LIMIT"),
         pytest.param("xi-three-path", 3, 11, id="xi-three-path"),
         pytest.param("pde-coeff", 3, 4, id="pde-coeff"),
         pytest.param("chi-roundtrip", 3, 9, id="chi-roundtrip"),
         pytest.param("prop6.7-cross", 3, 64, id="prop6.7-cross"),
         pytest.param("lemma6.11", 5, 13, id="lemma6.11"),
         pytest.param("example6.9", 3, 5, id="example6.9"),
+        pytest.param("example6.9", 4, 6, id="example6.9-at-STRUCTURED_LIMIT"),
     ],
 )
 def test_verify_respects_max_n(suite, max_n, cases, capsys):
@@ -382,6 +385,11 @@ def test_verify_respects_max_n(suite, max_n, cases, capsys):
     note = f" [seed={DEFAULT_SEED}]" if suite == "prop6.7-cross" else ""
     assert out == f"suite {suite}: PASS ({cases} cases){note}\n1/1 suites passed\n"
     assert re.fullmatch(rf"suite {re.escape(suite)}: \d+\.\d\ds\n", err)
+
+
+def test_every_suite_passes_at_max_n_one(capsys):
+    assert run(["verify", "--max-n", "1"]) == 0
+    assert _capture(capsys)[0].endswith("\n13/13 suites passed\n")
 
 
 def test_verify_chi_roundtrip_passes_at_order_one(capsys):
@@ -586,9 +594,12 @@ def test_verify_refuses_max_n_zero(capsys):
     + [(name, "cumulants", "Z_LIMIT")
        for name in ("z-two-path", "thm3.7", "prop6.2", "thm6.3")]
     + [("laplace-cross", "verify", "LAPLACE_LIMIT"),
+       ("remark4.5", "verify", "LAPLACE_LIMIT"),
        ("xi-three-path", "verify", "XI_THREE_PATH_LIMIT"),
        ("pde-coeff", "alternating", "PDE_LIMIT"),
-       ("chi-roundtrip", "alternating", "CHI_ORDER_LIMIT")],
+       ("chi-roundtrip", "alternating", "CHI_ORDER_LIMIT"),
+       ("lemma6.11", "rdiag", "BRUTE_LIMIT"),
+       ("example6.9", "rdiag", "STRUCTURED_LIMIT")],
 )
 def test_verify_max_n_stops_at_the_suite_route_limit(suite, module, const, monkeypatch, capsys):
     # with the limit lowered to 3, --max-n 3 runs and --max-n 4 is refused
@@ -646,7 +657,7 @@ CAPS = {
         "--list --n 13 exceeds the limit MAX_LIST_SIZE = 12", ("ncpart.enumerate_nc", "ncpart._parts")),
     "ncw --word 1*1*1*1*": (
         ["ncw", "--word", "1*1*1*1*", "--count-only"],
-        "word length 8 exceeds the limit BRUTE_LIMIT // 2 = 7", ("rdiag._parts",)),
+        "word length 8 exceeds the limit BRUTE_LIMIT = 7", ("rdiag._parts",)),
     **{f"{command} --k 9": (
         [command, "--k", "9", *_Q],
         "k_max 9 exceeds the limit MOBIUS_K_LIMIT = 8", ("rdiag._weight_table",))
@@ -683,12 +694,15 @@ CAPS = {
            ("laplace-cross", 65, "LAPLACE_LIMIT",
             ("cumulants.z_recursive", "laplace.z_from_laplace", "laplace.u_poly", "laplace.v_poly",
              "laplace.v_k1_closed")),
-           ("xi-three-path", 53, "XI_THREE_PATH_LIMIT", _XI_ROUTES))},
+           ("remark4.5", 65, "LAPLACE_LIMIT", ("cumulants.z_recursive", "laplace.suffix_star_cumulant")),
+           ("xi-three-path", 53, "XI_THREE_PATH_LIMIT", _XI_ROUTES),
+           ("lemma6.11", 8, "BRUTE_LIMIT", ("rdiag._nc_omega_cached",)),
+           ("example6.9", 5, "STRUCTURED_LIMIT", ("rdiag._nc_omega_cached", "rdiag.nc_omega_structured")))},
     "moments --word 1^1717": (
         ["moments", "--word", "1" * 1717],
         "letter excess 1717 exceeds the limit EXCESS_LIMIT = 1716", ("moments.biane_Q",)),
 }
-_SHAPE = re.compile(r".+ (\d+) exceeds the limit [A-Z_]+(?: // 2)? = (\d+)")
+_SHAPE = re.compile(r".+ (\d+) exceeds the limit [A-Z_]+ = (\d+)")
 
 
 @pytest.mark.parametrize("row", CAPS)
@@ -866,7 +880,7 @@ def test_top_level_errors_list_every_subcommand(argv, capsys):
     "argv, named",
     [
         (["zpoly", "1*", "--eval", "1" * 4301], "MAX_DIGITS = 4300"),
-        (["ncw", "--word", "1*1*1*1*", "--count-only"], "BRUTE_LIMIT // 2 = 7"),
+        (["ncw", "--word", "1*1*1*1*", "--count-only"], "BRUTE_LIMIT = 7"),
         # Fraction("1e9999999") alone takes seconds, and --eval costs grow with the digits of T
         (["zpoly", "1*", "--eval", "1e9999999"], "MAX_EXPONENT = 4300"),
         (["zpoly", "1*", "--eval", str(10**300 + 1)], "10^MAX_EVAL_EXPONENT = 10^300"),
@@ -876,6 +890,9 @@ def test_top_level_errors_list_every_subcommand(argv, capsys):
         # alpha_1 of 10^4300 has 8601 digits, more than Python turns into text
         (["alpha", "--k", "1", "--q-cumulants", "q_wide.json"], "MAX_DIGITS = 4300"),
         (["beta", "--k", "1", "--q-cumulants", "q_long.json"], "MAX_DIGITS = 4300"),
+        # the signed Catalan number of the stationary limit of (1*)^8000 has about 4800 digits
+        (["haar", "--word", "1*" * 8000], "MAX_DIGITS = 4300"),
+        (["haar", "--word", "1*" * 8000, "--format", "json"], "MAX_DIGITS = 4300"),
     ],
 )
 def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys):
@@ -894,6 +911,7 @@ def test_refusals_name_their_constant(argv, named, tmp_path, monkeypatch, capsys
     assert time.monotonic() - start < 1
     out, err = _capture(capsys)
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err and "Exceeds the limit" not in err
 
 

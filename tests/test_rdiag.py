@@ -363,7 +363,7 @@ def test_structured_generator_reuse_guard():
 
 
 def test_omega_guards():
-    with pytest.raises(SizeError, match=r"^word length 8 exceeds the limit BRUTE_LIMIT // 2 = 7$"):
+    with pytest.raises(SizeError, match=r"^word length 8 exceeds the limit BRUTE_LIMIT = 7$"):
         nc_omega("1*1*1*11")
     with pytest.raises(SizeError):
         nc_omega_structured(0)

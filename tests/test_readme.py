@@ -42,3 +42,24 @@ def test_readme_example(cmd, want, tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(text)
     assert run(shlex.split(cmd)[1:]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_suite_table_is_the_registry():
+    # name, default size and --max-n bound of every suite, in execution order
+    from importlib import import_module
+
+    from freeunitary.verify import SIZES
+
+    text = README.read_text()
+    table = text[text.index("| suite | default size |"):].split("\n\n")[0].splitlines()[2:]
+    rows = []
+    for line in table:
+        name, size, bound = (cell.strip() for cell in line.split("|")[1:4])
+        rows.append((name.strip("`"), None if size == "none" else int(size), bound))
+    want = []
+    for name, (size, bound) in SIZES.items():
+        if bound:
+            module, const = bound.split(".")
+            bound = f"`{bound}` = {getattr(import_module('freeunitary.' + module), const)}"
+        want.append((name, size, bound or "none"))
+    assert rows == want
