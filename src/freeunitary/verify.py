@@ -28,7 +28,7 @@ from importlib import import_module
 from random import Random
 
 # Layers are imported by the suites that run them.
-from .errors import check_at_least, check_at_most
+from .errors import StructureError, check_at_least, check_at_most
 from .qpoly import Poly, QuasiPoly
 
 # --max-n of laplace-cross, which runs only the word recursion and the
@@ -333,6 +333,9 @@ def run_suites(args) -> int:
     names = [args.suite] if args.suite else list(SUITES)
     if args.max_n is not None:
         check_at_least("--max-n", args.max_n, 1)
+        # named alone, a suite with no size refuses --max-n; among all, it runs its fixed cases
+        if args.suite and SIZES[args.suite][0] is None:
+            raise StructureError(f"suite {args.suite} has no size for --max-n to set")
         for name in names:
             bound = SIZES[name][1]
             if bound:

@@ -373,7 +373,6 @@ def test_verify_single_suite(capsys):
         pytest.param("xi-three-path", 3, 11, id="xi-three-path"),
         pytest.param("pde-coeff", 3, 4, id="pde-coeff"),
         pytest.param("chi-roundtrip", 3, 9, id="chi-roundtrip"),
-        pytest.param("prop6.7-cross", 3, 64, id="prop6.7-cross"),
         pytest.param("lemma6.11", 5, 13, id="lemma6.11"),
         pytest.param("example6.9", 3, 5, id="example6.9"),
         pytest.param("example6.9", 4, 6, id="example6.9-at-STRUCTURED_LIMIT"),
@@ -588,6 +587,17 @@ def test_verify_refuses_max_n_zero(capsys):
     assert _capture(capsys) == ("", "error: --max-n must be >= 1, got 0\n")
 
 
+def test_a_suite_with_no_size_refuses_max_n_alone(capsys):
+    # prop6.7-cross runs 20 seeded trials, which --max-n does not size
+    assert run(["verify", "--suite", "prop6.7-cross", "--max-n", "3"]) == 2
+    assert _capture(capsys) == ("", "error: suite prop6.7-cross has no size for --max-n to set\n")
+    # among all the suites it still runs its fixed cases
+    assert run(["verify", "--suite", "prop6.7-cross"]) == 0
+    alone = _capture(capsys)[0].splitlines()[0]
+    assert run(["verify", "--max-n", "3"]) == 0
+    assert alone in _capture(capsys)[0].splitlines()
+
+
 @pytest.mark.parametrize(
     "suite,module,const",
     [("ncpart-lattice", "ncpart", "MAX_GROUND_SIZE")]
@@ -795,29 +805,35 @@ import sys
 before = set(sys.modules)
 import freeunitary.cli as cli
 watched = ("freeunitary", "json", "fractions", "mpmath")
-print("imported", sorted(m for m in set(sys.modules) - before if m.split(".")[0] in watched))
+print("imported", *sorted(m for m in set(sys.modules) - before if m.split(".")[0] in watched))
 cli.run(sys.argv[1:])
 sys.stdout.flush()
-print("loaded", sorted(m for m in sys.modules if m.startswith("freeunitary.") or m == "mpmath"))
+print("loaded", *sorted(m for m in sys.modules if m.startswith("freeunitary.") or m == "mpmath"))
 """
 _BASE = ["freeunitary.cli", "freeunitary.errors"]
-_RDIAG = [*_BASE, "freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag"]
-_WORDS = [*_BASE, "freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
+_COMMON = "freeunitary.cli.common"  # the helpers of the commands that print a value or read a rational
+_RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag"]
+_WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
 # one request per subcommand, and the freeunitary modules its process loads
+# besides _BASE: its own command module first
 _FOOTPRINTS = {
-    "zpoly": (["zpoly", "1*1"], _WORDS),
-    "xi": (["xi", "--n", "3"], _XI),
-    "special": (["special", "--k", "2", "--l", "1"], [*_WORDS, "freeunitary.laplace"]),
-    "fcheck": (["fcheck", "--order", "2"], [*_WORDS, "freeunitary.laplace"]),
-    "pde-check": (["pde-check", "--n", "2"], [*_XI, "mpmath"]),
-    "haar": (["haar", "--word", "1*1*1"], [*_BASE, "freeunitary.moments"]),
-    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"], _RDIAG),
-    "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"], _RDIAG),
-    "ncw": (["ncw", "--word", "1*1", "--format", "json"], _RDIAG),
-    "nc": (["nc", "--n", "4"], [*_BASE, "freeunitary.ncpart"]),
-    "moments": (["moments", "--word", "11"], [*_BASE, "freeunitary.moments", "freeunitary.qpoly"]),
-    "verify": (["verify", "--suite", "thm3.7"], [*_WORDS, "freeunitary.verify"]),
+    "zpoly": (["zpoly", "1*1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
+    "xi": (["xi", "--n", "3"], ["freeunitary.cli.xi", _COMMON, *_XI]),
+    "special": (["special", "--k", "2", "--l", "1"],
+                ["freeunitary.cli.special", _COMMON, *_WORDS, "freeunitary.laplace"]),
+    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_WORDS, "freeunitary.laplace"]),
+    "pde-check": (["pde-check", "--n", "2"], ["freeunitary.cli.pde_check", *_XI, "mpmath"]),
+    "haar": (["haar", "--word", "1*1*1"], ["freeunitary.cli.haar", _COMMON, "freeunitary.moments"]),
+    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
+              ["freeunitary.cli.alpha", _COMMON, *_RDIAG]),
+    "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"],
+             ["freeunitary.cli.beta", _COMMON, *_RDIAG]),
+    "ncw": (["ncw", "--word", "1*1", "--format", "json"], ["freeunitary.cli.ncw", *_RDIAG]),
+    "nc": (["nc", "--n", "4"], ["freeunitary.cli.nc", "freeunitary.ncpart"]),
+    "moments": (["moments", "--word", "11"],
+                ["freeunitary.cli.moments", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
+    "verify": (["verify", "--suite", "thm3.7"], ["freeunitary.cli.verify", *_WORDS, "freeunitary.verify"]),
 }
 
 
@@ -826,16 +842,27 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
     # letters, and alpha, beta and ncw print no quasi-polynomial
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    loaded = {}
+    imported, loaded = {}, {}
     for command, (argv, _) in _FOOTPRINTS.items():
         proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, *argv], env=env,
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.splitlines()
-        loaded[command] = (lines[0], lines[-1])
-    # importing the CLI loads no layer, and no json or fractions
-    imported = f"imported {['freeunitary', *_BASE]}"
-    assert loaded == {command: (imported, f"loaded {sorted(modules)}")
+        imported[command], loaded[command] = lines[0].split()[1:], lines[-1].split()[1:]
+    # importing the CLI loads no layer and no command module, and no json or fractions
+    assert imported == {command: ["freeunitary", *_BASE] for command in _FOOTPRINTS}
+    # a request loads its own command module and no other
+    assert {command: [m for m in modules if m.startswith("freeunitary.cli.") and m != _COMMON]
+            for command, modules in loaded.items()} == {
+        command: [modules[0]] for command, (_, modules) in _FOOTPRINTS.items()}
+    assert loaded == {command: sorted([*_BASE, *modules])
                       for command, (_, modules) in _FOOTPRINTS.items()}
+    # python -m runs cli/__main__.py as __main__: a command module that
+    # imported freeunitary.cli.__main__ would run the dispatcher again
+    argv, modules = _FOOTPRINTS["zpoly"]
+    proc = subprocess.run([sys.executable, "-v", "-m", "freeunitary.cli", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    names = re.findall(r"^import '((?:freeunitary|mpmath)\b[^']*)'", proc.stderr, re.M)
+    assert sorted(names) == sorted(["freeunitary", *_BASE, *modules])
 
 
 def test_the_suite_names_live_in_verify(capsys):
@@ -934,6 +961,24 @@ def test_leading_zeros_of_an_exponent_are_not_digits(sign, capsys):
     want = _capture(capsys)
     assert run(["zpoly", "1*", "--eval", f"1e{sign}{'0' * 4300}5"]) == 0
     assert _capture(capsys) == want
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_underscores_between_leading_zeros_of_an_exponent(sign, capsys):
+    # the long literal parses where its short form 1e0_1 does: not on
+    # Python 3.10, whose Fraction takes no underscores
+    code = 0 if sys.version_info >= (3, 11) else 2
+    assert run(["zpoly", "1*", "--eval", f"1e{sign}0_1"]) == code
+    want = _capture(capsys)[0]
+    if code == 0:
+        assert run(["zpoly", "1*", "--eval", f"1e{sign}1"]) == 0
+        assert _capture(capsys)[0] == want
+    assert run(["zpoly", "1*", "--eval", f"1e{sign}0_{'0' * 4400}1"]) == code
+    assert _capture(capsys)[0] == want
+    # misplaced underscores stay misplaced as the zeros shrink
+    for bad in (f"_0{'0' * 4400}1", f"0__{'0' * 4400}1", f"0_{'0' * 4400}_"):
+        assert run(["zpoly", "1*", "--eval", f"1e{sign}{bad}"]) == 2
+        assert _capture(capsys)[1].startswith("error: cannot parse rational ")
 
 
 @pytest.mark.parametrize("tail", [[], ["--format", "json"], ["--format", "latex"], ["--grade", "1999"]])
