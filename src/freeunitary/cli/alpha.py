@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .common import _add_sequence_options, _check_printable, _json, _load_distribution, _report
+from .common import _check_printable, _json, _report
+from .inputs import _add_sequence_options, _load_distribution
 
 HELP = "determining sequence from q-cumulants"
 
@@ -17,4 +18,4 @@ def handle(args) -> int:
     values = alpha_sequence(_load_distribution(args.q_cumulants), args.k)
     _check_printable(values)
     lines = [f"alpha_{k} = {v}" for k, v in enumerate(values, start=1)]
-    return _report(args.format, lines, {"alpha": _json(values)})
+    return _report(args.format, lines, lambda: {"alpha": _json(values)})

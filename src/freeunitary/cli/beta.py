@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..errors import check_at_least
-from .common import _add_sequence_options, _check_printable, _json, _load_distribution
-from .common import _report, _verdict
+from .common import _check_printable, _json, _report, _verdict
+from .inputs import _add_sequence_options, _load_distribution
 
 HELP = "infinitesimal determining sequence"
 
@@ -44,4 +44,4 @@ def handle(args) -> int:
              for k, v in enumerate(seq, start=1)]
     if args.method == "both":
         return _verdict(args.format, values, lines)
-    return _report(args.format, lines, {name: _json(seq) for name, seq in values.items()})
+    return _report(args.format, lines, lambda: {name: _json(seq) for name, seq in values.items()})

@@ -1,66 +1,18 @@
-"""What the commands that print a value or read a rational share: their
-output options, the reading of rationals and of JSON input (nc reads its
-partitions with it too), the digit checks before printing, and the text,
-LaTeX and JSON output.  The caps are read off freeunitary.cli when a helper
-runs, so a patched cap applies."""
+"""What the commands that print a value share: their output options, the
+digit checks before printing, and the text, LaTeX and JSON output.  A
+quasi-polynomial prints from its integer numerators and denominator
+(qpoly), so printing one loads no fractions; and a request builds only the
+output its --format prints.  The caps are read off freeunitary.cli when a
+helper runs, so a patched cap applies.  The readers of rationals and JSON
+input live in freeunitary.cli.inputs."""
 
 from __future__ import annotations
 
 import argparse
+from itertools import chain
 
 from .. import cli
-from ..errors import QUOTE_LIMIT, SizeError, StructureError, quote
-
-
-def _parse_fraction(text: str) -> Fraction:
-    import re
-    from fractions import Fraction
-
-    mantissa, e, exponent = text.lower().partition("e")
-    # read off the digit string, before Fraction, which expands the exponent
-    # in full, and before int(), which refuses more than 4300 digits
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and (len(digits) > len(str(cli.MAX_EXPONENT))
-                                     or int(digits) > cli.MAX_EXPONENT):
-        raise SizeError(f"rational {quote(text)} has an exponent beyond MAX_EXPONENT = {cli.MAX_EXPONENT}")
-    if any(sum(c.isdigit() for c in part) > cli.MAX_DIGITS for part in mantissa.split("/")):
-        raise SizeError(f"rational with more than MAX_DIGITS = {cli.MAX_DIGITS} digits")
-    literal = text
-    if len(exponent) > cli.MAX_DIGITS:  # Fraction runs int() on all of it, leading zeros too
-        # the leading zeros shrink to 0, or to 0_0 when underscores split
-        # them, so the literal parses on just the Pythons where it did
-        literal = re.sub(r"(?<=[eE])([-+]?)(0+(?:_0+)*)(?=_?\d)",
-                         lambda m: m[1] + ("0_0" if "_" in m[2] else "0"), text, count=1)
-    try:
-        return Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:  # its message may repeat all of text
-        detail = f": {exc}" if len(text) <= QUOTE_LIMIT else ""
-        raise StructureError(f"cannot parse rational {quote(text)}{detail}") from None
-
-
-def _decode_json(text: str, what: str):
-    """The JSON value of text; malformed or too deeply nested text is
-    refused as a StructureError that names what was read."""
-    import json
-
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise StructureError(f"cannot parse {what}: {exc}") from None
-
-
-def _load_distribution(path: str) -> Distribution:
-    from ..rdiag import Distribution
-
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _decode_json(fh.read(), f"q-cumulants file {path!r}")
-    if not isinstance(data, list) or not data or not all(
-        isinstance(s, str) for s in data
-    ):
-        raise StructureError(
-            "q-cumulants file must be a non-empty JSON array of 'p/q' strings"
-        )
-    return Distribution(_parse_fraction(s) for s in data)
+from ..errors import SizeError
 
 
 def _check_printable(values) -> None:
@@ -87,11 +39,11 @@ def _json(value):
     """The JSON form of a list of rationals, a Poly or a QuasiPoly."""
     if isinstance(value, list):  # before qpoly, which a list of rationals does not need
         return [str(v) for v in value]
-    from ..qpoly import Poly
+    from ..qpoly import Poly, _coeff_strs
 
     _check_poly(value)
     if isinstance(value, Poly):
-        return {"coeffs": [str(c) for c in value.coeffs]}
+        return {"coeffs": _coeff_strs(value)}
     return value.to_json_dict()
 
 
@@ -121,26 +73,28 @@ def _print_value(value, args) -> int:
     return 0
 
 
-def _report(fmt: str, lines: Sequence[str], payload: dict) -> int:
-    """Print the lines, or under --format json the payload as one JSON object."""
+def _report(fmt: str, lines: Iterable[str], payload: Callable[[], dict]) -> int:
+    """Print the lines, or under --format json payload() as one JSON object.
+    Only the side that prints is formed; the lines may be a generator, and
+    all of them are formed before the first prints, so a refusal prints none."""
     if fmt == "json":
         import json
 
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in lines:
+        for line in list(lines):
             print(line)
     return 0
 
 
-def _verdict(fmt: str, values: dict, lines: Sequence[str]) -> int:
+def _verdict(fmt: str, values: dict, lines: Iterable[str]) -> int:
     """Report the value of each route and CONSISTENT or INCONSISTENT (under
     json, one key per route and "consistent"); exit 1 unless all agree."""
     first = next(iter(values.values()))
     consistent = all(v == first for v in values.values())
-    payload = {name: _json(v) for name, v in values.items()}
-    payload["consistent"] = consistent
-    _report(fmt, [*lines, "CONSISTENT" if consistent else "INCONSISTENT"], payload)
+    verdict = "CONSISTENT" if consistent else "INCONSISTENT"
+    _report(fmt, chain(lines, [verdict]),
+            lambda: {**{name: _json(v) for name, v in values.items()}, "consistent": consistent})
     return 0 if consistent else 1
 
 
@@ -151,7 +105,7 @@ def _run_routes(args, routes: dict, every: str, label: str) -> int:
     if args.method != every:
         return _print_value(routes[args.method](), args)
     values = {name: fn() for name, fn in routes.items()}
-    lines = [label.format(name + ":", _show(v, args.format)) for name, v in values.items()]
+    lines = (label.format(name + ":", _show(v, args.format)) for name, v in values.items())
     return _verdict(args.format, values, lines)
 
 
@@ -189,13 +143,3 @@ def _add_value_options(p: argparse.ArgumentParser, grade: bool = False, **method
         default=cli.DEFAULT_PREC,
         help=f"working precision in bits (default {cli.DEFAULT_PREC})",
     )
-
-
-def _add_sequence_options(p: argparse.ArgumentParser, **method) -> None:
-    """The options of a sequence request (alpha, beta): --k, --q-cumulants,
-    --method when its arguments are given, and --format text or json."""
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q-cumulants", required=True, metavar="FILE")
-    if method:
-        p.add_argument("--method", **method)
-    _add_format(p, ("text", "json"))

@@ -18,6 +18,6 @@ def handle(args) -> int:
 
     k, l = args.k, args.l
     values = {"U": u_poly(k, l), "V": v_poly(k, l), "Z": z_from_laplace(k, l).value}
-    lines = [f"{name} = {_show(v, args.format)}" for name, v in values.items()]
-    payload = {"k": k, "l": l, **{name: _json(v) for name, v in values.items()}}
-    return _report(args.format, lines, payload)
+    lines = (f"{name} = {_show(v, args.format)}" for name, v in values.items())
+    return _report(args.format, lines,
+                   lambda: {"k": k, "l": l, **{name: _json(v) for name, v in values.items()}})

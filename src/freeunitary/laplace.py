@@ -14,7 +14,6 @@ of I, and against the Fraction form of the same rule in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import SizeError, check_at_least, check_at_most
 from .cumulants import ZPolynomial
@@ -90,13 +89,15 @@ def v_k1_closed(k: int) -> Poly:
 def suffix_star_cumulant(k: int) -> QuasiPoly:
     """Cumulant of the word 1^k * via the normalized V family.
 
-    Equals (-y)^(k-1) (V_k(t) - y^2 V_{k+1}(t)) with V_j = V_{j,1}/(j-1)!.
+    Equals (-y)^(k-1) (V_k(t) - y^2 V_{k+1}(t)) with V_j = V_{j,1}/(j-1)!,
+    read over those factorials from the integer coefficients of V_{j,1}.
     """
     check_at_least("k", k, 1)
-    vk = v_k1_closed(k) * Fraction(1, math.factorial(k - 1))
-    vk1 = v_k1_closed(k + 1) * Fraction(1, math.factorial(k))
     sign = (-1) ** (k - 1)
-    return QuasiPoly({-(k - 1): vk * sign, -(k + 1): vk1 * (-sign)})
+    return from_rows({
+        -(k - 1): ([sign * c for c in v_k1_closed(k)._num], math.factorial(k - 1)),
+        -(k + 1): ([-sign * c for c in v_k1_closed(k + 1)._num], math.factorial(k)),
+    })
 
 
 def f_bivariate(order: int) -> dict[tuple[int, int], QuasiPoly]:

@@ -11,14 +11,16 @@ The stationary limit of a word cumulant and the first-order coefficient
 of the approach to it (Prop 6.2, Thm 6.3) depend only on the cyclic
 switch count of the letters, so they live here, next to Word: the `haar`
 request loads this module alone.  The functions that form a
-quasi-polynomial import qpoly when they are called.
+quasi-polynomial import qpoly when they are called, and build it on
+integers: Q_n over (n-1)! and the diagonal cumulant over n!.  Only
+haar_limit and haar_derivative form a Fraction, and they import fractions
+when they are called, so a moment or word request loads none.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -133,6 +135,8 @@ def is_alternating(w: Union[Word, str]) -> bool:
 def haar_limit(w: Union[Word, str]) -> Fraction:
     """Value of the cumulant at the stationary limit of the unitary: the
     Haar cumulant (Prop 6.2)."""
+    from fractions import Fraction
+
     return Fraction(haar_cumulant(w))
 
 
@@ -140,6 +144,8 @@ def haar_derivative(w: Union[Word, str]) -> Fraction:
     """First-order coefficient of the approach to the stationary limit
     (Thm 6.3): (-1)^(k-1) C_(k-1) on alternating words of odd length
     2k - 1, and 0 on every other word."""
+    from fractions import Fraction
+
     word = as_word(w)
     if word.n % 2 == 0 or not is_alternating(word):
         return Fraction(0)
@@ -154,15 +160,19 @@ def _signed_catalan(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def biane_Q(n: int) -> Poly:
-    """The degree-(n-1) moment polynomial Q_n, normalized by Q_n(0) = 1."""
+    """The degree-(n-1) moment polynomial Q_n, normalized by Q_n(0) = 1.
+
+    Its t^j coefficient is -(-n)^(j-1) C(n, j+1) / j! for j >= 1, so Q_n
+    is read over (n-1)! from the integers -(-n)^(j-1) C(n, j+1) (n-1)!/j!."""
     from .qpoly import Poly
 
     check_at_least("Q index", n, 1)
-    coeffs = []
-    for j in range(n):
-        base = Fraction(1, -n) if j == 0 else Fraction((-n) ** (j - 1))
-        coeffs.append(-base * math.comb(n, j + 1) / math.factorial(j))
-    return Poly(coeffs)
+    num, r = [0] * n, 1  # r = (n-1)!/j!
+    for j in range(n - 1, 0, -1):
+        num[j] = -((-n) ** (j - 1)) * math.comb(n, j + 1) * r
+        r *= j
+    num[0] = r  # now (n-1)!, so Q_n(0) = 1
+    return Poly.from_ints(num, r)
 
 
 def m_poly(w: Union[Word, str]) -> QuasiPoly:
@@ -179,8 +189,7 @@ def m_poly(w: Union[Word, str]) -> QuasiPoly:
 
 def diag_cumulant(n: int) -> QuasiPoly:
     """Free cumulant of n copies of the same letter: ((-n)^(n-1)/n!) t^(n-1) y^n."""
-    from .qpoly import Poly, QuasiPoly
+    from .qpoly import from_rows
 
     check_at_least("order", n, 1)
-    c = Fraction((-n) ** (n - 1), math.factorial(n))
-    return QuasiPoly({-n: Poly((0,) * (n - 1) + (c,))})
+    return from_rows({-n: ([0] * (n - 1) + [(-n) ** (n - 1)], math.factorial(n))})

@@ -7,8 +7,14 @@ term with exp2 = -m into (polynomial) * y^m.
 
 A Poly stores integer numerators over one common denominator, kept in
 lowest terms, so every ring and calculus operation runs on Python ints and
-normalises once, in ``_poly`` (``Poly.from_ints`` outside this module);
-``Poly.coeffs`` gives the coefficients as Fractions.
+normalises once, in ``_poly`` (``Poly.from_ints`` outside this module).
+The text, LaTeX and JSON emitters read those integers too, one gcd per
+coefficient, so printing a value loads no ``fractions``.  A Fraction is
+formed, and ``fractions`` imported, only where one is asked for:
+``Poly.coeffs``, ``leading``, exact evaluation by ``Poly.__call__``,
+``value_at_zero``, ``ddt``, ``eval``, and the coercion of a Fraction or a
+string operand.  An operator tests an operand for ``int`` before
+``Fraction``, so integer operands never import it.
 A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
 put in that form only by ``from_rows``, from integer rows {exp2:
 (numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
@@ -31,24 +37,34 @@ mpmath is imported by the evaluating methods, not with this module.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Union
 
-from .errors import Frozen, StructureError
+from .errors import Frozen, StructureError, check_at_least
 
-Rat = Union[int, Fraction]
+Rat = Union[int, "Fraction"]
 Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see the module docstring
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _is_rational(v) -> bool:
+    """Whether v is an int or a Fraction; an int imports no fractions."""
     if isinstance(v, int):
-        return Fraction(v)
+        return True
+    from fractions import Fraction
+
+    return isinstance(v, Fraction)
+
+
+def _rational(v) -> Rat:
+    """v as an int or a Fraction: an int or a Fraction as it is (both have a
+    numerator and a denominator), a string read by Fraction."""
     if isinstance(v, str):
+        from fractions import Fraction
+
         return Fraction(v)
-    raise TypeError(f"expected a rational, got {type(v).__name__}")
+    if not _is_rational(v):
+        raise TypeError(f"expected a rational, got {type(v).__name__}")
+    return v
 
 
 def _poly(num: list[int], den: int) -> "Poly":
@@ -74,26 +90,30 @@ class Poly(Frozen):
     The coefficients, ascending, are ``_num[i] / _den`` with ``_den > 0``,
     ``gcd(_den, *_num) == 1`` and no trailing zero numerator, so each
     rational polynomial has exactly one representation and the zero
-    polynomial is ``((), 1)``.  ``coeffs`` is a read-only Fraction view.
+    polynomial is ``((), 1)``.  ``coeffs`` is a read-only Fraction view,
+    formed when it is read.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
         _set_num(self, p._num)
         _set_den(self, p._den)
 
     @staticmethod
-    def from_ints(num: Iterable[int]) -> "Poly":
-        """The Poly of the integer coefficients num, ascending."""
-        return _poly(list(num), 1)
+    def from_ints(num: Iterable[int], den: int = 1) -> "Poly":
+        """The Poly of the integer numerators num, ascending, over den >= 1."""
+        check_at_least("denominator", den, 1)
+        return _poly(list(num), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending order, as Fractions."""
+        from fractions import Fraction
+
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
 
@@ -113,13 +133,15 @@ class Poly(Frozen):
         return max((self._den, *map(abs, self._num)))
 
     def leading(self) -> Fraction:
+        from fractions import Fraction
+
         if not self._num:
             return Fraction(0)
         return Fraction(self._num[-1], self._den)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return NotImplemented
             other = Poly((other,))
         a, da, b, db = self._num, self._den, other._num, other._den
@@ -142,7 +164,7 @@ class Poly(Frozen):
         return _poly([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, (Poly, int, Fraction)):
+        if not (isinstance(other, Poly) or _is_rational(other)):
             return NotImplemented
         return self + (-other)
 
@@ -153,7 +175,7 @@ class Poly(Frozen):
         if not isinstance(other, Poly):
             if isinstance(other, int):
                 return _poly([c * other for c in self._num], self._den)
-            if isinstance(other, Fraction):
+            if _is_rational(other):  # a Fraction
                 k = other.numerator
                 return _poly([c * k for c in self._num], self._den * other.denominator)
             return NotImplemented
@@ -183,6 +205,8 @@ class Poly(Frozen):
 
     def __call__(self, x):
         """Exact Horner evaluation at an int or Fraction; eval_mp takes the rest."""
+        from fractions import Fraction
+
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"exact evaluation needs an int or Fraction, got {type(x).__name__}")
         # q^d p(r/q) = sum_i num_i r^i q^(d-i), accumulated from the top
@@ -203,7 +227,7 @@ class Poly(Frozen):
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return False
             other = Poly((other,))
         return self._num == other._num and self._den == other._den
@@ -270,7 +294,7 @@ class QuasiPoly(Frozen):
 
     def __add__(self, other):
         if not isinstance(other, QuasiPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return NotImplemented
             other = QuasiPoly.constant(other)
         return _collect(self._terms + other._terms)
@@ -281,7 +305,7 @@ class QuasiPoly(Frozen):
         return _quasi([(e2, -p) for e2, p in self._terms])
 
     def __sub__(self, other):
-        if not isinstance(other, (QuasiPoly, int, Fraction)):
+        if not (isinstance(other, QuasiPoly) or _is_rational(other)):
             return NotImplemented
         return self + (-other)
 
@@ -290,7 +314,7 @@ class QuasiPoly(Frozen):
 
     def __mul__(self, other):
         if not isinstance(other, QuasiPoly):
-            if not isinstance(other, (Poly, int, Fraction)):
+            if not (isinstance(other, Poly) or _is_rational(other)):
                 return NotImplemented
             return _quasi([(e2, q) for e2, p in self._terms if (q := p * other)._num])
         return sum_of_products(((self, other),))
@@ -298,21 +322,27 @@ class QuasiPoly(Frozen):
     __rmul__ = __mul__
 
     def scale(self, c: Rat) -> "QuasiPoly":
-        return self * _frac(c)
+        return self * _rational(c)
 
     def ddt(self) -> "QuasiPoly":
         """Derivative in t."""
+        from fractions import Fraction
+
         terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
         return _quasi([(e2, p) for e2, p in terms if p._num])
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0: the sum of the constant coefficients, as one
         integer sum over the lcm of the denominators."""
+        from fractions import Fraction
+
         den = lcm(*(p._den for _, p in self._terms))
         return Fraction(sum(p._num[0] * (den // p._den) for _, p in self._terms), den)
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""
+        from fractions import Fraction
+
         import mpmath
 
         with mpmath.workprec(prec_bits):
@@ -328,7 +358,7 @@ class QuasiPoly(Frozen):
     def to_json_dict(self) -> dict:
         return {
             "terms": [
-                {"exp2": e2, "coeffs": [str(c) for c in p.coeffs]} for e2, p in self._terms
+                {"exp2": e2, "coeffs": _coeff_strs(p)} for e2, p in self._terms
             ]
         }
 
@@ -340,7 +370,7 @@ class QuasiPoly(Frozen):
 
     def __eq__(self, other):
         if not isinstance(other, QuasiPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_rational(other):
                 return False
             other = QuasiPoly.constant(other)
         return self._terms == other._terms
@@ -472,13 +502,28 @@ def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:
 # text / LaTeX emitters
 
 
-def _frac_text(c: Fraction, latex: bool) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
+def _lowest(c: int, den: int) -> tuple[int, int]:
+    """The numerator and denominator of c/den (den > 0) in lowest terms, as
+    a Fraction holds them."""
+    g = gcd(c, den)
+    return c // g, den // g
+
+
+def _ratio_text(n: int, d: int, latex: bool) -> str:
+    """The rational n/d, in lowest terms with d > 0, as str(Fraction) writes
+    it, or as a LaTeX \\tfrac."""
+    if d == 1:
+        return str(n)
     if latex:
-        sign = "-" if c < 0 else ""
-        return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-    return f"{c.numerator}/{c.denominator}"
+        sign = "-" if n < 0 else ""
+        return f"{sign}\\tfrac{{{abs(n)}}}{{{d}}}"
+    return f"{n}/{d}"
+
+
+def _coeff_strs(p: Poly) -> list[str]:
+    """The coefficients of p, ascending, each as str(Fraction) writes it."""
+    den = p._den
+    return [_ratio_text(*_lowest(c, den), False) for c in p._num]
 
 
 def _x_power(k: int, latex: bool) -> str:
@@ -495,22 +540,22 @@ def poly_text(p: Poly, *, latex: bool = False) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    coeffs = p.coeffs
+    num, den = p._num, p._den
     for k in range(p.degree, -1, -1):
-        c = coeffs[k]
-        if c == 0:
+        if not num[k]:
             continue
+        n, d = _lowest(num[k], den)
         vp = _x_power(k, latex)
         if not vp:
-            body = _frac_text(c, latex)
-        elif c == 1:
+            body = _ratio_text(n, d, latex)
+        elif d == 1 and n == 1:
             body = vp
-        elif c == -1:
+        elif d == 1 and n == -1:
             body = "-" + vp
-        elif c.denominator == 1:
-            body = f"{c.numerator}{vp}"
+        elif d == 1:
+            body = f"{n}{vp}"
         else:
-            body = (_frac_text(c, latex) if latex else f"({_frac_text(c, False)})") + vp
+            body = (_ratio_text(n, d, True) if latex else f"({n}/{d})") + vp
         if parts and not body.startswith("-"):
             parts.append("+" + body)
         else:
@@ -545,7 +590,7 @@ def _quasipoly_text(f: QuasiPoly, latex: bool) -> str:
         if not (fac or pieces):  # a leading y^0 term reads as its polynomial
             pieces.append(poly_text(p, latex=latex))
             continue
-        neg = p.leading() < 0
+        neg = p._num[-1] < 0
         if neg:
             p = -p
         if not fac and p.degree == 0:

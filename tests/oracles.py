@@ -33,7 +33,12 @@ definition of chi as one triangular series division is the reference
 for the closed sum of alternating.chi_expansion.  The package's series
 type, alternating.TruncSeries1, has no arithmetic, so these form their
 series products on coefficient lists with _series_mul, the same helper
-as the moment series above, or by sum_of_products.
+as the moment series above, or by sum_of_products.  The text, LaTeX
+and JSON renderers over the Fraction view Poly.coeffs are the references
+for the renderers of qpoly, which read the integer numerators and
+denominator; and Q_n and the diagonal cumulant by their Fraction formulas
+are the references for moments.biane_Q and moments.diag_cumulant, built
+on integers.
 Nothing in the package needs them.
 """
 
@@ -57,7 +62,7 @@ from freeunitary.ncpart import (
     enumerate_nc,
 )
 from freeunitary.laplace import _check_kl
-from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly, sum_of_products
+from freeunitary.qpoly import POLY_ONE, Poly, QuasiPoly, _factor_text, _x_power, sum_of_products
 from freeunitary.rdiag import _connects, _omega_failure, u_indices
 
 
@@ -334,6 +339,22 @@ def lambert_coeff(n: int) -> Fraction:
     if n < 1:
         raise SizeError(f"index must be >= 1, got {n}")
     return Fraction((-n) ** (n - 1), math.factorial(n))
+
+
+def biane_q_fractions(n: int) -> Poly:
+    """Q_n from its Fraction coefficients, -base C(n, j+1) / j! with base
+    -1/n at j = 0 and (-n)^(j-1) above it."""
+    coeffs = []
+    for j in range(n):
+        base = Fraction(1, -n) if j == 0 else Fraction((-n) ** (j - 1))
+        coeffs.append(-base * math.comb(n, j + 1) / math.factorial(j))
+    return Poly(coeffs)
+
+
+def diag_cumulant_fractions(n: int) -> QuasiPoly:
+    """((-n)^(n-1)/n!) t^(n-1) y^n, its coefficient formed as a Fraction."""
+    c = Fraction((-n) ** (n - 1), math.factorial(n))
+    return QuasiPoly({-n: Poly((0,) * (n - 1) + (c,))})
 
 
 def mobius_value(letters: tuple) -> QuasiPoly:
@@ -632,3 +653,78 @@ def chi_series(order: int) -> TruncSeries1:
     if not chi.coeff(0).is_zero:
         raise StructureError("w^0 coefficient of the expansion must vanish")
     return chi
+
+
+def _fraction_text(c: Fraction, latex: bool) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    if latex:
+        sign = "-" if c < 0 else ""
+        return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    return f"{c.numerator}/{c.denominator}"
+
+
+def fraction_poly_text(p: Poly, latex: bool = False) -> str:
+    """qpoly.poly_text over the Fraction view p.coeffs."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    coeffs = p.coeffs
+    for k in range(p.degree, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        vp = _x_power(k, latex)
+        if not vp:
+            body = _fraction_text(c, latex)
+        elif c == 1:
+            body = vp
+        elif c == -1:
+            body = "-" + vp
+        elif c.denominator == 1:
+            body = f"{c.numerator}{vp}"
+        else:
+            body = (_fraction_text(c, latex) if latex else f"({_fraction_text(c, False)})") + vp
+        if parts and not body.startswith("-"):
+            parts.append("+" + body)
+        else:
+            parts.append(body)
+    return "".join(parts)
+
+
+def fraction_quasipoly_text(f: QuasiPoly, latex: bool = False) -> str:
+    """QuasiPoly.to_text (to_latex when latex) over the Fraction views."""
+    if f.is_zero:
+        return "0"
+    pieces = []
+    for e2, p in sorted(f.terms.items(), reverse=True):  # y-powers ascending
+        fac = _factor_text(e2, latex)
+        if not (fac or pieces):
+            pieces.append(fraction_poly_text(p, latex))
+            continue
+        neg = p.leading() < 0
+        if neg:
+            p = -p
+        if not fac and p.degree == 0:
+            body = fraction_poly_text(p, latex)
+        elif p == POLY_ONE:
+            body = fac
+        elif p.degree == 0 and p.coeffs[0].denominator == 1:
+            body = f"{p.coeffs[0].numerator}{fac}"
+        else:
+            body = f"({fraction_poly_text(p, latex)}){fac}"
+        if not pieces:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces)
+
+
+def fraction_json_dict(f: QuasiPoly) -> dict:
+    """QuasiPoly.to_json_dict over the Fraction views."""
+    return {
+        "terms": [
+            {"exp2": e2, "coeffs": [str(c) for c in p.coeffs]}
+            for e2, p in sorted(f.terms.items(), reverse=True)
+        ]
+    }

@@ -808,11 +808,14 @@ watched = ("freeunitary", "json", "fractions", "mpmath")
 print("imported", *sorted(m for m in set(sys.modules) - before if m.split(".")[0] in watched))
 cli.run(sys.argv[1:])
 sys.stdout.flush()
-print("loaded", *sorted(m for m in sys.modules if m.startswith("freeunitary.") or m == "mpmath"))
+watched = ("mpmath", "fractions", "decimal")
+print("loaded", *sorted(m for m in sys.modules if m.startswith("freeunitary.") or m in watched))
 """
 _BASE = ["freeunitary.cli", "freeunitary.errors"]
-_COMMON = "freeunitary.cli.common"  # the helpers of the commands that print a value or read a rational
-_RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag"]
+_COMMON = "freeunitary.cli.common"  # the output helpers of the commands that print a value
+_INPUTS = "freeunitary.cli.inputs"  # the readers of rationals and JSON input
+_FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
+_RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag", *_FRACTIONS]
 _WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
 # one request per subcommand, and the freeunitary modules its process loads
@@ -823,18 +826,37 @@ _FOOTPRINTS = {
     "special": (["special", "--k", "2", "--l", "1"],
                 ["freeunitary.cli.special", _COMMON, *_WORDS, "freeunitary.laplace"]),
     "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_WORDS, "freeunitary.laplace"]),
-    "pde-check": (["pde-check", "--n", "2"], ["freeunitary.cli.pde_check", *_XI, "mpmath"]),
-    "haar": (["haar", "--word", "1*1*1"], ["freeunitary.cli.haar", _COMMON, "freeunitary.moments"]),
+    "pde-check": (["pde-check", "--n", "2"], ["freeunitary.cli.pde_check", *_XI, "mpmath", *_FRACTIONS]),
+    "haar": (["haar", "--word", "1*1*1"],
+             ["freeunitary.cli.haar", _COMMON, "freeunitary.moments", *_FRACTIONS]),
     "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
-              ["freeunitary.cli.alpha", _COMMON, *_RDIAG]),
+              ["freeunitary.cli.alpha", _COMMON, _INPUTS, *_RDIAG]),
     "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"],
-             ["freeunitary.cli.beta", _COMMON, *_RDIAG]),
+             ["freeunitary.cli.beta", _COMMON, _INPUTS, *_RDIAG]),
     "ncw": (["ncw", "--word", "1*1", "--format", "json"], ["freeunitary.cli.ncw", *_RDIAG]),
     "nc": (["nc", "--n", "4"], ["freeunitary.cli.nc", "freeunitary.ncpart"]),
     "moments": (["moments", "--word", "11"],
                 ["freeunitary.cli.moments", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
     "verify": (["verify", "--suite", "thm3.7"], ["freeunitary.cli.verify", *_WORDS, "freeunitary.verify"]),
 }
+# more requests, in the same form: the other output formats and cross-checks
+# of the value requests, --eval, nc reading a partition, and a verify suite
+# that reads no frozen row
+_MORE_FOOTPRINTS = [
+    (["zpoly", "1*1", "--format", "json"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
+    (["zpoly", "1*1", "--format", "latex"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
+    (["zpoly", "1*1", "--method", "both"],
+     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart"]),
+    (["zpoly", "1*1", "--eval", "1/2"],
+     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, "mpmath", *_FRACTIONS]),
+    (["xi", "--n", "3", "--method", "all"],
+     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart"]),
+    (["special", "--k", "2", "--l", "1", "--format", "json"],
+     ["freeunitary.cli.special", _COMMON, *_WORDS, "freeunitary.laplace"]),
+    (["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"],
+     ["freeunitary.cli.nc", _INPUTS, "freeunitary.ncpart"]),
+    (["verify", "--suite", "prop6.7-cross"], ["freeunitary.cli.verify", "freeunitary.verify", *_RDIAG]),
+]
 
 
 def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
@@ -842,20 +864,37 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
     # letters, and alpha, beta and ncw print no quasi-polynomial
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    requests = {" ".join(argv): (argv, modules)
+                for argv, modules in [*_FOOTPRINTS.values(), *_MORE_FOOTPRINTS]}
     imported, loaded = {}, {}
-    for command, (argv, _) in _FOOTPRINTS.items():
+    for request, (argv, _) in requests.items():
         proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, *argv], env=env,
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.splitlines()
-        imported[command], loaded[command] = lines[0].split()[1:], lines[-1].split()[1:]
+        imported[request], loaded[request] = lines[0].split()[1:], lines[-1].split()[1:]
     # importing the CLI loads no layer and no command module, and no json or fractions
-    assert imported == {command: ["freeunitary", *_BASE] for command in _FOOTPRINTS}
+    assert imported == {request: ["freeunitary", *_BASE] for request in requests}
     # a request loads its own command module and no other
-    assert {command: [m for m in modules if m.startswith("freeunitary.cli.") and m != _COMMON]
-            for command, modules in loaded.items()} == {
-        command: [modules[0]] for command, (_, modules) in _FOOTPRINTS.items()}
-    assert loaded == {command: sorted([*_BASE, *modules])
-                      for command, (_, modules) in _FOOTPRINTS.items()}
+    assert {request: [m for m in modules if m.startswith("freeunitary.cli.")
+                      and m not in (_COMMON, _INPUTS)]
+            for request, modules in loaded.items()} == {
+        request: [modules[0]] for request, (_, modules) in requests.items()}
+    assert loaded == {request: sorted([*_BASE, *modules])
+                      for request, (_, modules) in requests.items()}
+    # a value prints from integers: zpoly, xi, special and moments in every
+    # format and cross-check, and nc, load neither fractions nor decimal;
+    # a request that reads or prints a Fraction does
+    fractions = {request for request, modules in loaded.items() if "fractions" in modules}
+    assert {request for request, modules in loaded.items() if "decimal" in modules} == fractions
+    assert not {request for request in loaded
+                if request.split()[0] in ("zpoly", "xi", "special", "moments", "nc")
+                and "--eval" not in request} & fractions
+    assert {"zpoly 1*1 --eval 1/2", "alpha --k 2 --q-cumulants q.json",
+            "beta --k 2 --q-cumulants q.json --format json", "haar --word 1*1*1"} <= fractions
+    # nc reads a partition with the readers alone, and prop6.7-cross reads no frozen row
+    assert _INPUTS in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]
+    assert _COMMON not in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]
+    assert "freeunitary.qpoly" not in loaded["verify --suite prop6.7-cross"]
     # python -m runs cli/__main__.py as __main__: a command module that
     # imported freeunitary.cli.__main__ would run the dispatcher again
     argv, modules = _FOOTPRINTS["zpoly"]

@@ -8,7 +8,8 @@ import pytest
 
 from freeunitary import Poly, QuasiPoly, SizeError, StructureError, Word, as_word, biane_Q, m_poly
 from freeunitary.moments import diag_cumulant
-from oracles import lambert_coeff, parse_letters, reverse, rotate, subword, swap
+from oracles import biane_q_fractions, diag_cumulant_fractions, lambert_coeff, parse_letters
+from oracles import reverse, rotate, subword, swap
 
 # Frozen low-order moment polynomials: the moment of the n-th power is
 # Q_n(t) e^{-nt/2} with Q_1 = 1, Q_2 = 1 - t, Q_3 = 1 - 3t + (3/2)t^2.
@@ -69,6 +70,14 @@ def test_word_operations():
 @pytest.mark.parametrize("n,want", sorted(FROZEN_Q.items()))
 def test_biane_q_low_orders(n, want):
     assert biane_Q(n) == want
+
+
+def test_integer_q_and_diagonal_cumulant_match_their_fraction_formulas():
+    # biane_Q over (n-1)! and diag_cumulant over n!, against the same
+    # formulas on Fraction coefficients
+    for n in range(1, 61):
+        assert biane_Q(n) == biane_q_fractions(n)
+        assert diag_cumulant(n) == diag_cumulant_fractions(n)
 
 
 def test_biane_q_normalization():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from freeunitary import Poly, QuasiPoly, poly_text
 from freeunitary.qpoly import _row_products, from_rows, sum_of_products
+from oracles import fraction_json_dict, fraction_poly_text, fraction_quasipoly_text
 from oracles import quasipoly_from_json
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -103,6 +104,24 @@ def test_eval_is_a_homomorphism(a, b, t):
 def test_json_roundtrip(q):
     wire = json.dumps(q.to_json_dict(), sort_keys=True)
     assert quasipoly_from_json(json.loads(wire)) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, quasis)
+@example(Poly(), QuasiPoly())  # zero
+@example(Poly((1, -1, 1)), QuasiPoly({0: 1, -1: -1, 2: Poly((0, 1)), -3: Poly((-1,))}))  # units
+@example(Poly((-5, -1, Fraction(-7, 3))), QuasiPoly({0: -3, -2: Poly((Fraction(-1, 2),))}))
+@example(Poly((Fraction(6, 4), Fraction(-10, 6))), QuasiPoly({1: Fraction(9, 12), -4: Poly((2, Fraction(1, 9)))}))
+def test_integer_renderers_match_the_fraction_renderers(p, q):
+    # the emitters read _num and _den, one gcd per coefficient; the
+    # references read the Fraction view coeffs
+    for latex in (False, True):
+        assert poly_text(p, latex=latex) == fraction_poly_text(p, latex)
+        for f in (q, QuasiPoly({0: p}), QuasiPoly({-1: p, 3: -p})):
+            text = f.to_latex() if latex else f.to_text()
+            assert text == fraction_quasipoly_text(f, latex)
+    for f in (q, QuasiPoly({-2: p})):
+        assert f.to_json_dict() == fraction_json_dict(f)
 
 
 def test_grade_reads_y_powers():
