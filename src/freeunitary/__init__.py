@@ -30,6 +30,7 @@ _EXPORTS = {
     "moebius_from_zero": "ncpart",
     "moebius_to_one": "ncpart",
     "Word": "moments",
+    "ZPolynomial": "moments",
     "as_word": "moments",
     "biane_Q": "moments",
     "diag_cumulant": "moments",
@@ -39,7 +40,6 @@ _EXPORTS = {
     "haar_limit": "moments",
     "is_alternating": "moments",
     "switch_number": "moments",
-    "ZPolynomial": "cumulants",
     "canonical_word": "cumulants",
     "z_mobius": "cumulants",
     "z_recursive": "cumulants",

@@ -56,9 +56,9 @@ PDE_LIMIT = 18
 CHI_ORDER_LIMIT = 21
 
 # xi_1 = 1 - e^{-t}, the seed shared by every route.
-XI_ONE = QuasiPoly({0: 1, -2: -1})
+XI_ONE = from_rows({0: ([1], 1), -2: ([-1], 1)})
 # the leading 1 of the inverse series 1 + L(z)
-_ONE = QuasiPoly.constant(1)
+_ONE = from_rows({0: ([1], 1)})
 
 
 class TruncSeries1(Frozen):

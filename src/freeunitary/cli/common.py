@@ -67,9 +67,12 @@ def _print_value(value, args) -> int:
     if args.eval is None:
         print(_show(value, args.format))
         return 0
+    # evaluated first, so that qring compiles before mpmath loads and the
+    # request's peak memory is no more than mpmath's
+    number = value.eval(args.eval, args.prec)
     import mpmath
 
-    print(mpmath.nstr(value.eval(args.eval, args.prec), max(8, int(args.prec * 0.301))))
+    print(mpmath.nstr(number, max(8, int(args.prec * 0.301))))
     return 0
 
 

@@ -1,5 +1,6 @@
 """freeunitary haar: the stationary limit of a word's cumulant and its
-first-order coefficient."""
+first-order coefficient.  Both are integers, printed as such, so the
+request loads no fractions."""
 
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def handle(args) -> int:
-    from ..moments import as_word, haar_derivative, haar_limit
+    from ..moments import as_word, haar_cumulant, haar_first_order
 
     word = as_word(args.word)
-    limit, derivative = haar_limit(word), haar_derivative(word)
+    limit, derivative = haar_cumulant(word), haar_first_order(word)
     _check_printable((limit, derivative))
     return _report(args.format, [f"limit = {limit}", f"derivative = {derivative}"],
                    lambda: {"word": str(word), "limit": str(limit), "derivative": str(derivative)})

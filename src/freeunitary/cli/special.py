@@ -14,10 +14,11 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def handle(args) -> int:
-    from ..laplace import u_poly, v_poly, z_from_laplace
+    from ..laplace import u_poly, v_poly, z_from_uv
 
     k, l = args.k, args.l
-    values = {"U": u_poly(k, l), "V": v_poly(k, l), "Z": z_from_laplace(k, l).value}
+    u, v = u_poly(k, l), v_poly(k, l)
+    values = {"U": u, "V": v, "Z": z_from_uv(k, l, u, v).value}
     lines = (f"{name} = {_show(v, args.format)}" for name, v in values.items())
     return _report(args.format, lines,
                    lambda: {"k": k, "l": l, **{name: _json(v) for name, v in values.items()}})

@@ -40,54 +40,11 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Union
 
-from .errors import Frozen, SizeError, StructureError, check_at_most
-from .moments import Letters, Word, as_word, biane_Q, switch_number
-from .qpoly import Poly, QuasiPoly, Row, _readback, _row_products, _sparse
+from .errors import SizeError, check_at_most
+from .moments import Letters, Word, ZPolynomial, as_word, biane_Q
+from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
-
-
-class ZPolynomial(Frozen):
-    """A word together with its cumulant quasi-polynomial.
-
-    The constructor enforces the structural facts shared by both
-    computation paths: only nonpositive half-exponents appear, y-powers
-    lie in [0, |w|], and they all have the parity of |w|. Theorem-level
-    statements (vanishing above the switch bound, constant low grades)
-    are deliberately left to tests and verify suites.
-    """
-
-    __slots__ = ("word", "value")
-
-    def __init__(self, word: Union[Word, str], value: QuasiPoly):
-        w = as_word(word)
-        n = w.n
-        for e2 in value.exp2_values():
-            m = -e2
-            if e2 > 0 or m > n or (m - n) % 2 != 0:
-                raise StructureError(
-                    f"term y^{m} impossible for a word of length {n}"
-                )
-        object.__setattr__(self, "word", w)
-        object.__setattr__(self, "value", value)
-
-    def grade(self, m: int) -> Poly:
-        return self.value.grade(m)
-
-    def switch_bound_holds(self) -> bool:
-        """Whether grade(n - 2j) vanishes whenever 2j exceeds the switch number."""
-        n = self.word.n
-        s = switch_number(self.word)
-        for j in range(0, n + 1):
-            if 2 * j > s and not self.value.grade(n - 2 * j).is_zero:
-                return False
-        return True
-
-    def __repr__(self):
-        return f"ZPolynomial({str(self.word)!r}, {self.value!r})"
-
-    def __str__(self):
-        return self.value.to_text()
 
 
 def canonical_word(w: Union[Word, str]) -> Word:

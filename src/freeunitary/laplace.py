@@ -5,10 +5,13 @@ cumulant equals (-1)^(k+l) / ((k-1)! (l-1)!) times (U y^(k+l) + V y^(k+l-2)),
 where U and V are integer-coefficient polynomials obtained by applying the
 elementary Laplace rule  integral_0^inf exp(-x s) s^m ds = m!/x^(m+1)  to
 explicit polynomial integrands.  The integrands have integer
-coefficients, so U and V are built from integers, and the cumulant is
-read over (k-1)! (l-1)! by qpoly.from_rows.  A finite-interval integral I
-relates U and V; the tests check the whole pipeline against a quadrature
-of I, and against the Fraction form of the same rule in tests/oracles.py.
+coefficients, so each is multiplied out on integer rows by
+qpoly._row_products and U and V are built from integers; the cumulant is
+read over (k-1)! (l-1)! from their coefficients by qpoly.from_rows
+(z_from_uv), so `special` forms each integrand once and loads no qring.
+A finite-interval integral I relates U and V; the tests check the whole
+pipeline against a quadrature of I, and against the Fraction form of the
+same rule in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from __future__ import annotations
 import math
 
 from .errors import SizeError, check_at_least, check_at_most
-from .cumulants import ZPolynomial
-from .moments import diag_cumulant
-from .qpoly import Poly, QuasiPoly, from_rows, sum_of_products
+from .moments import ZPolynomial, diag_cumulant
+from .qpoly import Poly, QuasiPoly, _row_products, _sparse, from_rows, sum_of_products
 
 F_ORDER_LIMIT = 8
 # k + l of the closed forms, the length of the word 1^k *^l.  From a fresh
@@ -42,12 +44,13 @@ def _laplace_poly(k: int, l: int, shift: int, sign: int) -> list[int]:
     integer coefficients g_m and degree k+l-2, and the Laplace rule sends
     s^m to m!/x^(m+1), so x^(k+l-2-m) takes sign m! g_m."""
     _check_kl(k, l)
-    integrand = Poly((shift, 1)) ** (2 - (k == 1) - (l == 1))
-    for a, m in ((k - 1 + shift, k - 2), (l - 1 + shift, l - 2)):
+    integrand = [1]
+    for a, m in ((shift, 2 - (k == 1) - (l == 1)), (k - 1 + shift, k - 2), (l - 1 + shift, l - 2)):
         if m >= 1:  # the factor (s + a)^m, by the binomial theorem
-            integrand *= Poly.from_ints(math.comb(m, i) * a ** (m - i) for i in range(m + 1))
+            factor = _sparse([math.comb(m, i) * a ** (m - i) for i in range(m + 1)])
+            integrand = _row_products(((_sparse(integrand), factor, 1),), len(integrand) + m)
     out, fact = [], sign
-    for m, c in enumerate(integrand._num):  # over the denominator 1
+    for m, c in enumerate(integrand):
         fact *= m or 1
         out.append(fact * c)
     out.reverse()
@@ -65,13 +68,18 @@ def v_poly(k: int, l: int) -> Poly:
 
 
 def z_from_laplace(k: int, l: int) -> ZPolynomial:
-    """Cumulant of the word 1^k *^l assembled from U and V, both over
-    (k-1)! (l-1)! with the sign (-1)^(k+l) folded into their numerators."""
-    _check_kl(k, l)
+    """Cumulant of the word 1^k *^l assembled from U and V."""
+    return z_from_uv(k, l, u_poly(k, l), v_poly(k, l))
+
+
+def z_from_uv(k: int, l: int, u: Poly, v: Poly) -> ZPolynomial:
+    """Cumulant of the word 1^k *^l from its U = u_poly(k, l) and
+    V = v_poly(k, l), both read over (k-1)! (l-1)! with the sign (-1)^(k+l)
+    folded into their integer coefficients."""
     sign, den = (-1) ** (k + l), math.factorial(k - 1) * math.factorial(l - 1)
     value = from_rows({
-        -(k + l): (_laplace_poly(k, l, shift=1, sign=-sign), den),
-        -(k + l - 2): (_laplace_poly(k, l, shift=0, sign=sign), den),
+        -(k + l): ([sign * c for c in u._num], den),
+        -(k + l - 2): ([sign * c for c in v._num], den),
     })
     return ZPolynomial("1" * k + "*" * l, value)
 
@@ -80,7 +88,7 @@ def v_k1_closed(k: int) -> Poly:
     """Closed form for V_{k,1} as a sum of binomial-factorial terms."""
     check_at_least("k", k, 1)
     if k <= 2:
-        return Poly((1,))
+        return Poly.from_ints((1,))
     return Poly.from_ints(
         [math.comb(k - 2, j) * math.factorial(k - 1 - j) * (k - 1) ** j for j in range(k - 1)]
     )

@@ -10,11 +10,16 @@ polynomial family Q_d and the substitution y = exp(-t/2).
 The stationary limit of a word cumulant and the first-order coefficient
 of the approach to it (Prop 6.2, Thm 6.3) depend only on the cyclic
 switch count of the letters, so they live here, next to Word: the `haar`
-request loads this module alone.  The functions that form a
-quasi-polynomial import qpoly when they are called, and build it on
-integers: Q_n over (n-1)! and the diagonal cumulant over n!.  Only
-haar_limit and haar_derivative form a Fraction, and they import fractions
-when they are called, so a moment or word request loads none.
+request loads this module alone, and prints the integers haar_cumulant
+and haar_first_order.  Only haar_limit and haar_derivative form a
+Fraction of them, and they import fractions when they are called.
+ZPolynomial, a word with its cumulant, lives here too, so that a closed
+form (laplace) builds one without compiling cumulants.
+
+The functions that form a quasi-polynomial import qpoly when they are
+called, and build it from integer rows through qpoly's integer core: Q_n
+over (n-1)!, the moment from the row of Q_d and the diagonal cumulant over
+n!.  So a moment or word request loads neither qring nor fractions.
 """
 
 from __future__ import annotations
@@ -92,6 +97,49 @@ class Word(Frozen):
         return f"Word.parse({str(self)!r})"
 
 
+class ZPolynomial(Frozen):
+    """A word together with its cumulant quasi-polynomial.
+
+    The constructor enforces the structural facts shared by both
+    computation paths: only nonpositive half-exponents appear, y-powers
+    lie in [0, |w|], and they all have the parity of |w|. Theorem-level
+    statements (vanishing above the switch bound, constant low grades)
+    are deliberately left to tests and verify suites.
+    """
+
+    __slots__ = ("word", "value")
+
+    def __init__(self, word: Union[Word, str], value: QuasiPoly):
+        w = as_word(word)
+        n = w.n
+        for e2 in value.exp2_values():
+            m = -e2
+            if e2 > 0 or m > n or (m - n) % 2 != 0:
+                raise StructureError(
+                    f"term y^{m} impossible for a word of length {n}"
+                )
+        object.__setattr__(self, "word", w)
+        object.__setattr__(self, "value", value)
+
+    def grade(self, m: int) -> Poly:
+        return self.value.grade(m)
+
+    def switch_bound_holds(self) -> bool:
+        """Whether grade(n - 2j) vanishes whenever 2j exceeds the switch number."""
+        n = self.word.n
+        s = switch_number(self.word)
+        for j in range(0, n + 1):
+            if 2 * j > s and not self.value.grade(n - 2 * j).is_zero:
+                return False
+        return True
+
+    def __repr__(self):
+        return f"ZPolynomial({str(self.word)!r}, {self.value!r})"
+
+    def __str__(self):
+        return self.value.to_text()
+
+
 def as_word(w: Union[Word, str, Iterable[int]]) -> Word:
     if isinstance(w, Word):
         return w
@@ -146,10 +194,15 @@ def haar_derivative(w: Union[Word, str]) -> Fraction:
     2k - 1, and 0 on every other word."""
     from fractions import Fraction
 
+    return Fraction(haar_first_order(w))
+
+
+def haar_first_order(w: Union[Word, str]) -> int:
+    """The integer haar_derivative returns as a Fraction."""
     word = as_word(w)
     if word.n % 2 == 0 or not is_alternating(word):
-        return Fraction(0)
-    return Fraction(_signed_catalan((word.n + 1) // 2))
+        return 0
+    return _signed_catalan((word.n + 1) // 2)
 
 
 def _signed_catalan(k: int) -> int:
@@ -177,14 +230,15 @@ def biane_Q(n: int) -> Poly:
 
 def m_poly(w: Union[Word, str]) -> QuasiPoly:
     """Moment of the word as a quasi-polynomial: Q_d(t) y^d with d the letter excess."""
-    from .qpoly import QuasiPoly
+    from .qpoly import from_rows
 
     word = as_word(w)
     d = abs(word.count_ones - word.count_stars)
     check_at_most("letter excess", d, "EXCESS_LIMIT", EXCESS_LIMIT)
     if d == 0:
-        return QuasiPoly.constant(1)
-    return QuasiPoly({-d: biane_Q(d)})
+        return from_rows({0: ([1], 1)})
+    q = biane_Q(d)
+    return from_rows({-d: (list(q._num), q._den)})
 
 
 def diag_cumulant(n: int) -> QuasiPoly:

@@ -1,4 +1,4 @@
-"""Exact quasi-polynomial arithmetic.
+"""Exact quasi-polynomials: their integer core.
 
 A QuasiPoly is a finite sum  sum_c p_c(t) * exp(c*t)  with rational
 polynomial coefficients and exponents c in (1/2)Z. Exponents are stored as
@@ -6,19 +6,26 @@ the even/odd integer exp2 = 2c, so the substitution y = exp(-t/2) turns the
 term with exp2 = -m into (polynomial) * y^m.
 
 A Poly stores integer numerators over one common denominator, kept in
-lowest terms, so every ring and calculus operation runs on Python ints and
-normalises once, in ``_poly`` (``Poly.from_ints`` outside this module).
-The text, LaTeX and JSON emitters read those integers too, one gcd per
-coefficient, so printing a value loads no ``fractions``.  A Fraction is
-formed, and ``fractions`` imported, only where one is asked for:
-``Poly.coeffs``, ``leading``, exact evaluation by ``Poly.__call__``,
-``value_at_zero``, ``ddt``, ``eval``, and the coercion of a Fraction or a
-string operand.  An operator tests an operand for ``int`` before
-``Fraction``, so integer operands never import it.
-A QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
-put in that form only by ``from_rows``, from integer rows {exp2:
-(numerators, den)}, and ``_collect``, from (exp2, Poly) terms; the
-validating constructor, ``+`` and ``-`` run on ``_collect``.
+lowest terms by ``_poly`` (``Poly.from_ints`` outside this module).  A
+QuasiPoly keeps canonical terms (exp2 strictly descending, no zero Poly),
+put in that form here only by ``from_rows``, from integer rows {exp2:
+(numerators, den)}.  This module holds what a value needs to be built
+from integer rows and printed: the two classes with their storage,
+accessors, equality, hash and negation, those constructors, and the text,
+LaTeX and JSON emitters, which read the integers, one gcd per
+coefficient.  So a request that builds and prints a value compiles this
+module alone and loads no ``fractions``.
+
+The rational ring lives in ``qring``: the validating constructors and the
+coercion of rational operands, ``+``, ``*`` and ``**``, ``scale``,
+``sum_of_products``, the calculus, exact and numeric evaluation, the
+Fraction views (``coeffs``, ``leading``, ``value_at_zero``) and the
+reprs.  Each such method here is one line that calls the body there, and
+the first call imports ``qring`` (``_ring``); ``-`` is ``+`` of the
+negation.  Equality with an int or a Fraction reads its numerator and
+denominator and forms nothing.  ``fractions`` is imported only where a
+Fraction is formed or a non-int operand is tested for one, and mpmath
+only by the evaluating methods.
 
 The integer recursions of ``cumulants`` and ``alternating`` hold each
 value as one flat ``Row`` of (index, coefficient) pairs, nonzero only,
@@ -28,22 +35,34 @@ product's index is the sum of the two with no carry.  ``_sparse`` makes
 a row of a dense list, ``_row_products`` is the one product loop and
 ``_readback`` the one way back, over the caller's denominator.
 ``Poly.__mul__`` multiplies the rows of two numerator tuples, and
-``sum_of_products``, the product path of the ring, lays each factor out
-as one row over its denominators and reads the sum back by ``from_rows``.
-Numeric evaluation goes through mpmath at a caller-chosen binary precision;
-mpmath is imported by the evaluating methods, not with this module.
+``sum_of_products`` lays each factor out as one row over its
+denominators and reads the sum back by ``from_rows``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Union
 
 from .errors import Frozen, StructureError, check_at_least
 
 Rat = Union[int, "Fraction"]
 Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see the module docstring
+
+
+class _Ring:
+    """What the name _ring holds until an operation of the ring first reads
+    it: that read imports qring and binds _ring to the module itself."""
+
+    def __getattr__(self, name):
+        global _ring
+        from . import qring as _ring
+
+        return getattr(_ring, name)
+
+
+_ring = _Ring()
 
 
 def _is_rational(v) -> bool:
@@ -56,15 +75,7 @@ def _is_rational(v) -> bool:
 
 
 def _rational(v) -> Rat:
-    """v as an int or a Fraction: an int or a Fraction as it is (both have a
-    numerator and a denominator), a string read by Fraction."""
-    if isinstance(v, str):
-        from fractions import Fraction
-
-        return Fraction(v)
-    if not _is_rational(v):
-        raise TypeError(f"expected a rational, got {type(v).__name__}")
-    return v
+    return _ring._rational(v)
 
 
 def _poly(num: list[int], den: int) -> "Poly":
@@ -97,11 +108,7 @@ class Poly(Frozen):
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_rational(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
-        _set_num(self, p._num)
-        _set_den(self, p._den)
+        _ring.poly_init(self, coeffs)
 
     @staticmethod
     def from_ints(num: Iterable[int], den: int = 1) -> "Poly":
@@ -112,10 +119,7 @@ class Poly(Frozen):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending order, as Fractions."""
-        from fractions import Fraction
-
-        den = self._den
-        return tuple(Fraction(c, den) for c in self._num)
+        return _ring.coeffs(self)
 
     @property
     def degree(self) -> int:
@@ -133,30 +137,10 @@ class Poly(Frozen):
         return max((self._den, *map(abs, self._num)))
 
     def leading(self) -> Fraction:
-        from fractions import Fraction
-
-        if not self._num:
-            return Fraction(0)
-        return Fraction(self._num[-1], self._den)
+        return _ring.leading(self)
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            if not _is_rational(other):
-                return NotImplemented
-            other = Poly((other,))
-        a, da, b, db = self._num, self._den, other._num, other._den
-        if da != db:
-            den = lcm(da, db)
-            ma, mb = den // da, den // db
-            a = [c * ma for c in a] if ma != 1 else a
-            b = [c * mb for c in b] if mb != 1 else b
-            da = den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out, da)
+        return _ring.poly_add(self, other)
 
     __radd__ = __add__
 
@@ -172,71 +156,35 @@ class Poly(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            if isinstance(other, int):
-                return _poly([c * other for c in self._num], self._den)
-            if _is_rational(other):  # a Fraction
-                k = other.numerator
-                return _poly([c * k for c in self._num], self._den * other.denominator)
-            return NotImplemented
-        a, b = self._num, other._num
-        if not a or not b:
-            return POLY_ZERO
-        ra = _sparse(a)
-        rb = ra if other is self else _sparse(b)  # a square takes the square path
-        return _poly(_row_products(((ra, rb, 1),), len(a) + len(b) - 1), self._den * other._den)
+        return _ring.poly_mul(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = POLY_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _ring.poly_pow(self, k)
 
     def derivative(self) -> "Poly":
-        return _poly([c * i for i, c in enumerate(self._num) if i >= 1], self._den)
+        return _ring.derivative(self)
 
     def __call__(self, x):
         """Exact Horner evaluation at an int or Fraction; eval_mp takes the rest."""
-        from fractions import Fraction
-
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"exact evaluation needs an int or Fraction, got {type(x).__name__}")
-        # q^d p(r/q) = sum_i num_i r^i q^(d-i), accumulated from the top
-        r, q = x.numerator, x.denominator
-        out, qpow = 0, 1
-        for c in reversed(self._num):
-            out = out * r + c * qpow
-            qpow *= q
-        return Fraction(out * q, self._den * qpow)
+        return _ring.poly_call(self, x)
 
     def eval_mp(self, x) -> mpmath.mpf:
-        import mpmath
-
-        out = mpmath.mpf(0)
-        for c in reversed(self.coeffs):
-            out = out * x + mpmath.mpf(c.numerator) / c.denominator
-        return out
+        return _ring.eval_mp(self, x)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if not _is_rational(other):
                 return False
-            other = Poly((other,))
+            other = _poly([other.numerator], other.denominator)
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        return _ring.poly_repr(self)
 
     def __str__(self):
         return poly_text(self)
@@ -247,8 +195,8 @@ class Poly(Frozen):
 _new = object.__new__
 _set_num, _set_den = Poly._num.__set__, Poly._den.__set__
 
-POLY_ZERO = Poly(())
-POLY_ONE = Poly((1,))
+POLY_ZERO = _poly([], 1)
+POLY_ONE = _poly([1], 1)
 
 
 class QuasiPoly(Frozen):
@@ -257,12 +205,7 @@ class QuasiPoly(Frozen):
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[int, Poly], Iterable[tuple[int, Poly]]] = ()):
-        pairs = []
-        for e2, p in terms.items() if isinstance(terms, Mapping) else terms:
-            if not isinstance(e2, int):
-                raise TypeError(f"exp2 must be int, got {e2!r}")
-            pairs.append((e2, p if isinstance(p, Poly) else Poly((p,))))
-        _set_terms(self, _collect(pairs)._terms)
+        _ring.quasi_init(self, terms)
 
     @classmethod
     def constant(cls, c: Rat) -> "QuasiPoly":
@@ -293,11 +236,7 @@ class QuasiPoly(Frozen):
         return POLY_ZERO
 
     def __add__(self, other):
-        if not isinstance(other, QuasiPoly):
-            if not _is_rational(other):
-                return NotImplemented
-            other = QuasiPoly.constant(other)
-        return _collect(self._terms + other._terms)
+        return _ring.quasi_add(self, other)
 
     __radd__ = __add__
 
@@ -313,47 +252,24 @@ class QuasiPoly(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, QuasiPoly):
-            if not (isinstance(other, Poly) or _is_rational(other)):
-                return NotImplemented
-            return _quasi([(e2, q) for e2, p in self._terms if (q := p * other)._num])
-        return sum_of_products(((self, other),))
+        return _ring.quasi_mul(self, other)
 
     __rmul__ = __mul__
 
     def scale(self, c: Rat) -> "QuasiPoly":
-        return self * _rational(c)
+        return _ring.scale(self, c)
 
     def ddt(self) -> "QuasiPoly":
         """Derivative in t."""
-        from fractions import Fraction
-
-        terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
-        return _quasi([(e2, p) for e2, p in terms if p._num])
+        return _ring.ddt(self)
 
     def value_at_zero(self) -> Fraction:
-        """Exact value at t = 0: the sum of the constant coefficients, as one
-        integer sum over the lcm of the denominators."""
-        from fractions import Fraction
-
-        den = lcm(*(p._den for _, p in self._terms))
-        return Fraction(sum(p._num[0] * (den // p._den) for _, p in self._terms), den)
+        """Exact value at t = 0."""
+        return _ring.value_at_zero(self)
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""
-        from fractions import Fraction
-
-        import mpmath
-
-        with mpmath.workprec(prec_bits):
-            if isinstance(t, Fraction):
-                tv = mpmath.mpf(t.numerator) / t.denominator
-            else:
-                tv = mpmath.mpf(t)
-            total = mpmath.mpf(0)
-            for e2, p in self._terms:
-                total += p.eval_mp(tv) * mpmath.exp(tv * e2 / 2)
-            return +total
+        return _ring.quasi_eval(self, t, prec_bits)
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,14 +288,14 @@ class QuasiPoly(Frozen):
         if not isinstance(other, QuasiPoly):
             if not _is_rational(other):
                 return False
-            other = QuasiPoly.constant(other)
+            other = from_rows({0: ([other.numerator], other.denominator)})
         return self._terms == other._terms
 
     def __hash__(self):
         return hash(("QuasiPoly", self._terms))
 
     def __repr__(self):
-        return f"QuasiPoly({{{', '.join(f'{e2}: {p!r}' for e2, p in self._terms)}}})"
+        return _ring.quasi_repr(self)
 
     def __str__(self):
         return self.to_text()
@@ -389,37 +305,8 @@ _set_terms = QuasiPoly._terms.__set__
 
 
 def sum_of_products(pairs: Iterable[tuple[QuasiPoly, QuasiPoly]]) -> QuasiPoly:
-    """The sum of x * y over the pairs, as one _row_products call.
-
-    Each factor is one flat row over the lcm D of its denominators, grade
-    (exp2 - lo) / step with lo the least exp2 on its side of the pairs and
-    step the gcd of every such offset on both sides, in a base above every
-    t-degree a product reaches.  A pair is weighted by L / (D_x D_y), L the
-    lcm of those products, and the sum is read back through from_rows over
-    L.  The work and memory grow with the span of the exp2 sums over step
-    times the base, so squaring 1 + e^{-100000 t} takes three grades.
-    """
-    pairs = [(x._terms, y._terms) for x, y in pairs if x._terms and y._terms]
-    if not pairs:
-        return _quasi(())
-    lo_x = min([xs[-1][0] for xs, _ in pairs])  # terms are exp2 descending
-    lo_y = min([ys[-1][0] for _, ys in pairs])
-    base = 2 * max([len(p._num) for xs, ys in pairs for _, p in xs + ys])
-    step = gcd(*[e2 - lo_x for xs, _ in pairs for e2, _ in xs],
-               *[e2 - lo_y for _, ys in pairs for e2, _ in ys]) or 1
-
-    def flat(terms, lo):
-        d = lcm(*[p._den for _, p in terms])
-        row = [((e2 - lo) // step * base + i, v * (d // p._den)) for e2, p in reversed(terms)
-               for i, v in enumerate(p._num) if v]
-        return tuple(row), d
-
-    terms = [(*flat(xs, lo_x), *flat(ys, lo_y)) for xs, ys in pairs]
-    den = lcm(*[dx * dy for _, dx, _, dy in terms])
-    grades = (max([xs[0][0] + ys[0][0] for xs, ys in pairs]) - lo_x - lo_y) // step + 1
-    out = _row_products([(a, b, den // (dx * dy)) for a, dx, b, dy in terms], grades * base)
-    e0 = lo_x + lo_y
-    return from_rows({e0 + step * g: (out[g * base : (g + 1) * base], den) for g in range(grades)})
+    """The sum of x * y over the pairs, as one _row_products call."""
+    return _ring.sum_of_products(pairs)
 
 
 def _row_products(terms: Iterable[tuple[Row, Row, int]], size: int) -> list[int]:
@@ -490,12 +377,7 @@ def from_rows(rows: Mapping[int, tuple[list[int], int]]) -> QuasiPoly:
 
 
 def _collect(pairs: Iterable[tuple[int, Poly]]) -> QuasiPoly:
-    """The canonical QuasiPoly of (exp2, Poly) terms: Polys at one exp2 are
-    added, zero sums dropped and the rest sorted."""
-    acc: dict[int, Poly] = {}
-    for e2, p in pairs:
-        acc[e2] = acc[e2] + p if e2 in acc else p
-    return _quasi(sorted([(e2, p) for e2, p in acc.items() if p._num], reverse=True))
+    return _ring._collect(pairs)
 
 
 # ---------------------------------------------------------------------------

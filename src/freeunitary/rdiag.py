@@ -19,20 +19,21 @@ the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
 The filter over all of NC(2n) is kept as a test oracle.  k_max is
 capped at MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2 = 8, and support sets at
-words of length BRUTE_LIMIT = 7, which lie on NC(14).
+words of length BRUTE_LIMIT = 7, which lie on NC(14).  fractions and
+moments are imported by the functions that use them: a support set (the
+ncw request) forms no Fraction, and the Moebius sums (alpha, and beta by
+its Moebius route) read no word.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import Frozen, InsufficientDataError, SizeError, StructureError
 from .errors import check_at_least, check_at_most
-from .moments import Word, _signed_catalan, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
     NCPartition,
@@ -43,7 +44,7 @@ from .ncpart import (
     kreweras,
 )
 
-Rat = Union[int, Fraction]
+Rat = Union[int, "Fraction"]
 
 BRUTE_LIMIT = 7  # letters of a word whose support set nc_omega filters out of NC(2n)
 MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2  # alpha_k, beta_k sum over NC(k); k = 8 takes 0.05 s
@@ -60,6 +61,8 @@ class Distribution(Frozen):
     __slots__ = ("cumulants",)
 
     def __init__(self, cumulants: Iterable[Rat]):
+        from fractions import Fraction
+
         vals = tuple(Fraction(c) for c in cumulants)
         if not vals:
             raise SizeError("a Distribution needs at least kappa_1")
@@ -74,6 +77,8 @@ class Distribution(Frozen):
     @classmethod
     def random_small(cls, rng: Random, max_order: int) -> "Distribution":
         """Random rationals with numerator in [-6, 6], denominator in [1, 6]."""
+        from fractions import Fraction
+
         check_at_least("max_order", max_order, 1)
         return cls(
             Fraction(rng.randint(-6, 6), rng.randint(1, 6))
@@ -103,6 +108,8 @@ def u_indices(w: Union[Word, str]) -> frozenset:
     Letter i occupies 2i-1 when plain and 2i when starred; the
     complement collects the q-positions.
     """
+    from .moments import as_word
+
     word = as_word(w)
     return frozenset(
         2 * i - 1 if letter == 1 else 2 * i
@@ -127,6 +134,8 @@ def mixed_q_cumulant(d: Distribution, pattern: Sequence[int]) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _mixed_cached(widths: tuple, kappas: tuple) -> Fraction:
+    from fractions import Fraction
+
     n = sum(widths)
     if n > len(kappas):
         raise InsufficientDataError(
@@ -270,6 +279,8 @@ class OmegaNC(Frozen):
     __slots__ = ("word", "partitions")
 
     def __init__(self, word: Union[Word, str], partitions: Iterable[NCPartition]):
+        from .moments import as_word
+
         w = as_word(word)
         u_set = u_indices(w)
         parts = []
@@ -306,6 +317,8 @@ class OmegaNC(Frozen):
 
 @lru_cache(maxsize=None)
 def _nc_omega_cached(letters: tuple) -> OmegaNC:
+    from .moments import Word
+
     n = len(letters)
     check_at_most("word length", n, "BRUTE_LIMIT", BRUTE_LIMIT)
     word = Word(letters)
@@ -321,6 +334,8 @@ def nc_omega(w: Union[Word, str]) -> OmegaNC:
     or wholly in the q-positions, the only ones enumerated.  The set is
     built once per word and cached, and the filter checks each candidate
     once: its survivors are not checked again."""
+    from .moments import as_word
+
     return _nc_omega_cached(as_word(w).letters)
 
 
@@ -336,6 +351,10 @@ def beta_enumeration(
     optional partitions argument lets callers reuse a precomputed or
     structurally generated set; it must belong to the same word.
     """
+    from fractions import Fraction
+
+    from .moments import _signed_catalan, as_word
+
     word = as_word(w)
     if partitions is None:
         onc = nc_omega(word)
@@ -412,6 +431,8 @@ def nc_omega_structured(k: int) -> OmegaNC:
     re-checks every candidate, and brute-force cross-checks at small k
     guard the construction.
     """
+    from .moments import as_word
+
     check_at_least("k", k, 1)
     check_structured_size(k)
     word = as_word("1" + "*1" * (k - 1))

@@ -635,7 +635,7 @@ _XI_ROUTES = ("alternating.xi_by_recursion", "alternating.xi_by_inversion",
               "alternating.xi_by_mobius", "alternating._xi_closed", "alternating.check_xi")
 _PDE_ROUTES = ("alternating.xi_by_inversion", "alternating.chi_expansion",
                "alternating.lambda_series", "alternating.lagrange_lambda")
-_KL_ROUTES = ("qpoly.Poly.__pow__", "qpoly.Poly.__mul__", "laplace.from_rows")
+_KL_ROUTES = ("laplace._row_products", "laplace.from_rows")
 _Q = ["--q-cumulants", "q.json"]
 CAPS = {
     "zpoly (1*)^7 --method mobius": (
@@ -815,47 +815,53 @@ _BASE = ["freeunitary.cli", "freeunitary.errors"]
 _COMMON = "freeunitary.cli.common"  # the output helpers of the commands that print a value
 _INPUTS = "freeunitary.cli.inputs"  # the readers of rationals and JSON input
 _FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
-_RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.rdiag", *_FRACTIONS]
+_RING = "freeunitary.qring"  # the rational ring of qpoly
+_RDIAG = ["freeunitary.ncpart", "freeunitary.rdiag"]
 _WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
+_CLOSED = ["freeunitary.laplace", "freeunitary.moments", "freeunitary.qpoly"]
 # one request per subcommand, and the freeunitary modules its process loads
 # besides _BASE: its own command module first
 _FOOTPRINTS = {
     "zpoly": (["zpoly", "1*1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     "xi": (["xi", "--n", "3"], ["freeunitary.cli.xi", _COMMON, *_XI]),
-    "special": (["special", "--k", "2", "--l", "1"],
-                ["freeunitary.cli.special", _COMMON, *_WORDS, "freeunitary.laplace"]),
-    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_WORDS, "freeunitary.laplace"]),
-    "pde-check": (["pde-check", "--n", "2"], ["freeunitary.cli.pde_check", *_XI, "mpmath", *_FRACTIONS]),
-    "haar": (["haar", "--word", "1*1*1"],
-             ["freeunitary.cli.haar", _COMMON, "freeunitary.moments", *_FRACTIONS]),
+    "special": (["special", "--k", "2", "--l", "1"], ["freeunitary.cli.special", _COMMON, *_CLOSED]),
+    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_CLOSED, _RING]),
+    "pde-check": (["pde-check", "--n", "2"],
+                  ["freeunitary.cli.pde_check", *_XI, _RING, "mpmath", *_FRACTIONS]),
+    "haar": (["haar", "--word", "1*1*1"], ["freeunitary.cli.haar", _COMMON, "freeunitary.moments"]),
     "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
-              ["freeunitary.cli.alpha", _COMMON, _INPUTS, *_RDIAG]),
+              ["freeunitary.cli.alpha", _COMMON, _INPUTS, *_RDIAG, *_FRACTIONS]),
     "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"],
-             ["freeunitary.cli.beta", _COMMON, _INPUTS, *_RDIAG]),
-    "ncw": (["ncw", "--word", "1*1", "--format", "json"], ["freeunitary.cli.ncw", *_RDIAG]),
+             ["freeunitary.cli.beta", _COMMON, _INPUTS, *_RDIAG, *_FRACTIONS]),
+    "ncw": (["ncw", "--word", "1*1", "--format", "json"],
+            ["freeunitary.cli.ncw", "freeunitary.moments", *_RDIAG]),
     "nc": (["nc", "--n", "4"], ["freeunitary.cli.nc", "freeunitary.ncpart"]),
     "moments": (["moments", "--word", "11"],
                 ["freeunitary.cli.moments", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
     "verify": (["verify", "--suite", "thm3.7"], ["freeunitary.cli.verify", *_WORDS, "freeunitary.verify"]),
 }
 # more requests, in the same form: the other output formats and cross-checks
-# of the value requests, --eval, nc reading a partition, and a verify suite
-# that reads no frozen row
+# of the value requests, --grade, --eval, nc reading a partition, and a
+# verify suite that reads no frozen row
 _MORE_FOOTPRINTS = [
     (["zpoly", "1*1", "--format", "json"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--format", "latex"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
+    (["zpoly", "1*1", "--grade", "1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--method", "both"],
-     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart"]),
+     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart", _RING]),
     (["zpoly", "1*1", "--eval", "1/2"],
-     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, "mpmath", *_FRACTIONS]),
+     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, _RING, "mpmath", *_FRACTIONS]),
     (["xi", "--n", "3", "--method", "all"],
-     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart"]),
+     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart", _RING]),
     (["special", "--k", "2", "--l", "1", "--format", "json"],
-     ["freeunitary.cli.special", _COMMON, *_WORDS, "freeunitary.laplace"]),
+     ["freeunitary.cli.special", _COMMON, *_CLOSED]),
+    (["beta", "--k", "2", "--method", "both", "--q-cumulants", "q.json"],
+     ["freeunitary.cli.beta", _COMMON, _INPUTS, "freeunitary.moments", *_RDIAG, *_FRACTIONS]),
     (["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"],
      ["freeunitary.cli.nc", _INPUTS, "freeunitary.ncpart"]),
-    (["verify", "--suite", "prop6.7-cross"], ["freeunitary.cli.verify", "freeunitary.verify", *_RDIAG]),
+    (["verify", "--suite", "prop6.7-cross"],
+     ["freeunitary.cli.verify", "freeunitary.verify", "freeunitary.moments", *_RDIAG, *_FRACTIONS]),
 ]
 
 
@@ -882,15 +888,31 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
     assert loaded == {request: sorted([*_BASE, *modules])
                       for request, (_, modules) in requests.items()}
     # a value prints from integers: zpoly, xi, special and moments in every
-    # format and cross-check, and nc, load neither fractions nor decimal;
-    # a request that reads or prints a Fraction does
+    # format and cross-check, haar, ncw and nc load neither fractions nor
+    # decimal; a request that reads or prints a Fraction does
     fractions = {request for request, modules in loaded.items() if "fractions" in modules}
     assert {request for request, modules in loaded.items() if "decimal" in modules} == fractions
     assert not {request for request in loaded
-                if request.split()[0] in ("zpoly", "xi", "special", "moments", "nc")
+                if request.split()[0] in ("zpoly", "xi", "special", "moments", "nc", "haar", "ncw")
                 and "--eval" not in request} & fractions
     assert {"zpoly 1*1 --eval 1/2", "alpha --k 2 --q-cumulants q.json",
-            "beta --k 2 --q-cumulants q.json --format json", "haar --word 1*1*1"} <= fractions
+            "beta --k 2 --q-cumulants q.json --format json"} <= fractions
+    # a value built from integer rows and printed compiles no ring: zpoly in
+    # every format and --grade, xi, special, moments and thm3.7; a request
+    # that evaluates, cross-checks or adds quasi-polynomials loads it
+    ring = {request for request, modules in loaded.items() if _RING in modules}
+    assert not {request for request in loaded
+                if request.split()[0] in ("zpoly", "xi", "special", "moments")
+                and "--eval" not in request and "--method" not in request} & ring
+    assert "verify --suite thm3.7" not in ring
+    assert {"zpoly 1*1 --eval 1/2", "zpoly 1*1 --method both", "xi --n 3 --method all",
+            "fcheck --order 2"} <= ring
+    # special builds its cumulant without the recursion; alpha and beta by
+    # their Moebius sums read no word
+    assert "freeunitary.cumulants" not in loaded["special --k 2 --l 1"]
+    assert not {"alpha --k 2 --q-cumulants q.json",
+                "beta --k 2 --q-cumulants q.json --format json"} & {
+        request for request, modules in loaded.items() if "freeunitary.moments" in modules}
     # nc reads a partition with the readers alone, and prop6.7-cross reads no frozen row
     assert _INPUTS in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]
     assert _COMMON not in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]

@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -526,8 +529,8 @@ def test_row_products_matches_a_dict_convolution(terms, a, c):
 
 
 def test_only_qpoly_references_the_raw_constructors():
-    # _poly and _quasi skip every check, so a module outside qpoly that
-    # calls them could hand out terms that are not canonical
+    # _poly and _quasi skip every check, so a module outside qpoly and its
+    # ring, qring, that calls them could hand out terms that are not canonical
     src = Path(__file__).resolve().parent.parent / "src" / "freeunitary"
     users = set()
     for path in sorted(src.glob("*.py")):
@@ -537,7 +540,7 @@ def test_only_qpoly_references_the_raw_constructors():
                 names.add(node.name)
             if names & {"_poly", "_quasi"}:
                 users.add(path.name)
-    assert users == {"qpoly.py"}
+    assert users == {"qpoly.py", "qring.py"}
 
 
 
@@ -567,3 +570,59 @@ def test_only_qpoly_holds_a_flat_row_product_loop():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, False)
     assert holders == {"qpoly._row_products"}
+
+
+_RING_ON_FIRST_USE = """
+import sys
+from freeunitary.qpoly import (
+    POLY_ONE, POLY_ZERO, Poly, QuasiPoly, Rat, Row, _coeff_strs, _collect, _factor_text,
+    _is_rational, _lowest, _new, _poly, _quasi, _quasipoly_text, _ratio_text, _rational,
+    _readback, _row_products, _set_den, _set_num, _set_terms, _sparse, _x_power, from_rows,
+    poly_text, sum_of_products,
+)
+
+def loaded():
+    return {"freeunitary.qring", "fractions"} & set(sys.modules)
+
+# the integer core builds, compares, negates and prints with neither loaded
+x = from_rows({0: ([1], 1), -2: ([1, 6], 2)})  # 1 + (1/2 + 3t) y^2
+assert -(-x) == x != 1 and from_rows({}) == 0 and POLY_ONE == 1 and POLY_ZERO == 0
+assert x.to_text() == "1 + (3x+1/2)y^2" and x.height == 6 and not loaded()
+# the first operation of the ring loads it; an int operand loads no fractions
+assert x + 0 == x and loaded() == {"freeunitary.qring"}
+from fractions import Fraction
+import mpmath
+
+half = Fraction(1, 2)
+p = Poly((half, 3))
+assert p.coeffs == (half, 3) and p.leading() == 3 and repr(p) == "Poly([Fraction(1, 2), Fraction(3, 1)])"
+assert p + 1 == 1 + p == Poly((Fraction(3, 2), 3)) and p - 1 == Poly((-half, 3))
+assert 1 - p == Poly((half, -3)) and Poly(("1/3",)) == Fraction(1, 3)
+assert p * p == p ** 2 == Poly((Fraction(1, 4), 3, 9)) and p ** 0 == 1
+assert 2 * p == Poly((1, 6)) and p * half == Poly((Fraction(1, 4), Fraction(3, 2)))
+assert p.derivative() == 3 and p(half) == 2 and p(1) == Fraction(7, 2)
+assert p.eval_mp(mpmath.mpf(1)) == 3.5
+assert x == QuasiPoly({0: 1, -2: p}) and QuasiPoly.constant(half) == half
+assert x + 1 == 1 + x == QuasiPoly({0: 2, -2: p}) and x - x == 0 and 1 - x == QuasiPoly({-2: -p})
+assert x * x == QuasiPoly({0: 1, -2: 2 * p, -4: p * p}) and 2 * x == x + x
+assert x * p == QuasiPoly({0: p, -2: p * p}) and x.scale("1/2") == x * half
+assert x.ddt() == QuasiPoly({-2: Poly((Fraction(5, 2), -3))})
+assert x.value_at_zero() == Fraction(3, 2) and x.eval(0) == 1.5
+assert repr(x) == "QuasiPoly({0: Poly([Fraction(1, 1)]), -2: Poly([Fraction(1, 2), Fraction(3, 1)])})"
+assert sum_of_products([(x, x), (x, x)]) == 2 * (x * x)
+assert _collect([(0, p), (0, -p), (-2, p)]) == QuasiPoly({-2: p}) and _rational("2/4") == half
+print("ok")
+"""
+
+
+def test_qpoly_alone_loads_the_ring_on_first_use():
+    # a fresh process that imports qpoly alone: every name it had before the
+    # ring moved out is still importable from it, a value built from integer
+    # rows prints with neither qring nor fractions loaded, and every operator
+    # and Fraction view works once the first of them loads the ring
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _RING_ON_FIRST_USE],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
