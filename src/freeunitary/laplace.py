@@ -8,7 +8,7 @@ explicit polynomial integrands.  The integrands have integer
 coefficients, so each is multiplied out on integer rows by
 qpoly._row_products and U and V are built from integers; the cumulant is
 read over (k-1)! (l-1)! from their coefficients by qpoly.from_rows
-(z_from_uv), so `special` forms each integrand once and loads no qring.
+(z_from_uv), so `special` forms each integrand once and no Fraction.
 A finite-interval integral I relates U and V; the tests check the whole
 pipeline against a quadrature of I, and against the Fraction form of the
 same rule in tests/oracles.py.

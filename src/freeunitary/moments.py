@@ -17,9 +17,9 @@ ZPolynomial, a word with its cumulant, lives here too, so that a closed
 form (laplace) builds one without compiling cumulants.
 
 The functions that form a quasi-polynomial import qpoly when they are
-called, and build it from integer rows through qpoly's integer core: Q_n
+called, and build it from integer rows through qpoly.from_rows: Q_n
 over (n-1)!, the moment from the row of Q_d and the diagonal cumulant over
-n!.  So a moment or word request loads neither qring nor fractions.
+n!.  So a moment or word request loads no fractions.
 """
 
 from __future__ import annotations

@@ -815,7 +815,6 @@ _BASE = ["freeunitary.cli", "freeunitary.errors"]
 _COMMON = "freeunitary.cli.common"  # the output helpers of the commands that print a value
 _INPUTS = "freeunitary.cli.inputs"  # the readers of rationals and JSON input
 _FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
-_RING = "freeunitary.qring"  # the rational ring of qpoly
 _RDIAG = ["freeunitary.ncpart", "freeunitary.rdiag"]
 _WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
@@ -826,9 +825,9 @@ _FOOTPRINTS = {
     "zpoly": (["zpoly", "1*1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     "xi": (["xi", "--n", "3"], ["freeunitary.cli.xi", _COMMON, *_XI]),
     "special": (["special", "--k", "2", "--l", "1"], ["freeunitary.cli.special", _COMMON, *_CLOSED]),
-    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_CLOSED, _RING]),
+    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_CLOSED]),
     "pde-check": (["pde-check", "--n", "2"],
-                  ["freeunitary.cli.pde_check", *_XI, _RING, "mpmath", *_FRACTIONS]),
+                  ["freeunitary.cli.pde_check", *_XI, "mpmath", *_FRACTIONS]),
     "haar": (["haar", "--word", "1*1*1"], ["freeunitary.cli.haar", _COMMON, "freeunitary.moments"]),
     "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
               ["freeunitary.cli.alpha", _COMMON, _INPUTS, *_RDIAG, *_FRACTIONS]),
@@ -849,11 +848,11 @@ _MORE_FOOTPRINTS = [
     (["zpoly", "1*1", "--format", "latex"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--grade", "1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--method", "both"],
-     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart", _RING]),
+     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart"]),
     (["zpoly", "1*1", "--eval", "1/2"],
-     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, _RING, "mpmath", *_FRACTIONS]),
+     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, "mpmath", *_FRACTIONS]),
     (["xi", "--n", "3", "--method", "all"],
-     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart", _RING]),
+     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart"]),
     (["special", "--k", "2", "--l", "1", "--format", "json"],
      ["freeunitary.cli.special", _COMMON, *_CLOSED]),
     (["beta", "--k", "2", "--method", "both", "--q-cumulants", "q.json"],
@@ -897,16 +896,6 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
                 and "--eval" not in request} & fractions
     assert {"zpoly 1*1 --eval 1/2", "alpha --k 2 --q-cumulants q.json",
             "beta --k 2 --q-cumulants q.json --format json"} <= fractions
-    # a value built from integer rows and printed compiles no ring: zpoly in
-    # every format and --grade, xi, special, moments and thm3.7; a request
-    # that evaluates, cross-checks or adds quasi-polynomials loads it
-    ring = {request for request, modules in loaded.items() if _RING in modules}
-    assert not {request for request in loaded
-                if request.split()[0] in ("zpoly", "xi", "special", "moments")
-                and "--eval" not in request and "--method" not in request} & ring
-    assert "verify --suite thm3.7" not in ring
-    assert {"zpoly 1*1 --eval 1/2", "zpoly 1*1 --method both", "xi --n 3 --method all",
-            "fcheck --order 2"} <= ring
     # special builds its cumulant without the recursion; alpha and beta by
     # their Moebius sums read no word
     assert "freeunitary.cumulants" not in loaded["special --k 2 --l 1"]

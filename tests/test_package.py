@@ -1,5 +1,6 @@
 """The package namespace: public names and layers bound on first use."""
 
+import ast
 import json
 import os
 import random
@@ -128,6 +129,65 @@ def test_star_import_binds_every_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         freeunitary.no_such_name
+
+
+# every module of the package but __init__ (its namespace) and cli/__main__
+# (which runs a request when it is imported), by its dotted name
+MODULES = sorted(
+    ".".join(("freeunitary", *path.relative_to(SRC / "freeunitary").with_suffix("").parts))
+    .removesuffix(".__init__")
+    for path in (SRC / "freeunitary").rglob("*.py")
+    if path.name != "__main__.py" and path != SRC / "freeunitary" / "__init__.py"
+)
+
+
+def _module_path(name):
+    path = SRC.joinpath(*name.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def _executed(node):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _executed(child)
+
+
+def _load_closure(name, seen):
+    """Add to seen the freeunitary module name, its packages, and what each
+    of them imports when it is imported, read off its relative imports."""
+    if name in seen:
+        return
+    seen.add(name)
+    path = _module_path(name)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    if package != name:
+        _load_closure(package, seen)
+    for node in _executed(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package.rsplit(".", node.level - 1)[0]
+            target = f"{base}.{node.module}" if node.module else base
+            _load_closure(target, seen)
+            for alias in node.names:
+                if _module_path(f"{target}.{alias.name}").exists():
+                    _load_closure(f"{target}.{alias.name}", seen)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_importing_a_module_loads_only_what_it_imports(name):
+    # `from . import layer` before that layer is bound on the package falls
+    # into freeunitary.__getattr__, which imports every layer: a fresh import
+    # of each module loads only the package modules its top level imports
+    code = (
+        "import importlib, json, sys\n"
+        f"importlib.import_module({name!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'freeunitary')))\n"
+    )
+    want = set()
+    _load_closure(name, want)
+    assert _fresh(code) == sorted(want)
 
 
 def test_submodule_outside_the_table_still_imports():

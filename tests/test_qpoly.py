@@ -529,8 +529,8 @@ def test_row_products_matches_a_dict_convolution(terms, a, c):
 
 
 def test_only_qpoly_references_the_raw_constructors():
-    # _poly and _quasi skip every check, so a module outside qpoly and its
-    # ring, qring, that calls them could hand out terms that are not canonical
+    # _poly and _quasi skip every check, so a module outside qpoly that
+    # calls them could hand out terms that are not canonical
     src = Path(__file__).resolve().parent.parent / "src" / "freeunitary"
     users = set()
     for path in sorted(src.glob("*.py")):
@@ -540,7 +540,7 @@ def test_only_qpoly_references_the_raw_constructors():
                 names.add(node.name)
             if names & {"_poly", "_quasi"}:
                 users.add(path.name)
-    assert users == {"qpoly.py", "qring.py"}
+    assert users == {"qpoly.py"}
 
 
 
@@ -572,7 +572,7 @@ def test_only_qpoly_holds_a_flat_row_product_loop():
     assert holders == {"qpoly._row_products"}
 
 
-_RING_ON_FIRST_USE = """
+_INTEGER_VALUES_LOAD_NO_FRACTIONS = """
 import sys
 from freeunitary.qpoly import (
     POLY_ONE, POLY_ZERO, Poly, QuasiPoly, Rat, Row, _coeff_strs, _collect, _factor_text,
@@ -582,14 +582,15 @@ from freeunitary.qpoly import (
 )
 
 def loaded():
-    return {"freeunitary.qring", "fractions"} & set(sys.modules)
+    return {"fractions", "decimal"} & set(sys.modules)
 
-# the integer core builds, compares, negates and prints with neither loaded
+# a value built from integer rows compares, negates and prints with neither
+# loaded, and an int operand loads no fractions
 x = from_rows({0: ([1], 1), -2: ([1, 6], 2)})  # 1 + (1/2 + 3t) y^2
 assert -(-x) == x != 1 and from_rows({}) == 0 and POLY_ONE == 1 and POLY_ZERO == 0
-assert x.to_text() == "1 + (3x+1/2)y^2" and x.height == 6 and not loaded()
-# the first operation of the ring loads it; an int operand loads no fractions
-assert x + 0 == x and loaded() == {"freeunitary.qring"}
+assert x.to_text() == "1 + (3x+1/2)y^2" and x.to_latex() == "1 + (3x+\\\\tfrac{1}{2})y^{2}"
+assert x.to_json_dict() == {"terms": [{"exp2": 0, "coeffs": ["1"]}, {"exp2": -2, "coeffs": ["1/2", "3"]}]}
+assert x.height == 6 and x + 0 == x and 2 * x == x + x and x - x == 0 and not loaded()
 from fractions import Fraction
 import mpmath
 
@@ -615,13 +616,13 @@ print("ok")
 """
 
 
-def test_qpoly_alone_loads_the_ring_on_first_use():
-    # a fresh process that imports qpoly alone: every name it had before the
-    # ring moved out is still importable from it, a value built from integer
-    # rows prints with neither qring nor fractions loaded, and every operator
-    # and Fraction view works once the first of them loads the ring
+def test_a_value_from_integer_rows_compares_and_prints_without_fractions():
+    # a fresh process that imports qpoly alone: every name it exports is
+    # importable from it, a value built from integer rows compares, adds
+    # integers and prints with neither fractions nor decimal loaded, and then
+    # every operator and Fraction view works
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", _RING_ON_FIRST_USE],
+    proc = subprocess.run([sys.executable, "-c", _INTEGER_VALUES_LOAD_NO_FRACTIONS],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
