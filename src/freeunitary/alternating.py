@@ -29,9 +29,10 @@ reads it over its factorial.  The round trip composes the expansion of
 chi with that L by Horner's rule, one sum_of_products per coefficient.
 The module checks the equation exactly on z-coefficients and
 numerically on grids, where only the truncation itself contributes a
-defect.  Only that check forms a Fraction: pde_z_coefficient and the
-grids DEFAULT_T_GRID and DEFAULT_Z_GRID import fractions when they are
-used, so an xi request loads none.
+defect.  The module imports no fractions: the constant 1/2 of H is an
+integer row over 2, and the grids DEFAULT_T_GRID and DEFAULT_Z_GRID are
+(numerator, denominator) pairs that pde_residual turns into mpmath
+numbers, so an xi request loads none.
 """
 
 from __future__ import annotations
@@ -457,9 +458,7 @@ def pde_z_coefficient(entries: Sequence[QuasiPoly], n: int) -> QuasiPoly:
         raise SizeError("need at least xi_1")
     if not 1 <= n <= 2 * count:
         raise SizeError(f"need 1 <= n <= {2 * count}, got {n}")
-    from fractions import Fraction
-
-    h = [QuasiPoly.constant(Fraction(1, 2))] + list(entries)  # h[k] = [z^k] H
+    h = [from_rows({0: ([1], 2)})] + list(entries)  # h[k] = [z^k] H
     acc = sum_of_products(
         (entries[k - 1].scale(2 * k), h[n - k]) for k in range(max(1, n - count), min(n, count) + 1)
     )
@@ -471,25 +470,8 @@ def pde_z_coefficient(entries: Sequence[QuasiPoly], n: int) -> QuasiPoly:
 
 
 # the t and z grids of pde_residual, as (numerator, denominator) pairs
-_GRIDS = {
-    "DEFAULT_T_GRID": ((0, 1), (1, 2), (1, 1), (2, 1), (5, 1)),
-    "DEFAULT_Z_GRID": ((1, 1000), (-1, 1000), (1, 10000), (-1, 10000)),
-}
-
-
-def _grid(name: str) -> tuple:
-    """The grid of _GRIDS named name, as a tuple of Fractions."""
-    from fractions import Fraction
-
-    return tuple(Fraction(*pair) for pair in _GRIDS[name])
-
-
-def __getattr__(name: str):
-    # DEFAULT_T_GRID and DEFAULT_Z_GRID are formed when they are read, so
-    # that importing this module loads no fractions
-    if name not in _GRIDS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _grid(name)
+DEFAULT_T_GRID = ((0, 1), (1, 2), (1, 1), (2, 1), (5, 1))
+DEFAULT_Z_GRID = ((1, 1000), (-1, 1000), (1, 10000), (-1, 10000))
 
 
 class PdeReport(NamedTuple):
@@ -520,10 +502,11 @@ def pde_residual(n_max: int) -> PdeReport:
             break
     worst = mpmath.mpf(0)
     with mpmath.workprec(128):
-        for t in _grid("DEFAULT_T_GRID"):
+        for tn, td in DEFAULT_T_GRID:
+            t = mpmath.mpf(tn) / td
             vals = [c.eval(t) for c in coeffs]
-            for z in _grid("DEFAULT_Z_GRID"):
-                zm = mpmath.mpf(z.numerator) / z.denominator
+            for zn, zd in DEFAULT_Z_GRID:
+                zm = mpmath.mpf(zn) / zd
                 total = mpmath.mpf(0)
                 zpow = mpmath.mpf(1)
                 for v in vals:

@@ -10,16 +10,14 @@ early.
 
 This package holds the dispatcher; each subcommand has a module of its own
 here, named after it with - as _, that defines HELP, add_arguments(parser)
-and handle(args).  A request compiles and imports only the code its
-subcommand runs, which matters when no bytecode is cached
-(PYTHONDONTWRITEBYTECODE): build_parser imports the module of that
-subcommand alone, its handler imports its layers (and mpmath only when it
-evaluates), only the commands that print a value import
-freeunitary.cli.common, the output helpers they share, and only those that
-read a rational or JSON input (--eval, alpha, beta, and nc with a
-partition) import freeunitary.cli.inputs, the readers.  The command
-modules read the caps below off this package when they run, so a patched
-cap applies.  No command module imports freeunitary.cli.__main__,
+and handle(args).  build_parser imports the module of the requested
+subcommand alone, and its handler imports the layers it runs, each of
+which imports the layers it uses at its top; so a request loads only the
+layers of its subcommand, and mpmath only when it evaluates.  The commands
+that print a value or read a rational or JSON input (--eval, alpha, beta,
+and nc with a partition) import freeunitary.cli.common, the helpers they
+share.  The command modules read the caps below off this package when
+they run, so a patched cap applies.  No command module imports freeunitary.cli.__main__,
 the entry of `python -m freeunitary.cli`: -m runs that file as __main__,
 so importing it would run the dispatcher a second time.
 """
@@ -107,7 +105,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "eval", None) is not None:  # before any sum runs
             if args.format != "text":
                 raise StructureError(f"--eval and --format {args.format} cannot be combined")
-            from .inputs import _parse_fraction
+            from .common import _parse_fraction
 
             args.eval = _parse_fraction(args.eval)
             if abs(args.eval) > 10**MAX_EVAL_EXPONENT:

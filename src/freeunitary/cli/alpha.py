@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .common import _check_printable, _json, _report
-from .inputs import _add_sequence_options, _load_distribution
+from .common import _add_sequence_options, _check_printable, _json, _load_distribution, _report
 
 HELP = "determining sequence from q-cumulants"
 

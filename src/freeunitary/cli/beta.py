@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..errors import check_at_least
-from .common import _check_printable, _json, _report, _verdict
-from .inputs import _add_sequence_options, _load_distribution
+from .common import _add_sequence_options, _check_printable, _json, _load_distribution, _report
+from .common import _verdict
 
 HELP = "infinitesimal determining sequence"
 

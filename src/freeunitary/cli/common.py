@@ -1,10 +1,13 @@
-"""What the commands that print a value share: their output options, the
-digit checks before printing, and the text, LaTeX and JSON output.  A
-quasi-polynomial prints from its integer numerators and denominator
-(qpoly), so printing one loads no fractions; and a request builds only the
-output its --format prints.  The caps are read off freeunitary.cli when a
-helper runs, so a patched cap applies.  The readers of rationals and JSON
-input live in freeunitary.cli.inputs."""
+"""What the commands share: the readers of their input and the writers of their output.
+
+The readers parse rationals (--eval, q-cumulants files), JSON documents
+(nc partitions, q-cumulants files) and the options of a sequence request.
+The output side holds the output options, the digit checks before
+printing, and the text, LaTeX and JSON output.  A quasi-polynomial prints
+from its integer numerators and denominator (qpoly), so printing one loads
+no fractions; and a request builds only the output its --format prints.
+The caps are read off freeunitary.cli when a helper runs, so a patched cap
+applies."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import argparse
 from itertools import chain
 
 from .. import cli
-from ..errors import SizeError
+from ..errors import QUOTE_LIMIT, SizeError, StructureError, quote
 
 
 def _check_printable(values) -> None:
@@ -145,3 +148,64 @@ def _add_value_options(p: argparse.ArgumentParser, grade: bool = False, **method
         default=cli.DEFAULT_PREC,
         help=f"working precision in bits (default {cli.DEFAULT_PREC})",
     )
+
+
+def _parse_fraction(text: str) -> Fraction:
+    import re
+    from fractions import Fraction
+
+    mantissa, e, exponent = text.lower().partition("e")
+    # read off the digit string, before Fraction, which expands the exponent
+    # in full, and before int(), which refuses more than 4300 digits
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(cli.MAX_EXPONENT))
+                                     or int(digits) > cli.MAX_EXPONENT):
+        raise SizeError(f"rational {quote(text)} has an exponent beyond MAX_EXPONENT = {cli.MAX_EXPONENT}")
+    if any(sum(c.isdigit() for c in part) > cli.MAX_DIGITS for part in mantissa.split("/")):
+        raise SizeError(f"rational with more than MAX_DIGITS = {cli.MAX_DIGITS} digits")
+    literal = text
+    if len(exponent) > cli.MAX_DIGITS:  # Fraction runs int() on all of it, leading zeros too
+        # the leading zeros shrink to 0, or to 0_0 when underscores split
+        # them, so the literal parses on just the Pythons where it did
+        literal = re.sub(r"(?<=[eE])([-+]?)(0+(?:_0+)*)(?=_?\d)",
+                         lambda m: m[1] + ("0_0" if "_" in m[2] else "0"), text, count=1)
+    try:
+        return Fraction(literal)
+    except (ValueError, ZeroDivisionError) as exc:  # its message may repeat all of text
+        detail = f": {exc}" if len(text) <= QUOTE_LIMIT else ""
+        raise StructureError(f"cannot parse rational {quote(text)}{detail}") from None
+
+
+def _decode_json(text: str, what: str):
+    """The JSON value of text; malformed or too deeply nested text is
+    refused as a StructureError that names what was read."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise StructureError(f"cannot parse {what}: {exc}") from None
+
+
+def _load_distribution(path: str) -> Distribution:
+    from ..rdiag import Distribution
+
+    with open(path, "r", encoding="utf-8") as fh:
+        data = _decode_json(fh.read(), f"q-cumulants file {path!r}")
+    if not isinstance(data, list) or not data or not all(
+        isinstance(s, str) for s in data
+    ):
+        raise StructureError(
+            "q-cumulants file must be a non-empty JSON array of 'p/q' strings"
+        )
+    return Distribution(_parse_fraction(s) for s in data)
+
+
+def _add_sequence_options(p: argparse.ArgumentParser, **method) -> None:
+    """The options of a sequence request (alpha, beta): --k, --q-cumulants,
+    --method when its arguments are given, and --format text or json."""
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--q-cumulants", required=True, metavar="FILE")
+    if method:
+        p.add_argument("--method", **method)
+    _add_format(p, ("text", "json"))

@@ -18,7 +18,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
 
 def _parse_partition(n: int, text: str) -> NCPartition:
     from ..ncpart import NCPartition
-    from .inputs import _decode_json  # only here: the count and --list read no input
+    from .common import _decode_json  # only here: the count and --list read no input
 
     blocks = _decode_json(text, f"partition {quote(text)}")
     if not isinstance(blocks, list) or not all(

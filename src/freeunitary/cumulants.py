@@ -42,6 +42,7 @@ from typing import Union
 
 from .errors import SizeError, check_at_most
 from .moments import Letters, Word, ZPolynomial, as_word, biane_Q
+from .ncpart import _weight_table, block_sum
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
@@ -118,8 +119,6 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
     partition's term depends only on the multiset of its nonzero block
     excesses, and ncpart.block_sum forms one product per multiset.
     """
-    from .ncpart import _weight_table, block_sum
-
     return block_sum(
         _weight_table(len(letters)),
         lambda blk: abs(sum(letters[i - 1] for i in blk)),

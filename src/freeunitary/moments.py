@@ -10,15 +10,14 @@ polynomial family Q_d and the substitution y = exp(-t/2).
 The stationary limit of a word cumulant and the first-order coefficient
 of the approach to it (Prop 6.2, Thm 6.3) depend only on the cyclic
 switch count of the letters, so they live here, next to Word: the `haar`
-request loads this module alone, and prints the integers haar_cumulant
-and haar_first_order.  Only haar_limit and haar_derivative form a
+request runs no lattice and no recursion, and prints the integers
+haar_cumulant and haar_first_order.  Only haar_limit and haar_derivative form a
 Fraction of them, and they import fractions when they are called.
 ZPolynomial, a word with its cumulant, lives here too, so that a closed
-form (laplace) builds one without compiling cumulants.
+form (laplace) builds one without loading cumulants.
 
-The functions that form a quasi-polynomial import qpoly when they are
-called, and build it from integer rows through qpoly.from_rows: Q_n
-over (n-1)!, the moment from the row of Q_d and the diagonal cumulant over
+The functions that form a quasi-polynomial build it from integer rows
+through qpoly.from_rows: Q_n over (n-1)!, the moment from the row of Q_d and the diagonal cumulant over
 n!.  So a moment or word request loads no fractions.
 """
 
@@ -30,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import Frozen, SizeError, StructureError, check_at_least, check_at_most, quote
+from .qpoly import Poly, QuasiPoly, from_rows
 
 Letters = tuple[int, ...]
 
@@ -217,8 +217,6 @@ def biane_Q(n: int) -> Poly:
 
     Its t^j coefficient is -(-n)^(j-1) C(n, j+1) / j! for j >= 1, so Q_n
     is read over (n-1)! from the integers -(-n)^(j-1) C(n, j+1) (n-1)!/j!."""
-    from .qpoly import Poly
-
     check_at_least("Q index", n, 1)
     num, r = [0] * n, 1  # r = (n-1)!/j!
     for j in range(n - 1, 0, -1):
@@ -230,8 +228,6 @@ def biane_Q(n: int) -> Poly:
 
 def m_poly(w: Union[Word, str]) -> QuasiPoly:
     """Moment of the word as a quasi-polynomial: Q_d(t) y^d with d the letter excess."""
-    from .qpoly import from_rows
-
     word = as_word(w)
     d = abs(word.count_ones - word.count_stars)
     check_at_most("letter excess", d, "EXCESS_LIMIT", EXCESS_LIMIT)
@@ -243,7 +239,5 @@ def m_poly(w: Union[Word, str]) -> QuasiPoly:
 
 def diag_cumulant(n: int) -> QuasiPoly:
     """Free cumulant of n copies of the same letter: ((-n)^(n-1)/n!) t^(n-1) y^n."""
-    from .qpoly import from_rows
-
     check_at_least("order", n, 1)
     return from_rows({-n: ([0] * (n - 1) + [(-n) ** (n - 1)], math.factorial(n))})

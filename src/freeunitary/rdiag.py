@@ -19,10 +19,9 @@ the u/q colouring) and by a structured generator running over Kreweras
 pairs of a smaller lattice, and the two constructions are cross-checked.
 The filter over all of NC(2n) is kept as a test oracle.  k_max is
 capped at MOBIUS_K_LIMIT = MAX_GROUND_SIZE // 2 = 8, and support sets at
-words of length BRUTE_LIMIT = 7, which lie on NC(14).  fractions and
-moments are imported by the functions that use them: a support set (the
-ncw request) forms no Fraction, and the Moebius sums (alpha, and beta by
-its Moebius route) read no word.
+words of length BRUTE_LIMIT = 7, which lie on NC(14).  fractions is
+imported by the functions that form a Fraction, so a support set (the ncw
+request) loads none.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import Frozen, InsufficientDataError, SizeError, StructureError
 from .errors import check_at_least, check_at_most
+from .moments import Word, _signed_catalan, as_word
 from .ncpart import (
     MAX_GROUND_SIZE,
     NCPartition,
@@ -108,8 +108,6 @@ def u_indices(w: Union[Word, str]) -> frozenset:
     Letter i occupies 2i-1 when plain and 2i when starred; the
     complement collects the q-positions.
     """
-    from .moments import as_word
-
     word = as_word(w)
     return frozenset(
         2 * i - 1 if letter == 1 else 2 * i
@@ -279,8 +277,6 @@ class OmegaNC(Frozen):
     __slots__ = ("word", "partitions")
 
     def __init__(self, word: Union[Word, str], partitions: Iterable[NCPartition]):
-        from .moments import as_word
-
         w = as_word(word)
         u_set = u_indices(w)
         parts = []
@@ -317,8 +313,6 @@ class OmegaNC(Frozen):
 
 @lru_cache(maxsize=None)
 def _nc_omega_cached(letters: tuple) -> OmegaNC:
-    from .moments import Word
-
     n = len(letters)
     check_at_most("word length", n, "BRUTE_LIMIT", BRUTE_LIMIT)
     word = Word(letters)
@@ -334,8 +328,6 @@ def nc_omega(w: Union[Word, str]) -> OmegaNC:
     or wholly in the q-positions, the only ones enumerated.  The set is
     built once per word and cached, and the filter checks each candidate
     once: its survivors are not checked again."""
-    from .moments import as_word
-
     return _nc_omega_cached(as_word(w).letters)
 
 
@@ -352,8 +344,6 @@ def beta_enumeration(
     structurally generated set; it must belong to the same word.
     """
     from fractions import Fraction
-
-    from .moments import _signed_catalan, as_word
 
     word = as_word(w)
     if partitions is None:
@@ -431,8 +421,6 @@ def nc_omega_structured(k: int) -> OmegaNC:
     re-checks every candidate, and brute-force cross-checks at small k
     guard the construction.
     """
-    from .moments import as_word
-
     check_at_least("k", k, 1)
     check_structured_size(k)
     word = as_word("1" + "*1" * (k - 1))

@@ -26,8 +26,9 @@ import time
 from importlib import import_module
 from random import Random
 
-# Layers, and fractions, are imported by the suites that use them.
+# The other layers, and fractions, are imported by the suites that use them.
 from .errors import StructureError, check_at_least, check_at_most
+from .qpoly import Poly, QuasiPoly
 
 # --max-n of laplace-cross, which runs only the word recursion and the
 # closed form on the n(n - 1)/2 words 1^k *^l with k + l <= n, not on all
@@ -43,61 +44,42 @@ LAPLACE_LIMIT = 64
 # at 54 and 8.5 s at 58.
 XI_THREE_PATH_LIMIT = 52
 
-# The frozen reference rows of the suites, by name, built on first use so
-# that a suite that reads none of them loads no qpoly.  Each is built once:
-# _frozen returns the same dict every time, as does verify._XI_ROWS (by
-# __getattr__) and cli._XI_ROWS, which perfbench/ reads.
-_FROZEN = ("_XI_ROWS", "_LAMBDA_ROWS", "_CHI_ROWS", "_SUFFIX_STAR_ROWS")
-
-
-def _frozen(name: str) -> dict:
-    """The frozen rows named name; the first call builds all of them."""
-    rows = globals()
-    if name not in rows:
-        from fractions import Fraction
-
-        from .qpoly import Poly, QuasiPoly
-
-        rows["_XI_ROWS"] = {
-            1: QuasiPoly({0: 1, -2: -1}),
-            2: QuasiPoly({0: -1, -2: 4, -4: Poly((-3, -2))}),
-            3: QuasiPoly({0: 2, -2: -15, -4: Poly((30, 12)), -6: Poly((-17, -18, -6))}),
-            4: QuasiPoly(
-                {
-                    0: -5,
-                    -2: 56,
-                    -4: Poly((-196, -56)),
-                    -6: Poly((264, 208, 48)),
-                    -8: Poly((-119, -172, -96, Fraction(-64, 3))),
-                }
-            ),
+# The frozen reference rows of the suites, built from integer numerators
+# over one denominator, so that importing this module loads no fractions.
+# cli._XI_ROWS, which perfbench/ reads, is verify._XI_ROWS.
+_XI_ROWS = {
+    1: QuasiPoly({0: 1, -2: -1}),
+    2: QuasiPoly({0: -1, -2: 4, -4: Poly((-3, -2))}),
+    3: QuasiPoly({0: 2, -2: -15, -4: Poly((30, 12)), -6: Poly((-17, -18, -6))}),
+    4: QuasiPoly(
+        {
+            0: -5,
+            -2: 56,
+            -4: Poly((-196, -56)),
+            -6: Poly((264, 208, 48)),
+            -8: Poly.from_ints((-357, -516, -288, -64), 3),
         }
-        rows["_LAMBDA_ROWS"] = {
-            1: QuasiPoly({-2: -2}),
-            2: QuasiPoly({-2: 4, -4: Poly((-6, -4))}),
+    ),
+}
+_LAMBDA_ROWS = {
+    1: QuasiPoly({-2: -2}),
+    2: QuasiPoly({-2: 4, -4: Poly((-6, -4))}),
+}
+_CHI_ROWS = {
+    1: QuasiPoly({2: Poly.from_ints((-1,), 2)}),
+    2: QuasiPoly({4: Poly.from_ints((1,), 2), 2: Poly.from_ints((-3, -2), 4)}),
+}
+_SUFFIX_STAR_ROWS = {
+    1: QuasiPoly({0: 1, -2: -1}),
+    2: QuasiPoly({-1: -1, -3: Poly((1, 1))}),
+    3: QuasiPoly({-2: Poly((1, 1)), -4: Poly.from_ints((-2, -4, -3), 2)}),
+    4: QuasiPoly(
+        {
+            -3: Poly.from_ints((-2, -4, -3), 2),
+            -5: Poly.from_ints((3, 9, 12, 8), 3),
         }
-        rows["_CHI_ROWS"] = {
-            1: QuasiPoly({2: Fraction(-1, 2)}),
-            2: QuasiPoly({4: Fraction(1, 2), 2: Poly((Fraction(-3, 4), Fraction(-1, 2)))}),
-        }
-        rows["_SUFFIX_STAR_ROWS"] = {
-            1: QuasiPoly({0: 1, -2: -1}),
-            2: QuasiPoly({-1: -1, -3: Poly((1, 1))}),
-            3: QuasiPoly({-2: Poly((1, 1)), -4: Poly((-1, -2, Fraction(-3, 2)))}),
-            4: QuasiPoly(
-                {
-                    -3: Poly((-1, -2, Fraction(-3, 2))),
-                    -5: Poly((1, 3, 4, Fraction(8, 3))),
-                }
-            ),
-        }
-    return rows[name]
-
-
-def __getattr__(name: str):
-    if name not in _FROZEN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _frozen(name)
+    ),
+}
 
 
 _EXAMPLE69_BLOCKS = (
@@ -204,7 +186,6 @@ def _suite_thm37(n, args):
 def _suite_prop62(n, args):
     from .cumulants import z_recursive
     from .moments import haar_limit
-    from .qpoly import Poly
 
     for w in _all_words(n):
         # compared as polynomials, so a grade that is not constant fails
@@ -215,7 +196,6 @@ def _suite_prop62(n, args):
 def _suite_thm63(n, args):
     from .cumulants import z_recursive
     from .moments import haar_derivative
-    from .qpoly import Poly
 
     for w in _all_words(n):
         yield [(str(w), Poly((haar_derivative(w),)), z_recursive(w).grade(1))]
@@ -253,7 +233,7 @@ def _suite_remark45(n, args):
     for k in range(1, n + 1):
         closed = suffix_star_cumulant(k)
         yield [(f"k={k}", z_recursive("1" * k + "*").value, closed)]
-    for k, row in _frozen("_SUFFIX_STAR_ROWS").items():
+    for k, row in _SUFFIX_STAR_ROWS.items():
         yield [(f"frozen k={k}", row, suffix_star_cumulant(k))]
 
 
@@ -269,11 +249,11 @@ def _suite_xi_three_path(n_inv, args):
         yield [(f"xi_{n}", rec.xi(n), inv.xi(n))]
     for n in range(1, n_mob + 1):
         yield [(f"xi_{n}", rec.xi(n), mob.xi(n))]
-    for n, row in _frozen("_XI_ROWS").items():
+    for n, row in _XI_ROWS.items():
         if n <= n_inv:
             yield [(f"frozen xi_{n}", row, rec.xi(n))]
     lam = lambda_series(2)
-    for n, row in _frozen("_LAMBDA_ROWS").items():
+    for n, row in _LAMBDA_ROWS.items():
         yield [(f"frozen lambda_{n}", row, lam.coeff(n))]
 
 
@@ -302,7 +282,7 @@ def _suite_chi_roundtrip(order, args):
     for n in range(1, order + 1):
         yield [(f"lambda_{n}", tri.coeff(n), lag.coeff(n))]
     chi = chi_expansion(order)
-    for n, row in _frozen("_CHI_ROWS").items():
+    for n, row in _CHI_ROWS.items():
         if n <= order:
             yield [(f"frozen chi_{n}", row, chi.coeff(n))]
 

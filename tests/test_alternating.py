@@ -440,10 +440,10 @@ def test_pde_residual_equals_the_sum_of_coefficient_evaluations():
     report = pde_residual(6)
     worst = mpmath.mpf(0)
     with mpmath.workprec(128):
-        for t in DEFAULT_T_GRID:
-            vals = [c.eval(t, 128) for c in report.coefficients]
-            for z in DEFAULT_Z_GRID:
-                zm = mpmath.mpf(z.numerator) / z.denominator
+        for tn, td in DEFAULT_T_GRID:
+            vals = [c.eval(Fraction(tn, td), 128) for c in report.coefficients]
+            for zn, zd in DEFAULT_Z_GRID:
+                zm = mpmath.mpf(zn) / zd
                 total, zpow = mpmath.mpf(0), mpmath.mpf(1)
                 for v in vals:
                     zpow = zpow * zm

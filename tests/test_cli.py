@@ -812,11 +812,10 @@ watched = ("mpmath", "fractions", "decimal")
 print("loaded", *sorted(m for m in sys.modules if m.startswith("freeunitary.") or m in watched))
 """
 _BASE = ["freeunitary.cli", "freeunitary.errors"]
-_COMMON = "freeunitary.cli.common"  # the output helpers of the commands that print a value
-_INPUTS = "freeunitary.cli.inputs"  # the readers of rationals and JSON input
+_COMMON = "freeunitary.cli.common"  # the input readers and output helpers the commands share
 _FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
-_RDIAG = ["freeunitary.ncpart", "freeunitary.rdiag"]
-_WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.qpoly"]
+_RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.qpoly", "freeunitary.rdiag"]
+_WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.ncpart", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
 _CLOSED = ["freeunitary.laplace", "freeunitary.moments", "freeunitary.qpoly"]
 # one request per subcommand, and the freeunitary modules its process loads
@@ -828,39 +827,37 @@ _FOOTPRINTS = {
     "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_CLOSED]),
     "pde-check": (["pde-check", "--n", "2"],
                   ["freeunitary.cli.pde_check", *_XI, "mpmath", *_FRACTIONS]),
-    "haar": (["haar", "--word", "1*1*1"], ["freeunitary.cli.haar", _COMMON, "freeunitary.moments"]),
+    "haar": (["haar", "--word", "1*1*1"],
+             ["freeunitary.cli.haar", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
     "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
-              ["freeunitary.cli.alpha", _COMMON, _INPUTS, *_RDIAG, *_FRACTIONS]),
+              ["freeunitary.cli.alpha", _COMMON, *_RDIAG, *_FRACTIONS]),
     "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"],
-             ["freeunitary.cli.beta", _COMMON, _INPUTS, *_RDIAG, *_FRACTIONS]),
-    "ncw": (["ncw", "--word", "1*1", "--format", "json"],
-            ["freeunitary.cli.ncw", "freeunitary.moments", *_RDIAG]),
+             ["freeunitary.cli.beta", _COMMON, *_RDIAG, *_FRACTIONS]),
+    "ncw": (["ncw", "--word", "1*1", "--format", "json"], ["freeunitary.cli.ncw", *_RDIAG]),
     "nc": (["nc", "--n", "4"], ["freeunitary.cli.nc", "freeunitary.ncpart"]),
     "moments": (["moments", "--word", "11"],
                 ["freeunitary.cli.moments", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
     "verify": (["verify", "--suite", "thm3.7"], ["freeunitary.cli.verify", *_WORDS, "freeunitary.verify"]),
 }
 # more requests, in the same form: the other output formats and cross-checks
-# of the value requests, --grade, --eval, nc reading a partition, and a
-# verify suite that reads no frozen row
+# of the value requests, --grade, --eval, nc reading a partition, and the
+# verify suite of the R-diagonal layer
 _MORE_FOOTPRINTS = [
     (["zpoly", "1*1", "--format", "json"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--format", "latex"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--grade", "1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    (["zpoly", "1*1", "--method", "both"],
-     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "freeunitary.ncpart"]),
+    (["zpoly", "1*1", "--method", "both"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
     (["zpoly", "1*1", "--eval", "1/2"],
-     ["freeunitary.cli.zpoly", _COMMON, _INPUTS, *_WORDS, "mpmath", *_FRACTIONS]),
-    (["xi", "--n", "3", "--method", "all"],
-     ["freeunitary.cli.xi", _COMMON, *_XI, "freeunitary.ncpart"]),
+     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "mpmath", *_FRACTIONS]),
+    (["xi", "--n", "3", "--method", "all"], ["freeunitary.cli.xi", _COMMON, *_XI]),
     (["special", "--k", "2", "--l", "1", "--format", "json"],
      ["freeunitary.cli.special", _COMMON, *_CLOSED]),
     (["beta", "--k", "2", "--method", "both", "--q-cumulants", "q.json"],
-     ["freeunitary.cli.beta", _COMMON, _INPUTS, "freeunitary.moments", *_RDIAG, *_FRACTIONS]),
+     ["freeunitary.cli.beta", _COMMON, *_RDIAG, *_FRACTIONS]),
     (["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"],
-     ["freeunitary.cli.nc", _INPUTS, "freeunitary.ncpart"]),
+     ["freeunitary.cli.nc", _COMMON, "freeunitary.ncpart"]),
     (["verify", "--suite", "prop6.7-cross"],
-     ["freeunitary.cli.verify", "freeunitary.verify", "freeunitary.moments", *_RDIAG, *_FRACTIONS]),
+     ["freeunitary.cli.verify", "freeunitary.verify", *_RDIAG, *_FRACTIONS]),
 ]
 
 
@@ -880,8 +877,7 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
     # importing the CLI loads no layer and no command module, and no json or fractions
     assert imported == {request: ["freeunitary", *_BASE] for request in requests}
     # a request loads its own command module and no other
-    assert {request: [m for m in modules if m.startswith("freeunitary.cli.")
-                      and m not in (_COMMON, _INPUTS)]
+    assert {request: [m for m in modules if m.startswith("freeunitary.cli.") and m != _COMMON]
             for request, modules in loaded.items()} == {
         request: [modules[0]] for request, (_, modules) in requests.items()}
     assert loaded == {request: sorted([*_BASE, *modules])
@@ -896,16 +892,8 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
                 and "--eval" not in request} & fractions
     assert {"zpoly 1*1 --eval 1/2", "alpha --k 2 --q-cumulants q.json",
             "beta --k 2 --q-cumulants q.json --format json"} <= fractions
-    # special builds its cumulant without the recursion; alpha and beta by
-    # their Moebius sums read no word
+    # special builds its cumulant without the recursion
     assert "freeunitary.cumulants" not in loaded["special --k 2 --l 1"]
-    assert not {"alpha --k 2 --q-cumulants q.json",
-                "beta --k 2 --q-cumulants q.json --format json"} & {
-        request for request, modules in loaded.items() if "freeunitary.moments" in modules}
-    # nc reads a partition with the readers alone, and prop6.7-cross reads no frozen row
-    assert _INPUTS in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]
-    assert _COMMON not in loaded["nc --n 4 --kreweras [[1,4],[2,3]]"]
-    assert "freeunitary.qpoly" not in loaded["verify --suite prop6.7-cross"]
     # python -m runs cli/__main__.py as __main__: a command module that
     # imported freeunitary.cli.__main__ would run the dispatcher again
     argv, modules = _FOOTPRINTS["zpoly"]

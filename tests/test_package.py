@@ -190,6 +190,25 @@ def test_importing_a_module_loads_only_what_it_imports(name):
     assert _fresh(code) == sorted(want)
 
 
+# the layer modules; __init__ binds the layers on first use, and the verify
+# suites, like the CLI's command modules, import the layers each one runs
+LAYER_FILES = sorted(path.name for path in (SRC / "freeunitary").glob("*.py")
+                     if path.name not in ("__init__.py", "verify.py"))
+
+
+@pytest.mark.parametrize("filename", LAYER_FILES)
+def test_a_layer_imports_the_layers_it_uses_at_its_top(filename):
+    tree = ast.parse((SRC / "freeunitary" / filename).read_text())
+    deferred = sorted({
+        (node.lineno, f"from {'.' * node.level}{node.module or ''} import")
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(scope)
+        if isinstance(node, ast.ImportFrom) and node.level
+    })
+    assert deferred == []
+
+
 def test_submodule_outside_the_table_still_imports():
     code = "import json\nfrom freeunitary import cli\nprint(json.dumps(cli.__name__))\n"
     assert _fresh(code) == "freeunitary.cli"
