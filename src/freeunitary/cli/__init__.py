@@ -8,18 +8,14 @@ wall times go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage or data error, 141 (128 + SIGPIPE) when the reader closes stdout
 early.
 
-This package holds the dispatcher; each subcommand has a module of its own
-here, named after it with - as _, that defines HELP, add_arguments(parser)
-and handle(args).  build_parser imports the module of the requested
-subcommand alone, and its handler imports the layers it runs, each of
-which imports the layers it uses at its top; so a request loads only the
-layers of its subcommand, and mpmath only when it evaluates.  The commands
-that print a value or read a rational or JSON input (--eval, alpha, beta,
-and nc with a partition) import freeunitary.cli.common, the helpers they
-share.  The command modules read the caps below off this package when
-they run, so a patched cap applies.  No command module imports freeunitary.cli.__main__,
-the entry of `python -m freeunitary.cli`: -m runs that file as __main__,
-so importing it would run the dispatcher a second time.
+This package holds the dispatcher.  The subcommands, and the readers and
+writers they share, are in freeunitary.cli.commands, which build_parser
+imports when it runs, so importing the CLI loads none of them; it builds
+the subparser of the requested subcommand alone.  A handler imports the
+layers it runs, each of which imports the layers it uses at its top; so a
+request loads only the layers of its subcommand, and mpmath only when it
+evaluates.  The commands read the caps below off this package when they
+run, so a patched cap applies.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
 from ..errors import InsufficientDataError, SizeError, StructureError
 
@@ -61,6 +56,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with the subparser of command alone, or with all of them
     when command is None or names no subcommand, so that the top-level help
     and the errors that list the subcommands read the same."""
+    from .commands import SUBCOMMANDS
+
     parser = argparse.ArgumentParser(
         prog="freeunitary",
         description="Exact joint cumulants of a free unitary flow and its adjoint.",
@@ -68,10 +65,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     alone = command in COMMANDS
     for name in (command,) if alone else COMMANDS:
-        module = import_module(f".{name.replace('-', '_')}", __name__)
-        p = sub.add_parser(name, help=module.HELP)
-        p.set_defaults(func=module.handle)
-        module.add_arguments(p)
+        summary, add_arguments, handle = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=handle)
+        add_arguments(p)
     if alone:  # a top-level error, such as an unknown option, lists them all
         parser.error = lambda message: build_parser().error(message)
     return parser
@@ -105,7 +102,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "eval", None) is not None:  # before any sum runs
             if args.format != "text":
                 raise StructureError(f"--eval and --format {args.format} cannot be combined")
-            from .common import _parse_fraction
+            from .commands import _parse_fraction
 
             args.eval = _parse_fraction(args.eval)
             if abs(args.eval) > 10**MAX_EVAL_EXPONENT:

@@ -30,8 +30,8 @@ polynomial products are formed once per multiset (102 of them for the
 alternating word of length 12, against 208 012 partitions).  The
 per-partition sum is kept as a test oracle.  Grades 0 and 1 of the
 cumulant, the stationary limit and the first-order coefficient of the
-approach to it, also have closed forms in O(|w|) (moments.haar_limit,
-moments.haar_derivative); the verify suites check them against the
+approach to it, also have closed forms in O(|w|) (moments.haar_cumulant,
+moments.haar_first_order); the verify suites check them against the
 recursion's grades.
 """
 

@@ -19,13 +19,13 @@ call.
 The text, LaTeX and JSON emitters read the integers, one gcd per
 coefficient, and equality with an int or a Fraction reads its numerator
 and denominator, so a value built from integer rows compares and prints
-with no ``fractions`` loaded.  A Fraction is formed, and ``fractions``
-imported, only where one is asked for: the Fraction views ``coeffs``,
-``leading`` and ``value_at_zero``, exact evaluation by ``Poly.__call__``,
-``ddt``, ``eval``, the reprs, and the coercion of a Fraction or string
-operand.  An operator tests an operand for ``int`` before ``Fraction``, so
-integer operands never import it.  mpmath is imported only by the
-evaluating methods.
+with no ``fractions`` loaded; ``ddt`` and the numeric ``eval`` run on
+the integers too.  A Fraction is formed, and ``fractions`` imported,
+only where one is asked for: the Fraction views ``coeffs``, ``leading``
+and ``value_at_zero``, exact evaluation by ``Poly.__call__``, the reprs,
+and the coercion of a Fraction or string operand.  An operator tests an
+operand for ``int`` before ``Fraction``, so integer operands never
+import it.  mpmath is imported only by the evaluating methods.
 
 The integer recursions of ``cumulants`` and ``alternating`` hold each
 value as one flat ``Row`` of (index, coefficient) pairs, nonzero only,
@@ -226,8 +226,9 @@ class Poly(Frozen):
         import mpmath
 
         out = mpmath.mpf(0)
-        for c in reversed(self.coeffs):
-            out = out * x + mpmath.mpf(c.numerator) / c.denominator
+        for c in reversed(self._num):
+            n, d = _lowest(c, self._den)  # the two integers of Fraction(c, den)
+            out = out * x + mpmath.mpf(n) / d
         return out
 
     def __eq__(self, other):
@@ -330,11 +331,16 @@ class QuasiPoly(Frozen):
         return self * _rational(c)
 
     def ddt(self) -> "QuasiPoly":
-        """Derivative in t."""
-        from fractions import Fraction
-
-        terms = [(e2, p.derivative() + p * Fraction(e2, 2)) for e2, p in self._terms]
-        return _quasi([(e2, p) for e2, p in terms if p._num])
+        """Derivative in t: the term p * exp(e2 t / 2) becomes
+        (2p' + e2 p) / 2 * exp(e2 t / 2), one integer row over 2 den."""
+        terms = []
+        for e2, p in self._terms:
+            a = p._num
+            q = _poly([e2 * c + 2 * i * d for i, (c, d) in enumerate(zip(a, (*a[1:], 0)), start=1)],
+                      2 * p._den)
+            if q._num:
+                terms.append((e2, q))
+        return _quasi(terms)
 
     def value_at_zero(self) -> Fraction:
         """Exact value at t = 0: the sum of the constant coefficients, as one
@@ -346,15 +352,13 @@ class QuasiPoly(Frozen):
 
     def eval(self, t, prec_bits: int = 128) -> mpmath.mpf:
         """Numeric value at t, computed at the given binary precision."""
-        from fractions import Fraction
-
         import mpmath
 
         with mpmath.workprec(prec_bits):
-            if isinstance(t, Fraction):
-                tv = mpmath.mpf(t.numerator) / t.denominator
-            else:
+            if isinstance(t, int) or not hasattr(t, "denominator"):
                 tv = mpmath.mpf(t)
+            else:  # a rational such as a Fraction
+                tv = mpmath.mpf(t.numerator) / t.denominator
             total = mpmath.mpf(0)
             for e2, p in self._terms:
                 total += p.eval_mp(tv) * mpmath.exp(tv * e2 / 2)

@@ -185,20 +185,20 @@ def _suite_thm37(n, args):
 @_suite("prop6.2", 7, "cumulants.Z_LIMIT")
 def _suite_prop62(n, args):
     from .cumulants import z_recursive
-    from .moments import haar_limit
+    from .moments import haar_cumulant
 
     for w in _all_words(n):
         # compared as polynomials, so a grade that is not constant fails
-        yield [(str(w), Poly((haar_limit(w),)), z_recursive(w).grade(0))]
+        yield [(str(w), Poly((haar_cumulant(w),)), z_recursive(w).grade(0))]
 
 
 @_suite("thm6.3", 7, "cumulants.Z_LIMIT")
 def _suite_thm63(n, args):
     from .cumulants import z_recursive
-    from .moments import haar_derivative
+    from .moments import haar_first_order
 
     for w in _all_words(n):
-        yield [(str(w), Poly((haar_derivative(w),)), z_recursive(w).grade(1))]
+        yield [(str(w), Poly((haar_first_order(w),)), z_recursive(w).grade(1))]
 
 
 @_suite("laplace-cross", 8, "verify.LAPLACE_LIMIT")

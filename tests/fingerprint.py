@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 
 from freeunitary import alternating, cumulants, laplace, moments, rdiag
 from freeunitary.cli import run
-from freeunitary.cli.common import _show
+from freeunitary.cli.commands import _show
 from freeunitary.cumulants import _canonical
 
 PATH = Path(__file__).with_name("fingerprint.json")

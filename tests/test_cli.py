@@ -246,7 +246,7 @@ def test_haar_reads_the_closed_forms_without_the_recursion(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, name", [("prop6.2", "haar_limit"), ("thm6.3", "haar_derivative")]
+    "suite, name", [("prop6.2", "haar_cumulant"), ("thm6.3", "haar_first_order")]
 )
 def test_haar_suites_catch_a_wrong_closed_form(suite, name, monkeypatch, capsys):
     from freeunitary import moments
@@ -812,52 +812,47 @@ watched = ("mpmath", "fractions", "decimal")
 print("loaded", *sorted(m for m in sys.modules if m.startswith("freeunitary.") or m in watched))
 """
 _BASE = ["freeunitary.cli", "freeunitary.errors"]
-_COMMON = "freeunitary.cli.common"  # the input readers and output helpers the commands share
+_COMMANDS_MODULE = "freeunitary.cli.commands"  # the subcommands, which every request loads
 _FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
 _RDIAG = ["freeunitary.moments", "freeunitary.ncpart", "freeunitary.qpoly", "freeunitary.rdiag"]
 _WORDS = ["freeunitary.cumulants", "freeunitary.moments", "freeunitary.ncpart", "freeunitary.qpoly"]
 _XI = [*_WORDS, "freeunitary.alternating"]
 _CLOSED = ["freeunitary.laplace", "freeunitary.moments", "freeunitary.qpoly"]
 # one request per subcommand, and the freeunitary modules its process loads
-# besides _BASE: its own command module first
+# besides _BASE and _COMMANDS_MODULE
 _FOOTPRINTS = {
-    "zpoly": (["zpoly", "1*1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    "xi": (["xi", "--n", "3"], ["freeunitary.cli.xi", _COMMON, *_XI]),
-    "special": (["special", "--k", "2", "--l", "1"], ["freeunitary.cli.special", _COMMON, *_CLOSED]),
-    "fcheck": (["fcheck", "--order", "2"], ["freeunitary.cli.fcheck", *_CLOSED]),
-    "pde-check": (["pde-check", "--n", "2"],
-                  ["freeunitary.cli.pde_check", *_XI, "mpmath", *_FRACTIONS]),
-    "haar": (["haar", "--word", "1*1*1"],
-             ["freeunitary.cli.haar", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
-    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"],
-              ["freeunitary.cli.alpha", _COMMON, *_RDIAG, *_FRACTIONS]),
+    "zpoly": (["zpoly", "1*1"], _WORDS),
+    "xi": (["xi", "--n", "3"], _XI),
+    "special": (["special", "--k", "2", "--l", "1"], _CLOSED),
+    "fcheck": (["fcheck", "--order", "2"], _CLOSED),
+    "pde-check": (["pde-check", "--n", "2"], [*_XI, "mpmath"]),
+    "haar": (["haar", "--word", "1*1*1"], ["freeunitary.moments", "freeunitary.qpoly"]),
+    "alpha": (["alpha", "--k", "2", "--q-cumulants", "q.json"], [*_RDIAG, *_FRACTIONS]),
     "beta": (["beta", "--k", "2", "--q-cumulants", "q.json", "--format", "json"],
-             ["freeunitary.cli.beta", _COMMON, *_RDIAG, *_FRACTIONS]),
-    "ncw": (["ncw", "--word", "1*1", "--format", "json"], ["freeunitary.cli.ncw", *_RDIAG]),
-    "nc": (["nc", "--n", "4"], ["freeunitary.cli.nc", "freeunitary.ncpart"]),
-    "moments": (["moments", "--word", "11"],
-                ["freeunitary.cli.moments", _COMMON, "freeunitary.moments", "freeunitary.qpoly"]),
-    "verify": (["verify", "--suite", "thm3.7"], ["freeunitary.cli.verify", *_WORDS, "freeunitary.verify"]),
+             [*_RDIAG, *_FRACTIONS]),
+    "ncw": (["ncw", "--word", "1*1", "--format", "json"], _RDIAG),
+    "nc": (["nc", "--n", "4"], ["freeunitary.ncpart"]),
+    "moments": (["moments", "--word", "11"], ["freeunitary.moments", "freeunitary.qpoly"]),
+    "verify": (["verify", "--suite", "thm3.7"], [*_WORDS, "freeunitary.verify"]),
 }
 # more requests, in the same form: the other output formats and cross-checks
-# of the value requests, --grade, --eval, nc reading a partition, and the
-# verify suite of the R-diagonal layer
+# of the value requests, --grade, --eval, nc reading a partition, the verify
+# suite of the R-diagonal layer and the two suites of the Haar closed forms
 _MORE_FOOTPRINTS = [
-    (["zpoly", "1*1", "--format", "json"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    (["zpoly", "1*1", "--format", "latex"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    (["zpoly", "1*1", "--grade", "1"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    (["zpoly", "1*1", "--method", "both"], ["freeunitary.cli.zpoly", _COMMON, *_WORDS]),
-    (["zpoly", "1*1", "--eval", "1/2"],
-     ["freeunitary.cli.zpoly", _COMMON, *_WORDS, "mpmath", *_FRACTIONS]),
-    (["xi", "--n", "3", "--method", "all"], ["freeunitary.cli.xi", _COMMON, *_XI]),
-    (["special", "--k", "2", "--l", "1", "--format", "json"],
-     ["freeunitary.cli.special", _COMMON, *_CLOSED]),
+    (["zpoly", "1*1", "--format", "json"], _WORDS),
+    (["zpoly", "1*1", "--format", "latex"], _WORDS),
+    (["zpoly", "1*1", "--grade", "1"], _WORDS),
+    (["zpoly", "1*1", "--method", "both"], _WORDS),
+    (["zpoly", "1*1", "--eval", "1/2"], [*_WORDS, "mpmath", *_FRACTIONS]),
+    (["xi", "--n", "3", "--method", "all"], _XI),
+    (["special", "--k", "2", "--l", "1", "--format", "json"], _CLOSED),
     (["beta", "--k", "2", "--method", "both", "--q-cumulants", "q.json"],
-     ["freeunitary.cli.beta", _COMMON, *_RDIAG, *_FRACTIONS]),
-    (["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"],
-     ["freeunitary.cli.nc", _COMMON, "freeunitary.ncpart"]),
+     [*_RDIAG, *_FRACTIONS]),
+    (["nc", "--n", "4", "--kreweras", "[[1,4],[2,3]]"], ["freeunitary.ncpart"]),
     (["verify", "--suite", "prop6.7-cross"],
-     ["freeunitary.cli.verify", "freeunitary.verify", *_RDIAG, *_FRACTIONS]),
+     ["freeunitary.verify", *_RDIAG, *_FRACTIONS]),
+    (["verify", "--suite", "prop6.2"], [*_WORDS, "freeunitary.verify"]),
+    (["verify", "--suite", "thm6.3"], [*_WORDS, "freeunitary.verify"]),
 ]
 
 
@@ -874,33 +869,33 @@ def test_cli_imports_only_the_layers_a_request_runs(in_q_dir):
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.splitlines()
         imported[request], loaded[request] = lines[0].split()[1:], lines[-1].split()[1:]
-    # importing the CLI loads no layer and no command module, and no json or fractions
+    # importing the CLI loads no layer and not the commands, and no json or fractions
     assert imported == {request: ["freeunitary", *_BASE] for request in requests}
-    # a request loads its own command module and no other
-    assert {request: [m for m in modules if m.startswith("freeunitary.cli.") and m != _COMMON]
-            for request, modules in loaded.items()} == {
-        request: [modules[0]] for request, (_, modules) in requests.items()}
-    assert loaded == {request: sorted([*_BASE, *modules])
+    # every request loads the commands and the layers it runs
+    assert loaded == {request: sorted([*_BASE, _COMMANDS_MODULE, *modules])
                       for request, (_, modules) in requests.items()}
     # a value prints from integers: zpoly, xi, special and moments in every
-    # format and cross-check, haar, ncw and nc load neither fractions nor
+    # format and cross-check, pde-check, haar, ncw, nc and the verify suites
+    # of the recursion and the Haar closed forms load neither fractions nor
     # decimal; a request that reads or prints a Fraction does
     fractions = {request for request, modules in loaded.items() if "fractions" in modules}
     assert {request for request, modules in loaded.items() if "decimal" in modules} == fractions
     assert not {request for request in loaded
-                if request.split()[0] in ("zpoly", "xi", "special", "moments", "nc", "haar", "ncw")
+                if request.split()[0] in ("zpoly", "xi", "special", "moments", "pde-check", "nc",
+                                          "haar", "ncw")
                 and "--eval" not in request} & fractions
+    assert not {"verify --suite thm3.7", "verify --suite prop6.2", "verify --suite thm6.3"} & fractions
     assert {"zpoly 1*1 --eval 1/2", "alpha --k 2 --q-cumulants q.json",
             "beta --k 2 --q-cumulants q.json --format json"} <= fractions
     # special builds its cumulant without the recursion
     assert "freeunitary.cumulants" not in loaded["special --k 2 --l 1"]
-    # python -m runs cli/__main__.py as __main__: a command module that
+    # python -m runs cli/__main__.py as __main__: a commands module that
     # imported freeunitary.cli.__main__ would run the dispatcher again
     argv, modules = _FOOTPRINTS["zpoly"]
     proc = subprocess.run([sys.executable, "-v", "-m", "freeunitary.cli", *argv],
                           env=env, capture_output=True, text=True, check=True)
     names = re.findall(r"^import '((?:freeunitary|mpmath)\b[^']*)'", proc.stderr, re.M)
-    assert sorted(names) == sorted(["freeunitary", *_BASE, *modules])
+    assert sorted(names) == sorted(["freeunitary", *_BASE, _COMMANDS_MODULE, *modules])
 
 
 def test_the_suite_names_live_in_verify(capsys):

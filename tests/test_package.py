@@ -191,7 +191,7 @@ def test_importing_a_module_loads_only_what_it_imports(name):
 
 
 # the layer modules; __init__ binds the layers on first use, and the verify
-# suites, like the CLI's command modules, import the layers each one runs
+# suites, like the CLI's handlers, import the layers each one runs
 LAYER_FILES = sorted(path.name for path in (SRC / "freeunitary").glob("*.py")
                      if path.name not in ("__init__.py", "verify.py"))
 
@@ -294,8 +294,10 @@ LOWER_BOUNDS = {
     "diag_cumulant": (lambda: _fu.diag_cumulant(0), "order must be >= 1, got 0"),
     "catalan": (lambda: _fu.catalan(-1), "catalan index must be >= 0, got -1"),
     "NCPartition.zero": (lambda: _fu.NCPartition.zero(0), "ground size must be >= 1, got 0"),
-    # the q-cumulants file is never opened: the refusal comes first
     "xi --n 0": (["xi", "--n", "0"], "--n must be >= 1, got 0"),
+    "pde-check --n 0": (["pde-check", "--n", "0"], "--n must be >= 1, got 0"),
+    # the q-cumulants file is never opened: the refusal comes first
+    "alpha --k 0": (["alpha", "--k", "0", "--q-cumulants", "absent.json"], "--k must be >= 1, got 0"),
     "beta --k 0": (["beta", "--k", "0", "--q-cumulants", "absent.json"], "--k must be >= 1, got 0"),
     "beta --k 0 --method enumeration": (
         ["beta", "--k", "0", "--q-cumulants", "absent.json", "--method", "enumeration"],
