@@ -6,7 +6,12 @@ freeunitary.verify.  Output on stdout is deterministic byte-for-byte for a
 fixed invocation, and under --format json it is exactly one JSON object;
 wall times go to stderr.  Exit codes: 0 success, 1 verification failure,
 2 usage or data error, 141 (128 + SIGPIPE) when the reader closes stdout
-early.
+early.  run(argv) is the in-process entry: it returns the exit code.
+main(), the console script and `python -m freeunitary.cli`, ends the
+process as soon as the output is flushed: the atexit callbacks run, but
+the interpreter does not tear down its modules and objects, which a
+one-shot request does not need.  Under a tracer, a profiler, a debugger
+or -i, main() exits normally, so they report after the run.
 
 This package holds the dispatcher.  The subcommands, and the readers and
 writers they share, are in freeunitary.cli.commands, which build_parser
@@ -21,6 +26,7 @@ run, so a patched cap applies.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -120,5 +126,35 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def _watched() -> bool:
+    """Whether a tracer, a profiler or a debugger watches this process, or
+    -i asks for a prompt after the run.  cProfile and coverage's tracer set
+    sys.setprofile or sys.settrace, or from 3.12 claim a sys.monitoring
+    tool; pdb drops its trace when it continues with no breakpoint, so a
+    loaded bdb, its base, counts."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile() or sys.flags.inspect or "bdb" in sys.modules
+                or monitoring and any(map(monitoring.get_tool, range(6))))  # tool ids 0-5
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the request of sys.argv and end the process with its exit code
+    once the output is flushed, skipping the interpreter's teardown of
+    every module and object, which a one-shot request does not need.  The
+    atexit callbacks still run, so a site hook such as coverage's saves its
+    data.  A tracer, a profiler, a debugger or -i reports after the run, so
+    under one main() exits normally."""
+    code = run(sys.argv[1:])
+    if _watched():
+        sys.exit(code)
+    atexit._run_exitfuncs()  # before the flush, as the interpreter runs them
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # as in run(): the reader closed stdout
+        code = 141
+    except OSError as exc:  # a full disk, say, which run() reports if its flush saw it
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    os._exit(code)

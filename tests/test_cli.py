@@ -1131,6 +1131,74 @@ def test_a_word_past_the_recursion_depth_exits_2_without_a_traceback():
     assert re.fullmatch(r"error: word length 2001 [^\n]*\n", proc.stderr)
 
 
+# main() ends the process once its output is flushed, with no teardown, so
+# each test of it runs a fresh child: main() must not run in the test process.
+def _child(*args: str, stdin: str = "", stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, so a lost flush shows
+    return subprocess.run([sys.executable, *args], env=env, input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def test_main_runs_the_atexit_callbacks():
+    code = ("import atexit; atexit.register(print, 'atexit ran'); "
+            "from freeunitary.cli import main; main()")
+    proc = _child("-c", code, "zpoly", "1*")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 - y^2\natexit ran\n", "")
+
+
+@pytest.mark.parametrize("watcher,stdin,report", [
+    (["-m", "cProfile"], "", "function calls"),
+    (["-m", "pdb"], "continue\n", "The program exited via sys.exit()"),
+    (["-i"], "", ">>> "),  # the prompt, on stderr
+], ids=["cProfile", "pdb", "python -i"])
+def test_main_exits_normally_when_watched(watcher, stdin, report):
+    # each reports after main() returns, so main() must return
+    proc = _child(*watcher, "-m", "freeunitary.cli", "zpoly", "1*1*", stdin=stdin)
+    assert proc.returncode == 0
+    _, value, after = proc.stdout.partition("-1 + 4y^2 - (2x+3)y^4\n")
+    assert value
+    assert report in after + proc.stderr
+
+
+def test_main_delivers_every_line_to_a_reader_that_reads_to_eof(capsys):
+    # about 570 KB, many times a pipe's buffer
+    proc = _child("-m", "freeunitary.cli", "nc", "--n", "10", "--list")
+    assert run(["nc", "--n", "10", "--list"]) == 0
+    want, _ = _capture(capsys)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 16796
+    assert proc.stdout == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["zpoly", "1*"], ["--help"]])
+def test_main_reports_a_full_disk_once(argv):
+    # run() reports the failed flush of a value, main() that of the help,
+    # which run() leaves unflushed
+    with open("/dev/full", "w") as full:
+        proc = _child("-m", "freeunitary.cli", *argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_main_writes_the_suite_timing_to_stderr():
+    proc = _child("-m", "freeunitary.cli", "verify", "--suite", "thm3.7")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "1/1 suites passed"
+    assert re.fullmatch(r"suite thm3\.7: \d+\.\d\ds\n", proc.stderr)
+
+
+def test_main_exits_1_on_an_inconsistent_cross_check():
+    code = ("from types import SimpleNamespace; from freeunitary import cumulants; "
+            "real = cumulants.z_mobius; "
+            "cumulants.z_mobius = lambda w: SimpleNamespace(value=real(w).value + 1); "
+            "from freeunitary.cli import main; main()")
+    proc = _child("-c", code, "zpoly", "1*1*", "--method", "both")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines()[-1] == "INCONSISTENT"
+
+
 # One sample input for every subcommand that takes --format, and the choices
 # it offers; latex only where a LaTeX form exists.
 _SAMPLE_Q = ["1/2", "1/3", "-1/4", "2/5", "1/6", "0"]
