@@ -29,6 +29,7 @@ import argparse
 import atexit
 import os
 import sys
+from collections.abc import Sequence
 
 from ..errors import InsufficientDataError, SizeError, StructureError
 

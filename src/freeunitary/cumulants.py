@@ -13,16 +13,21 @@ over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
 The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
-Z[t, y], each K one flat row of qpoly, so that the cuts of a word are
-one call of qpoly._row_products, the kernel that the xi and lambda
-recursions share.  No denominator or gcd enters until the top word's row
-is read back (_recursive_value gives the proof and the base; the memo
-keeps one dict of plain rows per base).  Its states are integer keys
-(_key), one bit per letter under a sentinel bit, so the two pieces of a
-cut are a shift and a mask, and the least rotation and the canonical key
-under rotation, reversal and swap are bit operations over the run starts
-(_rotations, _canonical); canonical_word and the Moebius memo read the
-same key.
+Z[t, y], each K one row of qpoly, so that the cuts of a word are one
+call of qpoly._row_products, the kernel that the xi and lambda
+recursions share.  A word that switches often has packed rows: one
+entry per grade, its t-polynomial evaluated at 2^W (Kronecker
+substitution), so that a cut multiplies one big integer per pair of
+grades.  A word with long runs keeps flat rows, one entry per
+coefficient, since its coefficients range from small to n^(n-1) and
+fixed-width slots waste digits.  No denominator or gcd enters until the
+top word's row is read back (_recursive_value gives the proof, the
+layout rule and the memo; _slot_width the bound behind W).  Its states
+are integer keys (_key), one bit per letter under a sentinel bit, so the
+two pieces of a cut are a shift and a mask, and the least rotation and
+the canonical key under rotation, reversal and swap are bit operations
+over the run starts (_rotations, _canonical); canonical_word and the
+Moebius memo read the same key.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
@@ -37,6 +42,7 @@ recursion's grades.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 from typing import Union
 
@@ -46,6 +52,7 @@ from .ncpart import _weight_table, block_sum
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
+PACK_SWITCHES = 8  # a word of n letters with s cyclic switches has packed rows when 8 s > n
 
 
 def canonical_word(w: Union[Word, str]) -> Word:
@@ -127,7 +134,7 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
 
 
 _MOBIUS_MEMO: dict[int, QuasiPoly] = {}  # _canonical key -> value on the orbit
-_RECURSIVE_MEMO: dict[int, dict[int, Row]] = {}  # base B -> {_key: row}
+_RECURSIVE_MEMO: dict[tuple[str, int], dict[int, Row]] = {}  # (layout, bucket) -> {_key: row}
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
@@ -158,27 +165,68 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     2 - 2y^2.  So by induction every K lies in Z[t, y].
 
     Its y-powers are |w| - 2j, 0 <= j <= |w|/2, and its t-degree is below
-    |w|: grade j of its flat row is y^(|w|-2j).  Each call sets the base B
-    to the least power of two at or above |w|, and at least 16; no piece of
-    the word is longer, so the t-powers of a product stay below B.  Each
-    base has its own dict of rows in _RECURSIVE_MEMO, probed here with the
-    key as given.  The row is read back over |w|!.  A word whose recursion
-    passes Python's depth limit is refused with SizeError.
+    |w|.  The layout of the rows is read off the word: with s cyclic
+    switches and n letters, PACK_SWITCHES * s > n packs them.  On the
+    words measured, every word with s >= n/4 ran faster packed, and the
+    two-run and long-run words with s <= n/8 up to 12 times as fast flat
+    (1^60 *^60), whose one-run pieces are monomials with many empty slots.
+    - A flat row holds the coefficient of t^i y^(|w|-2j) at j*B + i, B the
+      least power of two at or above |w|, and at least 16; no piece of
+      the word is longer, so the t-powers of a product stay below B.
+    - A packed row holds grade j, y^(|w|-2j), as the entry (j, P_j), P_j
+      its t-polynomial at 2^W, W = _slot_width(m) for the bucket m, |w|
+      rounded up to a multiple of 8, and at least 16.  Evaluation at 2^W
+      is a ring map, so the products and sums of _row_products are exact,
+      and every coefficient of every piece is below 2^(W-1), so the
+      signed slots of qpoly._readback recover it, and a grade is 0
+      exactly when P_j is.
+    Each layout and bucket (B or m) has its own dict of rows in
+    _RECURSIVE_MEMO, probed here with the key as given.  The row is read
+    back over |w|!.  A word whose recursion passes Python's depth limit is
+    refused with SizeError.
     """
     n = len(letters)
-    base = max(16, 1 << (n - 1).bit_length())
-    memo, key = _RECURSIVE_MEMO.setdefault(base, {}), _key(letters)
+    key = _key(letters)
+    v = key ^ 1 << n  # the letter bits; v xor its rotation by one marks each switch
+    if (v ^ (v >> 1 | (v & 1) << (n - 1))).bit_count() * PACK_SWITCHES > n:
+        bucket = max(16, -(-n // 8) * 8)
+        base, slot, memo = 1, _slot_width(bucket), _RECURSIVE_MEMO.setdefault(("packed", bucket), {})
+    else:
+        base = max(16, 1 << (n - 1).bit_length())
+        slot, memo = 0, _RECURSIVE_MEMO.setdefault(("flat", base), {})
     try:
-        row = memo.get(key) or _scaled_row(key, base, memo)
+        row = memo.get(key) or _scaled_row(key, base, slot, memo)
     except RecursionError:
         raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
-    return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})")
+    return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})", slot)
 
 
-def _scaled_row(key: int, base: int, memo: dict[int, Row]) -> Row:
-    """The row of K(w) = |w|! kappa(w) in base B, memoised in memo, the dict
-    of that base (see _recursive_value); key is the word's _key, which the
-    caller has probed.
+@lru_cache(maxsize=None)
+def _slot_width(bucket: int) -> int:
+    """The slot width W of the packed rows of words of up to bucket letters:
+    bitlen(F(bucket)) + 2, with F(1) = 1 and
+    F(n) = max(n^(n-1), 4, sum_s C(n, s) F(n-s) F(s)).
+
+    F(|w|) bounds the sum of the |coefficients| of K(w): the leaves have
+    n^(n-1) (1^n) and 4 (1*), a cut sums C(n, s) K(prefix) K(suffix)
+    over s, and the sum of a product's |coefficients| is at most the
+    product of the two sums.  F grows with n, so every piece of a word
+    in the bucket has each |coefficient| below 2^(W-2).  The bound is
+    close: F(16) has 72 bits, and the largest coefficient of K(w) over 300
+    random 16-letter words 68.
+    """
+    bound = [0, 1]
+    for n in range(2, bucket + 1):
+        bound.append(max(n ** (n - 1), 4, sum([comb(n, s) * bound[n - s] * bound[s] for s in range(1, n)])))
+    return bound[bucket].bit_length() + 2
+
+
+def _scaled_row(key: int, base: int, slot: int, memo: dict[int, Row]) -> Row:
+    """The row of K(w) = |w|! kappa(w), memoised in memo, the dict of its
+    layout and bucket (see _recursive_value): flat in base B = base when
+    slot is 0, else packed in slots of W = slot bits (and base 1, the
+    stride of a grade).  key is the word's _key, which the caller has
+    probed.
 
     The word is cut at the least of its rotations that start with 1 and
     end with * (the least key, so at the shortest run of 1s).  Any such
@@ -211,9 +259,10 @@ def _scaled_row(key: int, base: int, memo: dict[int, Row]) -> Row:
         row = memo.get(canon)
     if row is None:
         if canon & 1:  # only the all-ones key ends with 1
-            row = ((n - 1, (-n) ** (n - 1)),)
+            c = (-n) ** (n - 1)
+            row = ((0, c << slot * (n - 1)),) if slot else ((n - 1, c),)
         elif n == 2:
-            row = ((0, -2), (base, 2))  # 2! (1 - y^2)
+            row = ((0, -2), (base, 2))  # 2! (1 - y^2) in either layout
         else:
             # the least cut rotation, cut into a prefix of n - s letters and
             # a suffix of s: two pieces in one orbit share one memo row, a
@@ -221,9 +270,9 @@ def _scaled_row(key: int, base: int, memo: dict[int, Row]) -> Row:
             cuts = []
             for s in range(n - 1, 0, -1):
                 head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
-                cuts.append((memo.get(head) or _scaled_row(head, base, memo),
-                             memo.get(tail) or _scaled_row(tail, base, memo), -comb(n, s)))
-            row = _sparse(_row_products(cuts, (n // 2) * base + n))
+                cuts.append((memo.get(head) or _scaled_row(head, base, slot, memo),
+                             memo.get(tail) or _scaled_row(tail, base, slot, memo), -comb(n, s)))
+            row = _sparse(_row_products(cuts, (n // 2) * base + (1 if slot else n)))
         memo[canon] = row
     memo[rot] = memo[key] = row
     return row

@@ -31,8 +31,15 @@ The integer recursions of ``cumulants`` and ``alternating`` hold each
 value as one flat ``Row`` of (index, coefficient) pairs, nonzero only,
 with the integer coefficient of t^i at grade j at index j*B + i.  The
 caller picks the base B above every t-degree its products reach, so a
-product's index is the sum of the two with no carry.  ``_sparse`` makes
-a row of a dense list, ``_row_products`` is the one product loop and
+product's index is the sum of the two with no carry.  The word
+recursion of ``cumulants`` may pack its rows instead: one entry (j, P_j)
+per nonzero grade, P_j = sum_i c_i 2^(W i) the grade's t-polynomial at
+2^W (Kronecker substitution), so the same loop multiplies one big
+integer per pair of grades.  Evaluation at 2^W is a ring map, so the
+packed sums and products are exact; the caller picks W from a bound on
+the coefficients (``cumulants._slot_width``), and ``_readback`` recovers
+each c_i as a signed slot below 2^(W-1) in size.  ``_sparse`` makes a
+row of a dense list, ``_row_products`` is the one product loop and
 ``_readback`` the one way back, over the caller's denominator.
 ``Poly.__mul__`` multiplies the rows of two numerator tuples, and
 ``sum_of_products`` lays each factor out as one row over its
@@ -48,7 +55,7 @@ from typing import Callable, Iterable, Union
 from .errors import Frozen, StructureError, check_at_least
 
 Rat = Union[int, "Fraction"]
-Row = tuple[tuple[int, int], ...]  # (index, integer coefficient), see the module docstring
+Row = tuple[tuple[int, int], ...]  # (index, integer coefficient or packed grade), see the module docstring
 
 
 def _is_rational(v) -> bool:
@@ -461,19 +468,25 @@ def _sparse(dense: Iterable[int]) -> Row:
 
 
 def _readback(
-    row: Row, base: int, den: int, e0: int, step: int, width: Callable[[int], int], name: str
+    row: Row, base: int, den: int, e0: int, step: int, width: Callable[[int], int], name: str,
+    slot: int = 0,
 ) -> QuasiPoly:
     """The QuasiPoly row / den of a flat row in base B = base: the entry at
     j*B + i is the coefficient of t^i at exp2 = e0 + step*j.  The row is
     scattered once into a dense list, and grade j is read as one slice of
-    it.  Grade j has t-degree below width(j); an entry at or past it does
-    not fit the layout and is refused, naming the value name."""
-    dense = [0] * (max(row)[0] + 1 if row else 0)
-    for p, v in row:
-        dense[p] = v
+    it.  With slot = W > 0 the row is packed instead: its entry (j, P)
+    holds grade j as P = sum_i c_i 2^(W i), read back by _slots.  Grade j
+    has t-degree below width(j); an entry at or past it does not fit the
+    layout and is refused, naming the value name."""
+    if slot:
+        rows = [(j, _slots(v, slot)) for j, v in row]
+    else:
+        dense = [0] * (max(row)[0] + 1 if row else 0)
+        for p, v in row:
+            dense[p] = v
+        rows = [(lo // base, dense[lo : lo + base]) for lo in range(0, len(dense), base)]
     grades = {}
-    for lo in range(0, len(dense), base):
-        j, nums = lo // base, dense[lo : lo + base]
+    for j, nums in rows:
         w = width(j)
         if any(nums[w:]):
             i = w
@@ -482,6 +495,18 @@ def _readback(
             raise StructureError(f"{name} carries t-degree {i} at exp2={e0 + step * j}")
         grades[e0 + step * j] = (nums[:w], den)
     return from_rows(grades)
+
+
+def _slots(v: int, slot: int) -> list[int]:
+    """The signed digits c_i of v = sum_i c_i 2^(W i), W = slot, lowest first,
+    each in [-2^(W-1), 2^(W-1)): the coefficients of a packed grade whose
+    |coefficients| are all below 2^(W-1), which they determine uniquely."""
+    half, mask, out = 1 << slot - 1, (1 << slot) - 1, []
+    while v:
+        c = (v + half & mask) - half
+        out.append(c)
+        v = (v - c) >> slot
+    return out
 
 
 def _quasi(terms: Iterable[tuple[int, Poly]]) -> QuasiPoly:

@@ -24,8 +24,9 @@ from freeunitary import (
     z_mobius,
     z_recursive,
 )
-from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _rotations
+from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _rotations, _slot_width
 from freeunitary.moments import diag_cumulant
+from freeunitary.qpoly import _slots
 from oracles import (
     canonical_letters,
     first_boundary_value,
@@ -284,61 +285,80 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
         assert z_recursive(w).value == want[w]
 
 
+# PACK_SWITCHES values that force each layout of the word recursion's
+# rows on every word that is not constant
+LAYOUTS = {"flat": 0, "packed": 1 << 30}
+
+
+def _in_layout(monkeypatch, layout, words):
+    """The values of z_recursive on the words with their rows in the given
+    layout, from one fresh memo."""
+    from freeunitary import cumulants
+
+    monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+    return [z_recursive(w).value for w in words]
+
+
 def test_recursive_memo_aliases_are_exact(monkeypatch):
     # the recursion probes its memo with the key of the letters as given and
     # stores each value under it as well as under the canonical key; words
-    # of 9 to 14 letters all keep their rows in the dict of base 16
+    # of 9 to 14 letters all keep their rows in the dict of bucket 16, in
+    # either layout
     from freeunitary import cumulants
 
-    rng = random.Random(20140)
-    for n in range(9, 15):
-        w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
-        variants = [rotate(w, r) for r in range(1, n)] + [reverse(w), swap(w)]
-        rng.shuffle(variants)
-        memo = {}
-        monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
-        want = z_recursive(w).value
-        for v in variants:
-            assert z_recursive(v).value == want
-            assert _key(v.letters) in memo[16]
-        assert list(memo) == [16]
-        for key, row in list(memo[16].items()):
-            fresh = {}
-            monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
-            z_recursive(_word_of(key))
-            assert fresh[16][key] == row
+    for layout in LAYOUTS:
+        monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+        rng = random.Random(20140)
+        for n in range(9, 15):
+            w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
+            variants = [rotate(w, r) for r in range(1, n)] + [reverse(w), swap(w)]
+            rng.shuffle(variants)
+            memo = {}
+            monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+            want = z_recursive(w).value
+            for v in variants:
+                assert z_recursive(v).value == want
+                assert _key(v.letters) in memo[layout, 16]
+            assert list(memo) == [(layout, 16)]
+            for key, row in list(memo[layout, 16].items()):
+                if layout == "packed" and _canonical(key) & 1:
+                    continue  # a constant word alone has flat rows
+                fresh = {}
+                monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
+                z_recursive(_word_of(key))
+                assert fresh[layout, 16][key] == row
 
 
 def test_least_rotation_cut_matches_the_first_boundary_oracle(monkeypatch):
-    # past Z_LIMIT the recursion is checked against itself cut at the
-    # first wrap pair, every rotation giving the same value
-    from freeunitary import cumulants
-
+    # past Z_LIMIT the recursion, in either layout, is checked against
+    # itself cut at the first wrap pair, every rotation giving the same value
     rng = random.Random(20141)
     words = [tuple(rng.choice((1, -1)) for _ in range(n)) for n in range(13, 19) for _ in range(4)]
     words += [Word.parse("1*" * 9).letters, Word.parse("1*" * 8 + "1").letters]
     memo = {}
-    for w in words:
-        monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-        assert z_recursive(Word(w)).value == first_boundary_value(w, memo)
+    want = [first_boundary_value(w, memo) for w in words]
+    for layout in LAYOUTS:
+        assert _in_layout(monkeypatch, layout, map(Word, words)) == want
 
 
 def test_long_suffix_star_words_match_the_laplace_closed_form(monkeypatch):
-    # words past the smallest row base, 16, up to base 128
+    # two-run words keep flat rows, in bases past the smallest, 16, up to 128
     from freeunitary import cumulants
 
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     for k in (15, 16, 40, 63, 64, 65, 100):
         assert z_recursive("1" * k + "*").value == suffix_star_cumulant(k)
-    assert sorted(memo) == [16, 32, 64, 128]
-    assert _key(Word.parse("1" * 100 + "*").letters) in memo[128]
+    assert sorted(memo) == [("flat", 16), ("flat", 32), ("flat", 64), ("flat", 128)]
+    assert _key(Word.parse("1" * 100 + "*").letters) in memo["flat", 128]
 
 
 def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
-    # after 1^100 *, whose rows are in base 128, a 16-letter word has the same
-    # value and fills only the dict of base 16, as it does alone, though
-    # some of its states are in the dict of base 128
+    # after 1^100 *, whose rows are flat in base 128, a 16-letter word with
+    # 12 switches has the same value and fills only the dict of its packed
+    # bucket, 16, as it does alone, though some of its states are in the
+    # dict of base 128
     from freeunitary import cumulants
 
     short = "11*1**1*1*11**1*"
@@ -348,21 +368,79 @@ def test_each_word_lays_its_rows_out_in_its_own_base(monkeypatch):
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     z_recursive("1" * 100 + "*")
-    long_rows = dict(memo[128])
-    assert list(memo) == [128] and alone[16].keys() & long_rows.keys()
+    long_rows = dict(memo["flat", 128])
+    assert list(memo) == [("flat", 128)] and alone["packed", 16].keys() & long_rows.keys()
     assert z_recursive(short).value == want
-    assert sorted(memo) == [16, 128]
-    assert memo[16] == alone[16] and memo[128] == long_rows
+    assert sorted(memo) == [("flat", 128), ("packed", 16)]
+    assert memo["packed", 16] == alone["packed", 16] and memo["flat", 128] == long_rows
 
 
 def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
-    # a t-power |w| does not fit the row of K(w), whose t-degree is below |w|
+    # a t-power |w| does not fit the row of K(w), whose t-degree is below |w|:
+    # 2 + t^3 at y^3, flat in base 16 or in one packed grade
     from freeunitary import cumulants
 
-    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
-    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base, memo: ((0, 2), (3, 1)))
-    with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
-        z_recursive("1*1")
+    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base, slot, memo:
+                        ((0, 2 + (1 << 3 * slot)),) if slot else ((0, 2), (3, 1)))
+    for layout in LAYOUTS:
+        monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+        monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+        with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
+            z_recursive("1*1")
+        assert list(cumulants._RECURSIVE_MEMO) == [(layout, 16)]
+
+
+@pytest.mark.parametrize("slot", [74, 126, 183, 242])
+def test_signed_slots_round_trip(slot):
+    # each slot holds a coefficient in [-2^(W-1), 2^(W-1)); a borrow from a
+    # negative slot below must not leak into the one above
+    top = (1 << slot - 1) - 1
+    for coeffs in ([top], [-top], [0, top], [-top, 0, 0, top], [top, -top, -1, 1, 0, -top],
+                   [-(1 << slot - 1), 1], [1, -1] * 20, [5, 0, -top, 0, 0, 7]):
+        packed = sum(c << slot * i for i, c in enumerate(coeffs))
+        assert _slots(packed, slot) == coeffs
+    assert _slots(0, slot) == []
+
+
+def test_the_slot_width_bounds_every_coefficient(monkeypatch):
+    # W is pinned per bucket, so that it cannot grow unnoticed, and its
+    # bound F(n) < 2^(W(n)-2) covers the coefficients of K(w) on every word
+    # of up to 12 letters (read off the flat rows, one coefficient an entry)
+    # and on 1^m, (-m)^(m-1) t^(m-1) y^m, at each bucket's largest m
+    from freeunitary import cumulants
+
+    assert [_slot_width(m) for m in (16, 24, 32, 40)] == [74, 126, 183, 242]
+    for m in range(16, 129, 8):
+        assert m ** (m - 1) < 1 << _slot_width(m) - 2
+    monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS["flat"])
+    memo = {}
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
+    for n in range(1, 13):
+        for w in _all_words(n):
+            z_recursive(w)
+    (rows,) = memo.values()
+    assert len({key.bit_length() for key in rows}) == 12
+    for key, row in rows.items():
+        bound = 1 << _slot_width(key.bit_length() - 1) - 2
+        assert all(abs(c) < bound for _, c in row)
+
+
+def test_packed_and_flat_rows_give_the_same_values(monkeypatch):
+    # every word of up to 12 letters, seeded words of 13 to 30 letters, and
+    # words on both sides of the layout rule, 8 s > n
+    from freeunitary import cumulants
+
+    words = [w for n in range(1, 13) for w in _all_words(n)]
+    rng = random.Random(20143)
+    words += [Word(tuple(rng.choice((1, -1)) for _ in range(n))) for n in range(13, 31, 3)]
+    words += [Word.parse(w) for w in ("1" * 12 + "*" * 12, "111111******111111******",
+                                      "1" * 20 + "*1*1*" + "*" * 10, "1" * 60 + "*1*")]
+    sides = {switch_number(w) * cumulants.PACK_SWITCHES > w.n for w in words[-4:]}
+    assert sides == {False, True}
+    flat = _in_layout(monkeypatch, "flat", words)
+    assert _in_layout(monkeypatch, "packed", words) == flat
+    monkeypatch.undo()
+    assert [z_recursive(w).value for w in words[-4:]] == flat[-4:]
 
 
 @pytest.mark.parametrize(
@@ -372,7 +450,8 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
 )
 def test_least_rotation_cut_bounds_the_states(text, most, exact, monkeypatch):
     # states and memo entries (up to three aliases a state) in the one dict
-    # of the word's base, 32
+    # of the word's layout and bucket, 32: packed for the first two, flat
+    # for the last
     from freeunitary import cumulants
 
     entries = {"1*" * 15: 760, "1*" * 12 + "1": 585, "1" * 29 + "*": 59}[text]

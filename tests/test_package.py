@@ -1,11 +1,14 @@
 """The package namespace: public names and layers bound on first use."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,41 @@ def test_importing_a_module_loads_only_what_it_imports(name):
     want = set()
     _load_closure(name, want)
     assert _fresh(code) == sorted(want)
+
+
+def _public_callables(module):
+    """The public functions of a module, and the public methods, properties
+    and __init__ of its public classes, each by its qualified name."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_annotation_resolves(name):
+    # annotations are strings (from __future__ import annotations), so a
+    # name that is imported only where it is used fails here, not at
+    # import; Fraction and mpmath are deferred on purpose, so that integer
+    # values load neither
+    from fractions import Fraction
+
+    import mpmath
+
+    module = importlib.import_module(name)
+    for qualname, func in _public_callables(module):
+        try:
+            typing.get_type_hints(func, localns={"Fraction": Fraction, "mpmath": mpmath})
+        except NameError as e:
+            pytest.fail(f"{name}.{qualname}: {e}")
 
 
 # the layer modules; __init__ binds the layers on first use, and the verify
