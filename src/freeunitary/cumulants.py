@@ -12,22 +12,24 @@ gives the same value, and this one visits far fewer states than the first
 over non-crossing partitions weighted by word moments, capped at Z_LIMIT
 letters.
 
-The recursion runs on integers: on K(w) = |w|! kappa(w), which lies in
-Z[t, y], each K one row of qpoly, so that the cuts of a word are one
-call of qpoly._row_products, the kernel that the xi and lambda
-recursions share.  A word that switches often has packed rows: one
-entry per grade, its t-polynomial evaluated at 2^W (Kronecker
-substitution), so that a cut multiplies one big integer per pair of
-grades.  A word with long runs keeps flat rows, one entry per
-coefficient, since its coefficients range from small to n^(n-1) and
-fixed-width slots waste digits.  No denominator or gcd enters until the
-top word's row is read back (_recursive_value gives the proof, the
-layout rule and the memo; _slot_width the bound behind W).  Its states
-are integer keys (_key), one bit per letter under a sentinel bit, so the
-two pieces of a cut are a shift and a mask, and the least rotation and
-the canonical key under rotation, reversal and swap are bit operations
-over the run starts (_rotations, _canonical); canonical_word and the
-Moebius memo read the same key.
+The recursion runs on integers, on K(w) = |w|! kappa(w), which lies in
+Z[t, y].  One walk (_walk) chooses the states, which are integer keys
+(_key), one bit per letter under a sentinel bit, so the two pieces
+of a cut are a shift and a mask, and the least rotation and the
+canonical key under rotation, reversal and swap are bit operations over
+the run starts (_rotations, _canonical); canonical_word and the Moebius
+memo read the same key.  What a state holds is the walk's ring, which
+gives the row of 1^n, the row of 1*, the combine of one state's cuts
+(one call of qpoly._row_products, the kernel that the xi and lambda
+recursions share) and the readback of the top word over |w|!.  Each of
+the two rings owns its format.  _Flat holds qpoly's flat rows, one entry
+per coefficient; _Packed one entry per grade, its t-polynomial at 2^W
+(Kronecker substitution), so that a cut multiplies one big integer per
+pair of grades.  A word that switches often is packed; a word with long
+runs stays flat, since its coefficients range from small to n^(n-1) and
+fixed-width slots waste digits (_recursive_value gives the proof, the
+layout rule and _RECURSIVE_MEMO, one dict of rows per ring).  No
+denominator or gcd enters until the top word's row is read back.
 
 The Moebius sum makes one pass over NC(|w|) that only adds integer
 weights, grouped by the multiset of block excesses (ncpart.block_sum);
@@ -134,7 +136,7 @@ def _mobius_value(letters: Letters) -> QuasiPoly:
 
 
 _MOBIUS_MEMO: dict[int, QuasiPoly] = {}  # _canonical key -> value on the orbit
-_RECURSIVE_MEMO: dict[tuple[str, int], dict[int, Row]] = {}  # (layout, bucket) -> {_key: row}
+_RECURSIVE_MEMO: dict[tuple[str, int], dict[int, Row]] = {}  # one dict per ring: (layout, bucket) -> {_key: row}
 
 
 def z_mobius(w: Union[Word, str]) -> ZPolynomial:
@@ -158,47 +160,94 @@ def z_recursive(w: Union[Word, str]) -> ZPolynomial:
 def _recursive_value(letters: Letters) -> QuasiPoly:
     """Cumulant of the letters by the concatenation recursion, memoised.
 
-    The recursion (_scaled_row) runs on K(w) = |w|! kappa(w).  Multiplying
+    The recursion (_walk) runs on K(w) = |w|! kappa(w).  Multiplying
     kappa(w) = -sum_m kappa(w[:m]) kappa(w[m:]) by |w|! gives
     K(w) = -sum_m C(|w|, m) K(w[:m]) K(w[m:]), and the leaves are integral:
     n! diag_cumulant(n) = (-n)^(n-1) t^(n-1) y^n and 2! kappa(1*) =
-    2 - 2y^2.  So by induction every K lies in Z[t, y].
+    2 - 2y^2.  So by induction every K lies in Z[t, y], with y-powers
+    |w| - 2j, 0 <= j <= |w|/2, and t-degree below |w|.
 
-    Its y-powers are |w| - 2j, 0 <= j <= |w|/2, and its t-degree is below
-    |w|.  The layout of the rows is read off the word: with s cyclic
-    switches and n letters, PACK_SWITCHES * s > n packs them.  On the
-    words measured, every word with s >= n/4 ran faster packed, and the
-    two-run and long-run words with s <= n/8 up to 12 times as fast flat
-    (1^60 *^60), whose one-run pieces are monomials with many empty slots.
-    - A flat row holds the coefficient of t^i y^(|w|-2j) at j*B + i, B the
-      least power of two at or above |w|, and at least 16; no piece of
-      the word is longer, so the t-powers of a product stay below B.
-    - A packed row holds grade j, y^(|w|-2j), as the entry (j, P_j), P_j
-      its t-polynomial at 2^W, W = _slot_width(m) for the bucket m, |w|
-      rounded up to a multiple of 8, and at least 16.  Evaluation at 2^W
-      is a ring map, so the products and sums of _row_products are exact,
-      and every coefficient of every piece is below 2^(W-1), so the
-      signed slots of qpoly._readback recover it, and a grade is 0
-      exactly when P_j is.
-    Each layout and bucket (B or m) has its own dict of rows in
-    _RECURSIVE_MEMO, probed here with the key as given.  The row is read
-    back over |w|!.  A word whose recursion passes Python's depth limit is
-    refused with SizeError.
+    The ring of the rows is read off the word: with s cyclic switches and
+    n letters, PACK_SWITCHES * s > n takes packed grades (_Packed, in the
+    bucket of n rounded up to a multiple of 8, at least 16), and any other
+    word flat rows (_Flat, in base B, the least power of two at or above
+    n, at least 16).  On the words measured, every word with s >= n/4 ran
+    faster packed, and the two-run and long-run words with s <= n/8 up to
+    12 times as fast flat (1^60 *^60), whose one-run pieces are monomials
+    with many empty slots.  Each ring (layout and bucket or base) has its
+    own dict of rows in _RECURSIVE_MEMO, probed here with the key as
+    given, and reads the top row back over |w|!; a ring holds no row.  A
+    word whose recursion passes Python's depth limit is refused with
+    SizeError.
     """
     n = len(letters)
     key = _key(letters)
     v = key ^ 1 << n  # the letter bits; v xor its rotation by one marks each switch
     if (v ^ (v >> 1 | (v & 1) << (n - 1))).bit_count() * PACK_SWITCHES > n:
         bucket = max(16, -(-n // 8) * 8)
-        base, slot, memo = 1, _slot_width(bucket), _RECURSIVE_MEMO.setdefault(("packed", bucket), {})
+        ring, memo = _Packed(_slot_width(bucket)), _RECURSIVE_MEMO.setdefault(("packed", bucket), {})
     else:
         base = max(16, 1 << (n - 1).bit_length())
-        slot, memo = 0, _RECURSIVE_MEMO.setdefault(("flat", base), {})
+        ring, memo = _Flat(base), _RECURSIVE_MEMO.setdefault(("flat", base), {})
     try:
-        row = memo.get(key) or _scaled_row(key, base, slot, memo)
+        row = memo.get(key) or _walk(key, memo, ring)
     except RecursionError:
         raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
-    return _readback(row, base, factorial(n), -n, 2, lambda j: n, f"kappa({Word(letters)})", slot)
+    return ring.readback(row, n, f"kappa({Word(letters)})")
+
+
+class _Flat:
+    """Flat rows in base B: the coefficient of t^i y^(n-2j) of K(w) at
+    j*B + i (qpoly's row format).  No piece of the word is longer than B,
+    so the t-powers of a product stay below B."""
+
+    def __init__(self, base: int):
+        self.base, self.pair = base, ((0, -2), (base, 2))  # 2! (1 - y^2)
+
+    def ones(self, n: int) -> Row:
+        return ((n - 1, (-n) ** (n - 1)),)
+
+    def combine(self, cuts: list, n: int) -> Row:
+        return _sparse(_row_products(cuts, (n // 2) * self.base + n))
+
+    def readback(self, row: Row, n: int, name: str) -> QuasiPoly:
+        return _readback(row, self.base, factorial(n), -n, 2, lambda j: n, name)
+
+
+class _Packed:
+    """Packed grades in W-bit slots: grade j of K(w), y^(n-2j), as the entry
+    (j, P_j), P_j its t-polynomial at 2^W (Kronecker substitution).  That is
+    a ring map, so _row_products is exact, and every coefficient of every
+    piece is below 2^(W-2) (_slot_width), so the signed slots recover it,
+    and a grade is 0 exactly when P_j is."""
+
+    pair = ((0, -2), (1, 2))  # 2! (1 - y^2)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+    def ones(self, n: int) -> Row:
+        return ((0, (-n) ** (n - 1) << self.slot * (n - 1)),)
+
+    def combine(self, cuts: list, n: int) -> Row:
+        return _sparse(_row_products(cuts, n // 2 + 1))
+
+    def slots(self, v: int) -> list[int]:
+        """The signed slots c_i of v = sum_i c_i 2^(W i), lowest first, each
+        in [-2^(W-1), 2^(W-1)), which determine them uniquely."""
+        half, mask, out = 1 << self.slot - 1, (1 << self.slot) - 1, []
+        while v:
+            c = (v + half & mask) - half
+            out.append(c)
+            v = (v - c) >> self.slot
+        return out
+
+    def readback(self, row: Row, n: int, name: str) -> QuasiPoly:
+        """The slots as a flat row, in a base past the last slot, read back."""
+        grades = [(j, self.slots(v)) for j, v in row]
+        base = max([n] + [len(cs) for _, cs in grades])
+        flat = [(j * base + i, c) for j, cs in grades for i, c in enumerate(cs) if c]
+        return _Flat(base).readback(tuple(flat), n, name)
 
 
 @lru_cache(maxsize=None)
@@ -221,12 +270,11 @@ def _slot_width(bucket: int) -> int:
     return bound[bucket].bit_length() + 2
 
 
-def _scaled_row(key: int, base: int, slot: int, memo: dict[int, Row]) -> Row:
-    """The row of K(w) = |w|! kappa(w), memoised in memo, the dict of its
-    layout and bucket (see _recursive_value): flat in base B = base when
-    slot is 0, else packed in slots of W = slot bits (and base 1, the
-    stride of a grade).  key is the word's _key, which the caller has
-    probed.
+def _walk(key: int, memo: dict[int, Row], ring: Union[_Flat, _Packed]) -> Row:
+    """The row of K(w) = |w|! kappa(w) in the ring, memoised in memo, the
+    ring's dict (see _recursive_value).  key is the word's _key, which the
+    caller has probed.  The ring gives the row of 1^n (ones), of 1* (pair)
+    and the combine of one state's cuts; the walk only chooses the states.
 
     The word is cut at the least of its rotations that start with 1 and
     end with * (the least key, so at the shortest run of 1s).  Any such
@@ -245,8 +293,11 @@ def _scaled_row(key: int, base: int, slot: int, memo: dict[int, Row]) -> Row:
     key without a call of _canonical.  The cumulant is invariant under
     rotation, reversal and swap, so each alias is exact; the memo counts
     entries, not orbits.  The caller probes each piece of a cut with its
-    key as given, inline, and calls this only on a miss (or on an empty
-    row, a zero cumulant, which the rotation probe then finds).
+    key as given, inline (memo.get(k) or _walk(...)), and calls this only
+    on a miss.  That probe treats a falsy value as a miss: an empty row, a
+    zero cumulant, costs one more call, which the rotation probe answers.
+    A ring whose values are often zero (a scalar at a point) would pay
+    that call on most probes and needs a sentinel probe instead.
     """
     n = key.bit_length() - 1
     # the least rotation that starts with 1 and ends with *; the all-ones
@@ -259,10 +310,9 @@ def _scaled_row(key: int, base: int, slot: int, memo: dict[int, Row]) -> Row:
         row = memo.get(canon)
     if row is None:
         if canon & 1:  # only the all-ones key ends with 1
-            c = (-n) ** (n - 1)
-            row = ((0, c << slot * (n - 1)),) if slot else ((n - 1, c),)
+            row = ring.ones(n)
         elif n == 2:
-            row = ((0, -2), (base, 2))  # 2! (1 - y^2) in either layout
+            row = ring.pair
         else:
             # the least cut rotation, cut into a prefix of n - s letters and
             # a suffix of s: two pieces in one orbit share one memo row, a
@@ -270,9 +320,9 @@ def _scaled_row(key: int, base: int, slot: int, memo: dict[int, Row]) -> Row:
             cuts = []
             for s in range(n - 1, 0, -1):
                 head, tail = rot >> s, rot & (1 << s) - 1 | 1 << s
-                cuts.append((memo.get(head) or _scaled_row(head, base, slot, memo),
-                             memo.get(tail) or _scaled_row(tail, base, slot, memo), -comb(n, s)))
-            row = _sparse(_row_products(cuts, (n // 2) * base + (1 if slot else n)))
+                cuts.append((memo.get(head) or _walk(head, memo, ring),
+                             memo.get(tail) or _walk(tail, memo, ring), -comb(n, s)))
+            row = ring.combine(cuts, n)
         memo[canon] = row
     memo[rot] = memo[key] = row
     return row

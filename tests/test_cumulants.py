@@ -24,9 +24,8 @@ from freeunitary import (
     z_mobius,
     z_recursive,
 )
-from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _rotations, _slot_width
+from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _Packed, _rotations, _slot_width, _walk
 from freeunitary.moments import diag_cumulant
-from freeunitary.qpoly import _slots
 from oracles import (
     canonical_letters,
     first_boundary_value,
@@ -380,8 +379,8 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     # 2 + t^3 at y^3, flat in base 16 or in one packed grade
     from freeunitary import cumulants
 
-    monkeypatch.setattr(cumulants, "_scaled_row", lambda key, base, slot, memo:
-                        ((0, 2 + (1 << 3 * slot)),) if slot else ((0, 2), (3, 1)))
+    monkeypatch.setattr(cumulants, "_walk", lambda key, memo, ring:
+                        ((0, 2 + (1 << 3 * ring.slot)),) if isinstance(ring, _Packed) else ((0, 2), (3, 1)))
     for layout in LAYOUTS:
         monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
         monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
@@ -398,8 +397,8 @@ def test_signed_slots_round_trip(slot):
     for coeffs in ([top], [-top], [0, top], [-top, 0, 0, top], [top, -top, -1, 1, 0, -top],
                    [-(1 << slot - 1), 1], [1, -1] * 20, [5, 0, -top, 0, 0, 7]):
         packed = sum(c << slot * i for i, c in enumerate(coeffs))
-        assert _slots(packed, slot) == coeffs
-    assert _slots(0, slot) == []
+        assert _Packed(slot).slots(packed) == coeffs
+    assert _Packed(slot).slots(0) == []
 
 
 def test_the_slot_width_bounds_every_coefficient(monkeypatch):
@@ -464,6 +463,70 @@ def test_least_rotation_cut_bounds_the_states(text, most, exact, monkeypatch):
         assert (states, len(rows)) == (most, entries)
     else:
         assert states <= most and len(rows) <= entries
+
+
+class _Count:
+    """A ring of the word recursion's walk that holds nothing: its leaves and
+    every combine are 1, so the walk stores one entry for each alias of each
+    state it visits, and no row."""
+
+    pair = 1
+
+    def ones(self, n):
+        return 1
+
+    def combine(self, cuts, n):
+        return 1
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_the_count_ring_stores_the_entries_of_the_rows(layout, monkeypatch):
+    # the walk stores as many entries with nothing in them as with the rows
+    # of either layout: on seeded words of 13 to 30 letters and on the three
+    # words of test_least_rotation_cut_bounds_the_states
+    from freeunitary import cumulants
+
+    rng = random.Random(20145)
+    words = ["".join(rng.choice("1*") for _ in range(n)) for n in (13, 20, 24, 30)]
+    entries = {"1*" * 15: 760, "1*" * 12 + "1": 585, "1" * 29 + "*": 59}
+    for text in words + list(entries):
+        _in_layout(monkeypatch, layout, [text])
+        (rows,) = cumulants._RECURSIVE_MEMO.values()
+        counts = {}
+        _walk(_key(Word.parse(text).letters), counts, _Count())
+        assert len(counts) == len(rows) and set(counts.values()) == {1}
+        assert len(rows) == entries.get(text, len(rows))
+
+
+def test_the_cold_reset_empties_the_walk(monkeypatch):
+    # emptying cumulants' lru caches and *_MEMO dicts by name, as the
+    # benchmark's cold start does, leaves no row anywhere: a second run of
+    # a 16-letter word with 8 switches (packed) combines and stores as many
+    # rows as the first
+    from freeunitary import cumulants
+
+    monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
+    row_products, combines = cumulants._row_products, []
+
+    def counted(cuts, size):
+        combines.append(size)
+        return row_products(cuts, size)
+
+    monkeypatch.setattr(cumulants, "_row_products", counted)
+    word = "1111**11*1***11*"
+    assert switch_number(Word.parse(word)) == 8
+    built = []
+    for _ in range(2):
+        for attr, val in vars(cumulants).items():
+            if hasattr(val, "cache_clear"):
+                val.cache_clear()
+            elif isinstance(val, dict) and attr.endswith("_MEMO"):
+                val.clear()
+        combines.clear()
+        value = z_recursive(word).value
+        built.append((value, len(combines), {k: len(d) for k, d in cumulants._RECURSIVE_MEMO.items()}))
+    first, second = built
+    assert first == second and first[1] > 0 and list(first[2]) == [("packed", 16)]
 
 
 def test_zpolynomial_rejects_bad_shapes():
