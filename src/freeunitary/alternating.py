@@ -24,9 +24,11 @@ denominator, X_m = (m-1)! xi_m and Lambda_m = m! lambda_m, each one flat
 row of qpoly, and each convolution is one call of qpoly._row_products,
 the kernel of the word recursion, over its symmetric half with binomial
 weights.  Each xi step is solved on the integer list by exact divisions
-(_xi_rows), and a row becomes a QuasiPoly only when qpoly._readback
-reads it over its factorial.  The round trip composes the expansion of
-chi with that L by Horner's rule, one sum_of_products per coefficient.
+(_xi_rows, which yields each X_m with its right side, off which
+lambda_series reads X_m'), and a row becomes a QuasiPoly only when
+qpoly._readback reads it over its factorial.  The round trip composes
+the expansion of chi with that L by Horner's rule, one sum_of_products
+per coefficient.
 The module checks the equation exactly on z-coefficients and
 numerically on grids, where only the truncation itself contributes a
 defect.  The module imports no fractions: the constant 1/2 of H is an
@@ -149,27 +151,28 @@ class XiSequence(Frozen):
         return f"XiSequence(n_max={len(self.entries)}, method={self.method!r})"
 
 
-def _xi_rows(n_max: int) -> list[Row]:
-    """The flat integer rows X_1..X_N of X_n = (n-1)! xi_n, N = n_max.
+def _xi_rows(n_max: int) -> Iterator[tuple[Row, int, list[int]]]:
+    """Step by step, (X_n, c, S_n): the flat integer row of X_n = (n-1)! xi_n
+    and the right side G_n = c S_n of its equation, n = 1..N, N = n_max.
 
     Grade j of a flat row of qpoly in base B = N is y^(2j): grade 2j of
     xi_n has t-degree below max(j, 1) <= B and j <= n, and X_n lies in
     Z[t, y] (Biane's Q_d has its t^j coefficient in Z/j!, which the
-    Moebius sum keeps).  With S_n = sum_m C(n-2, m-1) X_m X_{n-m}, one
-    qpoly._row_products over the pairs {m, n - m}, the recursion is
-    X_n' + n X_n = G = -n(n-1) S_n with X_n(0) = 0, which on grade 2j is
-    P' + (n-j) P = G_j.  For j < n that gives
+    Moebius sum keeps).  S_n = sum_m C(n-2, m-1) X_m X_{n-m}, a dense list
+    of (n+1) B entries, is one qpoly._row_products over the pairs
+    {m, n - m}; X_n' + n X_n = G_n, X_n(0) = 0, c = -n(n-1) (G_1 = 1: c = 1,
+    S_1 the dense row of 1), is P' + (n-j) P = G_j on grade 2j, so for j < n
     p_i = (g_i - (i+1) p_{i+1}) / (n-j) from the top t-power down; for
     j = n, p_{i+1} = g_i / (i+1) and p_0 = -sum_{j<n} P_j(0).  So grade j
     of S_n must have t-degree below max(j, 1), and grade n below n - 1:
     one check refuses any nonzero slot past that bound, naming the
     t-degree it would give xi_n, and each grade is solved only below it.
     Every division is exact, so one that leaves a remainder, or a grade 0
-    other than (n-1)! times the signed Catalan constant of xi_n, is
-    refused.
+    other than (n-1)! times the signed Catalan constant of xi_n, is refused.
     """
     base = n_max
     rows: list[Row] = [((0, 1), (base, -1))]  # rows[n - 1] = X_n; X_1 = xi_1
+    yield rows[0], 1, [1] + [0] * (2 * base - 1)
     fact = 1  # (n-1)!
     for n in range(2, n_max + 1):
         fact *= n - 1
@@ -185,7 +188,7 @@ def _xi_rows(n_max: int) -> list[Row]:
                 while not s[lo + i]:
                     i += 1
                 raise StructureError(f"xi_{n} carries t-degree {i + (j == n)} at exp2={-2 * j}")
-        c = -n * (n - 1)  # G = c S_n
+        c = -n * (n - 1)  # G_n = c S_n
         x = [0] * len(s)
         at0 = 0
         for j in range(n):
@@ -206,7 +209,7 @@ def _xi_rows(n_max: int) -> list[Row]:
         if x[0] != fact * _signed_catalan(n):
             raise StructureError(f"xi_{n} constant term must be {_signed_catalan(n)}")
         rows.append(_sparse(x))
-    return rows
+        yield rows[-1], c, s
 
 
 def xi_by_recursion(n_max: int) -> XiSequence:
@@ -214,10 +217,10 @@ def xi_by_recursion(n_max: int) -> XiSequence:
 
     Each xi_n satisfies xi_n' + n xi_n = -n R_n with xi_n(0) = 0, where
     R_n = sum_{m<n} xi_m xi_{n-m}.  The steps run on the integer rows of
-    _xi_rows, each read back over (n-1)!.
+    _xi_rows, each read back over (n-1)!; the right sides go unread.
     """
     check_at_least("n_max", n_max, 1)
-    rows = _xi_rows(n_max)
+    rows = [row for row, _, _ in _xi_rows(n_max)]
     xs = [
         _readback(row, n_max, math.factorial(n - 1), 0, -2, lambda j: max(j, 1), f"xi_{n}")
         for n, row in enumerate(rows, 1)
@@ -310,31 +313,28 @@ def lambda_series(order: int) -> TruncSeries1:
         lambda_n = -(2/n) xi_n' - (1/2) sum_{j=1}^{n-1} lambda_j lambda_{n-j}.
     On Lambda_n = n! lambda_n and X_n = (n-1)! xi_n that is Lambda_n =
     -2 X_n' - sum_{j<n/2} C(n, j) Lambda_j Lambda_{n-j} - C(n, n/2)/2 Lambda_{n/2}^2,
-    in Z[t, y] since C(n, n/2) is even: one qpoly._row_products on the flat
-    rows, with X_n' read off the row of X_n from _xi_rows, read back over n!.
-    A Lambda_n with a nonzero grade 0, or a t-degree outside the layout, is
-    refused.  The route reads the xi recursion, not the expansion of chi,
+    in Z[t, y] since C(n, n/2) is even.  Step n of _xi_rows solves
+    X_n' = G_n - n X_n, so -2 X_n' = 2n X_n - 2 G_n: 2n X_n is one more term,
+    against the row of 1, of one qpoly._row_products on the flat rows, and
+    -2 G_n one pass over the step's dense S_n; Lambda_n is read back over n!
+    and refused if it has a nonzero grade 0 or a t-degree outside the
+    layout.  The route reads the xi recursion, not the expansion of chi,
     and shares no code with the closed form lagrange_lambda.
     """
     check_at_least("order", order, 1)
-    x_rows = _xi_rows(order)  # x_rows[n - 1] = X_n
     base = order
     lam: list[QuasiPoly] = []  # lam[j - 1] = lambda_j
     rows = []  # rows[j - 1] = Lambda_j
     fact = 1  # n!
-    for n in range(1, order + 1):
+    for n, (x, c, s) in enumerate(_xi_rows(order), 1):
         fact *= n
         name = f"lambda_{n}"
         pairs = [
             (rows[j - 1], rows[n - j - 1], -(math.comb(n, j) >> (2 * j == n)))
             for j in range(1, n // 2 + 1)
-        ]
-        out = _row_products(pairs, (n + 1) * base)
-        for p, v in x_rows[n - 1]:  # d/dt (t^i y^(2j)) = i t^(i-1) y^(2j) - j t^i y^(2j)
-            j, i = divmod(p, base)
-            out[p] += 2 * j * v
-            if i:
-                out[p - 1] -= 2 * i * v
+        ] + [(x, ((0, 1),), 2 * n)]  # 2n X_n, against the row of 1
+        g2 = 2 * c  # -2 G_n = -g2 S_n
+        out = [u - g2 * v for u, v in zip(_row_products(pairs, (n + 1) * base), s)]
         if any(out[:base]):
             raise StructureError(f"{name} carries an impossible term exp2=0")
         rows.append(_sparse(out))

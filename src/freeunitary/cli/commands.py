@@ -20,6 +20,7 @@ run the dispatcher a second time.
 from __future__ import annotations
 
 import argparse
+from collections.abc import Callable, Iterable
 from itertools import chain
 
 from .. import cli

@@ -45,6 +45,7 @@ recursion's grades.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
 from typing import Union
 
@@ -54,7 +55,10 @@ from .ncpart import _weight_table, block_sum
 from .qpoly import QuasiPoly, Row, _readback, _row_products, _sparse
 
 Z_LIMIT = 12
-PACK_SWITCHES = 8  # a word of n letters with s cyclic switches has packed rows when 8 s > n
+# the constants of the layout rule of _packs, stated and measured in _recursive_value
+PACK_RUN = 12
+PACK_SWITCHES = 8
+PACK_LETTERS = 32
 
 
 def canonical_word(w: Union[Word, str]) -> Word:
@@ -167,23 +171,29 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     2 - 2y^2.  So by induction every K lies in Z[t, y], with y-powers
     |w| - 2j, 0 <= j <= |w|/2, and t-degree below |w|.
 
-    The ring of the rows is read off the word: with s cyclic switches and
-    n letters, PACK_SWITCHES * s > n takes packed grades (_Packed, in the
-    bucket of n rounded up to a multiple of 8, at least 16), and any other
-    word flat rows (_Flat, in base B, the least power of two at or above
-    n, at least 16).  On the words measured, every word with s >= n/4 ran
-    faster packed, and the two-run and long-run words with s <= n/8 up to
-    12 times as fast flat (1^60 *^60), whose one-run pieces are monomials
-    with many empty slots.  Each ring (layout and bucket or base) has its
-    own dict of rows in _RECURSIVE_MEMO, probed here with the key as
-    given, and reads the top row back over |w|!; a ring holds no row.  A
-    word whose recursion passes Python's depth limit is refused with
-    SizeError.
+    The ring of the rows is read off the word by _packs: with n letters, s
+    cyclic switches and longest cyclic run r, packed grades (_Packed, in
+    the bucket of n rounded up to a multiple of 8, at least 16) when
+    r <= PACK_RUN, or when PACK_SWITCHES * s > n unless n > PACK_LETTERS
+    and 2r >= n; flat rows (_Flat, in base B, the least power of two at or
+    above n, at least 16) otherwise.  Long runs make the pieces monomials
+    with many empty slots (1^60 *^60 ran 12 times as fast flat).  The
+    constants fit a grid timed with each ring forced (min of 5 runs, fresh
+    memo): 1^k *^k ran faster packed up to k = 12 and flat from 13;
+    1^k *1*1* *^m (k <= 24, m <= 12) packed up to 31 letters and flat from
+    33, where W steps from 183 to 242 bits; 1^k * near even up to 23
+    letters and flat past them.  Words with no run past 12 ran faster
+    packed (1111111111*******11111111*****11 in 33 against 59 ms), and so
+    did random words of 36 to 44 letters with 6 to 8 switches and r < n/2.
+    No grid word takes a ring slower than the former rule, 8 s > n alone,
+    picked.  Each ring (layout and bucket or base) has its own dict of rows
+    in _RECURSIVE_MEMO, probed here with the key as given, and reads the
+    top row back over |w|!; a ring holds no row.  A word whose recursion
+    passes Python's depth limit is refused with SizeError.
     """
     n = len(letters)
     key = _key(letters)
-    v = key ^ 1 << n  # the letter bits; v xor its rotation by one marks each switch
-    if (v ^ (v >> 1 | (v & 1) << (n - 1))).bit_count() * PACK_SWITCHES > n:
+    if _packs(letters):
         bucket = max(16, -(-n // 8) * 8)
         ring, memo = _Packed(_slot_width(bucket)), _RECURSIVE_MEMO.setdefault(("packed", bucket), {})
     else:
@@ -194,6 +204,18 @@ def _recursive_value(letters: Letters) -> QuasiPoly:
     except RecursionError:
         raise SizeError(f"word length {n} needs a recursion deeper than Python's limit") from None
     return ring.readback(row, n, f"kappa({Word(letters)})")
+
+
+def _packs(letters: Letters) -> bool:
+    """Whether the layout rule of _recursive_value packs the rows of the
+    letters: n of them, with s cyclic switches and longest cyclic run r."""
+    n = len(letters)
+    runs = [len(list(run)) for _, run in groupby(letters)]
+    if len(runs) > 1 and letters[0] == letters[-1]:
+        runs[0] += runs.pop()  # the last run wraps into the first
+    s = len(runs) if len(runs) > 1 else 0
+    r = max(runs)
+    return r <= PACK_RUN or s * PACK_SWITCHES > n and not (n > PACK_LETTERS and 2 * r >= n)
 
 
 class _Flat:

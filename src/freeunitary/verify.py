@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Iterator
 from importlib import import_module
 from random import Random
 

@@ -284,25 +284,27 @@ def test_lambda_at_forty_starts_at_the_catalan_row():
 
 
 def _patch_x2(monkeypatch, extra):
-    # _xi_rows(2) with the (index, coefficient) pairs extra added to X_2; the
-    # row base is 2, so index 2j + i holds t^i y^(2j)
+    # the steps of _xi_rows(2) with the (index, coefficient) pairs extra added
+    # to X_2 and its right side G_2 as solved; the row base is 2, so index
+    # 2j + i holds t^i y^(2j)
     from freeunitary import alternating
 
     real = alternating._xi_rows
-    x1, x2 = real(2)
-    monkeypatch.setattr(alternating, "_xi_rows", lambda n: [x1, x2 + extra] if n == 2 else real(n))
+    first, (x2, c2, s2) = real(2)
+    steps = [first, (x2 + extra, c2, s2)]
+    monkeypatch.setattr(alternating, "_xi_rows", lambda n: iter(steps) if n == 2 else real(n))
 
 
 def test_lambda_series_refuses_an_impossible_term(monkeypatch):
-    # t in X_2: -2 X_2' then puts a constant in grade 0 of Lambda_2
+    # t in X_2: the term 4 X_2 then puts t in grade 0 of Lambda_2
     _patch_x2(monkeypatch, ((1, 1),))
     with pytest.raises(StructureError, match="lambda_2 carries an impossible term exp2=0"):
         lambda_series(2)
 
 
 def test_lambda_series_refuses_a_xi_row_outside_the_layout(monkeypatch):
-    # t y^2 in X_2 reaches the t-degree bound of grade 2, and -2 X_2' keeps
-    # it in Lambda_2, whose readback refuses it
+    # t y^2 in X_2 reaches the t-degree bound of grade 2, and the term 4 X_2
+    # keeps it in Lambda_2, whose readback refuses it
     _patch_x2(monkeypatch, ((3, 1),))
     with pytest.raises(StructureError, match=re.escape("lambda_2 carries t-degree 1 at exp2=-2")):
         lambda_series(2)

@@ -24,7 +24,9 @@ from freeunitary import (
     z_mobius,
     z_recursive,
 )
-from freeunitary.cumulants import Z_LIMIT, _canonical, _key, _mobius_value, _Packed, _rotations, _slot_width, _walk
+from freeunitary.cumulants import (
+    Z_LIMIT, _canonical, _key, _mobius_value, _Packed, _packs, _rotations, _slot_width, _walk,
+)
 from freeunitary.moments import diag_cumulant
 from oracles import (
     canonical_letters,
@@ -284,9 +286,16 @@ def test_recursion_never_reaches_the_nc_lattice(monkeypatch):
         assert z_recursive(w).value == want[w]
 
 
-# PACK_SWITCHES values that force each layout of the word recursion's
-# rows on every word that is not constant
-LAYOUTS = {"flat": 0, "packed": 1 << 30}
+# values of the layout rule's constants that force each layout of the word
+# recursion's rows on every word
+LAYOUTS = {"flat": {"PACK_RUN": 0, "PACK_SWITCHES": 0}, "packed": {"PACK_RUN": 1 << 30}}
+
+
+def _force(monkeypatch, layout):
+    from freeunitary import cumulants
+
+    for name, value in LAYOUTS[layout].items():
+        monkeypatch.setattr(cumulants, name, value)
 
 
 def _in_layout(monkeypatch, layout, words):
@@ -294,7 +303,7 @@ def _in_layout(monkeypatch, layout, words):
     layout, from one fresh memo."""
     from freeunitary import cumulants
 
-    monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+    _force(monkeypatch, layout)
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
     return [z_recursive(w).value for w in words]
 
@@ -307,7 +316,7 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
     from freeunitary import cumulants
 
     for layout in LAYOUTS:
-        monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+        _force(monkeypatch, layout)
         rng = random.Random(20140)
         for n in range(9, 15):
             w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
@@ -321,8 +330,6 @@ def test_recursive_memo_aliases_are_exact(monkeypatch):
                 assert _key(v.letters) in memo[layout, 16]
             assert list(memo) == [(layout, 16)]
             for key, row in list(memo[layout, 16].items()):
-                if layout == "packed" and _canonical(key) & 1:
-                    continue  # a constant word alone has flat rows
                 fresh = {}
                 monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", fresh)
                 z_recursive(_word_of(key))
@@ -382,7 +389,7 @@ def test_readback_refuses_a_row_outside_the_word_layout(monkeypatch):
     monkeypatch.setattr(cumulants, "_walk", lambda key, memo, ring:
                         ((0, 2 + (1 << 3 * ring.slot)),) if isinstance(ring, _Packed) else ((0, 2), (3, 1)))
     for layout in LAYOUTS:
-        monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS[layout])
+        _force(monkeypatch, layout)
         monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", {})
         with pytest.raises(StructureError, match=re.escape("kappa(1*1) carries t-degree 3 at exp2=-3")):
             z_recursive("1*1")
@@ -411,7 +418,7 @@ def test_the_slot_width_bounds_every_coefficient(monkeypatch):
     assert [_slot_width(m) for m in (16, 24, 32, 40)] == [74, 126, 183, 242]
     for m in range(16, 129, 8):
         assert m ** (m - 1) < 1 << _slot_width(m) - 2
-    monkeypatch.setattr(cumulants, "PACK_SWITCHES", LAYOUTS["flat"])
+    _force(monkeypatch, "flat")
     memo = {}
     monkeypatch.setattr(cumulants, "_RECURSIVE_MEMO", memo)
     for n in range(1, 13):
@@ -426,20 +433,43 @@ def test_the_slot_width_bounds_every_coefficient(monkeypatch):
 
 def test_packed_and_flat_rows_give_the_same_values(monkeypatch):
     # every word of up to 12 letters, seeded words of 13 to 30 letters, and
-    # words on both sides of the layout rule, 8 s > n
-    from freeunitary import cumulants
-
+    # words on both sides of the layout rule
     words = [w for n in range(1, 13) for w in _all_words(n)]
     rng = random.Random(20143)
     words += [Word(tuple(rng.choice((1, -1)) for _ in range(n))) for n in range(13, 31, 3)]
     words += [Word.parse(w) for w in ("1" * 12 + "*" * 12, "111111******111111******",
                                       "1" * 20 + "*1*1*" + "*" * 10, "1" * 60 + "*1*")]
-    sides = {switch_number(w) * cumulants.PACK_SWITCHES > w.n for w in words[-4:]}
-    assert sides == {False, True}
+    assert {_packs(w.letters) for w in words[-4:]} == {False, True}
     flat = _in_layout(monkeypatch, "flat", words)
     assert _in_layout(monkeypatch, "packed", words) == flat
     monkeypatch.undo()
     assert [z_recursive(w).value for w in words[-4:]] == flat[-4:]
+
+
+def test_the_layout_rule_picks_its_ring_on_the_timed_grid():
+    # the ring, not the time: on the grid behind the rule's constants (see
+    # _recursive_value), 1^k *^k packs up to k = 12; 1^k *1*1* *^m up to 32
+    # letters, and at 1^16 *1*1* *^12, whose longest run is under half of
+    # it; 1^k * up to k = 14, by 8 s > n; and the 32-letter word with no run
+    # past 12.  The benchmark's two-run words of up to 12 letters and its
+    # words of 14 to 16 letters with 8 switches pack too.
+    def packs(text):
+        return _packs(Word.parse(text).letters)
+
+    assert [k for k in range(1, 25) if packs("1" * k + "*" * k)] == list(range(1, 13))
+    for k in range(6, 25, 2):
+        for m in range(2, 13, 2):
+            w = "1" * k + "*1*1*" + "*" * m
+            assert packs(w) == (len(w) <= 32 or (k, m) == (16, 12)), w
+    assert [k for k in range(1, 41) if packs("1" * k + "*")] == list(range(1, 15))
+    assert packs("1111111111*******11111111*****11")
+    assert all(packs("1" * k + "*" * l) for k in range(1, 12) for l in range(1, 13 - k))
+    rng = random.Random(20146)
+    for n in (14, 15, 16) * 20:
+        w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
+        while switch_number(w) != 8:
+            w = Word(tuple(rng.choice((1, -1)) for _ in range(n)))
+        assert _packs(w.letters), w
 
 
 @pytest.mark.parametrize(

@@ -193,20 +193,18 @@ def test_importing_a_module_loads_only_what_it_imports(name):
     assert _fresh(code) == sorted(want)
 
 
-def _public_callables(module):
-    """The public functions of a module, and the public methods, properties
-    and __init__ of its public classes, each by its qualified name."""
+def _defined_callables(module):
+    """The functions a module defines, and the methods and properties of the
+    classes it defines, private ones included, each by its qualified name."""
     for name, obj in vars(module).items():
-        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+        if getattr(obj, "__module__", None) != module.__name__:
             continue
         if inspect.isfunction(obj):
             yield name, obj
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if attr.startswith("_") and attr != "__init__":
-                    continue
                 member = getattr(member, "__func__", getattr(member, "fget", member))
-                if inspect.isfunction(member):
+                if inspect.isfunction(member) and member.__module__ == module.__name__:
                     yield f"{name}.{attr}", member
 
 
@@ -214,16 +212,23 @@ def _public_callables(module):
 def test_every_public_annotation_resolves(name):
     # annotations are strings (from __future__ import annotations), so a
     # name that is imported only where it is used fails here, not at
-    # import; Fraction and mpmath are deferred on purpose, so that integer
-    # values load neither
+    # import.  Fraction and mpmath are deferred on purpose, so that integer
+    # values load neither, and so are the layer types that the CLI handlers
+    # and the verify suites import per request.
     from fractions import Fraction
 
     import mpmath
 
+    from freeunitary.moments import Word
+    from freeunitary.ncpart import NCPartition
+    from freeunitary.rdiag import Distribution
+
+    deferred = {"Fraction": Fraction, "mpmath": mpmath, "Word": Word,
+                "NCPartition": NCPartition, "Distribution": Distribution}
     module = importlib.import_module(name)
-    for qualname, func in _public_callables(module):
+    for qualname, func in _defined_callables(module):
         try:
-            typing.get_type_hints(func, localns={"Fraction": Fraction, "mpmath": mpmath})
+            typing.get_type_hints(func, localns=deferred)
         except NameError as e:
             pytest.fail(f"{name}.{qualname}: {e}")
 
